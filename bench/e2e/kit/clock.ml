@@ -1,0 +1,2 @@
+(** Monotonic seconds (CLOCK_MONOTONIC), immune to wall-clock steps. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
