@@ -69,14 +69,14 @@ scale-smoke:
 	./scripts/scale_smoke.sh
 
 # the loop-nest experiment: 1-D unroll baseline vs the flattened
-# multi-dimensional pipeline vs hierarchical composition on the two
-# checked-in nest examples, written to BENCH_nest.json
+# multi-dimensional pipeline on the two checked-in nest examples,
+# written to BENCH_nest.json
 bench-nest:
 	dune exec bench/main.exe -- nest
 
-# what CI's nest-smoke job runs: both nest examples through `hlsc flow`
-# with per-dimension IIs, the unroll_overflow refusal on stencil2d, and
-# the bench nest multi-D verdict
+# what CI's nest-smoke job runs: both nest examples and the depth-3
+# gemm4 built-in through `hlsc flow` with per-dimension IIs, the
+# unroll_overflow refusal on stencil2d, and the bench nest multi-D verdict
 nest-smoke:
 	./scripts/nest_smoke.sh
 
@@ -152,11 +152,13 @@ golden:
 	./scripts/check_golden.sh
 
 # what CI's bench-smoke job runs: one-rep sched + reduced-iteration
-# netlist benches (so the experiment code paths stay alive) plus the
-# golden byte-identity gate on Tables 1-4 / Fig 10-11
+# netlist benches (so the experiment code paths stay alive), the golden
+# byte-identity gate on Tables 1-4 / Fig 10-11 and the loop-nest designs,
+# and one short pass of the end-to-end benchmark
 bench-smoke:
 	dune exec bench/main.exe -- sched netlist --smoke
 	./scripts/check_golden.sh
+	dune build @bench/e2e/smoke
 
 clean:
 	dune clean

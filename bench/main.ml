@@ -903,8 +903,7 @@ let bench_scale () =
 
 (* ------------------------------------------------------------------ *)
 (* Loop-nest pipelining: unroll-based 1-D baseline vs the flattened     *)
-(* multi-dimensional pipeline vs hierarchical bottom-up composition     *)
-(* (BENCH_nest.json)                                                    *)
+(* multi-dimensional pipeline (BENCH_nest.json)                         *)
 (* ------------------------------------------------------------------ *)
 
 let bench_nest () =
@@ -948,8 +947,6 @@ let bench_nest () =
         in
         (* flattened multi-dimensional pipeline at the per-dimension request *)
         let flat = run ~nest_mode:`Flatten ~ii:None ~ii_dims:(Some dims) in
-        (* hierarchical bottom-up composition (inner kernel as super-op) *)
-        let hier = Nest_sched.compose ~lib ~clock_ps:clock design in
         let show tag = function
           | Ok r -> Printf.printf "  %-10s %-8s %s\n%!" name tag (Flow.summary r)
           | Error d ->
@@ -957,17 +954,6 @@ let bench_nest () =
         in
         show "unroll" unroll;
         show "flatten" flat;
-        (match hier with
-        | Ok h -> Printf.printf "  %-10s %-8s %s\n%!" name "hier" (Nest_sched.summary h)
-        | Error m -> Printf.printf "  %-10s %-8s infeasible (%s)\n%!" name "hier" m);
-        let hier_json =
-          match hier with
-          | Ok h ->
-              Printf.sprintf {|{"ok":true,"inner_ii":%d,"span":%d,"outer_ii":%d,"ii_dims":[%s]}|}
-                h.Nest_sched.ns_inner_ii h.Nest_sched.ns_span h.Nest_sched.ns_outer_ii
-                (String.concat "," (List.map string_of_int h.Nest_sched.ns_per_dim_iis))
-          | Error _ -> {|{"ok":false}|}
-        in
         let flat_beats_unroll =
           match (flat, unroll) with
           | Ok _, Error _ -> true (* multi-D schedules a nest the 1-D baseline refuses *)
@@ -975,12 +961,12 @@ let bench_nest () =
           | _ -> false
         in
         Printf.sprintf
-          {|{"design":"%s","requested_ii_dims":[%s],"unroll":%s,"flatten":%s,"hier":%s,"multi_d_wins":%b}|}
+          {|{"design":"%s","requested_ii_dims":[%s],"unroll":%s,"flatten":%s,"multi_d_wins":%b}|}
           name
           (String.concat "," (List.map string_of_int dims))
           (match unroll with Ok r -> json_of_flow r | Error d -> json_err d)
           (match flat with Ok r -> json_of_flow r | Error d -> json_err d)
-          hier_json flat_beats_unroll)
+          flat_beats_unroll)
       workloads
   in
   let oc = open_out "BENCH_nest.json" in

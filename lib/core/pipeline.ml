@@ -45,26 +45,12 @@ let ops_at t ~state ~stage =
     t.f_kernel []
   |> List.sort compare
 
-(** Effective inter-iteration distance of an edge, in the region's own
-    (innermost) iterations: the logical distance times the stride of the
-    nest dimension carrying the dependence (see {!Region.stride}).  For
-    ordinary edges ([dim = 0]) this is just [e.distance].  Exposed as a
-    pure helper so the per-dimension modulo constraint is unit-testable. *)
-let eff_distance region (e : Dfg.edge) = e.Dfg.distance * Region.stride region e.Dfg.dim
-
-(** Slack granted to a loop-carried edge by the modulo constraint
-    [step(dst) >= finish(src) - eff_distance*II + 1]: an edge carried by
-    an enclosing nest dimension [d] only has to close once per [stride d]
-    kernel iterations, so it earns proportionally more pipeline slack. *)
-let modulo_slack region ~ii (e : Dfg.edge) = eff_distance region e * ii
-
 (** Re-check the folding invariants:
     - no two ops bound to the same instance land in the same kernel state
       (unless their guards are mutually exclusive);
     - every SCC of the region occupies a single stage;
-    - every loop-carried edge satisfies the (per-dimension) modulo
-      constraint [step(dst) >= finish(src) - d_eff*II + 1], where [d_eff]
-      is {!eff_distance}. *)
+    - every loop-carried edge satisfies the modulo constraint
+      [step(dst) >= finish(src) - distance*II + 1]. *)
 let validate (s : Scheduler.t) (t : t) : string list =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
@@ -109,10 +95,8 @@ let validate (s : Scheduler.t) (t : t) : string list =
           if e.Dfg.distance > 0 && Region.mem region e.Dfg.src && Region.mem region e.Dfg.dst then
             match (Binding.placement binding e.Dfg.src, Binding.placement binding e.Dfg.dst) with
             | Some sp, Some dp ->
-                if dp.Binding.pl_step < sp.Binding.pl_finish - modulo_slack region ~ii:t.f_ii e + 1
-                then
-                  err "loop-carried edge %d->%d (dim %d) violates the modulo constraint" e.Dfg.src
-                    e.Dfg.dst e.Dfg.dim
+                if dp.Binding.pl_step < sp.Binding.pl_finish - (e.Dfg.distance * t.f_ii) + 1 then
+                  err "loop-carried edge %d->%d violates the modulo constraint" e.Dfg.src e.Dfg.dst
             | _ -> ())
         (Dfg.in_edges dfg op.Dfg.id));
   List.rev !errs

@@ -21,23 +21,11 @@ val kernel_state : t -> int -> (int * int) option
 
 val ops_at : t -> state:int -> stage:int -> int list
 
-val eff_distance : Hls_ir.Region.t -> Hls_ir.Dfg.edge -> int
-(** Effective inter-iteration distance in the region's own (innermost)
-    iterations: [distance * Region.stride region dim].  Equals the plain
-    distance for ordinary ([dim = 0]) edges. *)
-
-val modulo_slack : Hls_ir.Region.t -> ii:int -> Hls_ir.Dfg.edge -> int
-(** Slack the (per-dimension) modulo constraint grants a loop-carried
-    edge: [eff_distance * II].  The constraint itself is
-    [step(dst) >= finish(src) - modulo_slack + 1]; an edge carried by an
-    enclosing nest dimension closes once per stride kernel iterations and
-    earns proportionally more slack. *)
-
 val validate : Scheduler.t -> t -> string list
 (** No same-instance collisions within a kernel state (up to guard
     exclusivity), every SCC within one stage, every loop-carried edge
-    within the per-dimension modulo constraint (see {!modulo_slack}).
-    Empty = clean. *)
+    within the modulo constraint
+    [step(dst) >= finish(src) - distance*II + 1].  Empty = clean. *)
 
 val to_table : Scheduler.t -> t -> string list list
 (** The paper's Fig. 5 rendering: kernel states × stages. *)

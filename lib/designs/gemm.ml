@@ -15,7 +15,7 @@
     ]}
 
     The frontend flattens all three dimensions onto one combined
-    induction counter ({!Hls_frontend.Nest.flatten3}), so the pipeline
+    induction counter ({!Hls_frontend.Nest.flatten}), so the pipeline
     kernel is the single multiply–accumulate and the enclosing rows'
     IIs derive by stride.  The legacy lowering would instead unroll
     [n^2] copies of the MAC into the outer body. *)

@@ -129,21 +129,15 @@ let resolve_ii ~options (elab : Elaborate.t) : (int option, Diag.t) Stdlib.resul
           Diag.error ~phase:Diag.Frontend ~code:"nest_ii"
             "per-dimension II %s requested but the design has no flattened loop nest"
             (String.concat "x" (List.map string_of_int dims))
-      | Some info ->
-          let nd = List.length info.Hls_frontend.Nest.ni_dims in
+      | Some nest ->
+          let nd = List.length nest.Region.n_dims in
           if List.length dims <> nd then
             Diag.error ~phase:Diag.Frontend ~code:"nest_ii"
               "per-dimension II has %d entries but the nest has %d dimensions"
               (List.length dims) nd
           else
             let kernel = List.nth dims (nd - 1) in
-            let trips = List.map (fun d -> d.Hls_frontend.Nest.d_trip) info.Hls_frontend.Nest.ni_dims in
-            (* stride of dimension i (outermost first) = product of trips
-               of the dimensions strictly inside it *)
-            let rec strides = function [] -> [] | _ :: rest as l ->
-              List.fold_left (fun a t -> a * t) 1 (List.tl l) :: strides rest
-            in
-            let expected = List.map (fun s -> kernel * s) (strides trips) in
+            let expected = List.map (fun s -> kernel * s) (Region.strides nest) in
             if List.for_all2 ( = ) dims expected then Stdlib.Ok (Some kernel)
             else
               Diag.error ~phase:Diag.Frontend ~code:"nest_ii"

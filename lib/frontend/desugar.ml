@@ -3,11 +3,9 @@
     Four rewrites:
 
     - Counted loop {e nests} at the top level: when {!Nest} recognizes an
-      eligible 2- or 3-level nest (and the mode is [`Flatten], the
+      eligible nest of any depth (and the mode is [`Flatten], the
       default), it is collapsed into a single loop over the combined
-      induction counter instead of unrolling the inner dimensions —
-      3-level recognition is tried first, so a triple nest flattens as
-      one 3-dimensional loop rather than unrolling its innermost level.
+      induction counter instead of unrolling the inner dimensions.
       Ineligible nests fall back to the legacy unroll lowering; if that
       would overflow the unroll bound, a typed [nest_shape] fault names
       the loop.
@@ -145,43 +143,30 @@ and lower_stmts ~in_loop stmts = List.concat_map (lower_stmt ~in_loop) stmts
 let top_assigned stmts = Ast.assigned_vars stmts
 
 (** Lower a whole design.  In [`Flatten] mode (the default) the first
-    eligible counted nest at top level — 3-level nests tried before
-    2-level — is collapsed via {!Nest.flatten3}/{!Nest.flatten} and its
-    {!Nest.info} returned; everything else (and
-    everything in [`Unroll] mode) goes through the per-statement
-    lowering, where nested counted loops are fully unrolled.  The result
-    contains only [Assign], [Write], [Wait], wait-free [If],
-    [Stall_until] and top-level [Do_while]. *)
+    eligible counted nest at top level, of any depth, is collapsed via
+    {!Nest.flatten} and its {!Hls_ir.Region.nest} annotation returned;
+    everything else (and everything in [`Unroll] mode) goes through the
+    per-statement lowering, where nested counted loops are fully
+    unrolled.  The result contains only [Assign], [Write], [Wait],
+    wait-free [If], [Stall_until] and top-level [Do_while]. *)
 let design_ex ?(nest = `Flatten) (d : design) =
   let lower stmts = lower_stmts ~in_loop:false stmts in
-  match nest with
-  | `Unroll -> ({ d with d_body = lower d.d_body }, None)
-  | `Flatten -> (
-      let depth3 =
-        match Nest.find3 d.d_body with
-        | Some (before, n3, after) when Nest.eligible3 n3 = Ok () ->
-            let already = top_assigned before in
-            let stmts, info = Nest.flatten3 ~design:d ~already n3 in
-            Some ({ d with d_body = lower before @ lower stmts @ lower after }, Some info)
-        | _ -> None
-      in
-      match depth3 with
-      | Some r -> r
-      | None -> (
-          match Nest.find d.d_body with
-          | None -> ({ d with d_body = lower d.d_body }, None)
-          | Some (before, n, after) -> (
-              match Nest.eligible n with
-              | Ok () ->
-                  let already = top_assigned before in
-                  let stmts, info = Nest.flatten ~design:d ~already n in
-                  ({ d with d_body = lower before @ lower stmts @ lower after }, Some info)
-              | Error reason ->
-                  if Nest.inner_trip n > max_unroll then
-                    Fault.fail ~loop:n.Nest.outer_attrs.l_name ~code:"nest_shape"
-                      "loop nest '%s' cannot be flattened (%s) and its inner trip count %d \
-                       exceeds the unroll bound (%d)"
-                      n.Nest.outer_attrs.l_name reason (Nest.inner_trip n) max_unroll
-                  else ({ d with d_body = lower d.d_body }, None))))
+  let unrolled () = ({ d with d_body = lower d.d_body }, None) in
+  match (nest, Nest.find d.d_body) with
+  | `Unroll, _ | `Flatten, None -> unrolled ()
+  | `Flatten, Some (before, n, after) -> (
+      match Nest.eligible n with
+      | Ok () ->
+          let stmts, region_nest = Nest.flatten ~design:d ~already:(top_assigned before) n in
+          ({ d with d_body = lower before @ lower stmts @ lower after }, Some region_nest)
+      | Error reason -> (
+          let outer = (List.hd n.Nest.levels).Nest.attrs.l_name in
+          match List.find_opt (fun l -> Nest.trip l > max_unroll) (List.tl n.Nest.levels) with
+          | Some l ->
+              Fault.fail ~loop:outer ~code:"nest_shape"
+                "loop nest '%s' cannot be flattened (%s) and its inner trip count %d exceeds the \
+                 unroll bound (%d)"
+                outer reason (Nest.trip l) max_unroll
+          | None -> unrolled ()))
 
 let design ?nest (d : design) = fst (design_ex ?nest d)

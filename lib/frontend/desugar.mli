@@ -24,7 +24,7 @@ exception Error of Fault.t
 
 type nest_mode = [ `Flatten | `Unroll ]
 (** How to lower counted loop nests: [`Flatten] (default) collapses an
-    eligible 2-level nest into a single combined-counter loop;
+    eligible nest of any depth into a single combined-counter loop;
     [`Unroll] forces the legacy lowering (inner dimensions fully
     unrolled) — the 1-D baseline. *)
 
@@ -39,6 +39,6 @@ val design : ?nest:nest_mode -> design -> design
 (** Lower a whole design; the result contains only [Assign], [Write],
     [Wait], wait-free [If], [Stall_until] and top-level [Do_while]. *)
 
-val design_ex : ?nest:nest_mode -> design -> design * Nest.info option
-(** Like {!design}, also returning the nest description when a nest was
-    flattened. *)
+val design_ex : ?nest:nest_mode -> design -> design * Hls_ir.Region.nest option
+(** Like {!design}, also returning the region's nest annotation when a
+    nest was flattened. *)

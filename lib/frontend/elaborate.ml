@@ -43,7 +43,7 @@ type t = {
   pre_members : int list;
   loop : loop_info option;
   post_members : int list;
-  nest : Nest.info option;  (** set when the frontend flattened a loop nest *)
+  nest : Region.nest option;  (** set when the frontend flattened a loop nest *)
 }
 
 type ctx = {
@@ -228,7 +228,7 @@ let rec stmt ctx (s : Ast.stmt) =
   | Ast.Do_while _ | Ast.While _ | Ast.For _ ->
       err "internal: loop statement reached the statement elaborator"
 
-let elaborate_loop ?(carried_dim = 0) ctx (body, cond, attrs) =
+let elaborate_loop ctx (body, cond, attrs) =
   let lh = boundary ctx (Cfg.Loop_head { kind = `Do_while; cond = None }) ~name:attrs.Ast.l_name in
   let loop_sink = ref [] in
   (* Loop-carried variables: assigned in the body and live into it. *)
@@ -271,7 +271,7 @@ let elaborate_loop ?(carried_dim = 0) ctx (body, cond, attrs) =
       let final = Hashtbl.find ctx.env v in
       let w = op_width ctx lm in
       let final = coerce ctx final ~width:w in
-      Dfg.connect ctx.cd.Cdfg.dfg ~src:final ~dst:lm ~port:1 ~distance:1 ~dim:carried_dim)
+      Dfg.connect ctx.cd.Cdfg.dfg ~src:final ~dst:lm ~port:1 ~distance:1)
     muxes;
   let li_waits = max 1 ctx.wait_ix in
   ctx.wait_ix <- wait_base;
@@ -298,11 +298,9 @@ let elaborate_loop ?(carried_dim = 0) ctx (body, cond, attrs) =
     to their source wait states (partially-timed mode); the default untimed
     mode lets the scheduler re-time everything, as in the paper's worked
     examples.  [nest] selects the loop-nest lowering (see
-    {!Desugar.nest_mode}); [carried_dim] tags every loop-carried closure
-    edge with that nest dimension (used by [Hls_core.Nest_sched] and tests
-    to model recurrences carried by an enclosing dimension). *)
-let design ?(timed = false) ?nest ?carried_dim (d : Ast.design) : t =
-  let d, nest_info = Desugar.design_ex ?nest d in
+    {!Desugar.nest_mode}). *)
+let design ?(timed = false) ?nest (d : Ast.design) : t =
+  let d, nest = Desugar.design_ex ?nest d in
   Check.run_exn d;
   let cd = Cdfg.create ~name:d.Ast.d_name ~in_ports:d.Ast.d_ins ~out_ports:d.Ast.d_outs in
   let entry = Cfg.add_node cd.Cdfg.cfg Cfg.Entry in
@@ -334,7 +332,7 @@ let design ?(timed = false) ?nest ?carried_dim (d : Ast.design) : t =
   in
   let pre, main_loop, post = split [] d.Ast.d_body in
   List.iter (stmt ctx) pre;
-  let loop = Option.map (elaborate_loop ?carried_dim ctx) main_loop in
+  let loop = Option.map (elaborate_loop ctx) main_loop in
   let post_sink = ref [] in
   ctx.sink <- post_sink;
   Hashtbl.reset ctx.port_cache;
@@ -347,26 +345,25 @@ let design ?(timed = false) ?nest ?carried_dim (d : Ast.design) : t =
     pre_members = List.rev !pre_sink;
     loop;
     post_members = List.rev !post_sink;
-    nest = nest_info;
+    nest;
   }
 
 (** Convert the elaborated main loop (or, absent a loop, the whole design)
     into a scheduling {!Region}.  [ii] requests pipelining; latency bounds
     default to the loop attributes.  When the frontend flattened a loop
-    nest, the region carries the {!Region.nest} annotation (flattened
-    form), so per-dimension IIs and strides are available downstream. *)
+    nest, the region carries the {!Region.nest} annotation, so
+    per-dimension IIs and strides are available downstream. *)
 let main_region ?ii ?min_latency ?max_latency (t : t) : Region.t =
   match t.loop with
   | Some li ->
       let a = li.li_attrs in
       let ii = match ii with Some _ -> ii | None -> a.Ast.l_ii in
       let pipeline = Option.map (fun ii -> { Region.ii }) ii in
-      let nest = Option.map (fun i -> Nest.region_nest i ~flattened:true) t.nest in
       Region.create
         ~min_steps:(Option.value min_latency ~default:a.Ast.l_min_latency)
         ~max_steps:(Option.value max_latency ~default:a.Ast.l_max_latency)
         ?pipeline ?continue_cond:li.li_continue ?stall_cond:li.li_stall ~is_loop:true
-        ~source_waits:li.li_waits ~members:li.li_members ?nest ~name:a.Ast.l_name
+        ~source_waits:li.li_waits ~members:li.li_members ?nest:t.nest ~name:a.Ast.l_name
         t.cdfg.Cdfg.dfg
   | None ->
       Region.create

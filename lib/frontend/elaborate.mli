@@ -33,16 +33,14 @@ type t = {
   pre_members : int list;
   loop : loop_info option;
   post_members : int list;
-  nest : Nest.info option;  (** set when the frontend flattened a loop nest *)
+  nest : Region.nest option;  (** set when the frontend flattened a loop nest *)
 }
 
-val design : ?timed:bool -> ?nest:Desugar.nest_mode -> ?carried_dim:int -> Ast.design -> t
+val design : ?timed:bool -> ?nest:Desugar.nest_mode -> Ast.design -> t
 (** Desugar, check and elaborate.  [timed] pins I/O ops to their source
     wait states; the default untimed mode lets the scheduler re-time
     everything, as in the paper's worked examples.  [nest] selects the
-    loop-nest lowering (default [`Flatten]); [carried_dim] tags every
-    loop-carried closure edge with that nest dimension (for hierarchical
-    composition and tests).
+    loop-nest lowering (default [`Flatten]).
     @raise Fault.Error on any frontend problem. *)
 
 val main_region : ?ii:int -> ?min_latency:int -> ?max_latency:int -> t -> Region.t

@@ -1,134 +1,71 @@
-(** Counted loop-nest recognition, flattening and hierarchical splitting.
+(** Counted loop-nest recognition and flattening.
 
     The paper's pipeline machinery handles one loop: before this pass, a
     counted loop nested inside the main loop was fully unrolled, which
     caps the feasible trip count at {!Desugar.max_unroll} and forces the
-    outer dimension's II to cover the whole unrolled body.  This module
-    recognizes a 2-level counted nest
+    outer dimensions' IIs to cover the whole unrolled body.  This module
+    recognizes a counted nest of any depth N >= 2
 
     {[
-      for (i = lo1; i < hi1; i++) {   // outer dimension
-        pre;                          // per-outer-iteration prologue
-        for (j = lo2; j < hi2; j++) { inner; }
-        post;                         // per-outer-iteration epilogue
+      for (i = lo1; i < hi1; i++) {   // level 1 (outermost)
+        pre1;                         // per-row prologue of level 1
+        for (j = lo2; j < hi2; j++) { // level 2
+          ...
+            for (k = loN; k < hiN; k++) { body; }   // level N (innermost)
+          ...
+        }
+        post1;                        // per-row epilogue of level 1
       }
     ]}
 
-    and offers two lowerings:
-
-    - {!flatten}: collapse the nest into a single loop over the combined
-      induction counter, with first/last-of-row flags predicating [pre]
-      and [post].  The result is an ordinary single-loop design, so the
-      existing scheduler, fold, simulators and RTL generator apply
-      unchanged; per-dimension IIs derive from the kernel II
-      ({!Region.per_dim_iis}).  This is the executed, equivalence-checked
-      path.
-    - {!split}: hierarchical composition — an {e inner} design exposing
-      the inner loop for kernel scheduling, and an {e outer} summary
-      design where the inner loop appears as a fixed-latency multicycle
-      super-op ([Call "nest_body"]).  Used by [Hls_core.Nest_sched] for
-      bottom-up timing composition of imperfect nests; the outer design
-      is a {e timing} summary (port reads inside the inner body are
-      folded into the super-op), not a simulation model. *)
+    and {!flatten}s it into a single loop over the combined induction
+    counter, with first/last-of-row flags predicating each level's
+    [pre]/[post].  The result is an ordinary single-loop design, so the
+    existing scheduler, fold, simulators and RTL generator apply
+    unchanged; per-dimension IIs derive from the kernel II
+    ({!Region.per_dim_iis}). *)
 
 open Ast
 module Width = Hls_ir.Width
 module Opkind = Hls_ir.Opkind
 module Region = Hls_ir.Region
 
+type level = {
+  var : string;  (** induction variable *)
+  lo : int;
+  hi : int;
+  attrs : loop_attrs;
+  pre : stmt list;  (** statements before the next level's loop ([[]] innermost) *)
+  post : stmt list;  (** statements after the next level's loop ([[]] innermost) *)
+}
+
 type t = {
-  outer_var : string;
-  outer_lo : int;
-  outer_hi : int;
-  outer_attrs : loop_attrs;
-  inner_var : string;
-  inner_lo : int;
-  inner_hi : int;
-  inner_attrs : loop_attrs;
-  pre : stmt list;  (** outer-body statements before the inner loop *)
-  inner_body : stmt list;
-  post : stmt list;  (** outer-body statements after the inner loop *)
+  levels : level list;  (** outermost first; at least two *)
+  body : stmt list;  (** the innermost loop's body *)
 }
 
-type dim = {
-  d_name : string;  (** source loop name *)
-  d_var : string;  (** induction variable *)
-  d_lo : int;
-  d_trip : int;
-  d_ii : int option;  (** designer-requested II along this dimension *)
-}
-
-type info = {
-  ni_dims : dim list;  (** outermost first *)
-  ni_perfect : bool;
-  ni_flat_name : string;  (** loop name of the flattened/outer region *)
-  ni_pre_stmts : int;
-  ni_post_stmts : int;
-}
-
-let outer_trip t = t.outer_hi - t.outer_lo
-let inner_trip t = t.inner_hi - t.inner_lo
-
-let info_of t =
-  {
-    ni_dims =
-      [
-        {
-          d_name = t.outer_attrs.l_name;
-          d_var = t.outer_var;
-          d_lo = t.outer_lo;
-          d_trip = outer_trip t;
-          d_ii = t.outer_attrs.l_ii;
-        };
-        {
-          d_name = t.inner_attrs.l_name;
-          d_var = t.inner_var;
-          d_lo = t.inner_lo;
-          d_trip = inner_trip t;
-          d_ii = t.inner_attrs.l_ii;
-        };
-      ];
-    ni_perfect = t.pre = [] && t.post = [];
-    ni_flat_name = t.outer_attrs.l_name;
-    ni_pre_stmts = List.length t.pre;
-    ni_post_stmts = List.length t.post;
-  }
-
-let region_nest info ~flattened =
-  {
-    Region.n_dims =
-      List.map
-        (fun d -> { Region.nd_name = d.d_name; nd_trip = d.d_trip; nd_ii = d.d_ii })
-        info.ni_dims;
-    n_perfect = info.ni_perfect;
-    n_flattened = flattened;
-  }
+let trip l = l.hi - l.lo
 
 (** Structural recognition only: a [For] whose body contains a [For] at
-    top level.  Eligibility (variable discipline, trip counts…) is
-    checked separately by {!eligible}. *)
-let recognize = function
-  | For (ov, olo, ohi, body, oattrs) ->
-      let rec go pre = function
-        | [] -> None
-        | For (iv, ilo, ihi, ibody, iattrs) :: rest ->
-            Some
-              {
-                outer_var = ov;
-                outer_lo = olo;
-                outer_hi = ohi;
-                outer_attrs = oattrs;
-                inner_var = iv;
-                inner_lo = ilo;
-                inner_hi = ihi;
-                inner_attrs = iattrs;
-                pre = List.rev pre;
-                inner_body = ibody;
-                post = rest;
-              }
-        | s :: rest -> go (s :: pre) rest
-      in
-      go [] body
+    top level, followed down through each level's first top-level [For].
+    Eligibility (variable discipline, trip counts…) is checked separately
+    by {!eligible}. *)
+let recognize s =
+  let rec chain var lo hi attrs body =
+    let rec go pre = function
+      | [] -> ([ { var; lo; hi; attrs; pre = []; post = [] } ], body)
+      | For (v, l, h, b, a) :: post ->
+          let levels, inner = chain v l h a b in
+          ({ var; lo; hi; attrs; pre = List.rev pre; post } :: levels, inner)
+      | s :: rest -> go (s :: pre) rest
+    in
+    go [] body
+  in
+  match s with
+  | For (v, lo, hi, body, attrs) -> (
+      match chain v lo hi attrs body with
+      | [ _ ], _ -> None
+      | levels, body -> Some { levels; body })
   | _ -> None
 
 (** First structurally recognizable nest among top-level statements;
@@ -157,27 +94,41 @@ let rec read_vars acc stmts =
 
 let mentions v stmts = List.mem v (read_vars [] stmts) || List.mem v (assigned_vars stmts)
 
-(** Flattening eligibility.  [Error reason] means the nest falls back to
-    the legacy unroll lowering (and, if that would overflow the unroll
-    bound, the caller raises a typed [nest_shape] fault). *)
+let around l = l.pre @ l.post
+
+(** Flattening eligibility: positive trips, distinct induction variables
+    never assigned by the nest, pre/post segments loop-free, each counter
+    read only inside its own loop, no [unroll] request.  [Error reason]
+    means the nest falls back to the legacy unroll lowering (and, if that
+    would overflow the unroll bound, the caller raises a typed
+    [nest_shape] fault). *)
 let eligible t =
   let reject fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  if t.outer_attrs.l_unroll || t.inner_attrs.l_unroll then
-    reject "a dimension is marked unroll"
-  else if outer_trip t <= 0 || inner_trip t <= 0 then reject "non-positive trip count"
-  else if t.outer_var = t.inner_var then
-    reject "both dimensions share induction variable '%s'" t.outer_var
-  else if contains_loop t.pre || contains_loop t.post then
-    reject "statements around the inner loop contain a further loop"
-  else if contains_loop t.inner_body then reject "the nest is deeper than two loops"
-  else if mentions t.inner_var t.pre || mentions t.inner_var t.post then
-    reject "a statement outside the inner loop references its counter '%s'" t.inner_var
-  else if
-    List.exists
-      (fun v -> v = t.outer_var || v = t.inner_var)
-      (assigned_vars (t.pre @ t.inner_body @ t.post))
-  then reject "the nest body assigns an induction counter"
-  else Ok ()
+  let counters = List.map (fun l -> l.var) t.levels in
+  let all_around = List.concat_map around t.levels in
+  let assigned = assigned_vars (all_around @ t.body) in
+  let shared = List.find_opt (fun v -> List.length (List.filter (( = ) v) counters) > 1) counters in
+  (* the innermost level whose counter a statement of an enclosing level mentions *)
+  let escaped =
+    let rec go outside found = function
+      | [] -> found
+      | l :: rest -> go (outside @ around l) (if mentions l.var outside then Some l else found) rest
+    in
+    go [] None t.levels
+  in
+  if List.exists (fun l -> l.attrs.l_unroll) t.levels then reject "a dimension is marked unroll"
+  else if List.exists (fun l -> trip l <= 0) t.levels then reject "non-positive trip count"
+  else
+    match (shared, escaped) with
+    | Some v, _ -> reject "two dimensions share induction variable '%s'" v
+    | None, _ when contains_loop all_around ->
+        reject "statements around a nested loop contain a further loop"
+    | None, _ when contains_loop t.body -> reject "the innermost loop body contains a further loop"
+    | None, Some l ->
+        reject "a statement outside loop '%s' references its counter '%s'" l.attrs.l_name l.var
+    | None, None when List.exists (fun v -> List.mem v counters) assigned ->
+        reject "the nest body assigns an induction counter"
+    | None, None -> Ok ()
 
 (** {2 Flattening} *)
 
@@ -211,7 +162,7 @@ let rec infer_stmts design env stmts =
       | Do_while (b, _, _) | While (_, b, _) | For (_, _, _, b, _) -> infer_stmts design env b)
     stmts
 
-let counter_width lo hi = Width.clamp (max (Width.bits_for_signed lo) (Width.bits_for_signed hi))
+let counter_width l = Width.clamp (max (Width.bits_for_signed l.lo) (Width.bits_for_signed l.hi))
 
 let dedup xs =
   let seen = Hashtbl.create 16 in
@@ -224,384 +175,135 @@ let dedup xs =
       end)
     xs
 
-(** Pick flag names that collide with nothing in the design. *)
-let fresh_names design base_names =
+(** A name generator avoiding everything the design mentions: [base]
+    itself when free, else [base2], [base3], … *)
+let fresh_name design =
   let used = Hashtbl.create 32 in
   List.iter (fun (v, _) -> Hashtbl.replace used v ()) design.d_vars;
   List.iter (fun v -> Hashtbl.replace used v ()) (assigned_vars design.d_body);
   List.iter (fun v -> Hashtbl.replace used v ()) (read_vars [] design.d_body);
-  List.map
-    (fun base ->
-      if not (Hashtbl.mem used base) then base
-      else
-        let rec go k =
-          let cand = Printf.sprintf "%s%d" base k in
-          if Hashtbl.mem used cand then go (k + 1) else cand
-        in
-        go 2)
-    base_names
+  fun base ->
+    if not (Hashtbl.mem used base) then base
+    else
+      let rec go k =
+        let cand = Printf.sprintf "%s%d" base k in
+        if Hashtbl.mem used cand then go (k + 1) else cand
+      in
+      go 2
 
-(** Collapse an eligible nest into one loop over the combined induction
-    counter.  [already] lists variables assigned at top level before the
-    nest (those are live-in and must not be re-initialized).
-
-    The rewrite introduces three 1-bit flags: [_nf] (first inner
-    iteration of a row — runs [pre]), [_nl] (last inner iteration — runs
-    [post] and steps the outer counter) and [_nd] (last iteration of the
-    whole nest — exits the loop).  Variables assigned inside the nest but
-    not before it are hoisted to zero-initializations so the elaborator
-    treats them as loop-carried (their value must survive the inner
-    iterations between a row's [pre] and [post]); each init is given the
-    width the variable's first real assignment would produce, so widths
-    match the legacy unroll lowering.  The loop's pipeline attributes
-    (II, latency bounds) come from the {e inner} loop: the flattened
-    kernel is the inner body, and the outer dimension's II is the derived
-    [kernel II x inner trip]. *)
-let flatten ~design ~already t =
-  let wi = counter_width t.outer_lo t.outer_hi and wj = counter_width t.inner_lo t.inner_hi in
-  let nf, nl, nd =
-    match fresh_names design [ "_nf"; "_nl"; "_nd" ] with
-    | [ a; b; c ] -> (a, b, c)
-    | _ -> assert false
-  in
-  let env = Hashtbl.create 16 in
-  List.iter (fun (v, w) -> Hashtbl.replace env v w) design.d_vars;
-  if not (Hashtbl.mem env t.outer_var) then Hashtbl.replace env t.outer_var wi;
-  if not (Hashtbl.mem env t.inner_var) then Hashtbl.replace env t.inner_var wj;
-  let nest_stmts = t.pre @ t.inner_body @ t.post in
-  infer_stmts design env nest_stmts;
-  let hoisted =
-    assigned_vars nest_stmts |> dedup
-    |> List.filter (fun v ->
-           (not (List.mem v already)) && v <> t.outer_var && v <> t.inner_var)
-  in
-  let hoists =
-    List.map
-      (fun v ->
-        let w = match Hashtbl.find_opt env v with Some w -> w | None -> 32 in
-        Assign (v, Int_w (0, w)))
-      hoisted
-  in
-  let i = t.outer_var and j = t.inner_var in
-  let body =
-    [ Assign (nf, Bin (Opkind.Eq, Var j, Int_w (t.inner_lo, wj))) ]
-    @ (if t.pre = [] then [] else [ If (Var nf, t.pre, []) ])
-    @ t.inner_body
-    @ [ Assign (nl, Bin (Opkind.Eq, Var j, Int_w (t.inner_hi - 1, wj))) ]
-    @ (if t.post = [] then [] else [ If (Var nl, t.post, []) ])
-    @ [
-        Assign (nd, Bin (Opkind.Band, Var nl, Bin (Opkind.Eq, Var i, Int_w (t.outer_hi - 1, wi))));
-        Assign (j, Cond (Var nl, Int_w (t.inner_lo, wj), Bin (Opkind.Add, Var j, Int_w (1, wj))));
-        Assign (i, Cond (Var nl, Bin (Opkind.Add, Var i, Int_w (1, wi)), Var i));
-      ]
-  in
-  let attrs =
-    {
-      l_name = t.outer_attrs.l_name;
-      l_ii = t.inner_attrs.l_ii;
-      l_min_latency = t.inner_attrs.l_min_latency;
-      l_max_latency = t.inner_attrs.l_max_latency;
-      l_unroll = false;
-    }
-  in
-  let stmts =
-    hoists
-    @ [
-        Assign (i, Int_w (t.outer_lo, wi));
-        Assign (j, Int_w (t.inner_lo, wj));
-        Do_while (body, Bin (Opkind.Eq, Var nd, Int_w (0, 1)), attrs);
-        (* match the unroll lowering's counter exit value *)
-        Assign (j, Int_w (t.inner_hi, wj));
-      ]
-  in
-  (stmts, info_of t)
-
-(** {2 Depth-3 nests} *)
-
-(** A 3-level counted nest: [for (i) { pre1; for (j) { pre2; for (k)
-    { body } post2 }; post1 }].  Numbered outermost-in: dimension 1 is
-    the outer loop, 3 the innermost kernel. *)
-type t3 = {
-  v1 : string;
-  lo1 : int;
-  hi1 : int;
-  a1 : loop_attrs;
-  v2 : string;
-  lo2 : int;
-  hi2 : int;
-  a2 : loop_attrs;
-  v3 : string;
-  lo3 : int;
-  hi3 : int;
-  a3 : loop_attrs;
-  pre1 : stmt list;  (** outer-body statements before the middle loop *)
-  post1 : stmt list;  (** outer-body statements after the middle loop *)
-  pre2 : stmt list;  (** middle-body statements before the inner loop *)
-  post2 : stmt list;  (** middle-body statements after the inner loop *)
-  body3 : stmt list;  (** innermost kernel *)
-}
-
-let trip1 t = t.hi1 - t.lo1
-let trip2 t = t.hi2 - t.lo2
-let trip3 t = t.hi3 - t.lo3
-
-let info_of3 t =
-  let dim name var lo trip ii = { d_name = name; d_var = var; d_lo = lo; d_trip = trip; d_ii = ii } in
+let region_nest t =
   {
-    ni_dims =
-      [
-        dim t.a1.l_name t.v1 t.lo1 (trip1 t) t.a1.l_ii;
-        dim t.a2.l_name t.v2 t.lo2 (trip2 t) t.a2.l_ii;
-        dim t.a3.l_name t.v3 t.lo3 (trip3 t) t.a3.l_ii;
-      ];
-    ni_perfect = t.pre1 = [] && t.post1 = [] && t.pre2 = [] && t.post2 = [];
-    ni_flat_name = t.a1.l_name;
-    ni_pre_stmts = List.length t.pre1 + List.length t.pre2;
-    ni_post_stmts = List.length t.post1 + List.length t.post2;
+    Region.n_dims =
+      List.map
+        (fun l -> { Region.nd_name = l.attrs.l_name; nd_trip = trip l; nd_ii = l.attrs.l_ii })
+        t.levels;
+    n_perfect = List.for_all (fun l -> around l = []) t.levels;
   }
 
-(** Structural recognition of a 3-level nest: {!recognize} applied twice
-    — the outer nest's inner loop must itself contain a top-level [For]. *)
-let recognize3 s =
-  match recognize s with
-  | None -> None
-  | Some o -> (
-      match recognize (For (o.inner_var, o.inner_lo, o.inner_hi, o.inner_body, o.inner_attrs)) with
-      | None -> None
-      | Some m ->
-          Some
-            {
-              v1 = o.outer_var;
-              lo1 = o.outer_lo;
-              hi1 = o.outer_hi;
-              a1 = o.outer_attrs;
-              v2 = m.outer_var;
-              lo2 = m.outer_lo;
-              hi2 = m.outer_hi;
-              a2 = m.outer_attrs;
-              v3 = m.inner_var;
-              lo3 = m.inner_lo;
-              hi3 = m.inner_hi;
-              a3 = m.inner_attrs;
-              pre1 = o.pre;
-              post1 = o.post;
-              pre2 = m.pre;
-              post2 = m.post;
-              body3 = m.inner_body;
-            })
+(** Collapse an eligible nest of depth N into one loop over the combined
+    induction counter.  [already] lists variables assigned at top level
+    before the nest (those are live-in and must not be re-initialized).
 
-let find3 stmts =
-  let rec go before = function
-    | [] -> None
-    | s :: rest -> (
-        match recognize3 s with
-        | Some n -> Some (List.rev before, n, rest)
-        | None -> go (s :: before) rest)
+    The rewrite introduces 1-bit flags: [_nf], [_nff], … (m letters: the
+    m innermost counters are all at their first value) and [_nl], [_nll],
+    … (all at their last value), for m = 1..N-1, plus [_nd] (last
+    iteration of the whole nest — exits the loop).  Level d's [pre] runs
+    under the first-flag with N-d letters and its [post] under the
+    last-flag with N-d letters; pres run outermost first, posts innermost
+    first.  Counters step innermost first: each resets on its own row's
+    last iteration and advances on the last iteration of the rows inside
+    it.  Variables assigned inside the nest but not before it are hoisted
+    to zero-initializations so the elaborator treats them as loop-carried
+    (their value must survive the inner iterations between a row's [pre]
+    and [post]); each init is given the width the variable's first real
+    assignment would produce, so widths match the legacy unroll lowering.
+    The loop takes the outermost loop's name and the {e innermost} loop's
+    pipeline attributes (II, latency bounds): the flattened kernel is the
+    innermost body, and each enclosing dimension's II derives by stride
+    ({!Region.per_dim_iis}). *)
+let flatten ~design ~already t =
+  let n = List.length t.levels in
+  let outermost = List.hd t.levels and innermost = List.nth t.levels (n - 1) in
+  let fresh = fresh_name design in
+  let flags c = List.init (n - 1) (fun m -> fresh ("_n" ^ String.make (m + 1) c)) in
+  let firsts = flags 'f' and lasts = flags 'l' and nd = fresh "_nd" in
+  let value l x = Int_w (x, counter_width l) in
+  (* [names.(m-1)] := [names.(m-2)] & (counter of the m-th innermost
+     level == bound), innermost first *)
+  let flag_chain names bound =
+    let rec go prev names levels =
+      match (names, levels) with
+      | f :: fs, l :: ls ->
+          let test = Bin (Opkind.Eq, Var l.var, value l (bound l)) in
+          let e = match prev with None -> test | Some p -> Bin (Opkind.Band, Var p, test) in
+          Assign (f, e) :: go (Some f) fs ls
+      | _ -> []
+    in
+    go None names (List.rev t.levels)
   in
-  go [] stmts
-
-(** Depth-3 flattening eligibility: the same discipline as {!eligible},
-    extended across three dimensions — each counter may only be read
-    inside its own loop's extent. *)
-let eligible3 t =
-  let reject fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let around1 = t.pre1 @ t.post1 in
-  let around2 = t.pre2 @ t.post2 in
-  let counters = [ t.v1; t.v2; t.v3 ] in
-  if t.a1.l_unroll || t.a2.l_unroll || t.a3.l_unroll then reject "a dimension is marked unroll"
-  else if trip1 t <= 0 || trip2 t <= 0 || trip3 t <= 0 then reject "non-positive trip count"
-  else if List.length (dedup counters) <> 3 then
-    reject "dimensions share an induction variable"
-  else if contains_loop around1 || contains_loop around2 then
-    reject "statements around the nested loops contain a further loop"
-  else if contains_loop t.body3 then reject "the nest is deeper than three loops"
-  else if mentions t.v3 (around1 @ around2) then
-    reject "a statement outside the innermost loop references its counter '%s'" t.v3
-  else if mentions t.v2 around1 then
-    reject "a statement outside the middle loop references its counter '%s'" t.v2
-  else if
-    List.exists (fun v -> List.mem v counters) (assigned_vars (around1 @ around2 @ t.body3))
-  then reject "the nest body assigns an induction counter"
-  else Ok ()
-
-(** Collapse an eligible 3-level nest into one loop over the combined
-    induction counter.  The depth-2 scheme generalizes with two extra
-    flags: [_nf]/[_nl] mark the first/last innermost iteration of a
-    middle row (predicating [pre2]/[post2]), [_nff]/[_nll] additionally
-    mark the first/last middle iteration of an outer row (predicating
-    [pre1]/[post1]), and [_nd] exits after the last iteration of the
-    whole nest.  Counter stepping is hierarchical: [k] resets on [_nl],
-    [j] steps only on [_nl] and resets on [_nll], [i] steps only on
-    [_nll].  Attributes come from the innermost loop, the name from the
-    outermost, exactly as in {!flatten}. *)
-let flatten3 ~design ~already t =
-  let w1 = counter_width t.lo1 t.hi1
-  and w2 = counter_width t.lo2 t.hi2
-  and w3 = counter_width t.lo3 t.hi3 in
-  let nf, nff, nl, nll, nd =
-    match fresh_names design [ "_nf"; "_nff"; "_nl"; "_nll"; "_nd" ] with
-    | [ a; b; c; d; e ] -> (a, b, c, d, e)
-    | _ -> assert false
+  (* [_nd] extends the last-flag chain by the outermost counter *)
+  let last_defs, nd_def =
+    match List.rev (flag_chain (lasts @ [ nd ]) (fun l -> l.hi - 1)) with
+    | nd_def :: rev_defs -> (List.rev rev_defs, nd_def)
+    | [] -> assert false
   in
+  let enclosing = List.filteri (fun i _ -> i < n - 1) t.levels in
+  let guarded segment flags =
+    List.map2
+      (fun l f -> match segment l with [] -> [] | stmts -> [ If (Var f, stmts, []) ])
+      enclosing (List.rev flags)
+  in
+  let steps =
+    List.mapi
+      (fun k l ->
+        let inc = Bin (Opkind.Add, Var l.var, value l 1) in
+        let stepped =
+          match List.nth_opt lasts k with None -> inc | Some r -> Cond (Var r, value l l.lo, inc)
+        in
+        if k = 0 then Assign (l.var, stepped)
+        else Assign (l.var, Cond (Var (List.nth lasts (k - 1)), stepped, Var l.var)))
+      (List.rev t.levels)
+  in
+  let body =
+    flag_chain firsts (fun l -> l.lo)
+    @ List.concat (guarded (fun l -> l.pre) firsts)
+    @ t.body @ last_defs
+    @ List.concat (List.rev (guarded (fun l -> l.post) lasts))
+    @ (nd_def :: steps)
+  in
+  let counters = List.map (fun l -> l.var) t.levels in
   let env = Hashtbl.create 16 in
   List.iter (fun (v, w) -> Hashtbl.replace env v w) design.d_vars;
-  if not (Hashtbl.mem env t.v1) then Hashtbl.replace env t.v1 w1;
-  if not (Hashtbl.mem env t.v2) then Hashtbl.replace env t.v2 w2;
-  if not (Hashtbl.mem env t.v3) then Hashtbl.replace env t.v3 w3;
-  let nest_stmts = t.pre1 @ t.pre2 @ t.body3 @ t.post2 @ t.post1 in
+  List.iter
+    (fun l -> if not (Hashtbl.mem env l.var) then Hashtbl.replace env l.var (counter_width l))
+    t.levels;
+  let nest_stmts =
+    List.concat_map (fun l -> l.pre) t.levels
+    @ t.body
+    @ List.concat_map (fun l -> l.post) (List.rev t.levels)
+  in
   infer_stmts design env nest_stmts;
-  let hoisted =
-    assigned_vars nest_stmts |> dedup
-    |> List.filter (fun v ->
-           (not (List.mem v already)) && v <> t.v1 && v <> t.v2 && v <> t.v3)
-  in
   let hoists =
-    List.map
-      (fun v ->
-        let w = match Hashtbl.find_opt env v with Some w -> w | None -> 32 in
-        Assign (v, Int_w (0, w)))
-      hoisted
-  in
-  let i = t.v1 and j = t.v2 and k = t.v3 in
-  let body =
-    [
-      Assign (nf, Bin (Opkind.Eq, Var k, Int_w (t.lo3, w3)));
-      Assign (nff, Bin (Opkind.Band, Var nf, Bin (Opkind.Eq, Var j, Int_w (t.lo2, w2))));
-    ]
-    @ (if t.pre1 = [] then [] else [ If (Var nff, t.pre1, []) ])
-    @ (if t.pre2 = [] then [] else [ If (Var nf, t.pre2, []) ])
-    @ t.body3
-    @ [
-        Assign (nl, Bin (Opkind.Eq, Var k, Int_w (t.hi3 - 1, w3)));
-        Assign (nll, Bin (Opkind.Band, Var nl, Bin (Opkind.Eq, Var j, Int_w (t.hi2 - 1, w2))));
-      ]
-    @ (if t.post2 = [] then [] else [ If (Var nl, t.post2, []) ])
-    @ (if t.post1 = [] then [] else [ If (Var nll, t.post1, []) ])
-    @ [
-        Assign
-          (nd, Bin (Opkind.Band, Var nll, Bin (Opkind.Eq, Var i, Int_w (t.hi1 - 1, w1))));
-        Assign (k, Cond (Var nl, Int_w (t.lo3, w3), Bin (Opkind.Add, Var k, Int_w (1, w3))));
-        Assign
-          ( j,
-            Cond
-              ( Var nl,
-                Cond (Var nll, Int_w (t.lo2, w2), Bin (Opkind.Add, Var j, Int_w (1, w2))),
-                Var j ) );
-        Assign (i, Cond (Var nll, Bin (Opkind.Add, Var i, Int_w (1, w1)), Var i));
-      ]
+    assigned_vars nest_stmts |> dedup
+    |> List.filter (fun v -> not (List.mem v already || List.mem v counters))
+    |> List.map (fun v ->
+           let w = match Hashtbl.find_opt env v with Some w -> w | None -> 32 in
+           Assign (v, Int_w (0, w)))
   in
   let attrs =
     {
-      l_name = t.a1.l_name;
-      l_ii = t.a3.l_ii;
-      l_min_latency = t.a3.l_min_latency;
-      l_max_latency = t.a3.l_max_latency;
+      l_name = outermost.attrs.l_name;
+      l_ii = innermost.attrs.l_ii;
+      l_min_latency = innermost.attrs.l_min_latency;
+      l_max_latency = innermost.attrs.l_max_latency;
       l_unroll = false;
     }
   in
   let stmts =
     hoists
-    @ [
-        Assign (i, Int_w (t.lo1, w1));
-        Assign (j, Int_w (t.lo2, w2));
-        Assign (k, Int_w (t.lo3, w3));
-        Do_while (body, Bin (Opkind.Eq, Var nd, Int_w (0, 1)), attrs);
-        (* match the unroll lowering's counter exit values *)
-        Assign (j, Int_w (t.hi2, w2));
-        Assign (k, Int_w (t.hi3, w3));
-      ]
+    @ List.map (fun l -> Assign (l.var, value l l.lo)) t.levels
+    @ [ Do_while (body, Bin (Opkind.Eq, Var nd, Int_w (0, 1)), attrs) ]
+    (* match the unroll lowering's counter exit values *)
+    @ List.map (fun l -> Assign (l.var, value l l.hi)) (List.tl t.levels)
   in
-  (stmts, info_of3 t)
-
-(** {2 Hierarchical splitting} *)
-
-let rec subst_expr map e =
-  match e with
-  | Int _ | Int_w _ | Port _ -> e
-  | Var v -> ( match List.assoc_opt v map with Some e' -> e' | None -> e)
-  | Bin (op, a, b) -> Bin (op, subst_expr map a, subst_expr map b)
-  | Un (op, a) -> Un (op, subst_expr map a)
-  | Cond (c, a, b) -> Cond (subst_expr map c, subst_expr map a, subst_expr map b)
-  | Slice (a, hi, lo) -> Slice (subst_expr map a, hi, lo)
-  | Call (f, args, w) -> Call (f, List.map (subst_expr map) args, w)
-
-let rec subst_stmts map stmts =
-  List.map
-    (fun s ->
-      match s with
-      | Assign (v, e) -> Assign (v, subst_expr map e)
-      | Write (p, e) -> Write (p, subst_expr map e)
-      | Wait -> Wait
-      | Stall_until e -> Stall_until (subst_expr map e)
-      | If (c, t, f) -> If (subst_expr map c, subst_stmts map t, subst_stmts map f)
-      | Do_while (b, c, a) -> Do_while (subst_stmts map b, subst_expr map c, a)
-      | While (c, b, a) -> While (subst_expr map c, subst_stmts map b, a)
-      | For (v, lo, hi, b, a) -> For (v, lo, hi, subst_stmts map b, a))
-    stmts
-
-(** Name of the super-op standing in for the inner loop in the outer
-    summary design. *)
-let super_op_callee = "nest_body"
-
-(** Split a design around its first eligible nest into (inner design,
-    outer summary design, info) for bottom-up hierarchical scheduling.
-
-    The inner design keeps everything up to and including the inner loop
-    (the outer counter pinned at its lower bound); it is scheduled first
-    to obtain the inner kernel's II and latency.  The outer design
-    replaces the inner loop with [_nest_res = nest_body(<live-ins>)], a
-    black-box call whose latency [Hls_core.Nest_sched] patches to the
-    inner kernel's span once known; reads of inner-loop results in [post]
-    are redirected to [_nest_res].  The outer design summarizes {e
-    timing}, not behaviour — port reads inside the inner body are folded
-    into the super-op. *)
-let split (d : Ast.design) =
-  match find d.d_body with
-  | None -> None
-  | Some (before, t, after) -> (
-      match eligible t with
-      | Error _ -> None
-      | Ok () ->
-          if contains_loop before then None
-          else
-            let wi = counter_width t.outer_lo t.outer_hi in
-            let inner_for =
-              For (t.inner_var, t.inner_lo, t.inner_hi, t.inner_body, t.inner_attrs)
-            in
-            let inner_design =
-              {
-                d with
-                d_name = d.d_name ^ "_inner";
-                d_body =
-                  before @ [ Assign (t.outer_var, Int_w (t.outer_lo, wi)) ] @ t.pre
-                  @ [ inner_for ];
-              }
-            in
-            let res = List.hd (fresh_names d [ "_nest_res" ]) in
-            let inner_assigned =
-              assigned_vars t.inner_body |> dedup
-              |> List.filter (fun v -> v <> t.inner_var && v <> t.outer_var)
-            in
-            let live_in =
-              read_vars [] [ inner_for ] |> dedup
-              |> List.filter (fun v ->
-                     (not (List.mem v inner_assigned)) && v <> t.inner_var)
-            in
-            let args = match live_in with [] -> [ Var t.outer_var ] | vs -> List.map (fun v -> Var v) vs in
-            let map = List.map (fun v -> (v, Var res)) inner_assigned in
-            let outer_body =
-              before
-              @ [
-                  For
-                    ( t.outer_var,
-                      t.outer_lo,
-                      t.outer_hi,
-                      t.pre
-                      @ [ Assign (res, Call (super_op_callee, args, 32)) ]
-                      @ subst_stmts map t.post,
-                      t.outer_attrs );
-                ]
-              @ subst_stmts map after
-            in
-            let outer_design = { d with d_name = d.d_name ^ "_outer"; d_body = outer_body } in
-            Some (inner_design, outer_design, info_of t))
+  (stmts, region_nest t)

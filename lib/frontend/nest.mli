@@ -1,142 +1,50 @@
-(** Counted loop-nest recognition, flattening and hierarchical splitting.
+(** Counted loop-nest recognition and flattening.
 
-    Recognizes a 2-level counted nest ([for (i) { pre; for (j) { inner };
-    post }]) at the top level of a design and lowers it either by
-    {e flattening} — one loop over the combined induction counter, with
-    first/last-of-row flags predicating [pre] and [post]; the executed,
-    equivalence-checked path — or by {e splitting} into an inner design
-    plus an outer timing summary for bottom-up hierarchical scheduling
-    ([Hls_core.Nest_sched]).  Nests that fail {!eligible} fall back to the
-    legacy full-unroll lowering in {!Desugar}. *)
+    Recognizes a counted nest of any depth N >= 2 ([for (i) { pre1; for
+    (j) { pre2; … for (k) { body } …; post2 }; post1 }]) at the top level
+    of a design and flattens it into one loop over the combined induction
+    counter, with first/last-of-row flags predicating each level's
+    [pre]/[post].  Nests that fail {!eligible} fall back to the legacy
+    full-unroll lowering in {!Desugar}. *)
+
+(** One loop of the nest, outermost first. *)
+type level = {
+  var : string;  (** induction variable *)
+  lo : int;
+  hi : int;
+  attrs : Ast.loop_attrs;
+  pre : Ast.stmt list;  (** statements before the next level's loop ([[]] innermost) *)
+  post : Ast.stmt list;  (** statements after the next level's loop ([[]] innermost) *)
+}
 
 type t = {
-  outer_var : string;
-  outer_lo : int;
-  outer_hi : int;
-  outer_attrs : Ast.loop_attrs;
-  inner_var : string;
-  inner_lo : int;
-  inner_hi : int;
-  inner_attrs : Ast.loop_attrs;
-  pre : Ast.stmt list;  (** outer-body statements before the inner loop *)
-  inner_body : Ast.stmt list;
-  post : Ast.stmt list;  (** outer-body statements after the inner loop *)
+  levels : level list;  (** outermost first; at least two *)
+  body : Ast.stmt list;  (** the innermost loop's body *)
 }
 
-type dim = {
-  d_name : string;  (** source loop name *)
-  d_var : string;  (** induction variable *)
-  d_lo : int;
-  d_trip : int;
-  d_ii : int option;  (** designer-requested II along this dimension *)
-}
-
-type info = {
-  ni_dims : dim list;  (** outermost first *)
-  ni_perfect : bool;  (** no statements between the nest's loop headers *)
-  ni_flat_name : string;  (** loop name of the flattened/outer region *)
-  ni_pre_stmts : int;
-  ni_post_stmts : int;
-}
-
-val outer_trip : t -> int
-val inner_trip : t -> int
-
-val info_of : t -> info
-
-val region_nest : info -> flattened:bool -> Hls_ir.Region.nest
-(** Lower the frontend nest description to the IR-level annotation. *)
-
-val recognize : Ast.stmt -> t option
-(** Structural recognition only: a [For] whose body contains a [For] at
-    top level.  Use {!eligible} before flattening. *)
+val trip : level -> int
 
 val find : Ast.stmt list -> (Ast.stmt list * t * Ast.stmt list) option
-(** First structurally recognizable nest among top-level statements;
-    returns (statements before, nest, statements after). *)
+(** First top-level [For] whose body contains a [For] at top level,
+    followed down through each level's first top-level [For]; returns
+    (statements before, nest, statements after).  Structural recognition
+    only: use {!eligible} before flattening. *)
 
 val eligible : t -> (unit, string) result
-(** Flattening eligibility: both trips positive, distinct induction
-    variables never assigned by the body, [pre]/[post] loop-free and
-    independent of the inner counter, nest exactly two deep, no [unroll]
-    request on either dimension.  [Error reason] means the nest falls
-    back to the legacy unroll lowering. *)
+(** Flattening eligibility: positive trips, distinct induction variables
+    never assigned by the nest, pre/post segments loop-free, each counter
+    read only inside its own loop, no [unroll] request.  [Error reason]
+    means the nest falls back to the legacy unroll lowering. *)
 
-val flatten : design:Ast.design -> already:string list -> t -> Ast.stmt list * info
+val flatten : design:Ast.design -> already:string list -> t -> Ast.stmt list * Hls_ir.Region.nest
 (** Collapse an eligible nest into one loop over the combined induction
-    counter.  [already] lists variables assigned at top level before the
-    nest (live-in; not re-initialized).  Variables first assigned inside
-    the nest are hoisted to width-pinned zero-initializations so the
-    elaborator treats them as loop-carried.  The flattened loop takes the
-    {e inner} loop's pipeline attributes; the outer dimension's II is
-    derived ([kernel II x inner trip], see {!Hls_ir.Region.per_dim_iis}). *)
-
-(** {2 Depth-3 nests} *)
-
-(** A 3-level counted nest ([for (i) { pre1; for (j) { pre2; for (k)
-    { body } post2 }; post1 }]), numbered outermost-in. *)
-type t3 = {
-  v1 : string;
-  lo1 : int;
-  hi1 : int;
-  a1 : Ast.loop_attrs;
-  v2 : string;
-  lo2 : int;
-  hi2 : int;
-  a2 : Ast.loop_attrs;
-  v3 : string;
-  lo3 : int;
-  hi3 : int;
-  a3 : Ast.loop_attrs;
-  pre1 : Ast.stmt list;  (** outer-body statements before the middle loop *)
-  post1 : Ast.stmt list;  (** outer-body statements after the middle loop *)
-  pre2 : Ast.stmt list;  (** middle-body statements before the inner loop *)
-  post2 : Ast.stmt list;  (** middle-body statements after the inner loop *)
-  body3 : Ast.stmt list;  (** innermost kernel *)
-}
-
-val trip1 : t3 -> int
-val trip2 : t3 -> int
-val trip3 : t3 -> int
-
-val info_of3 : t3 -> info
-(** Three dimensions, outermost first; [ni_perfect] iff all four
-    pre/post segments are empty. *)
-
-val recognize3 : Ast.stmt -> t3 option
-(** Structural recognition only: {!recognize} applied twice.  Use
-    {!eligible3} before flattening. *)
-
-val find3 : Ast.stmt list -> (Ast.stmt list * t3 * Ast.stmt list) option
-(** First structurally recognizable 3-level nest among top-level
-    statements; returns (statements before, nest, statements after). *)
-
-val eligible3 : t3 -> (unit, string) result
-(** Depth-3 flattening eligibility: the {!eligible} discipline across
-    three dimensions — positive trips, distinct never-assigned counters,
-    each counter read only inside its own loop's extent, pre/post
-    segments loop-free, nest exactly three deep, no [unroll] request.
-    [Error reason] means the nest falls back to the depth-2 path (which
-    will itself fall back to unrolling). *)
-
-val flatten3 : design:Ast.design -> already:string list -> t3 -> Ast.stmt list * info
-(** Collapse an eligible 3-level nest into one loop over the combined
-    induction counter.  Generalizes {!flatten} with two extra flags:
-    [_nf]/[_nl] predicate [pre2]/[post2] (first/last innermost iteration
-    of a middle row), [_nff]/[_nll] predicate [pre1]/[post1] (first/last
-    middle iteration of an outer row), [_nd] exits the loop.  The
-    flattened loop takes the {e innermost} loop's pipeline attributes
-    and the outermost loop's name; enclosing dimensions' IIs derive by
-    stride ({!Hls_ir.Region.per_dim_iis}). *)
-
-val super_op_callee : string
-(** Callee name of the black-box super-op standing in for the inner loop
-    in the outer summary design ("nest_body"). *)
-
-val split : Ast.design -> (Ast.design * Ast.design * info) option
-(** Split a design around its first eligible nest into (inner design,
-    outer summary design, info) for bottom-up hierarchical scheduling.
-    The outer design summarizes {e timing}: the inner loop becomes a
-    fixed-latency call whose latency the scheduler patches once the inner
-    kernel is scheduled.  [None] when no eligible nest exists (or other
-    loops precede it). *)
+    counter, returning the statements and the nest annotation for the
+    flattened region.  [already] lists variables assigned at top level
+    before the nest (live-in; not re-initialized).  Flags [_nf], [_nff],
+    … (first) and [_nl], [_nll], … (last) predicate the levels' [pre] and
+    [post] — level d of N under the flag with N-d letters — and [_nd]
+    exits the loop.  Variables first assigned inside the nest are hoisted
+    to width-pinned zero-initializations so the elaborator treats them as
+    loop-carried.  The flattened loop takes the outermost loop's name and
+    the {e innermost} loop's pipeline attributes; enclosing dimensions'
+    IIs derive by stride ({!Hls_ir.Region.per_dim_iis}). *)

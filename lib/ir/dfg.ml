@@ -10,9 +10,7 @@
 
 type op = {
   id : int;
-  mutable kind : Opkind.t;
-      (** mutable for post-elaboration retiming only (e.g. fixing a nest
-          super-op's latency once the inner kernel is scheduled) *)
+  kind : Opkind.t;
   mutable width : int;  (** result width in bits *)
   mutable guard : Guard.t;
   mutable name : string;  (** diagnostic name, e.g. ["mul1_op"] *)
@@ -22,18 +20,7 @@ type op = {
       (** guard removed from the commit path by the [Speculate] action *)
 }
 
-type edge = {
-  src : int;
-  dst : int;
-  port : int;
-  distance : int;
-  dim : int;
-      (** loop-nest dimension carrying the dependence: 0 (default) = the
-          region's own iteration axis; [d >= 1] = carried across
-          iterations of the [d]-th enclosing loop dimension.  The
-          effective distance in innermost iterations is
-          [distance * stride(dim)] (see {!Region.stride}). *)
-}
+type edge = { src : int; dst : int; port : int; distance : int }
 
 type t = {
   mutable next_id : int;
@@ -72,28 +59,16 @@ let edges_ref tbl id =
       Hashtbl.replace tbl id r;
       r
 
-let connect ?(distance = 0) ?(dim = 0) g ~src ~dst ~port =
+let connect ?(distance = 0) g ~src ~dst ~port =
   if not (mem g src) then invalid_arg "Dfg.connect: unknown src";
   if not (mem g dst) then invalid_arg "Dfg.connect: unknown dst";
   if distance < 0 then invalid_arg "Dfg.connect: negative distance";
-  if dim < 0 then invalid_arg "Dfg.connect: negative dim";
-  if dim > 0 && distance = 0 then invalid_arg "Dfg.connect: dim tag on a distance-0 edge";
-  let e = { src; dst; port; distance; dim } in
+  let e = { src; dst; port; distance } in
   let inr = edges_ref g.ins dst in
   (* at most one edge per (dst, port) *)
   inr := e :: List.filter (fun e' -> e'.port <> port) !inr;
   let outr = edges_ref g.outs src in
   outr := e :: List.filter (fun e' -> not (e'.dst = dst && e'.port = port)) !outr
-
-(** Replace an op's kind in place.  Intended for post-elaboration
-    retiming of nest super-ops ([Call] latency patching); the new kind
-    must keep the arity of the old one. *)
-let set_kind g id kind =
-  let op = find g id in
-  let old_arity = Opkind.arity op.kind and new_arity = Opkind.arity kind in
-  if old_arity >= 0 && new_arity >= 0 && old_arity <> new_arity then
-    invalid_arg "Dfg.set_kind: arity change";
-  op.kind <- kind
 
 (** Incoming edges of [id], sorted by port. *)
 let in_edges g id =
@@ -144,7 +119,7 @@ let replace_uses g ~old_id ~by =
       (* drop the old edge then reconnect *)
       let inr = edges_ref g.ins e.dst in
       inr := List.filter (fun e' -> not (e'.src = old_id && e'.port = e.port)) !inr;
-      connect g ~src:by ~dst:e.dst ~port:e.port ~distance:e.distance ~dim:e.dim)
+      connect g ~src:by ~dst:e.dst ~port:e.port ~distance:e.distance)
     uses;
   let outr = edges_ref g.outs old_id in
   outr := [];

@@ -9,7 +9,7 @@
 
 type op = {
   id : int;
-  mutable kind : Opkind.t;  (** mutate only via {!set_kind} *)
+  kind : Opkind.t;
   mutable width : int;  (** result width in bits *)
   mutable guard : Guard.t;
   mutable name : string;  (** diagnostic name, e.g. ["mul1_op"] *)
@@ -17,18 +17,7 @@ type op = {
   mutable speculated : bool;  (** guard removed from the commit path *)
 }
 
-type edge = {
-  src : int;
-  dst : int;
-  port : int;
-  distance : int;
-  dim : int;
-      (** loop-nest dimension carrying the dependence: 0 (default) = the
-          region's own (innermost) iteration axis; [d >= 1] = carried
-          across iterations of the [d]-th enclosing loop dimension, so the
-          effective distance in innermost iterations is
-          [distance * stride(dim)] (see {!Region.stride}). *)
-}
+type edge = { src : int; dst : int; port : int; distance : int }
 
 type t
 
@@ -43,16 +32,9 @@ val size : t -> int
 
 val add_op : ?guard:Guard.t -> ?name:string -> ?anchor:int -> t -> Opkind.t -> width:int -> op
 
-val connect : ?distance:int -> ?dim:int -> t -> src:int -> dst:int -> port:int -> unit
+val connect : ?distance:int -> t -> src:int -> dst:int -> port:int -> unit
 (** Connect [src]'s result to input [port] of [dst]; at most one edge per
-    (dst, port) — reconnecting replaces.  [dim] (default 0) tags a
-    loop-carried edge with its carrying nest dimension; tagging a
-    distance-0 edge is an error. *)
-
-val set_kind : t -> int -> Opkind.t -> unit
-(** Replace an op's kind in place (post-elaboration retiming of nest
-    super-ops, e.g. patching a [Call]'s latency once the inner kernel is
-    scheduled).  @raise Invalid_argument on an arity change. *)
+    (dst, port) — reconnecting replaces. *)
 
 val in_edges : t -> int -> edge list
 (** Incoming edges, sorted by port. *)

@@ -28,10 +28,6 @@ type dim = {
 type nest = {
   n_dims : dim list;  (** outermost first; the last entry is the innermost *)
   n_perfect : bool;  (** no statements between the nest's loop headers *)
-  n_flattened : bool;
-      (** true when this region is the flattened kernel of the nest (one
-          combined induction counter); false for the hierarchical
-          composition, where the region covers one dimension only *)
 }
 
 type t = {
@@ -94,24 +90,14 @@ let mem t id = Hashtbl.mem t.members id
 
 let nest t = t.nest
 
-(** Stride of nest dimension [d] in innermost (kernel) iterations: the
-    product of the trip counts of the [d] innermost dimensions.  Dimension
-    0 — the region's own iteration axis — always has stride 1, nest or
-    not.  A loop-carried edge tagged [dim = d] with logical distance [ld]
-    therefore has effective innermost distance [ld * stride t d]. *)
-let stride t d =
-  if d <= 0 then 1
-  else
-    match t.nest with
-    | None -> 1
-    | Some n ->
-        let dims = List.rev n.n_dims in
-        (* innermost first *)
-        let rec go k acc = function
-          | [] -> acc
-          | dm :: rest -> if k >= d then acc else go (k + 1) (acc * max 1 dm.nd_trip) rest
-        in
-        go 0 1 dims
+(** Stride of each nest dimension in innermost (kernel) iterations,
+    outermost first: the product of the trip counts of the dimensions
+    strictly inside it, so the innermost dimension has stride 1. *)
+let strides n =
+  List.fold_right
+    (fun d (inner, acc) -> (inner * max 1 d.nd_trip, inner :: acc))
+    n.n_dims (1, [])
+  |> snd
 
 (** Total iterations of the flattened nest (product of all trip counts);
     1 for ordinary regions. *)
@@ -125,11 +111,7 @@ let flat_iters t =
     every [kernel_ii] cycles and each enclosing dimension every
     [kernel_ii * stride] cycles.  Empty for ordinary regions. *)
 let per_dim_iis t ~kernel_ii =
-  match t.nest with
-  | None -> []
-  | Some n ->
-      let ndims = List.length n.n_dims in
-      List.mapi (fun i _ -> kernel_ii * stride t (ndims - 1 - i)) n.n_dims
+  match t.nest with None -> [] | Some n -> List.map (fun s -> kernel_ii * s) (strides n)
 
 (** Member ops, sorted by id. *)
 let member_ops t =

@@ -11,19 +11,11 @@
     are {e equivalent} when congruent modulo II (they fold onto one kernel
     state).
 
-    {b Loop nests.}  A counted 2-level nest is represented in one of two
-    ways, both carrying a {!nest} annotation:
-    - {e flattened} ([n_flattened = true]): the nest was collapsed by the
-      frontend into a single region iterating over the combined induction
-      counter, so the ordinary scheduler, fold and simulators apply
-      unchanged; per-dimension IIs derive from the kernel II via
-      {!per_dim_iis}.
-    - {e hierarchical} ([n_flattened = false]): the region covers one
-      dimension only, and the inner dimension appears as a fixed-latency
-      multicycle super-op (see [Hls_core.Nest_sched]); loop-carried edges
-      of an enclosing dimension are tagged with their [dim] and validated
-      against [distance * stride dim] (the per-dimension modulo
-      constraint). *)
+    {b Loop nests.}  A counted nest of any depth, collapsed by the
+    frontend into a single region iterating over the combined induction
+    counter, carries a {!nest} annotation; the ordinary scheduler, fold
+    and simulators apply unchanged, and per-dimension IIs derive from the
+    kernel II via {!per_dim_iis}. *)
 
 type pipeline_spec = { ii : int  (** initiation interval, designer-given *) }
 
@@ -36,9 +28,6 @@ type dim = {
 type nest = {
   n_dims : dim list;  (** outermost first; the last entry is the innermost *)
   n_perfect : bool;  (** no statements between the nest's loop headers *)
-  n_flattened : bool;
-      (** this region is the flattened kernel of the nest (one combined
-          induction counter); [false] for hierarchical composition *)
 }
 
 type t = {
@@ -80,12 +69,10 @@ val mem : t -> int -> bool
 
 val nest : t -> nest option
 
-val stride : t -> int -> int
-(** [stride t d] is the stride of nest dimension [d] in innermost
-    (kernel) iterations: the product of the trip counts of the [d]
-    innermost dimensions (1 for [d = 0], nest or not).  A loop-carried
-    edge tagged [dim = d] with logical distance [ld] has effective
-    innermost distance [ld * stride t d]. *)
+val strides : nest -> int list
+(** Stride of each nest dimension in innermost (kernel) iterations,
+    outermost first: the product of the trip counts of the dimensions
+    strictly inside it (1 for the innermost). *)
 
 val flat_iters : t -> int
 (** Product of the nest's trip counts (1 for ordinary regions). *)

@@ -1,16 +1,23 @@
 #!/bin/sh
-# Golden-output gate for the paper artifacts: regenerates Tables 1-4 and
-# the Fig 10/11 sweep and requires the output to be byte-identical to the
-# committed reference, except for the one wall-clock line the fig10 run
-# prints (normalized away below).  Run from the repository root; CI runs
-# it in the bench-smoke job so perf work cannot silently change schedules.
+# Golden-output gate.  Two references, both required byte-identical:
+#  - bench/golden/tables_fig10_11.txt: regenerates Tables 1-4 and the
+#    Fig 10/11 sweep, except for the one wall-clock line the fig10 run
+#    prints (normalized away below);
+#  - bench/golden/nest.txt: `hlsc flow` / `hlsc emit` on the loop-nest
+#    designs (see scripts/nest_golden.sh).
+# Run from the repository root; CI runs it in the bench-smoke job so perf
+# and refactoring work cannot silently change schedules.
 set -eu
 
 ref="bench/golden/tables_fig10_11.txt"
-[ -f "$ref" ] || { echo "missing $ref" >&2; exit 1; }
+nest_ref="bench/golden/nest.txt"
+for f in "$ref" "$nest_ref"; do
+  [ -f "$f" ] || { echo "missing $f" >&2; exit 1; }
+done
 
 out=$(mktemp)
-trap 'rm -f "$out" "$out.norm" "$ref.norm"' EXIT
+nest_out=$(mktemp)
+trap 'rm -f "$out" "$out.norm" "$ref.norm" "$nest_out"' EXIT
 
 dune exec bench/main.exe -- table1 table2 table3 table4 fig10 > "$out"
 
@@ -24,5 +31,14 @@ if diff -u "$ref.norm" "$out.norm"; then
 else
   echo "golden check FAILED: regenerate deliberately with" >&2
   echo "  dune exec bench/main.exe -- table1 table2 table3 table4 fig10 > $ref" >&2
+  exit 1
+fi
+
+./scripts/nest_golden.sh > "$nest_out"
+if diff -u "$nest_ref" "$nest_out"; then
+  echo "golden check OK: loop-nest flow/emit output matches $nest_ref"
+else
+  echo "golden check FAILED: regenerate deliberately with" >&2
+  echo "  ./scripts/nest_golden.sh > $nest_ref" >&2
   exit 1
 fi
