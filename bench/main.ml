@@ -400,7 +400,7 @@ let bench_dse () =
   let par_engine = Hls_dse.Dse.create () in
   let _, swn = idct_sweep ~jobs:requested_jobs ~engine:par_engine () in
   (* second parallel sweep on the same engine over a disjoint point set:
-     the resident pool is already spawned, so the wall difference against
+     the process-wide pool is already spawned, so the wall difference against
      the first sweep is the amortized domain-startup cost *)
   let warm_points =
     List.map

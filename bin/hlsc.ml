@@ -486,7 +486,6 @@ let explore_cmd =
       }
     in
     let engine = Hls_dse.Dse.create () in
-    at_exit (fun () -> Hls_dse.Dse.shutdown engine);
     let sw = Hls_dse.Dse.sweep ~jobs engine ~options design (Hls_dse.Dse.grid_points grid) in
     Hls_report.Table.print (Hls_dse.Dse.table sw.Hls_dse.Dse.sw_results);
     let pts = Hls_dse.Dse.pareto_points sw.Hls_dse.Dse.sw_results in

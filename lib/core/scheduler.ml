@@ -22,48 +22,14 @@ open Hls_ir
 open Hls_techlib
 
 (* --- region-parallel analysis ---------------------------------------
-   Independent SCC groups are analyzed on a shared domain pool.  The
-   per-SCC computation is pure (graph reads + library lookups only) and
-   results are merged in SCC index order, so the outcome is identical for
-   every worker count; a pool of size 1 degenerates to the sequential
-   path.  The pool is lazily created, shared across schedules, and
-   drained at exit. *)
+   Each SCC's recurrence check is pure (graph reads + library lookups
+   only), so on regions with many SCCs the checks fan out over
+   {!Hls_pool.Pool.map}; results come back in SCC index order, so the
+   outcome is identical for every worker count. *)
 
 let analysis_jobs = Atomic.make 1
 
 let set_jobs n = Atomic.set analysis_jobs (max 1 n)
-
-let analysis_pool : Hls_pool.Pool.t option ref = ref None
-
-let analysis_pool_get ~workers =
-  match !analysis_pool with
-  | Some p when Hls_pool.Pool.alive p ->
-      Hls_pool.Pool.ensure p workers;
-      p
-  | _ ->
-      let p = Hls_pool.Pool.create ~workers () in
-      analysis_pool := Some p;
-      at_exit (fun () -> Hls_pool.Pool.shutdown p);
-      p
-
-(* fan a pure per-item analysis over the pool; deterministic because the
-   merge is by index.  Tasks that are dropped (pool shut down) or die are
-   recomputed inline — same pure function, same result. *)
-let parallel_map_array f items =
-  let n = Array.length items in
-  let jobs = Atomic.get analysis_jobs in
-  if jobs > 1 && n >= 8 then begin
-    let slots = Array.make n None in
-    let p = analysis_pool_get ~workers:(min jobs n) in
-    let all_submitted =
-      Array.for_all Fun.id
-        (Array.init n (fun k ->
-             Hls_pool.Pool.submit p (fun () -> slots.(k) <- Some (f items.(k)))))
-    in
-    if all_submitted then Hls_pool.Pool.wait p;
-    Array.mapi (fun k s -> match s with Some v -> v | None -> f items.(k)) slots
-  end
-  else Array.map f items
 
 type options = {
   timing_aware : bool;
@@ -217,10 +183,29 @@ type pass_event =
 
 let event_step = function Ev_bind e -> e.ev_step | Ev_restraint e -> e.ev_step
 
+(* For regions with many independent recurrences (more than 4 SCCs),
+   each SCC's stage is pinned from its members' timing-aware ASAP
+   estimates instead of from the first (often dependency-free loop-mux)
+   placement: one pass instead of one corrective move per SCC.  Regions
+   with few SCCs keep the paper's narrative: place first, move on
+   failure.  The pass applies the pins to SCCs without a stage; the
+   warm-start dirty-step analysis compares them across an SCC move. *)
+let asap_stage_pins region aa sccs =
+  if List.length sccs <= 4 then None
+  else
+    let last = region.Region.n_steps - 1 in
+    Some
+      (List.map
+         (fun members ->
+           let m =
+             List.fold_left (fun acc o -> max acc (Asap_alap.range aa o).Asap_alap.asap) 0 members
+           in
+           Region.stage_of_step region (min m last))
+         sccs)
+
 let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap_alap.t) ~scc_of
     ?(scc_members = ([] : int list list)) ?warm ?(keep_prealloc = false) ~scc_stage_base
     ~scc_stage_local (region : Region.t) : pass_outcome * pass_event list =
-  let n_sccs = List.length scc_members in
   let dfg = region.Region.dfg in
   let li = region.Region.n_steps in
   let ii = Region.ii region in
@@ -313,27 +298,11 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
         | None -> None
         | Some stage -> Some (stage * ii, min ((stage * ii) + ii - 1) (li - 1)))
   in
-  (* for regions with many independent recurrences, pin each SCC's stage
-     from its members' timing-aware ASAP estimates instead of from the
-     first (often dependency-free loop-mux) placement — one pass instead
-     of one corrective move per SCC.  Single-SCC designs keep the paper's
-     narrative: place first, move on failure. *)
-  let scc_asap_stage =
-    if n_sccs > 4 then
-      Some
-        (fun members ->
-          let m =
-            List.fold_left (fun acc o -> max acc (Asap_alap.range aa o).Asap_alap.asap) 0 members
-          in
-          Region.stage_of_step region (min m (li - 1)))
-    else None
-  in
-  (match scc_asap_stage with
-  | Some stage_of_members ->
+  (match asap_stage_pins region aa scc_members with
+  | Some pins ->
       List.iteri
-        (fun k members ->
-          if scc_stage_local.(k) = None then scc_stage_local.(k) <- Some (stage_of_members members))
-        scc_members
+        (fun k stage -> if scc_stage_local.(k) = None then scc_stage_local.(k) <- Some stage)
+        pins
   | None -> ());
   let ready_at op step =
     let r = Asap_alap.range aa op.Dfg.id in
@@ -748,11 +717,14 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
         let min_states = int_of_float (ceil (chain /. max 1.0 usable)) in
         min_states > Region.ii region
   in
-  (* each SCC's recurrence check is independent of every other's, so the
-     checks fan out across the analysis pool; the filter below consumes
-     the flags in SCC index order, keeping the result (and every
-     downstream decision) identical for any worker count *)
-  let rec_flags = parallel_map_array rec_check (Array.of_list sccs) in
+  (* each SCC's recurrence check is independent of every other's, so
+     with 8 or more SCCs the checks fan out over the domain pool; the
+     filter below consumes the flags in SCC index order, keeping the
+     result (and every downstream decision) identical for any worker
+     count *)
+  let scc_arr = Array.of_list sccs in
+  let jobs = if Array.length scc_arr >= 8 then Atomic.get analysis_jobs else 1 in
+  let rec_flags = Hls_pool.Pool.map ~jobs rec_check scc_arr in
   let rec_infeasible = List.filteri (fun k _ -> rec_flags.(k)) sccs in
   let actions = ref [] in
   let n_actions = ref 0 in
@@ -773,10 +745,9 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
   let warm_passes = ref 0 in
   let cold_passes = ref 0 in
   let last_insts = ref (-1) in
-  (* escalation guard: when repeated add_state stops shrinking the set of
-     fatal restraints, force the expert toward a different action *)
+  (* length of the current add_state streak: drives the geometric
+     latency stepping below *)
   let consecutive_add_state = ref 0 in
-  let fatal_at_streak_start = ref max_int in
   (try
      if rec_infeasible <> [] then
        raise
@@ -889,10 +860,6 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
              | Some s -> s
              | None -> Option.value scc_persist.(k) ~default:0
            in
-           let n_fatal =
-             List.length (List.filter (fun (r : Restraint.t) -> r.Restraint.r_fatal) restraints)
-           in
-           ignore n_fatal;
            (* stop proposing moves for an SCC that has been bounced around
               without converging *)
            let expert_opts =
@@ -956,7 +923,6 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
                (match action with
                | Expert.Add_state -> incr consecutive_add_state
                | _ -> consecutive_add_state := 0);
-               ignore !fatal_at_streak_start;
                match action with
                | Expert.Add_state ->
                    (* geometric stepping: a long streak of add_state
@@ -1027,27 +993,15 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
                      let id = o.Dfg.id in
                      if Asap_alap.range aa_old id <> Asap_alap.range aa_new id then consider id)
                    ctx.Pass_ctx.ctx_members;
-                 (* the pass pre-pins persist-less SCC stages from ASAP when
-                    there are many SCCs; a stage estimate that moves dirties
-                    the whole SCC even if individual ranges look stable *)
-                 if List.length sccs > 4 then begin
-                   let li = region.Region.n_steps in
-                   let stage_of aa members =
-                     let m =
-                       List.fold_left
-                         (fun acc o -> max acc (Asap_alap.range aa o).Asap_alap.asap)
-                         0 members
-                     in
-                     Region.stage_of_step region (min m (li - 1))
-                   in
-                   List.iteri
-                     (fun k members ->
-                       if
-                         scc_persist.(k) = None
-                         && stage_of aa_old members <> stage_of aa_new members
-                       then List.iter consider members)
-                     sccs
-                 end
+                 (* a moved pre-pin stage estimate dirties the whole SCC
+                    even if individual ranges look stable *)
+                 match (asap_stage_pins region aa_old sccs, asap_stage_pins region aa_new sccs) with
+                 | Some olds, Some news ->
+                     List.iteri
+                       (fun k (members, (o, n)) ->
+                         if scc_persist.(k) = None && o <> n then List.iter consider members)
+                       (List.combine sccs (List.combine olds news))
+                 | _ -> ()
                end;
                if !s > 0 && !s < max_int then next_warm := Some !s
              end)

@@ -76,8 +76,10 @@ type error = {
 }
 
 val set_jobs : int -> unit
-(** Worker count for region-parallel analysis (independent SCC groups
-    checked on a shared domain pool).  Results are identical for every
+(** Worker count for region-parallel analysis: on regions with 8 or more
+    SCCs, the per-SCC recurrence checks run as one {!Hls_pool.Pool.map}
+    with this many jobs (inline when the schedule itself runs inside a
+    map, e.g. a parallel DSE sweep).  Results are identical for every
     count — the per-SCC computation is pure and the merge order is the
     SCC index order; 1 (the default) runs fully sequentially. *)
 

@@ -67,3 +67,9 @@ val to_string : t -> string
 val to_json : t -> string
 (** Self-contained JSON object (no external dependency); all fields
     present, strings escaped per RFC 8259. *)
+
+val json_string : string -> string
+(** A JSON string literal, quotes included: the one escaper every
+    hand-rolled JSON writer uses.  ["\""], ["\\"], newline, carriage
+    return and tab get their short escapes; every other control character
+    becomes [\u00XX]. *)

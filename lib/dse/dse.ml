@@ -4,12 +4,10 @@
 
     {b Parallelism.}  Every grid point is an independent [Flow.run]
     (elaboration is always fresh, and the flow touches no global mutable
-    state), so the sweep is an embarrassingly-parallel map.  Workers are
-    OCaml 5 domains pulling point indices from an atomic counter; results
-    land in per-index slots, so the output order — and therefore the
-    result list — is independent of the worker count and of scheduling
-    interleavings.  [Domain.join] publishes the slot writes to the
-    spawning domain.
+    state), so the sweep is one {!Hls_pool.Pool.map} over the points
+    still to run.  The map returns results in index order, so the result
+    list is independent of the worker count and of scheduling
+    interleavings.
 
     {b Memoization.}  The cache key is two-level: one digest of the
     marshalled (design, point-neutralized options) pair per {e sweep} (the
@@ -18,14 +16,8 @@
     itself under structural equality.  A sweep therefore marshals the
     design once, not once per point.  The cache is read and written only
     by the spawning domain (workers see a pre-deduplicated work list),
-    which keeps the memoization lock-free.
-
-    {b Worker pool.}  Domains are expensive to spawn relative to a small
-    point's flow run, so the engine keeps its workers alive across sweeps:
-    the first multi-worker sweep spawns them, later sweeps hand the pool a
-    fresh job (an atomic work-stealing counter over the todo array) under
-    a mutex/condition pair, and {!shutdown} — also registered with
-    [at_exit] — joins them. *)
+    which keeps the memoization lock-free.  The engine owns no domains:
+    the pool is process-wide, so an engine is garbage once unreachable. *)
 
 module Flow = Hls_flow.Flow
 module Diag = Hls_diag.Diag
@@ -209,14 +201,6 @@ type sweep = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Worker pool *)
-
-(* The pool implementation lives in [Hls_pool.Pool] so lower layers (the
-   scheduler's region-parallel SCC analysis) can share it; this alias
-   keeps the historical [Dse.Pool] entry point. *)
-module Pool = Hls_pool.Pool
-
-(* ------------------------------------------------------------------ *)
 (* Engine *)
 
 type t = {
@@ -226,20 +210,13 @@ type t = {
       (** cross-point hint store, keyed by the hint-neutral design
           fingerprint; read and written only by the spawning domain *)
   mutable runs : int;
-  mutable pool : Pool.t option;
 }
 
-let shutdown t =
-  match t.pool with
-  | None -> ()
-  | Some pool ->
-      Pool.shutdown pool;
-      t.pool <- None
+let create () = { cache = Hashtbl.create 64; hints = Hashtbl.create 8; runs = 0 }
 
-let create () =
-  let t = { cache = Hashtbl.create 64; hints = Hashtbl.create 8; runs = 0; pool = None } in
-  at_exit (fun () -> shutdown t);
-  t
+let shutdown t =
+  Hashtbl.reset t.cache;
+  Hashtbl.reset t.hints
 
 let runs_performed t = t.runs
 
@@ -253,13 +230,9 @@ let options_of ~(options : Flow.options) p =
     clock_ps = p.pt_clock_ps;
   }
 
-let fingerprint ~options (design : Hls_frontend.Ast.design) p =
-  (* design and options are pure data (no closures), so the marshalled
-     bytes are a complete, stable description of the run *)
-  Digest.to_hex (Digest.string (Marshal.to_string (design, options_of ~options p) []))
-
 (* the per-sweep half of the cache key: everything that can influence a
-   run except the swept point itself.  The four point-carried fields are
+   run except the swept point itself (design and options are pure data,
+   so the marshalled bytes are a complete, stable description).  The four point-carried fields are
    pinned to fixed values so the digest is point-independent — the point
    joins the key structurally, sparing one Marshal+Digest per point. *)
 let base_fingerprint ~(options : Flow.options) (design : Hls_frontend.Ast.design) =
@@ -341,73 +314,9 @@ let sweep_batch ?(jobs = 1) ?max_workers t ~options design points =
     keys;
   let todo = Array.of_list (List.rev !todo) in
   let n = Array.length todo in
-  let out = Array.make n None in
   let workers = max 1 (min jobs (min n max_workers)) in
-  if n > 0 then
-    if workers <= 1 then
-      Array.iteri (fun i (_, p) -> out.(i) <- Some (run_point ~options design p)) todo
-    else begin
-      (* reuse (and grow if needed) the engine's resident domain pool; the
-         calling domain is one of the workers, so [workers - 1] domains
-         suffice.  Concurrency is capped at [workers] regardless of the
-         resident pool's size by submitting [workers - 1] driver tasks,
-         each an index-stealing loop over the todo array; extra resident
-         domains simply stay parked. *)
-      let pool =
-        match t.pool with
-        | Some p when Pool.alive p -> p
-        | _ ->
-            let p = Pool.create ~workers:(workers - 1) () in
-            t.pool <- Some p;
-            p
-      in
-      Pool.ensure pool (workers - 1);
-      let next = Atomic.make 0 in
-      let drive () =
-        let rec go () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < n then begin
-            let _, p = todo.(i) in
-            out.(i) <- Some (run_point ~options design p);
-            go ()
-          end
-        in
-        go ()
-      in
-      (* per-sweep completion latch: [Pool.wait] would also wait on
-         unrelated tasks if the pool were shared, so each sweep counts its
-         own drivers down *)
-      let m = Mutex.create () in
-      let c = Condition.create () in
-      let left = ref 0 in
-      for _ = 2 to workers do
-        Mutex.lock m;
-        incr left;
-        Mutex.unlock m;
-        let accepted =
-          Pool.submit pool (fun () ->
-              drive ();
-              Mutex.lock m;
-              decr left;
-              if !left = 0 then Condition.broadcast c;
-              Mutex.unlock m)
-        in
-        if not accepted then begin
-          Mutex.lock m;
-          decr left;
-          Mutex.unlock m
-        end
-      done;
-      drive ();
-      Mutex.lock m;
-      while !left > 0 do
-        Condition.wait c m
-      done;
-      Mutex.unlock m
-    end;
-  Array.iteri
-    (fun i (key, _) -> match out.(i) with Some rp -> Hashtbl.replace t.cache key rp | None -> ())
-    todo;
+  let out = Hls_pool.Pool.map ~jobs:workers (fun (_, p) -> run_point ~options design p) todo in
+  Array.iteri (fun i (key, _) -> Hashtbl.replace t.cache key out.(i)) todo;
   t.runs <- t.runs + n;
   (* assemble in input order; the first occurrence of a fresh key reports
      the live profile, every other occurrence is cache-served *)
@@ -597,21 +506,6 @@ let pareto_points rs =
       | Error _ -> None)
     rs
 
-(* minimal JSON emission, same hand-rolled style as Hls_diag *)
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_str s = "\"" ^ json_escape s ^ "\""
-
 let json_opt_int = function None -> "null" | Some v -> string_of_int v
 
 let json_ii = function
@@ -636,12 +530,13 @@ let result_to_json r =
       Printf.sprintf
         {|{"point":%s,"status":"ok","tier":%s,"ii":%d,"li":%d,"delay_ps":%.1f,"area":%.1f,"power_mw":%.4f,%s}|}
         (point_to_json r.r_point)
-        (json_str (Flow.tier_to_string f.Flow.f_tier))
+        (Diag.json_string (Flow.tier_to_string f.Flow.f_tier))
         f.Flow.f_cycles_per_iter f.Flow.f_sched.Hls_core.Scheduler.s_li f.Flow.f_delay_ps
         f.Flow.f_area.Hls_rtl.Stats.a_total f.Flow.f_power_mw profile
   | Error d ->
       Printf.sprintf {|{"point":%s,"status":"error","code":%s,"message":%s,%s}|}
-        (point_to_json r.r_point) (json_str d.Diag.d_code) (json_str d.Diag.d_message) profile
+        (point_to_json r.r_point) (Diag.json_string d.Diag.d_code)
+        (Diag.json_string d.Diag.d_message) profile
 
 let stats_to_json s =
   Printf.sprintf

@@ -4,7 +4,7 @@
     latency bounds, clock period — over one design and reports the
     area/performance Pareto front (Figures 9–11).  This engine takes a
     design plus a parameter {!grid}, runs every point through
-    {!Hls_flow.Flow.run} on a pool of OCaml 5 domains, and returns
+    {!Hls_flow.Flow.run} on OCaml 5 domains, and returns
     per-point results with profiling (wall time, scheduler passes, expert
     actions, and the binder's timing-query count — the paper's "hottest
     query of the timing engine").
@@ -114,45 +114,6 @@ type sweep = {
       (** distinct new hints this sweep mined into the store *)
 }
 
-(** {2 Worker pool} *)
-
-(** A persistent task-queue pool of OCaml 5 domains with an explicit
-    lifecycle.  The DSE engine schedules its sweeps on one, and the
-    compile-service daemon ([hlsc serve]) runs its job queue on one.
-    Domains park on a condition variable while the queue is empty and are
-    all joined by {!Pool.shutdown} — nothing is ever left parked forever. *)
-module Pool : sig
-  type t
-
-  val create : ?workers:int -> unit -> t
-  (** Spawn a pool of [workers] (≥ 1, default 1) resident domains. *)
-
-  val ensure : t -> int -> unit
-  (** Grow the pool to at least this many domains (never shrinks; no-op
-      after {!shutdown}). *)
-
-  val size : t -> int
-  (** Resident domain count (0 after {!shutdown}). *)
-
-  val alive : t -> bool
-  (** [false] once {!shutdown} has begun; {!submit} then refuses work. *)
-
-  val submit : t -> (unit -> unit) -> bool
-  (** Enqueue a task; returns [false] (task dropped) after {!shutdown}.
-      A task that raises is swallowed — wrap tasks that must report. *)
-
-  val wait : t -> unit
-  (** Block until the queue is empty and no task is executing. *)
-
-  val shutdown : t -> unit
-  (** Graceful drain: stop admitting, run every already-queued task,
-      then join all domains.  Idempotent via an atomic latch: exactly
-      one caller (the first) drains and joins; every other call — a
-      server drain racing an [at_exit] hook, a repeat from a signal
-      handler body — returns immediately without touching the mutex,
-      so no domain is ever joined twice. *)
-end
-
 (** {2 Engine} *)
 
 type t
@@ -163,11 +124,6 @@ val create : unit -> t
 val runs_performed : t -> int
 (** Total [Flow.run] invocations over the engine's lifetime (cache misses
     only) — the observable for cache-hit tests. *)
-
-val fingerprint : options:Hls_flow.Flow.options -> Hls_frontend.Ast.design -> point -> string
-(** A stable per-point digest of the design and the effective flow options
-    — the fully-collapsed form of the engine's two-level cache key, kept
-    for external tooling that wants one string per run. *)
 
 val base_fingerprint : options:Hls_flow.Flow.options -> Hls_frontend.Ast.design -> string
 (** The per-sweep half of the memo key: a digest of the design and the
@@ -180,9 +136,9 @@ val hint_store_key : options:Hls_flow.Flow.options -> Hls_frontend.Ast.design ->
     and its warm-started runs share one store entry. *)
 
 val shutdown : t -> unit
-(** Join the engine's resident worker domains (no-op when none were ever
-    spawned).  Also registered with [at_exit]; safe to call more than
-    once — a later sweep simply spawns a fresh pool. *)
+(** Drop the engine's memo cache and hint store.  The engine stays
+    usable: a later sweep runs its points afresh.  Safe to call more
+    than once. *)
 
 val validate_jobs : int -> (int, Hls_diag.Diag.t) Stdlib.result
 (** Reject non-positive worker counts with a typed [Explore]-phase
@@ -198,14 +154,15 @@ val sweep :
   Hls_frontend.Ast.design ->
   point list ->
   sweep
-(** Run every point through the flow on a pool of [jobs] workers (the
-    calling domain plus [jobs - 1] resident domains, spawned on first use
-    and reused by every later sweep on this engine).  [jobs] is capped at
-    [max_workers], which defaults to [Domain.recommended_domain_count ()];
-    pass it explicitly to allow deliberate oversubscription (e.g.
-    exercising the pool on a small machine).  Pool size 1 runs
-    sequentially on the calling domain.  Results come back in input order
-    regardless of [jobs].
+(** Run every point through the flow on [jobs] workers: one
+    {!Hls_pool.Pool.map} over the points not already cached, run by the
+    calling domain plus up to [jobs - 1] domains of the process-wide
+    pool.  [jobs] is capped at [max_workers], which defaults to
+    [Domain.recommended_domain_count ()]; pass it explicitly to allow
+    deliberate oversubscription (e.g. exercising the pool on a small
+    machine).  One worker runs sequentially on the calling domain and
+    spawns no domain.  Results come back in input order regardless of
+    [jobs].
 
     With [options.feedback] on, the sweep threads the engine's shared
     hint store through the points: if the store has nothing for this

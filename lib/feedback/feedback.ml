@@ -92,35 +92,6 @@ module Hints = struct
     | Resource_floor (rt, n) -> Printf.sprintf "floor(%s,%d)" (Resource.to_string rt) n
     | Latency_floor li -> Printf.sprintf "latency_floor(%d)" li
 
-  let kind_to_string = function
-    | Replay -> "replay"
-    | Slack_cone -> "slack_cone"
-    | Busy_clique -> "busy_clique"
-    | Scc_window -> "scc_window"
-
-  let json_escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let to_json t =
-    "["
-    ^ String.concat ","
-        (List.map
-           (fun (h, e) ->
-             Printf.sprintf {|{"hint":"%s","kind":"%s","weight":%g,"recur":%d}|}
-               (json_escape (hint_to_string h))
-               (kind_to_string e.e_kind) e.e_weight e.e_recur)
-           (to_list t))
-    ^ "]"
-
   (* serialization: hex of the marshalled binding list — the bindings are
      pure data (the only float is the weight), and rebuilding the map from
      the list sidesteps any dependence on the map's internal layout *)

@@ -83,7 +83,6 @@ module Hints : sig
       loops can detect a fixpoint. *)
 
   val hint_to_string : hint -> string
-  val to_json : t -> string
 
   val to_string : t -> string
   (** Serialize the whole store (round-trips through {!of_string}). *)

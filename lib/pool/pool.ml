@@ -1,113 +1,100 @@
-(** Persistent domain worker pool with an explicit lifecycle.
+(** One process-wide pool of domains behind {!map}; see the interface for
+    the contract.
 
-    Extracted from the DSE engine (which re-exports it as [Dse.Pool]) so
-    lower layers — notably the scheduler's region-parallel SCC analysis —
-    can share one pool abstraction without depending on the DSE library.
+    Pool domains park on [nonempty] and run queued helper tasks.  A helper
+    task is one [map] call's index-claiming loop.  The caller runs the
+    same loop and then waits only for the indices other domains have
+    already claimed, never for its helpers to start: a helper that only
+    gets to run after its map returned finds the counter spent and
+    returns at once.  [f] runs under a catch-all, so no task ever raises
+    into a pool domain. *)
 
-    Domains survive across jobs, parked on a condition variable while the
-    queue is empty.  [shutdown] is a graceful drain — already-queued tasks
-    still run, then every domain exits and is joined — so callers (the DSE
-    engine's [at_exit] hook, the compile daemon's SIGTERM drain) never leak
-    parked domains.  All state is guarded by one mutex; the lock hand-offs
-    give the usual happens-before edges, so a task's writes are published
-    to whoever observes its completion via [wait]. *)
+let mutex = Mutex.create ()
+let nonempty = Condition.create ()
+let queue : (unit -> unit) Queue.t = Queue.create ()
+let domains : unit Domain.t list ref = ref []
+let stopping = ref false
 
-type t = {
-  mutex : Mutex.t;
-  nonempty : Condition.t;  (** signalled on submit and on shutdown *)
-  drained : Condition.t;  (** signalled when queue empties and no task runs *)
-  queue : (unit -> unit) Queue.t;
-  mutable domains : unit Domain.t list;
-  stop : bool Atomic.t;
-      (** the shutdown latch: atomic so {!shutdown} can decide whether
-          it is the first caller without taking the mutex — repeat
-          calls (a signal-context drain racing an [at_exit] hook)
-          return immediately and never double-join a domain *)
-  mutable running : int;  (** tasks currently executing *)
-}
+(* true for the life of a pool domain, and on a calling domain while its
+   map runs: a map called from inside [f] runs inline *)
+let inside = Domain.DLS.new_key (fun () -> false)
 
-let rec worker t =
-  Mutex.lock t.mutex;
-  while (not (Atomic.get t.stop)) && Queue.is_empty t.queue do
-    Condition.wait t.nonempty t.mutex
+let rec serve () =
+  Mutex.lock mutex;
+  while Queue.is_empty queue && not !stopping do
+    Condition.wait nonempty mutex
   done;
-  if Queue.is_empty t.queue then Mutex.unlock t.mutex (* stop && drained *)
-  else begin
-    let task = Queue.pop t.queue in
-    t.running <- t.running + 1;
-    Mutex.unlock t.mutex;
-    (try task () with _ -> ());
-    Mutex.lock t.mutex;
-    t.running <- t.running - 1;
-    if t.running = 0 && Queue.is_empty t.queue then Condition.broadcast t.drained;
-    Mutex.unlock t.mutex;
-    worker t
-  end
+  match Queue.take_opt queue with
+  | None -> Mutex.unlock mutex (* stopping, queue drained *)
+  | Some task ->
+      Mutex.unlock mutex;
+      task ();
+      serve ()
 
-let spawn_locked t k =
-  for _ = List.length t.domains + 1 to k do
-    t.domains <- Domain.spawn (fun () -> worker t) :: t.domains
-  done
-
-let create ?(workers = 1) () =
-  let t =
-    {
-      mutex = Mutex.create ();
-      nonempty = Condition.create ();
-      drained = Condition.create ();
-      queue = Queue.create ();
-      domains = [];
-      stop = Atomic.make false;
-      running = 0;
-    }
+let join_all () =
+  let doomed =
+    Mutex.protect mutex (fun () ->
+        stopping := true;
+        Condition.broadcast nonempty;
+        let ds = !domains in
+        domains := [];
+        ds)
   in
-  Mutex.lock t.mutex;
-  spawn_locked t (max 1 workers);
-  Mutex.unlock t.mutex;
-  t
+  List.iter Domain.join doomed
 
-let ensure t k =
-  Mutex.lock t.mutex;
-  if not (Atomic.get t.stop) then spawn_locked t k;
-  Mutex.unlock t.mutex
+(* grow the pool towards [k] domains and queue [tasks].  Past the
+   runtime's domain limit the pool simply stops growing; after the exit
+   hook has run nothing is queued and the caller does all the work. *)
+let post k tasks =
+  Mutex.protect mutex (fun () ->
+      if not !stopping then begin
+        if !domains = [] then at_exit join_all;
+        let rec grow have =
+          if have < k then
+            match Domain.spawn (fun () -> Domain.DLS.set inside true; serve ()) with
+            | d ->
+                domains := d :: !domains;
+                grow (have + 1)
+            | exception Failure _ -> ()
+        in
+        grow (List.length !domains);
+        List.iter (fun t -> Queue.push t queue) tasks;
+        Condition.broadcast nonempty
+      end)
 
-let size t =
-  Mutex.lock t.mutex;
-  let n = List.length t.domains in
-  Mutex.unlock t.mutex;
-  n
-
-let alive t = not (Atomic.get t.stop)
-
-let submit t task =
-  Mutex.lock t.mutex;
-  let accepted = not (Atomic.get t.stop) in
-  if accepted then begin
-    Queue.push task t.queue;
-    Condition.signal t.nonempty
-  end;
-  Mutex.unlock t.mutex;
-  accepted
-
-let wait t =
-  Mutex.lock t.mutex;
-  while t.running > 0 || not (Queue.is_empty t.queue) do
-    Condition.wait t.drained t.mutex
-  done;
-  Mutex.unlock t.mutex
-
-let shutdown t =
-  (* the exchange makes every call after the first a lock-free no-op:
-     idempotent, and safe from the shallow context a signal handler
-     body runs in (one atomic read-modify-write, no mutex, no join).
-     Only the winning caller drains and joins. *)
-  if not (Atomic.exchange t.stop true) then begin
-    Mutex.lock t.mutex;
-    (* claim the domain list under the lock so nothing else (ensure,
-       a racing spawn) can see or grow it once shutdown has begun *)
-    let doomed = t.domains in
-    t.domains <- [];
-    Condition.broadcast t.nonempty;
-    Mutex.unlock t.mutex;
-    List.iter Domain.join doomed
+let map ~jobs f items =
+  let n = Array.length items in
+  let helpers = min (jobs - 1) (n - 1) in
+  if helpers < 1 || Domain.DLS.get inside then Array.map f items
+  else begin
+    let results = Array.make n None in
+    let next = Atomic.make 0 in
+    let pending = Atomic.make n in
+    let failure = Atomic.make None in
+    let finished = Mutex.create () in
+    let all_done = Condition.create () in
+    let rec claim () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        (if Atomic.get failure = None then
+           match f items.(i) with
+           | v -> results.(i) <- Some v
+           | exception e ->
+               let bt = Printexc.get_raw_backtrace () in
+               ignore (Atomic.compare_and_set failure None (Some (e, bt))));
+        if Atomic.fetch_and_add pending (-1) = 1 then
+          Mutex.protect finished (fun () -> Condition.broadcast all_done);
+        claim ()
+      end
+    in
+    post (jobs - 1) (List.init helpers (fun _ -> claim));
+    Domain.DLS.set inside true;
+    Fun.protect ~finally:(fun () -> Domain.DLS.set inside false) claim;
+    Mutex.protect finished (fun () ->
+        while Atomic.get pending > 0 do
+          Condition.wait all_done finished
+        done);
+    match Atomic.get failure with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> Array.map Option.get results
   end

@@ -1,34 +1,22 @@
-(** Persistent domain worker pool with an explicit lifecycle: domains
-    survive across jobs, parked while the queue is empty.  Shared by the
-    DSE engine (as [Dse.Pool]), the compile daemon, and the scheduler's
-    region-parallel SCC analysis. *)
+(** One parallel map on one process-wide pool of OCaml 5 domains.
 
-type t
+    The DSE engine's point sweep and the scheduler's per-SCC recurrence
+    check are both "map a pure function over an array, results in index
+    order"; both run through {!map}. *)
 
-val create : ?workers:int -> unit -> t
-(** Spawn a pool of [workers] (≥ 1, default 1) resident domains. *)
+val map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
+(** [map ~jobs f items] is [Array.map f items] computed by the calling
+    domain and up to [jobs - 1] pool domains, all claiming indices from
+    one atomic counter.  Results come back in index order.
 
-val ensure : t -> int -> unit
-(** Grow the pool to at least this many domains (never shrinks; no-op
-    after {!shutdown}). *)
-
-val size : t -> int
-(** Resident domain count (0 after {!shutdown}). *)
-
-val alive : t -> bool
-(** [false] once {!shutdown} has begun; {!submit} then refuses work. *)
-
-val submit : t -> (unit -> unit) -> bool
-(** Enqueue a task; returns [false] (task dropped) after {!shutdown}.
-    A task that raises is swallowed — wrap tasks that must report. *)
-
-val wait : t -> unit
-(** Block until the queue is empty and no task is executing. *)
-
-val shutdown : t -> unit
-(** Graceful drain: stop admitting, run every already-queued task,
-    then join all domains.  Idempotent via an atomic latch: exactly
-    one caller (the first) drains and joins; every other call — a
-    server drain racing an [at_exit] hook, a repeat from a signal
-    handler body — returns immediately without touching the mutex,
-    so no domain is ever joined twice. *)
+    - The call returns once every index has finished; it never waits for
+      a pool domain that is busy with other work (the caller claims the
+      indices nobody else picked up).
+    - With [jobs <= 1], fewer than two items, or when called from inside
+      another [map]'s [f] (on a pool domain or on the calling domain), it
+      runs [Array.map] inline and never spawns a domain — so a process
+      that only ever maps with [jobs = 1] can still [Unix.fork].
+    - The pool is spawned lazily, grows to the largest [jobs - 1] ever
+      requested, and is joined once, at exit.
+    - The first exception raised by [f] is re-raised in the caller once
+      every claimed index has finished; the pool stays usable. *)

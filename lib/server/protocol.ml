@@ -17,20 +17,6 @@ type json =
   | List of json list
   | Obj of (string * json) list
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let rec to_string = function
   | Null -> "null"
   | Bool b -> string_of_bool b
@@ -38,11 +24,12 @@ let rec to_string = function
   | Float f ->
       if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
       else Printf.sprintf "%.17g" f
-  | String s -> "\"" ^ escape s ^ "\""
+  | String s -> Hls_diag.Diag.json_string s
   | List l -> "[" ^ String.concat "," (List.map to_string l) ^ "]"
   | Obj kvs ->
       "{"
-      ^ String.concat "," (List.map (fun (k, v) -> "\"" ^ escape k ^ "\":" ^ to_string v) kvs)
+      ^ String.concat ","
+          (List.map (fun (k, v) -> Hls_diag.Diag.json_string k ^ ":" ^ to_string v) kvs)
       ^ "}"
 
 (* recursive-descent parser over a string with one index cell *)

@@ -11,8 +11,8 @@
 
     Crash-only discipline: the worker {e never} returns to the forked
     copy of the acceptor — every exit path is [Unix._exit], so inherited
-    stdio buffers are never flushed twice and [at_exit] hooks of the
-    parent image never run in the child.  EOF from the acceptor means
+    stdio buffers are never flushed twice and the parent image's exit
+    hooks never run in the child.  EOF from the acceptor means
     "drain finished, die": the worker exits 0.  Any job may legitimately
     die mid-run (chaos injection, OOM, a scheduler bug): the acceptor
     detects it via EOF/waitpid and re-queues or fails the job — workers

@@ -31,9 +31,6 @@ let test_determinism_across_jobs () =
      even on a single-core host *)
   let engine4 = Dse.create () in
   let sw4 = Dse.sweep ~jobs:4 ~max_workers:4 engine4 ~options:base_options (design ()) pts in
-  (* join the resident domains: later suites fork worker processes, and
-     [Unix.fork] is illegal while sibling domains run *)
-  Dse.shutdown engine4;
   Alcotest.(check int) "parallel pool actually used" 4 sw4.Dse.sw_jobs;
   Alcotest.(check (list string))
     "jobs=4 point results byte-identical to jobs=1"
@@ -117,10 +114,6 @@ let prop_front_dominates_sweep =
         List.filteri (fun i _ -> mask land (1 lsl i) <> 0) (Array.to_list pool)
       in
       let sw = Dse.sweep ~jobs:2 ~max_workers:2 engine ~options:base_options d pts in
-      (* join the pool between iterations: the memo cache lives in the
-         engine (so repeats stay hits), but resident domains would make
-         [Unix.fork] in the later server suites illegal *)
-      Dse.shutdown engine;
       let swept = Dse.pareto_points sw.Dse.sw_results in
       let front = Hls_report.Pareto.front swept in
       List.for_all
@@ -151,97 +144,27 @@ let test_validate_jobs () =
       | Error _ -> Alcotest.failf "jobs=%d rejected" n)
     [ 1; 4 ]
 
-(* Pool lifecycle: shutdown joins every domain, refuses late work, and is
-   idempotent; wait drains without stopping. *)
-let test_pool_lifecycle () =
-  let pool = Hls_dse.Dse.Pool.create ~workers:3 () in
-  Alcotest.(check int) "resident domains" 3 (Hls_dse.Dse.Pool.size pool);
-  Alcotest.(check bool) "alive" true (Hls_dse.Dse.Pool.alive pool);
-  let hits = Atomic.make 0 in
-  for _ = 1 to 32 do
-    let accepted = Hls_dse.Dse.Pool.submit pool (fun () -> Atomic.incr hits) in
-    Alcotest.(check bool) "submit accepted while alive" true accepted
-  done;
-  Hls_dse.Dse.Pool.wait pool;
-  Alcotest.(check int) "all tasks ran" 32 (Atomic.get hits);
-  Alcotest.(check bool) "still alive after wait" true (Hls_dse.Dse.Pool.alive pool);
-  Hls_dse.Dse.Pool.shutdown pool;
-  Alcotest.(check bool) "dead after shutdown" false (Hls_dse.Dse.Pool.alive pool);
-  Alcotest.(check int) "no resident domains" 0 (Hls_dse.Dse.Pool.size pool);
-  Alcotest.(check bool) "late submit refused" false
-    (Hls_dse.Dse.Pool.submit pool (fun () -> Atomic.incr hits));
-  Hls_dse.Dse.Pool.shutdown pool;
-  Alcotest.(check int) "late task never ran" 32 (Atomic.get hits)
-
-(* Shutdown is idempotent and safe to race: concurrent callers (as a
-   signal handler and a drain thread might) each return cleanly, exactly
-   one performs the join, and the pool ends dead with no resident
-   domains. *)
-let test_pool_shutdown_idempotent () =
-  let pool = Hls_dse.Dse.Pool.create ~workers:2 () in
-  let ran = Atomic.make 0 in
-  for _ = 1 to 8 do
-    ignore (Hls_dse.Dse.Pool.submit pool (fun () -> Atomic.incr ran))
-  done;
-  let racers =
-    List.init 4 (fun _ -> Thread.create (fun () -> Hls_dse.Dse.Pool.shutdown pool) ())
-  in
-  List.iter Thread.join racers;
-  (* …and again, serially, after it is already dead *)
-  Hls_dse.Dse.Pool.shutdown pool;
-  Hls_dse.Dse.Pool.shutdown pool;
-  Alcotest.(check bool) "dead" false (Hls_dse.Dse.Pool.alive pool);
-  Alcotest.(check int) "no resident domains" 0 (Hls_dse.Dse.Pool.size pool);
-  Alcotest.(check int) "backlog completed exactly once" 8 (Atomic.get ran);
-  Alcotest.(check bool) "submit after shutdown refused" false
-    (Hls_dse.Dse.Pool.submit pool (fun () -> Atomic.incr ran));
-  Alcotest.(check int) "refused task never ran" 8 (Atomic.get ran)
-
-(* Queued tasks still run during a drain: shutdown finishes the backlog
-   rather than dropping it. *)
-let test_pool_drains_backlog () =
-  let pool = Hls_dse.Dse.Pool.create ~workers:1 () in
-  let ran = Atomic.make 0 in
-  let gate = Mutex.create () in
-  Mutex.lock gate;
-  ignore
-    (Hls_dse.Dse.Pool.submit pool (fun () ->
-         Mutex.lock gate;
-         Mutex.unlock gate;
-         Atomic.incr ran));
-  for _ = 1 to 5 do
-    ignore (Hls_dse.Dse.Pool.submit pool (fun () -> Atomic.incr ran))
-  done;
-  (* backlog of 6 with the first task blocked; release and drain *)
-  Mutex.unlock gate;
-  Hls_dse.Dse.Pool.shutdown pool;
-  Alcotest.(check int) "backlog completed during shutdown" 6 (Atomic.get ran)
-
-(* Engine shutdown tears the resident pool down and a later sweep
-   transparently rebuilds it. *)
-let test_engine_pool_rebuild () =
+(* [Dse.shutdown] drops the memo cache: a later sweep on the same engine
+   runs every point again, with the same results. *)
+let test_engine_shutdown_drops_cache () =
   let engine = Dse.create () in
-  let design = Hls_designs.Example1.design () in
-  let options = { Hls_flow.Flow.default_options with verify = false } in
-  let grid =
-    match Dse.parse_grid "ii=2,4;latency=none;clock=1600" with
-    | Ok g -> g
-    | Error m -> Alcotest.fail m
-  in
-  let s1 = Dse.sweep ~jobs:2 engine ~options design (Dse.grid_points grid) in
+  let pts = example1_points () in
+  let s1 = Dse.sweep ~jobs:2 ~max_workers:2 engine ~options:base_options (design ()) pts in
   Dse.shutdown engine;
-  let s2 = Dse.sweep ~jobs:2 engine ~options design (Dse.grid_points grid) in
+  let s2 = Dse.sweep ~jobs:2 ~max_workers:2 engine ~options:base_options (design ()) pts in
   Dse.shutdown engine;
-  Alcotest.(check int) "same point count after rebuild"
-    (List.length s1.Dse.sw_results) (List.length s2.Dse.sw_results)
+  Alcotest.(check int) "every point runs fresh after shutdown" (List.length pts) s2.Dse.sw_new_runs;
+  Alcotest.(check int) "no cache hit after shutdown" 0 s2.Dse.sw_cache_hits;
+  Alcotest.(check int) "engine ran every point twice" (2 * List.length pts)
+    (Dse.runs_performed engine);
+  Alcotest.(check (list string)) "fresh results equal the first sweep's"
+    (List.map signature s1.Dse.sw_results)
+    (List.map signature s2.Dse.sw_results)
 
 let suite =
   [
     Alcotest.test_case "determinism across worker counts" `Quick test_determinism_across_jobs;
-    Alcotest.test_case "pool lifecycle" `Quick test_pool_lifecycle;
-    Alcotest.test_case "pool shutdown idempotent under races" `Quick test_pool_shutdown_idempotent;
-    Alcotest.test_case "pool drains its backlog" `Quick test_pool_drains_backlog;
-    Alcotest.test_case "engine pool rebuild after shutdown" `Quick test_engine_pool_rebuild;
+    Alcotest.test_case "engine pool rebuild after shutdown" `Quick test_engine_shutdown_drops_cache;
     Alcotest.test_case "--jobs validation" `Quick test_validate_jobs;
     Alcotest.test_case "memo cache: zero re-runs" `Quick test_cache_hits;
     Alcotest.test_case "overlapping and duplicated sweeps" `Quick test_overlapping_sweep;

@@ -130,8 +130,6 @@ let test_sweep_jobs_invariant () =
      a single-core host *)
   let e4 = Dse.create () in
   let sw4 = Dse.sweep ~jobs:4 ~max_workers:4 e4 ~options:fb_options d pts in
-  Dse.shutdown e1;
-  Dse.shutdown e4;
   (* the seed point runs alone, so the pool sizes to the remaining batch *)
   Alcotest.(check bool) "parallel pool actually used" true (sw4.Dse.sw_jobs > 1);
   Alcotest.(check (list string))

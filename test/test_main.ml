@@ -28,20 +28,22 @@ let () =
       ("asap_alap", Test_asap_alap.suite);
       ("extensions", Test_extensions.suite);
       ("sched_props", Test_sched_props.suite);
-      ("sched_perf", Test_sched_perf.suite);
       ("kernel_sim", Test_kernel_sim.suite);
       ("nest", Test_nest.suite);
       ("faults", Test_faults.suite);
       ("netlist", Test_netlist.suite);
       ("store", Test_store.suite);
       (* the server/chaos suites fork worker processes, and OCaml forbids
-         [Unix.fork] once any domain has EVER been created in the process
-         — so they must run before the dse suite, whose sweeps spawn
-         domains (the ban is sticky: joining the domains doesn't lift it) *)
+         [Unix.fork] while other domains run.  The process-wide domain
+         pool behind [Hls_pool.Pool.map] lives until exit once spawned,
+         so every suite that maps with more than one job (sched_perf's
+         --jobs property, dse, pool, feedback) runs after them.
+         fork_first checks that a jobs=1 map or sweep spawns nothing. *)
+      ("fork_first", Test_pool.fork_suite);
       ("server", Test_server.suite);
       ("chaos", Test_chaos.suite);
+      ("sched_perf", Test_sched_perf.suite);
       ("dse", Test_dse.suite);
-      (* spawns domains too: must stay at/after the dse position, never
-         before the forking server/chaos suites *)
+      ("pool", Test_pool.suite);
       ("feedback", Test_feedback.suite);
     ]

@@ -34,10 +34,6 @@ let test_plot_empty () =
   let s = Hls_report.Plot.render ~title:"e" ~x_label:"x" ~y_label:"y" [] in
   Alcotest.(check bool) "no data message" true (String.length s > 0)
 
-let test_csv () =
-  let s = Hls_report.Csv.render [ [ "a"; "b,c" ]; [ "d\"e"; "f" ] ] in
-  Alcotest.(check string) "escaping" "a,\"b,c\"\n\"d\"\"e\",f\n" s
-
 let test_pareto_front () =
   let open Hls_report.Pareto in
   let pts =
@@ -143,7 +139,6 @@ let suite =
     Alcotest.test_case "plot empty" `Quick test_plot_empty;
     Alcotest.test_case "plot log drops non-positive" `Quick test_plot_log_drops_nonpositive;
     Alcotest.test_case "plot grid rounding" `Quick test_plot_grid_rounding;
-    Alcotest.test_case "csv escaping" `Quick test_csv;
     Alcotest.test_case "pareto front" `Quick test_pareto_front;
     Alcotest.test_case "pareto is_on_front structural" `Quick test_pareto_is_on_front_structural;
     QCheck_alcotest.to_alcotest prop_front_not_dominated;

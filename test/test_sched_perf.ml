@@ -170,7 +170,29 @@ let test_pass_counters () =
 (** Region-parallel analysis is deterministic: the same design scheduled
     with 1 and 4 analysis workers yields bit-identical observables (SCC
     results are merged in index order, so the worker count can only change
-    wall time, never the outcome). *)
+    wall time, never the outcome).  Every case has at least 8 SCCs, the
+    fan-out threshold, so the 4-worker run really maps over domains. *)
+let jobs_agree ?ii d =
+  let region = Hls_frontend.Elaborate.main_region ?ii (Hls_frontend.Elaborate.design d) in
+  let n_sccs = List.length (Hls_ir.Region.sccs region) in
+  let run jobs =
+    Scheduler.set_jobs jobs;
+    Fun.protect ~finally:(fun () -> Scheduler.set_jobs 1) (fun () -> schedule_design ?ii d |> snd)
+  in
+  if n_sccs < 8 then Error (Printf.sprintf "%d SCCs, below the fan-out threshold" n_sccs)
+  else
+    match (run 1, run 4) with
+    | Ok a, Ok b ->
+        if observables a = observables b then Ok () else Error "1-job and 4-job schedules diverge"
+    | Error a, Error b ->
+        if a.Scheduler.e_code = b.Scheduler.e_code then Ok ()
+        else
+          Error
+            (Printf.sprintf "jobs=1 error %s vs jobs=4 error %s" a.Scheduler.e_code
+               b.Scheduler.e_code)
+    | Ok _, Error e | Error e, Ok _ ->
+        Error ("jobs disagree on feasibility: " ^ e.Scheduler.e_code)
+
 let prop_jobs_deterministic =
   QCheck.Test.make ~name:"schedule observables identical across --jobs" ~count:20
     QCheck.(int_range 1 100_000)
@@ -181,29 +203,17 @@ let prop_jobs_deterministic =
           Hls_designs.Synthetic.p_ops = 40 + (seed mod 120);
           p_seed = seed;
           p_tightness = 0.2 +. (float_of_int (seed mod 5) /. 10.0);
-          p_accumulators = 1 + (seed mod 3);
+          p_accumulators = 8 + (seed mod 5);
         }
       in
-      let d = Hls_designs.Synthetic.design ~profile () in
-      let ii = if seed mod 3 = 0 then Some (1 + (seed mod 3)) else None in
-      let run jobs =
-        Scheduler.set_jobs jobs;
-        let r = schedule_design ?ii d |> snd in
-        Scheduler.set_jobs 1;
-        r
-      in
-      match (run 1, run 4) with
-      | Ok a, Ok b ->
-          if observables a = observables b then true
-          else QCheck.Test.fail_reportf "1-job and 4-job schedules diverge (seed %d)" seed
-      | Error a, Error b ->
-          if a.Scheduler.e_code = b.Scheduler.e_code then true
-          else
-            QCheck.Test.fail_reportf "jobs=1 error %s vs jobs=4 error %s (seed %d)"
-              a.Scheduler.e_code b.Scheduler.e_code seed
-      | Ok _, Error e | Error e, Ok _ ->
-          QCheck.Test.fail_reportf "jobs disagree on feasibility: %s (seed %d)" e.Scheduler.e_code
-            seed)
+      match jobs_agree ~ii:(1 + (seed mod 2)) (Hls_designs.Synthetic.design ~profile ()) with
+      | Ok () -> true
+      | Error m -> QCheck.Test.fail_reportf "%s (seed %d)" m seed)
+
+let test_idct8x8_jobs () =
+  match jobs_agree ~ii:1 (Hls_designs.Idct2d.design ()) with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail ("idct8x8 II=1: " ^ m)
 
 let suite =
   [
@@ -213,4 +223,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
     Alcotest.test_case "warm/cold pass counters" `Quick test_pass_counters;
     QCheck_alcotest.to_alcotest prop_jobs_deterministic;
+    Alcotest.test_case "idct8x8 II=1 schedule identical across --jobs" `Quick test_idct8x8_jobs;
   ]

@@ -632,9 +632,24 @@ let test_json_roundtrip () =
   | Ok _ -> Alcotest.fail "roundtrip changed the request kind"
   | Error m -> Alcotest.failf "request roundtrip: %s" m
 
+(* the one JSON escaper: every control character (and the two JSON
+   metacharacters) written by [Diag.json_string] reads back unchanged *)
+let test_json_string_control_chars () =
+  let s = String.init 32 Char.chr ^ "\"\\/ tail" in
+  let lit = Hls_diag.Diag.json_string s in
+  Alcotest.(check bool) "no raw control byte in the literal" true
+    (String.for_all (fun c -> Char.code c >= 0x20) lit);
+  Alcotest.(check string) "tab uses its short escape" "\"\\t\"" (Hls_diag.Diag.json_string "\t");
+  match P.of_string lit with
+  | Ok (P.String s') -> Alcotest.(check string) "reads back the original" s s'
+  | Ok _ -> Alcotest.fail "not a JSON string"
+  | Error m -> Alcotest.failf "parse: %s" m
+
 let suite =
   [
     Alcotest.test_case "json + request roundtrip" `Quick test_json_roundtrip;
+    Alcotest.test_case "json string escapes every control character" `Quick
+      test_json_string_control_chars;
     Alcotest.test_case "submit is byte-identical to offline CLI" `Quick test_byte_identity;
     Alcotest.test_case "cache hits are deterministic" `Quick test_cache_hit_determinism;
     Alcotest.test_case "inline .bhv source over the wire" `Quick test_inline_source;
