@@ -26,18 +26,22 @@ type range = {
 }
 
 type t = {
-  ranges : (int, range) Hashtbl.t;
+  ranges : range option array;  (** by op id; [None] for non-members *)
   infeasible : int list;  (** ops whose range is empty under current LI *)
 }
 
 let range t op_id =
-  match Hashtbl.find_opt t.ranges op_id with
+  match if op_id >= 0 && op_id < Array.length t.ranges then t.ranges.(op_id) else None with
   | Some r -> r
   | None -> invalid_arg (Printf.sprintf "Asap_alap.range: op %d not analyzed" op_id)
 
 let mobility t op_id =
   let r = range t op_id in
   r.alap - r.asap
+
+(* [Stdlib.max]/[min] specialised to floats, same semantics *)
+let fmax (a : float) b = if a >= b then a else b
+let fmin (a : float) b = if a <= b then a else b
 
 (** Nominal delay of an op under [lib], ignoring sharing muxes. *)
 let op_delay lib dfg (op : Dfg.op) =
@@ -56,30 +60,22 @@ let sched_preds region (op : Dfg.op) =
       (Dfg.in_edges dfg op.Dfg.id)
   in
   let guards = List.filter (Region.mem region) (Guard.preds op.Dfg.guard) in
-  List.sort_uniq compare (data @ guards)
+  List.sort_uniq Int.compare (data @ guards)
 
-(** Reverse index of guard dependencies: predicate op -> guarded member
-    ops.  Building it once avoids a full member scan per query. *)
-let guard_dependents_index region =
-  let tbl = Hashtbl.create 32 in
+(* predicate op -> guarded member ops, over the given member list *)
+let guard_index region members =
+  let tbl = Array.make (Array.length region.Region.members) [] in
   List.iter
     (fun (o : Dfg.op) ->
       List.iter
-        (fun p ->
-          if Region.mem region p then begin
-            let r =
-              match Hashtbl.find_opt tbl p with
-              | Some r -> r
-              | None ->
-                  let r = ref [] in
-                  Hashtbl.replace tbl p r;
-                  r
-            in
-            r := o.Dfg.id :: !r
-          end)
+        (fun p -> if Region.mem region p then tbl.(p) <- o.Dfg.id :: tbl.(p))
         (Guard.preds o.Dfg.guard))
-    (Region.member_ops region);
-  fun p -> match Hashtbl.find_opt tbl p with Some r -> !r | None -> []
+    members;
+  fun p -> if p >= 0 && p < Array.length tbl then tbl.(p) else []
+
+(** Reverse index of guard dependencies: predicate op -> guarded member
+    ops.  Building it once avoids a full member scan per query. *)
+let guard_dependents_index region = guard_index region (Region.member_ops region)
 
 (** Consumers, tagged: [false] = data edge (the value chains through the
     consumer's logic), [true] = guard edge (the value only gates the
@@ -95,9 +91,15 @@ let sched_succs_tagged ?guard_deps region (op : Dfg.op) =
       (Dfg.out_edges dfg op.Dfg.id)
   in
   let index = match guard_deps with Some f -> f | None -> guard_dependents_index region in
-  let guarded = List.map (fun g -> (g, true)) (index op.Dfg.id) in
+  let guarded =
+    List.filter_map
+      (fun g -> if List.exists (fun ((d : int), _) -> d = g) data then None else Some (g, true))
+      (index op.Dfg.id)
+  in
   (* a consumer reachable through both a data and a guard edge counts as data *)
-  List.sort_uniq compare (data @ List.filter (fun (g, _) -> not (List.mem_assoc g data)) guarded)
+  List.sort_uniq
+    (fun ((a : int), ga) (b, gb) -> match Int.compare a b with 0 -> Bool.compare ga gb | c -> c)
+    (data @ guarded)
 
 let sched_succs ?guard_deps region op = List.map fst (sched_succs_tagged ?guard_deps region op)
 
@@ -108,13 +110,15 @@ let clamp_range ~anchor ~window (a, b) =
 
 (** [compute ~lib ~clock_ps ~scc_window region] analyzes all member ops.
     [scc_window op] returns the inclusive step window imposed by a pipeline
-    SCC stage assignment, if any. *)
+    SCC stage assignment, if any.  Every per-op table is an array indexed
+    by op id. *)
 let compute ~(lib : Library.t) ~clock_ps ?(scc_window = fun _ -> None) (region : Region.t) : t =
   let dfg = region.Region.dfg in
   let members = Region.member_ops region in
   let nodes = List.map (fun o -> o.Dfg.id) members in
+  let n = Array.length region.Region.members in
   let li = region.Region.n_steps in
-  let guard_deps = guard_dependents_index region in
+  let guard_deps = guard_index region members in
   let succs id = sched_succs ~guard_deps region (Dfg.find dfg id) in
   let order =
     match Graph_algo.topo_sort ~nodes ~succs with
@@ -123,9 +127,12 @@ let compute ~(lib : Library.t) ~clock_ps ?(scc_window = fun _ -> None) (region :
   in
   let latency op = Library.op_latency lib op.Dfg.kind in
   let overhead = lib.Library.ff_setup in
+  let ff = lib.Library.ff_clk_q in
   (* ---- forward (ASAP) ---- *)
-  let fwd = Hashtbl.create (List.length nodes) in
-  (* op -> (step, finish_step, out_arrival, multi) *)
+  (* op -> step, finish step, out arrival, multi-cycle; unset ops read as
+     registered inputs available at step 0 *)
+  let f_step = Array.make n 0 and f_fin = Array.make n 0 in
+  let f_arr = Array.make n ff and f_multi = Array.make n false in
   List.iter
     (fun id ->
       let op = Dfg.find dfg id in
@@ -133,44 +140,34 @@ let compute ~(lib : Library.t) ~clock_ps ?(scc_window = fun _ -> None) (region :
       let lat = latency op in
       let preds = sched_preds region op in
       let guard_preds = List.filter (Region.mem region) (Guard.preds op.Dfg.guard) in
-      let data_preds = List.filter (fun p -> not (List.mem p guard_preds)) preds in
-      let pred_info p =
-        match Hashtbl.find_opt fwd p with
-        | Some x -> x
-        | None -> (0, 0, lib.Library.ff_clk_q, false)
-      in
+      let data_preds = List.filter (fun p -> not (List.exists (Int.equal p) guard_preds)) preds in
       (* earliest step considering register crossings of multi-cycle preds *)
       let min_step =
         List.fold_left
-          (fun acc p ->
-            let _, fin, _, multi = pred_info p in
-            max acc (if multi then fin + 1 else fin))
+          (fun acc p -> Int.max acc (if f_multi.(p) then f_fin.(p) + 1 else f_fin.(p)))
           0 preds
       in
-      let arr_at step p =
-        let _, fin, arr, multi = pred_info p in
-        if (not multi) && fin = step then arr else lib.Library.ff_clk_q
-      in
+      let arr_at step p = if (not f_multi.(p)) && f_fin.(p) = step then f_arr.(p) else ff in
       let rec settle step =
         let in_arr =
           List.fold_left
-            (fun acc p -> max acc (arr_at step p))
+            (fun acc p -> fmax acc (arr_at step p))
             (if data_preds = [] then
                match op.Dfg.kind with
                | Opkind.Const _ -> 0.0
-               | _ -> lib.Library.ff_clk_q
+               | _ -> ff
              else 0.0)
             data_preds
         in
         let out = in_arr +. d in
         (* the guard gates the commit enable in parallel with the datapath *)
         let commit =
-          List.fold_left (fun acc p -> max acc (arr_at step p)) out guard_preds
+          List.fold_left (fun acc p -> fmax acc (arr_at step p)) out guard_preds
         in
         if lat > 1 then (step, out) (* multi-cycle: occupies whole steps *)
         else if commit +. overhead <= clock_ps then (step, out)
-        else if in_arr <= lib.Library.ff_clk_q +. 0.001
-                && List.for_all (fun p -> arr_at step p <= lib.Library.ff_clk_q +. 0.001) guard_preds
+        else if in_arr <= ff +. 0.001
+                && List.for_all (fun p -> arr_at step p <= ff +. 0.001) guard_preds
         then
           (* already starts from registers; the op alone does not fit — the
              binder will face the same wall, keep the optimistic estimate *)
@@ -178,11 +175,14 @@ let compute ~(lib : Library.t) ~clock_ps ?(scc_window = fun _ -> None) (region :
         else settle (step + 1)
       in
       let step, out = settle min_step in
-      Hashtbl.replace fwd id (step, step + lat - 1, out, lat > 1))
+      f_step.(id) <- step;
+      f_fin.(id) <- step + lat - 1;
+      f_arr.(id) <- out;
+      f_multi.(id) <- lat > 1)
     order;
   (* ---- backward (ALAP) ---- *)
-  let bwd = Hashtbl.create (List.length nodes) in
-  (* op -> (alap_start_step, required_output_time) *)
+  (* op -> ALAP start step, required output time *)
+  let b_start = Array.make n (li - 1) and b_req = Array.make n (clock_ps -. overhead) in
   List.iter
     (fun id ->
       let op = Dfg.find dfg id in
@@ -196,11 +196,7 @@ let compute ~(lib : Library.t) ~clock_ps ?(scc_window = fun _ -> None) (region :
             (fun (acc_step, acc_req) (c, is_guard) ->
               let c_op = Dfg.find dfg c in
               let c_lat = latency c_op in
-              let c_start, c_req =
-                match Hashtbl.find_opt bwd c with
-                | Some x -> x
-                | None -> (li - 1, clock_ps -. overhead)
-              in
+              let c_start = b_start.(c) and c_req = b_req.(c) in
               let cand_step, cand_req =
                 if c_lat > 1 || lat > 1 then (c_start - lat, clock_ps -. overhead)
                 else
@@ -208,28 +204,29 @@ let compute ~(lib : Library.t) ~clock_ps ?(scc_window = fun _ -> None) (region :
                      consumer's commit time, data by the consumer's input
                      time (its output deadline minus its delay) *)
                   let budget = if is_guard then c_req else c_req -. op_delay lib dfg c_op in
-                  if budget -. d >= lib.Library.ff_clk_q then (c_start, budget)
+                  if budget -. d >= ff then (c_start, budget)
                   else (c_start - 1, clock_ps -. overhead)
               in
-              (min acc_step cand_step, if cand_step < acc_step then cand_req else min acc_req cand_req))
+              ( Int.min acc_step cand_step,
+                if cand_step < acc_step then cand_req else fmin acc_req cand_req ))
             (max_int, clock_ps -. overhead)
             cons
       in
-      Hashtbl.replace bwd id (alap_start, req))
+      b_start.(id) <- alap_start;
+      b_req.(id) <- req)
     (List.rev order);
   (* ---- combine, clamp, detect infeasibility ---- *)
-  let ranges = Hashtbl.create (List.length nodes) in
+  let ranges = Array.make n None in
   let infeasible = ref [] in
   List.iter
     (fun id ->
       let op = Dfg.find dfg id in
-      let asap, _, arr, _ = Hashtbl.find fwd id in
-      let alap, _ = Hashtbl.find bwd id in
-      let alap = min alap (li - 1) in
+      let asap = f_step.(id) and arr = f_arr.(id) in
+      let alap = Int.min b_start.(id) (li - 1) in
       let asap', alap' =
         clamp_range ~anchor:op.Dfg.anchor ~window:(scc_window id) (asap, alap)
       in
       if asap' > alap' then infeasible := id :: !infeasible;
-      Hashtbl.replace ranges id { asap = asap'; alap = max asap' alap'; asap_arrival = arr })
+      ranges.(id) <- Some { asap = asap'; alap = Int.max asap' alap'; asap_arrival = arr })
     order;
   { ranges; infeasible = List.rev !infeasible }

@@ -16,7 +16,7 @@ type range = {
 }
 
 type t = {
-  ranges : (int, range) Hashtbl.t;
+  ranges : range option array;  (** by op id; [None] for non-members *)
   infeasible : int list;  (** ops whose clamped range is empty at this LI *)
 }
 

@@ -126,6 +126,9 @@ let modulo_ok t ~op_id ~step ~finish =
   in
   ok_in && ok_out
 
+(* [Stdlib.max] specialised to floats, same semantics *)
+let fmax (a : float) b = if a >= b then a else b
+
 (** Cheap feasibility screen before the full trial binding: the op's own
     endpoint path on [inst] (inputs via the grown sharing mux, instance
     delay, register mux, setup).  Returns the estimated slack; a negative
@@ -143,12 +146,12 @@ let quick_slack t (op : Dfg.op) ~step ~inst_id =
            hypothetical bind — a source already feeding this port on the
            instance adds no mux input *)
         let inputs = Netlist.mux_inputs_with t.net i ~port:e.Dfg.port ~src:e.Dfg.src in
-        max acc (a +. Library.mux_delay t.lib ~inputs))
+        fmax acc (a +. Library.mux_delay t.lib ~inputs))
       t.lib.Library.ff_clk_q
       (Dfg.in_edges t.dfg op.Dfg.id)
   in
   let g = Netlist.guard_arrival t.net ~step ~view:Netlist.Accurate op in
-  t.clock_ps -. (max (data +. d) g +. Netlist.reg_mux_delay t.net +. t.lib.Library.ff_setup)
+  t.clock_ps -. (fmax (data +. d) g +. Netlist.reg_mux_delay t.net +. t.lib.Library.ff_setup)
 
 exception Fail of Restraint.fail
 
@@ -170,7 +173,7 @@ let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
     (match inst with
     | Some i ->
         if Hashtbl.mem t.forbidden (op.Dfg.id, i.inst_id) then raise (Fail Restraint.F_forbidden);
-        (match Resource.of_op t.dfg op with
+        (match Netlist.resource_of t.net op with
         | Some need when not (Resource.fits ~need ~have:i.rtype) ->
             if not (Resource.can_merge need i.rtype) then
               raise (Fail (Restraint.F_busy i.rtype))
@@ -216,7 +219,7 @@ let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
       match inst with
       | None -> false
       | Some i -> (
-          match Resource.of_op t.dfg op with
+          match Netlist.resource_of t.net op with
           | Some need -> not (Resource.fits ~need ~have:i.rtype)
           | None -> false)
     in
@@ -253,7 +256,7 @@ let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
     Netlist.place net op.Dfg.id ~step ~finish ~inst_opt;
     (match inst with
     | Some i ->
-        (match Resource.of_op t.dfg op with
+        (match Netlist.resource_of t.net op with
         | Some need when not (Resource.fits ~need ~have:i.rtype) ->
             Netlist.set_rtype net i (Resource.merge need i.rtype)
         | _ -> ());
@@ -299,7 +302,7 @@ let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
              (match inst with
              | Some i -> i.rtype
              | None ->
-                 Option.value (Resource.of_op t.dfg op)
+                 Option.value (Netlist.resource_of t.net op)
                    ~default:{ Resource.rclass = Opkind.R_wire; in_widths = []; out_width = 1 }))
       else Error (Restraint.F_slack worst_slack)
     end
@@ -373,7 +376,7 @@ let force_bind t (op : Dfg.op) ~step ~inst_opt =
   (match inst_opt with
   | Some i ->
       let inst = Netlist.find_inst net i in
-      (match Resource.of_op t.dfg op with
+      (match Netlist.resource_of t.net op with
       | Some need when not (Resource.fits ~need ~have:inst.rtype) ->
           if Resource.can_merge need inst.rtype then
             Netlist.set_rtype net inst (Resource.merge need inst.rtype)
@@ -398,20 +401,22 @@ let recompute_all t = Netlist.recompute_all t.net
     instance may be widened to host the op.  Preferred order: exact-fit
     first, then least-loaded. *)
 let compatible_insts t (op : Dfg.op) =
-  match Resource.of_op t.dfg op with
+  match Netlist.resource_of t.net op with
   | None -> []
   | Some need ->
-      (* decorate-sort-undecorate: [fits] and the load are evaluated once
-         per instance, not once per comparison; the stable sort on equal
-         keys preserves the instance-list order, as before *)
-      (Netlist.insts t.net)
+      (* only the op's own class can host it.  Decorate-sort-undecorate:
+         [fits] and the load are evaluated once per instance, not once per
+         comparison; the stable sort on equal keys preserves registration
+         order *)
+      Netlist.class_insts t.net op
       |> List.filter_map (fun i ->
              let fits = Resource.fits ~need ~have:i.rtype in
              if fits || Resource.can_merge need i.rtype then
-               Some (((if fits then 0 else 1), List.length i.bound), i)
+               Some ((if fits then 0 else 1), List.length i.bound, i)
              else None)
-      |> List.stable_sort (fun (ka, _) (kb, _) -> compare ka kb)
-      |> List.map snd
+      |> List.stable_sort (fun (fa, la, _) (fb, lb, _) ->
+             match Int.compare fa fb with 0 -> Int.compare la lb | c -> c)
+      |> List.map (fun (_, _, i) -> i)
 
 (** Worst accurate endpoint slack over all placed ops. *)
 let worst_slack t = Netlist.worst_slack t.net
@@ -427,7 +432,7 @@ let worst_slack t = Netlist.worst_slack t.net
     includes a 2-input sharing mux when the op's class will be shared. *)
 let estimate t (op : Dfg.op) ~step =
   let shared =
-    match Resource.of_op t.dfg op with
+    match Netlist.resource_of t.net op with
     | None -> false
     | Some need ->
         let n_ops =
@@ -438,7 +443,7 @@ let estimate t (op : Dfg.op) ~step =
                 List.length
                   (List.filter
                      (fun o ->
-                       match Resource.of_op t.dfg o with
+                       match Netlist.resource_of t.net o with
                        | Some rt -> Resource.can_merge rt need
                        | None -> false)
                      (Region.member_ops t.region))
@@ -448,7 +453,7 @@ let estimate t (op : Dfg.op) ~step =
         in
         let n_insts =
           List.length
-            (List.filter (fun i -> Resource.can_merge i.rtype need) (Netlist.insts t.net))
+            (List.filter (fun i -> Resource.can_merge i.rtype need) (Netlist.class_insts t.net op))
         in
         n_ops > n_insts
   in
@@ -486,7 +491,7 @@ let guard_dominated t (op : Dfg.op) ~step =
     port is charged one extra mux input regardless of source identity. *)
 let would_fit_existing t (op : Dfg.op) =
   let overhead = Netlist.reg_mux_delay t.net +. t.lib.Library.ff_setup in
-  match Resource.of_op t.dfg op with
+  match Netlist.resource_of t.net op with
   | None -> true
   | Some need ->
       List.exists
@@ -503,4 +508,4 @@ let would_fit_existing t (op : Dfg.op) =
               (List.init (List.length i.rtype.Resource.in_widths) Fun.id)
           in
           t.lib.Library.ff_clk_q +. worst_mux +. d +. overhead <= t.clock_ps +. 0.001)
-        (Netlist.insts t.net)
+        (Netlist.class_insts t.net op)

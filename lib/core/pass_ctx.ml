@@ -9,11 +9,11 @@ open Hls_techlib
 type t = {
   ctx_members : Dfg.op list;
   ctx_n_members : int;
-  ctx_preds : (int, int list) Hashtbl.t;
-  ctx_deps : (int, int list) Hashtbl.t;
+  ctx_preds : int list array;
+  ctx_deps : int list array;
   ctx_fanout : int -> int;
-  ctx_class_key : (int, (Opkind.rclass * int list) option) Hashtbl.t;
-  ctx_scores : (int, float) Hashtbl.t;
+  ctx_class_key : (Opkind.rclass * int list) option array;
+  ctx_scores : float array;
   mutable ctx_scores_aa : Asap_alap.t option;
 }
 
@@ -30,38 +30,23 @@ let class_key dfg op =
 let create (region : Region.t) =
   let dfg = region.Region.dfg in
   let members = Region.member_ops region in
-  let n = List.length members in
-  let preds = Hashtbl.create n in
-  let deps_acc = Hashtbl.create n in
+  let n = Array.length region.Region.members in
+  let preds = Array.make n [] and deps = Array.make n [] and class_keys = Array.make n None in
   List.iter
     (fun o ->
       let ps = Asap_alap.sched_preds region o in
-      Hashtbl.replace preds o.Dfg.id ps;
-      List.iter
-        (fun p ->
-          let r =
-            match Hashtbl.find_opt deps_acc p with
-            | Some r -> r
-            | None ->
-                let r = ref [] in
-                Hashtbl.replace deps_acc p r;
-                r
-          in
-          r := o.Dfg.id :: !r)
-        ps)
+      preds.(o.Dfg.id) <- ps;
+      List.iter (fun p -> deps.(p) <- o.Dfg.id :: deps.(p)) ps;
+      class_keys.(o.Dfg.id) <- class_key dfg o)
     members;
-  let deps = Hashtbl.create (Hashtbl.length deps_acc) in
-  Hashtbl.iter (fun p r -> Hashtbl.replace deps p !r) deps_acc;
-  let class_keys = Hashtbl.create n in
-  List.iter (fun o -> Hashtbl.replace class_keys o.Dfg.id (class_key dfg o)) members;
   {
     ctx_members = members;
-    ctx_n_members = n;
+    ctx_n_members = List.length members;
     ctx_preds = preds;
     ctx_deps = deps;
     ctx_fanout = Priority.fanout_table dfg;
     ctx_class_key = class_keys;
-    ctx_scores = Hashtbl.create n;
+    ctx_scores = Array.make n 0.0;
     ctx_scores_aa = None;
   }
 
@@ -70,17 +55,15 @@ let refresh_scores ?(boosts = []) t ~weights ~aa =
   | Some prev when prev == aa -> ()
   | _ ->
       List.iter
-        (fun o ->
-          Hashtbl.replace t.ctx_scores o.Dfg.id
-            (Priority.score ~weights ~fanout:t.ctx_fanout aa o))
+        (fun o -> t.ctx_scores.(o.Dfg.id) <- Priority.score ~weights ~fanout:t.ctx_fanout aa o)
         t.ctx_members;
       (* feedback priority boosts: additive deltas on top of the base
          score.  Constant for the lifetime of a schedule call, so the
          aa-identity memo above stays sound. *)
       List.iter
         (fun (id, delta) ->
-          match Hashtbl.find_opt t.ctx_scores id with
-          | Some s -> Hashtbl.replace t.ctx_scores id (s +. delta)
-          | None -> ())
+          (* a non-member's slot is never read *)
+          if id >= 0 && id < Array.length t.ctx_scores then
+            t.ctx_scores.(id) <- t.ctx_scores.(id) +. delta)
         boosts;
       t.ctx_scores_aa <- Some aa

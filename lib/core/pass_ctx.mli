@@ -16,13 +16,13 @@ open Hls_ir
 type t = {
   ctx_members : Dfg.op list;
   ctx_n_members : int;
-  ctx_preds : (int, int list) Hashtbl.t;
-      (** op -> distance-0 scheduling predecessors (data + guard) *)
-  ctx_deps : (int, int list) Hashtbl.t;  (** reverse of [ctx_preds] *)
+  ctx_preds : int list array;
+      (** op id -> distance-0 scheduling predecessors (data + guard) *)
+  ctx_deps : int list array;  (** reverse of [ctx_preds] *)
   ctx_fanout : int -> int;  (** fanout-cone size, precomputed per op *)
-  ctx_class_key : (int, (Opkind.rclass * int list) option) Hashtbl.t;
+  ctx_class_key : (Opkind.rclass * int list) option array;
       (** bucketed resource-class key for the busy-class memo *)
-  ctx_scores : (int, float) Hashtbl.t;  (** priority scores under the last aa *)
+  ctx_scores : float array;  (** priority scores under the last aa, by op id *)
   mutable ctx_scores_aa : Asap_alap.t option;
       (** the aa value [ctx_scores] was computed from (physical identity) *)
 }

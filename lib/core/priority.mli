@@ -9,7 +9,9 @@ type weights = { w_mobility : float; w_complexity : float; w_fanout : float }
 val default_weights : weights
 
 val fanout_table : Dfg.t -> int -> int
-(** Precomputed fanout-cone sizes (one DFS per op, built once per pass). *)
+(** Precomputed fanout-cone sizes, equal to {!Dfg.fanout_cone_size} op by
+    op (one reverse-topological bitset sweep over the distance-0 edges).
+    @raise Invalid_argument on a zero-distance cycle. *)
 
 val score : ?weights:weights -> fanout:(int -> int) -> Asap_alap.t -> Dfg.op -> float
 (** Higher = scheduled earlier. *)

@@ -235,26 +235,27 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
   let preds_of = ctx.Pass_ctx.ctx_preds in
   let deps_of = ctx.Pass_ctx.ctx_deps in
   let scores = ctx.Pass_ctx.ctx_scores in
-  let pending = Hashtbl.create ctx.Pass_ctx.ctx_n_members in
-  let min_step = Hashtbl.create ctx.Pass_ctx.ctx_n_members in
-  let ready = Hashtbl.create 64 in
+  let pending = Array.make (Array.length preds_of) 0 in
+  let min_step = Array.make (Array.length preds_of) 0 in
+  let ready = Array.make (Array.length preds_of) false in
+  (* [deferred_at.(op) = e]: the op was deferred out of step [e] *)
+  let deferred_at = Array.make (Array.length preds_of) (-1) in
   (* the heap mirrors [ready] under lazy deletion: [ready] stays the truth
      set, stale heap entries are discarded on pop *)
   let use_heap = opts.warm_start in
   let heap = Ready_heap.create ~capacity:(max 16 ctx.Pass_ctx.ctx_n_members) () in
-  let enter_ready id op =
-    Hashtbl.replace ready id op;
-    if use_heap then Ready_heap.push heap ~score:(Hashtbl.find scores id) id
+  let enter_ready id =
+    ready.(id) <- true;
+    if use_heap then Ready_heap.push heap ~score:scores.(id) id
   in
   List.iter
     (fun o ->
-      let n = List.length (Hashtbl.find preds_of o.Dfg.id) in
-      Hashtbl.replace pending o.Dfg.id n;
-      Hashtbl.replace min_step o.Dfg.id 0;
-      if n = 0 then enter_ready o.Dfg.id o)
+      let n = List.length preds_of.(o.Dfg.id) in
+      pending.(o.Dfg.id) <- n;
+      if n = 0 then enter_ready o.Dfg.id)
     members;
   let on_placed op_id =
-    Hashtbl.remove ready op_id;
+    ready.(op_id) <- false;
     Hashtbl.remove unplaced op_id;
     let pl = Option.get (Binding.placement binding op_id) in
     let p_op = Dfg.find dfg op_id in
@@ -262,23 +263,20 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
       if Library.op_latency binding.Binding.lib p_op.Dfg.kind > 1 then pl.Binding.pl_finish + 1
       else pl.Binding.pl_finish
     in
-    match Hashtbl.find_opt deps_of op_id with
-    | None -> ()
-    | Some deps ->
-        List.iter
-          (fun d ->
-            if Hashtbl.mem unplaced d then begin
-              Hashtbl.replace min_step d (max avail (Hashtbl.find min_step d));
-              let n = Hashtbl.find pending d - 1 in
-              Hashtbl.replace pending d n;
-              if n = 0 then enter_ready d (Dfg.find dfg d)
-            end)
-          deps
+    List.iter
+      (fun d ->
+        if Hashtbl.mem unplaced d then begin
+          min_step.(d) <- Int.max avail min_step.(d);
+          let n = pending.(d) - 1 in
+          pending.(d) <- n;
+          if n = 0 then enter_ready d
+        end)
+      deps_of.(op_id)
   in
   let drop_failed op_id =
     Hashtbl.replace failed op_id ();
     Hashtbl.remove unplaced op_id;
-    Hashtbl.remove ready op_id
+    ready.(op_id) <- false
   in
   (* ops whose earliest feasible step falls beyond the latency interval can
      never bind in this pass: fail them up front with a window restraint *)
@@ -312,7 +310,7 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
        violation *)
     (r.Asap_alap.asap <= step
     || (opts.tolerate_scc_slack && window_of op.Dfg.id <> None))
-    && Hashtbl.find min_step op.Dfg.id <= step
+    && min_step.(op.Dfg.id) <= step
     && (match window_of op.Dfg.id with
        | Some (lo, hi) -> lo <= step && step <= hi
        | None -> true)
@@ -332,7 +330,7 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
      defer immediately instead of re-probing each instance *)
   let use_class_memo = ctx.Pass_ctx.ctx_n_members > 500 in
   let class_key (op : Dfg.op) =
-    match Hashtbl.find_opt ctx.Pass_ctx.ctx_class_key op.Dfg.id with Some k -> k | None -> None
+    ctx.Pass_ctx.ctx_class_key.(op.Dfg.id)
   in
   let log_bind op_id =
     let pl = Option.get (Binding.placement binding op_id) in
@@ -365,7 +363,7 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
   (* attempt [op] at step [e], updating the pass state exactly as the
      historic inner loop did; true when the bind landed and assigned an
      SCC stage *)
-  let try_place (op : Dfg.op) e deferred blocked_class =
+  let try_place (op : Dfg.op) e blocked_class =
     let attempt () =
       if Opkind.is_resource_op op.Dfg.kind then begin
         match Binding.compatible_insts binding op with
@@ -398,7 +396,9 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
     | [] ->
         on_placed op.Dfg.id;
         log_bind op.Dfg.id;
-        (if Opkind.is_resource_op op.Dfg.kind then
+        (* the message's arguments cost a placement lookup, a resource
+           name and two timing queries: skip them when nobody reads it *)
+        (if Option.is_some trace && Opkind.is_resource_op op.Dfg.kind then
            let pl = Option.get (Binding.placement binding op.Dfg.id) in
            Trace.logf ~level:Trace.Debug trace
              "    bound %s to %s at step %d: arrival %.0f ps, slack %.0f ps"
@@ -461,7 +461,7 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
             (Restraint.fail_to_string best_fail);
           drop_failed op.Dfg.id
         end
-        else Hashtbl.replace deferred op.Dfg.id ();
+        else deferred_at.(op.Dfg.id) <- e;
         false
   in
   (* --- warm start: replay the unaffected prefix of the previous pass ---
@@ -503,7 +503,7 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
         s
   in
   for e = start_step to li - 1 do
-    let deferred = Hashtbl.create 8 in
+    let deferred id = deferred_at.(id) = e in
     let blocked_class = Hashtbl.create 8 in
     if use_heap then begin
       (* heap pick: pop in descending (score, -id); stale entries (no
@@ -520,10 +520,10 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
         match Ready_heap.pop heap with
         | None -> continue_step := false
         | Some (s, id) ->
-            if Hashtbl.mem ready id then
-              if Hashtbl.mem deferred id then stash := (s, id) :: !stash
+            if ready.(id) then
+              if deferred id then stash := (s, id) :: !stash
               else
-                let op = Hashtbl.find ready id in
+                let op = Dfg.find dfg id in
                 if not (ready_at op e) then stash := (s, id) :: !stash
                 else if
                   use_class_memo
@@ -533,12 +533,12 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
                      | None -> false)
                   && not (last_chance op e)
                 then begin
-                  Hashtbl.replace deferred id ();
+                  deferred_at.(id) <- e;
                   stash := (s, id) :: !stash
                 end
                 else begin
-                  let scc_assigned = try_place op e deferred blocked_class in
-                  if Hashtbl.mem deferred id then stash := (s, id) :: !stash;
+                  let scc_assigned = try_place op e blocked_class in
+                  if deferred id then stash := (s, id) :: !stash;
                   if scc_assigned then flush_stash ()
                 end
       done;
@@ -549,18 +549,18 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
          baseline ([warm_start = false]) *)
       let continue_step = ref true in
       while !continue_step do
-        let best =
-          Hashtbl.fold
-            (fun id op acc ->
-              if (not (Hashtbl.mem deferred id)) && ready_at op e then
-                let s = Hashtbl.find scores id in
-                match acc with
-                | Some (bs, bop) when (bs, -bop.Dfg.id) >= (s, -id) -> acc
-                | _ -> Some (s, op)
-              else acc)
-            ready None
-        in
-        match best with
+        let best = ref None in
+        Array.iteri
+          (fun id is_ready ->
+            if is_ready && not (deferred id) then
+              let op = Dfg.find dfg id in
+              if ready_at op e then
+                let s = scores.(id) in
+                match !best with
+                | Some (bs, bop) when (bs, -bop.Dfg.id) >= (s, -id) -> ()
+                | _ -> best := Some (s, op))
+          ready;
+        match !best with
         | None -> continue_step := false
         | Some (_, op)
           when use_class_memo
@@ -569,8 +569,8 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
                   | Some k -> Hashtbl.mem blocked_class k
                   | None -> false)
                && not (last_chance op e) ->
-            Hashtbl.replace deferred op.Dfg.id ()
-        | Some (_, op) -> ignore (try_place op e deferred blocked_class)
+            deferred_at.(op.Dfg.id) <- e
+        | Some (_, op) -> ignore (try_place op e blocked_class)
       done
     end
   done;
@@ -676,9 +676,9 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
   List.iter (fun _ -> hint ()) boosts;
   (* --- SCC bookkeeping for pipelined regions --- *)
   let sccs = if Region.is_pipelined region then Region.sccs region else [] in
-  let scc_of_tbl = Hashtbl.create 16 in
-  List.iteri (fun k ops -> List.iter (fun o -> Hashtbl.replace scc_of_tbl o k) ops) sccs;
-  let scc_of op = Hashtbl.find_opt scc_of_tbl op in
+  let scc_idx = Array.make (Array.length region.Region.members) None in
+  List.iteri (fun k ops -> List.iter (fun o -> scc_idx.(o) <- Some k) ops) sccs;
+  let scc_of op = if op >= 0 && op < Array.length scc_idx then scc_idx.(op) else None in
   let scc_persist = Array.make (List.length sccs) None in
   let scc_stage_local = Array.make (List.length sccs) None in
   let scc_moves = Array.make (List.length sccs) 0 in

@@ -39,7 +39,7 @@ let log t fmt = log_at t Info fmt
 let logf ?(level = Info) t_opt fmt =
   match t_opt with
   | Some t -> log_at t level fmt
-  | None -> Printf.ksprintf ignore fmt
+  | None -> Printf.ikfprintf ignore () fmt
 
 let events t = List.rev_map snd t.events
 

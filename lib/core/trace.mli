@@ -18,8 +18,8 @@ val log : t -> ('a, unit, string, unit) format4 -> 'a
 val log_at : t -> level -> ('a, unit, string, unit) format4 -> 'a
 
 val logf : ?level:level -> t option -> ('a, unit, string, unit) format4 -> 'a
-(** No-op on [None] — callers thread an optional trace for free.  Level
-    defaults to [Info]. *)
+(** No-op on [None] — callers thread an optional trace for free: nothing
+    is formatted and no [%a] printer runs.  Level defaults to [Info]. *)
 
 val level_to_string : level -> string
 

@@ -22,61 +22,75 @@ type op = {
 
 type edge = { src : int; dst : int; port : int; distance : int }
 
+(* Ops and edge lists live in arrays indexed by op id (ids are dense:
+   [add_op] hands them out in sequence), so [find], [in_edges] and
+   [out_edges] are array reads.  A removed op leaves a [None] hole. *)
 type t = {
   mutable next_id : int;
-  ops : (int, op) Hashtbl.t;
-  ins : (int, edge list ref) Hashtbl.t;  (** incoming edges, keyed by dst *)
-  outs : (int, edge list ref) Hashtbl.t;  (** outgoing edges, keyed by src *)
+  mutable n_ops : int;  (** live ops *)
+  mutable ops : op option array;
+  mutable ins : edge list array;  (** incoming edges by dst, sorted by port *)
+  mutable outs : edge list array;  (** outgoing edges by src, newest first *)
 }
 
-let create () = { next_id = 0; ops = Hashtbl.create 64; ins = Hashtbl.create 64; outs = Hashtbl.create 64 }
+let create () =
+  { next_id = 0; n_ops = 0; ops = Array.make 64 None; ins = Array.make 64 []; outs = Array.make 64 [] }
 
-let mem g id = Hashtbl.mem g.ops id
+let find_opt g id = if id >= 0 && id < g.next_id then g.ops.(id) else None
+let mem g id = Option.is_some (find_opt g id)
 
 let find g id =
-  match Hashtbl.find_opt g.ops id with
+  match find_opt g id with
   | Some op -> op
   | None -> invalid_arg (Printf.sprintf "Dfg.find: no op %d" id)
 
-let find_opt g id = Hashtbl.find_opt g.ops id
-let size g = Hashtbl.length g.ops
+let size g = g.n_ops
 
 let add_op ?(guard = Guard.always) ?(name = "") ?anchor g kind ~width =
   let id = g.next_id in
+  if id = Array.length g.ops then begin
+    let grow a d =
+      let b = Array.make (2 * id) d in
+      Array.blit a 0 b 0 id;
+      b
+    in
+    g.ops <- grow g.ops None;
+    g.ins <- grow g.ins [];
+    g.outs <- grow g.outs []
+  end;
   g.next_id <- id + 1;
+  g.n_ops <- g.n_ops + 1;
   let name = if name = "" then Printf.sprintf "%s_%d" (Opkind.rclass_to_string (Opkind.rclass kind)) id else name in
   let op = { id; kind; width; guard; name; anchor; speculated = false } in
-  Hashtbl.replace g.ops id op;
-  Hashtbl.replace g.ins id (ref []);
-  Hashtbl.replace g.outs id (ref []);
+  g.ops.(id) <- Some op;
   op
 
-let edges_ref tbl id =
-  match Hashtbl.find_opt tbl id with
-  | Some r -> r
-  | None ->
-      let r = ref [] in
-      Hashtbl.replace tbl id r;
-      r
+(** Incoming edges of [id], sorted by port ([connect] keeps them so). *)
+let in_edges g id = if id >= 0 && id < g.next_id then g.ins.(id) else []
+
+let out_edges g id = if id >= 0 && id < g.next_id then g.outs.(id) else []
+
+(* drop the edge feeding (dst, port) from its producer's out list *)
+let unlink_out g (old : edge) =
+  g.outs.(old.src) <-
+    List.filter (fun e -> not (e.dst = old.dst && e.port = old.port)) g.outs.(old.src)
 
 let connect ?(distance = 0) g ~src ~dst ~port =
   if not (mem g src) then invalid_arg "Dfg.connect: unknown src";
   if not (mem g dst) then invalid_arg "Dfg.connect: unknown dst";
   if distance < 0 then invalid_arg "Dfg.connect: negative distance";
   let e = { src; dst; port; distance } in
-  let inr = edges_ref g.ins dst in
-  (* at most one edge per (dst, port) *)
-  inr := e :: List.filter (fun e' -> e'.port <> port) !inr;
-  let outr = edges_ref g.outs src in
-  outr := e :: List.filter (fun e' -> not (e'.dst = dst && e'.port = port)) !outr
-
-(** Incoming edges of [id], sorted by port. *)
-let in_edges g id =
-  match Hashtbl.find_opt g.ins id with
-  | None -> []
-  | Some r -> List.sort (fun a b -> compare a.port b.port) !r
-
-let out_edges g id = match Hashtbl.find_opt g.outs id with None -> [] | Some r -> !r
+  (* at most one edge per (dst, port): an existing one is replaced, at
+     both of its ends *)
+  let rec insert = function
+    | e' :: rest when e'.port < port -> e' :: insert rest
+    | e' :: rest when e'.port = port ->
+        unlink_out g e';
+        e :: rest
+    | l -> e :: l
+  in
+  g.ins.(dst) <- insert g.ins.(dst);
+  g.outs.(src) <- e :: g.outs.(src)
 
 (** Producer feeding input [port] of [id], if connected. *)
 let input g id ~port = List.find_opt (fun e -> e.port = port) (in_edges g id)
@@ -87,42 +101,48 @@ let preds g id = List.map (fun e -> e.src) (in_edges g id)
 (** All consumers of [id]'s result. *)
 let succs g id = List.map (fun e -> e.dst) (out_edges g id)
 
-let iter_ops g f = Hashtbl.iter (fun _ op -> f op) g.ops
-let fold_ops g f acc = Hashtbl.fold (fun _ op acc -> f op acc) g.ops acc
+let iter_ops g f =
+  for id = 0 to g.next_id - 1 do
+    match g.ops.(id) with Some op -> f op | None -> ()
+  done
+
+let fold_ops g f acc =
+  let acc = ref acc in
+  iter_ops g (fun op -> acc := f op !acc);
+  !acc
 
 (** Ops sorted by id (deterministic iteration order). *)
-let ops g = List.sort (fun a b -> compare a.id b.id) (fold_ops g (fun op l -> op :: l) [])
+let ops g = List.rev (fold_ops g (fun op l -> op :: l) [])
 
+(** Every edge, sorted by (dst, port). *)
 let all_edges g =
-  Hashtbl.fold (fun _ r acc -> List.rev_append !r acc) g.ins []
-  |> List.sort (fun a b -> compare (a.dst, a.port) (b.dst, b.port))
+  let acc = ref [] in
+  for id = g.next_id - 1 downto 0 do
+    acc := g.ins.(id) @ !acc
+  done;
+  !acc
 
 (** [remove_op g id] deletes the op and all edges touching it.  Callers are
     responsible for having rewired consumers first. *)
 let remove_op g id =
-  Hashtbl.remove g.ops id;
-  Hashtbl.remove g.ins id;
-  Hashtbl.remove g.outs id;
-  let strip tbl =
-    Hashtbl.iter (fun _ r -> r := List.filter (fun e -> e.src <> id && e.dst <> id) !r) tbl
-  in
-  strip g.ins;
-  strip g.outs
+  if mem g id then begin
+    List.iter (unlink_out g) g.ins.(id);
+    List.iter
+      (fun e -> g.ins.(e.dst) <- List.filter (fun e' -> e'.src <> id) g.ins.(e.dst))
+      g.outs.(id);
+    g.ops.(id) <- None;
+    g.ins.(id) <- [];
+    g.outs.(id) <- [];
+    g.n_ops <- g.n_ops - 1
+  end
 
 (** [replace_uses g ~old_id ~by] rewires every consumer of [old_id] to read
     from [by] instead (same ports and distances), and rewrites guards that
     mention [old_id] as a predicate. *)
 let replace_uses g ~old_id ~by =
-  let uses = out_edges g old_id in
   List.iter
-    (fun e ->
-      (* drop the old edge then reconnect *)
-      let inr = edges_ref g.ins e.dst in
-      inr := List.filter (fun e' -> not (e'.src = old_id && e'.port = e.port)) !inr;
-      connect g ~src:by ~dst:e.dst ~port:e.port ~distance:e.distance)
-    uses;
-  let outr = edges_ref g.outs old_id in
-  outr := [];
+    (fun e -> connect g ~src:by ~dst:e.dst ~port:e.port ~distance:e.distance)
+    (out_edges g old_id);
   iter_ops g (fun op ->
       op.guard <- Guard.map_preds (fun p -> if p = old_id then by else p) op.guard)
 
@@ -154,8 +174,8 @@ let sccs g =
       | [] -> false)
     comps
 
-(** Number of ops in the transitive fanout cone of [id] (distance-0 edges),
-    used by the scheduling priority function. *)
+(** Number of ops in the transitive fanout cone of [id] (distance-0 edges):
+    the oracle for the priority function's one-sweep table. *)
 let fanout_cone_size g id =
   let seen = Hashtbl.create 16 in
   let rec go id =
@@ -170,21 +190,16 @@ let fanout_cone_size g id =
   go id;
   Hashtbl.length seen
 
-(** Deep copy (fresh hashtables; ops are re-allocated so mutation of the
-    copy never aliases the original). *)
+(** Deep copy: ops are re-allocated so mutation of the copy never aliases
+    the original; edges are immutable and shared. *)
 let copy g =
-  let g' =
-    {
-      next_id = g.next_id;
-      ops = Hashtbl.create (Hashtbl.length g.ops);
-      ins = Hashtbl.create (Hashtbl.length g.ins);
-      outs = Hashtbl.create (Hashtbl.length g.outs);
-    }
-  in
-  Hashtbl.iter (fun id op -> Hashtbl.replace g'.ops id { op with id = op.id }) g.ops;
-  Hashtbl.iter (fun id r -> Hashtbl.replace g'.ins id (ref !r)) g.ins;
-  Hashtbl.iter (fun id r -> Hashtbl.replace g'.outs id (ref !r)) g.outs;
-  g'
+  {
+    next_id = g.next_id;
+    n_ops = g.n_ops;
+    ops = Array.map (Option.map (fun op -> { op with id = op.id })) g.ops;
+    ins = Array.copy g.ins;
+    outs = Array.copy g.outs;
+  }
 
 (** Structural well-formedness: arities respected, edges reference live ops,
     guard predicates are 1-bit ops, loop_mux has its distance-1 edge. *)

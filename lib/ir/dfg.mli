@@ -5,7 +5,15 @@
     distance: 0 for an ordinary dependency, [d >= 1] when the consumer
     reads the value produced [d] iterations earlier.  Cycles through
     positive-distance edges are exactly the strongly connected components
-    that constrain pipelining (Section V of the paper). *)
+    that constrain pipelining (Section V of the paper).
+
+    {b Representation.}  Ops and their edge lists live in arrays indexed by
+    op id ([add_op] hands ids out densely, from 0), so {!find}, {!mem},
+    {!in_edges} and {!out_edges} are O(1) array reads with no hashing.
+    In-edges are kept sorted by port at {!connect} time, so {!in_edges}
+    neither sorts nor allocates; out-edges are newest first.  {!iter_ops},
+    {!fold_ops} and {!ops} visit ops in ascending id order, in a copy as in
+    its source. *)
 
 type op = {
   id : int;
@@ -25,7 +33,7 @@ val create : unit -> t
 val mem : t -> int -> bool
 
 val find : t -> int -> op
-(** @raise Invalid_argument on unknown ids. *)
+(** O(1).  @raise Invalid_argument on unknown ids. *)
 
 val find_opt : t -> int -> op option
 val size : t -> int
@@ -34,12 +42,14 @@ val add_op : ?guard:Guard.t -> ?name:string -> ?anchor:int -> t -> Opkind.t -> w
 
 val connect : ?distance:int -> t -> src:int -> dst:int -> port:int -> unit
 (** Connect [src]'s result to input [port] of [dst]; at most one edge per
-    (dst, port) — reconnecting replaces. *)
+    (dst, port) — reconnecting replaces the old edge at both of its ends.
+    Keeps [dst]'s in-edges sorted by port. *)
 
 val in_edges : t -> int -> edge list
-(** Incoming edges, sorted by port. *)
+(** Incoming edges, sorted by port; O(1), no allocation. *)
 
 val out_edges : t -> int -> edge list
+(** Outgoing edges, newest first; O(1). *)
 
 val input : t -> int -> port:int -> edge option
 (** The edge feeding one input port, if connected. *)
@@ -48,12 +58,16 @@ val preds : t -> int -> int list
 val succs : t -> int -> int list
 
 val iter_ops : t -> (op -> unit) -> unit
+(** Ascending id order. *)
+
 val fold_ops : t -> (op -> 'a -> 'a) -> 'a -> 'a
+(** Ascending id order. *)
 
 val ops : t -> op list
 (** All ops sorted by id (deterministic iteration). *)
 
 val all_edges : t -> edge list
+(** Every edge, sorted by (dst, port). *)
 
 val remove_op : t -> int -> unit
 (** Delete the op and every edge touching it (rewire consumers first). *)
@@ -72,7 +86,9 @@ val sccs : t -> int list list
     must fit one pipeline stage. *)
 
 val fanout_cone_size : t -> int -> int
-(** Size of the transitive distance-0 fanout cone (priority input). *)
+(** Size of the transitive distance-0 fanout cone, by one DFS.  The
+    scheduler's priority function reads the whole table at once from
+    [Priority.fanout_table]; this is its test oracle. *)
 
 val copy : t -> t
 (** Deep copy; mutating the copy never aliases the original. *)

@@ -33,7 +33,8 @@ type nest = {
 type t = {
   rname : string;
   dfg : Dfg.t;  (** the design-wide DFG (shared, not owned) *)
-  members : (int, unit) Hashtbl.t;  (** op ids scheduled within this region *)
+  members : bool array;  (** op id -> scheduled within this region *)
+  n_members : int;  (** distinct ids in [members] *)
   mutable n_steps : int;  (** current latency interval LI (number of states) *)
   min_steps : int;  (** designer lower latency bound *)
   max_steps : int;  (** designer upper latency bound; relaxation stops here *)
@@ -57,10 +58,22 @@ let create ?(min_steps = 1) ?(max_steps = 64) ?pipeline ?continue_cond ?stall_co
   (match pipeline with
   | Some { ii } when ii < 1 -> invalid_arg "Region.create: ii < 1"
   | _ -> ());
-  let member_tbl = Hashtbl.create 64 in
-  (match members with
-  | Some ids -> List.iter (fun id -> Hashtbl.replace member_tbl id ()) ids
-  | None -> Dfg.iter_ops dfg (fun op -> Hashtbl.replace member_tbl op.Dfg.id ()));
+  let ids =
+    match members with
+    | Some ids -> ids
+    | None -> Dfg.fold_ops dfg (fun op acc -> op.Dfg.id :: acc) []
+  in
+  let member_arr = Array.make (1 + List.fold_left max (-1) ids) false in
+  let n_members =
+    List.fold_left
+      (fun n id ->
+        if member_arr.(id) then n
+        else begin
+          member_arr.(id) <- true;
+          n + 1
+        end)
+      0 ids
+  in
   let initial =
     match pipeline with
     | None -> min_steps
@@ -72,7 +85,8 @@ let create ?(min_steps = 1) ?(max_steps = 64) ?pipeline ?continue_cond ?stall_co
   {
     rname = name;
     dfg;
-    members = member_tbl;
+    members = member_arr;
+    n_members;
     n_steps = initial;
     min_steps;
     max_steps;
@@ -84,7 +98,7 @@ let create ?(min_steps = 1) ?(max_steps = 64) ?pipeline ?continue_cond ?stall_co
     nest;
   }
 
-let mem t id = Hashtbl.mem t.members id
+let mem t id = id >= 0 && id < Array.length t.members && t.members.(id)
 
 (** {2 Loop-nest accessors} *)
 
@@ -115,10 +129,9 @@ let per_dim_iis t ~kernel_ii =
 
 (** Member ops, sorted by id. *)
 let member_ops t =
-  Dfg.fold_ops t.dfg (fun op acc -> if mem t op.Dfg.id then op :: acc else acc) []
-  |> List.sort (fun a b -> compare a.Dfg.id b.Dfg.id)
+  List.rev (Dfg.fold_ops t.dfg (fun op acc -> if mem t op.Dfg.id then op :: acc else acc) [])
 
-let n_members t = Hashtbl.length t.members
+let n_members t = t.n_members
 
 let ii t = match t.pipeline with Some { ii } -> ii | None -> t.n_steps
 

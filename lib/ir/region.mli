@@ -33,7 +33,8 @@ type nest = {
 type t = {
   rname : string;
   dfg : Dfg.t;  (** the design-wide DFG (shared, not owned) *)
-  members : (int, unit) Hashtbl.t;
+  members : bool array;  (** op id -> member (ids past the end are not) *)
+  n_members : int;  (** distinct ids in [members] *)
   mutable n_steps : int;  (** current latency interval LI *)
   min_steps : int;
   max_steps : int;  (** designer latency bounds; relaxation stops here *)

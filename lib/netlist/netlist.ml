@@ -32,6 +32,14 @@
     and stops at cells whose arrival did not move, so the visit count
     stays bounded by the changed region, not the full fanout cone.
 
+    The graph itself is read straight from {!Dfg} and {!Region}, whose op,
+    edge and membership lookups are array reads too.  The few per-op facts
+    that cost more than a read — the resource type ({!resource_of}),
+    latency, off-instance delay, guard predicates and distance-0 consumers
+    — are computed once per op and kept in id-indexed arrays.  Instances
+    are also listed per resource class ({!class_insts}), so finding the
+    candidates for an op does not scan every instance.
+
     Policy (modulo constraints, dedication, forbidden pairs, restraint
     failures) lives above this layer in [Hls_core.Binding]; everything
     here is mechanism.  A from-scratch {!reference_arrivals} evaluator
@@ -42,6 +50,10 @@ open Hls_ir
 open Hls_techlib
 
 type view = Accurate | Naive
+
+(* [Stdlib.max] specialised to floats (same semantics, NaN included),
+   without the polymorphic comparison call *)
+let fmax (a : float) b = if a >= b then a else b
 
 type inst = {
   inst_id : int;
@@ -104,6 +116,14 @@ type bucket = {
   mutable b_dirty : bool;
 }
 
+(** The instances of one resource class, in registration order.  An
+    instance never changes class: {!set_rtype} only widens within one. *)
+type iclass = {
+  ic_class : Opkind.rclass;
+  mutable ic_rev : inst list;  (** newest first *)
+  mutable ic_memo : inst list option;  (** registration order *)
+}
+
 type t = {
   region : Region.t;
   lib : Library.t;
@@ -111,7 +131,7 @@ type t = {
   dfg : Dfg.t;
   mutable insts_rev : inst list;  (** newest first; see {!insts} *)
   mutable insts_memo : inst list option;  (** registration order *)
-  inst_tbl : (int, inst) Hashtbl.t;  (** id -> instance, O(1) lookup *)
+  mutable inst_arr : inst array;  (** id -> instance (slots from [next_inst_id] on are filler) *)
   mutable next_inst_id : int;
   mutable cap : int;  (** dense-array capacity: > every op id seen *)
   mutable pass_stamp : int;
@@ -144,14 +164,13 @@ type t = {
   mutable n_commits : int;
   mutable n_rollbacks : int;
   mutable n_visits : int;
-  (* static DFG caches (the graph and guards do not change during
-     scheduling; only the [speculated] flag flips, which is read from the
-     op record, not from these) *)
-  mutable op_c : Dfg.op option array;
-  mutable ins_c : Dfg.edge list option array;  (** in-edges, port-sorted *)
+  (* per-op facts computed once (the graph, widths and guards do not
+     change during scheduling; only the [speculated] flag flips, which is
+     read from the op record, not from these) *)
+  mutable rt_c : Resource.t option array;  (** {!Resource.of_op}, eager *)
+  mutable classes : iclass list;  (** per resource class, few *)
   mutable out0_c : int array option array;  (** distance-0 consumer ids *)
   mutable lat_c : int array;  (** op latency, -1 = not computed *)
-  mutable rmem_c : int array;  (** region membership: 0 unknown / 1 in / 2 out *)
   mutable opdelay_c : float array;  (** exec delay off-instance, nan = unknown *)
   member_needs : Resource.t list;  (** static: resource needs of the members *)
   class_ops_memo : (Resource.t, int) Hashtbl.t;
@@ -180,9 +199,9 @@ let create ~lib ~clock_ps (region : Region.t) =
   let dfg = region.Region.dfg in
   let cap = 1 + Dfg.fold_ops dfg (fun op m -> max m op.Dfg.id) (-1) in
   let cap = max cap 16 in
-  let member_needs =
-    List.filter_map (fun op -> Resource.of_op dfg op) (Region.member_ops region)
-  in
+  let rt_c = Array.make cap None in
+  Dfg.iter_ops dfg (fun op -> rt_c.(op.Dfg.id) <- Resource.of_op dfg op);
+  let member_needs = List.filter_map (fun op -> rt_c.(op.Dfg.id)) (Region.member_ops region) in
   {
     region;
     lib;
@@ -190,7 +209,7 @@ let create ~lib ~clock_ps (region : Region.t) =
     dfg;
     insts_rev = [];
     insts_memo = Some [];
-    inst_tbl = Hashtbl.create 16;
+    inst_arr = [||];
     next_inst_id = 0;
     cap;
     pass_stamp = 1;
@@ -216,11 +235,10 @@ let create ~lib ~clock_ps (region : Region.t) =
     n_commits = 0;
     n_rollbacks = 0;
     n_visits = 0;
-    op_c = Array.make cap None;
-    ins_c = Array.make cap None;
+    rt_c;
+    classes = [];
     out0_c = Array.make cap None;
     lat_c = Array.make cap (-1);
-    rmem_c = Array.make cap 0;
     opdelay_c = Array.make cap nan;
     member_needs;
     class_ops_memo = Hashtbl.create 8;
@@ -254,33 +272,18 @@ let ensure_cap t id =
     t.gslots <- grow_with t.gslots cap fresh_bucket;
     t.gpreds_c <- grow_arr t.gpreds_c cap None;
     t.gpos <- grow_arr t.gpos cap None;
-    t.op_c <- grow_arr t.op_c cap None;
-    t.ins_c <- grow_arr t.ins_c cap None;
+    t.rt_c <-
+      Array.init cap (fun i ->
+          if i < t.cap then t.rt_c.(i)
+          else Option.bind (Dfg.find_opt t.dfg i) (Resource.of_op t.dfg));
     t.out0_c <- grow_arr t.out0_c cap None;
     t.lat_c <- grow_arr t.lat_c cap (-1);
-    t.rmem_c <- grow_arr t.rmem_c cap 0;
     t.opdelay_c <- grow_arr t.opdelay_c cap nan;
     t.in_wl <- grow_arr t.in_wl cap 0;
     t.cap <- cap
   end
 
-(* --- static DFG caches --- *)
-
-let op_of t id =
-  match t.op_c.(id) with
-  | Some op -> op
-  | None ->
-      let op = Dfg.find t.dfg id in
-      t.op_c.(id) <- Some op;
-      op
-
-let in_edges_of t id =
-  match t.ins_c.(id) with
-  | Some l -> l
-  | None ->
-      let l = Dfg.in_edges t.dfg id in
-      t.ins_c.(id) <- Some l;
-      l
+(* --- per-op facts, computed once --- *)
 
 let out0_of t id =
   match t.out0_c.(id) with
@@ -298,20 +301,13 @@ let gpreds_of t id =
   match t.gpreds_c.(id) with
   | Some a -> a
   | None ->
-      let a = Array.of_list (Guard.preds (op_of t id).Dfg.guard) in
+      let a = Array.of_list (Guard.preds (Dfg.find t.dfg id).Dfg.guard) in
       t.gpreds_c.(id) <- Some a;
       a
 
-let region_mem t id =
-  if id >= t.cap then Region.mem t.region id
-  else
-    match t.rmem_c.(id) with
-    | 1 -> true
-    | 2 -> false
-    | _ ->
-        let m = Region.mem t.region id in
-        t.rmem_c.(id) <- (if m then 1 else 2);
-        m
+(** {!Resource.of_op}, computed once per op. *)
+let resource_of t (op : Dfg.op) =
+  if op.Dfg.id < t.cap then t.rt_c.(op.Dfg.id) else Resource.of_op t.dfg op
 
 let op_latency t (op : Dfg.op) =
   let id = op.Dfg.id in
@@ -321,7 +317,7 @@ let op_latency t (op : Dfg.op) =
   end
   else Library.op_latency t.lib op.Dfg.kind
 
-let lat_of t id = op_latency t (op_of t id)
+let lat_of t id = op_latency t (Dfg.find t.dfg id)
 
 let is_multicycle t op = op_latency t op > 1
 
@@ -331,6 +327,14 @@ let stats t =
   { s_queries = t.n_queries; s_trials = t.n_trials; s_commits = t.n_commits;
     s_rollbacks = t.n_rollbacks; s_visits = t.n_visits }
 
+let iclass t rclass =
+  match List.find_opt (fun c -> c.ic_class = rclass) t.classes with
+  | Some c -> c
+  | None ->
+      let c = { ic_class = rclass; ic_rev = []; ic_memo = Some [] } in
+      t.classes <- c :: t.classes;
+      c
+
 let add_inst ?(added_by_expert = false) t rtype =
   let inst =
     { inst_id = t.next_inst_id; rtype; bound = []; prealloc_shared = false; added_by_expert;
@@ -339,7 +343,12 @@ let add_inst ?(added_by_expert = false) t rtype =
   t.next_inst_id <- t.next_inst_id + 1;
   t.insts_rev <- inst :: t.insts_rev;
   t.insts_memo <- None;
-  Hashtbl.replace t.inst_tbl inst.inst_id inst;
+  if inst.inst_id = Array.length t.inst_arr then
+    t.inst_arr <- grow_arr t.inst_arr (max 16 (2 * inst.inst_id)) inst;
+  t.inst_arr.(inst.inst_id) <- inst;
+  let c = iclass t rtype.Resource.rclass in
+  c.ic_rev <- inst :: c.ic_rev;
+  c.ic_memo <- None;
   inst
 
 (** Instances in registration order (ascending id); memoized, so the
@@ -354,7 +363,22 @@ let insts t =
 
 let n_insts t = t.next_inst_id
 
-let find_inst t id = Hashtbl.find t.inst_tbl id
+(** The instances of [op]'s resource class, in registration order; empty
+    for wire-class ops. *)
+let class_insts t (op : Dfg.op) =
+  match resource_of t op with
+  | None -> []
+  | Some rt -> (
+      let c = iclass t rt.Resource.rclass in
+      match c.ic_memo with
+      | Some l -> l
+      | None ->
+          let l = List.rev c.ic_rev in
+          c.ic_memo <- Some l;
+          l)
+
+let find_inst t id =
+  if id >= 0 && id < t.next_inst_id then t.inst_arr.(id) else raise Not_found
 
 (** Reset all pass-local state (placements, busy tables, arrivals, chain
     graph, any dangling trial) while keeping the resource set — the state
@@ -733,7 +757,7 @@ let attach t i op_id =
               (fun p ch ->
                 if ch && p < Array.length d' then begin
                   let n = List.length c'.(p) in
-                  let n = if i.prealloc_shared then max n 2 else n in
+                  let n = if i.prealloc_shared then Int.max n 2 else n in
                   d'.(p) <- Library.mux_delay t.lib ~inputs:n
                 end)
               changed;
@@ -783,15 +807,15 @@ let port_srcs t (inst : inst) ~port =
 
 let mux_inputs t inst ~port =
   let n = List.length (port_srcs t inst ~port) in
-  if inst.prealloc_shared then max n 2 else n
+  if inst.prealloc_shared then Int.max n 2 else n
 
 (** Mux inputs of [port] after a hypothetical bind of an op whose [port]
     input comes from [src]: a source already feeding the port adds no mux
     input. *)
 let mux_inputs_with t inst ~port ~src =
   let l = port_srcs t inst ~port in
-  let n = if List.mem src l then List.length l else List.length l + 1 in
-  if inst.prealloc_shared then max n 2 else n
+  let n = if List.exists (fun s -> s = src) l then List.length l else List.length l + 1 in
+  if inst.prealloc_shared then Int.max n 2 else n
 
 let in_mux_delay t inst ~port =
   match inst.mux_delays with
@@ -874,7 +898,7 @@ let source_arrival_with t ~step ~lookup e =
   let ff = t.lib.Library.ff_clk_q in
   let p = e.Dfg.src in
   if e.Dfg.distance > 0 then ff
-  else if not (region_mem t p) then ff
+  else if not (Region.mem t.region p) then ff
   else if not (placed t p) then ff (* should not happen: scheduler orders by readiness *)
   else if lat_of t p > 1 then ff
   else if t.pl_finish.(p) = step then (
@@ -894,7 +918,7 @@ let guard_arrival_with t ~step ~lookup (op : Dfg.op) =
     Array.iter
       (fun p ->
         let a =
-          if (not (region_mem t p)) || not (placed t p) then ff
+          if (not (Region.mem t.region p)) || not (placed t p) then ff
           else if t.pl_finish.(p) = step then (
             let v = lookup p in
             if v = neg_infinity then ff else v)
@@ -916,19 +940,19 @@ let exec_delay t (op : Dfg.op) inst_opt =
       if id < t.cap then begin
         if Float.is_nan t.opdelay_c.(id) then
           t.opdelay_c.(id) <-
-            (match Resource.of_op t.dfg op with
+            (match resource_of t op with
             | None -> 0.0
             | Some rt -> Library.delay t.lib rt);
         t.opdelay_c.(id)
       end
       else
-        (match Resource.of_op t.dfg op with None -> 0.0 | Some rt -> Library.delay t.lib rt)
+        (match resource_of t op with None -> 0.0 | Some rt -> Library.delay t.lib rt)
 
 (** One full arrival evaluation of [op] placed at [step] on instance
     [inst] (-1 for none); [with_mux] selects the accurate (mux-laden)
     formula. *)
 let compute_arrival_with t ~lookup ~with_mux (op : Dfg.op) ~step ~inst =
-  let ins = in_edges_of t op.Dfg.id in
+  let ins = Dfg.in_edges t.dfg op.Dfg.id in
   let data =
     List.fold_left
       (fun acc e ->
@@ -938,7 +962,7 @@ let compute_arrival_with t ~lookup ~with_mux (op : Dfg.op) ~step ~inst =
           else if inst >= 0 then a +. in_mux_delay t (find_inst t inst) ~port:e.Dfg.port
           else a
         in
-        max acc a)
+        fmax acc a)
       (match op.Dfg.kind with
       | Opkind.Const _ -> 0.0
       | Opkind.Read _ -> t.lib.Library.ff_clk_q
@@ -953,13 +977,13 @@ let compute_arrival_with t ~lookup ~with_mux (op : Dfg.op) ~step ~inst =
     parallel and is accounted for in {!endpoint_slack}. *)
 let recompute_arrival t op_id =
   t.n_queries <- t.n_queries + 1;
-  let op = op_of t op_id in
+  let op = Dfg.find t.dfg op_id in
   let step = t.pl_step.(op_id) and inst = t.pl_inst.(op_id) in
   (* fused two-view evaluation: one walk over the in-edges computes both
      the accurate (mux-laden) and naive arrivals — same formulas as
      {!compute_arrival_with}, with the instance lookup hoisted out of the
      per-edge fold and no per-call lookup closures *)
-  let ins = in_edges_of t op_id in
+  let ins = Dfg.in_edges t.dfg op_id in
   let ff = t.lib.Library.ff_clk_q in
   let base =
     match op.Dfg.kind with
@@ -973,7 +997,7 @@ let recompute_arrival t op_id =
     (fun (e : Dfg.edge) ->
       let p = e.Dfg.src in
       let live =
-        e.Dfg.distance = 0 && region_mem t p && placed t p
+        e.Dfg.distance = 0 && Region.mem t.region p && placed t p
         && not (lat_of t p > 1)
         && t.pl_finish.(p) = step
       in
@@ -984,8 +1008,8 @@ let recompute_arrival t op_id =
         else (ff, ff)
       in
       let at = match io with Some i -> at +. in_mux_delay t i ~port:e.Dfg.port | None -> at in
-      dt := max !dt at;
-      dn := max !dn an)
+      dt := fmax !dt at;
+      dn := fmax !dn an)
     ins;
   let ex = exec_delay t op (if inst >= 0 then Some inst else None) in
   let new_true = !dt +. ex in
@@ -1017,10 +1041,10 @@ let endpoint_slack t ~view op_id =
     let v = arrival_raw t view op_id in
     if v = neg_infinity then 0.0 else v
   in
-  let op = op_of t op_id in
+  let op = Dfg.find t.dfg op_id in
   let g = if placed t op_id then guard_arrival t ~step:t.pl_finish.(op_id) ~view op else 0.0 in
   let reg_path = match view with Naive -> 0.0 | Accurate -> reg_mux_delay t in
-  t.clock_ps -. (max arr g +. reg_path +. t.lib.Library.ff_setup)
+  t.clock_ps -. (fmax arr g +. reg_path +. t.lib.Library.ff_setup)
 
 (** {2 Saturation screen}
 
@@ -1056,7 +1080,7 @@ let screen_busy_reject t ~decision ~(op : Dfg.op) ~step ~finish ~(inst : inst)
       List.map
         (fun p ->
           let n = List.length (port_srcs t inst ~port:p) + 1 in
-          let n = if inst.prealloc_shared then max n 2 else n in
+          let n = if inst.prealloc_shared then Int.max n 2 else n in
           (p, Library.mux_delay t.lib ~inputs:n))
         changed_ports
     in
@@ -1082,18 +1106,18 @@ let screen_busy_reject t ~decision ~(op : Dfg.op) ~step ~finish ~(inst : inst)
           if e.Dfg.src = op.Dfg.id then finish = st
           else
             let p = e.Dfg.src in
-            region_mem t p && placed t p
+            Region.mem t.region p && placed t p
             && not (lat_of t p > 1)
             && t.pl_finish.(p) = st
             && affected (depth + 1) p)
-        (in_edges_of t id)
+        (Dfg.in_edges t.dfg id)
     in
     let guard_affected (o : Dfg.op) ~fstep =
       (not (o.Dfg.speculated || Guard.is_always o.Dfg.guard))
       && Array.exists
            (fun g ->
              if g = op.Dfg.id then finish = fstep
-             else region_mem t g && placed t g && t.pl_finish.(g) = fstep && affected 0 g)
+             else Region.mem t.region g && placed t g && t.pl_finish.(g) = fstep && affected 0 g)
            (gpreds_of t o.Dfg.id)
     in
     let exception Unpriceable in
@@ -1101,7 +1125,7 @@ let screen_busy_reject t ~decision ~(op : Dfg.op) ~step ~finish ~(inst : inst)
        with the grown mux delays; raises when a committed input would
        itself move *)
     let hypo_slack (o : Dfg.op) ~st ~fstep =
-      let ins = in_edges_of t o.Dfg.id in
+      let ins = Dfg.in_edges t.dfg o.Dfg.id in
       let base =
         match o.Dfg.kind with
         | Opkind.Const _ -> 0.0
@@ -1117,7 +1141,7 @@ let screen_busy_reject t ~decision ~(op : Dfg.op) ~step ~finish ~(inst : inst)
               else if s = op.Dfg.id then
                 if finish = st then raise Unpriceable else ff
               else if
-                region_mem t s && placed t s && not (lat_of t s > 1) && t.pl_finish.(s) = st
+                Region.mem t.region s && placed t s && not (lat_of t s > 1) && t.pl_finish.(s) = st
               then begin
                 if affected 0 s then raise Unpriceable;
                 let v = arrival_raw t Accurate s in
@@ -1125,13 +1149,13 @@ let screen_busy_reject t ~decision ~(op : Dfg.op) ~step ~finish ~(inst : inst)
               end
               else ff
             in
-            max acc (a +. new_mux e.Dfg.port))
+            fmax acc (a +. new_mux e.Dfg.port))
           base ins
       in
       let arr = data +. exec in
       if guard_affected o ~fstep then raise Unpriceable;
       let g = guard_arrival t ~step:fstep ~view:Accurate o in
-      t.clock_ps -. (max arr g +. reg_mux_delay t +. t.lib.Library.ff_setup)
+      t.clock_ps -. (fmax arr g +. reg_mux_delay t +. t.lib.Library.ff_setup)
     in
     match hypo_slack op ~st:step ~fstep:finish with
     | exception Unpriceable -> false
@@ -1141,7 +1165,7 @@ let screen_busy_reject t ~decision ~(op : Dfg.op) ~step ~finish ~(inst : inst)
             o_id <> op.Dfg.id && placed t o_id && reads_changed o_id
             &&
             match
-              hypo_slack (op_of t o_id) ~st:t.pl_step.(o_id) ~fstep:t.pl_finish.(o_id)
+              hypo_slack (Dfg.find t.dfg o_id) ~st:t.pl_step.(o_id) ~fstep:t.pl_finish.(o_id)
             with
             | exception Unpriceable -> false
             | s -> s < -0.001 && s < s_op)
@@ -1255,11 +1279,11 @@ let chain_source_insts t op_id ~step =
         | -1 ->
             List.iter
               (fun e -> if e.Dfg.distance = 0 then visit e.Dfg.src)
-              (in_edges_of t id)
+              (Dfg.in_edges t.dfg id)
         | j -> acc := j :: !acc
     end
   in
-  List.iter (fun e -> if e.Dfg.distance = 0 then visit e.Dfg.src) (in_edges_of t op_id);
+  List.iter (fun e -> if e.Dfg.distance = 0 then visit e.Dfg.src) (Dfg.in_edges t.dfg op_id);
   List.sort_uniq compare !acc
 
 let would_close_cycle t ~src ~dst = Hls_timing.Cycle_detector.would_close_cycle t.chain ~src ~dst
@@ -1273,22 +1297,33 @@ let add_chain_edge t ~src ~dst =
 (** {2 Reporting} *)
 
 (** Values that must live in registers: results consumed in a later step,
-    loop-carried values, and port writes.  Ascending id order. *)
+    loop-carried values, port writes, and predicates whose guarded op
+    commits in a later step (its enable reads the registered predicate).
+    Ascending id order. *)
 let registered_ops t =
   List.rev
     (fold_placements t
        (fun id pl acc ->
-         let op = op_of t id in
+         let op = Dfg.find t.dfg id in
          let crosses =
            List.exists
              (fun e ->
                e.Dfg.distance > 0
-               || (not (region_mem t e.Dfg.dst))
+               || (not (Region.mem t.region e.Dfg.dst))
                || (if placed t e.Dfg.dst then t.pl_step.(e.Dfg.dst) > pl.pl_finish else true))
              (Dfg.out_edges t.dfg id)
          in
+         let guards_later =
+           id < Array.length t.gslots
+           &&
+           let b = t.gslots.(id) in
+           b.b_gen = t.pass_stamp
+           &&
+           let rec any k = k < b.b_len && (t.pl_step.(b.b_a.(k)) > pl.pl_finish || any (k + 1)) in
+           any 0
+         in
          let is_write = match op.Dfg.kind with Opkind.Write _ -> true | _ -> false in
-         if crosses || is_write then id :: acc else acc)
+         if crosses || guards_later || is_write then id :: acc else acc)
        [])
 
 (** Critical-path decomposition for the downstream-synthesis model: one
@@ -1301,7 +1336,7 @@ let timing_report t : Hls_timing.Synthesize.report =
         let fixed = ref (reg_mux_delay t +. t.lib.Library.ff_setup) in
         let elems = ref [] in
         let rec back id =
-          let op = op_of t id in
+          let op = Dfg.find t.dfg id in
           let op_inst = t.pl_inst.(id) in
           (if op_inst >= 0 then
              let inst = find_inst t op_inst in
@@ -1325,7 +1360,7 @@ let timing_report t : Hls_timing.Synthesize.report =
               match !best with
               | Some (_, _, bt) when bt >= tot -> ()
               | _ -> best := Some (e, mux, tot))
-            (in_edges_of t id);
+            (Dfg.in_edges t.dfg id);
           match !best with
           | None ->
               fixed :=
@@ -1335,7 +1370,7 @@ let timing_report t : Hls_timing.Synthesize.report =
               let p = e.Dfg.src in
               let chained =
                 e.Dfg.distance = 0
-                && region_mem t p
+                && Region.mem t.region p
                 && placed t p
                 && t.pl_finish.(p) = step
                 && lat_of t p <= 1
@@ -1347,7 +1382,7 @@ let timing_report t : Hls_timing.Synthesize.report =
         else
           Some
             {
-              Hls_timing.Synthesize.p_endpoint = (op_of t endpoint).Dfg.name;
+              Hls_timing.Synthesize.p_endpoint = (Dfg.find t.dfg endpoint).Dfg.name;
               p_step = step;
               p_fixed = !fixed;
               p_elems = !elems;
@@ -1377,7 +1412,7 @@ let reference_arrivals t =
   let sweep () =
     List.fold_left
       (fun changed id ->
-        let op = op_of t id in
+        let op = Dfg.find t.dfg id in
         let step = t.pl_step.(id) and inst = t.pl_inst.(id) in
         let v_true = compute_arrival_with t ~lookup:(lookup rt) ~with_mux:true op ~step ~inst in
         let v_naive =

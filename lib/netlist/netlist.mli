@@ -66,6 +66,14 @@ val insts : t -> inst list
 val n_insts : t -> int
 (** Number of registered instances (= the next instance id). *)
 
+val class_insts : t -> Dfg.op -> inst list
+(** The instances of [op]'s resource class, in registration order (the
+    only instances {!Resource.fits} or {!Resource.can_merge} can accept);
+    empty for wire-class ops. *)
+
+val resource_of : t -> Dfg.op -> Resource.t option
+(** {!Resource.of_op}, computed once per op when the netlist is created. *)
+
 val add_inst : ?added_by_expert:bool -> t -> Resource.t -> inst
 val find_inst : t -> int -> inst
 

@@ -4,20 +4,24 @@
 #    Fig 10/11 sweep, except for the one wall-clock line the fig10 run
 #    prints (normalized away below);
 #  - bench/golden/nest.txt: `hlsc flow` / `hlsc emit` on the loop-nest
-#    designs (see scripts/nest_golden.sh).
+#    designs (see scripts/nest_golden.sh);
+#  - bench/golden/designs.txt: `hlsc flow` and an md5 of `hlsc emit` on
+#    every design, sequential, II=1 and II=2 (see scripts/designs_golden.sh).
 # Run from the repository root; CI runs it in the bench-smoke job so perf
 # and refactoring work cannot silently change schedules.
 set -eu
 
 ref="bench/golden/tables_fig10_11.txt"
 nest_ref="bench/golden/nest.txt"
-for f in "$ref" "$nest_ref"; do
+designs_ref="bench/golden/designs.txt"
+for f in "$ref" "$nest_ref" "$designs_ref"; do
   [ -f "$f" ] || { echo "missing $f" >&2; exit 1; }
 done
 
 out=$(mktemp)
 nest_out=$(mktemp)
-trap 'rm -f "$out" "$out.norm" "$ref.norm" "$nest_out"' EXIT
+designs_out=$(mktemp)
+trap 'rm -f "$out" "$out.norm" "$ref.norm" "$nest_out" "$designs_out"' EXIT
 
 dune exec bench/main.exe -- table1 table2 table3 table4 fig10 > "$out"
 
@@ -40,5 +44,14 @@ if diff -u "$nest_ref" "$nest_out"; then
 else
   echo "golden check FAILED: regenerate deliberately with" >&2
   echo "  ./scripts/nest_golden.sh > $nest_ref" >&2
+  exit 1
+fi
+
+./scripts/designs_golden.sh > "$designs_out"
+if diff -u "$designs_ref" "$designs_out"; then
+  echo "golden check OK: per-design flow/emit output matches $designs_ref"
+else
+  echo "golden check FAILED: regenerate deliberately with" >&2
+  echo "  ./scripts/designs_golden.sh > $designs_ref" >&2
   exit 1
 fi

@@ -109,6 +109,132 @@ let test_copy_isolation () =
   (Dfg.find g' a).Dfg.name <- "changed";
   Alcotest.(check bool) "copy does not alias" false ((Dfg.find g a).Dfg.name = "changed")
 
+(* --- the id-indexed representation against a naive list model --- *)
+
+(* The model: live op ids (ascending) and every edge, newest first.
+   [connect] replaces the edge on (dst, port); in-edges read back sorted by
+   port, out-edges newest first, [all_edges] sorted by (dst, port). *)
+type model = { mutable live : int list; mutable next : int; mutable edges : Dfg.edge list }
+
+let model_connect m ~src ~dst ~port ~distance =
+  m.edges <-
+    { Dfg.src; dst; port; distance }
+    :: List.filter (fun (e : Dfg.edge) -> not (e.Dfg.dst = dst && e.Dfg.port = port)) m.edges
+
+let model_in m id =
+  List.filter (fun (e : Dfg.edge) -> e.Dfg.dst = id) m.edges
+  |> List.sort (fun (a : Dfg.edge) b -> compare a.Dfg.port b.Dfg.port)
+
+let model_out m id = List.filter (fun (e : Dfg.edge) -> e.Dfg.src = id) m.edges
+
+(* every observation of [g] agrees with [m]; a description of the first
+   disagreement otherwise *)
+let disagreement g m =
+  let ids = List.init (m.next + 2) Fun.id in
+  let sorted l =
+    let rec ok = function
+      | (a : Dfg.edge) :: (b :: _ as rest) -> a.Dfg.port < b.Dfg.port && ok rest
+      | _ -> true
+    in
+    ok l
+  in
+  let visited = List.rev (Dfg.fold_ops g (fun op acc -> op.Dfg.id :: acc) []) in
+  let all_model =
+    List.sort
+      (fun (a : Dfg.edge) b -> compare (a.Dfg.dst, a.Dfg.port) (b.Dfg.dst, b.Dfg.port))
+      m.edges
+  in
+  match
+    List.find_opt
+      (fun id ->
+        Dfg.mem g id <> List.mem id m.live
+        || (not (sorted (Dfg.in_edges g id)))
+        || Dfg.in_edges g id <> model_in m id
+        || Dfg.out_edges g id <> model_out m id)
+      ids
+  with
+  | Some id -> Some (Printf.sprintf "op %d: membership or edges differ" id)
+  | None ->
+      if visited <> m.live then Some "iter_ops order"
+      else if Dfg.size g <> List.length m.live then Some "size"
+      else if Dfg.all_edges g <> all_model then Some "all_edges"
+      else None
+
+let prop_dfg_model =
+  QCheck.Test.make ~name:"id-indexed DFG agrees with a list model" ~count:300
+    QCheck.(list_of_size Gen.(int_range 1 80) (pair (int_bound 6) (quad small_nat small_nat (int_bound 2) (int_bound 1))))
+    (fun cmds ->
+      let g = ref (Dfg.create ()) in
+      let m = { live = []; next = 0; edges = [] } in
+      (* a copied-from graph and the model state it must keep *)
+      let sources = ref [] in
+      let pick k = List.nth m.live (k mod List.length m.live) in
+      List.iter
+        (fun (tag, (a, b, port, distance)) ->
+          match tag with
+          | 0 | 1 ->
+              let id = add !g (Opkind.Un Opkind.Neg) ~width:4 in
+              assert (id = m.next);
+              m.next <- id + 1;
+              m.live <- m.live @ [ id ]
+          | (2 | 3) when m.live <> [] ->
+              let src = pick a and dst = pick b in
+              Dfg.connect !g ~distance ~src ~dst ~port;
+              model_connect m ~src ~dst ~port ~distance
+          | 4 when m.live <> [] ->
+              let id = pick a in
+              Dfg.remove_op !g id;
+              m.live <- List.filter (fun x -> x <> id) m.live;
+              m.edges <- List.filter (fun (e : Dfg.edge) -> e.Dfg.src <> id && e.Dfg.dst <> id) m.edges
+          | 5 when m.live <> [] ->
+              let old_id = pick a and by = pick b in
+              if old_id <> by then begin
+                let uses = model_out m old_id in
+                Dfg.replace_uses !g ~old_id ~by;
+                List.iter
+                  (fun (e : Dfg.edge) ->
+                    model_connect m ~src:by ~dst:e.Dfg.dst ~port:e.Dfg.port ~distance:e.Dfg.distance)
+                  uses
+              end
+          | 6 ->
+              let tag = Printf.sprintf "copy%d" (List.length !sources) in
+              sources := (!g, { m with live = m.live }, tag) :: !sources;
+              g := Dfg.copy !g;
+              Dfg.iter_ops !g (fun op -> op.Dfg.name <- tag)
+          | _ -> ())
+        cmds;
+      (match disagreement !g m with Some d -> QCheck.Test.fail_report d | None -> ());
+      List.iter
+        (fun (src, snap, tag) ->
+          (match disagreement src snap with
+          | Some d -> QCheck.Test.fail_reportf "copy source changed: %s" d
+          | None -> ());
+          Dfg.iter_ops src (fun op ->
+              if op.Dfg.name = tag then QCheck.Test.fail_report "copy aliases an op record"))
+        !sources;
+      true)
+
+(* random graphs of up to 150 ops (so cones cross the 63-bit word
+   boundary) with distance-1 back edges, which cones ignore, and holes
+   left by removed ops *)
+let prop_fanout_table =
+  QCheck.Test.make ~name:"Priority.fanout_table = Dfg.fanout_cone_size" ~count:100
+    QCheck.(pair (int_range 1 150) (int_bound 100_000))
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let g = Dfg.create () in
+      let ids = Array.init n (fun _ -> add g (Opkind.Un Opkind.Neg) ~width:4) in
+      for i = 1 to n - 1 do
+        for port = 0 to Random.State.int rng 3 do
+          Dfg.connect g ~src:ids.(Random.State.int rng i) ~dst:ids.(i) ~port
+        done;
+        if Random.State.int rng 4 = 0 then
+          Dfg.connect g ~distance:1 ~src:ids.(i + Random.State.int rng (n - i)) ~dst:ids.(i) ~port:3
+      done;
+      Array.iter (fun id -> if Random.State.int rng 10 = 0 then Dfg.remove_op g id) ids;
+      let table = Hls_core.Priority.fanout_table g in
+      Dfg.fold_ops g (fun op ok -> ok && table op.Dfg.id = Dfg.fanout_cone_size g op.Dfg.id) true)
+
 let suite =
   [
     Alcotest.test_case "build and find" `Quick test_build_and_find;
@@ -120,4 +246,6 @@ let suite =
     Alcotest.test_case "validate errors" `Quick test_validate_errors;
     Alcotest.test_case "fanout cone" `Quick test_fanout_cone;
     Alcotest.test_case "copy isolation" `Quick test_copy_isolation;
+    QCheck_alcotest.to_alcotest prop_dfg_model;
+    QCheck_alcotest.to_alcotest prop_fanout_table;
   ]

@@ -101,6 +101,21 @@ let test_verilog_sequential () =
   let src = Hls_rtl.Verilog.emit e s f in
   Alcotest.(check (list string)) "lint clean" [] (Hls_rtl.Verilog.lint src)
 
+(* idct8x8 has predicates that finish in an early step and are read only
+   by the guards of ops committing later: their registers must be
+   declared and committed for the enables to refer to them *)
+let test_verilog_guard_registers () =
+  List.iter
+    (fun ii ->
+      let r =
+        Hls_flow.Flow.run_exn
+          ~options:{ Hls_flow.Flow.default_options with ii; clock_ps = 1600.0; verify = false }
+          (Hls_designs.Idct2d.design ())
+      in
+      let src = Hls_rtl.Verilog.emit r.Hls_flow.Flow.f_elab r.Hls_flow.Flow.f_sched r.Hls_flow.Flow.f_fold in
+      Alcotest.(check (list string)) "lint clean" [] (Hls_rtl.Verilog.lint src))
+    [ None; Some 1 ]
+
 let test_verilog_lint_catches () =
   Alcotest.(check bool) "undeclared id reported" true
     (Hls_rtl.Verilog.lint "module m; assign v1_x = v2_ghost; endmodule" <> [])
@@ -114,5 +129,6 @@ let suite =
     Alcotest.test_case "power scaling" `Quick test_power_positive_and_scaling;
     Alcotest.test_case "verilog pipelined emission" `Quick test_verilog_emission;
     Alcotest.test_case "verilog sequential emission" `Quick test_verilog_sequential;
+    Alcotest.test_case "verilog guard registers (idct8x8)" `Quick test_verilog_guard_registers;
     Alcotest.test_case "verilog lint" `Quick test_verilog_lint_catches;
   ]

@@ -185,6 +185,41 @@ let test_table_rendering () =
   Alcotest.(check bool) "has header plus rows" true (List.length table > 3);
   Alcotest.(check int) "columns = states + 1" 4 (List.length (List.hd table))
 
+(* with tracing off nothing is formatted: a [%a] printer never runs *)
+let test_trace_off_formats_nothing () =
+  let calls = ref 0 in
+  let pp () x =
+    incr calls;
+    string_of_int x
+  in
+  Trace.logf None "%a and %d" pp 1 2;
+  Trace.logf ~level:Trace.Debug None "%a" pp 3;
+  Alcotest.(check int) "printer not called" 0 !calls;
+  let t = Trace.create () in
+  Trace.logf (Some t) "%a and %d" pp 1 2;
+  Alcotest.(check int) "printer called once" 1 !calls;
+  Alcotest.(check (list string)) "recorded text" [ "1 and 2" ] (Trace.events t)
+
+(* Fig. 8's first pass of Example 1 at LI = 1, as the trace records it:
+   per-bind arrivals and slacks, then the comparator's -200 ps failure *)
+let test_example1_trace_narrative () =
+  let e = Hls_designs.Example1.elaborated ~max_latency:1 ~min_latency:1 () in
+  let region = Hls_frontend.Elaborate.main_region e in
+  let trace = Trace.create () in
+  ignore (Scheduler.schedule ~opts:narrative_opts ~trace ~lib ~clock_ps:clock region);
+  Alcotest.(check (list string)) "first pass narrative"
+    [
+      "initial resources: 1x mux_32x32, 1x mul_32x32, 1x add_32x32, 1x cmp_32x32, 1x mux_1x32x32, 1x eqcmp_32x1";
+      "pass 1: LI=1, 6 resources";
+      "    bound aver_loop to mux_32x32#0 at step 0: arrival 150 ps, slack 1300 ps";
+      "    bound mul_5 to mul_32x32#1 at step 0: arrival 1080 ps, slack 370 ps";
+      "    bound add_7 to add_32x32#2 at step 0: arrival 1430 ps, slack 20 ps";
+      "    op 10 (cmp_10) FAILED at step 0: slack(-200)";
+      "    bound eqcmp_19 to eqcmp_32x1#5 at step 0: arrival 1140 ps, slack 310 ps";
+      "pass 1: failed with 7 restraints";
+    ]
+    (List.filteri (fun i _ -> i < 8) (Trace.events trace))
+
 let suite =
   [
     Alcotest.test_case "Table 2: sequential schedule" `Quick test_table2_sequential;
@@ -196,4 +231,6 @@ let suite =
     Alcotest.test_case "all members placed" `Quick test_all_members_placed;
     Alcotest.test_case "busy slots honour exclusivity" `Quick test_busy_exclusivity;
     Alcotest.test_case "table rendering" `Quick test_table_rendering;
+    Alcotest.test_case "tracing off formats nothing" `Quick test_trace_off_formats_nothing;
+    Alcotest.test_case "Example 1 trace narrative" `Quick test_example1_trace_narrative;
   ]

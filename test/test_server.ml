@@ -155,7 +155,8 @@ let test_cancellation () =
       Client.close c1;
       Client.close c2)
   @@ fun () ->
-  let long = P.job_spec ~verify:true P.C_flow (`Builtin "idct") in
+  (* ~0.1 s of work, so the queued job is still queued when cancelled *)
+  let long = P.job_spec ~verify:true P.C_flow (`Builtin "idct8x8") in
   let quick = P.job_spec ~ii:2 P.C_schedule (`Builtin "example1") in
   let id1 =
     match Client.submit_nowait c1 long with
@@ -344,8 +345,11 @@ let wait_in_flight socket n =
   in
   go ()
 
+(* a job that keeps the single worker busy for ~0.1 s: long enough for
+   [wait_in_flight]'s 10 ms polls to see it in flight (idct's ~10 ms flow
+   could finish between two polls) *)
 let long_spec ?(clock = 1600.0) () =
-  P.job_spec ~verify:true ~clock_ps:clock P.C_flow (`Builtin "idct")
+  P.job_spec ~verify:true ~clock_ps:clock P.C_flow (`Builtin "idct8x8")
 
 let test_queue_full () =
   with_server ~workers:1 ~queue_capacity:1 @@ fun socket ->
