@@ -153,6 +153,80 @@ let quick_slack t (op : Dfg.op) ~step ~inst_id =
   let g = Netlist.guard_arrival t.net ~step ~view:Netlist.Accurate op in
   t.clock_ps -. (fmax (data +. d) g +. Netlist.reg_mux_delay t.net +. t.lib.Library.ff_setup)
 
+(** Would binding [op] on [i] widen the instance's resource type? *)
+let widens t (op : Dfg.op) (i : inst) =
+  match Netlist.resource_of t.net op with
+  | Some need -> not (Resource.fits ~need ~have:i.rtype)
+  | None -> false
+
+(** The ports of [i] that gain an effective mux input when [op] binds to
+    it, ascending — measured against the committed mux caches, before a
+    trial mutates them.  A port whose effective input count is unchanged
+    keeps its mux delay bit-identical, so ops reading only such ports keep
+    their arrivals and need no re-timing.  Empty when the bind widens the
+    instance (every cohabitant is re-timed then). *)
+let changed_ports t (op : Dfg.op) (i : inst) =
+  if widens t op i then []
+  else
+    (* first-edge-per-port semantics, any distance — exactly the sources
+       the attach cache update inserts *)
+    List.filter_map
+      (fun e ->
+        if
+          Dfg.input t.dfg op.Dfg.id ~port:e.Dfg.port = Some e
+          && Netlist.mux_inputs_with t.net i ~port:e.Dfg.port ~src:e.Dfg.src
+             <> Netlist.mux_inputs t.net i ~port:e.Dfg.port
+        then Some e.Dfg.port
+        else None)
+      (Dfg.in_edges t.dfg op.Dfg.id)
+    |> List.sort_uniq compare
+
+(** Open a netlist transaction for the candidate, apply the bind's
+    structural mutations and propagate its arrivals.  Returns the worst
+    slack in the decision view and the op carrying it, with the trial
+    still open: the caller commits or rolls back.  [changed_ports] is
+    {!changed_ports} of the candidate ([[]] without an instance). *)
+let open_trial t (op : Dfg.op) ~step ~finish ~inst_opt ~changed_ports =
+  let net = t.net in
+  let inst = Option.map (Netlist.find_inst net) inst_opt in
+  let widens = match inst with Some i -> widens t op i | None -> false in
+  Netlist.begin_trial net;
+  Netlist.place net op.Dfg.id ~step ~finish ~inst_opt;
+  (match inst with
+  | Some i ->
+      (match Netlist.resource_of t.net op with
+      | Some need when widens -> Netlist.set_rtype net i (Resource.merge need i.rtype)
+      | _ -> ());
+      Netlist.attach net i op.Dfg.id;
+      Netlist.occupy net ~inst_id:i.inst_id ~step ~finish op.Dfg.id
+  | None -> ());
+  (* arrivals: the new op, then every cohabitant whose inputs the bind
+     actually re-times (a widened rtype re-times all of them; a grown
+     port mux re-times the ops reading that port), then downstream
+     chains via the propagation worklist.  Cohabitants whose ports are
+     untouched keep their committed arrivals — and, inductively, their
+     non-negative slack — so dropping them from the seeds changes
+     neither the worst slack nor the accept/reject decision.  The
+     induction breaks if a [force_bind] smuggled in a negative-slack op,
+     so [has_forced] falls back to full re-timing. *)
+  let seeds =
+    match inst with
+    | None -> [ op.Dfg.id ]
+    | Some i when widens || t.has_forced -> (
+        match i.bound with
+        | o :: _ when o = op.Dfg.id -> i.bound
+        | b -> op.Dfg.id :: List.filter (fun o -> o <> op.Dfg.id) b)
+    | Some _ when changed_ports = [] -> [ op.Dfg.id ]
+    | Some i ->
+        op.Dfg.id
+        :: List.filter
+             (fun o ->
+               o <> op.Dfg.id
+               && List.exists (fun p -> Dfg.input t.dfg o ~port:p <> None) changed_ports)
+             i.bound
+  in
+  Netlist.propagate net ~decision:(decision_view t) seeds
+
 exception Fail of Restraint.fail
 
 (** Attempt to bind [op] at [step] on [inst_opt] ([None] for wire and port
@@ -183,7 +257,8 @@ let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
            nobody else *)
         if Hashtbl.mem t.dedicated op.Dfg.id && i.bound <> [] then
           raise (Fail (Restraint.F_busy i.rtype));
-        if List.exists (fun o -> Hashtbl.mem t.dedicated o) i.bound then
+        if Hashtbl.length t.dedicated > 0 && List.exists (fun o -> Hashtbl.mem t.dedicated o) i.bound
+        then
           raise (Fail (Restraint.F_busy i.rtype));
         (* busy check across occupied steps, honouring edge equivalence and
            predicate orthogonality *)
@@ -210,40 +285,11 @@ let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
                 raise (Fail (Restraint.F_cycle i.inst_id)))
             (Netlist.chain_source_insts net op.Dfg.id ~step)
     | None -> ());
-    (* which ports of the instance will gain an effective mux input from
-       this bind — measured against the committed mux caches BEFORE the
-       trial mutates them.  A port whose effective input count is
-       unchanged keeps its mux delay bit-identical, so ops reading only
-       such ports keep their arrivals and need no re-timing. *)
-    let widens =
-      match inst with
-      | None -> false
-      | Some i -> (
-          match Netlist.resource_of t.net op with
-          | Some need -> not (Resource.fits ~need ~have:i.rtype)
-          | None -> false)
-    in
-    let changed_ports =
-      match inst with
-      | Some i when not widens ->
-          (* first-edge-per-port semantics, any distance — exactly the
-             sources the attach cache update inserts *)
-          List.filter_map
-            (fun e ->
-              if
-                Dfg.input t.dfg op.Dfg.id ~port:e.Dfg.port = Some e
-                && Netlist.mux_inputs_with net i ~port:e.Dfg.port ~src:e.Dfg.src
-                   <> Netlist.mux_inputs net i ~port:e.Dfg.port
-              then Some e.Dfg.port
-              else None)
-            (Dfg.in_edges t.dfg op.Dfg.id)
-          |> List.sort_uniq compare
-      | _ -> []
-    in
-    (* saturation screen: when the grown mux provably pushes a cohabitant
-       below tolerance — and strictly below the new op's own slack — the
-       trial's busy rejection is already decided, so skip the whole
-       transaction *)
+    let changed_ports = match inst with Some i -> changed_ports t op i | None -> [] in
+    (* saturation screen: when the grown mux provably pushes a cohabitant,
+       or one of its same-step chained consumers, below tolerance — and
+       strictly below the new op's own slack — the trial's busy rejection
+       is already decided, so skip the whole transaction *)
     (match inst with
     | Some i
       when changed_ports <> []
@@ -251,46 +297,7 @@ let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
                 ~inst:i ~changed_ports ->
         raise (Fail (Restraint.F_busy i.rtype))
     | _ -> ());
-    (* --- trial placement inside a netlist transaction --- *)
-    Netlist.begin_trial net;
-    Netlist.place net op.Dfg.id ~step ~finish ~inst_opt;
-    (match inst with
-    | Some i ->
-        (match Netlist.resource_of t.net op with
-        | Some need when not (Resource.fits ~need ~have:i.rtype) ->
-            Netlist.set_rtype net i (Resource.merge need i.rtype)
-        | _ -> ());
-        Netlist.attach net i op.Dfg.id;
-        Netlist.occupy net ~inst_id:i.inst_id ~step ~finish op.Dfg.id
-    | None -> ());
-    (* arrivals: the new op, then every cohabitant whose inputs the bind
-       actually re-times (a widened rtype re-times all of them; a grown
-       port mux re-times the ops reading that port), then downstream
-       chains via the propagation worklist.  Cohabitants whose ports are
-       untouched keep their committed arrivals — and, inductively, their
-       non-negative slack — so dropping them from the seeds changes
-       neither the worst slack nor the accept/reject decision.  The
-       induction breaks if a [force_bind] smuggled in a negative-slack op,
-       so [has_forced] falls back to full re-timing. *)
-    let seeds =
-      match inst with
-      | None -> [ op.Dfg.id ]
-      | Some i when widens || t.has_forced -> (
-          match i.bound with
-          | o :: _ when o = op.Dfg.id -> i.bound
-          | b -> op.Dfg.id :: List.filter (fun o -> o <> op.Dfg.id) b)
-      | Some _ when changed_ports = [] -> [ op.Dfg.id ]
-      | Some i ->
-          op.Dfg.id
-          :: List.filter
-               (fun o ->
-                 o <> op.Dfg.id
-                 && List.exists
-                      (fun p -> Dfg.input t.dfg o ~port:p <> None)
-                      changed_ports)
-               i.bound
-    in
-    let worst_slack, worst_op = Netlist.propagate net ~decision:(decision_view t) seeds in
+    let worst_slack, worst_op = open_trial t op ~step ~finish ~inst_opt ~changed_ports in
     if worst_slack < -0.001 then begin
       Netlist.rollback net;
       (* a violation on an op already bound means this instance cannot

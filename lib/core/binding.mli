@@ -79,6 +79,26 @@ val quick_slack : t -> Dfg.op -> step:int -> inst_id:int -> float
     instance, with each input mux sized by the port's distinct sources
     after the hypothetical bind. *)
 
+val changed_ports : t -> Dfg.op -> inst -> int list
+(** The ports of the instance that gain an effective mux input when the op
+    binds to it, ascending, measured against the committed mux caches;
+    empty when the bind widens the instance's resource type. *)
+
+val open_trial :
+  t ->
+  Dfg.op ->
+  step:int ->
+  finish:int ->
+  inst_opt:int option ->
+  changed_ports:int list ->
+  float * int
+(** The trial {!try_bind} runs once every cheaper check has passed: open a
+    netlist transaction, apply the bind's structural mutations and
+    propagate its arrivals.  Returns the worst decision-view slack and the
+    op carrying it, with the trial still open for the caller to commit or
+    roll back.  [changed_ports] is {!changed_ports} of the candidate
+    ([[]] without an instance). *)
+
 val try_bind : t -> Dfg.op -> step:int -> inst_opt:int option -> (unit, Restraint.fail) result
 (** Attempt a binding; on failure the netlist transaction is rolled back
     and the reason returned.  A trial that breaks an {e already-bound} op's

@@ -181,6 +181,11 @@ type t = {
   mutable wl_tail : int;
   mutable in_wl : int array;
   mutable prop_gen : int;
+  (* saturation-screen walk: visit stamps, one generation per screen *)
+  mutable scr_seen : int array;
+  mutable scr_gen : int;
+  mutable scr_last : int array;
+      (** instance -> the cohabitant that proved its last busy rejection *)
 }
 
 (* field accessors for the abstract [t] (the record itself stays private
@@ -247,6 +252,9 @@ let create ~lib ~clock_ps (region : Region.t) =
     wl_tail = 0;
     in_wl = Array.make cap 0;
     prop_gen = 0;
+    scr_seen = Array.make cap 0;
+    scr_gen = 0;
+    scr_last = [||];
   }
 
 let grow_arr a cap d =
@@ -280,6 +288,7 @@ let ensure_cap t id =
     t.lat_c <- grow_arr t.lat_c cap (-1);
     t.opdelay_c <- grow_arr t.opdelay_c cap nan;
     t.in_wl <- grow_arr t.in_wl cap 0;
+    t.scr_seen <- grow_arr t.scr_seen cap 0;
     t.cap <- cap
   end
 
@@ -343,8 +352,11 @@ let add_inst ?(added_by_expert = false) t rtype =
   t.next_inst_id <- t.next_inst_id + 1;
   t.insts_rev <- inst :: t.insts_rev;
   t.insts_memo <- None;
-  if inst.inst_id = Array.length t.inst_arr then
-    t.inst_arr <- grow_arr t.inst_arr (max 16 (2 * inst.inst_id)) inst;
+  if inst.inst_id = Array.length t.inst_arr then begin
+    let n = max 16 (2 * inst.inst_id) in
+    t.inst_arr <- grow_arr t.inst_arr n inst;
+    t.scr_last <- grow_arr t.scr_last n (-1)
+  end;
   t.inst_arr.(inst.inst_id) <- inst;
   let c = iclass t rtype.Resource.rclass in
   c.ic_rev <- inst :: c.ic_rev;
@@ -483,7 +495,9 @@ let busy_ref t inst step =
       Hashtbl.replace t.busy key r;
       r
 
-let busy_ops t inst step = !(busy_ref t inst step)
+(* a read: a missing slot is empty, and stays absent from the table *)
+let busy_ops t inst step =
+  match Hashtbl.find_opt t.busy (busy_key inst (slot t step)) with Some r -> !r | None -> []
 
 let dump_busy t =
   Hashtbl.fold
@@ -1054,21 +1068,39 @@ let endpoint_slack t ~view op_id =
     input count the bind would grow (computed by the caller against the
     committed caches, first-edge-per-port semantics).
 
-    Returns [true] when some already-bound cohabitant provably ends up
-    with endpoint slack below the -1 fs tolerance {e and} strictly below
-    the new op's own exact slack: the full trial is then guaranteed to
-    fail with [worst_op <> op] — a busy rejection — so the caller can
-    return [F_busy] without paying the transaction, the propagation and
-    the rollback.  Soundness: every quantity is computed with the same
-    formulas as {!recompute_arrival} / {!endpoint_slack}, with the grown
-    mux delays substituted, so a priced cohabitant's value equals its
-    settled in-trial slack; the trial's worst slack is at most that, and
-    the op itself — strictly above it — cannot carry the minimum.  Any
-    source or guard predecessor whose own arrival the bind might disturb
-    (it reads a grown port, or a same-step chain connects it to one — or
-    to the new op's result) makes the candidate unpriceable and the
+    Returns [true] when some already-bound op provably ends up with
+    endpoint slack below the -1 fs tolerance {e and} strictly below the
+    new op's own exact slack: the full trial is then guaranteed to fail
+    with [worst_op <> op] — a busy rejection — so the caller can return
+    [F_busy] without paying the transaction, the propagation and the
+    rollback.
+
+    Two kinds of op can carry the proof.  A cohabitant reading a grown
+    port is priced exactly: the same formulas as {!recompute_arrival} /
+    {!endpoint_slack}, with the grown mux delays substituted, give its
+    settled in-trial slack.  When that slack alone proves nothing, its
+    exact hypothetical arrival seeds a walk down its same-step chained
+    consumers, carrying an arrival {e lower bound} hop by hop (see
+    {!screen_walk_margin}); the trial recomputes every op the walk
+    follows to at least that bound, so a bound that misses the clock
+    proves the consumer's violation too.  The trial's worst slack is at
+    most any of these, and the op itself — strictly above it — cannot
+    carry the minimum.  Any source or guard predecessor whose own arrival
+    the bind might disturb (it reads a grown port, or a same-step chain
+    connects it to one — or to the new op's result) makes the new op or
+    the cohabitant unpriceable, and with the new op unpriceable the
     screen answers [false] — "run the real trial" — never a wrong
     verdict. *)
+
+(* Per-hop slack of the downstream walk's arrival bound.  The trial's
+   propagation pushes a consumer only when its producer moves by more
+   than 1 fs, so an op can settle up to that much below the exact
+   fixpoint for each hop it sits below a priced cohabitant; ten times
+   the threshold per hop covers it with room to spare. *)
+let screen_walk_margin = 0.01
+
+let screen_walk_depth = 8
+
 let screen_busy_reject t ~decision ~(op : Dfg.op) ~step ~finish ~(inst : inst)
     ~(changed_ports : int list) =
   (* only the accurate view reacts to mux growth *)
@@ -1076,6 +1108,7 @@ let screen_busy_reject t ~decision ~(op : Dfg.op) ~step ~finish ~(inst : inst)
   else begin
     let ff = t.lib.Library.ff_clk_q in
     let exec = Library.delay t.lib inst.rtype in
+    let reg_setup = reg_mux_delay t +. t.lib.Library.ff_setup in
     let grown =
       List.map
         (fun p ->
@@ -1121,10 +1154,10 @@ let screen_busy_reject t ~decision ~(op : Dfg.op) ~step ~finish ~(inst : inst)
            (gpreds_of t o.Dfg.id)
     in
     let exception Unpriceable in
-    (* exact endpoint slack of [o] executing on [inst] at [st]..[fstep]
-       with the grown mux delays; raises when a committed input would
-       itself move *)
-    let hypo_slack (o : Dfg.op) ~st ~fstep =
+    (* exact arrival and endpoint slack of [o] executing on [inst] at
+       [st]..[fstep] with the grown mux delays; raises when a committed
+       input would itself move *)
+    let hypo (o : Dfg.op) ~st ~fstep =
       let ins = Dfg.in_edges t.dfg o.Dfg.id in
       let base =
         match o.Dfg.kind with
@@ -1155,21 +1188,61 @@ let screen_busy_reject t ~decision ~(op : Dfg.op) ~step ~finish ~(inst : inst)
       let arr = data +. exec in
       if guard_affected o ~fstep then raise Unpriceable;
       let g = guard_arrival t ~step:fstep ~view:Accurate o in
-      t.clock_ps -. (fmax arr g +. reg_mux_delay t +. t.lib.Library.ff_setup)
+      (arr, t.clock_ps -. (fmax arr g +. reg_setup))
     in
-    match hypo_slack op ~st:step ~fstep:finish with
+    match hypo op ~st:step ~fstep:finish with
     | exception Unpriceable -> false
-    | s_op ->
-        List.exists
-          (fun o_id ->
-            o_id <> op.Dfg.id && placed t o_id && reads_changed o_id
-            &&
-            match
-              hypo_slack (Dfg.find t.dfg o_id) ~st:t.pl_step.(o_id) ~fstep:t.pl_finish.(o_id)
-            with
-            | exception Unpriceable -> false
-            | s -> s < -0.001 && s < s_op)
-          inst.bound
+    | _, s_op ->
+        let proves s = s < -0.001 && s < s_op in
+        t.scr_gen <- t.scr_gen + 1;
+        let gen = t.scr_gen in
+        (* [lb] bounds [x]'s in-trial arrival from below, [h] hops under a
+           priced cohabitant.  Follow a same-step consumer only where the
+           bound exceeds its committed arrival by more than the push
+           threshold — exactly where the trial's propagation reaches it *)
+        let rec walk x lb h =
+          h < screen_walk_depth
+          && Region.mem t.region x
+          && lat_of t x <= 1
+          &&
+          let fstep = t.pl_finish.(x) in
+          List.exists
+            (fun (e : Dfg.edge) ->
+              let d = e.Dfg.dst in
+              e.Dfg.distance = 0 && d <> op.Dfg.id && placed t d
+              && t.pl_step.(d) = fstep
+              && t.scr_seen.(d) <> gen
+              &&
+              let di = t.pl_inst.(d) in
+              let mux =
+                if di < 0 then 0.0
+                else if di = inst.inst_id then new_mux e.Dfg.port
+                else in_mux_delay t t.inst_arr.(di) ~port:e.Dfg.port
+              in
+              let ex = exec_delay t (Dfg.find t.dfg d) (if di < 0 then None else Some di) in
+              let lb_d = lb +. mux +. ex -. screen_walk_margin in
+              lb_d -. arrival_raw t Accurate d > 0.001
+              && begin
+                   t.scr_seen.(d) <- gen;
+                   proves (t.clock_ps -. (lb_d +. reg_setup)) || walk d lb_d (h + 1)
+                 end)
+            (Dfg.out_edges t.dfg x)
+        in
+        let proved_by o_id =
+          o_id <> op.Dfg.id && placed t o_id && reads_changed o_id
+          && (match hypo (Dfg.find t.dfg o_id) ~st:t.pl_step.(o_id) ~fstep:t.pl_finish.(o_id) with
+             | exception Unpriceable -> false
+             | a, s -> proves s || walk o_id a 0)
+          && begin
+               t.scr_last.(inst.inst_id) <- o_id;
+               true
+             end
+        in
+        (* the cohabitant that proved this instance's last rejection
+           usually proves the next one too: try it first *)
+        let last = t.scr_last.(inst.inst_id) in
+        (List.mem last inst.bound && proved_by last)
+        || List.exists (fun o_id -> o_id <> last && proved_by o_id) inst.bound
   end
 
 (* --- propagation worklist: FIFO ring with membership stamps --- *)

@@ -106,7 +106,8 @@ val slot : t -> int -> int
 (** Modulo slot of a control step ([step mod II] when pipelined). *)
 
 val busy_ops : t -> int -> int -> int list
-(** [busy_ops t inst_id step] — ops occupying the instance in the step's slot. *)
+(** [busy_ops t inst_id step] — ops occupying the instance in the step's
+    slot.  A read: it never adds an entry to the busy table. *)
 
 val dump_busy : t -> ((int * int) * int list) list
 (** Non-empty busy entries as [((inst, slot), sorted ops)], sorted — for
@@ -191,11 +192,12 @@ val screen_busy_reject :
   changed_ports:int list ->
   bool
 (** Saturation screen: [true] when binding [op] on [inst] provably breaks
-    an already-bound cohabitant's timing strictly below the op's own exact
-    slack — the full trial would reject with [F_busy] — all priced from
-    committed state.  [false] means "run the real trial", never a wrong
-    verdict.  [changed_ports] are the instance ports whose effective mux
-    input count the bind grows. *)
+    the timing of an already-bound cohabitant, or of one of its same-step
+    chained consumers (up to 8 hops down, through arrival lower bounds),
+    strictly below the op's own exact slack — the full trial would reject
+    with [F_busy] — all priced from committed state.  [false] means "run
+    the real trial", never a wrong verdict.  [changed_ports] are the
+    instance ports whose effective mux input count the bind grows. *)
 
 val propagate : t -> decision:view -> int list -> float * int
 (** Propagate arrival changes from the seed ops through same-step chains;

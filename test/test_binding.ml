@@ -258,6 +258,161 @@ let test_quick_slack_shared_source () =
     (Binding.quick_slack b mul2 ~step:1 ~inst_id:mi >= 0.0);
   bind_ok b mul2 ~step:1 ~inst_opt:(Some mi)
 
+(* The saturation screen's downstream walk.  c = r0 + r1 sits on adder A
+   in step 0 and heads a same-step chain d1 = c + r2 (adder B), d2 = d1 +
+   r2 (adder C), ...; the candidate n = r3 + r1 binds to A in step 1.  A
+   spare adder keeps the class from pre-allocating muxes, so n grows A's
+   port 0 from one source (no mux) to two (110 ps) and pushes every
+   arrival of the chain up by 110 ps: c 390 -> 500, d1 740 -> 850, d2
+   1090 -> 1200.  An endpoint adds the register mux and setup (150 ps);
+   n's own endpoint lands at 650 ps. *)
+let add_chain ~hops ~clock =
+  let dfg = Dfg.create () in
+  let read p = (Dfg.add_op dfg (Opkind.Read p) ~width:32 ~name:p).Dfg.id in
+  let r0 = read "r0" and r1 = read "r1" and r2 = read "r2" and r3 = read "r3" in
+  let add name a b =
+    let o = (Dfg.add_op dfg (Opkind.Bin Opkind.Add) ~width:32 ~name).Dfg.id in
+    Dfg.connect dfg ~src:a ~dst:o ~port:0;
+    Dfg.connect dfg ~src:b ~dst:o ~port:1;
+    o
+  in
+  let c = add "c" r0 r1 in
+  let rec chain k prev =
+    if k > hops then []
+    else
+      let d = add (Printf.sprintf "d%d" k) prev r2 in
+      d :: chain (k + 1) d
+  in
+  let ds = chain 1 c in
+  let n = add "n" r3 r1 in
+  let region = Region.create ~min_steps:2 ~max_steps:2 ~name:"chain" dfg in
+  let b = Binding.create ~lib ~clock_ps:clock region in
+  let rt = { Resource.rclass = Opkind.R_addsub; in_widths = [ 32; 32 ]; out_width = 32 } in
+  let insts = List.init (hops + 2) (fun _ -> (Binding.add_inst b rt).Binding.inst_id) in
+  Binding.reset_pass b;
+  List.iter
+    (fun o -> match o.Dfg.kind with Opkind.Read _ -> bind_ok b o ~step:0 ~inst_opt:None | _ -> ())
+    (Dfg.ops dfg);
+  List.iteri
+    (fun k o -> bind_ok b (Dfg.find dfg o) ~step:0 ~inst_opt:(Some (List.nth insts k)))
+    (c :: ds);
+  (b, Dfg.find dfg n, List.hd insts)
+
+let trials b = (Netlist.stats b.Binding.net).Netlist.s_trials
+
+let expect_screened_busy ~hops ~clock () =
+  let b, n, a = add_chain ~hops ~clock in
+  let before = trials b in
+  (match Binding.try_bind b n ~step:1 ~inst_opt:(Some a) with
+  | Error (Restraint.F_busy _) -> ()
+  | Ok () -> Alcotest.fail "the grown mux breaks a chained consumer: must be busy"
+  | Error f -> Alcotest.failf "expected busy, got %s" (Restraint.fail_to_string f));
+  Alcotest.(check int) "decided without a trial" before (trials b)
+
+(* one hop: d1 lands at 850 + 150 = 1000 ps > 950, c and n keep 300 ps *)
+let test_screen_one_hop = expect_screened_busy ~hops:1 ~clock:950.0
+
+(* two hops: d1 keeps 300 ps of slack, d2 lands at 1350 ps > 1300 *)
+let test_screen_two_hops = expect_screened_busy ~hops:2 ~clock:1300.0
+
+(* at 1100 ps d1 keeps 100 ps of slack: the screen proves nothing, the
+   trial runs and the bind commits *)
+let test_screen_consumer_with_slack () =
+  let b, n, a = add_chain ~hops:1 ~clock:1100.0 in
+  let before = trials b in
+  bind_ok b n ~step:1 ~inst_opt:(Some a);
+  Alcotest.(check int) "the trial ran" (before + 1) (trials b)
+
+(* Replay a finished schedule of a synthetic design op by op, in (step,
+   id) order, onto a fresh binder with the same instances.  Before each
+   op is replayed, probe it on every compatible instance at its scheduled
+   step that the busy table admits: whenever the screen claims a busy
+   rejection, run the trial try_bind would run and check that it rolls
+   back with the worst slack on some op other than the candidate.
+   Returns (claims, wrong claims). *)
+let screen_vs_trial ~seed ~ops ~clock =
+  let profile =
+    {
+      Hls_designs.Synthetic.default_profile with
+      Hls_designs.Synthetic.p_ops = ops;
+      p_seed = seed;
+      p_tightness = 0.2 +. (float_of_int (seed mod 5) /. 10.0);
+    }
+  in
+  let region =
+    Hls_frontend.Elaborate.main_region
+      (Hls_frontend.Elaborate.design (Hls_designs.Synthetic.design ~profile ()))
+  in
+  match Scheduler.schedule ~lib ~clock_ps:clock region with
+  | Error _ -> None
+  | Ok s ->
+      let done_ = s.Scheduler.s_binding in
+      let dfg = region.Region.dfg in
+      let b = Binding.create ~lib ~clock_ps:clock region in
+      List.iter
+        (fun (i : Netlist.inst) -> ignore (Binding.add_inst b i.Netlist.rtype))
+        (Netlist.insts done_.Binding.net);
+      Binding.reset_pass b;
+      let order =
+        Netlist.fold_placements done_.Binding.net (fun id pl acc -> ((pl.Netlist.pl_step, id), pl) :: acc) []
+        |> List.sort compare
+      in
+      let claims = ref 0 and wrong = ref 0 in
+      List.iter
+        (fun ((step, id), (pl : Netlist.placement)) ->
+          let op = Dfg.find dfg id in
+          let finish = pl.Netlist.pl_finish in
+          let free (i : Binding.inst) =
+            let rec ok s =
+              s > finish
+              || List.for_all
+                   (fun o -> Guard.mutually_exclusive (Dfg.find dfg o).Dfg.guard op.Dfg.guard)
+                   (Netlist.busy_ops b.Binding.net i.Binding.inst_id s)
+                 && ok (s + 1)
+            in
+            ok step
+          in
+          List.iter
+            (fun (i : Binding.inst) ->
+              let changed_ports = Binding.changed_ports b op i in
+              if
+                free i && changed_ports <> []
+                && Netlist.screen_busy_reject b.Binding.net ~decision:Netlist.Accurate ~op ~step
+                     ~finish ~inst:i ~changed_ports
+              then begin
+                incr claims;
+                let worst, worst_op =
+                  Binding.open_trial b op ~step ~finish ~inst_opt:(Some i.Binding.inst_id)
+                    ~changed_ports
+                in
+                Netlist.rollback b.Binding.net;
+                if not (worst < -0.001 && worst_op <> id) then incr wrong
+              end)
+            (Binding.compatible_insts b op);
+          Binding.replay_bind b op ~step ~finish ~inst_opt:pl.Netlist.pl_inst ~rtype:None)
+        order;
+      Some (!claims, !wrong)
+
+let prop_screen_claims_are_busy =
+  QCheck.Test.make ~name:"screen claims only trials that end busy" ~count:20
+    QCheck.(pair (int_range 1 10000) (int_range 0 2))
+    (fun (seed, k) ->
+      let clock = [| 1200.0; 1400.0; 1600.0 |].(k) in
+      match screen_vs_trial ~seed ~ops:(100 + (seed mod 150)) ~clock with
+      | None -> QCheck.assume_fail ()
+      | Some (_, 0) -> true
+      | Some (claims, wrong) ->
+          QCheck.Test.fail_reportf "seed=%d clock=%.0f: %d of %d screen claims did not end busy"
+            seed clock wrong claims)
+
+(* the property above is not vacuous: the screen does fire on such states *)
+let test_screen_fires_on_synthetic () =
+  match screen_vs_trial ~seed:2 ~ops:150 ~clock:1600.0 with
+  | None -> Alcotest.fail "seed 2 failed to schedule"
+  | Some (claims, wrong) ->
+      Alcotest.(check int) "wrong claims" 0 wrong;
+      Alcotest.(check bool) (Printf.sprintf "screen fired (%d claims)" claims) true (claims > 0)
+
 let suite =
   [
     Alcotest.test_case "Fig. 8 delay arithmetic" `Quick test_fig8_clean;
@@ -268,4 +423,10 @@ let suite =
     Alcotest.test_case "reset_pass clears chain detector" `Quick test_reset_pass_clears_chain;
     Alcotest.test_case "forbidden pairs" `Quick test_forbidden_pair;
     Alcotest.test_case "rollback on failure" `Quick test_rollback_on_failure;
+    Alcotest.test_case "screen: violator one hop below a cohabitant" `Quick test_screen_one_hop;
+    Alcotest.test_case "screen: violator two hops below a cohabitant" `Quick test_screen_two_hops;
+    Alcotest.test_case "screen: consumer with slack runs the trial" `Quick
+      test_screen_consumer_with_slack;
+    Alcotest.test_case "screen fires on synthetic designs" `Quick test_screen_fires_on_synthetic;
+    QCheck_alcotest.to_alcotest prop_screen_claims_are_busy;
   ]
