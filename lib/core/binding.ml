@@ -2,9 +2,9 @@
 
     Binding an operation assigns it both a control step and a resource
     instance.  The structural netlist — instances, sharing muxes, busy
-    tables, placements, both arrival views — and the incremental timing
-    engine live in [Hls_netlist.Netlist]; this module layers the paper's
-    {e policy} on top of that mechanism:
+    tables, placements, arrivals — and the incremental timing engine live
+    in [Hls_netlist.Netlist]; this module layers the paper's {e policy} on
+    top of that mechanism:
 
     - the restraint checks gating a candidate binding (scheduling window,
       anchors, modulo/inter-iteration dependencies, forbidden pairs,
@@ -17,9 +17,10 @@
       or rolled back on the resulting worst slack, and
     - the estimation hooks the expert system uses after a failed pass.
 
-    The [timing_aware] flag selects which arrival view gates binding
-    decisions; the accurate view always feeds the final timing report, so
-    the [~timing_aware:false] ablation shows the negative slack a naive
+    The [~timing_aware:false] ablation binds with the netlist's sharing
+    muxes unpriced ({!reset_pass}): its decisions see pure operator
+    delays.  The scheduler prices the muxes as soon as the pass ends, so
+    the expert and the final timing report see the negative slack a naive
     scheduler hands to logic synthesis. *)
 
 open Hls_ir
@@ -74,28 +75,23 @@ let create ?(timing_aware = true) ~lib ~clock_ps (region : Region.t) =
     class_ops_memo = Hashtbl.create 8;
   }
 
-(** The arrival view that gates this binder's decisions. *)
-let decision_view t = if t.timing_aware then Netlist.Accurate else Netlist.Naive
-
 let add_inst ?added_by_expert t rtype = Netlist.add_inst ?added_by_expert t.net rtype
 let find_inst t id = Netlist.find_inst t.net id
 
 (** Reset all pass-local netlist state while keeping the resource set and
-    forbidden pairs — the state carried between scheduling passes.
+    forbidden pairs — the state carried between scheduling passes — and
+    price the sharing muxes during the pass only when [timing_aware].
     [keep_prealloc] skips the [prealloc_shared] recompute (sound when no
     instance was added since the previous pass). *)
 let reset_pass ?keep_prealloc t =
   t.has_forced <- false;
-  Netlist.reset_pass ?keep_prealloc t.net
+  Netlist.reset_pass ?keep_prealloc ~price_muxes:t.timing_aware t.net
 
 let placement t op_id = Netlist.placement t.net op_id
 let is_placed t op_id = Netlist.is_placed t.net op_id
 let slot t step = Netlist.slot t.net step
 let op_latency t op = Netlist.op_latency t.net op
 let is_multicycle t op = Netlist.is_multicycle t.net op
-
-let endpoint_slack t ~naive op_id =
-  Netlist.endpoint_slack t.net ~view:(if naive then Netlist.Naive else Netlist.Accurate) op_id
 
 (** {2 Binding} *)
 
@@ -141,7 +137,7 @@ let quick_slack t (op : Dfg.op) ~step ~inst_id =
   let data =
     List.fold_left
       (fun acc e ->
-        let a = Netlist.source_arrival t.net ~step ~view:Netlist.Accurate e in
+        let a = Netlist.source_arrival t.net ~step e in
         (* size the mux by the port's distinct sources after the
            hypothetical bind — a source already feeding this port on the
            instance adds no mux input *)
@@ -150,7 +146,7 @@ let quick_slack t (op : Dfg.op) ~step ~inst_id =
       t.lib.Library.ff_clk_q
       (Dfg.in_edges t.dfg op.Dfg.id)
   in
-  let g = Netlist.guard_arrival t.net ~step ~view:Netlist.Accurate op in
+  let g = Netlist.guard_arrival t.net ~step op in
   t.clock_ps -. (fmax (data +. d) g +. Netlist.reg_mux_delay t.net +. t.lib.Library.ff_setup)
 
 (** Would binding [op] on [i] widen the instance's resource type? *)
@@ -183,9 +179,9 @@ let changed_ports t (op : Dfg.op) (i : inst) =
 
 (** Open a netlist transaction for the candidate, apply the bind's
     structural mutations and propagate its arrivals.  Returns the worst
-    slack in the decision view and the op carrying it, with the trial
-    still open: the caller commits or rolls back.  [changed_ports] is
-    {!changed_ports} of the candidate ([[]] without an instance). *)
+    slack and the op carrying it, with the trial still open: the caller
+    commits or rolls back.  [changed_ports] is {!changed_ports} of the
+    candidate ([[]] without an instance). *)
 let open_trial t (op : Dfg.op) ~step ~finish ~inst_opt ~changed_ports =
   let net = t.net in
   let inst = Option.map (Netlist.find_inst net) inst_opt in
@@ -225,7 +221,7 @@ let open_trial t (op : Dfg.op) ~step ~finish ~inst_opt ~changed_ports =
                && List.exists (fun p -> Dfg.input t.dfg o ~port:p <> None) changed_ports)
              i.bound
   in
-  Netlist.propagate net ~decision:(decision_view t) seeds
+  Netlist.propagate net seeds
 
 exception Fail of Restraint.fail
 
@@ -293,8 +289,7 @@ let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
     (match inst with
     | Some i
       when changed_ports <> []
-           && Netlist.screen_busy_reject net ~decision:(decision_view t) ~op ~step ~finish
-                ~inst:i ~changed_ports ->
+           && Netlist.screen_busy_reject net ~op ~step ~finish ~inst:i ~changed_ports ->
         raise (Fail (Restraint.F_busy i.rtype))
     | _ -> ());
     let worst_slack, worst_op = open_trial t op ~step ~finish ~inst_opt ~changed_ports in
@@ -360,7 +355,7 @@ let replay_bind t ?(propagate = true) (op : Dfg.op) ~step ~finish ~inst_opt ~rty
           | o :: _ when o = op.Dfg.id -> i.bound
           | b -> op.Dfg.id :: List.filter (fun o -> o <> op.Dfg.id) b)
     in
-    ignore (Netlist.propagate net ~decision:(decision_view t) seeds)
+    ignore (Netlist.propagate net seeds)
   end;
   match inst with
   | Some i ->
@@ -398,7 +393,7 @@ let force_bind t (op : Dfg.op) ~step ~inst_opt =
       Netlist.attach net inst op.Dfg.id;
       Netlist.occupy net ~inst_id:i ~step ~finish op.Dfg.id
   | None -> ());
-  ignore (Netlist.propagate net ~decision:(decision_view t) [ op.Dfg.id ])
+  ignore (Netlist.propagate net [ op.Dfg.id ])
 
 (** Refresh every arrival after a batch of [force_bind]s. *)
 let recompute_all t = Netlist.recompute_all t.net
@@ -425,7 +420,7 @@ let compatible_insts t (op : Dfg.op) =
              match Int.compare fa fb with 0 -> Int.compare la lb | c -> c)
       |> List.map (fun (_, _, i) -> i)
 
-(** Worst accurate endpoint slack over all placed ops. *)
+(** Worst endpoint slack over all placed ops. *)
 let worst_slack t = Netlist.worst_slack t.net
 
 (** {2 Estimation hooks for the expert system}
@@ -468,11 +463,11 @@ let estimate t (op : Dfg.op) ~step =
   let data =
     List.fold_left
       (fun acc e ->
-        max acc (Netlist.source_arrival t.net ~step ~view:Netlist.Accurate e +. mux))
+        max acc (Netlist.source_arrival t.net ~step e +. mux))
       (match op.Dfg.kind with Opkind.Const _ -> 0.0 | _ -> t.lib.Library.ff_clk_q)
       (Dfg.in_edges t.dfg op.Dfg.id)
   in
-  let guard = Netlist.guard_arrival t.net ~step ~view:Netlist.Accurate op in
+  let guard = Netlist.guard_arrival t.net ~step op in
   let d = Netlist.exec_delay t.net op None in
   let overhead = Netlist.reg_mux_delay t.net +. t.lib.Library.ff_setup in
   (data, guard, d, overhead)

@@ -9,11 +9,11 @@
     inside a netlist transaction, committed or rolled back on the worst
     slack it produces), and the expert system's estimation hooks.
 
-    Two arrival views are kept per bound op: the accurate one (all mux
-    delays — what the paper's netlist queries return) and a naive additive
-    one; [timing_aware] selects which gates decisions, while the accurate
-    view always feeds the final timing report (the basis of the
-    timing-awareness ablation). *)
+    The netlist keeps one arrival per bound op, all mux delays included —
+    what the paper's netlist queries return.  [timing_aware = false] (the
+    timing-awareness ablation) binds each pass with the sharing muxes
+    unpriced; the scheduler prices them when the pass ends, so the final
+    timing report always includes them. *)
 
 open Hls_ir
 open Hls_techlib
@@ -51,27 +51,20 @@ type t = {
 
 val create : ?timing_aware:bool -> lib:Library.t -> clock_ps:float -> Region.t -> t
 
-val decision_view : t -> Netlist.view
-(** The arrival view gating this binder's decisions ([Accurate] unless the
-    timing-awareness ablation is on). *)
-
 val add_inst : ?added_by_expert:bool -> t -> Resource.t -> inst
 val find_inst : t -> int -> inst
 
 val reset_pass : ?keep_prealloc:bool -> t -> unit
 (** Clear pass-local netlist state (placements, busy, arrivals, chain
     graph) while keeping the resource set and forbidden pairs; recompute
-    which instances pre-allocate sharing muxes. *)
+    which instances pre-allocate sharing muxes.  The pass prices its
+    sharing muxes only when [timing_aware]. *)
 
 val placement : t -> int -> placement option
 val is_placed : t -> int -> bool
 val slot : t -> int -> int
 val op_latency : t -> Dfg.op -> int
 val is_multicycle : t -> Dfg.op -> bool
-
-val endpoint_slack : t -> naive:bool -> int -> float
-(** Registered-endpoint slack of a placed op in the chosen view (thin
-    wrapper over [Netlist.endpoint_slack]). *)
 
 val modulo_ok : t -> op_id:int -> step:int -> finish:int -> bool
 val quick_slack : t -> Dfg.op -> step:int -> inst_id:int -> float
@@ -94,10 +87,10 @@ val open_trial :
   float * int
 (** The trial {!try_bind} runs once every cheaper check has passed: open a
     netlist transaction, apply the bind's structural mutations and
-    propagate its arrivals.  Returns the worst decision-view slack and the
-    op carrying it, with the trial still open for the caller to commit or
-    roll back.  [changed_ports] is {!changed_ports} of the candidate
-    ([[]] without an instance). *)
+    propagate its arrivals.  Returns the worst slack and the op carrying
+    it, with the trial still open for the caller to commit or roll back.
+    [changed_ports] is {!changed_ports} of the candidate ([[]] without an
+    instance). *)
 
 val try_bind : t -> Dfg.op -> step:int -> inst_opt:int option -> (unit, Restraint.fail) result
 (** Attempt a binding; on failure the netlist transaction is rolled back

@@ -397,7 +397,9 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
         on_placed op.Dfg.id;
         log_bind op.Dfg.id;
         (* the message's arguments cost a placement lookup, a resource
-           name and two timing queries: skip them when nobody reads it *)
+           name and two timing queries: skip them when nobody reads it.
+           Under [timing_aware = false] the muxes are still unpriced here,
+           so the line shows the binder's mux-blind arrival and slack *)
         (if Option.is_some trace && Opkind.is_resource_op op.Dfg.kind then
            let pl = Option.get (Binding.placement binding op.Dfg.id) in
            Trace.logf ~level:Trace.Debug trace
@@ -408,11 +410,8 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
                         ^ "#" ^ string_of_int i
              | None -> "wire")
              e
-             (Option.value
-                (Hls_netlist.Netlist.arrival binding.Binding.net
-                   ~view:Hls_netlist.Netlist.Accurate op.Dfg.id)
-                ~default:0.0)
-             (Binding.endpoint_slack binding ~naive:false op.Dfg.id));
+             (Option.value (Hls_netlist.Netlist.arrival binding.Binding.net op.Dfg.id) ~default:0.0)
+             (Hls_netlist.Netlist.endpoint_slack binding.Binding.net op.Dfg.id));
         note_scc_placement op.Dfg.id e
     | fails
       when opts.tolerate_scc_slack && scc_of op.Dfg.id <> None && last_chance op e
@@ -827,6 +826,10 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
            ~scc_stage_base:(fun k -> scc_persist.(k))
            ~scc_stage_local region
        in
+       (* a timing-unaware pass bound with its sharing muxes unpriced:
+          price them now, before the expert's estimates, the feedback
+          miner or any report reads an arrival *)
+       Hls_netlist.Netlist.price_muxes binding.Binding.net;
        prev_log := Some pass_log;
        match outcome with
        | Pass_ok ->

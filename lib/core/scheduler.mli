@@ -12,7 +12,11 @@ open Hls_ir
 open Hls_techlib
 
 type options = {
-  timing_aware : bool;  (** accurate netlist view vs naive additive (ablation) *)
+  timing_aware : bool;
+      (** [false] is the timing-awareness ablation: each pass binds with
+          the sharing muxes unpriced (pure operator delays), and the muxes
+          are priced as soon as the pass returns, before the expert or any
+          report reads a slack *)
   expert : Expert.options;
   max_passes : int;
   priority_weights : Priority.weights;

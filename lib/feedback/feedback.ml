@@ -227,7 +227,7 @@ let extract (s : Scheduler.t) : Hints.t =
   in
   List.iter
     (fun op ->
-      let sl = Binding.endpoint_slack b ~naive:false op in
+      let sl = Netlist.endpoint_slack net op in
       if sl < slack_band then
         cone_from op ((slack_band -. sl) /. Float.max 1.0 b.Binding.clock_ps))
     (Netlist.registered_ops net);

@@ -413,7 +413,12 @@ let run ?(options = default_options) ?trace (design : Ast.design) : (t, Diag.t) 
     let sched = Feedback.Hints.apply hints options.sched in
     run_ladder ~options:{ options with sched } ~trace design
   in
-  if not options.feedback then run_with options.hints
+  (* a clock period that is not a positive finite number would schedule
+     into nonsense delay and power figures: reject it before elaborating *)
+  if not (Float.is_finite options.clock_ps && options.clock_ps > 0.0) then
+    Diag.error ~phase:Diag.Frontend ~code:"bad_clock"
+      "clock period must be a positive finite number of picoseconds, got %g" options.clock_ps
+  else if not options.feedback then run_with options.hints
   else
     let result, iters, _store =
       Feedback.iterate ~max_iters:options.feedback_iters ~hints:options.hints ~run:run_with

@@ -74,7 +74,9 @@ type t = {
 
 val run : ?options:options -> ?trace:Hls_core.Trace.t -> Ast.design -> (t, Diag.t) result
 (** Elaboration is always fresh, so one design value can be explored under
-    many configurations.  Never raises; always terminates. *)
+    many configurations.  Never raises; always terminates.  A [clock_ps]
+    that is not a positive finite number fails at once with a [bad_clock]
+    frontend diagnostic, which no degradation tier can serve. *)
 
 val run_exn : ?options:options -> ?trace:Hls_core.Trace.t -> Ast.design -> t
 

@@ -4,25 +4,28 @@
     This layer owns everything structural about the datapath being grown by
     simultaneous scheduling-and-binding: the resource instances, the port
     sharing/mux structure, the busy/occupancy tables, the placements, and
-    the two arrival-time views of every bound op:
+    one arrival time per bound op, including every sharing-mux delay (what
+    the paper's netlist queries return).
 
-    - the {e accurate} view including all mux delays (what the paper's
-      netlist queries return), and
-    - the {e naive} view with pure operator delays (what a timing-unaware
-      scheduler would believe).
+    The one exception is the timing-awareness ablation: a pass of a
+    timing-unaware binder runs with the sharing muxes {e unpriced}
+    ({!reset_pass} [~price_muxes:false]), so arrivals and endpoint slacks
+    carry pure operator delays — what a mux-blind scheduler would believe.
+    {!price_muxes} re-times the finished pass with the muxes priced before
+    anything else reads it.
 
     Mutations happen through a transactional what-if API:
     {!begin_trial} opens a trial, every mutation ({!place}, {!attach},
     {!set_rtype}, {!occupy}) is journaled in a structural undo log, and
     arrival writes land in generation-stamped trial slots of each arrival
-    cell.  {!commit} folds the trial arrivals into the committed view in
+    cell.  {!commit} folds the trial arrivals into the committed ones in
     O(touched ops); {!rollback} replays the undo log and simply abandons
     the trial generation — stale trial stamps can never be read again
     because the next trial bumps the generation.
 
     {b Representation.}  Every hot table is a dense array indexed by op id
     (op ids are small and near-contiguous after elaboration): placements,
-    both arrival-cell arrays, the per-step and per-guard reverse indexes,
+    the arrival cells, the per-step and per-guard reverse indexes,
     and the propagation worklist's membership stamps.  Each entry carries a
     pass stamp, so {!reset_pass} is O(1) on the per-op state — it bumps the
     stamp and every stale entry reads as absent.  The step and guard
@@ -43,13 +46,11 @@
     Policy (modulo constraints, dedication, forbidden pairs, restraint
     failures) lives above this layer in [Hls_core.Binding]; everything
     here is mechanism.  A from-scratch {!reference_arrivals} evaluator
-    recomputes both views ignoring all incremental state and serves as the
-    test oracle for the transaction machinery. *)
+    recomputes every arrival ignoring all incremental state and serves as
+    the test oracle for the transaction machinery. *)
 
 open Hls_ir
 open Hls_techlib
-
-type view = Accurate | Naive
 
 (* [Stdlib.max] specialised to floats (same semantics, NaN included),
    without the polymorphic comparison call *)
@@ -142,8 +143,10 @@ type t = {
   mutable pl_step : int array;
   mutable pl_finish : int array;
   mutable pl_inst : int array;
-  mutable cell_true : cell array;
-  mutable cell_naive : cell array;
+  mutable cells : cell array;  (** op -> its arrival *)
+  mutable mux_priced : bool;
+      (** sharing muxes count in arrivals and endpoint slack; off only
+          while a timing-unaware pass binds (see {!reset_pass}) *)
   mutable steps : bucket array;  (** step -> ops placed there *)
   mutable si_pos : int array;  (** op -> its position in its step bucket *)
   mutable gslots : bucket array;
@@ -222,8 +225,8 @@ let create ~lib ~clock_ps (region : Region.t) =
     pl_step = Array.make cap 0;
     pl_finish = Array.make cap 0;
     pl_inst = Array.make cap (-1);
-    cell_true = Array.init cap (fun _ -> fresh_cell ());
-    cell_naive = Array.init cap (fun _ -> fresh_cell ());
+    cells = Array.init cap (fun _ -> fresh_cell ());
+    mux_priced = true;
     steps = Array.init 64 (fun _ -> fresh_bucket ());
     si_pos = Array.make cap 0;
     gslots = Array.init cap (fun _ -> fresh_bucket ());
@@ -274,8 +277,7 @@ let ensure_cap t id =
     t.pl_step <- grow_arr t.pl_step cap 0;
     t.pl_finish <- grow_arr t.pl_finish cap 0;
     t.pl_inst <- grow_arr t.pl_inst cap (-1);
-    t.cell_true <- grow_with t.cell_true cap fresh_cell;
-    t.cell_naive <- grow_with t.cell_naive cap fresh_cell;
+    t.cells <- grow_with t.cells cap fresh_cell;
     t.si_pos <- grow_arr t.si_pos cap 0;
     t.gslots <- grow_with t.gslots cap fresh_bucket;
     t.gpreds_c <- grow_arr t.gpreds_c cap None;
@@ -394,10 +396,12 @@ let find_inst t id =
 
 (** Reset all pass-local state (placements, busy tables, arrivals, chain
     graph, any dangling trial) while keeping the resource set — the state
-    carried between scheduling passes.  O(1) on the dense per-op tables:
-    bumping [pass_stamp] makes every stale entry read as absent. *)
-let reset_pass ?(keep_prealloc = false) t =
+    carried between scheduling passes — and set whether the pass prices
+    its sharing muxes.  O(1) on the dense per-op tables: bumping
+    [pass_stamp] makes every stale entry read as absent. *)
+let reset_pass ?(keep_prealloc = false) ~price_muxes t =
   t.pass_stamp <- t.pass_stamp + 1;
+  t.mux_priced <- price_muxes;
   Hashtbl.reset t.busy;
   List.iter
     (fun i ->
@@ -640,9 +644,9 @@ let begin_trial t =
   t.undo_log <- [];
   t.n_trials <- t.n_trials + 1
 
-let cell_of t view id =
+let cell_of t id =
   ensure_cap t id;
-  let c = (match view with Accurate -> t.cell_true | Naive -> t.cell_naive).(id) in
+  let c = t.cells.(id) in
   if c.a_pass <> t.pass_stamp then begin
     c.a_pass <- t.pass_stamp;
     c.a_live <- false;
@@ -654,14 +658,11 @@ let commit t =
   if not t.trial_on then invalid_arg "Netlist.commit: no active trial";
   List.iter
     (fun op ->
-      let fold c =
-        if c.a_pass = t.pass_stamp && c.a_gen = t.generation then begin
-          c.a_committed <- c.a_trial;
-          c.a_live <- true
-        end
-      in
-      fold t.cell_true.(op);
-      fold t.cell_naive.(op))
+      let c = t.cells.(op) in
+      if c.a_pass = t.pass_stamp && c.a_gen = t.generation then begin
+        c.a_committed <- c.a_trial;
+        c.a_live <- true
+      end)
     t.touched;
   t.trial_on <- false;
   t.touched <- [];
@@ -856,48 +857,40 @@ let reg_mux_delay t =
 
 (** {2 Arrival state} *)
 
-(** Raw visible arrival in [view]: the trial value when the active trial
-    has written it, the committed value otherwise; [neg_infinity] when
-    absent (so the hot path needs no option allocation). *)
-let arrival_raw t view id =
+(** Raw visible arrival: the trial value when the active trial has written
+    it, the committed value otherwise; [neg_infinity] when absent (so the
+    hot path needs no option allocation). *)
+let arrival_raw t id =
   if id >= t.cap then neg_infinity
   else
-    let c = (match view with Accurate -> t.cell_true | Naive -> t.cell_naive).(id) in
+    let c = t.cells.(id) in
     if c.a_pass <> t.pass_stamp then neg_infinity
     else if t.trial_on && c.a_gen = t.generation then c.a_trial
     else if c.a_live then c.a_committed
     else neg_infinity
 
-let arrival t ~view op_id =
-  let v = arrival_raw t view op_id in
+let arrival t op_id =
+  let v = arrival_raw t op_id in
   if v = neg_infinity then None else Some v
 
-let committed_arrivals t view =
-  let arr = match view with Accurate -> t.cell_true | Naive -> t.cell_naive in
+let committed_arrivals t =
   let acc = ref [] in
   for id = t.cap - 1 downto 0 do
-    let c = arr.(id) in
+    let c = t.cells.(id) in
     if c.a_pass = t.pass_stamp && c.a_live then acc := (id, c.a_committed) :: !acc
   done;
   !acc
 
-let set_arrivals t op_id ~tv ~nv =
+let set_arrival t op_id v =
+  let c = cell_of t op_id in
   if t.trial_on then begin
-    let ct = cell_of t Accurate op_id in
-    if ct.a_gen <> t.generation then t.touched <- op_id :: t.touched;
-    ct.a_gen <- t.generation;
-    ct.a_trial <- tv;
-    let cn = cell_of t Naive op_id in
-    cn.a_gen <- t.generation;
-    cn.a_trial <- nv
+    if c.a_gen <> t.generation then t.touched <- op_id :: t.touched;
+    c.a_gen <- t.generation;
+    c.a_trial <- v
   end
   else begin
-    let ct = cell_of t Accurate op_id in
-    ct.a_committed <- tv;
-    ct.a_live <- true;
-    let cn = cell_of t Naive op_id in
-    cn.a_committed <- nv;
-    cn.a_live <- true
+    c.a_committed <- v;
+    c.a_live <- true
   end
 
 (** {2 Arrival computation}
@@ -920,8 +913,7 @@ let source_arrival_with t ~step ~lookup e =
     if v = neg_infinity then ff else v)
   else ff
 
-let source_arrival t ~step ~view e =
-  source_arrival_with t ~step ~lookup:(fun p -> arrival_raw t view p) e
+let source_arrival t ~step e = source_arrival_with t ~step ~lookup:(arrival_raw t) e
 
 let guard_arrival_with t ~step ~lookup (op : Dfg.op) =
   if op.Dfg.speculated || Guard.is_always op.Dfg.guard then 0.0
@@ -942,8 +934,7 @@ let guard_arrival_with t ~step ~lookup (op : Dfg.op) =
       gp;
     !acc
 
-let guard_arrival t ~step ~view op =
-  guard_arrival_with t ~step ~lookup:(fun p -> arrival_raw t view p) op
+let guard_arrival t ~step op = guard_arrival_with t ~step ~lookup:(arrival_raw t) op
 
 (** Combinational delay of [op] when executed on [inst_opt]. *)
 let exec_delay t (op : Dfg.op) inst_opt =
@@ -963,17 +954,16 @@ let exec_delay t (op : Dfg.op) inst_opt =
         (match resource_of t op with None -> 0.0 | Some rt -> Library.delay t.lib rt)
 
 (** One full arrival evaluation of [op] placed at [step] on instance
-    [inst] (-1 for none); [with_mux] selects the accurate (mux-laden)
-    formula. *)
-let compute_arrival_with t ~lookup ~with_mux (op : Dfg.op) ~step ~inst =
+    [inst] (-1 for none): each input through its sharing mux, unless the
+    muxes are unpriced, then the operator delay. *)
+let compute_arrival_with t ~lookup (op : Dfg.op) ~step ~inst =
   let ins = Dfg.in_edges t.dfg op.Dfg.id in
   let data =
     List.fold_left
       (fun acc e ->
         let a = source_arrival_with t ~step ~lookup e in
         let a =
-          if not with_mux then a
-          else if inst >= 0 then a +. in_mux_delay t (find_inst t inst) ~port:e.Dfg.port
+          if t.mux_priced && inst >= 0 then a +. in_mux_delay t (find_inst t inst) ~port:e.Dfg.port
           else a
         in
         fmax acc a)
@@ -985,52 +975,20 @@ let compute_arrival_with t ~lookup ~with_mux (op : Dfg.op) ~step ~inst =
   in
   data +. exec_delay t op (if inst >= 0 then Some inst else None)
 
-(** Recompute both arrival views of a placed op; returns true if the
-    accurate view moved by more than 1 fs.  The guard does not serialize
-    with the datapath — it drives the commit register's enable pin in
-    parallel and is accounted for in {!endpoint_slack}. *)
+(** Recompute the arrival of a placed op through the same formula the
+    reference evaluator uses; returns true if it moved by more than 1 fs.
+    The guard does not serialize with the datapath — it drives the commit
+    register's enable pin in parallel and is accounted for in
+    {!endpoint_slack}. *)
 let recompute_arrival t op_id =
   t.n_queries <- t.n_queries + 1;
-  let op = Dfg.find t.dfg op_id in
-  let step = t.pl_step.(op_id) and inst = t.pl_inst.(op_id) in
-  (* fused two-view evaluation: one walk over the in-edges computes both
-     the accurate (mux-laden) and naive arrivals — same formulas as
-     {!compute_arrival_with}, with the instance lookup hoisted out of the
-     per-edge fold and no per-call lookup closures *)
-  let ins = Dfg.in_edges t.dfg op_id in
-  let ff = t.lib.Library.ff_clk_q in
-  let base =
-    match op.Dfg.kind with
-    | Opkind.Const _ -> 0.0
-    | Opkind.Read _ -> ff
-    | _ -> if ins = [] then ff else 0.0
+  let v =
+    compute_arrival_with t ~lookup:(arrival_raw t) (Dfg.find t.dfg op_id) ~step:t.pl_step.(op_id)
+      ~inst:t.pl_inst.(op_id)
   in
-  let io = if inst >= 0 then Some (find_inst t inst) else None in
-  let dt = ref base and dn = ref base in
-  List.iter
-    (fun (e : Dfg.edge) ->
-      let p = e.Dfg.src in
-      let live =
-        e.Dfg.distance = 0 && Region.mem t.region p && placed t p
-        && not (lat_of t p > 1)
-        && t.pl_finish.(p) = step
-      in
-      let at, an =
-        if live then (
-          let vt = arrival_raw t Accurate p and vn = arrival_raw t Naive p in
-          ((if vt = neg_infinity then ff else vt), (if vn = neg_infinity then ff else vn)))
-        else (ff, ff)
-      in
-      let at = match io with Some i -> at +. in_mux_delay t i ~port:e.Dfg.port | None -> at in
-      dt := fmax !dt at;
-      dn := fmax !dn an)
-    ins;
-  let ex = exec_delay t op (if inst >= 0 then Some inst else None) in
-  let new_true = !dt +. ex in
-  let new_naive = !dn +. ex in
-  let old_true = arrival_raw t Accurate op_id in
-  set_arrivals t op_id ~tv:new_true ~nv:new_naive;
-  if old_true = neg_infinity then true else abs_float (old_true -. new_true) > 0.001
+  let old = arrival_raw t op_id in
+  set_arrival t op_id v;
+  old = neg_infinity || abs_float (old -. v) > 0.001
 
 (** Same-step combinational consumers of a placed op (data or guard),
     i.e. the ops whose arrivals depend on this op's arrival. *)
@@ -1048,16 +1006,17 @@ let chained_consumers t op_id =
   end
 
 (** Worst-case registered-endpoint slack of a placed op: its result must
-    traverse the register-input mux and meet setup, and its commit enable
-    (the guard, unless speculated) must also settle in time. *)
-let endpoint_slack t ~view op_id =
+    traverse the register-input mux (when the muxes are priced) and meet
+    setup, and its commit enable (the guard, unless speculated) must also
+    settle in time. *)
+let endpoint_slack t op_id =
   let arr =
-    let v = arrival_raw t view op_id in
+    let v = arrival_raw t op_id in
     if v = neg_infinity then 0.0 else v
   in
   let op = Dfg.find t.dfg op_id in
-  let g = if placed t op_id then guard_arrival t ~step:t.pl_finish.(op_id) ~view op else 0.0 in
-  let reg_path = match view with Naive -> 0.0 | Accurate -> reg_mux_delay t in
+  let g = if placed t op_id then guard_arrival t ~step:t.pl_finish.(op_id) op else 0.0 in
+  let reg_path = if t.mux_priced then reg_mux_delay t else 0.0 in
   t.clock_ps -. (fmax arr g +. reg_path +. t.lib.Library.ff_setup)
 
 (** {2 Saturation screen}
@@ -1101,10 +1060,9 @@ let screen_walk_margin = 0.01
 
 let screen_walk_depth = 8
 
-let screen_busy_reject t ~decision ~(op : Dfg.op) ~step ~finish ~(inst : inst)
-    ~(changed_ports : int list) =
-  (* only the accurate view reacts to mux growth *)
-  if decision <> Accurate || changed_ports = [] then false
+let screen_busy_reject t ~(op : Dfg.op) ~step ~finish ~(inst : inst) ~(changed_ports : int list) =
+  (* unpriced muxes make mux growth invisible *)
+  if (not t.mux_priced) || changed_ports = [] then false
   else begin
     let ff = t.lib.Library.ff_clk_q in
     let exec = Library.delay t.lib inst.rtype in
@@ -1177,7 +1135,7 @@ let screen_busy_reject t ~decision ~(op : Dfg.op) ~step ~finish ~(inst : inst)
                 Region.mem t.region s && placed t s && not (lat_of t s > 1) && t.pl_finish.(s) = st
               then begin
                 if affected 0 s then raise Unpriceable;
-                let v = arrival_raw t Accurate s in
+                let v = arrival_raw t s in
                 if v = neg_infinity then ff else v
               end
               else ff
@@ -1187,7 +1145,7 @@ let screen_busy_reject t ~decision ~(op : Dfg.op) ~step ~finish ~(inst : inst)
       in
       let arr = data +. exec in
       if guard_affected o ~fstep then raise Unpriceable;
-      let g = guard_arrival t ~step:fstep ~view:Accurate o in
+      let g = guard_arrival t ~step:fstep o in
       (arr, t.clock_ps -. (fmax arr g +. reg_setup))
     in
     match hypo op ~st:step ~fstep:finish with
@@ -1221,7 +1179,7 @@ let screen_busy_reject t ~decision ~(op : Dfg.op) ~step ~finish ~(inst : inst)
               in
               let ex = exec_delay t (Dfg.find t.dfg d) (if di < 0 then None else Some di) in
               let lb_d = lb +. mux +. ex -. screen_walk_margin in
-              lb_d -. arrival_raw t Accurate d > 0.001
+              lb_d -. arrival_raw t d > 0.001
               && begin
                    t.scr_seen.(d) <- gen;
                    proves (t.clock_ps -. (lb_d +. reg_setup)) || walk d lb_d (h + 1)
@@ -1279,18 +1237,17 @@ let wl_pop t =
   id
 
 (** Propagate arrival changes from [seeds] through same-step chains.
-    [decision] selects the view whose slack gates the result.  Returns the
-    worst endpoint slack seen together with the op carrying it — so the
-    caller can tell a failure of the new binding itself from collateral
-    damage to ops already bound (a saturated instance).
+    Returns the worst endpoint slack seen together with the op carrying it
+    — so the caller can tell a failure of the new binding itself from
+    collateral damage to ops already bound (a saturated instance).
 
     The worklist is deduplicated by op id and propagation stops at ops
-    whose accurate arrival did not move, so the visited set is bounded by
-    the region the change actually reaches — not the transitive fanout
-    cone of the seeds.  Arrivals only grow inside a trial (mux growth and
+    whose arrival did not move, so the visited set is bounded by the
+    region the change actually reaches — not the transitive fanout cone
+    of the seeds.  Arrivals only grow inside a trial (mux growth and
     new chains), so every op's last recomputation is its settled value
     and the returned worst slack equals the full-fanout walk's. *)
-let propagate t ~decision seeds =
+let propagate t seeds =
   let worst = ref infinity in
   let worst_op = ref (-1) in
   wl_reset t;
@@ -1304,7 +1261,7 @@ let propagate t ~decision seeds =
     t.n_visits <- t.n_visits + 1;
     if placed t id then begin
       let changed = recompute_arrival t id in
-      let slack = endpoint_slack t ~view:decision id in
+      let slack = endpoint_slack t id in
       if slack < !worst then begin
         worst := slack;
         worst_op := id
@@ -1336,7 +1293,16 @@ let recompute_all t =
     fold_placements t (fun id pl acc -> (pl.pl_step, id) :: acc) []
     |> List.sort compare |> List.map snd
   in
-  ignore (propagate t ~decision:Accurate by_step)
+  ignore (propagate t by_step)
+
+(** Turn sharing-mux pricing back on after a pass that ran with it off,
+    re-timing every placed op; a no-op when the muxes are already priced.
+    Must not run inside a trial. *)
+let price_muxes t =
+  if not t.mux_priced then begin
+    t.mux_priced <- true;
+    recompute_all t
+  end
 
 (** Resource instances that combinationally feed [op] when placed at
     [step], tracing through same-step wire ops (for the structural-cycle
@@ -1424,7 +1390,7 @@ let timing_report t : Hls_timing.Synthesize.report =
           let best = ref None in
           List.iter
             (fun e ->
-              let a = source_arrival t ~step ~view:Accurate e in
+              let a = source_arrival t ~step e in
               let mux =
                 if op_inst >= 0 then in_mux_delay t (find_inst t op_inst) ~port:e.Dfg.port
                 else 0.0
@@ -1464,61 +1430,53 @@ let timing_report t : Hls_timing.Synthesize.report =
   in
   { Hls_timing.Synthesize.r_clock_ps = t.clock_ps; r_paths = paths }
 
-(** Worst accurate endpoint slack over all placed ops. *)
-let worst_slack t =
-  fold_placements t (fun id _ acc -> min acc (endpoint_slack t ~view:Accurate id)) infinity
+(** Worst endpoint slack over all placed ops. *)
+let worst_slack t = fold_placements t (fun id _ acc -> min acc (endpoint_slack t id)) infinity
 
 (** {2 Reference evaluator — the oracle} *)
 
-(** From-scratch recomputation of both arrival views, ignoring every
+(** From-scratch recomputation of every arrival, ignoring every
     incremental structure (cells, journal, propagation order).  Sweeps the
     placed ops in (step, id) order to a fixpoint so same-step chains settle
     regardless of id order.  Does not touch the query counters. *)
 let reference_arrivals t =
-  let rt : (int, float) Hashtbl.t = Hashtbl.create 64 in
-  let rn : (int, float) Hashtbl.t = Hashtbl.create 64 in
+  let r : (int, float) Hashtbl.t = Hashtbl.create 64 in
   let ids =
     fold_placements t (fun id pl acc -> ((pl.pl_step, id), id) :: acc) []
     |> List.sort compare |> List.map snd
   in
-  let lookup tbl p = match Hashtbl.find_opt tbl p with Some v -> v | None -> neg_infinity in
+  let lookup p = match Hashtbl.find_opt r p with Some v -> v | None -> neg_infinity in
   let sweep () =
     List.fold_left
       (fun changed id ->
-        let op = Dfg.find t.dfg id in
-        let step = t.pl_step.(id) and inst = t.pl_inst.(id) in
-        let v_true = compute_arrival_with t ~lookup:(lookup rt) ~with_mux:true op ~step ~inst in
-        let v_naive =
-          compute_arrival_with t ~lookup:(lookup rn) ~with_mux:false op ~step ~inst
+        let v =
+          compute_arrival_with t ~lookup (Dfg.find t.dfg id) ~step:t.pl_step.(id)
+            ~inst:t.pl_inst.(id)
         in
-        let moved tbl v =
-          match Hashtbl.find_opt tbl id with
-          | Some o -> abs_float (o -. v) > 1e-9
-          | None -> true
+        let moved =
+          match Hashtbl.find_opt r id with Some o -> abs_float (o -. v) > 1e-9 | None -> true
         in
-        let c = moved rt v_true || moved rn v_naive in
-        Hashtbl.replace rt id v_true;
-        Hashtbl.replace rn id v_naive;
-        changed || c)
+        Hashtbl.replace r id v;
+        changed || moved)
       false ids
   in
   let rec fix n = if n > 0 && sweep () then fix (n - 1) in
   fix (List.length ids + 2);
-  (rt, rn)
+  r
 
 (** Worst absolute difference between the incremental arrival state and
-    {!reference_arrivals}, over all placed ops and both views.  Zero (up
-    to float noise) whenever the transaction machinery is correct. *)
+    {!reference_arrivals} over all placed ops.  Zero (up to float noise)
+    whenever the transaction machinery is correct. *)
 let reference_deviation t =
-  let rt, rn = reference_arrivals t in
+  let r = reference_arrivals t in
   fold_placements t
     (fun id _ acc ->
-      let dev tbl view =
-        match (Hashtbl.find_opt tbl id, arrival t ~view id) with
+      let dev =
+        match (Hashtbl.find_opt r id, arrival t id) with
         | Some r, Some a -> abs_float (r -. a)
         | Some r, None -> abs_float r
         | None, Some a -> abs_float a
         | None, None -> 0.0
       in
-      max acc (max (dev rt Accurate) (dev rn Naive)))
+      max acc dev)
     0.0

@@ -3,9 +3,11 @@
 
     This layer owns the structural netlist state built by simultaneous
     scheduling-and-binding — instances, port sharing/mux structure,
-    busy/occupancy tables, placements — and both arrival-time views
-    (accurate with mux delays, naive without).  Policy (modulo constraints,
-    dedication, forbidden pairs) lives above it in [Hls_core.Binding].
+    busy/occupancy tables, placements — and one arrival time per placed op,
+    sharing-mux delays included.  Only the timing-awareness ablation turns
+    mux pricing off, for the duration of a pass ({!reset_pass},
+    {!price_muxes}).  Policy (modulo constraints, dedication, forbidden
+    pairs) lives above it in [Hls_core.Binding].
 
     The representation is dense: every hot per-op table is an int-indexed
     array with a pass stamp, so {!reset_pass} is O(1), unplacing an op is
@@ -15,11 +17,6 @@
 
 open Hls_ir
 open Hls_techlib
-
-(** Which arrival view a query reads: [Accurate] includes every sharing-mux
-    delay (the paper's netlist queries); [Naive] is the mux-free view a
-    timing-unaware scheduler would believe. *)
-type view = Accurate | Naive
 
 type inst = {
   inst_id : int;
@@ -77,13 +74,22 @@ val resource_of : t -> Dfg.op -> Resource.t option
 val add_inst : ?added_by_expert:bool -> t -> Resource.t -> inst
 val find_inst : t -> int -> inst
 
-val reset_pass : ?keep_prealloc:bool -> t -> unit
+val reset_pass : ?keep_prealloc:bool -> price_muxes:bool -> t -> unit
 (** Reset all pass-local state (placements, busy tables, arrivals, chain
     graph, any dangling trial) while keeping the resource set; recomputes
     each instance's [prealloc_shared] flag.  O(1) on the dense per-op
     tables (a pass-stamp bump).  [~keep_prealloc:true] skips the flag
     recompute — sound only when no instance was added since the flags
-    were last computed (region membership is static). *)
+    were last computed (region membership is static).
+
+    [~price_muxes:false] starts a mux-blind pass: until {!price_muxes},
+    arrivals and endpoint slacks leave out every sharing-mux delay (input
+    and register muxes), as a timing-unaware scheduler would believe. *)
+
+val price_muxes : t -> unit
+(** Turn mux pricing back on and re-time every placed op (one
+    {!recompute_all}); a no-op when the muxes are already priced.  Must
+    not run inside a trial. *)
 
 (** {2 Placements} *)
 
@@ -126,7 +132,7 @@ val begin_trial : t -> unit
     trial is already active. *)
 
 val commit : t -> unit
-(** Fold the trial arrivals into the committed view (O(touched ops)) and
+(** Fold the trial arrivals into the committed ones (O(touched ops)) and
     drop the undo log. *)
 
 val rollback : t -> unit
@@ -163,28 +169,27 @@ val reg_mux_delay : t -> float
 
 (** {2 Timing queries} *)
 
-val arrival : t -> view:view -> int -> float option
+val arrival : t -> int -> float option
 (** Current visible arrival of a placed op: the trial value when the
     active trial has written it, the committed value otherwise. *)
 
-val committed_arrivals : t -> view -> (int * float) list
-(** Committed arrivals of the view as [(op, arrival)], ascending by op id
-    — for snapshot tests. *)
+val committed_arrivals : t -> (int * float) list
+(** Committed arrivals as [(op, arrival)], ascending by op id — for
+    snapshot tests. *)
 
-val source_arrival : t -> step:int -> view:view -> Dfg.edge -> float
-val guard_arrival : t -> step:int -> view:view -> Dfg.op -> float
+val source_arrival : t -> step:int -> Dfg.edge -> float
+val guard_arrival : t -> step:int -> Dfg.op -> float
 val exec_delay : t -> Dfg.op -> int option -> float
 
 val recompute_arrival : t -> int -> bool
-(** Recompute both arrival views of a placed op; true if the accurate view
-    moved.  Counts as one netlist timing query. *)
+(** Recompute the arrival of a placed op with the reference evaluator's
+    formula; true if it moved.  Counts as one netlist timing query. *)
 
 val chained_consumers : t -> int -> int list
-val endpoint_slack : t -> view:view -> int -> float
+val endpoint_slack : t -> int -> float
 
 val screen_busy_reject :
   t ->
-  decision:view ->
   op:Dfg.op ->
   step:int ->
   finish:int ->
@@ -197,14 +202,15 @@ val screen_busy_reject :
     strictly below the op's own exact slack — the full trial would reject
     with [F_busy] — all priced from committed state.  [false] means "run
     the real trial", never a wrong verdict.  [changed_ports] are the
-    instance ports whose effective mux input count the bind grows. *)
+    instance ports whose effective mux input count the bind grows.  Always
+    [false] while the muxes are unpriced. *)
 
-val propagate : t -> decision:view -> int list -> float * int
+val propagate : t -> int list -> float * int
 (** Propagate arrival changes from the seed ops through same-step chains;
-    returns the worst endpoint slack in the [decision] view and the op
-    carrying it.  The worklist is deduplicated by op id and stops at ops
-    whose arrival did not move, so the visited set is bounded by the
-    region the change actually reaches, not the seeds' fanout cone. *)
+    returns the worst endpoint slack and the op carrying it.  The worklist
+    is deduplicated by op id and stops at ops whose arrival did not move,
+    so the visited set is bounded by the region the change actually
+    reaches, not the seeds' fanout cone. *)
 
 val recompute_all : t -> unit
 val chain_source_insts : t -> int -> step:int -> int list
@@ -219,10 +225,10 @@ val worst_slack : t -> float
 
 (** {2 Reference evaluator — the oracle} *)
 
-val reference_arrivals : t -> (int, float) Hashtbl.t * (int, float) Hashtbl.t
-(** From-scratch recomputation of both arrival views (accurate, naive),
-    ignoring all incremental state.  Does not touch the query counters. *)
+val reference_arrivals : t -> (int, float) Hashtbl.t
+(** From-scratch recomputation of every arrival, ignoring all incremental
+    state.  Does not touch the query counters. *)
 
 val reference_deviation : t -> float
 (** Worst absolute difference between the incremental arrival state and
-    {!reference_arrivals} over all placed ops and both views. *)
+    {!reference_arrivals} over all placed ops. *)

@@ -35,6 +35,7 @@ expect 1 "missing .bhv file"      schedule missing_file.bhv
 expect 1 "overconstrained spec"   schedule example1 --ii 1 --latency 1..1 --no-degrade
 expect 1 "bad latency bounds"     schedule example1 --latency nonsense
 expect 1 "bad --jobs"             explore example1 --jobs 0
+expect 1 "bad --clock"            flow example1 --clock 0
 
 # command-line misuse -> cmdliner's 124
 expect 124 "bad flag"             schedule example1 --no-such-flag

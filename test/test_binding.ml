@@ -69,13 +69,13 @@ let test_fig8_clean () =
     (Dfg.ops dfg);
   bind_ok b (Dfg.find dfg mul1) ~step:0 ~inst_opt:(Some mi);
   Alcotest.(check (float 0.5)) "Fig 8a: mul arrival 1080" 1080.0
-    (Option.get (Netlist.arrival b.Binding.net ~view:Netlist.Accurate mul1));
+    (Option.get (Netlist.arrival b.Binding.net mul1));
   bind_ok b (Dfg.find dfg add) ~step:0 ~inst_opt:(Some ai);
   (* Fig 8b: 40 + 110 + 930 + 350 = 1430; endpoint 1430+110+40 = 1580 *)
   Alcotest.(check (float 0.5)) "Fig 8b: add arrival 1430" 1430.0
-    (Option.get (Netlist.arrival b.Binding.net ~view:Netlist.Accurate add));
+    (Option.get (Netlist.arrival b.Binding.net add));
   Alcotest.(check (float 0.5)) "Fig 8b: add slack 20" 20.0
-    (Binding.endpoint_slack b ~naive:false add);
+    (Netlist.endpoint_slack b.Binding.net add);
   (* Fig 8c: gt would land at 1800 -> slack -200: the binder rejects it *)
   (match Binding.try_bind b (Dfg.find dfg gt) ~step:0 ~inst_opt:(Some ci) with
   | Ok () -> Alcotest.fail "gt must not fit in state s1"
@@ -377,8 +377,8 @@ let screen_vs_trial ~seed ~ops ~clock =
               let changed_ports = Binding.changed_ports b op i in
               if
                 free i && changed_ports <> []
-                && Netlist.screen_busy_reject b.Binding.net ~decision:Netlist.Accurate ~op ~step
-                     ~finish ~inst:i ~changed_ports
+                && Netlist.screen_busy_reject b.Binding.net ~op ~step ~finish ~inst:i
+                     ~changed_ports
               then begin
                 incr claims;
                 let worst, worst_op =

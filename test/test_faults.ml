@@ -71,13 +71,18 @@ let test_zero_delay_lib () =
 
 (* ---- fault class 3: degenerate clock period ---- *)
 
+(* a period that is not a positive finite number is rejected before
+   elaboration, and no degradation tier serves it a result *)
 let test_zero_clock () =
-  let _ =
-    expect_error ~phase:Diag.Schedule
-      ~options:{ no_verify with clock_ps = 0.0; degrade = false }
-      (Hls_designs.Example1.design ())
-  in
-  ()
+  List.iter
+    (fun clock_ps ->
+      let _ =
+        expect_error ~phase:Diag.Frontend ~code:"bad_clock"
+          ~options:{ no_verify with clock_ps; degrade = true }
+          (Hls_designs.Example1.design ())
+      in
+      ())
+    [ 0.0; -100.0; Float.nan; Float.infinity; Float.neg_infinity ]
 
 (* ---- fault class 4: malformed design (unknown port) ---- *)
 

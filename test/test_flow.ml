@@ -51,6 +51,35 @@ let test_delay_is_ii_times_clock () =
   | Error e -> Alcotest.fail (Diag.to_string e)
   | Ok r -> Alcotest.(check (float 0.01)) "delay" 4000.0 r.Hls_flow.Flow.f_delay_ps
 
+(* The timing-awareness ablation on sobel (sequential, 900 ps): the
+   mux-blind binder packs more onto shared instances and hands logic
+   synthesis a -47 ps violation the timing-aware run avoids.  The naive
+   run's netlist ends priced and agrees with the reference evaluator. *)
+let test_timing_awareness_ablation () =
+  let aware = { Hls_flow.Flow.default_options with clock_ps = 900.0; sim_iters = 60 } in
+  let naive =
+    {
+      aware with
+      Hls_flow.Flow.sched = { Hls_core.Scheduler.default_options with timing_aware = false };
+      verify = false;
+    }
+  in
+  let run options =
+    match Hls_flow.Flow.run ~options (Hls_designs.Conv.design ()) with
+    | Ok r -> r
+    | Error e -> Alcotest.fail (Diag.to_string e)
+  in
+  let area_wns (r : Hls_flow.Flow.t) =
+    Printf.sprintf "%.0f/%.0f" r.Hls_flow.Flow.f_area.Hls_rtl.Stats.a_total
+      r.Hls_flow.Flow.f_area.Hls_rtl.Stats.wns
+  in
+  Alcotest.(check string) "aware area/wns" "11927/0" (area_wns (run aware));
+  let n = run naive in
+  Alcotest.(check string) "naive area/wns" "12277/-47" (area_wns n);
+  let net = n.Hls_flow.Flow.f_sched.Hls_core.Scheduler.s_binding.Hls_core.Binding.net in
+  Alcotest.(check bool) "naive netlist matches the reference evaluator" true
+    (Hls_netlist.Netlist.reference_deviation net < 1e-6)
+
 (* ---- design library sanity ---- *)
 
 let test_designs_check_clean () =
@@ -107,6 +136,8 @@ let suite =
     Alcotest.test_case "flow schedule errors" `Quick test_flow_reports_schedule_errors;
     Alcotest.test_case "flow rerunnable" `Quick test_flow_rerunnable;
     Alcotest.test_case "delay = II x Tclk" `Quick test_delay_is_ii_times_clock;
+    Alcotest.test_case "timing-awareness ablation (sobel seq)" `Quick
+      test_timing_awareness_ablation;
     Alcotest.test_case "designs check clean" `Quick test_designs_check_clean;
     Alcotest.test_case "synthetic deterministic" `Quick test_synthetic_deterministic;
     Alcotest.test_case "synthetic population" `Quick test_synthetic_population_sizes;

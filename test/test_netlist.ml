@@ -13,10 +13,10 @@ let lib = Library.artisan90
 
 (** Every observable of the netlist, in canonical (sorted) form: placements,
     non-empty busy slots, per-instance structure with the mux projections,
-    the committed arrivals of both views, and the chain-graph edge count.
-    Derived caches (mux_cache / mux_delays) are observed through their
-    projections, not their representation — a rolled-back trial may leave
-    them rebuilt or invalidated, which must be indistinguishable. *)
+    the committed arrivals, and the chain-graph edge count.  Derived caches
+    (mux_cache / mux_delays) are observed through their projections, not
+    their representation — a rolled-back trial may leave them rebuilt or
+    invalidated, which must be indistinguishable. *)
 let snapshot (net : Netlist.t) =
   let placements = Netlist.fold_placements net (fun k v acc -> (k, v) :: acc) [] in
   let busy = Netlist.dump_busy net in
@@ -35,8 +35,7 @@ let snapshot (net : Netlist.t) =
   ( placements,
     busy,
     insts,
-    Netlist.committed_arrivals net Netlist.Accurate,
-    Netlist.committed_arrivals net Netlist.Naive,
+    Netlist.committed_arrivals net,
     Hls_timing.Cycle_detector.n_edges (Netlist.chain net) )
 
 let scheduled_example1 () =
@@ -155,13 +154,16 @@ let prop_failed_bind_is_invisible =
 (* Oracle property: after a real scheduling run — an arbitrary sequence of
    trials, commits and rollbacks — the incremental arrival tables agree
    with a from-scratch reference recomputation; and extra no-op
-   trial/rollback and trial/commit cycles keep it that way. *)
+   trial/rollback and trial/commit cycles keep it that way.  Odd seeds
+   run the timing-awareness ablation, so the oracle also covers passes
+   bound with unpriced muxes and the re-timing that prices them. *)
 let prop_incremental_matches_reference =
   QCheck.Test.make ~name:"incremental arrivals match the reference evaluator" ~count:10
     QCheck.(int_range 1 10000)
     (fun seed ->
       let region = synthetic_region seed ~ops:(30 + (seed mod 60)) in
-      match Scheduler.schedule ~lib ~clock_ps:1600.0 region with
+      let opts = { Scheduler.default_options with timing_aware = seed mod 2 = 0 } in
+      match Scheduler.schedule ~opts ~lib ~clock_ps:1600.0 region with
       | Error _ -> QCheck.assume_fail ()
       | Ok s ->
           let net = s.Scheduler.s_binding.Hls_core.Binding.net in
@@ -238,7 +240,7 @@ let test_propagation_bounded_by_change () =
   let cone = Dfg.fanout_cone_size dfg seed in
   let v0 = (Netlist.stats net).Netlist.s_visits in
   Netlist.begin_trial net;
-  ignore (Netlist.propagate net ~decision:Netlist.Accurate [ seed ]);
+  ignore (Netlist.propagate net [ seed ]);
   Netlist.rollback net;
   let visited = (Netlist.stats net).Netlist.s_visits - v0 in
   Alcotest.(check int) "unchanged arrival: only the seed is visited" 1 visited;
