@@ -861,9 +861,10 @@ let bench_scale () =
             in
             Printf.printf
               "  %6d ops  %8.3f s  %9d queries  %8.0f queries/s  %3d passes  %9d visits  \
-               %7d trials (%d rb)  %10d peak words\n%!"
+               %7d trials (%d rb)  %9d cycle visits  %10d peak words\n%!"
               n st.Scheduler.st_sched_s st.Scheduler.st_queries qps st.Scheduler.st_passes
-              st.Scheduler.st_visits st.Scheduler.st_trials st.Scheduler.st_rollbacks peak;
+              st.Scheduler.st_visits st.Scheduler.st_trials st.Scheduler.st_rollbacks
+              st.Scheduler.st_cycle_visits peak;
             Some (n, st, peak)
         | Error err ->
             Printf.printf "  %6d ops  FAILED: %s\n%!" n err.Scheduler.e_message;
@@ -878,9 +879,9 @@ let bench_scale () =
       else 0.0
     in
     Printf.sprintf
-      {|{"ops":%d,"wall_s":%.6f,"queries":%d,"queries_per_s":%.1f,"passes":%d,"visits":%d,"peak_heap_words":%d}|}
+      {|{"ops":%d,"wall_s":%.6f,"queries":%d,"queries_per_s":%.1f,"passes":%d,"visits":%d,"cycle_visits":%d,"peak_heap_words":%d}|}
       n st.Scheduler.st_sched_s st.Scheduler.st_queries qps st.Scheduler.st_passes
-      st.Scheduler.st_visits peak
+      st.Scheduler.st_visits st.Scheduler.st_cycle_visits peak
   in
   (* the headline scaling exponent: slope of log(wall) over log(ops)
      between the smallest and largest completed points *)

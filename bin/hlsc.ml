@@ -485,6 +485,12 @@ let explore_cmd =
           };
       }
     in
+    (match Hls_flow.Flow.check_budget options.Hls_flow.Flow.sched with
+    | Ok () -> ()
+    | Error d ->
+        if robust.diag_json then prerr_endline (Hls_diag.Diag.to_json d)
+        else prerr_endline ("hlsc: " ^ Hls_diag.Diag.to_string d);
+        exit 1);
     let engine = Hls_dse.Dse.create () in
     let sw = Hls_dse.Dse.sweep ~jobs engine ~options design (Hls_dse.Dse.grid_points grid) in
     Hls_report.Table.print (Hls_dse.Dse.table sw.Hls_dse.Dse.sw_results);

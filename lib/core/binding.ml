@@ -240,47 +240,56 @@ let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
     if not (modulo_ok t ~op_id:op.Dfg.id ~step ~finish) then raise (Fail Restraint.F_dep);
     (* resource-specific checks *)
     let inst = Option.map (Netlist.find_inst net) inst_opt in
-    (match inst with
-    | Some i ->
-        if Hashtbl.mem t.forbidden (op.Dfg.id, i.inst_id) then raise (Fail Restraint.F_forbidden);
-        (match Netlist.resource_of t.net op with
-        | Some need when not (Resource.fits ~need ~have:i.rtype) ->
-            if not (Resource.can_merge need i.rtype) then
-              raise (Fail (Restraint.F_busy i.rtype))
-        | _ -> ());
-        (* user-dedicated instances: a dedicated op tolerates no cohabitant
-           in any state, and instances already hosting a dedicated op admit
-           nobody else *)
-        if Hashtbl.mem t.dedicated op.Dfg.id && i.bound <> [] then
-          raise (Fail (Restraint.F_busy i.rtype));
-        if Hashtbl.length t.dedicated > 0 && List.exists (fun o -> Hashtbl.mem t.dedicated o) i.bound
-        then
-          raise (Fail (Restraint.F_busy i.rtype));
-        (* busy check across occupied steps, honouring edge equivalence and
-           predicate orthogonality *)
-        for s = step to finish do
-          let others = Netlist.busy_ops net i.inst_id s in
+    (* the instances chaining into the op in this step, walked once: the
+       trial below moves only the op itself, so the commit reuses them *)
+    let chain_srcs =
+      match inst with
+      | Some i ->
+          if Hashtbl.mem t.forbidden (op.Dfg.id, i.inst_id) then raise (Fail Restraint.F_forbidden);
+          (match Netlist.resource_of t.net op with
+          | Some need when not (Resource.fits ~need ~have:i.rtype) ->
+              if not (Resource.can_merge need i.rtype) then
+                raise (Fail (Restraint.F_busy i.rtype))
+          | _ -> ());
+          (* user-dedicated instances: a dedicated op tolerates no cohabitant
+             in any state, and instances already hosting a dedicated op admit
+             nobody else *)
+          if Hashtbl.mem t.dedicated op.Dfg.id && i.bound <> [] then
+            raise (Fail (Restraint.F_busy i.rtype));
           if
-            List.exists
-              (fun o ->
-                not (Guard.mutually_exclusive (Dfg.find t.dfg o).Dfg.guard op.Dfg.guard))
-              others
-          then raise (Fail (Restraint.F_busy i.rtype))
-        done;
-        (* cheap endpoint screen before the expensive trial (timing-aware
-           mode only; the naive ablation stays blind to mux effects) *)
-        if t.timing_aware && i.bound <> [] then begin
-          let sl = quick_slack t op ~step ~inst_id:i.inst_id in
-          if sl < -0.001 then raise (Fail (Restraint.F_slack sl))
-        end;
-        (* structural combinational cycles *)
-        if lat = 1 then
-          List.iter
-            (fun j ->
-              if Netlist.would_close_cycle net ~src:j ~dst:i.inst_id then
-                raise (Fail (Restraint.F_cycle i.inst_id)))
-            (Netlist.chain_source_insts net op.Dfg.id ~step)
-    | None -> ());
+            Hashtbl.length t.dedicated > 0
+            && List.exists (fun o -> Hashtbl.mem t.dedicated o) i.bound
+          then raise (Fail (Restraint.F_busy i.rtype));
+          (* busy check across occupied steps, honouring edge equivalence and
+             predicate orthogonality *)
+          for s = step to finish do
+            let others = Netlist.busy_ops net i.inst_id s in
+            if
+              List.exists
+                (fun o ->
+                  not (Guard.mutually_exclusive (Dfg.find t.dfg o).Dfg.guard op.Dfg.guard))
+                others
+            then raise (Fail (Restraint.F_busy i.rtype))
+          done;
+          (* cheap endpoint screen before the expensive trial (timing-aware
+             mode only; the naive ablation stays blind to mux effects) *)
+          if t.timing_aware && i.bound <> [] then begin
+            let sl = quick_slack t op ~step ~inst_id:i.inst_id in
+            if sl < -0.001 then raise (Fail (Restraint.F_slack sl))
+          end;
+          (* structural combinational cycles *)
+          if lat = 1 then begin
+            let srcs = Netlist.chain_source_insts net op.Dfg.id ~step in
+            List.iter
+              (fun j ->
+                if Netlist.would_close_cycle net ~src:j ~dst:i.inst_id then
+                  raise (Fail (Restraint.F_cycle i.inst_id)))
+              srcs;
+            srcs
+          end
+          else []
+      | None -> []
+    in
     let changed_ports = match inst with Some i -> changed_ports t op i | None -> [] in
     (* saturation screen: when the grown mux provably pushes a cohabitant,
        or one of its same-step chained consumers, below tolerance — and
@@ -312,11 +321,7 @@ let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
       Netlist.commit net;
       (* commit chain edges *)
       (match inst with
-      | Some i ->
-          if lat = 1 then
-            List.iter
-              (fun j -> Netlist.add_chain_edge net ~src:j ~dst:i.inst_id)
-              (Netlist.chain_source_insts net op.Dfg.id ~step)
+      | Some i -> List.iter (fun j -> Netlist.add_chain_edge net ~src:j ~dst:i.inst_id) chain_srcs
       | None -> ());
       Ok ()
     end

@@ -128,6 +128,7 @@ type stats = {
   st_commits : int;
   st_rollbacks : int;
   st_visits : int;  (** cells examined by bounded arrival propagation *)
+  st_cycle_visits : int;  (** instances visited by the structural-cycle check *)
   st_sched_s : float;
   st_warm_passes : int;  (** passes served by warm-start prefix replay *)
   st_cold_passes : int;  (** passes run from a cold restart *)
@@ -144,6 +145,7 @@ let stats t =
     st_commits = ns.Hls_netlist.Netlist.s_commits;
     st_rollbacks = ns.Hls_netlist.Netlist.s_rollbacks;
     st_visits = ns.Hls_netlist.Netlist.s_visits;
+    st_cycle_visits = ns.Hls_netlist.Netlist.s_cycle_visits;
     st_sched_s = t.s_sched_time_s;
     st_warm_passes = t.s_warm_passes;
     st_cold_passes = t.s_cold_passes;

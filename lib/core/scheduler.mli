@@ -99,6 +99,9 @@ type stats = {
   st_visits : int;
       (** cells examined by bounded arrival propagation — stays well below
           the fanout cone when arrivals are unchanged *)
+  st_cycle_visits : int;
+      (** instances visited by the structural-cycle detector's searches
+          (queries and reorders) — deterministic, like the counts above *)
   st_sched_s : float;  (** wall-clock seconds inside the scheduler *)
   st_warm_passes : int;  (** passes served by warm-start prefix replay *)
   st_cold_passes : int;  (** passes run from a cold restart *)

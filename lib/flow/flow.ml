@@ -405,6 +405,23 @@ let feedback_note (it : Feedback.iter_info) =
     it.Feedback.fi_passes
     (if it.Feedback.fi_kept then " [kept]" else " [regressed; discarded]")
 
+(* a scheduling budget that cannot be measured or met: a NaN timeout never
+   trips ([elapsed >= nan] is false), and a negative timeout, pass or
+   action budget fails every tier with nonsense such as "gave up after -1
+   passes".  Zero stays legal: it starves the scheduler on purpose. *)
+let check_budget (o : Scheduler.options) =
+  match o.Scheduler.timeout_s with
+  | Some s when Float.is_nan s || s < 0.0 ->
+      Diag.error ~phase:Diag.Frontend ~code:"bad_budget"
+        "scheduling timeout must be a non-negative number of seconds, got %g" s
+  | _ when o.Scheduler.max_passes < 0 ->
+      Diag.error ~phase:Diag.Frontend ~code:"bad_budget"
+        "pass budget must be non-negative, got %d" o.Scheduler.max_passes
+  | _ when o.Scheduler.max_actions < 0 ->
+      Diag.error ~phase:Diag.Frontend ~code:"bad_budget"
+        "action budget must be non-negative, got %d" o.Scheduler.max_actions
+  | _ -> Stdlib.Ok ()
+
 let run ?(options = default_options) ?trace (design : Ast.design) : (t, Diag.t) Stdlib.result =
   (* pre-mined hints (the DSE engine's shared store, or a caller's) are
      applied whether or not the iterate loop runs; an empty store leaves
@@ -418,19 +435,22 @@ let run ?(options = default_options) ?trace (design : Ast.design) : (t, Diag.t) 
   if not (Float.is_finite options.clock_ps && options.clock_ps > 0.0) then
     Diag.error ~phase:Diag.Frontend ~code:"bad_clock"
       "clock period must be a positive finite number of picoseconds, got %g" options.clock_ps
-  else if not options.feedback then run_with options.hints
   else
-    let result, iters, _store =
-      Feedback.iterate ~max_iters:options.feedback_iters ~hints:options.hints ~run:run_with
-        ~extract:(fun f -> Feedback.extract f.f_sched)
-        ~quality:(fun f ->
-          (f.f_cycles_per_iter, f.f_sched.Scheduler.s_li, f.f_area.Hls_rtl.Stats.a_total))
-        ~passes:(fun f -> f.f_stats.Scheduler.st_passes)
-        ()
-    in
-    match result with
-    | Stdlib.Ok f -> Stdlib.Ok { f with f_notes = f.f_notes @ List.map feedback_note iters }
+    match check_budget options.sched with
     | Stdlib.Error d -> Stdlib.Error d
+    | Stdlib.Ok () when not options.feedback -> run_with options.hints
+    | Stdlib.Ok () ->
+        let result, iters, _store =
+          Feedback.iterate ~max_iters:options.feedback_iters ~hints:options.hints ~run:run_with
+            ~extract:(fun f -> Feedback.extract f.f_sched)
+            ~quality:(fun f ->
+              (f.f_cycles_per_iter, f.f_sched.Scheduler.s_li, f.f_area.Hls_rtl.Stats.a_total))
+            ~passes:(fun f -> f.f_stats.Scheduler.st_passes)
+            ()
+        in
+        match result with
+        | Stdlib.Ok f -> Stdlib.Ok { f with f_notes = f.f_notes @ List.map feedback_note iters }
+        | Stdlib.Error d -> Stdlib.Error d
 
 (** Convenience: run and raise on error (used by examples and benches). *)
 let run_exn ?options ?trace design =

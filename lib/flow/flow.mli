@@ -76,7 +76,13 @@ val run : ?options:options -> ?trace:Hls_core.Trace.t -> Ast.design -> (t, Diag.
 (** Elaboration is always fresh, so one design value can be explored under
     many configurations.  Never raises; always terminates.  A [clock_ps]
     that is not a positive finite number fails at once with a [bad_clock]
-    frontend diagnostic, which no degradation tier can serve. *)
+    frontend diagnostic, and a scheduling budget {!check_budget} rejects
+    with its [bad_budget] one; no degradation tier serves either. *)
+
+val check_budget : Hls_core.Scheduler.options -> (unit, Diag.t) result
+(** [bad_budget] unless the timeout is a non-negative number of seconds
+    (not NaN) and the pass and action budgets are non-negative.  Zero is
+    legal: it starves the scheduler, and the ladder degrades. *)
 
 val run_exn : ?options:options -> ?trace:Hls_core.Trace.t -> Ast.design -> t
 

@@ -103,6 +103,8 @@ type stats = {
   s_visits : int;
       (** cells examined by {!propagate} — bounded propagation stops at
           unchanged arrivals, so this stays well below the fanout cone *)
+  s_cycle_visits : int;
+      (** instances visited by the structural-cycle detector's searches *)
 }
 
 (** Growable per-step (or per-guard-pred) bucket of op ids, swap-removed
@@ -184,7 +186,8 @@ type t = {
   mutable wl_tail : int;
   mutable in_wl : int array;
   mutable prop_gen : int;
-  (* saturation-screen walk: visit stamps, one generation per screen *)
+  (* visit stamps of the saturation-screen and chain-source walks, one
+     generation per walk *)
   mutable scr_seen : int array;
   mutable scr_gen : int;
   mutable scr_last : int array;
@@ -336,7 +339,8 @@ let is_multicycle t op = op_latency t op > 1
 
 let stats t =
   { s_queries = t.n_queries; s_trials = t.n_trials; s_commits = t.n_commits;
-    s_rollbacks = t.n_rollbacks; s_visits = t.n_visits }
+    s_rollbacks = t.n_rollbacks; s_visits = t.n_visits;
+    s_cycle_visits = Hls_timing.Cycle_detector.visits t.chain }
 
 let iclass t rclass =
   match List.find_opt (fun c -> c.ic_class = rclass) t.classes with
@@ -1308,12 +1312,13 @@ let price_muxes t =
     [step], tracing through same-step wire ops (for the structural-cycle
     check). *)
 let chain_source_insts t op_id ~step =
+  t.scr_gen <- t.scr_gen + 1;
+  let gen = t.scr_gen in
   let acc = ref [] in
-  let seen = Hashtbl.create 16 in
   let rec visit id =
-    if not (Hashtbl.mem seen id) then begin
-      Hashtbl.replace seen id ();
-      if placed t id && t.pl_finish.(id) = step && lat_of t id <= 1 then
+    if placed t id && t.scr_seen.(id) <> gen then begin
+      t.scr_seen.(id) <- gen;
+      if t.pl_finish.(id) = step && lat_of t id <= 1 then
         match t.pl_inst.(id) with
         | -1 ->
             List.iter
@@ -1329,9 +1334,7 @@ let would_close_cycle t ~src ~dst = Hls_timing.Cycle_detector.would_close_cycle 
 
 let chain t = t.chain
 
-let add_chain_edge t ~src ~dst =
-  if not (Hls_timing.Cycle_detector.mem_edge t.chain ~src ~dst) then
-    Hls_timing.Cycle_detector.add_edge t.chain ~src ~dst
+let add_chain_edge t ~src ~dst = Hls_timing.Cycle_detector.add_edge t.chain ~src ~dst
 
 (** {2 Reporting} *)
 

@@ -41,6 +41,8 @@ type stats = {
   s_visits : int;
       (** cells examined by {!propagate} — bounded propagation stops at
           unchanged arrivals, so this stays well below the fanout cone *)
+  s_cycle_visits : int;
+      (** instances visited by the structural-cycle detector's searches *)
 }
 
 type t

@@ -46,47 +46,42 @@ let path_slack ~clock p ~scale =
 
 (** Run the sizing model.  [lib] provides the per-resource sizing curve. *)
 let run (lib : Library.t) (rep : report) : result =
-  (* collect every instance with its type and nominal delay *)
-  let insts = Hashtbl.create 16 in
-  List.iter
-    (fun p -> List.iter (fun e -> Hashtbl.replace insts e.pe_inst e.pe_rtype) p.p_elems)
-    rep.r_paths;
+  (* every instance with its type (instance ids are dense from 0) *)
+  let n =
+    List.fold_left
+      (fun m p -> List.fold_left (fun m e -> max m (e.pe_inst + 1)) m p.p_elems)
+      0 rep.r_paths
+  in
+  let rtype = Array.make n None in
+  List.iter (fun p -> List.iter (fun e -> rtype.(e.pe_inst) <- Some e.pe_rtype) p.p_elems) rep.r_paths;
   (* demanded scale factor per instance: min over violating paths *)
-  let factor = Hashtbl.create 16 in
-  Hashtbl.iter (fun i _ -> Hashtbl.replace factor i 1.0) insts;
+  let factor = Array.make n 1.0 in
   List.iter
     (fun p ->
       let nominal = path_nominal p in
       let available = rep.r_clock_ps -. p.p_fixed in
       if nominal > available && nominal > 0.0 then begin
         let f = max lib.Library.min_delay_factor (available /. nominal) in
-        List.iter
-          (fun e ->
-            let cur = Hashtbl.find factor e.pe_inst in
-            if f < cur then Hashtbl.replace factor e.pe_inst f)
-          p.p_elems
+        List.iter (fun e -> if f < factor.(e.pe_inst) then factor.(e.pe_inst) <- f) p.p_elems
       end)
     rep.r_paths;
-  let per_inst =
-    Hashtbl.fold
-      (fun i rt acc ->
-        let f = Hashtbl.find factor i in
-        let nominal_delay = Library.delay lib rt in
-        let required = f *. nominal_delay in
-        let area =
-          match Library.area_for_delay lib rt ~required with
+  let sized i rt =
+    let f = factor.(i) in
+    let nominal_delay = Library.delay lib rt in
+    let required = f *. nominal_delay in
+    let area =
+      match Library.area_for_delay lib rt ~required with
+      | Some a -> a
+      | None -> (
+          (* fastest sizing: area at the curve's end point *)
+          match Library.area_for_delay lib rt ~required:(Library.min_delay lib rt) with
           | Some a -> a
-          | None -> (
-              (* fastest sizing: area at the curve's end point *)
-              match Library.area_for_delay lib rt ~required:(Library.min_delay lib rt) with
-              | Some a -> a
-              | None -> Library.area lib rt)
-        in
-        (i, rt, f, area) :: acc)
-      insts []
-    |> List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b)
+          | None -> Library.area lib rt)
+    in
+    (i, rt, f, area)
   in
-  let scale i = Hashtbl.find factor i in
+  let per_inst = List.filter_map Fun.id (List.init n (fun i -> Option.map (sized i) rtype.(i))) in
+  let scale i = factor.(i) in
   let wns =
     List.fold_left (fun acc p -> min acc (path_slack ~clock:rep.r_clock_ps p ~scale)) 0.0 rep.r_paths
   in

@@ -36,6 +36,7 @@ expect 1 "overconstrained spec"   schedule example1 --ii 1 --latency 1..1 --no-d
 expect 1 "bad latency bounds"     schedule example1 --latency nonsense
 expect 1 "bad --jobs"             explore example1 --jobs 0
 expect 1 "bad --clock"            flow example1 --clock 0
+expect 1 "bad --timeout"          flow example1 --timeout=nan
 
 # command-line misuse -> cmdliner's 124
 expect 124 "bad flag"             schedule example1 --no-such-flag

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI scale-smoke gate: run the design-size sweep at smoke sizes (~350 and
-# ~1k elaborated ops) and enforce two guards on the ~1k point:
+# ~1k elaborated ops) and enforce three guards on the ~1k point:
 #  - a generous wall-clock guard.  It is deliberately loose (CI machines
 #    are slow and shared): it exists to catch superlinear regressions that
 #    push the 1k point from under a second into the tens of seconds, not
@@ -8,20 +8,26 @@
 #  - a ceiling on its netlist timing queries.  The count is deterministic,
 #    so this guard holds on any machine: the saturation screen keeps it
 #    near 73k (525k without the screen's downstream walk), and 150k fails
-#    as soon as the screen silently stops deciding busy rejections.
+#    as soon as the screen silently stops deciding busy rejections;
+#  - a ceiling on the nodes the structural-cycle detector's searches
+#    visit, also deterministic: the incremental topological order keeps it
+#    near 37k, and a search that stops pruning to the order's window
+#    (a plain DFS per query) visits about 160k.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MAX_WALL_1K="${MAX_WALL_1K:-15.0}"
 max_queries_1k=150000
+max_cycle_visits_1k=92000
 
 dune exec bench/main.exe -- scale --smoke
 
 if command -v python3 >/dev/null 2>&1; then
-  python3 - "$MAX_WALL_1K" "$max_queries_1k" <<'EOF'
+  python3 - "$MAX_WALL_1K" "$max_queries_1k" "$max_cycle_visits_1k" <<'EOF'
 import json, sys
 limit = float(sys.argv[1])
 max_queries = int(sys.argv[2])
+max_cycle_visits = int(sys.argv[3])
 with open("BENCH_scale.json") as f:
     data = json.load(f)
 points = data["points"]
@@ -32,17 +38,24 @@ assert big["wall_s"] <= limit, (
     f"~1k-op point took {big['wall_s']:.2f}s > {limit}s wall guard")
 assert big["queries"] <= max_queries, (
     f"~1k-op point issued {big['queries']} timing queries > {max_queries} ceiling")
+assert big["cycle_visits"] <= max_cycle_visits, (
+    f"~1k-op point's cycle check visited {big['cycle_visits']} nodes > {max_cycle_visits} ceiling")
 print(f"scale smoke OK: {big['ops']} ops in {big['wall_s']:.2f}s "
-      f"(guard {limit}s), {big['queries']} queries (ceiling {max_queries})")
+      f"(guard {limit}s), {big['queries']} queries (ceiling {max_queries}), "
+      f"{big['cycle_visits']} cycle visits (ceiling {max_cycle_visits})")
 EOF
 else
-  # no python3: pull the largest point's wall_s and queries with sed/awk
-  big=$(sed 's/},{/}\n{/g' BENCH_scale.json | grep -o '"ops":[0-9]*,"wall_s":[0-9.]*,"queries":[0-9]*' |
+  # no python3: pull the largest point's counters with sed/awk
+  big=$(sed 's/},{/}\n{/g' BENCH_scale.json | grep -o '"ops":[0-9]*,"wall_s":.*' |
     sort -t: -k2 -n | tail -1)
   wall=$(echo "$big" | grep -o 'wall_s":[0-9.]*' | cut -d: -f2)
   queries=$(echo "$big" | grep -o 'queries":[0-9]*' | cut -d: -f2)
-  awk -v w="$wall" -v m="$MAX_WALL_1K" -v q="$queries" -v mq="$max_queries_1k" 'BEGIN {
+  cvis=$(echo "$big" | grep -o 'cycle_visits":[0-9]*' | cut -d: -f2)
+  awk -v w="$wall" -v m="$MAX_WALL_1K" -v q="$queries" -v mq="$max_queries_1k" \
+    -v c="$cvis" -v mc="$max_cycle_visits_1k" 'BEGIN {
     if (w == "" || w + 0 > m + 0) { print "scale smoke FAILED: wall " w "s > " m "s"; exit 1 }
     if (q == "" || q + 0 > mq + 0) { print "scale smoke FAILED: " q " queries > " mq; exit 1 }
-    print "scale smoke OK: ~1k point in " w "s (guard " m "s), " q " queries (ceiling " mq ")" }'
+    if (c == "" || c + 0 > mc + 0) { print "scale smoke FAILED: " c " cycle visits > " mc; exit 1 }
+    print "scale smoke OK: ~1k point in " w "s (guard " m "s), " q " queries (ceiling " mq "), " \
+      c " cycle visits (ceiling " mc ")" }'
 fi

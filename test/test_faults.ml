@@ -185,6 +185,29 @@ let test_wallclock_budget () =
   | Some (Diag.B_wallclock _) -> ()
   | _ -> Alcotest.fail "expected a wall-clock budget diagnostic"
 
+(* ---- fault class 10b: nonsense budgets ----
+   a NaN or negative timeout and a negative pass or action budget are
+   rejected up front; no tier serves them, degradation on or off *)
+
+let test_bad_budget () =
+  let d = Hls_core.Scheduler.default_options in
+  List.iter
+    (fun (sched, degrade) ->
+      let _ =
+        expect_error ~phase:Diag.Frontend ~code:"bad_budget"
+          ~options:{ no_verify with sched; degrade }
+          (Hls_designs.Example1.design ())
+      in
+      ())
+    [
+      ({ d with timeout_s = Some Float.nan }, false);
+      ({ d with timeout_s = Some Float.nan }, true);
+      ({ d with timeout_s = Some (-1.0) }, true);
+      ({ d with timeout_s = Some Float.neg_infinity }, true);
+      ({ d with max_passes = -1 }, true);
+      ({ d with max_actions = -1 }, true);
+    ]
+
 (* ---- fault class 11: budget exhaustion + degradation ladder ----
    The acceptance criterion: with every unified-scheduler tier starved by
    a zero wall-clock budget, the flow must still return a result, served
@@ -359,6 +382,7 @@ let suite =
     Alcotest.test_case "pass budget" `Quick test_pass_budget;
     Alcotest.test_case "action budget" `Quick test_action_budget;
     Alcotest.test_case "wall-clock budget" `Quick test_wallclock_budget;
+    Alcotest.test_case "nonsense budgets rejected" `Quick test_bad_budget;
     Alcotest.test_case "degrades to baseline tier" `Quick test_degrades_to_baseline;
     Alcotest.test_case "paranoid audit clean" `Quick test_paranoid_clean;
     Alcotest.test_case "diagnostic JSON" `Quick test_diag_json_well_formed;
