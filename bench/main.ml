@@ -1,11 +1,15 @@
 (** Experiment harness: regenerates every table and figure of the paper's
-    evaluation, plus Bechamel micro-benchmarks of the scheduler internals.
+    evaluation, plus the scale, nest, kernel and feedback experiments whose
+    JSON the CI smoke gates read.  Speed claims are measured by the
+    end-to-end benchmark in [bench/e2e], not here.
 
     {v
       dune exec bench/main.exe            # everything
       dune exec bench/main.exe table3     # one experiment
       dune exec bench/main.exe -- --list  # available experiments
     v}
+
+    An unknown experiment name exits 2 before anything runs.
 
     Paper-vs-measured records for each experiment are written to
     EXPERIMENTS.md by hand from this output (the shapes are deterministic;
@@ -290,13 +294,10 @@ let idct_point_name (p : Hls_dse.Dse.point) =
   | Hls_dse.Dse.Seq -> Printf.sprintf "Non-Pipelined %d" l
   | _ -> Printf.sprintf "Pipelined %d" l
 
-let idct_sweep_options =
-  { (flow_opts ()) with Hls_flow.Flow.verify = false }
-
-let idct_sweep ?(jobs = Domain.recommended_domain_count ()) ?max_workers
-    ?(engine = Hls_dse.Dse.create ()) () =
+let idct_sweep () =
   let sw =
-    Hls_dse.Dse.sweep ~jobs ?max_workers engine ~options:idct_sweep_options
+    Hls_dse.Dse.sweep ~jobs:(Domain.recommended_domain_count ()) (Hls_dse.Dse.create ())
+      ~options:{ (flow_opts ()) with Hls_flow.Flow.verify = false }
       (Hls_designs.Idct.design ()) (idct_points ())
   in
   let runs =
@@ -375,206 +376,6 @@ let fig10_11 () =
                  be achieved only by pipelining\")\n"
     (String.length fastest.Hls_report.Pareto.p_tag >= 4
     && String.sub fastest.Hls_report.Pareto.p_tag 0 4 = "Pipe")
-
-(* ------------------------------------------------------------------ *)
-(* DSE engine benchmark: exploration throughput and parallel speedup    *)
-(* ------------------------------------------------------------------ *)
-
-(* per-point orchestration overhead: wall-clock the sweep spent outside
-   the flow runs themselves (fingerprinting, dedup, domain spawn/handoff),
-   spread over the points *)
-let overhead_per_point (s : Hls_dse.Dse.stats) =
-  if s.Hls_dse.Dse.s_points > 0 then
-    (s.Hls_dse.Dse.s_wall_s -. s.Hls_dse.Dse.s_cpu_s) /. float_of_int s.Hls_dse.Dse.s_points
-  else 0.0
-
-let bench_dse () =
-  section "DSE — exploration throughput on the IDCT sweep (BENCH_dse.json)";
-  let requested_jobs = 4 in
-  (* fresh engine per timing run: the cache must not serve the second run.
-     max_workers is NOT lifted past the host's core count any more —
-     oversubscribing domains on a small machine measured the scheduler
-     thrash, not the engine (the old 0.32x "speedup") — so on a single-core
-     host the parallel run degrades to sequential and says so *)
-  let _, sw1 = idct_sweep ~jobs:1 ~engine:(Hls_dse.Dse.create ()) () in
-  let par_engine = Hls_dse.Dse.create () in
-  let _, swn = idct_sweep ~jobs:requested_jobs ~engine:par_engine () in
-  (* second parallel sweep on the same engine over a disjoint point set:
-     the process-wide pool is already spawned, so the wall difference against
-     the first sweep is the amortized domain-startup cost *)
-  let warm_points =
-    List.map
-      (fun (p : Hls_dse.Dse.point) ->
-        { p with Hls_dse.Dse.pt_clock_ps = p.Hls_dse.Dse.pt_clock_ps +. 8.0 })
-      (idct_points ())
-  in
-  let sw_pool =
-    Hls_dse.Dse.sweep ~jobs:requested_jobs par_engine ~options:idct_sweep_options
-      (Hls_designs.Idct.design ()) warm_points
-  in
-  (* and a cache-hit pass on a shared engine, to show the memoization *)
-  let engine = Hls_dse.Dse.create () in
-  let _ = idct_sweep ~jobs:1 ~engine () in
-  let _, sw_cached = idct_sweep ~jobs:1 ~engine () in
-  let s1 = Hls_dse.Dse.stats sw1 and sn = Hls_dse.Dse.stats swn in
-  let sp = Hls_dse.Dse.stats sw_pool in
-  let sc = Hls_dse.Dse.stats sw_cached in
-  let speedup = if sn.Hls_dse.Dse.s_wall_s > 0.0 then s1.Hls_dse.Dse.s_wall_s /. sn.Hls_dse.Dse.s_wall_s else 0.0 in
-  Printf.printf "jobs=1: %s\n" (Hls_dse.Dse.stats_to_string s1);
-  Printf.printf "jobs=%d (effective %d): %s\n" requested_jobs sn.Hls_dse.Dse.s_jobs
-    (Hls_dse.Dse.stats_to_string sn);
-  Printf.printf "jobs=%d warm pool: %s\n" requested_jobs (Hls_dse.Dse.stats_to_string sp);
-  Printf.printf "cached re-sweep: %s\n" (Hls_dse.Dse.stats_to_string sc);
-  Printf.printf
-    "per-point overhead: %.1f us (jobs=1), %.1f us (jobs=%d cold pool), %.1f us (jobs=%d warm \
-     pool)\n"
-    (overhead_per_point s1 *. 1e6)
-    (overhead_per_point sn *. 1e6)
-    requested_jobs
-    (overhead_per_point sp *. 1e6)
-    requested_jobs;
-  Printf.printf "speedup jobs=%d vs jobs=1: %.2fx (%d core(s) available)\n" requested_jobs speedup
-    (Domain.recommended_domain_count ());
-  Hls_dse.Dse.shutdown par_engine;
-  let oc = open_out "BENCH_dse.json" in
-  Printf.fprintf oc
-    {|{"design":"idct","points":%d,"requested_jobs":%d,"effective_jobs":%d,"cores":%d,"jobs_1":%s,"jobs_n":%s,"jobs_n_warm_pool":%s,"cached_resweep":%s,"points_per_s_jobs_1":%.3f,"points_per_s_jobs_n":%.3f,"overhead_per_point_s_jobs_1":%.6f,"overhead_per_point_s_jobs_n":%.6f,"overhead_per_point_s_warm_pool":%.6f,"speedup":%.3f}
-|}
-    s1.Hls_dse.Dse.s_points requested_jobs sn.Hls_dse.Dse.s_jobs
-    (Domain.recommended_domain_count ())
-    (Hls_dse.Dse.stats_to_json s1) (Hls_dse.Dse.stats_to_json sn)
-    (Hls_dse.Dse.stats_to_json sp)
-    (Hls_dse.Dse.stats_to_json sc)
-    s1.Hls_dse.Dse.s_points_per_s sn.Hls_dse.Dse.s_points_per_s (overhead_per_point s1)
-    (overhead_per_point sn) (overhead_per_point sp) speedup;
-  close_out oc;
-  print_endline "wrote BENCH_dse.json"
-
-(* ------------------------------------------------------------------ *)
-(* Scheduler benchmark: warm-start relaxation throughput                *)
-(* (BENCH_sched.json)                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let bench_sched () =
-  section "SCHED — warm-start relaxation-loop throughput (BENCH_sched.json)";
-  let reps = if !smoke then 1 else 3 in
-  (* the headline synthetic-350 run pipelines at II=2: its long relaxation
-     loop (40+ passes) works through SCC moves and speculation — the local
-     actions prefix replay warm-starts from.  The -seq variant relaxes
-     through global actions only (add state / add resource, which force a
-     cold restart by design), so it isolates what the pass-invariant
-     context, the heap and the ASAP/ALAP cache buy on their own; idct is
-     the paper's worked example. *)
-  let synth_profile tightness =
-    { Hls_designs.Synthetic.default_profile with
-      Hls_designs.Synthetic.p_ops = 350; p_seed = 7; p_tightness = tightness }
-  in
-  let designs =
-    [
-      ("synthetic-350",
-       (fun () -> Hls_designs.Synthetic.design ~profile:(synth_profile 0.5) ()), Some 2, 3200.0);
-      ("synthetic-350-seq",
-       (fun () -> Hls_designs.Synthetic.design ~profile:(synth_profile 0.4) ()), None, clock);
-      ("idct", (fun () -> Hls_designs.Idct.design ()), None, clock);
-    ]
-  in
-  let measure ~warm_start (mk : unit -> Ast.design) ii clk =
-    (* fresh elaboration per run — the scheduler mutates the region *)
-    let best = ref infinity in
-    let last = ref None in
-    for _ = 1 to reps do
-      let e = Elaborate.design (mk ()) in
-      let region = Elaborate.main_region ?ii e in
-      let opts = { Scheduler.default_options with warm_start } in
-      let t0 = Unix.gettimeofday () in
-      let r = Scheduler.schedule ~opts ~lib ~clock_ps:clk region in
-      let w = Unix.gettimeofday () -. t0 in
-      if w < !best then best := w;
-      last := Some r
-    done;
-    match !last with
-    | Some (Ok s) -> (!best, Some (Scheduler.stats s))
-    | _ -> (!best, None)
-  in
-  let flow_wall ~warm_start (mk : unit -> Ast.design) ii clk =
-    let options =
-      { (flow_opts ?ii ~clock_ps:clk ~sched:{ Scheduler.default_options with warm_start } ()) with
-        Hls_flow.Flow.verify = false }
-    in
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (Hls_flow.Flow.run ~options (mk ()));
-      let w = Unix.gettimeofday () -. t0 in
-      if w < !best then best := w
-    done;
-    !best
-  in
-  let rows =
-    List.map
-      (fun (name, mk, ii, clk) ->
-        let wall_legacy, st_legacy = measure ~warm_start:false mk ii clk in
-        let wall_warm, st_warm = measure ~warm_start:true mk ii clk in
-        let fw_legacy = flow_wall ~warm_start:false mk ii clk in
-        let fw_warm = flow_wall ~warm_start:true mk ii clk in
-        let speedup = if wall_warm > 0.0 then wall_legacy /. wall_warm else 0.0 in
-        (match (st_legacy, st_warm) with
-        | Some l, Some w ->
-            let pps wall (st : Scheduler.stats) =
-              if wall > 0.0 then float_of_int st.Scheduler.st_passes /. wall else 0.0
-            in
-            Printf.printf
-              "  %-14s legacy %.3f s (%d passes, %.1f passes/s, %d queries) | warm %.3f s (%.1f \
-               passes/s, %d queries, %d warm / %d cold) | speedup %.2fx | flow %.3f -> %.3f s\n%!"
-              name wall_legacy l.Scheduler.st_passes (pps wall_legacy l) l.Scheduler.st_queries
-              wall_warm (pps wall_warm w) w.Scheduler.st_queries w.Scheduler.st_warm_passes
-              w.Scheduler.st_cold_passes speedup fw_legacy fw_warm
-        | _ -> Printf.printf "  %-14s FAILED to schedule\n%!" name);
-        (name, wall_legacy, wall_warm, speedup, fw_legacy, fw_warm, st_legacy, st_warm))
-      designs
-  in
-  let json_row (name, wl, ww, sp, fl, fw, stl, stw) =
-    let stats_part tag (st : Scheduler.stats option) =
-      match st with
-      | None -> Printf.sprintf {|"%s_passes":0,"%s_queries":0|} tag tag
-      | Some s ->
-          Printf.sprintf {|"%s_passes":%d,"%s_queries":%d|} tag s.Scheduler.st_passes tag
-            s.Scheduler.st_queries
-    in
-    let warm_counts =
-      match stw with
-      | None -> {|"warm_start_passes":0,"cold_start_passes":0|}
-      | Some s ->
-          Printf.sprintf {|"warm_start_passes":%d,"cold_start_passes":%d|}
-            s.Scheduler.st_warm_passes s.Scheduler.st_cold_passes
-    in
-    let queries_saved =
-      match (stl, stw) with
-      | Some l, Some w -> l.Scheduler.st_queries - w.Scheduler.st_queries
-      | _ -> 0
-    in
-    Printf.sprintf
-      {|{"design":"%s","wall_legacy_s":%.6f,"wall_warm_s":%.6f,"speedup":%.3f,"flow_wall_legacy_s":%.6f,"flow_wall_warm_s":%.6f,%s,%s,%s,"queries_saved":%d}|}
-      name wl ww sp fl fw (stats_part "legacy" stl) (stats_part "warm" stw) warm_counts
-      queries_saved
-  in
-  let speedup_of name =
-    match List.find_opt (fun (n, _, _, _, _, _, _, _) -> n = name) rows with
-    | Some (_, _, _, sp, _, _, _, _) -> sp
-    | None -> 0.0
-  in
-  let synth_speedup = speedup_of "synthetic-350" in
-  let oc = open_out "BENCH_sched.json" in
-  Printf.fprintf oc
-    {|{"reps":%d,"speedup_synthetic_350":%.3f,"speedup_synthetic_350_seq":%.3f,"designs":[%s]}
-|}
-    reps synth_speedup
-    (speedup_of "synthetic-350-seq")
-    (String.concat "," (List.map json_row rows));
-  close_out oc;
-  Printf.printf "synthetic-350 relaxation-loop speedup (warm vs legacy): %.2fx (target >= 1.5x)\n"
-    synth_speedup;
-  print_endline "wrote BENCH_sched.json"
 
 (* ------------------------------------------------------------------ *)
 (* Worked examples 1-3 narratives                                       *)
@@ -703,125 +504,6 @@ let ablation_timing () =
       designs
   in
   Hls_report.Table.print ([ "design"; "area aware/naive"; "wns aware/naive (ps)" ] :: rows)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                            *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  section "MICRO — Bechamel benchmarks of the scheduler internals";
-  let open Bechamel in
-  let e = Hls_designs.Example1.elaborated ~max_latency:4 () in
-  let region = Elaborate.main_region ~ii:2 e in
-  let sched_example1 =
-    Test.make ~name:"schedule example1 (II=2, full relaxation loop)"
-      (Staged.stage (fun () ->
-           let e = Hls_designs.Example1.elaborated ~max_latency:4 ~ii:2 () in
-           let region = Elaborate.main_region e in
-           ignore (Scheduler.schedule ~lib ~clock_ps:clock region)))
-  in
-  let asap =
-    Test.make ~name:"asap/alap analysis (example1)"
-      (Staged.stage (fun () -> ignore (Asap_alap.compute ~lib ~clock_ps:clock region)))
-  in
-  let sccs =
-    Test.make ~name:"SCC detection (example1)"
-      (Staged.stage (fun () -> ignore (Region.sccs region)))
-  in
-  let synth100 =
-    let d = Hls_designs.Synthetic.design ~profile:{ Hls_designs.Synthetic.default_profile with p_ops = 100; p_seed = 3 } () in
-    Test.make ~name:"schedule synthetic-100"
-      (Staged.stage (fun () ->
-           let e = Elaborate.design d in
-           let region = Elaborate.main_region e in
-           ignore (Scheduler.schedule ~lib ~clock_ps:clock region)))
-  in
-  let behave =
-    let d = Hls_designs.Example1.design () in
-    let stim = Hls_sim.Stimulus.small_random ~seed:3 ~n_iters:100 ~ports:d.Ast.d_ins in
-    Test.make ~name:"behavioural sim (100 iters)"
-      (Staged.stage (fun () -> ignore (Hls_sim.Behav.run d stim)))
-  in
-  let tests = [ sched_example1; asap; sccs; synth100; behave ] in
-  let benchmark test =
-    let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) ~kde:(Some 300) () in
-    let results =
-      Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] (Test.make_grouped ~name:"g" [ test ])
-    in
-    let ols =
-      Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]) Toolkit.Instance.monotonic_clock results
-    in
-    Hashtbl.iter
-      (fun name r ->
-        match Bechamel.Analyze.OLS.estimates r with
-        | Some [ est ] -> Printf.printf "  %-48s %12.0f ns/run\n" name est
-        | _ -> ())
-      ols
-  in
-  List.iter benchmark tests
-
-(* ------------------------------------------------------------------ *)
-(* Netlist engine benchmark: incremental-timing query throughput and    *)
-(* trial/rollback transaction throughput (BENCH_netlist.json)           *)
-(* ------------------------------------------------------------------ *)
-
-let bench_netlist () =
-  section "NETLIST — incremental timing engine throughput (BENCH_netlist.json)";
-  let module Netlist = Hls_netlist.Netlist in
-  let profile =
-    { Hls_designs.Synthetic.default_profile with Hls_designs.Synthetic.p_ops = 350; p_seed = 7 }
-  in
-  let d = Hls_designs.Synthetic.design ~profile () in
-  let e = Elaborate.design d in
-  let region = Elaborate.main_region e in
-  match Scheduler.schedule ~lib ~clock_ps:clock region with
-  | Error err -> Printf.printf "synthetic-350 failed to schedule: %s\n" err.Scheduler.e_message
-  | Ok s ->
-      let net = s.Scheduler.s_binding.Hls_core.Binding.net in
-      let st = Scheduler.stats s in
-      let ns = Netlist.stats net in
-      let sched_queries_per_s =
-        if st.Scheduler.st_sched_s > 0.0 then
-          float_of_int ns.Netlist.s_queries /. st.Scheduler.st_sched_s
-        else 0.0
-      in
-      (* micro-loop: a full what-if transaction (open, recompute the seed
-         ops, roll back) — the unit of work a candidate binding costs *)
-      let seeds =
-        Netlist.fold_placements net (fun op _ acc -> op :: acc) [] |> fun l ->
-        List.filteri (fun i _ -> i < 32) (List.sort compare l)
-      in
-      let iters = if !smoke then 50 else 2000 in
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to iters do
-        Netlist.begin_trial net;
-        List.iter (fun op -> ignore (Netlist.recompute_arrival net op)) seeds;
-        Netlist.rollback net
-      done;
-      let trial_s = Unix.gettimeofday () -. t0 in
-      let trial_per_s = if trial_s > 0.0 then float_of_int iters /. trial_s else 0.0 in
-      let micro_queries_per_s =
-        if trial_s > 0.0 then float_of_int (iters * List.length seeds) /. trial_s else 0.0
-      in
-      let deviation = Netlist.reference_deviation net in
-      Printf.printf "schedule: %d ops, LI=%d, %.3f s in the scheduler\n"
-        (Netlist.n_placed net) s.Scheduler.s_li st.Scheduler.st_sched_s;
-      Printf.printf "scheduling run: %d queries, %d trials (%d commits / %d rollbacks), %.0f queries/s\n"
-        ns.Netlist.s_queries ns.Netlist.s_trials ns.Netlist.s_commits ns.Netlist.s_rollbacks
-        sched_queries_per_s;
-      Printf.printf "micro trial/rollback: %d iters x %d seeds in %.3f s = %.0f transactions/s, %.0f queries/s\n"
-        iters (List.length seeds) trial_s trial_per_s micro_queries_per_s;
-      Printf.printf "oracle deviation vs reference evaluator: %.6f ps\n" deviation;
-      let oc = open_out "BENCH_netlist.json" in
-      Printf.fprintf oc
-        {|{"design":"synthetic-350","ops":%d,"li":%d,"sched_s":%.6f,"queries":%d,"trials":%d,"commits":%d,"rollbacks":%d,"sched_queries_per_s":%.1f,"trial_rollback_iters":%d,"trial_rollback_s":%.6f,"trial_rollback_per_s":%.1f,"micro_queries_per_s":%.1f,"oracle_max_deviation_ps":%.6f}
-|}
-        (Netlist.n_placed net)
-        s.Scheduler.s_li st.Scheduler.st_sched_s ns.Netlist.s_queries ns.Netlist.s_trials
-        ns.Netlist.s_commits ns.Netlist.s_rollbacks sched_queries_per_s iters trial_s trial_per_s
-        micro_queries_per_s deviation;
-      close_out oc;
-      print_endline "wrote BENCH_netlist.json"
 
 (* ------------------------------------------------------------------ *)
 (* Design-size scaling sweep: wall clock and query throughput vs op     *)
@@ -1169,9 +851,6 @@ let experiments =
     ("fig9", fun () -> fig9 ());
     ("fig10", fig10_11);
     ("fig11", fig10_11);
-    ("dse", bench_dse);
-    ("sched", bench_sched);
-    ("netlist", bench_netlist);
     ("scale", bench_scale);
     ("nest", bench_nest);
     ("feedback", bench_feedback);
@@ -1179,7 +858,6 @@ let experiments =
     ("examples", examples);
     ("baselines", baselines);
     ("ablation-timing", ablation_timing);
-    ("micro", micro);
   ]
 
 let () =
@@ -1201,10 +879,9 @@ let () =
       List.iter
         (fun (n, f) -> if n <> "fig11" then f ())
         experiments
-  | names ->
-      List.iter
-        (fun n ->
-          match List.assoc_opt n experiments with
-          | Some f -> f ()
-          | None -> Printf.eprintf "unknown experiment %s (try --list)\n" n)
-        names
+  | names -> (
+      match List.filter (fun n -> not (List.mem_assoc n experiments)) names with
+      | [] -> List.iter (fun n -> (List.assoc n experiments) ()) names
+      | unknown ->
+          List.iter (Printf.eprintf "unknown experiment %s (try --list)\n") unknown;
+          exit 2)

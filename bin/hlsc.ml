@@ -88,11 +88,11 @@ let feedback_arg =
 
 let feedback_iters_arg =
   Arg.(
-    value & opt int 2
+    value & opt (some int) None
     & info [ "feedback-iters" ] ~docv:"N"
-        ~doc:"Schedule calls the feedback loop may spend (default 2; implies $(b,--feedback)).")
-
-let opt_arg = Arg.(value & flag & info [ "optimize" ] ~doc:"Run the DFG optimizer before scheduling.")
+        ~doc:
+          "Schedule calls the feedback loop may spend, at least 1 (default 2; implies \
+           $(b,--feedback)).")
 
 let parse_latency = function
   | None -> Ok (None, None)
@@ -159,16 +159,18 @@ let parse_ii = function
               Ok (None, Some dims)
           | _ -> Error (Printf.sprintf "bad --ii value '%s' (expected N or AxB, e.g. 4x1)" s)))
 
-let flow_result ~ii ~clock ~latency ~optimize ~trace ~robust ?(nest = `Flatten)
-    ?(feedback = false) ?(feedback_iters = 2) design_name =
+(* an explicit --feedback-iters turns the loop on, whatever its value *)
+let parse_feedback ~feedback = function
+  | None -> Ok (feedback, Hls_flow.Flow.default_options.Hls_flow.Flow.feedback_iters)
+  | Some n when n >= 1 -> Ok (true, n)
+  | Some n -> Error (Printf.sprintf "bad --feedback-iters %d (expected N >= 1)" n)
+
+let flow_result ~ii ~clock ~latency ~trace ~robust ?(nest = `Flatten) ?(feedback = false)
+    ?feedback_iters design_name =
   let design = or_die (load_design design_name) in
   let ii, ii_dims = or_die (parse_ii ii) in
   let min_latency, max_latency = or_die (parse_latency latency) in
-  let design =
-    if optimize then design (* the optimizer runs on the elaborated form inside the flow below *)
-    else design
-  in
-  ignore optimize;
+  let feedback, feedback_iters = or_die (parse_feedback ~feedback feedback_iters) in
   let sched =
     {
       Hls_core.Scheduler.default_options with
@@ -190,8 +192,8 @@ let flow_result ~ii ~clock ~latency ~optimize ~trace ~robust ?(nest = `Flatten)
       sched;
       degrade = not robust.no_degrade;
       paranoid = robust.paranoid;
-      feedback = feedback || feedback_iters <> 2;
-      feedback_iters = max 1 feedback_iters;
+      feedback;
+      feedback_iters;
     }
   in
   let trace_obj = if trace then Some (Hls_core.Trace.create ~echo:true ()) else None in
@@ -223,6 +225,12 @@ let designs_cmd =
 
 let compile_cmd =
   let doc = "Elaborate a design and summarize its CDFG." in
+  let optimize_arg =
+    Arg.(
+      value & flag
+      & info [ "optimize" ]
+          ~doc:"Run the DFG optimizer on the elaborated design and report what it changed.")
+  in
   let run name optimize =
     guarded @@ fun () ->
     let design = or_die (load_design name) in
@@ -263,52 +271,43 @@ let compile_cmd =
           (fun i scc -> Printf.printf "SCC %d: %d ops (must fit one pipeline stage)\n" i (List.length scc))
           (Hls_ir.Region.sccs region)
   in
-  Cmd.v (Cmd.info "compile" ~doc) Term.(const run $ design_arg $ opt_arg)
+  Cmd.v (Cmd.info "compile" ~doc) Term.(const run $ design_arg $ optimize_arg)
 
 let schedule_cmd =
   let doc = "Schedule and bind a design; print the resource/state table." in
-  let run name ii clock latency trace optimize robust nest feedback feedback_iters =
+  let run name ii clock latency trace robust nest feedback feedback_iters =
     guarded @@ fun () ->
-    let r =
-      flow_result ~ii ~clock ~latency ~optimize ~trace ~robust ~nest ~feedback ~feedback_iters
-        name
-    in
+    let r = flow_result ~ii ~clock ~latency ~trace ~robust ~nest ~feedback ?feedback_iters name in
     print_string (Render.schedule r)
   in
   Cmd.v (Cmd.info "schedule" ~doc)
     Term.(
-      const run $ design_arg $ ii_arg $ clock_arg $ latency_arg $ trace_arg $ opt_arg $ robust_term
-      $ nest_arg $ feedback_arg $ feedback_iters_arg)
+      const run $ design_arg $ ii_arg $ clock_arg $ latency_arg $ trace_arg $ robust_term $ nest_arg
+      $ feedback_arg $ feedback_iters_arg)
 
 let pipeline_cmd =
   let doc = "Schedule, fold and print the pipeline kernel (the Fig. 5 view)." in
-  let run name ii clock latency trace optimize robust nest feedback feedback_iters =
+  let run name ii clock latency trace robust nest feedback feedback_iters =
     guarded @@ fun () ->
-    let r =
-      flow_result ~ii ~clock ~latency ~optimize ~trace ~robust ~nest ~feedback ~feedback_iters
-        name
-    in
+    let r = flow_result ~ii ~clock ~latency ~trace ~robust ~nest ~feedback ?feedback_iters name in
     print_string (Render.pipeline r)
   in
   Cmd.v (Cmd.info "pipeline" ~doc)
     Term.(
-      const run $ design_arg $ ii_arg $ clock_arg $ latency_arg $ trace_arg $ opt_arg $ robust_term
-      $ nest_arg $ feedback_arg $ feedback_iters_arg)
+      const run $ design_arg $ ii_arg $ clock_arg $ latency_arg $ trace_arg $ robust_term $ nest_arg
+      $ feedback_arg $ feedback_iters_arg)
 
 let flow_cmd =
   let doc = "Run the full flow: schedule, fold, area/power, verification." in
-  let run name ii clock latency trace optimize robust nest feedback feedback_iters =
+  let run name ii clock latency trace robust nest feedback feedback_iters =
     guarded @@ fun () ->
-    let r =
-      flow_result ~ii ~clock ~latency ~optimize ~trace ~robust ~nest ~feedback ~feedback_iters
-        name
-    in
+    let r = flow_result ~ii ~clock ~latency ~trace ~robust ~nest ~feedback ?feedback_iters name in
     print_string (Render.flow r)
   in
   Cmd.v (Cmd.info "flow" ~doc)
     Term.(
-      const run $ design_arg $ ii_arg $ clock_arg $ latency_arg $ trace_arg $ opt_arg $ robust_term
-      $ nest_arg $ feedback_arg $ feedback_iters_arg)
+      const run $ design_arg $ ii_arg $ clock_arg $ latency_arg $ trace_arg $ robust_term $ nest_arg
+      $ feedback_arg $ feedback_iters_arg)
 
 let fuzz_cmd =
   let doc =
@@ -351,7 +350,7 @@ let cosim_cmd =
   in
   let run name ii clock latency robust nest iters seed =
     guarded @@ fun () ->
-    let r = flow_result ~ii ~clock ~latency ~optimize:false ~trace:false ~robust ~nest name in
+    let r = flow_result ~ii ~clock ~latency ~trace:false ~robust ~nest name in
     let d = r.Hls_flow.Flow.f_design in
     let elab = r.Hls_flow.Flow.f_elab and sched = r.Hls_flow.Flow.f_sched in
     let stim = Hls_sim.Stimulus.small_random ~seed ~n_iters:iters ~ports:d.Ast.d_ins in
@@ -395,9 +394,9 @@ let emit_cmd =
   let out_arg =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file (default stdout).")
   in
-  let run name ii clock latency out optimize robust =
+  let run name ii clock latency out robust =
     guarded @@ fun () ->
-    let r = flow_result ~ii ~clock ~latency ~optimize ~trace:false ~robust name in
+    let r = flow_result ~ii ~clock ~latency ~trace:false ~robust name in
     let src = Hls_rtl.Verilog.emit r.Hls_flow.Flow.f_elab r.Hls_flow.Flow.f_sched r.Hls_flow.Flow.f_fold in
     (match Hls_rtl.Verilog.lint src with
     | [] -> ()
@@ -413,7 +412,7 @@ let emit_cmd =
     | None -> print_string src
   in
   Cmd.v (Cmd.info "emit" ~doc)
-    Term.(const run $ design_arg $ ii_arg $ clock_arg $ latency_arg $ out_arg $ opt_arg $ robust_term)
+    Term.(const run $ design_arg $ ii_arg $ clock_arg $ latency_arg $ out_arg $ robust_term)
 
 let explore_cmd =
   let doc =
@@ -945,62 +944,6 @@ let bench_chaos_cmd =
       const run $ socket_arg $ requests_arg $ design_opt_arg $ cmd_opt_arg $ retries_arg
       $ json_arg)
 
-let bench_serve_cmd =
-  let doc =
-    "Load-test a running daemon: K concurrent clients, each submitting M distinct compiles \
-     (cold phase) and then the same M again (warm phase, pure cache service); report p50/p95 \
-     latency, throughput, cache hit rate and warm speedup."
-  in
-  let clients_arg =
-    Arg.(value & opt int 8 & info [ "clients" ] ~docv:"K" ~doc:"Concurrent clients (default 8).")
-  in
-  let requests_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "requests" ] ~docv:"M" ~doc:"Requests per client per phase (default 4).")
-  in
-  let design_opt_arg =
-    Arg.(
-      value & opt string "fir8"
-      & info [ "design" ] ~docv:"NAME" ~doc:"Built-in design to compile (default fir8).")
-  in
-  let cmd_opt_arg =
-    Arg.(
-      value & opt string "schedule"
-      & info [ "cmd" ] ~docv:"CMD" ~doc:"schedule, pipeline or flow (default schedule).")
-  in
-  let json_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also write the result as JSON to $(docv).")
-  in
-  let run socket clients requests design cmdname json =
-    guarded @@ fun () ->
-    let cmd = or_die (cmd_of_name cmdname) in
-    let b = or_die (Client.bench ~socket ~clients ~requests ~design ~cmd ()) in
-    Printf.printf
-      "%d clients x %d requests: cold p50 %.1f ms p95 %.1f ms (%.1f req/s), warm p50 %.2f ms \
-       p95 %.2f ms (%.1f req/s), speedup %.1fx, cache hit rate %.1f%%, errors %d\n"
-      b.Client.b_clients b.Client.b_requests b.Client.b_cold_p50_ms b.Client.b_cold_p95_ms
-      b.Client.b_cold_throughput b.Client.b_warm_p50_ms b.Client.b_warm_p95_ms
-      b.Client.b_warm_throughput b.Client.b_speedup
-      (100.0 *. b.Client.b_cache_hit_rate)
-      b.Client.b_errors;
-    (match json with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Client.bench_to_json b);
-        output_string oc "\n";
-        close_out oc;
-        Printf.printf "wrote %s\n" path);
-    if b.Client.b_errors > 0 then exit 1
-  in
-  Cmd.v (Cmd.info "bench-serve" ~doc)
-    Term.(
-      const run $ socket_arg $ clients_arg $ requests_arg $ design_opt_arg $ cmd_opt_arg
-      $ json_arg)
-
 let version_cmd =
   let doc = "Print the binary and wire-protocol versions." in
   Cmd.v (Cmd.info "version" ~doc)
@@ -1019,6 +962,6 @@ let () =
           [
             designs_cmd; compile_cmd; schedule_cmd; pipeline_cmd; flow_cmd; fuzz_cmd; cosim_cmd;
             emit_cmd; explore_cmd;
-            serve_cmd; submit_cmd; stats_cmd; health_cmd; bench_serve_cmd; bench_chaos_cmd;
+            serve_cmd; submit_cmd; stats_cmd; health_cmd; bench_chaos_cmd;
             version_cmd;
           ]))

@@ -42,10 +42,11 @@ type options = {
   warm_start : bool;
       (** reuse pass-invariant analysis across relaxation passes, pick ready
           ops through the lazy-deletion heap, and replay the unaffected
-          schedule prefix after a local expert action.  Disabling restores
-          the pre-optimization cold-restart loop (the benchmark baseline):
-          every pass rebuilds its tables, recomputes ASAP/ALAP and re-vets
-          every binding from step 0. *)
+          schedule prefix after a local expert action.  Disabling runs the
+          plain cold-restart loop: every pass rebuilds its tables,
+          recomputes ASAP/ALAP and re-vets every binding from step 0.  That
+          loop is the test reference: [test_sched_perf]'s warm-equals-cold
+          property checks every observable of the warm path against it. *)
   tolerate_scc_slack : bool;
       (** Table 4 ablation: when the SCC-move action is disabled, bind SCC
           members at their window even with negative slack and leave the
@@ -546,8 +547,8 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
       flush_stash ()
     end
     else begin
-      (* legacy pick: one O(|ready|) fold per extraction — the benchmark
-         baseline ([warm_start = false]) *)
+      (* reference pick ([warm_start = false]): one O(|ready|) fold per
+         extraction, which the heap pick above must match *)
       let continue_step = ref true in
       while !continue_step do
         let best = ref None in
@@ -731,14 +732,14 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
   let n_actions = ref 0 in
   let result = ref None in
   let passes = ref 0 in
-  (* --- warm-start state (tentpole) ---
+  (* --- warm-start state ---
      [ctx0] is the pass-invariant analysis, hoisted out of the pass; the
      aa cache keeps ASAP/ALAP across passes whose actions cannot move it
      (speculate / forbid / add-resource); [prev_log]+[next_warm] carry the
      previous pass's event log and the first step the latest actions can
      affect, enabling prefix replay.  With [warm_start = false] none of
      this is consulted: every pass rebuilds its tables and recomputes the
-     interval analysis — the pre-optimization baseline. *)
+     interval analysis — the reference the warm path is tested against. *)
   let ctx0 = if opts.warm_start then Some (Pass_ctx.create region) else None in
   let aa_cache = ref None in
   let prev_log = ref None in

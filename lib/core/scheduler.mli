@@ -26,7 +26,8 @@ type options = {
       (** reuse pass-invariant analysis across relaxation passes, pick
           ready ops through the lazy-deletion heap, and replay the
           unaffected schedule prefix after a local expert action; disable
-          for the cold-restart baseline *)
+          for the cold-restart loop, the test reference every warm-path
+          observable is checked against *)
   tolerate_scc_slack : bool;
       (** Table 4 ablation: with SCC moves disabled, force-bind SCC members
           at their window and let downstream sizing absorb the slack *)

@@ -199,7 +199,6 @@ type stats = {
 
 val stats : sweep -> stats
 val stats_to_string : stats -> string
-val stats_to_json : stats -> string
 
 val table : result list -> string list list
 (** Rows for {!Hls_report.Table}: config, tier, II, LI, delay, area,

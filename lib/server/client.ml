@@ -196,137 +196,3 @@ let submit_retrying ?on_event ?(retries = 3) ?(backoff_s = 0.05) ?(max_backoff_s
     | Error m -> Error m
   in
   attempt 0 backoff_s
-
-(* ------------------------------------------------------------------ *)
-(* Load generator *)
-
-type bench_result = {
-  b_clients : int;
-  b_requests : int;
-  b_cold_wall_s : float;
-  b_warm_wall_s : float;
-  b_cold_p50_ms : float;
-  b_cold_p95_ms : float;
-  b_warm_p50_ms : float;
-  b_warm_p95_ms : float;
-  b_cold_throughput : float;
-  b_warm_throughput : float;
-  b_cache_hit_rate : float;
-  b_speedup : float;
-  b_errors : int;
-}
-
-let percentile p xs =
-  match Array.length xs with
-  | 0 -> 0.0
-  | n ->
-      let sorted = Array.copy xs in
-      Array.sort compare sorted;
-      let idx = min (n - 1) (int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1) in
-      sorted.(max 0 idx)
-
-let bench ~socket ~clients ~requests ~design ~cmd () =
-  (* each (client, request) pair gets its own clock so the cold phase is
-     [clients * requests] genuinely distinct compiles; the warm phase
-     repeats the exact same specs, so it is pure cache service *)
-  let spec_of i j =
-    P.job_spec ~verify:false ~clock_ps:(1600.0 +. float_of_int ((i * requests) + j)) cmd
-      (`Builtin design)
-  in
-  let n = clients * requests in
-  let lat_cold = Array.make n 0.0 in
-  let lat_warm = Array.make n 0.0 in
-  let cached = Array.make (2 * n) false in
-  let errors = Atomic.make 0 in
-  let barrier_m = Mutex.create () in
-  let barrier_c = Condition.create () in
-  let phase_left = ref clients in
-  let phase_go = ref 0 in
-  (* classic two-phase barrier: last thread in flips the generation *)
-  let barrier () =
-    Mutex.lock barrier_m;
-    let gen = !phase_go in
-    decr phase_left;
-    if !phase_left = 0 then begin
-      phase_left := clients;
-      incr phase_go;
-      Condition.broadcast barrier_c
-    end
-    else while !phase_go = gen do Condition.wait barrier_c barrier_m done;
-    Mutex.unlock barrier_m
-  in
-  let t_cold_start = ref 0.0 and t_cold_end = ref 0.0 in
-  let t_warm_start = ref 0.0 and t_warm_end = ref 0.0 in
-  let worker i =
-    match connect ~socket () with
-    | Error _ ->
-        Atomic.incr errors;
-        barrier ();
-        barrier ();
-        barrier ()
-    | Ok conn ->
-        let one phase j =
-          let t0 = Unix.gettimeofday () in
-          (match submit conn (spec_of i j) with
-          | Ok o ->
-              let slot = (i * requests) + j in
-              cached.((phase * n) + slot) <- o.P.o_cached;
-              if o.P.o_status <> P.S_ok then Atomic.incr errors
-          | Error _ -> Atomic.incr errors);
-          Unix.gettimeofday () -. t0
-        in
-        (* cold phase *)
-        if i = 0 then t_cold_start := Unix.gettimeofday ();
-        barrier ();
-        for j = 0 to requests - 1 do
-          lat_cold.((i * requests) + j) <- one 0 j
-        done;
-        barrier ();
-        if i = 0 then begin
-          t_cold_end := Unix.gettimeofday ();
-          t_warm_start := !t_cold_end
-        end;
-        (* warm phase: identical specs, so every request is a cache hit *)
-        barrier ();
-        for j = 0 to requests - 1 do
-          lat_warm.((i * requests) + j) <- one 1 j
-        done;
-        if i = 0 then t_warm_end := Unix.gettimeofday ();
-        close conn
-  in
-  if clients < 1 || requests < 1 then Error "bench needs at least one client and one request"
-  else begin
-    let t0 = Unix.gettimeofday () in
-    t_cold_start := t0;
-    let threads = List.init clients (fun i -> Thread.create worker i) in
-    List.iter Thread.join threads;
-    if !t_warm_end = 0.0 then t_warm_end := Unix.gettimeofday ();
-    let cold_wall = max 1e-9 (!t_cold_end -. !t_cold_start) in
-    let warm_wall = max 1e-9 (!t_warm_end -. !t_warm_start) in
-    let cold_p50 = percentile 50.0 lat_cold *. 1000.0 in
-    let warm_p50 = percentile 50.0 lat_warm *. 1000.0 in
-    let hits = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 cached in
-    Ok
-      {
-        b_clients = clients;
-        b_requests = requests;
-        b_cold_wall_s = cold_wall;
-        b_warm_wall_s = warm_wall;
-        b_cold_p50_ms = cold_p50;
-        b_cold_p95_ms = percentile 95.0 lat_cold *. 1000.0;
-        b_warm_p50_ms = warm_p50;
-        b_warm_p95_ms = percentile 95.0 lat_warm *. 1000.0;
-        b_cold_throughput = float_of_int n /. cold_wall;
-        b_warm_throughput = float_of_int n /. warm_wall;
-        b_cache_hit_rate = float_of_int hits /. float_of_int (2 * n);
-        b_speedup = (if warm_p50 > 0.0 then cold_p50 /. warm_p50 else 0.0);
-        b_errors = Atomic.get errors;
-      }
-  end
-
-let bench_to_json b =
-  Printf.sprintf
-    {|{"clients":%d,"requests_per_client_per_phase":%d,"cold_wall_s":%.6f,"warm_wall_s":%.6f,"cold_p50_ms":%.3f,"cold_p95_ms":%.3f,"warm_p50_ms":%.3f,"warm_p95_ms":%.3f,"cold_throughput_rps":%.2f,"warm_throughput_rps":%.2f,"cache_hit_rate":%.4f,"warm_speedup":%.2f,"errors":%d}|}
-    b.b_clients b.b_requests b.b_cold_wall_s b.b_warm_wall_s b.b_cold_p50_ms b.b_cold_p95_ms
-    b.b_warm_p50_ms b.b_warm_p95_ms b.b_cold_throughput b.b_warm_throughput b.b_cache_hit_rate
-    b.b_speedup b.b_errors

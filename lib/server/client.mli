@@ -1,6 +1,6 @@
 (** Client half of the compile-service protocol: connection + handshake,
     blocking submit with live event streaming, job cancellation, stats,
-    and the [bench-serve] load generator. *)
+    health and the retrying submit. *)
 
 type t
 (** One connection to a daemon (handshake already verified). *)
@@ -63,37 +63,3 @@ val submit_retrying :
     answers retrying cannot change — [bad_design], [draining],
     [deadline_exceeded], a compile failure — are returned as-is.
     [Ok (outcome, attempts)] reports how many attempts were spent. *)
-
-(** {2 Load generator ([hlsc bench-serve])} *)
-
-type bench_result = {
-  b_clients : int;
-  b_requests : int;  (** per client, per phase *)
-  b_cold_wall_s : float;  (** wall clock of the cold phase (distinct points) *)
-  b_warm_wall_s : float;  (** wall clock of the warm phase (repeat requests) *)
-  b_cold_p50_ms : float;
-  b_cold_p95_ms : float;
-  b_warm_p50_ms : float;
-  b_warm_p95_ms : float;
-  b_cold_throughput : float;  (** requests per second, cold phase *)
-  b_warm_throughput : float;
-  b_cache_hit_rate : float;  (** cache-served fraction over both phases *)
-  b_speedup : float;  (** cold p50 / warm p50 *)
-  b_errors : int;
-}
-
-val bench :
-  socket:string ->
-  clients:int ->
-  requests:int ->
-  design:string ->
-  cmd:Protocol.cmd ->
-  unit ->
-  (bench_result, string) result
-(** Run [clients] concurrent client threads, each with its own
-    connection, through two phases: a {e cold} phase of [requests]
-    distinct configurations per client (every request a fresh compile)
-    and a {e warm} phase repeating exactly the same configurations
-    (every request a cache hit).  Latencies are per-request round trips. *)
-
-val bench_to_json : bench_result -> string

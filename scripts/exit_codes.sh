@@ -37,11 +37,21 @@ expect 1 "bad latency bounds"     schedule example1 --latency nonsense
 expect 1 "bad --jobs"             explore example1 --jobs 0
 expect 1 "bad --clock"            flow example1 --clock 0
 expect 1 "bad --timeout"          flow example1 --timeout=nan
+expect 1 "bad --feedback-iters"   flow example1 --feedback-iters 0
 
 # command-line misuse -> cmdliner's 124
 expect 124 "bad flag"             schedule example1 --no-such-flag
 expect 124 "unknown subcommand"   frobnicate
 expect 124 "missing argument"     schedule
+expect 124 "no --optimize on flow" flow example1 --optimize
+
+# an explicit --feedback-iters turns the loop on, even at its default value
+if $HLSC flow idct --feedback-iters 2 2>&1 >/dev/null | grep -q feedback_iter; then
+  echo "ok   --feedback-iters 2 implies --feedback"
+else
+  echo "FAIL --feedback-iters 2 ran without the feedback loop" >&2
+  fail=1
+fi
 
 # service-tier typed errors -> 1
 # no daemon behind the socket: a transport failure, not a crash
