@@ -133,7 +133,7 @@ let table4 () =
         Hls_flow.Flow.sched =
           {
             Scheduler.default_options with
-            expert = { Expert.default_options with Expert.enable_scc_move = false };
+            expert = { Expert.enable_scc_move = false };
             tolerate_scc_slack = true;
           };
         verify = false;

@@ -549,16 +549,10 @@ let serve_cmd =
     Arg.(
       value & opt int Server.default_config.Server.queue_capacity
       & info [ "queue-capacity" ] ~docv:"N"
-          ~doc:"Admission limit on queued-but-not-started jobs (default 64).")
-  in
-  let watermark_arg =
-    Arg.(
-      value & opt int 48
-      & info [ "watermark" ] ~docv:"N"
           ~doc:
-            "Shed watermark: queued jobs at or beyond $(docv) are refused with a typed \
-             $(b,overloaded) error before the hard queue limit (default 48; 0 disables \
-             shedding).")
+            "Admission bound: with $(docv) jobs queued but not started, fresh work is refused \
+             with a typed, retryable $(b,overloaded) error; cache hits and coalesced submits \
+             are still served (default 48, minimum 1).")
   in
   let store_arg =
     Arg.(
@@ -613,9 +607,10 @@ let serve_cmd =
       & info [ "chaos-corrupt" ] ~docv:"P"
           ~doc:"Per-compile probability of corrupting the stored artifact (testing only).")
   in
-  let run socket tcp_port jobs queue_capacity watermark store_dir cache_cap deadline hb_timeout
+  let run socket tcp_port jobs queue_capacity store_dir cache_cap deadline hb_timeout
       cz_seed cz_kill cz_stall cz_corrupt verbose =
     guarded @@ fun () ->
+    (* --deadline, --hb-timeout and --queue-capacity are checked by [Server.create] *)
     if jobs < 1 then or_die (Error "at least one worker process is required (--workers)");
     if cache_cap < 1 then or_die (Error "the cache needs room for at least one entry (--cache-cap)");
     let chaos =
@@ -631,7 +626,6 @@ let serve_cmd =
            tcp_port;
            workers = jobs;
            queue_capacity;
-           shed_watermark = (if watermark <= 0 then None else Some watermark);
            store_dir;
            cache_cap;
            deadline_s = deadline;
@@ -645,7 +639,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ socket_arg $ tcp_arg $ jobs_arg $ capacity_arg $ watermark_arg $ store_arg
+      const run $ socket_arg $ tcp_arg $ jobs_arg $ capacity_arg $ store_arg
       $ cache_cap_arg $ deadline_arg $ hb_timeout_arg $ chaos_seed_arg $ chaos_kill_arg
       $ chaos_stall_arg $ chaos_corrupt_arg $ verbose_arg)
 
@@ -703,13 +697,14 @@ let submit_cmd =
       & info [ "retries" ] ~docv:"N"
           ~doc:
             "Retry up to $(docv) times with jittered exponential backoff on transport faults \
-             and transient typed errors ($(b,worker_lost), $(b,overloaded), $(b,queue_full)); \
+             and transient typed errors ($(b,worker_lost), $(b,overloaded)); \
              jobs are idempotent by fingerprint (default 0).")
   in
   let run cmdname name socket ii clock latency trace max_passes timeout deadline retries
       no_verify diag_json =
     guarded @@ fun () ->
     let cmd = or_die (cmd_of_name cmdname) in
+    Option.iter (fun d -> ignore (or_die (Proto.positive_seconds "--deadline" d))) deadline;
     let ii, ii_dims = or_die (parse_ii ii) in
     (match ii_dims with
     | Some _ ->

@@ -80,12 +80,12 @@ let find_inst t id = Netlist.find_inst t.net id
 
 (** Reset all pass-local netlist state while keeping the resource set and
     forbidden pairs — the state carried between scheduling passes — and
-    price the sharing muxes during the pass only when [timing_aware].
-    [keep_prealloc] skips the [prealloc_shared] recompute (sound when no
-    instance was added since the previous pass). *)
-let reset_pass ?keep_prealloc t =
+    price the sharing muxes during the pass only when [timing_aware]. *)
+let refresh_prealloc t = Netlist.refresh_prealloc t.net
+
+let reset_pass t =
   t.has_forced <- false;
-  Netlist.reset_pass ?keep_prealloc ~price_muxes:t.timing_aware t.net
+  Netlist.reset_pass ~price_muxes:t.timing_aware t.net
 
 let placement t op_id = Netlist.placement t.net op_id
 let is_placed t op_id = Netlist.is_placed t.net op_id

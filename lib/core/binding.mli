@@ -54,7 +54,12 @@ val create : ?timing_aware:bool -> lib:Library.t -> clock_ps:float -> Region.t -
 val add_inst : ?added_by_expert:bool -> t -> Resource.t -> inst
 val find_inst : t -> int -> inst
 
-val reset_pass : ?keep_prealloc:bool -> t -> unit
+val refresh_prealloc : t -> bool
+(** Recompute which instances pre-allocate sharing muxes, if an instance
+    was added or changed type since the last recompute; true when that
+    changed any instance's flag ({!Netlist.refresh_prealloc}). *)
+
+val reset_pass : t -> unit
 (** Clear pass-local netlist state (placements, busy, arrivals, chain
     graph) while keeping the resource set and forbidden pairs; recompute
     which instances pre-allocate sharing muxes.  The pass prices its

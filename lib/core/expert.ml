@@ -33,17 +33,13 @@ type action =
   | Move_scc of int  (** SCC index; moves its stage assignment one later *)
   | Forbid of int * int
 
-type options = {
-  enable_scc_move : bool;  (** Table 4 ablation switch *)
-  enable_speculation : bool;
-  enable_add_resource : bool;
-  max_batch : int;
-      (** cap on actions returned per pass by {!choose_many}: the winner
-          plus at most [max_batch - 1] batched runner-ups *)
-}
+type options = { enable_scc_move : bool  (** Table 4 ablation switch *) }
 
-let default_options =
-  { enable_scc_move = true; enable_speculation = true; enable_add_resource = true; max_batch = 8 }
+let default_options = { enable_scc_move = true }
+
+(* cap on actions returned per pass by [choose_many]: the winner plus at
+   most [max_batch - 1] batched runner-ups *)
+let max_batch = 8
 
 let action_to_string = function
   | Add_state -> "add_state"
@@ -73,7 +69,7 @@ let score s = s.sc_gain /. (0.5 +. s.sc_cost)
 
     [scc_of op] maps an op to its SCC index (if any); [scc_stage k] is the
     stage the SCC currently occupies; [n_stages] bounds SCC moves. *)
-let choose ~allow_add_state ~(opts : options) ~(binding : Binding.t) ~(region : Region.t)
+let choose ~(opts : options) ~(binding : Binding.t) ~(region : Region.t)
     ~(restraints : Restraint.t list) ~(sccs : int list list) ~(scc_of : int -> int option)
     ~(scc_stage : int -> int) : (action * string) option =
   let dfg = region.Region.dfg in
@@ -91,7 +87,7 @@ let choose ~allow_add_state ~(opts : options) ~(binding : Binding.t) ~(region : 
      inter-iteration pressure) and chaining-induced negative slack — but
      not slack caused by saturated sharing muxes, where every compatible
      instance is already too slow even from registers. *)
-  if allow_add_state && region.Region.n_steps < region.Region.max_steps then begin
+  if region.Region.n_steps < region.Region.max_steps then begin
     let gain =
       List.fold_left
         (fun acc (r : Restraint.t) ->
@@ -116,7 +112,7 @@ let choose ~allow_add_state ~(opts : options) ~(binding : Binding.t) ~(region : 
      satisfy, and by negative-slack restraints whose op no longer fits any
      existing instance (saturated sharing muxes) but would fit a fresh
      one. *)
-  if opts.enable_add_resource then begin
+  begin
     let by_type = Hashtbl.create 4 in
     let credit rt w =
       let key = Resource.to_string rt in
@@ -161,26 +157,25 @@ let choose ~allow_add_state ~(opts : options) ~(binding : Binding.t) ~(region : 
       by_type
   end;
   (* --- Speculate --- *)
-  if opts.enable_speculation then
-    List.iter
-      (fun (r : Restraint.t) ->
-        match r.Restraint.r_fail with
-        | Restraint.F_slack _ | Restraint.F_window ->
-            let op = Dfg.find dfg r.Restraint.r_op in
-            if
-              (not op.Dfg.speculated)
-              && (not (Guard.is_always op.Dfg.guard))
-              && Binding.guard_dominated binding op ~step:r.Restraint.r_step
-              && Binding.would_fit binding op ~step:r.Restraint.r_step ~speculated:true
-            then
-              push
-                {
-                  sc_action = Speculate op.Dfg.id;
-                  sc_gain = r.Restraint.r_weight;
-                  sc_cost = 0.1;
-                }
-        | _ -> ())
-      restraints;
+  List.iter
+    (fun (r : Restraint.t) ->
+      match r.Restraint.r_fail with
+      | Restraint.F_slack _ | Restraint.F_window ->
+          let op = Dfg.find dfg r.Restraint.r_op in
+          if
+            (not op.Dfg.speculated)
+            && (not (Guard.is_always op.Dfg.guard))
+            && Binding.guard_dominated binding op ~step:r.Restraint.r_step
+            && Binding.would_fit binding op ~step:r.Restraint.r_step ~speculated:true
+          then
+            push
+              {
+                sc_action = Speculate op.Dfg.id;
+                sc_gain = r.Restraint.r_weight;
+                sc_cost = 0.1;
+              }
+      | _ -> ())
+    restraints;
   (* --- Move_scc --- *)
   if opts.enable_scc_move && Region.is_pipelined region then begin
     let n_stages = Region.n_stages region in
@@ -245,9 +240,9 @@ let choose ~allow_add_state ~(opts : options) ~(binding : Binding.t) ~(region : 
     distinct failing SCCs (a design with many small recurrences would
     otherwise burn one pass per move).  Other action kinds stay
     exclusive. *)
-let choose_many ~allow_add_state ~opts ~binding ~region ~restraints ~sccs ~scc_of ~scc_stage :
+let choose_many ~opts ~binding ~region ~restraints ~sccs ~scc_of ~scc_stage :
     (action * string) list =
-  match choose ~allow_add_state ~opts ~binding ~region ~restraints ~sccs ~scc_of ~scc_stage with
+  match choose ~opts ~binding ~region ~restraints ~sccs ~scc_of ~scc_stage with
   | None -> []
   | Some ((Move_scc k0, _) as first) ->
       (* gather every other SCC with fatal window/slack/dep restraints that
@@ -274,12 +269,10 @@ let choose_many ~allow_add_state ~opts ~binding ~region ~restraints ~sccs ~scc_o
             else acc)
           gains []
       in
-      first :: List.filteri (fun i _ -> i < opts.max_batch - 1) extra
+      first :: List.filteri (fun i _ -> i < max_batch - 1) extra
   | Some ((Add_resource _, _) as first) ->
       (* re-run the scoring to collect the runner-up resource additions *)
       let extra = ref [] in
-      let opts_no_state = opts in
-      ignore opts_no_state;
       (* cheap approach: ask again with the winner's type excluded is not
          expressible; instead reuse [choose]'s internals by scoring busy
          restraint types directly *)
@@ -308,5 +301,5 @@ let choose_many ~allow_add_state ~opts ~binding ~region ~restraints ~sccs ~scc_o
                   (Resource.to_string rt) gain )
               :: !extra)
         by_type;
-      first :: List.filteri (fun i _ -> i < opts.max_batch - 1) !extra
+      first :: List.filteri (fun i _ -> i < max_batch - 1) !extra
   | Some a -> [ a ]

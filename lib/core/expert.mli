@@ -19,14 +19,7 @@ type action =
           slack failure") *)
   | Forbid of int * int  (** exclude a comb-cycle-closing (op, inst) pair *)
 
-type options = {
-  enable_scc_move : bool;  (** the Table 4 ablation switch *)
-  enable_speculation : bool;
-  enable_add_resource : bool;
-  max_batch : int;
-      (** cap on actions per pass from {!choose_many}: the winner plus at
-          most [max_batch - 1] batched runner-ups *)
-}
+type options = { enable_scc_move : bool  (** the Table 4 ablation switch *) }
 
 val default_options : options
 
@@ -35,24 +28,7 @@ val action_to_string : action -> string
 val downstream : Dfg.t -> int list -> (int, unit) Hashtbl.t
 (** Distance-0 downstream cone of a set of ops, inclusive. *)
 
-val choose :
-  allow_add_state:bool ->
-  opts:options ->
-  binding:Binding.t ->
-  region:Region.t ->
-  restraints:Restraint.t list ->
-  sccs:int list list ->
-  scc_of:(int -> int option) ->
-  scc_stage:(int -> int) ->
-  (action * string) option
-(** The single best action (with its explanation), or [None] when the
-    portfolio is exhausted (specification overconstrained).  Resource
-    additions are credited only for restraints the timing estimate says a
-    fresh instance would actually solve — the paper's "a second multiplier
-    does not help" reasoning. *)
-
 val choose_many :
-  allow_add_state:bool ->
   opts:options ->
   binding:Binding.t ->
   region:Region.t ->
@@ -61,5 +37,12 @@ val choose_many :
   scc_of:(int -> int option) ->
   scc_stage:(int -> int) ->
   (action * string) list
-(** Batched variant for large designs: the winner plus runner-up resource
-    additions of other starving types (each saves one full pass). *)
+(** The corrective actions for one failed pass, best first, or [[]] when
+    the portfolio is exhausted (specification overconstrained).  The
+    winner is the single action with the best estimated gain; resource
+    additions are credited only for restraints the timing estimate says a
+    fresh instance would actually solve — the paper's "a second
+    multiplier does not help" reasoning.  When the winner adds a resource
+    or moves an SCC, up to 7 runner-ups of the same kind (other starving
+    types, other failing SCCs) ride along: each saves one full pass on a
+    large design. *)

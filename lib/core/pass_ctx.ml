@@ -50,12 +50,12 @@ let create (region : Region.t) =
     ctx_scores_aa = None;
   }
 
-let refresh_scores ?(boosts = []) t ~weights ~aa =
+let refresh_scores ?(boosts = []) t ~aa =
   match t.ctx_scores_aa with
   | Some prev when prev == aa -> ()
   | _ ->
       List.iter
-        (fun o -> t.ctx_scores.(o.Dfg.id) <- Priority.score ~weights ~fanout:t.ctx_fanout aa o)
+        (fun o -> t.ctx_scores.(o.Dfg.id) <- Priority.score ~fanout:t.ctx_fanout aa o)
         t.ctx_members;
       (* feedback priority boosts: additive deltas on top of the base
          score.  Constant for the lifetime of a schedule call, so the

@@ -31,8 +31,7 @@ val create : Region.t -> t
 (** Build every aa-independent table.  Scores are left empty until the
     first {!refresh_scores}. *)
 
-val refresh_scores :
-  ?boosts:(int * float) list -> t -> weights:Priority.weights -> aa:Asap_alap.t -> unit
+val refresh_scores : ?boosts:(int * float) list -> t -> aa:Asap_alap.t -> unit
 (** Recompute priority scores from [aa]; a no-op when [aa] is physically
     the value the scores already reflect.  [boosts] are additive feedback
     deltas layered on top of the base score — they must be constant across

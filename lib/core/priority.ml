@@ -8,10 +8,6 @@
 
 open Hls_ir
 
-type weights = { w_mobility : float; w_complexity : float; w_fanout : float }
-
-let default_weights = { w_mobility = 100.0; w_complexity = 10.0; w_fanout = 0.5 }
-
 let popcount x =
   let rec go x n = if x = 0 then n else go (x land (x - 1)) (n + 1) in
   go x 0
@@ -50,17 +46,7 @@ let fanout_table (dfg : Dfg.t) =
 (** Higher score = scheduled earlier.  Mobility 0 (a single feasible step)
     dominates; among equally mobile ops, structural complexity, then fanout
     cone size, break ties; op id is the final deterministic tie-break. *)
-let score ?(weights = default_weights) ~fanout (aa : Asap_alap.t) (op : Dfg.op) =
+let score ~fanout (aa : Asap_alap.t) (op : Dfg.op) =
   let mobility = float_of_int (Asap_alap.mobility aa op.Dfg.id) in
   let complexity = Opkind.complexity op.Dfg.kind in
-  (weights.w_mobility /. (1.0 +. mobility))
-  +. (weights.w_complexity *. complexity)
-  +. (weights.w_fanout *. float_of_int (fanout op.Dfg.id))
-
-(** Sort candidate ops, highest priority first. *)
-let rank ?weights ~fanout (aa : Asap_alap.t) ops =
-  ops
-  |> List.map (fun op -> (score ?weights ~fanout aa op, op))
-  |> List.stable_sort (fun (sa, oa) (sb, ob) ->
-         match compare sb sa with 0 -> compare oa.Dfg.id ob.Dfg.id | c -> c)
-  |> List.map snd
+  (100.0 /. (1.0 +. mobility)) +. (10.0 *. complexity) +. (0.5 *. float_of_int (fanout op.Dfg.id))

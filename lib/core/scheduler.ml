@@ -35,7 +35,6 @@ type options = {
   timing_aware : bool;
   expert : Expert.options;
   max_passes : int;
-  priority_weights : Priority.weights;
   dedicated_ops : int list;
       (** user constraint (Section IV.B item 4): ops that must not share
           their resource instance with anything *)
@@ -84,7 +83,6 @@ let default_options =
     timing_aware = true;
     expert = Expert.default_options;
     max_passes = 200;
-    priority_weights = Priority.default_weights;
     dedicated_ops = [];
     warm_start = true;
     tolerate_scc_slack = false;
@@ -158,9 +156,6 @@ exception Give_up of { g_code : string; g_budget : Hls_diag.Diag.budget option; 
 
 let placement t op = Binding.placement t.s_binding op
 
-let step_of t op =
-  match placement t op with Some pl -> pl.Binding.pl_step | None -> invalid_arg "step_of: unplaced"
-
 (** Ops scheduled on a given step, sorted by id — served by the netlist's
     per-step reverse index instead of a fold over all placements. *)
 let ops_on_step t step = Hls_netlist.Netlist.ops_on_step t.s_binding.Binding.net step
@@ -207,12 +202,12 @@ let asap_stage_pins region aa sccs =
          sccs)
 
 let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap_alap.t) ~scc_of
-    ?(scc_members = ([] : int list list)) ?warm ?(keep_prealloc = false) ~scc_stage_base
+    ?(scc_members = ([] : int list list)) ?warm ~scc_stage_base
     ~scc_stage_local (region : Region.t) : pass_outcome * pass_event list =
   let dfg = region.Region.dfg in
   let li = region.Region.n_steps in
   let ii = Region.ii region in
-  Binding.reset_pass ~keep_prealloc binding;
+  Binding.reset_pass binding;
   Array.iteri (fun k _ -> scc_stage_local.(k) <- scc_stage_base k) scc_stage_local;
   let restraints = ref [] in
   let log = ref [] in
@@ -746,7 +741,6 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
   let next_warm = ref None in
   let warm_passes = ref 0 in
   let cold_passes = ref 0 in
-  let last_insts = ref (-1) in
   (* length of the current add_state streak: drives the geometric
      latency stepping below *)
   let consecutive_add_state = ref 0 in
@@ -808,24 +802,22 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
          else Asap_alap.compute ~lib ~clock_ps ~scc_window region
        in
        let ctx = match ctx0 with Some c -> c | None -> Pass_ctx.create region in
-       Pass_ctx.refresh_scores ctx ~boosts ~weights:opts.priority_weights ~aa;
+       Pass_ctx.refresh_scores ctx ~boosts ~aa;
+       (* a merge that widened an instance in the last pass can flip
+          prealloc-shared flags, which moves sharing-mux delays on every
+          step: no prefix of the previous pass is replayable then *)
+       let prealloc_moved = Binding.refresh_prealloc binding in
        let warm =
          match (!next_warm, !prev_log) with
-         | Some s, Some events -> Some (events, s)
+         | Some s, Some events when not prealloc_moved -> Some (events, s)
          | _ -> None
        in
        next_warm := None;
        (match warm with Some _ -> incr warm_passes | None -> incr cold_passes);
-       (* the prealloc-shared flags depend only on the (static) region
-          membership and the instance set, so they survive every pass that
-          added no instance *)
-       let insts_now = Hls_netlist.Netlist.n_insts binding.Binding.net in
-       let keep_prealloc = opts.warm_start && !last_insts = insts_now in
-       last_insts := insts_now;
        Trace.logf trace "pass %d: LI=%d, %d resources" !passes region.Region.n_steps
          (Hls_netlist.Netlist.n_insts binding.Binding.net);
        let outcome, pass_log =
-         run_pass ~opts ~trace ~ctx ~binding ~aa ~scc_of ~scc_members:sccs ?warm ~keep_prealloc
+         run_pass ~opts ~trace ~ctx ~binding ~aa ~scc_of ~scc_members:sccs ?warm
            ~scc_stage_base:(fun k -> scc_persist.(k))
            ~scc_stage_local region
        in
@@ -870,11 +862,11 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
               without converging *)
            let expert_opts =
              if Array.exists (fun m -> m > 6) scc_moves then
-               { opts.expert with Expert.enable_scc_move = false }
+               { Expert.enable_scc_move = false }
              else opts.expert
            in
            match
-             Expert.choose_many ~allow_add_state:true ~opts:expert_opts ~binding ~region
+             Expert.choose_many ~opts:expert_opts ~binding ~region
                ~restraints ~sccs ~scc_of ~scc_stage
            with
            | [] ->

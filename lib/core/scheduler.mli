@@ -19,7 +19,6 @@ type options = {
           report reads a slack *)
   expert : Expert.options;
   max_passes : int;
-  priority_weights : Priority.weights;
   dedicated_ops : int list;
       (** user constraint: ops that must own their resource instance *)
   warm_start : bool;
@@ -114,7 +113,6 @@ val stats : t -> stats
     design-space exploration engine). *)
 
 val placement : t -> int -> Binding.placement option
-val step_of : t -> int -> int
 val ops_on_step : t -> int -> int list
 
 type pass_outcome = Pass_ok | Pass_failed of Restraint.t list
@@ -142,7 +140,6 @@ val run_pass :
   scc_of:(int -> int option) ->
   ?scc_members:int list list ->
   ?warm:pass_event list * int ->
-  ?keep_prealloc:bool ->
   scc_stage_base:(int -> int option) ->
   scc_stage_local:int option array ->
   Region.t ->
@@ -151,9 +148,7 @@ val run_pass :
     the region's pass-invariant context with scores already refreshed for
     [aa].  [warm] is [(previous pass's event log, first dirty step)]:
     events strictly before the dirty step are replayed structurally
-    instead of re-vetted.  [keep_prealloc] skips the per-pass
-    prealloc-shared recompute (sound when no instance was added since the
-    previous pass).  Returns the outcome and this pass's event log. *)
+    instead of re-vetted.  Returns the outcome and this pass's event log. *)
 
 val schedule :
   ?opts:options ->

@@ -24,8 +24,6 @@ let create ?(echo = false) ?sink () = { events = []; echo; sink }
 
 let level_to_string = function Debug -> "debug" | Info -> "info" | Warn -> "warn"
 
-let level_rank = function Debug -> 0 | Info -> 1 | Warn -> 2
-
 let log_at t level fmt =
   Printf.ksprintf
     (fun s ->
@@ -42,10 +40,6 @@ let logf ?(level = Info) t_opt fmt =
   | None -> Printf.ikfprintf ignore () fmt
 
 let events t = List.rev_map snd t.events
-
-let events_at ~min t =
-  List.rev t.events
-  |> List.filter_map (fun (l, e) -> if level_rank l >= level_rank min then Some e else None)
 
 let counts t =
   let n l = List.length (List.filter (fun (l', _) -> l' = l) t.events) in

@@ -26,9 +26,6 @@ val level_to_string : level -> string
 val events : t -> string list
 (** All events, oldest first (unfiltered — the historical behaviour). *)
 
-val events_at : min:level -> t -> string list
-(** Events at or above a severity level. *)
-
 val counts : t -> (level * int) list
 val summary : t -> string
 (** Event-count summary, e.g. ["214 events (180 debug, 30 info, 4 warn)"]. *)

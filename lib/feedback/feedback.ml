@@ -256,17 +256,6 @@ let extract (s : Scheduler.t) : Hints.t =
     per_inst;
   !h
 
-let extract_error (e : Scheduler.error) : Hints.t =
-  List.fold_left
-    (fun acc (r : Restraint.t) ->
-      let w = Float.max 0.1 r.Restraint.r_weight in
-      let acc = Hints.add ~kind:Hints.Slack_cone ~weight:w (Hints.Boost r.Restraint.r_op) acc in
-      match r.Restraint.r_fail with
-      | Restraint.F_busy rt | Restraint.F_no_resource rt ->
-          Hints.add ~kind:Hints.Busy_clique ~weight:w (Hints.Resource_floor (rt, 1)) acc
-      | _ -> acc)
-    Hints.empty e.Scheduler.e_restraints
-
 (* ------------------------------------------------------------------ *)
 (* The iterate loop *)
 

@@ -104,11 +104,6 @@ val extract : Scheduler.t -> Hints.t
     still visible in the result — fan-in cones of negative-slack
     endpoints and contended busy-table cliques, weighted by severity. *)
 
-val extract_error : Scheduler.error -> Hints.t
-(** Mine a failed schedule's restraint provenance: boosts for the
-    restrained ops (weighted by restraint weight) and speculation hints
-    for guarded ops that failed on slack. *)
-
 type iter_info = {
   fi_iter : int;  (** iteration index, 0-based *)
   fi_hints_in : int;  (** hints fed into this iteration *)

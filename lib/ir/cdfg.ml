@@ -29,12 +29,6 @@ let ops_on_edge t ~edge =
   Hashtbl.fold (fun op e acc -> if e = edge then op :: acc else acc) t.attach []
   |> List.sort compare
 
-(** Move every op attached to [from_edge] onto [to_edge] (used when folding
-    or merging control steps). *)
-let reattach_edge t ~from_edge ~to_edge =
-  let moved = ops_on_edge t ~edge:from_edge in
-  List.iter (fun op -> Hashtbl.replace t.attach op to_edge) moved
-
 let port_width t name =
   match List.assoc_opt name t.in_ports with
   | Some w -> Some w

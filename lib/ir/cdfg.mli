@@ -20,9 +20,6 @@ val attachment : t -> int -> int option
 val ops_on_edge : t -> edge:int -> int list
 (** Ops attached to a control step, sorted by id. *)
 
-val reattach_edge : t -> from_edge:int -> to_edge:int -> unit
-(** Move every op from one control step to another (step merging). *)
-
 val port_width : t -> string -> int option
 
 val validate : t -> string list

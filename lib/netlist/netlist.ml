@@ -180,6 +180,9 @@ type t = {
   member_needs : Resource.t list;  (** static: resource needs of the members *)
   class_ops_memo : (Resource.t, int) Hashtbl.t;
       (** rtype -> members mergeable into it (static per region) *)
+  mutable prealloc_stale : bool;
+      (** an instance was added or changed type since the [prealloc_shared]
+          flags were last computed *)
   (* propagation worklist: ring buffer + membership stamps for dedup *)
   mutable wl : int array;
   mutable wl_head : int;
@@ -253,6 +256,7 @@ let create ~lib ~clock_ps (region : Region.t) =
     opdelay_c = Array.make cap nan;
     member_needs;
     class_ops_memo = Hashtbl.create 8;
+    prealloc_stale = true;
     wl = Array.make 256 0;
     wl_head = 0;
     wl_tail = 0;
@@ -358,6 +362,7 @@ let add_inst ?(added_by_expert = false) t rtype =
   t.next_inst_id <- t.next_inst_id + 1;
   t.insts_rev <- inst :: t.insts_rev;
   t.insts_memo <- None;
+  t.prealloc_stale <- true;
   if inst.inst_id = Array.length t.inst_arr then begin
     let n = max 16 (2 * inst.inst_id) in
     t.inst_arr <- grow_arr t.inst_arr n inst;
@@ -398,34 +403,19 @@ let class_insts t (op : Dfg.op) =
 let find_inst t id =
   if id >= 0 && id < t.next_inst_id then t.inst_arr.(id) else raise Not_found
 
-(** Reset all pass-local state (placements, busy tables, arrivals, chain
-    graph, any dangling trial) while keeping the resource set — the state
-    carried between scheduling passes — and set whether the pass prices
-    its sharing muxes.  O(1) on the dense per-op tables: bumping
-    [pass_stamp] makes every stale entry read as absent. *)
-let reset_pass ?(keep_prealloc = false) ~price_muxes t =
-  t.pass_stamp <- t.pass_stamp + 1;
-  t.mux_priced <- price_muxes;
-  Hashtbl.reset t.busy;
-  List.iter
-    (fun i ->
-      i.bound <- [];
-      i.mux_cache <- None;
-      i.mux_delays <- None)
-    t.insts_rev;
-  Hls_timing.Cycle_detector.clear t.chain;
-  t.trial_on <- false;
-  t.touched <- [];
-  t.undo_log <- [];
-  (* mark shared instances: a class with more candidate ops than instances
-     will be shared, so its input muxes are pre-allocated (Fig. 8a).  The
-     flags depend only on the region's membership and the instance set, so
-     a caller that knows no instance was added since the last pass skips
-     the recompute with [keep_prealloc].  Both counts are memoized per
-     resource type — the member count permanently (membership is static),
-     the instance count for this call — so the recompute is
-     O(distinct types × (members + instances)), not O(instances²). *)
-  if not keep_prealloc then begin
+(** Mark shared instances: a class with more candidate ops than instances
+    will be shared, so its input muxes are pre-allocated (Fig. 8a).  The
+    flags depend only on the region's membership and the instances' types,
+    so they are recomputed only after an instance was added or changed type
+    (a merge widens it, and the widened type persists into the next pass).
+    Both counts are memoized per resource type — the member count
+    permanently (membership is static), the instance count for this call —
+    so the recompute is O(distinct types × (members + instances)), not
+    O(instances²).  True when some instance's flag changed. *)
+let refresh_prealloc t =
+  if not t.prealloc_stale then false
+  else begin
+    t.prealloc_stale <- false;
     let all = insts t in
     let n_insts_memo = Hashtbl.create 8 in
     let insts_of_class rt =
@@ -444,10 +434,37 @@ let reset_pass ?(keep_prealloc = false) ~price_muxes t =
           Hashtbl.add t.class_ops_memo rt n;
           n
     in
-    List.iter
-      (fun inst -> inst.prealloc_shared <- ops_of_class inst.rtype > insts_of_class inst.rtype)
-      all
+    List.fold_left
+      (fun moved inst ->
+        let shared = ops_of_class inst.rtype > insts_of_class inst.rtype in
+        if shared = inst.prealloc_shared then moved
+        else begin
+          inst.prealloc_shared <- shared;
+          true
+        end)
+      false all
   end
+
+(** Reset all pass-local state (placements, busy tables, arrivals, chain
+    graph, any dangling trial) while keeping the resource set — the state
+    carried between scheduling passes — and set whether the pass prices
+    its sharing muxes.  O(1) on the dense per-op tables: bumping
+    [pass_stamp] makes every stale entry read as absent. *)
+let reset_pass ~price_muxes t =
+  t.pass_stamp <- t.pass_stamp + 1;
+  t.mux_priced <- price_muxes;
+  Hashtbl.reset t.busy;
+  List.iter
+    (fun i ->
+      i.bound <- [];
+      i.mux_cache <- None;
+      i.mux_delays <- None)
+    t.insts_rev;
+  Hls_timing.Cycle_detector.clear t.chain;
+  t.trial_on <- false;
+  t.touched <- [];
+  t.undo_log <- [];
+  ignore (refresh_prealloc t)
 
 (* --- placements --- *)
 
@@ -787,6 +804,7 @@ let set_rtype t i rt =
   if rt <> i.rtype then begin
     if t.trial_on then t.undo_log <- U_rtype (i, i.rtype) :: t.undo_log;
     i.rtype <- rt;
+    t.prealloc_stale <- true;
     invalidate_mux t i
   end
 
@@ -993,21 +1011,6 @@ let recompute_arrival t op_id =
   let old = arrival_raw t op_id in
   set_arrival t op_id v;
   old = neg_infinity || abs_float (old -. v) > 0.001
-
-(** Same-step combinational consumers of a placed op (data or guard),
-    i.e. the ops whose arrivals depend on this op's arrival. *)
-let chained_consumers t op_id =
-  if not (placed t op_id) then []
-  else begin
-    let step = t.pl_finish.(op_id) in
-    let acc = ref [] in
-    let outs = out0_of t op_id in
-    for k = Array.length outs - 1 downto 0 do
-      let dst = outs.(k) in
-      if placed t dst && t.pl_step.(dst) = step then acc := dst :: !acc
-    done;
-    !acc
-  end
 
 (** Worst-case registered-endpoint slack of a placed op: its result must
     traverse the register-input mux (when the muxes are priced) and meet

@@ -76,13 +76,18 @@ val resource_of : t -> Dfg.op -> Resource.t option
 val add_inst : ?added_by_expert:bool -> t -> Resource.t -> inst
 val find_inst : t -> int -> inst
 
-val reset_pass : ?keep_prealloc:bool -> price_muxes:bool -> t -> unit
+val refresh_prealloc : t -> bool
+(** Recompute each instance's [prealloc_shared] flag if an instance was
+    added or changed type since the flags were last computed (region
+    membership is static).  True when some flag changed: that moves
+    sharing-mux delays on every step.  Meant for pass boundaries;
+    {!reset_pass} calls it too. *)
+
+val reset_pass : price_muxes:bool -> t -> unit
 (** Reset all pass-local state (placements, busy tables, arrivals, chain
-    graph, any dangling trial) while keeping the resource set; recomputes
-    each instance's [prealloc_shared] flag.  O(1) on the dense per-op
-    tables (a pass-stamp bump).  [~keep_prealloc:true] skips the flag
-    recompute — sound only when no instance was added since the flags
-    were last computed (region membership is static).
+    graph, any dangling trial) while keeping the resource set, then
+    {!refresh_prealloc}.  O(1) on the dense per-op tables (a pass-stamp
+    bump).
 
     [~price_muxes:false] starts a mux-blind pass: until {!price_muxes},
     arrivals and endpoint slacks leave out every sharing-mux delay (input
@@ -187,7 +192,6 @@ val recompute_arrival : t -> int -> bool
 (** Recompute the arrival of a placed op with the reference evaluator's
     formula; true if it moved.  Counts as one netlist timing query. *)
 
-val chained_consumers : t -> int -> int list
 val endpoint_slack : t -> int -> float
 
 val screen_busy_reject :

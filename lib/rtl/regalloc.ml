@@ -103,7 +103,5 @@ let analyze (s : Scheduler.t) : t =
 
 let n_registers t = List.fold_left (fun acc r -> acc + r.r_copies) 0 t.regs
 
-let register_bits t = List.fold_left (fun acc r -> acc + (r.r_copies * r.r_width)) 0 t.regs
-
 (** Registers written by more than one value need an input sharing mux. *)
 let shared_regs t = List.filter (fun r -> List.length r.r_values > 1) t.regs

@@ -19,7 +19,6 @@ type t = { values : value_info list; regs : reg list }
 
 val analyze : Hls_core.Scheduler.t -> t
 val n_registers : t -> int
-val register_bits : t -> int
 
 val shared_regs : t -> reg list
 (** Registers written by more than one value (these get input muxes). *)

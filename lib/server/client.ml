@@ -162,7 +162,7 @@ let retryable_error msg =
   let has_prefix p =
     String.length msg >= String.length p && String.sub msg 0 (String.length p) = p
   in
-  has_prefix "overloaded:" || has_prefix "queue_full:" || has_prefix "worker_lost:"
+  has_prefix "overloaded:" || has_prefix "worker_lost:"
   || msg = "connection closed"
   || has_prefix "connect:" || has_prefix "read:" || has_prefix "write:"
   || has_prefix "recv:" || has_prefix "send:"

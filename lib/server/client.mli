@@ -58,7 +58,7 @@ val submit_retrying :
     Retries — up to [retries] (default 3) extra attempts with jittered
     exponential backoff (start [backoff_s], cap [max_backoff_s]) — fire
     on transport faults and on the transient typed answers
-    [overloaded], [queue_full] and [worker_lost].  Jobs are idempotent
+    [overloaded] and [worker_lost].  Jobs are idempotent
     by design fingerprint, so re-submitting is always safe.  Typed
     answers retrying cannot change — [bad_design], [draining],
     [deadline_exceeded], a compile failure — are returned as-is.

@@ -354,6 +354,10 @@ let field_float j k = Option.bind (member k j) get_float
 let field_string j k = Option.bind (member k j) get_string
 let field_bool j k = Option.bind (member k j) get_bool
 
+let positive_seconds what x =
+  if Float.is_finite x && x > 0.0 then Ok x
+  else Error (Printf.sprintf "%s must be a positive, finite number of seconds (got %g)" what x)
+
 let job_spec_of_json j =
   let design =
     match (field_string j "design", field_string j "source") with
@@ -361,9 +365,18 @@ let job_spec_of_json j =
     | None, Some src -> Ok (`Source src)
     | None, None -> Error "submit needs a 'design' name or inline 'source'"
   in
-  match design with
-  | Error m -> Error m
-  | Ok design -> (
+  (* a deadline the supervisor would trip at once kills a healthy worker *)
+  let deadline =
+    match member "deadline_s" j with
+    | None | Some Null -> Ok None
+    | Some v -> (
+        match get_float v with
+        | Some x -> Result.map Option.some (positive_seconds "deadline_s" x)
+        | None -> Error "deadline_s must be a positive, finite number of seconds")
+  in
+  match (design, deadline) with
+  | Error m, _ | _, Error m -> Error m
+  | Ok design, Ok deadline -> (
       match Option.bind (field_string j "cmd") cmd_of_string with
       | None -> Error "submit needs a 'cmd' of schedule|pipeline|flow"
       | Some cmd ->
@@ -377,7 +390,7 @@ let job_spec_of_json j =
               js_max_latency = field_int j "max_latency";
               js_max_passes = field_int j "max_passes";
               js_timeout_s = field_float j "timeout_s";
-              js_deadline_s = field_float j "deadline_s";
+              js_deadline_s = deadline;
               js_verify = Option.value (field_bool j "verify") ~default:true;
               js_trace = Option.value (field_bool j "trace") ~default:false;
             })

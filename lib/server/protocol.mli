@@ -114,14 +114,24 @@ type request =
   | Shutdown  (** ask the daemon to drain (same path as SIGTERM) *)
 
 val request_to_json : request -> json
+
 val request_of_json : json -> (request, string) result
+(** Decode a request frame.  A submit whose [deadline_s] is present but
+    not a positive, finite number is refused (the daemon answers
+    [bad_request]). *)
+
+val positive_seconds : string -> float -> (float, string) result
+(** [positive_seconds what x] is [Ok x] when [x] is a positive, finite
+    duration, else a one-line message naming [what].  The one check
+    behind submit deadlines, the CLI's seconds-valued flags and
+    {!Server.create}. *)
 
 val error_frame : ?job:int -> ?extra:(string * json) list -> code:string -> string -> json
 (** The daemon's typed error frame:
     [{"type":"error","code":C,"message":M}] plus the job id and any
     [extra] fields (e.g. [retry_after_ms] on [overloaded] rejects).
     Stable codes include [bad_json], [frame_too_large], [proto_mismatch],
-    [hello_required], [bad_request], [bad_design], [queue_full],
+    [hello_required], [bad_request], [bad_design],
     [overloaded], [draining]; job results that failed inside the service
     tier come back as [result] frames with [code] [worker_lost] or
     [deadline_exceeded]. *)

@@ -1,7 +1,7 @@
 (** Daemon implementation.  See the interface for the process model;
     the invariants that matter here:
 
-    - [t.mutex] guards the job table, the slot array, admission counters,
+    - [t.mutex] guards the job table, the shared queue, the slot array,
       statistics and the in-memory artifact cache.  Lock order is
       [t.mutex] → [conn.c_wmutex]; nothing takes them the other way.
     - No thread ever performs socket I/O to a client while holding
@@ -15,6 +15,8 @@
       daemon.  Writes to a worker pipe may fail when the worker just
       died; they are deliberately ignored — the slot's reader thread
       owns the death and will re-queue the job.
+    - Workers are interchangeable: every job waits on one FIFO
+      [t.queue] and goes to whichever live worker idles first.
     - Exactly one thread retires a worker: its reader.  The supervisor
       only ever SIGKILLs (recording why in [s_kill_reason]); the kill
       surfaces to the reader as EOF, which closes the fd, reaps the pid,
@@ -31,7 +33,6 @@ type config = {
   tcp_port : int option;
   workers : int;
   queue_capacity : int;
-  shed_watermark : int option;
   store_dir : string option;
   deadline_s : float;
   hb_interval_s : float;
@@ -49,8 +50,7 @@ let default_config =
     socket = "hlsc.sock";
     tcp_port = None;
     workers = 2;
-    queue_capacity = 64;
-    shed_watermark = Some 48;
+    queue_capacity = 48;
     store_dir = None;
     deadline_s = 300.0;
     hb_interval_s = 0.05;
@@ -66,9 +66,10 @@ let default_config =
 type conn = {
   c_id : int;
   c_fd : Unix.file_descr;
-  c_wmutex : Mutex.t;  (** guards [c_outq], [c_alive], [c_closing] *)
+  c_wmutex : Mutex.t;  (** guards [c_outq], [c_writing], [c_alive], [c_closing] *)
   c_wcv : Condition.t;  (** outbox activity (frame queued, state change) *)
   c_outq : P.json Queue.t;  (** bounded outbox, drained by [c_writer] *)
+  mutable c_writing : bool;  (** the writer holds a frame taken off [c_outq] *)
   mutable c_alive : bool;  (** cleared on write failure or outbox overflow *)
   mutable c_closing : bool;  (** read side done; writer exits once drained *)
   mutable c_writer : Thread.t option;
@@ -96,7 +97,6 @@ type kill_reason = K_none | K_deadline | K_hang
 (* one supervised worker process; all fields guarded by [t.mutex] *)
 type slot = {
   s_idx : int;
-  s_queue : job Queue.t;  (** jobs with affinity to this slot *)
   mutable s_state : slot_state;
   mutable s_pid : int;  (** 0 when no process *)
   mutable s_fd : Unix.file_descr;  (** meaningful only when [s_pid <> 0] *)
@@ -119,10 +119,10 @@ type t = {
   inflight_keys : (string, job) Hashtbl.t;
       (** fingerprint → the queued/in-flight job computing it; a second
           submit of the same key rides this one instead of compiling *)
+  queue : job Queue.t;  (** admitted jobs not yet dispatched, FIFO *)
   slots : slot array;
   mutable next_job : int;
   mutable next_conn : int;
-  mutable queued : int;
   mutable in_flight : int;
   mutable conns : (Thread.t * conn) list;
   mutable readers : Thread.t list;
@@ -211,13 +211,20 @@ let conn_writer conn =
     match Queue.take_opt conn.c_outq with
     | None -> Mutex.unlock conn.c_wmutex
     | Some frame ->
+        conn.c_writing <- true;
         Mutex.unlock conn.c_wmutex;
-        (try P.write_frame conn.c_fd frame
-         with
-        | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) | Sys_error _ ->
-          Mutex.lock conn.c_wmutex;
-          mark_dead_locked conn;
-          Mutex.unlock conn.c_wmutex);
+        let ok =
+          try
+            P.write_frame conn.c_fd frame;
+            true
+          with
+          | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) | Sys_error _ ->
+            false
+        in
+        Mutex.lock conn.c_wmutex;
+        conn.c_writing <- false;
+        if not ok then mark_dead_locked conn;
+        Mutex.unlock conn.c_wmutex;
         loop ()
   in
   loop ()
@@ -232,7 +239,11 @@ let close_conn conn =
   Condition.broadcast conn.c_wcv;
   (* poll, not [Condition.wait]: there is no timed wait, and a writer
      wedged inside [write_frame] would never signal *)
-  while conn.c_alive && (not (Queue.is_empty conn.c_outq)) && Unix.gettimeofday () < deadline do
+  while
+    conn.c_alive
+    && (conn.c_writing || not (Queue.is_empty conn.c_outq))
+    && Unix.gettimeofday () < deadline
+  do
     Mutex.unlock conn.c_wmutex;
     Thread.delay 0.005;
     Mutex.lock conn.c_wmutex
@@ -320,7 +331,6 @@ let job_frame job =
 let dispatch_locked t slot job =
   let now = Unix.gettimeofday () in
   slot.s_state <- W_busy job;
-  t.queued <- t.queued - 1;
   t.in_flight <- t.in_flight + 1;
   job.j_started <- now;
   job.j_deadline <-
@@ -330,41 +340,40 @@ let dispatch_locked t slot job =
   try P.write_frame slot.s_fd (job_frame job)
   with Unix.Unix_error _ | Sys_error _ -> ()
 
-let rec pump_locked t slot =
-  match slot.s_state with
-  | W_busy _ | W_dead -> ()
-  (* the supervisor already SIGKILLed this worker (its wresult may still
-     have raced in and idled the slot): dispatching now would hand a job
-     to a corpse and get it mis-billed for the *previous* job's kill
-     reason when the death is processed.  Hold the queue until the
-     respawn, which resets [s_kill_reason]. *)
-  | W_idle when slot.s_kill_reason <> K_none -> ()
-  | W_idle -> (
-      match Queue.take_opt slot.s_queue with
+(* a slot can take a job when it idles and the supervisor has not
+   already SIGKILLed it (its wresult may still have raced in and idled
+   the slot): a job handed to that corpse would be mis-billed for the
+   *previous* job's kill reason when the death is processed *)
+let takes_work slot = slot.s_state = W_idle && slot.s_kill_reason = K_none
+
+(* hand queued jobs, oldest first, to idle workers until either runs out *)
+let rec pump_locked t =
+  match Array.find_opt takes_work t.slots with
+  | None -> ()
+  | Some slot -> (
+      match Queue.take_opt t.queue with
       | None -> ()
       | Some job ->
           (* cancellation is honoured only when nobody else rides the
              job: coalesced waiters keep the compile alive *)
           if job.j_cancelled && job.j_waiters = [] then begin
-            t.queued <- t.queued - 1;
             t.n_cancelled <- t.n_cancelled + 1;
             Hashtbl.remove t.jobs job.j_id;
             Hashtbl.remove t.inflight_keys job.j_key;
             send job.j_conn (cancelled_frame job.j_id);
-            Condition.broadcast t.drain_cv;
-            pump_locked t slot
+            Condition.broadcast t.drain_cv
           end
-          else dispatch_locked t slot job)
+          else dispatch_locked t slot job;
+          pump_locked t)
 
-let requeue_locked t slot job =
+(* the crashed slot stays [W_dead] until its respawn, so another worker
+   picks the job up first whenever one is alive *)
+let requeue_locked t job =
   job.j_requeues <- job.j_requeues + 1;
   t.n_requeued <- t.n_requeued + 1;
   t.in_flight <- t.in_flight - 1;
-  t.queued <- t.queued + 1;
-  (* move off the crashed slot: the design may be what killed it *)
-  let target = t.slots.((slot.s_idx + 1) mod Array.length t.slots) in
-  Queue.push job target.s_queue;
-  pump_locked t target
+  Queue.push job t.queue;
+  pump_locked t
 
 let fail_inflight_locked t job ~code msg =
   t.in_flight <- t.in_flight - 1;
@@ -438,7 +447,7 @@ let handle_wresult t slot frame =
                   send wconn
                     (Artifact.result_frame ~job:wid ~cmd:job.j_spec.P.js_cmd ~cached:true a))
                 waiters));
-      pump_locked t slot;
+      pump_locked t;
       Condition.broadcast t.drain_cv)
 
 let handle_worker_death t slot ~gen ~pid ~fd =
@@ -489,7 +498,7 @@ let handle_worker_death t slot ~gen ~pid ~fd =
                 send job.j_conn (cancelled_frame job.j_id)
               end
               else if job.j_requeues < t.cfg.max_requeues then
-                requeue_locked t slot job
+                requeue_locked t job
               else
                 fail_inflight_locked t job ~code:"worker_lost"
                   (Printf.sprintf
@@ -603,7 +612,7 @@ let supervise t =
                 then begin
                   t.n_respawns <- t.n_respawns + 1;
                   spawn_locked t slot;
-                  pump_locked t slot
+                  pump_locked t
                 end)
           t.slots;
         if Atomic.get t.stop_flag then Condition.broadcast t.drain_cv)
@@ -644,11 +653,9 @@ let stats_frame t =
           ("version", P.String P.binary_version);
           ("uptime_s", P.Float (Unix.gettimeofday () -. t.started));
           ("workers", P.Int t.cfg.workers);
-          ("queue_depth", P.Int t.queued);
+          ("queue_depth", P.Int (Queue.length t.queue));
           ("in_flight", P.Int t.in_flight);
           ("queue_capacity", P.Int t.cfg.queue_capacity);
-          ( "shed_watermark",
-            match t.cfg.shed_watermark with Some w -> P.Int w | None -> P.Null );
           ("draining", P.Bool (Atomic.get t.stop_flag));
           ("connections_active", P.Int (List.length t.conns));
           ("connections_total", P.Int t.n_conns_total);
@@ -725,7 +732,6 @@ let health_frame t =
                    ("state", P.String state);
                    ("inflight", P.Int inflight);
                    ("crashes", P.Int s.s_crashes);
-                   ("queue", P.Int (Queue.length s.s_queue));
                    ( "heartbeat_age_s",
                      P.Float (if s.s_pid = 0 then -1.0 else now -. s.s_last_beat) );
                  ])
@@ -739,11 +745,9 @@ let health_frame t =
           ( "queue",
             P.Obj
               [
-                ("depth", P.Int t.queued);
+                ("depth", P.Int (Queue.length t.queue));
                 ("in_flight", P.Int t.in_flight);
                 ("capacity", P.Int t.cfg.queue_capacity);
-                ( "watermark",
-                  match t.cfg.shed_watermark with Some w -> P.Int w | None -> P.Null );
               ] );
           ("store", store_json);
         ])
@@ -785,8 +789,8 @@ let handle_submit t conn spec =
             else
               match Hashtbl.find_opt t.cache key with
               | Some a ->
-                  (* cache hits are served even beyond the shed watermark:
-                     they cost microseconds and relieve pressure *)
+                  (* cache hits are served even at the queue bound: they
+                     cost microseconds and relieve pressure *)
                   let id = t.next_job in
                   t.next_job <- t.next_job + 1;
                   t.n_submitted <- t.n_submitted + 1;
@@ -799,8 +803,8 @@ let handle_submit t conn spec =
                 | Some owner ->
                     (* an identical compile is already queued or running:
                        ride it.  Like cache hits, coalesced submits are
-                       admitted even beyond the shed watermark — they add
-                       no work, only one more recipient of the answer. *)
+                       admitted even at the queue bound — they add no
+                       work, only one more recipient of the answer. *)
                     let id = t.next_job in
                     t.next_job <- t.next_job + 1;
                     t.n_submitted <- t.n_submitted + 1;
@@ -808,29 +812,20 @@ let handle_submit t conn spec =
                     owner.j_waiters <- (id, conn) :: owner.j_waiters;
                     A_coalesced id
                 | None ->
-                  if t.queued >= t.cfg.queue_capacity then
-                    A_rejected
-                      ( "queue_full",
-                        Printf.sprintf "admission queue is full (%d job(s) pending)" t.queued,
-                        [] )
-                  else if
-                    match t.cfg.shed_watermark with
-                    | Some w -> t.queued >= w
-                    | None -> false
-                  then begin
+                  let pending = Queue.length t.queue in
+                  if pending >= t.cfg.queue_capacity then begin
                     t.n_shed <- t.n_shed + 1;
                     A_rejected
                       ( "overloaded",
                         Printf.sprintf
                           "daemon is shedding load (%d job(s) pending); retry with backoff"
-                          t.queued,
+                          pending,
                         [ ("retry_after_ms", P.Int 200) ] )
                   end
                   else begin
                     let id = t.next_job in
                     t.next_job <- t.next_job + 1;
                     t.n_submitted <- t.n_submitted + 1;
-                    t.queued <- t.queued + 1;
                     let job =
                       {
                         j_id = id;
@@ -846,9 +841,8 @@ let handle_submit t conn spec =
                     in
                     Hashtbl.replace t.jobs id job;
                     Hashtbl.replace t.inflight_keys key job;
-                    let slot = t.slots.(Hashtbl.hash key mod Array.length t.slots) in
-                    Queue.push job slot.s_queue;
-                    pump_locked t slot;
+                    Queue.push job t.queue;
+                    pump_locked t;
                     A_queued id
                   end))
       in
@@ -950,8 +944,22 @@ let bind_tcp port =
   Unix.listen fd 64;
   fd
 
+(* values that would misbehave rather than fail: a non-positive deadline
+   kills every worker that takes a job, a non-positive heartbeat timeout
+   kills idle ones, and a queue bound below 1 sheds all fresh work *)
+let check_config cfg =
+  let ( let* ) = Result.bind in
+  let* _ = P.positive_seconds "deadline_s (--deadline)" cfg.deadline_s in
+  let* _ = P.positive_seconds "hb_timeout_s (--hb-timeout)" cfg.hb_timeout_s in
+  if cfg.queue_capacity < 1 then
+    Error
+      (Printf.sprintf "queue_capacity (--queue-capacity) must be at least 1 (got %d)"
+         cfg.queue_capacity)
+  else Ok ()
+
 let create cfg =
   try
+    Result.iter_error failwith (check_config cfg);
     let cfg = { cfg with workers = max 1 cfg.workers; cache_cap = max 1 cfg.cache_cap } in
     let store =
       match cfg.store_dir with
@@ -979,7 +987,6 @@ let create cfg =
       Array.init cfg.workers (fun i ->
           {
             s_idx = i;
-            s_queue = Queue.create ();
             s_state = W_dead;
             s_pid = 0;
             s_fd = Unix.stdin (* placeholder; meaningless while s_pid = 0 *);
@@ -1001,10 +1008,10 @@ let create cfg =
         cache_order = Queue.create ();
         jobs = Hashtbl.create 16;
         inflight_keys = Hashtbl.create 16;
+        queue = Queue.create ();
         slots;
         next_job = 1;
         next_conn = 1;
-        queued = 0;
         in_flight = 0;
         conns = [];
         readers = [];
@@ -1071,6 +1078,7 @@ let accept_one t listener =
               c_wmutex = Mutex.create ();
               c_wcv = Condition.create ();
               c_outq = Queue.create ();
+              c_writing = false;
               c_alive = true;
               c_closing = false;
               c_writer = None;
@@ -1084,7 +1092,7 @@ let accept_one t listener =
 let drain t =
   (* 0. snapshot what the signal interrupted, for the final report *)
   let outstanding, done_before =
-    locked t (fun () -> (t.queued + t.in_flight, t.n_ok + t.n_failed + t.n_cancelled))
+    locked t (fun () -> (Queue.length t.queue + t.in_flight, t.n_ok + t.n_failed + t.n_cancelled))
   in
   logv t "draining: %d job(s) outstanding" outstanding;
   (* 1. no new connections *)
@@ -1093,7 +1101,7 @@ let drain t =
   (* 2. let the supervised fleet answer every queued and in-flight job
      (the supervisor keeps respawning crashed workers meanwhile) *)
   Mutex.lock t.mutex;
-  while t.queued > 0 || t.in_flight > 0 do
+  while not (Queue.is_empty t.queue) || t.in_flight > 0 do
     Condition.wait t.drain_cv t.mutex
   done;
   t.stopping_workers <- true;

@@ -33,7 +33,9 @@ type chaos = {
 }
 
 type config = {
-  w_slot : int;  (** worker slot index (dispatch affinity) *)
+  w_slot : int;
+      (** worker slot index: seeds this worker's chaos RNG stream; it
+          does not select jobs (any idle worker takes the queue's head) *)
   w_gen : int;  (** respawn generation of this slot *)
   w_hb_interval_s : float;  (** heartbeat period *)
   w_store_dir : string option;  (** artifact store root; [None] = no store *)

@@ -12,9 +12,11 @@ HLSC="dune exec --no-build bin/hlsc.exe --"
 dune build bin/hlsc.exe || exit 1
 
 fail=0
+# [expect] runs hlsc under $WRAP (empty by default)
+WRAP=
 expect() {
   want=$1; label=$2; shift 2
-  $HLSC "$@" >/dev/null 2>&1
+  $WRAP $HLSC "$@" >/dev/null 2>&1
   got=$?
   if [ "$got" -eq "$want" ]; then
     echo "ok   $label -> $got"
@@ -38,6 +40,19 @@ expect 1 "bad --jobs"             explore example1 --jobs 0
 expect 1 "bad --clock"            flow example1 --clock 0
 expect 1 "bad --timeout"          flow example1 --timeout=nan
 expect 1 "bad --feedback-iters"   flow example1 --feedback-iters 0
+expect 1 "bad --deadline (submit)" submit schedule example1 --deadline=-1 \
+  --socket /tmp/hlsc_no_such.sock
+
+# serve checks its flags before it binds; a regression that starts the
+# daemon instead is stopped after 10 s (SIGTERM drains it, exit 0), so it
+# fails here rather than hanging CI
+tmp=$(mktemp -d)
+WRAP="timeout --preserve-status 10"
+expect 1 "bad --queue-capacity"   serve --socket "$tmp/s.sock" --queue-capacity 0
+expect 1 "bad --deadline (serve)" serve --socket "$tmp/s.sock" --deadline=-1
+expect 124 "no --watermark on serve" serve --socket "$tmp/s.sock" --watermark 48
+WRAP=
+rm -rf "$tmp"
 
 # command-line misuse -> cmdliner's 124
 expect 124 "bad flag"             schedule example1 --no-such-flag

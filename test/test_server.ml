@@ -19,13 +19,13 @@ let fresh_socket () =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "hlsc_test_%d_%d.sock" (Unix.getpid ()) !sock_counter)
 
-let with_server ?(workers = 2) ?(queue_capacity = 64) ?shed_watermark ?cache_cap f =
+let with_server ?(workers = 2) ?queue_capacity ?cache_cap f =
   (* the daemon runs in-process: a test that makes it write to a reset
      peer (e.g. slow-client eviction) must not die of SIGPIPE *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let socket = fresh_socket () in
-  let shed_watermark =
-    match shed_watermark with Some w -> w | None -> Server.default_config.Server.shed_watermark
+  let queue_capacity =
+    Option.value queue_capacity ~default:Server.default_config.Server.queue_capacity
   in
   let cache_cap =
     Option.value cache_cap ~default:Server.default_config.Server.cache_cap
@@ -36,7 +36,6 @@ let with_server ?(workers = 2) ?(queue_capacity = 64) ?shed_watermark ?cache_cap
       Server.socket;
       workers;
       queue_capacity;
-      shed_watermark;
       cache_cap;
     }
   in
@@ -322,8 +321,8 @@ let test_disconnect_mid_stream () =
 
 let has_prefix p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p
 
-(* poll until the single worker has picked up the long job, so queue
-   depth is deterministic for the admission tests *)
+(* poll until [n] jobs are in flight, so queue depth is deterministic
+   for the admission and dispatch tests *)
 let wait_in_flight socket n =
   let c = connect socket in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
@@ -345,37 +344,17 @@ let wait_in_flight socket n =
   in
   go ()
 
-(* a job that keeps the single worker busy for ~0.1 s: long enough for
+(* a job that keeps a worker busy for ~0.1 s: long enough for
    [wait_in_flight]'s 10 ms polls to see it in flight (idct's ~10 ms flow
    could finish between two polls) *)
 let long_spec ?(clock = 1600.0) () =
   P.job_spec ~verify:true ~clock_ps:clock P.C_flow (`Builtin "idct8x8")
 
-let test_queue_full () =
-  with_server ~workers:1 ~queue_capacity:1 @@ fun socket ->
-  let c1 = connect socket in
-  Fun.protect ~finally:(fun () -> Client.close c1) @@ fun () ->
-  (match Client.submit_nowait c1 (long_spec ()) with
-  | Ok _ -> ()
-  | Error m -> Alcotest.failf "submit long: %s" m);
-  wait_in_flight socket 1;
-  (match Client.submit_nowait c1 (long_spec ~clock:1601.0 ()) with
-  | Ok _ -> ()
-  | Error m -> Alcotest.failf "submit queued: %s" m);
-  (* queue is now at capacity: the next submit is refused, typed *)
-  let c2 = connect socket in
-  Fun.protect ~finally:(fun () -> Client.close c2) @@ fun () ->
-  (match Client.submit c2 (long_spec ~clock:1602.0 ()) with
-  | Ok _ -> Alcotest.fail "over-capacity submit accepted"
-  | Error m -> Alcotest.(check bool) ("typed queue_full: " ^ m) true (has_prefix "queue_full" m));
-  (* both admitted jobs still complete *)
-  let o1 = match Client.await c1 with Ok o -> o | Error m -> Alcotest.failf "await 1: %s" m in
-  let o2 = match Client.await c1 with Ok o -> o | Error m -> Alcotest.failf "await 2: %s" m in
-  Alcotest.(check bool) "admitted jobs completed" true
-    (o1.P.o_status = P.S_ok && o2.P.o_status = P.S_ok)
-
+(* at the queue bound fresh work is shed with the typed, retryable
+   [overloaded] reject; cache hits are still served and the admitted
+   jobs still complete *)
 let test_overloaded_shed_but_cache_served () =
-  with_server ~workers:1 ~shed_watermark:(Some 1) @@ fun socket ->
+  with_server ~workers:1 ~queue_capacity:1 @@ fun socket ->
   let c1 = connect socket in
   Fun.protect ~finally:(fun () -> Client.close c1) @@ fun () ->
   (* warm the cache before saturating the daemon *)
@@ -388,20 +367,110 @@ let test_overloaded_shed_but_cache_served () =
   (match Client.submit_nowait c1 (long_spec ~clock:1601.0 ()) with
   | Ok _ -> ()
   | Error m -> Alcotest.failf "submit queued: %s" m);
-  (* at the watermark: fresh work is shed with the typed reject… *)
+  (* the queue is at its bound: fresh work is shed, with a retry hint… *)
+  let fd = raw_connect socket in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  raw_hello fd;
+  P.write_frame fd (P.request_to_json (P.Submit (long_spec ~clock:1602.0 ())));
+  (match P.read_frame fd with
+  | Ok j ->
+      Alcotest.(check (option string)) "typed overloaded" (Some "overloaded")
+        (Option.bind (P.member "code" j) P.get_string);
+      Alcotest.(check bool) "carries retry_after_ms" true
+        (Option.bind (P.member "retry_after_ms" j) P.get_int <> None)
+  | Error e -> Alcotest.failf "shed submit: %s" (P.frame_error_to_string e));
+  (* …but a cache hit is served even at the bound *)
   let c2 = connect socket in
   Fun.protect ~finally:(fun () -> Client.close c2) @@ fun () ->
-  (match Client.submit c2 (long_spec ~clock:1602.0 ()) with
-  | Ok _ -> Alcotest.fail "shed-watermark submit accepted"
-  | Error m -> Alcotest.(check bool) ("typed overloaded: " ^ m) true (has_prefix "overloaded" m));
-  (* …but a cache hit is served even while overloaded *)
   (match Client.submit c2 quick with
   | Ok o ->
       Alcotest.(check bool) "cache hit served under shed" true
         (o.P.o_status = P.S_ok && o.P.o_cached)
   | Error m -> Alcotest.failf "cache hit shed: %s" m);
-  ignore (Client.await c1);
-  ignore (Client.await c1)
+  (* both admitted jobs still complete *)
+  let o1 = match Client.await c1 with Ok o -> o | Error m -> Alcotest.failf "await 1: %s" m in
+  let o2 = match Client.await c1 with Ok o -> o | Error m -> Alcotest.failf "await 2: %s" m in
+  Alcotest.(check bool) "admitted jobs completed" true
+    (o1.P.o_status = P.S_ok && o2.P.o_status = P.S_ok)
+
+(* workers are interchangeable: two distinct jobs run side by side on
+   two workers, even when their fingerprints hash alike (a per-slot
+   [Hashtbl.hash key mod workers] routing would serialise them) *)
+let test_idle_worker_takes_queued_job () =
+  let design =
+    match Design_db.load (`Builtin "idct8x8") with
+    | Ok d -> d
+    | Error m -> Alcotest.failf "load: %s" m
+  in
+  let slot_of clock =
+    Hashtbl.hash (Hls_server.Artifact.key_of_spec ~design (long_spec ~clock ())) mod 2
+  in
+  let clock2 =
+    List.init 32 (fun i -> 1601.0 +. float_of_int i)
+    |> List.find_opt (fun c -> slot_of c = slot_of 1600.0)
+    |> function
+    | Some c -> c
+    | None -> Alcotest.fail "no clock whose fingerprint shares the first one's slot"
+  in
+  with_server ~workers:2 @@ fun socket ->
+  let c1 = connect socket in
+  let c2 = connect socket in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close c1;
+      Client.close c2)
+  @@ fun () ->
+  List.iter
+    (fun (c, clock) ->
+      match Client.submit_nowait c (long_spec ~clock ()) with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "submit %.0f: %s" clock m)
+    [ (c1, 1600.0); (c2, clock2) ];
+  wait_in_flight socket 2;
+  List.iter (fun c -> ignore (ok_outcome (Client.await c))) [ c1; c2 ]
+
+(* a deadline the supervisor would trip at once is refused at the door:
+   no worker is killed for it *)
+let test_bad_deadline_refused () =
+  with_server ~workers:1 @@ fun socket ->
+  let fd = raw_connect socket in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  raw_hello fd;
+  List.iter
+    (fun d ->
+      P.write_frame fd
+        (P.request_to_json (P.Submit (P.job_spec ~deadline_s:d P.C_flow (`Builtin "idct"))));
+      expect_error_code fd "bad_request")
+    [ -1.0; 0.0 ];
+  let c = connect socket in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  ignore (ok_outcome (Client.submit c (P.job_spec ~ii:2 P.C_schedule (`Builtin "example1"))));
+  match Client.stats c with
+  | Ok j ->
+      Alcotest.(check (option int)) "no worker crashed" (Some 0)
+        (Option.bind (P.member "supervisor" j) (fun o ->
+             Option.bind (P.member "crashes" o) P.get_int))
+  | Error m -> Alcotest.failf "stats: %s" m
+
+(* [Server.create] refuses config values that would misbehave rather
+   than fail, before binding anything *)
+let test_create_checks_config () =
+  List.iter
+    (fun (label, cfg) ->
+      let socket = fresh_socket () in
+      match Server.create { cfg with Server.socket } with
+      | Ok _ -> Alcotest.failf "%s accepted" label
+      | Error _ -> Alcotest.(check bool) (label ^ ": nothing bound") false (Sys.file_exists socket))
+    (let d = Server.default_config in
+     [
+       ("negative deadline", { d with Server.deadline_s = -1.0 });
+       ("nan deadline", { d with Server.deadline_s = Float.nan });
+       ("infinite deadline", { d with Server.deadline_s = Float.infinity });
+       ("zero heartbeat timeout", { d with Server.hb_timeout_s = 0.0 });
+       ("zero queue capacity", { d with Server.queue_capacity = 0 });
+     ])
 
 let test_draining_observed () =
   with_server ~workers:1 @@ fun socket ->
@@ -664,9 +733,12 @@ let suite =
     Alcotest.test_case "oversized frame: typed error, stream survives" `Quick test_oversized_frame;
     Alcotest.test_case "version mismatch + hello-first" `Quick test_proto_mismatch_and_hello_required;
     Alcotest.test_case "disconnect mid-stream" `Quick test_disconnect_mid_stream;
-    Alcotest.test_case "queue_full observed by a client" `Quick test_queue_full;
     Alcotest.test_case "overloaded shed; cache hits still served" `Quick
       test_overloaded_shed_but_cache_served;
+    Alcotest.test_case "idle worker takes a queued job" `Quick test_idle_worker_takes_queued_job;
+    Alcotest.test_case "bad deadline: typed bad_request, no worker killed" `Quick
+      test_bad_deadline_refused;
+    Alcotest.test_case "create checks the config" `Quick test_create_checks_config;
     Alcotest.test_case "draining observed by a client" `Quick test_draining_observed;
     Alcotest.test_case "racing identical submits coalesce to one compile" `Quick
       test_coalesced_submits;
