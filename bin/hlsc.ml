@@ -350,6 +350,7 @@ let cosim_cmd =
   in
   let run name ii clock latency robust nest iters seed =
     guarded @@ fun () ->
+    if iters < 0 then or_die (Error (Printf.sprintf "bad --iters %d (expected N >= 0)" iters));
     let r = flow_result ~ii ~clock ~latency ~trace:false ~robust ~nest name in
     let d = r.Hls_flow.Flow.f_design in
     let elab = r.Hls_flow.Flow.f_elab and sched = r.Hls_flow.Flow.f_sched in

@@ -435,6 +435,9 @@ let run ?(options = default_options) ?trace (design : Ast.design) : (t, Diag.t) 
   if not (Float.is_finite options.clock_ps && options.clock_ps > 0.0) then
     Diag.error ~phase:Diag.Frontend ~code:"bad_clock"
       "clock period must be a positive finite number of picoseconds, got %g" options.clock_ps
+  else if options.sim_iters < 0 then
+    Diag.error ~phase:Diag.Frontend ~code:"bad_stimulus"
+      "stimulus length must be a non-negative number of iterations, got %d" options.sim_iters
   else
     match check_budget options.sched with
     | Stdlib.Error d -> Stdlib.Error d

@@ -1,10 +1,13 @@
-(** One-time compilation of a folded pipeline into a specialized simulator.
+(** One-time compilation of a scheduled region into a specialized
+    simulator.
 
     {!Kernel_sim}'s interpreter re-runs the kernel-cell topo sort for every
     active stage on every clock cycle and routes every operand through
-    per-iteration hashtables.  This pass resolves all of that {e once} per
-    [(Elaborate.t, Scheduler.t, Pipeline.t)] triple into a closed-over
-    execution plan:
+    per-iteration hashtables.  [compile_cells] resolves all of that
+    {e once} into a closed-over execution plan over a grid of cells: the
+    folded kernel's (state, stage) cells ([compile]), or the single flat
+    cell of all region members that {!Schedule_sim} runs one iteration at
+    a time.  Either way:
 
     - cell topological orders, in-edge lists, guard atoms, result widths
       and loop-carried distances are looked up a single time and flattened
@@ -73,36 +76,26 @@ let watchdog_diag ~engine ~cap =
 let default_max_cycles ~ii ~stages ~n_iters =
   max 100_000 ((n_iters + stages + 8) * max 1 ii * 8)
 
-(** Topologically ordered ops of one kernel cell (state, stage): within a
-    cell the chained dependencies must execute producer-first.  Shared by
-    the compiled plan (resolved once) and the interpreter (per cycle). *)
-let cell_topo (dfg : Dfg.t) (fold : Pipeline.t) ~state ~stage =
-  let ops = Pipeline.ops_at fold ~state ~stage in
-  let member = Hashtbl.create 8 in
-  List.iter (fun o -> Hashtbl.replace member o ()) ops;
-  let succs id =
-    List.filter_map
-      (fun e ->
-        if e.Dfg.distance = 0 && Hashtbl.mem member e.Dfg.dst then Some e.Dfg.dst else None)
-      (Dfg.out_edges dfg id)
-  in
-  match Graph_algo.topo_sort ~nodes:ops ~succs with
-  | Some o -> o
-  | None -> invalid_arg "Kernel_sim: combinational cycle within a kernel cell"
-
-(** Pre-region ops in dependency order (over distance-0 edges). *)
-let pre_topo (dfg : Dfg.t) pre_members =
+(** [ids] in dependency order over the distance-0 edges among them: the
+    pre region, one kernel cell, or the flat plan's region members. *)
+let pre_topo (dfg : Dfg.t) ids =
   let member_set = Hashtbl.create 16 in
-  List.iter (fun m -> Hashtbl.replace member_set m ()) pre_members;
+  List.iter (fun m -> Hashtbl.replace member_set m ()) ids;
   let succs id =
     List.filter_map
       (fun e ->
         if e.Dfg.distance = 0 && Hashtbl.mem member_set e.Dfg.dst then Some e.Dfg.dst else None)
       (Dfg.out_edges dfg id)
   in
-  match Graph_algo.topo_sort ~nodes:pre_members ~succs with
+  match Graph_algo.topo_sort ~nodes:ids ~succs with
   | Some order -> order
-  | None -> invalid_arg "Kernel_sim: cyclic pre region"
+  | None -> invalid_arg "Kernel_compile: combinational cycle over distance-0 edges"
+
+(** Topologically ordered ops of one kernel cell (state, stage): within a
+    cell the chained dependencies must execute producer-first.  Shared by
+    the compiled plan (resolved once) and the interpreter (per cycle). *)
+let cell_topo (dfg : Dfg.t) (fold : Pipeline.t) ~state ~stage =
+  pre_topo dfg (Pipeline.ops_at fold ~state ~stage)
 
 (* ------------------------------------------------------------------ *)
 
@@ -364,11 +357,11 @@ let exec_prog (q : prog) iter (vs : int array) (ss : int array) =
     Array.unsafe_set ss d iter
   done
 
-let compile (elab : Elaborate.t) (sched : Scheduler.t) (fold : Pipeline.t) : plan =
+let compile_cells (elab : Elaborate.t) (sched : Scheduler.t) ~ii ~stages
+    ~(cell : state:int -> stage:int -> int list) : plan =
   let dfg = elab.Elaborate.cdfg.Cdfg.dfg in
   let region = sched.Scheduler.s_region in
-  let ii = fold.Pipeline.f_ii in
-  let stages = fold.Pipeline.f_stages in
+  let cells = Array.init ii (fun state -> Array.init stages (fun stage -> cell ~state ~stage)) in
   let max_distance =
     List.fold_left (fun acc e -> max acc e.Dfg.distance) 1 (Dfg.all_edges dfg)
   in
@@ -390,11 +383,7 @@ let compile (elab : Elaborate.t) (sched : Scheduler.t) (fold : Pipeline.t) : pla
      distance-0 consumers always find them stamped; anything else only
      ever has a pre-region value *)
   let in_main = Array.make n_ops false in
-  for state = 0 to ii - 1 do
-    for stage = 0 to stages - 1 do
-      List.iter (fun id -> in_main.(id) <- true) (Pipeline.ops_at fold ~state ~stage)
-    done
-  done;
+  Array.iter (Array.iter (List.iter (fun id -> in_main.(id) <- true))) cells;
   let in_pre = Array.make n_ops false in
   List.iter (fun id -> in_pre.(id) <- true) elab.Elaborate.pre_members;
   (* Constant-folding support.  A [Const] op folds into its distance-0
@@ -685,11 +674,7 @@ let compile (elab : Elaborate.t) (sched : Scheduler.t) (fold : Pipeline.t) : pla
       q_pre = pre;
     }
   in
-  let progs =
-    Array.init ii (fun state ->
-        Array.init stages (fun stage ->
-            build_prog ~mode:`Main (cell_topo dfg fold ~state ~stage)))
-  in
+  let progs = Array.map (Array.map (build_prog ~mode:`Main)) cells in
   (* port writes split out of the instruction stream: all events of one
      cell share (cycle, iter) and each write reads only its own op's
      value, so emitting them after the cell's instructions in topo order
@@ -706,9 +691,9 @@ let compile (elab : Elaborate.t) (sched : Scheduler.t) (fold : Pipeline.t) : pla
         i
   in
   let writes =
-    Array.init ii (fun state ->
-        Array.init stages (fun stage ->
-            cell_topo dfg fold ~state ~stage
+    Array.map
+      (Array.map (fun ids ->
+           ids
             |> List.filter_map (fun id ->
                    let op = Dfg.find dfg id in
                    match op.Dfg.kind with
@@ -728,6 +713,7 @@ let compile (elab : Elaborate.t) (sched : Scheduler.t) (fold : Pipeline.t) : pla
                          }
                    | _ -> None)
             |> Array.of_list))
+      cells
   in
   let pre_prog = build_prog ~mode:`Pre (pre_topo dfg elab.Elaborate.pre_members) in
   {
@@ -754,10 +740,13 @@ let compile (elab : Elaborate.t) (sched : Scheduler.t) (fold : Pipeline.t) : pla
     p_ports = Hashtbl.fold (fun p r acc -> (p, r) :: acc) ports [];
   }
 
+let compile (elab : Elaborate.t) (sched : Scheduler.t) (fold : Pipeline.t) : plan =
+  compile_cells elab sched ~ii:fold.Pipeline.f_ii ~stages:fold.Pipeline.f_stages
+    ~cell:(cell_topo elab.Elaborate.cdfg.Cdfg.dfg fold)
+
 (* ------------------------------------------------------------------ *)
 
-let run ?(funcs = Behav.default_fun) ?max_iters ?max_cycles ?(stall_pattern = fun _ -> true)
-    (plan : plan) (stim : Stimulus.t) : result =
+let start ?(funcs = Behav.default_fun) (plan : plan) (stim : Stimulus.t) =
   plan.p_funcs := funcs;
   List.iter
     (fun (p, r) ->
@@ -768,7 +757,35 @@ let run ?(funcs = Behav.default_fun) ?max_iters ?max_cycles ?(stall_pattern = fu
   (* reset the arena (stamps only; values are gated by their stamp) *)
   Array.iter (fun s -> Array.fill s 0 (Array.length s) (-1)) plan.p_stamp;
   Array.fill plan.p_pre 0 (Array.length plan.p_pre) 0;
-  exec_prog plan.p_pre_prog 0 plan.p_pre plan.p_pre_stamp;
+  exec_prog plan.p_pre_prog 0 plan.p_pre plan.p_pre_stamp
+
+(* A write's guard, read from the iteration's row (stamped) or the pre
+   region. *)
+let guard_holds pre w iter (vs : int array) (ss : int array) =
+  let ok = ref true in
+  for j = 0 to Array.length w.w_preds - 1 do
+    let p = w.w_preds.(j) in
+    let v = if ss.(p) = iter then vs.(p) else pre.(p) in
+    if v <> 0 <> w.w_pols.(j) then ok := false
+  done;
+  !ok
+
+let exec_cell (plan : plan) ~state ~stage iter emit =
+  let sl = iter land plan.p_mask in
+  let vs = plan.p_values.(sl) and ss = plan.p_stamp.(sl) in
+  exec_prog plan.p_progs.(state).(stage) iter vs ss;
+  Array.iter
+    (fun w ->
+      if guard_holds plan.p_pre w iter vs ss then emit w.w_id plan.p_wports.(w.w_pidx) vs.(w.w_id))
+    plan.p_writes.(state).(stage)
+
+let stamped_nonzero (plan : plan) ~iter id =
+  let sl = iter land plan.p_mask in
+  plan.p_stamp.(sl).(id) = iter && plan.p_values.(sl).(id) <> 0
+
+let run ?funcs ?max_iters ?max_cycles ?(stall_pattern = fun _ -> true) (plan : plan)
+    (stim : Stimulus.t) : result =
+  start ?funcs plan stim;
   let ii = plan.p_ii and stages = plan.p_stages and mask = plan.p_mask in
   let values = plan.p_values and stamp = plan.p_stamp and pre = plan.p_pre in
   let n_iters = min (Option.value max_iters ~default:stim.Stimulus.n_iters) stim.Stimulus.n_iters in
@@ -819,11 +836,14 @@ let run ?(funcs = Behav.default_fun) ?max_iters ?max_cycles ?(stall_pattern = fu
     !out_value.(n) <- v;
     out_n := n + 1
   in
-  stage_iter.(0) <- 0;
-  issued := 1;
+  (* iteration 0 enters stage 0 at once, unless the stimulus is empty *)
+  if n_iters > 0 then begin
+    stage_iter.(0) <- 0;
+    issued := 1
+  end;
   (* count of stage slots holding a live iteration — the interpreter's
      "any stage active" scan, maintained incrementally at wrap points *)
-  let in_flight = ref 1 in
+  let in_flight = ref !issued in
   let guard_cycles = ref 0 in
   while !in_flight > 0 do
     incr guard_cycles;
@@ -868,13 +888,7 @@ let run ?(funcs = Behav.default_fun) ?max_iters ?max_cycles ?(stall_pattern = fu
           let ws = Array.unsafe_get state_writes sg in
           for i = 0 to Array.length ws - 1 do
             let w = Array.unsafe_get ws i in
-            let ok = ref true in
-            for j = 0 to Array.length w.w_preds - 1 do
-              let p = w.w_preds.(j) in
-              let v = if ss.(p) = iter then vs.(p) else pre.(p) in
-              if v <> 0 <> w.w_pols.(j) then ok := false
-            done;
-            if !ok then push_event w.w_pidx iter !cycle vs.(w.w_id)
+            if guard_holds pre w iter vs ss then push_event w.w_pidx iter !cycle vs.(w.w_id)
           done;
           (* data-dependent exit evaluated in the stage that computes it *)
           if cont_c >= 0 && !exit_at < 0 && ss.(cont_c) = iter && vs.(cont_c) = 0 then begin

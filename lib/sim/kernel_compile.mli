@@ -1,13 +1,23 @@
-(** One-time compilation of a folded pipeline into a specialized simulator.
+(** One-time compilation of a scheduled region into a register machine.
 
-    [compile] resolves everything the {!Kernel_sim} interpreter re-derives
-    per cycle — cell topological orders, in-edge lists, guard atoms,
-    result widths, loop-carried distances — once, into per-op closures
-    over a dense op-id-indexed value arena (a ring of
-    [stages + max_distance + 1] iteration contexts with iteration-stamp
-    validity).  [run] then steps the same controller as the interpreter:
-    kernel-state counter, stage-validity shift register, external +
-    design stall freezing, data-dependent exit with squash.
+    {!compile_cells} is the one compiler.  It takes a grid of cells
+    ([ii] kernel states × [stages] stages, each a topologically ordered op
+    list) and resolves everything an interpreter would re-derive per op —
+    in-edge lists, guard atoms, result widths, loop-carried distances —
+    once, into flat instruction arrays over a dense op-id-indexed value
+    arena (a ring of [stages + max_distance + 1] iteration contexts with
+    iteration-stamp validity), with constant folding and multiply-add
+    fusion.  Two plans are built from it:
+
+    - the folded kernel ({!compile}): one cell per (kernel state, stage),
+      in {!cell_topo} order.  {!run} steps the same controller as the
+      {!Kernel_sim} interpreter: kernel-state counter, stage-validity
+      shift register, external + design stall freezing, data-dependent
+      exit with squash;
+    - the flat plan of {!Schedule_sim}: one cell ([ii = stages = 1])
+      holding every region member in {!pre_topo} order, which
+      {!start}, {!exec_cell} and {!stamped_nonzero} drive one whole
+      iteration at a time.
 
     A plan is reusable across runs (the arena resets per run) but is not
     thread-safe and not reentrant: one [run] at a time per plan. *)
@@ -28,7 +38,34 @@ exception Watchdog of Hls_diag.Diag.t
 
 type plan
 
+val compile_cells :
+  Hls_frontend.Elaborate.t ->
+  Hls_core.Scheduler.t ->
+  ii:int ->
+  stages:int ->
+  cell:(state:int -> stage:int -> int list) ->
+  plan
+(** Compile the pre region and the cells [cell ~state ~stage] for
+    [state < ii], [stage < stages]; each cell lists its ops producer
+    first.  Every op of some cell counts as a main-loop op: its distance-0
+    consumers read it from the current iteration's row. *)
+
 val compile : Hls_frontend.Elaborate.t -> Hls_core.Scheduler.t -> Hls_core.Pipeline.t -> plan
+(** The folded kernel: [compile_cells] over the fold's cells in
+    {!cell_topo} order. *)
+
+val start : ?funcs:(string -> int list -> int) -> plan -> Stimulus.t -> unit
+(** Bind [funcs] and the stimulus ports, reset the arena and run the pre
+    program at iteration 0.  {!run} starts with it. *)
+
+val exec_cell : plan -> state:int -> stage:int -> int -> (int -> string -> int -> unit) -> unit
+(** [exec_cell plan ~state ~stage i emit] runs one cell for iteration [i],
+    then calls [emit op port value] for each of its port writes whose
+    guard holds, in cell order. *)
+
+val stamped_nonzero : plan -> iter:int -> int -> bool
+(** [op] was computed for iteration [iter] (and that iteration's ring slot
+    has not been reused since) with a non-zero value. *)
 
 val run :
   ?funcs:(string -> int list -> int) ->
@@ -57,4 +94,5 @@ val cell_topo : Hls_ir.Dfg.t -> Hls_core.Pipeline.t -> state:int -> stage:int ->
     interpreter so both engines execute cells in the same order. *)
 
 val pre_topo : Hls_ir.Dfg.t -> int list -> int list
-(** Pre-region members in dependency order over distance-0 edges. *)
+(** The given ops in dependency order over the distance-0 edges among
+    them (the pre region, or the flat plan's region members). *)

@@ -1,8 +1,8 @@
 (** Cycle-stepped simulator of the {e folded} pipeline.
 
     Where {!Schedule_sim} executes the dataflow per iteration and derives
-    timing analytically, this simulator steps the generated controller
-    clock by clock, exactly as the emitted RTL does:
+    timing analytically, this simulator steps the pipeline controller
+    clock by clock:
 
     - a kernel-state counter cycles through the II states;
     - a stage-validity shift register implements prologue and epilogue
@@ -15,7 +15,9 @@
 
     Each pipeline stage carries the value context of the iteration
     currently occupying it; loop-carried reads reach the context of the
-    iteration [d] issues earlier.
+    iteration [d] issues earlier.  These contexts are ideal (a value stays
+    readable until its last reader), so the model is the controller's,
+    not the printed Verilog's registers.
 
     Two engines share the controller semantics bit-for-bit: the reference
     tree-walking interpreter below ([`Interp]) and the compiled plan of
@@ -149,9 +151,12 @@ let run_interp ?(funcs = Behav.default_fun) ?max_iters ?max_cycles
   let outputs = ref [] in
   let stop_issue = ref false in
   let exit_at = ref None in
-  (* iteration slots begin with stage 0 occupied by iteration 0 *)
-  stage_iter.(0) <- 0;
-  issued := 1;
+  (* iteration slots begin with stage 0 occupied by iteration 0, unless
+     the stimulus is empty *)
+  if n_iters > 0 then begin
+    stage_iter.(0) <- 0;
+    issued := 1
+  end;
   let max_distance =
     List.fold_left (fun acc e -> max acc e.Dfg.distance) 1 (Dfg.all_edges dfg)
   in

@@ -1,10 +1,11 @@
 (** Cycle-stepped simulator of the {e folded} pipeline: steps the
     generated controller clock by clock — kernel-state counter,
     stage-validity shift register (prologue/epilogue), stall freezing, and
-    data-dependent exit with squash of younger in-flight iterations —
-    exactly as the emitted RTL behaves.  Two engines share these
-    semantics: the reference tree-walking interpreter and the compiled
-    plan of {!Kernel_compile} (the default).  Cross-checked against the
+    data-dependent exit with squash of younger in-flight iterations.
+    Each stage carries an ideal value context for its iteration, so this
+    models the controller, not the registers of the printed Verilog.  Two
+    engines share these semantics: the reference tree-walking interpreter
+    and the compiled plan of {!Kernel_compile} (the default).  Cross-checked against the
     behavioural golden model and {!Schedule_sim} in the test matrix and
     by the randomized {!Equiv.fuzz} gate. *)
 

@@ -1,22 +1,28 @@
-(** Simulator of a scheduled (and folded) design.
+(** Simulator of a scheduled (and folded) design, one whole iteration at a
+    time.
 
-    Executes the elaborated DFG exactly as the generated hardware would:
-    pre-region operations once, then the main-loop region iteration by
-    iteration with loop-carried values flowing across distance-[d] edges,
-    guards gating port-write commits, and the folded pipeline's timing
-    reconstructed analytically (iteration [i] of a pipeline with initiation
-    interval II issues at cycle [i * II]; an operation scheduled on step [s]
-    of iteration [i] executes at cycle [i * II + s]).
+    Runs the elaborated DFG on {!Kernel_compile}'s register machine as a
+    flat plan: pre-region operations once, then all region members of
+    iteration [i] in dependency order, with loop-carried values flowing
+    across distance-[d] edges and guards gating port-write commits.  Each
+    iteration keeps its own ideal value context (every value stays
+    readable until its last reader), so this models the schedule's
+    dataflow, not the registers of the printed Verilog.  The folded
+    pipeline's timing is reconstructed analytically: iteration [i] of a
+    pipeline with initiation interval II issues at cycle [i * II], and an
+    operation scheduled on step [s] of iteration [i] executes at cycle
+    [i * II + s].
 
-    Data-dependent loop exits behave speculatively, as in the generated
-    controller: when iteration [i] computes a false continue condition, the
-    younger iterations already in flight are squashed — they consume cycles
-    but their port writes are suppressed.  The simulator reports both the
-    committed outputs (for equivalence against {!Behav}) and the cycle
-    counts (for throughput and power accounting).
+    Data-dependent loop exits behave speculatively: when iteration [i]
+    computes a false continue condition, the younger iterations already in
+    flight are squashed — they consume cycles but their port writes are
+    suppressed.  The simulator reports both the committed outputs (for
+    equivalence against {!Behav}) and the cycle counts (for throughput and
+    power accounting).
 
-    Execution counts per operation are collected for the activity-based
-    power model. *)
+    Execution counts per operation feed the activity-based power model.
+    They follow from the run: every pre-region op executes once and every
+    region member once per committed iteration. *)
 
 open Hls_ir
 open Hls_core
@@ -32,205 +38,58 @@ type result = {
   r_exec_counts : (int, int) Hashtbl.t;  (** op -> number of executions *)
 }
 
-let trunc = Width.truncate
-
-type ctx = {
-  elab : Elaborate.t;
-  sched : Scheduler.t;
-  stim : Stimulus.t;
-  funcs : string -> int list -> int;
-  dfg : Dfg.t;
-  pre_values : (int, int) Hashtbl.t;
-  exec_counts : int array;  (** dense, op-id-indexed; exported as a table *)
-}
-
-let count ctx op = ctx.exec_counts.(op) <- ctx.exec_counts.(op) + 1
-
-(** Value of [op]'s input edge [e] for iteration [iter], given the history
-    of per-iteration value tables ([history i] = values of iteration [i]). *)
-let edge_value ctx ~history ~iter (e : Dfg.edge) =
-  if e.Dfg.distance = 0 then
-    match history iter with
-    | Some tbl when Hashtbl.mem tbl e.Dfg.src -> Hashtbl.find tbl e.Dfg.src
-    | _ -> (
-        match Hashtbl.find_opt ctx.pre_values e.Dfg.src with
-        | Some v -> v
-        | None -> 0)
-  else
-    match history (iter - e.Dfg.distance) with
-    | Some tbl when Hashtbl.mem tbl e.Dfg.src -> Hashtbl.find tbl e.Dfg.src
-    | _ -> 0
-
-let guard_true ctx ~values (g : Guard.t) =
-  List.for_all
-    (fun (a : Guard.atom) ->
-      let v =
-        match Hashtbl.find_opt values a.Guard.pred with
-        | Some v -> v
-        | None -> Option.value (Hashtbl.find_opt ctx.pre_values a.Guard.pred) ~default:0
-      in
-      (v <> 0) = a.Guard.polarity)
-    g
-
-(** Evaluate one op for one iteration.  [values] is the iteration's table;
-    [history] reaches earlier iterations for loop-carried edges. *)
-let eval_op ctx ~history ~values ~iter (op : Dfg.op) : unit =
-  count ctx op.Dfg.id;
-  let ins = Dfg.in_edges ctx.dfg op.Dfg.id in
-  let arg i = edge_value ctx ~history ~iter (List.nth ins i) in
-  let args () = List.map (edge_value ctx ~history ~iter) ins in
-  let v =
-    match op.Dfg.kind with
-    | Opkind.Read p -> Stimulus.value ctx.stim ~port:p ~iter
-    | Opkind.Const n -> n
-    | Opkind.Loop_mux -> if iter = 0 then arg 0 else arg 1
-    | Opkind.Write _ -> arg 0
-    | Opkind.Call c -> ctx.funcs c.Opkind.callee (args ())
-    | Opkind.Concat ->
-        let a = arg 0 and b = arg 1 in
-        let wb = (Dfg.find ctx.dfg (List.nth ins 1).Dfg.src).Dfg.width in
-        (a lsl wb) lor (b land ((1 lsl wb) - 1))
-    | Opkind.Sext _ -> arg 0
-    | k -> (
-        match Opkind.eval_pure k (args ()) with
-        | Some v -> v
-        | None -> invalid_arg ("Schedule_sim: cannot evaluate " ^ Opkind.to_string k))
-  in
-  Hashtbl.replace values op.Dfg.id (trunc ~width:op.Dfg.width v)
-
-(** Topological order of a member list over distance-0 edges. *)
-let topo_members dfg members =
-  let member_set = Hashtbl.create 16 in
-  List.iter (fun m -> Hashtbl.replace member_set m ()) members;
-  let succs id =
-    List.filter_map
-      (fun e ->
-        if e.Dfg.distance = 0 && Hashtbl.mem member_set e.Dfg.dst then Some e.Dfg.dst else None)
-      (Dfg.out_edges dfg id)
-  in
-  match Graph_algo.topo_sort ~nodes:members ~succs with
-  | Some o -> o
-  | None -> invalid_arg "Schedule_sim: combinational cycle in region"
-
 (** Run the simulation.  [max_iters] caps infinite loops; data-dependent
     exits stop earlier. *)
-let run ?(funcs = Behav.default_fun) ?max_iters (elab : Elaborate.t) (sched : Scheduler.t)
-    (stim : Stimulus.t) : result =
+let run ?funcs ?max_iters (elab : Elaborate.t) (sched : Scheduler.t) (stim : Stimulus.t) : result =
   let dfg = elab.Elaborate.cdfg.Cdfg.dfg in
-  let ctx =
-    {
-      elab;
-      sched;
-      stim;
-      funcs;
-      dfg;
-      pre_values = Hashtbl.create 32;
-      exec_counts = Array.make (Dfg.fold_ops dfg (fun op m -> max m op.Dfg.id) (-1) + 1) 0;
-    }
-  in
-  (* --- pre-region: evaluate once (iteration index 0 for port reads) --- *)
-  let pre_order = topo_members dfg elab.Elaborate.pre_members in
-  List.iter
-    (fun id ->
-      let op = Dfg.find dfg id in
-      eval_op ctx
-        ~history:(fun _ -> Some ctx.pre_values)
-        ~values:ctx.pre_values ~iter:0 op)
-    pre_order;
-  (* --- main loop --- *)
   let region = sched.Scheduler.s_region in
   let ii = Region.ii region in
   let li = sched.Scheduler.s_li in
   let members = List.map (fun o -> o.Dfg.id) (Region.member_ops region) in
-  let order = topo_members dfg members in
-  let max_distance =
-    List.fold_left
-      (fun acc e -> max acc e.Dfg.distance)
-      1
-      (List.concat_map (fun id -> Dfg.in_edges dfg id) members)
+  let order = Kernel_compile.pre_topo dfg members in
+  let plan =
+    Kernel_compile.compile_cells elab sched ~ii:1 ~stages:1 ~cell:(fun ~state:_ ~stage:_ -> order)
+  in
+  Kernel_compile.start ?funcs plan stim;
+  let step_of id =
+    match Scheduler.placement sched id with Some pl -> pl.Binding.pl_step | None -> li - 1
   in
   let n_iters = min (Option.value max_iters ~default:stim.Stimulus.n_iters) stim.Stimulus.n_iters in
-  let history : (int, (int, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
-  let lookup i = if i < 0 then None else Hashtbl.find_opt history i in
   let outputs = ref [] in
   let committed = ref 0 in
-  let issued = ref 0 in
-  let exit_iter = ref None in
-  (let i = ref 0 in
-   let continue_ = ref true in
-   while !continue_ && !i < n_iters do
-     let values = Hashtbl.create 32 in
-     Hashtbl.replace history !i values;
-     incr issued;
-     List.iter (fun id -> eval_op ctx ~history:lookup ~values ~iter:!i (Dfg.find dfg id)) order;
-     (* committed writes of this iteration *)
-     List.iter
-       (fun id ->
-         let op = Dfg.find dfg id in
-         match op.Dfg.kind with
-         | Opkind.Write p when guard_true ctx ~values op.Dfg.guard ->
-             let step =
-               match Scheduler.placement sched id with
-               | Some pl -> pl.Binding.pl_step
-               | None -> li - 1
-             in
-             outputs :=
-               {
-                 o_port = p;
-                 o_iter = !i;
-                 o_cycle = (!i * ii) + step;
-                 o_value = Hashtbl.find values id;
-               }
-               :: !outputs
-         | _ -> ())
-       order;
-     incr committed;
-     (match region.Region.continue_cond with
-     | Some c ->
-         let v = Option.value (Hashtbl.find_opt values c) ~default:0 in
-         if v = 0 then begin
-           continue_ := false;
-           exit_iter := Some !i
-         end
-     | None -> ());
-     (* bound history to the loop-carried horizon *)
-     if !i - max_distance >= 0 then Hashtbl.remove history (!i - max_distance);
-     incr i
-   done);
-  (* --- pipeline squash accounting: iterations in flight past the exit --- *)
+  let exited = ref false in
+  while (not !exited) && !committed < n_iters do
+    let i = !committed in
+    Kernel_compile.exec_cell plan ~state:0 ~stage:0 i (fun id port v ->
+        outputs := { o_port = port; o_iter = i; o_cycle = (i * ii) + step_of id; o_value = v } :: !outputs);
+    incr committed;
+    match region.Region.continue_cond with
+    | Some c when not (Kernel_compile.stamped_nonzero plan ~iter:i c) -> exited := true
+    | _ -> ()
+  done;
+  (* pipeline squash accounting: the exit is detected at the step where
+     the continue condition finishes; younger iterations already issued by
+     then are squashed *)
   let squashed =
-    match (!exit_iter, Region.is_pipelined region) with
-    | Some i, true ->
-        (* exit detected at the step where the continue condition is
-           scheduled; younger iterations already issued are squashed *)
+    match region.Region.continue_cond with
+    | Some c when !exited && Region.is_pipelined region ->
         let cond_step =
-          match region.Region.continue_cond with
-          | Some c -> (
-              match Scheduler.placement sched c with
-              | Some pl -> pl.Binding.pl_finish
-              | None -> li - 1)
-          | None -> li - 1
+          match Scheduler.placement sched c with Some pl -> pl.Binding.pl_finish | None -> li - 1
         in
-        let overlap = cond_step / ii in
-        ignore i;
-        min overlap (n_iters - !committed)
+        min (cond_step / ii) (n_iters - !committed)
     | _ -> 0
   in
-  issued := !issued + squashed;
-  let cycles =
-    if !committed = 0 then 0
-    else ((!committed - 1 + squashed) * ii) + li
-  in
+  let counts = Array.make (Dfg.fold_ops dfg (fun op m -> max m op.Dfg.id) (-1) + 1) 0 in
+  List.iter (fun id -> counts.(id) <- counts.(id) + 1) elab.Elaborate.pre_members;
+  List.iter (fun id -> counts.(id) <- counts.(id) + !committed) members;
+  let exec_counts = Hashtbl.create 64 in
+  Array.iteri (fun id n -> if n > 0 then Hashtbl.replace exec_counts id n) counts;
   {
     r_outputs = List.rev !outputs;
     r_iters = !committed;
-    r_cycles = cycles;
-    r_issued = !issued;
-    r_exec_counts =
-      (* export only the executed ops, as the table-based counter did *)
-      (let tbl = Hashtbl.create 64 in
-       Array.iteri (fun id n -> if n > 0 then Hashtbl.replace tbl id n) ctx.exec_counts;
-       tbl);
+    r_cycles = (if !committed = 0 then 0 else ((!committed - 1 + squashed) * ii) + li);
+    r_issued = !committed + squashed;
+    r_exec_counts = exec_counts;
   }
 
 let port_values (r : result) port =

@@ -40,6 +40,7 @@ expect 1 "bad --jobs"             explore example1 --jobs 0
 expect 1 "bad --clock"            flow example1 --clock 0
 expect 1 "bad --timeout"          flow example1 --timeout=nan
 expect 1 "bad --feedback-iters"   flow example1 --feedback-iters 0
+expect 1 "negative --iters"       cosim example1 --iters=-3
 expect 1 "bad --deadline (submit)" submit schedule example1 --deadline=-1 \
   --socket /tmp/hlsc_no_such.sock
 

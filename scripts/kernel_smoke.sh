@@ -9,7 +9,8 @@
 #  2. An interpreted-vs-compiled diff (`hlsc cosim`) on built-in designs
 #     and every checked-in .bhv example, including both flattened loop
 #     nests — identical outputs and identical iteration / cycle / stall /
-#     squash counters under three stall duty patterns each.
+#     squash counters under three stall duty patterns each — and an
+#     empty stimulus that must issue no iteration.
 #  3. The `bench kernel` experiment in smoke mode, so the BENCH_kernel
 #     code path (engine timing + its own fuzz batch) stays alive.
 set -euo pipefail
@@ -32,6 +33,9 @@ run cosim dotprod --ii 1
 run cosim examples/satacc.bhv --ii 2
 run cosim examples/matmul.bhv --ii 8x1 --iters 64
 run cosim examples/stencil2d.bhv --ii 8400x2 --iters 64
+# an empty stimulus issues no iteration in either engine
+empty=$(run cosim example1 --ii 1 --iters 0)
+grep -q "0 iterations" <<<"$empty" || { echo "FAIL: cosim --iters 0 issued an iteration"; exit 1; }
 
 # 3: the experiment code path (short lengths, reduced fuzz batch)
 dune exec --no-build bench/main.exe -- kernel --smoke >/dev/null

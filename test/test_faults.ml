@@ -84,6 +84,18 @@ let test_zero_clock () =
       ())
     [ 0.0; -100.0; Float.nan; Float.infinity; Float.neg_infinity ]
 
+(* a negative stimulus length is rejected before elaboration too *)
+let test_negative_stimulus () =
+  List.iter
+    (fun degrade ->
+      let _ =
+        expect_error ~phase:Diag.Frontend ~code:"bad_stimulus"
+          ~options:{ Flow.default_options with sim_iters = -4; degrade }
+          (Hls_designs.Example1.design ())
+      in
+      ())
+    [ true; false ]
+
 (* ---- fault class 4: malformed design (unknown port) ---- *)
 
 let test_unknown_port () =
@@ -374,6 +386,7 @@ let suite =
     Alcotest.test_case "huge-delay library" `Quick test_huge_delay_lib;
     Alcotest.test_case "zero-delay library" `Quick test_zero_delay_lib;
     Alcotest.test_case "zero clock period" `Quick test_zero_clock;
+    Alcotest.test_case "negative stimulus length" `Quick test_negative_stimulus;
     Alcotest.test_case "unknown port" `Quick test_unknown_port;
     Alcotest.test_case "inverted latency bounds" `Quick test_bad_latency_bounds;
     Alcotest.test_case "empty design" `Quick test_empty_design;

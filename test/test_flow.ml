@@ -12,6 +12,21 @@ let test_flow_example1 () =
       Alcotest.(check bool) "positive area" true (r.Hls_flow.Flow.f_area.Hls_rtl.Stats.a_total > 0.0);
       Alcotest.(check bool) "positive power" true (r.Hls_flow.Flow.f_power_mw > 0.0)
 
+(* an empty stimulus verifies: no engine invents an iteration *)
+let test_flow_empty_stimulus () =
+  List.iter
+    (fun (name, d, ii) ->
+      match
+        Hls_flow.Flow.run ~options:{ Hls_flow.Flow.default_options with ii = Some ii; sim_iters = 0 } d
+      with
+      | Error e -> Alcotest.fail (Diag.to_string e)
+      | Ok r ->
+          Alcotest.(check bool) (Printf.sprintf "%s II=%d verified" name ii) true
+            (match r.Hls_flow.Flow.f_equiv with
+            | Some v -> v.Hls_sim.Equiv.equivalent
+            | None -> false))
+    [ ("example1", Hls_designs.Example1.design (), 1); ("fir8", Hls_designs.Fir.design (), 2) ]
+
 let test_flow_reports_frontend_errors () =
   let bad =
     Dsl.(design "bad" ~ins:[ in_port "a" 8 ] ~outs:[] ~vars:[] [ "x" := port "nope" ])
@@ -132,6 +147,7 @@ let test_idct_is_multiplier_rich () =
 let suite =
   [
     Alcotest.test_case "flow example1" `Quick test_flow_example1;
+    Alcotest.test_case "flow empty stimulus verifies" `Quick test_flow_empty_stimulus;
     Alcotest.test_case "flow frontend errors" `Quick test_flow_reports_frontend_errors;
     Alcotest.test_case "flow schedule errors" `Quick test_flow_reports_schedule_errors;
     Alcotest.test_case "flow rerunnable" `Quick test_flow_rerunnable;

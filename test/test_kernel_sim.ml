@@ -149,6 +149,32 @@ let test_fuzz_gate () =
     true
     (Hls_sim.Equiv.fuzz_ok report)
 
+(* an empty stimulus issues no iteration: no output, no cycle, in both
+   kernel engines and in the schedule simulator *)
+let test_empty_stimulus () =
+  List.iter
+    (fun (name, d, ii) ->
+      let e, s = schedule ~ii d in
+      let stim = Hls_sim.Stimulus.small_random ~seed:1 ~n_iters:0 ~ports:d.Ast.d_ins in
+      List.iter
+        (fun (engine, ename) ->
+          let r = Hls_sim.Kernel_sim.run ~engine e s stim in
+          let what f = Printf.sprintf "%s II=%d %s: %s" name ii ename f in
+          Alcotest.(check int) (what "outputs") 0 (List.length r.Hls_sim.Kernel_sim.k_outputs);
+          Alcotest.(check int) (what "iterations") 0 r.Hls_sim.Kernel_sim.k_iters;
+          Alcotest.(check int) (what "cycles") 0 r.Hls_sim.Kernel_sim.k_cycles;
+          Alcotest.(check int) (what "squashed") 0 r.Hls_sim.Kernel_sim.k_squashed)
+        [ (`Interp, "interpreted"); (`Compiled, "compiled") ];
+      let a = Hls_sim.Schedule_sim.run e s stim in
+      Alcotest.(check (list int)) (name ^ " schedule-sim counters") [ 0; 0; 0; 0 ]
+        [
+          List.length a.Hls_sim.Schedule_sim.r_outputs;
+          a.Hls_sim.Schedule_sim.r_iters;
+          a.Hls_sim.Schedule_sim.r_cycles;
+          a.Hls_sim.Schedule_sim.r_issued;
+        ])
+    [ ("example1", Hls_designs.Example1.design (), 1); ("fir8", Hls_designs.Fir.design (), 2) ]
+
 let suite =
   [
     three_way "example1" (Hls_designs.Example1.design ()) None 40 31;
@@ -162,6 +188,7 @@ let suite =
     Alcotest.test_case "external stall freezes" `Quick test_external_stall_freezes;
     Alcotest.test_case "exit squash" `Quick test_exit_squash;
     Alcotest.test_case "watchdog raises typed diag" `Quick test_watchdog_raises;
+    Alcotest.test_case "empty stimulus: no iteration" `Quick test_empty_stimulus;
     QCheck_alcotest.to_alcotest prop_interp_eq_compiled;
     Alcotest.test_case "randomized three-way fuzz gate" `Slow test_fuzz_gate;
   ]

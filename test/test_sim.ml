@@ -125,6 +125,45 @@ let test_exec_counts_reflect_guards () =
             (n <= sim.Hls_sim.Schedule_sim.r_issued))
         sim.Hls_sim.Schedule_sim.r_exec_counts
 
+(* exec counts follow the run: every pre-region op once, every region
+   member once per committed iteration (an op in both gets the sum), and
+   an op that never ran is absent *)
+let test_exec_count_contract () =
+  List.iter
+    (fun (name, d, ii, seed, n_iters, exits_early) ->
+      let e = Elaborate.design d in
+      let region = Elaborate.main_region ?ii e in
+      match Scheduler.schedule ~lib ~clock_ps:1600.0 region with
+      | Error err -> Alcotest.failf "schedule failed: %s" err.Scheduler.e_message
+      | Ok s ->
+          let stim = Hls_sim.Stimulus.small_random ~seed ~n_iters ~ports:d.Ast.d_ins in
+          let sim = Hls_sim.Schedule_sim.run e s stim in
+          let iters = sim.Hls_sim.Schedule_sim.r_iters in
+          Alcotest.(check bool) (name ^ ": exits before the stimulus ends") exits_early
+            (iters < n_iters);
+          let pre = e.Elaborate.pre_members in
+          let members = List.map (fun o -> o.Hls_ir.Dfg.id) (Hls_ir.Region.member_ops region) in
+          let expected id =
+            (if List.mem id pre then 1 else 0) + if List.mem id members then iters else 0
+          in
+          let ids = List.sort_uniq compare (pre @ members) in
+          List.iter
+            (fun id ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s op %d" name id)
+                (expected id)
+                (Option.value (Hashtbl.find_opt sim.Hls_sim.Schedule_sim.r_exec_counts id) ~default:0))
+            ids;
+          Alcotest.(check int) (name ^ ": no other op counted")
+            (List.length (List.filter (fun id -> expected id > 0) ids))
+            (Hashtbl.length sim.Hls_sim.Schedule_sim.r_exec_counts))
+    [
+      ("example1 seq", Hls_designs.Example1.design (), None, 2, 100, true);
+      ("example1 II=1", Hls_designs.Example1.design (), Some 1, 2, 100, true);
+      ("fir8 II=1", Hls_designs.Fir.design (), Some 1, 5, 20, false);
+      ("fir8 II=2, empty stimulus", Hls_designs.Fir.design (), Some 2, 1, 0, false);
+    ]
+
 let suite =
   [
     Alcotest.test_case "behav: accumulator" `Quick test_behav_basics;
@@ -152,4 +191,6 @@ let suite =
     equiv_case "idct8x8" (Hls_designs.Idct2d.design ()) None 32 19;
     Alcotest.test_case "throughput matches II" `Quick test_throughput_matches_ii;
     Alcotest.test_case "exec counts bounded" `Quick test_exec_counts_reflect_guards;
+    Alcotest.test_case "exec counts: pre once, members per iteration" `Quick
+      test_exec_count_contract;
   ]
