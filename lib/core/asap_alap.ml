@@ -73,15 +73,10 @@ let guard_index region members =
     members;
   fun p -> if p >= 0 && p < Array.length tbl then tbl.(p) else []
 
-(** Reverse index of guard dependencies: predicate op -> guarded member
-    ops.  Building it once avoids a full member scan per query. *)
-let guard_dependents_index region = guard_index region (Region.member_ops region)
-
-(** Consumers, tagged: [false] = data edge (the value chains through the
-    consumer's logic), [true] = guard edge (the value only gates the
-    consumer's commit enable).  [guard_deps] defaults to a fresh index —
-    pass {!guard_dependents_index} when querying many ops. *)
-let sched_succs_tagged ?guard_deps region (op : Dfg.op) =
+(* Consumers, tagged: [false] = data edge (the value chains through the
+   consumer's logic), [true] = guard edge (the value only gates the
+   consumer's commit enable). *)
+let sched_succs_tagged ~guard_deps region (op : Dfg.op) =
   let dfg = region.Region.dfg in
   let data =
     List.filter_map
@@ -90,18 +85,61 @@ let sched_succs_tagged ?guard_deps region (op : Dfg.op) =
         else None)
       (Dfg.out_edges dfg op.Dfg.id)
   in
-  let index = match guard_deps with Some f -> f | None -> guard_dependents_index region in
   let guarded =
     List.filter_map
       (fun g -> if List.exists (fun ((d : int), _) -> d = g) data then None else Some (g, true))
-      (index op.Dfg.id)
+      (guard_deps op.Dfg.id)
   in
   (* a consumer reachable through both a data and a guard edge counts as data *)
   List.sort_uniq
     (fun ((a : int), ga) (b, gb) -> match Int.compare a b with 0 -> Bool.compare ga gb | c -> c)
     (data @ guarded)
 
-let sched_succs ?guard_deps region op = List.map fst (sched_succs_tagged ?guard_deps region op)
+(** Everything {!compute} needs that depends only on the region's graph
+    and the library, not on the latency interval or the SCC windows.
+    Per-op tables are indexed by op id. *)
+type plan = {
+  p_members : Dfg.op list;  (** region members, ascending id *)
+  p_order : int list;  (** members in topological order *)
+  p_delay : float array;  (** {!op_delay} *)
+  p_lat : int array;  (** {!Library.op_latency} *)
+  p_preds : int list array;  (** {!sched_preds} *)
+  p_data_preds : int list array;  (** [p_preds] minus the guard predicates *)
+  p_guard_preds : int list array;  (** member guard predicates *)
+  p_succs : (int * bool) list array;  (** consumers, [true] = guard edge *)
+}
+
+let plan ~(lib : Library.t) (region : Region.t) =
+  let dfg = region.Region.dfg in
+  let members = Region.member_ops region in
+  let n = Array.length region.Region.members in
+  let guard_deps = guard_index region members in
+  let p_delay = Array.make n 0.0 and p_lat = Array.make n 1 in
+  let p_preds = Array.make n [] and p_data_preds = Array.make n [] in
+  let p_guard_preds = Array.make n [] and p_succs = Array.make n [] in
+  List.iter
+    (fun (op : Dfg.op) ->
+      let id = op.Dfg.id in
+      p_delay.(id) <- op_delay lib dfg op;
+      p_lat.(id) <- Library.op_latency lib op.Dfg.kind;
+      let preds = sched_preds region op in
+      let guard_preds = List.filter (Region.mem region) (Guard.preds op.Dfg.guard) in
+      p_preds.(id) <- preds;
+      p_guard_preds.(id) <- guard_preds;
+      p_data_preds.(id) <- List.filter (fun p -> not (List.exists (Int.equal p) guard_preds)) preds;
+      p_succs.(id) <- sched_succs_tagged ~guard_deps region op)
+    members;
+  let order =
+    match
+      Graph_algo.topo_sort
+        ~nodes:(List.map (fun o -> o.Dfg.id) members)
+        ~succs:(fun id -> List.map fst p_succs.(id))
+    with
+    | Some o -> o
+    | None -> invalid_arg "Asap_alap.compute: combinational cycle among member ops"
+  in
+  { p_members = members; p_order = order; p_delay; p_lat; p_preds; p_data_preds; p_guard_preds;
+    p_succs }
 
 (** Clamp a range with an anchor and an SCC stage window. *)
 let clamp_range ~anchor ~window (a, b) =
@@ -110,22 +148,17 @@ let clamp_range ~anchor ~window (a, b) =
 
 (** [compute ~lib ~clock_ps ~scc_window region] analyzes all member ops.
     [scc_window op] returns the inclusive step window imposed by a pipeline
-    SCC stage assignment, if any.  Every per-op table is an array indexed
-    by op id. *)
-let compute ~(lib : Library.t) ~clock_ps ?(scc_window = fun _ -> None) (region : Region.t) : t =
+    SCC stage assignment, if any.  [plan] defaults to a fresh {!plan}; a
+    plan built earlier for the same region and library gives the same
+    result, whatever the latency interval now is.  Every per-op table is
+    an array indexed by op id. *)
+let compute ?plan:pl ~(lib : Library.t) ~clock_ps ?(scc_window = fun _ -> None) (region : Region.t) :
+    t =
+  let pl = match pl with Some p -> p | None -> plan ~lib region in
   let dfg = region.Region.dfg in
-  let members = Region.member_ops region in
-  let nodes = List.map (fun o -> o.Dfg.id) members in
   let n = Array.length region.Region.members in
   let li = region.Region.n_steps in
-  let guard_deps = guard_index region members in
-  let succs id = sched_succs ~guard_deps region (Dfg.find dfg id) in
-  let order =
-    match Graph_algo.topo_sort ~nodes ~succs with
-    | Some o -> o
-    | None -> invalid_arg "Asap_alap.compute: combinational cycle among member ops"
-  in
-  let latency op = Library.op_latency lib op.Dfg.kind in
+  let order = pl.p_order in
   let overhead = lib.Library.ff_setup in
   let ff = lib.Library.ff_clk_q in
   (* ---- forward (ASAP) ---- *)
@@ -135,12 +168,11 @@ let compute ~(lib : Library.t) ~clock_ps ?(scc_window = fun _ -> None) (region :
   let f_arr = Array.make n ff and f_multi = Array.make n false in
   List.iter
     (fun id ->
-      let op = Dfg.find dfg id in
-      let d = op_delay lib dfg op in
-      let lat = latency op in
-      let preds = sched_preds region op in
-      let guard_preds = List.filter (Region.mem region) (Guard.preds op.Dfg.guard) in
-      let data_preds = List.filter (fun p -> not (List.exists (Int.equal p) guard_preds)) preds in
+      let d = pl.p_delay.(id) in
+      let lat = pl.p_lat.(id) in
+      let preds = pl.p_preds.(id) in
+      let guard_preds = pl.p_guard_preds.(id) in
+      let data_preds = pl.p_data_preds.(id) in
       (* earliest step considering register crossings of multi-cycle preds *)
       let min_step =
         List.fold_left
@@ -153,7 +185,7 @@ let compute ~(lib : Library.t) ~clock_ps ?(scc_window = fun _ -> None) (region :
           List.fold_left
             (fun acc p -> fmax acc (arr_at step p))
             (if data_preds = [] then
-               match op.Dfg.kind with
+               match (Dfg.find dfg id).Dfg.kind with
                | Opkind.Const _ -> 0.0
                | _ -> ff
              else 0.0)
@@ -185,17 +217,15 @@ let compute ~(lib : Library.t) ~clock_ps ?(scc_window = fun _ -> None) (region :
   let b_start = Array.make n (li - 1) and b_req = Array.make n (clock_ps -. overhead) in
   List.iter
     (fun id ->
-      let op = Dfg.find dfg id in
-      let d = op_delay lib dfg op in
-      let lat = latency op in
-      let cons = sched_succs_tagged ~guard_deps region op in
+      let d = pl.p_delay.(id) in
+      let lat = pl.p_lat.(id) in
+      let cons = pl.p_succs.(id) in
       let alap_start, req =
         if cons = [] then (li - 1, clock_ps -. overhead)
         else
           List.fold_left
             (fun (acc_step, acc_req) (c, is_guard) ->
-              let c_op = Dfg.find dfg c in
-              let c_lat = latency c_op in
+              let c_lat = pl.p_lat.(c) in
               let c_start = b_start.(c) and c_req = b_req.(c) in
               let cand_step, cand_req =
                 if c_lat > 1 || lat > 1 then (c_start - lat, clock_ps -. overhead)
@@ -203,7 +233,7 @@ let compute ~(lib : Library.t) ~clock_ps ?(scc_window = fun _ -> None) (region :
                   (* deadline for our output: a guard must settle by the
                      consumer's commit time, data by the consumer's input
                      time (its output deadline minus its delay) *)
-                  let budget = if is_guard then c_req else c_req -. op_delay lib dfg c_op in
+                  let budget = if is_guard then c_req else c_req -. pl.p_delay.(c) in
                   if budget -. d >= ff then (c_start, budget)
                   else (c_start - 1, clock_ps -. overhead)
               in

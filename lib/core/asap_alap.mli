@@ -32,13 +32,36 @@ val sched_preds : Region.t -> Dfg.op -> int list
 (** Ordering dependencies: distance-0 data inputs plus guard predicates,
     restricted to region members. *)
 
-val guard_dependents_index : Region.t -> int -> int list
-(** Reverse guard-dependency index, built once per analysis. *)
+(** Everything {!compute} needs that depends only on the region's graph
+    and the library, not on the latency interval or the SCC windows.
+    Per-op tables are indexed by op id ([[]] / [0] for non-members). *)
+type plan = {
+  p_members : Dfg.op list;  (** region members, ascending id *)
+  p_order : int list;  (** members in topological order *)
+  p_delay : float array;  (** {!op_delay} *)
+  p_lat : int array;  (** {!Library.op_latency} *)
+  p_preds : int list array;  (** {!sched_preds} *)
+  p_data_preds : int list array;  (** [p_preds] minus the guard predicates *)
+  p_guard_preds : int list array;  (** member guard predicates *)
+  p_succs : (int * bool) list array;
+      (** distance-0 data consumers and guarded members, ascending, tagged
+          [true] when reached only through a guard (enable) edge *)
+}
 
-val sched_succs_tagged : ?guard_deps:(int -> int list) -> Region.t -> Dfg.op -> (int * bool) list
-(** Consumers tagged [true] when reached through a guard (enable) edge. *)
-
-val sched_succs : ?guard_deps:(int -> int list) -> Region.t -> Dfg.op -> int list
+val plan : lib:Library.t -> Region.t -> plan
+(** Build the plan of a region.  It stays valid across
+    {!Region.add_step} / {!Region.reset_steps} and for any SCC window, so
+    a scheduler builds it once per schedule and passes it to every
+    {!compute}.
+    @raise Invalid_argument on a combinational cycle among member ops. *)
 
 val compute :
-  lib:Library.t -> clock_ps:float -> ?scc_window:(int -> (int * int) option) -> Region.t -> t
+  ?plan:plan ->
+  lib:Library.t ->
+  clock_ps:float ->
+  ?scc_window:(int -> (int * int) option) ->
+  Region.t ->
+  t
+(** The two sweeps (ASAP forward, ALAP backward from the current latency
+    interval) and the anchor/window clamping.  [plan] defaults to a fresh
+    {!plan} of the region; pass one built earlier to skip rebuilding it. *)

@@ -35,6 +35,9 @@ type inst = Netlist.inst = {
   added_by_expert : bool;
   mutable mux_cache : int list array option;
   mutable mux_delays : float array option;
+  mutable n_bound : int;
+  mutable delay_memo : float;
+  compat : Bytes.t;
 }
 
 type placement = Netlist.placement = { pl_step : int; pl_finish : int; pl_inst : int option }
@@ -133,7 +136,7 @@ let fmax (a : float) b = if a >= b then a else b
     still catches those. *)
 let quick_slack t (op : Dfg.op) ~step ~inst_id =
   let i = Netlist.find_inst t.net inst_id in
-  let d = Library.delay t.lib i.rtype in
+  let d = Netlist.inst_delay t.net i in
   let data =
     List.fold_left
       (fun acc e ->
@@ -403,27 +406,64 @@ let force_bind t (op : Dfg.op) ~step ~inst_opt =
 (** Refresh every arrival after a batch of [force_bind]s. *)
 let recompute_all t = Netlist.recompute_all t.net
 
+(* Instances keyed by (compatibility tier, bound-op count), in key order;
+   the stable sort keeps registration order on equal keys *)
+let by_key keyed =
+  List.stable_sort
+    (fun (fa, la, _) (fb, lb, _) -> match Int.compare fa fb with 0 -> Int.compare la lb | c -> c)
+    keyed
+  |> List.map (fun (_, _, i) -> i)
+
 (** Instances compatible with [op]: an instance already wide enough always
     qualifies ([fits]); otherwise the width-merge rule decides whether the
     instance may be widened to host the op.  Preferred order: exact-fit
-    first, then least-loaded. *)
+    first, then least-loaded.  Rebuilt from scratch on every call: the
+    reference order {!candidates} is tested against. *)
 let compatible_insts t (op : Dfg.op) =
   match Netlist.resource_of t.net op with
   | None -> []
   | Some need ->
-      (* only the op's own class can host it.  Decorate-sort-undecorate:
-         [fits] and the load are evaluated once per instance, not once per
-         comparison; the stable sort on equal keys preserves registration
-         order *)
+      (* only the op's own class can host it *)
       Netlist.class_insts t.net op
       |> List.filter_map (fun i ->
              let fits = Resource.fits ~need ~have:i.rtype in
              if fits || Resource.can_merge need i.rtype then
                Some ((if fits then 0 else 1), List.length i.bound, i)
              else None)
-      |> List.stable_sort (fun (fa, la, _) (fb, lb, _) ->
-             match Int.compare fa fb with 0 -> Int.compare la lb | c -> c)
-      |> List.map (fun (_, _, i) -> i)
+      |> by_key
+
+(** {!compatible_insts}, lazily.  The head is the minimum (tier, load,
+    registration order) of one scan over the op's class, reading the
+    memoized tier ({!Netlist.compat_tier}) and the O(1) count [n_bound],
+    so an attempt whose first candidate binds builds no list and sorts
+    nothing.  The tail — [compatible_insts] minus its head — is built
+    only when forced, i.e. after the head failed, and a failed bind
+    leaves every tier and count where it found them. *)
+let candidates t (op : Dfg.op) : inst Seq.t =
+ fun () ->
+  let insts = Netlist.class_insts t.net op in
+  let best = ref None and best_tier = ref 2 and best_load = ref max_int in
+  List.iter
+    (fun (i : inst) ->
+      let tier = Netlist.compat_tier t.net op i in
+      if tier < !best_tier || (tier = !best_tier && tier < 2 && i.n_bound < !best_load) then begin
+        best := Some i;
+        best_tier := tier;
+        best_load := i.n_bound
+      end)
+    insts;
+  match !best with
+  | None -> Seq.Nil
+  | Some first ->
+      let rest () =
+        List.filter_map
+          (fun (i : inst) ->
+            let tier = Netlist.compat_tier t.net op i in
+            if tier < 2 && i != first then Some (tier, i.n_bound, i) else None)
+          insts
+        |> by_key
+      in
+      Seq.Cons (first, fun () -> List.to_seq (rest ()) ())
 
 (** Worst endpoint slack over all placed ops. *)
 let worst_slack t = Netlist.worst_slack t.net

@@ -27,6 +27,9 @@ type inst = Netlist.inst = {
   added_by_expert : bool;
   mutable mux_cache : int list array option;
   mutable mux_delays : float array option;
+  mutable n_bound : int;  (** [List.length bound] *)
+  mutable delay_memo : float;  (** see {!Netlist.inst_delay} *)
+  compat : Bytes.t;  (** see {!Netlist.compat_tier} *)
 }
 
 type placement = Netlist.placement = { pl_step : int; pl_finish : int; pl_inst : int option }
@@ -128,7 +131,16 @@ val force_bind : t -> Dfg.op -> step:int -> inst_opt:int option -> unit
 val recompute_all : t -> unit
 
 val compatible_insts : t -> Dfg.op -> inst list
-(** Candidate instances, exact-fit then least-loaded first. *)
+(** Candidate instances, exact-fit then least-loaded first, ties in
+    registration order: the reference order {!candidates} must follow,
+    rebuilt from scratch on every call. *)
+
+val candidates : t -> Dfg.op -> inst Seq.t
+(** {!compatible_insts}, enumerated lazily: the head is one scan over the
+    op's class with memoized compatibility and O(1) load, and the tail is
+    built (and sorted) only when forced.  Forcing it after a failed
+    {!try_bind} of the head is sound: a failed bind leaves the netlist
+    as it found it. *)
 
 val worst_slack : t -> float
 

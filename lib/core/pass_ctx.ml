@@ -27,16 +27,15 @@ let class_key dfg op =
             rt.Resource.in_widths )
   | None -> None
 
-let create (region : Region.t) =
+let create ~(plan : Asap_alap.plan) (region : Region.t) =
   let dfg = region.Region.dfg in
-  let members = Region.member_ops region in
+  let members = plan.Asap_alap.p_members in
+  let preds = plan.Asap_alap.p_preds in
   let n = Array.length region.Region.members in
-  let preds = Array.make n [] and deps = Array.make n [] and class_keys = Array.make n None in
+  let deps = Array.make n [] and class_keys = Array.make n None in
   List.iter
     (fun o ->
-      let ps = Asap_alap.sched_preds region o in
-      preds.(o.Dfg.id) <- ps;
-      List.iter (fun p -> deps.(p) <- o.Dfg.id :: deps.(p)) ps;
+      List.iter (fun p -> deps.(p) <- o.Dfg.id :: deps.(p)) preds.(o.Dfg.id);
       class_keys.(o.Dfg.id) <- class_key dfg o)
     members;
   {

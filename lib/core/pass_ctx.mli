@@ -27,9 +27,10 @@ type t = {
       (** the aa value [ctx_scores] was computed from (physical identity) *)
 }
 
-val create : Region.t -> t
-(** Build every aa-independent table.  Scores are left empty until the
-    first {!refresh_scores}. *)
+val create : plan:Asap_alap.plan -> Region.t -> t
+(** Build every aa-independent table; the members and predecessor lists
+    are the [plan]'s own (shared, not copied).  Scores are left empty
+    until the first {!refresh_scores}. *)
 
 val refresh_scores : ?boosts:(int * float) list -> t -> aa:Asap_alap.t -> unit
 (** Recompute priority scores from [aa]; a no-op when [aa] is physically

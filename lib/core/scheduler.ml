@@ -364,25 +364,23 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
   let try_place (op : Dfg.op) e blocked_class =
     let attempt () =
       if Opkind.is_resource_op op.Dfg.kind then begin
-        match Binding.compatible_insts binding op with
-        | [] -> (
+        match Binding.candidates binding op () with
+        | Seq.Nil -> (
             match Resource.of_op dfg op with
             | Some rt -> [ Restraint.F_no_resource rt ]
             | None -> [])
-        | insts ->
-            let fails = ref [] in
-            let rec go = function
-              | [] -> !fails
-              | (i : Binding.inst) :: rest -> (
-                  match
-                    Binding.try_bind binding op ~step:e ~inst_opt:(Some i.Binding.inst_id)
-                  with
-                  | Ok () -> []
-                  | Error f ->
-                      fails := f :: !fails;
-                      go rest)
+        | Seq.Cons (i, rest) ->
+            (* candidates are enumerated lazily: the next is computed only
+               after the previous one failed *)
+            let rec go fails (i : Binding.inst) rest =
+              match Binding.try_bind binding op ~step:e ~inst_opt:(Some i.Binding.inst_id) with
+              | Ok () -> []
+              | Error f -> (
+                  match rest () with
+                  | Seq.Nil -> f :: fails
+                  | Seq.Cons (j, rest) -> go (f :: fails) j rest)
             in
-            let remaining = go insts in
+            let remaining = go [] i rest in
             if remaining = [] && Binding.is_placed binding op.Dfg.id then [] else remaining
       end
       else
@@ -603,8 +601,11 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
   List.iter (fun op -> Hashtbl.replace binding.Binding.dedicated op ()) opts.dedicated_ops;
   (* --- initial resource set, estimated at the latency upper bound --- *)
   let initial_li = region.Region.n_steps in
+  (* the graph-only half of the interval analysis, shared by every
+     [Asap_alap.compute] of this call whatever the latency interval *)
+  let plan = Asap_alap.plan ~lib region in
   Region.reset_steps region region.Region.max_steps;
-  let aa_alloc = Asap_alap.compute ~lib ~clock_ps region in
+  let aa_alloc = Asap_alap.compute ~plan ~lib ~clock_ps region in
   let initial = Alloc.run ~lib ~clock_ps region aa_alloc in
   Region.reset_steps region initial_li;
   List.iter
@@ -735,7 +736,7 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
      affect, enabling prefix replay.  With [warm_start = false] none of
      this is consulted: every pass rebuilds its tables and recomputes the
      interval analysis — the reference the warm path is tested against. *)
-  let ctx0 = if opts.warm_start then Some (Pass_ctx.create region) else None in
+  let ctx0 = if opts.warm_start then Some (Pass_ctx.create ~plan region) else None in
   let aa_cache = ref None in
   let prev_log = ref None in
   let next_warm = ref None in
@@ -796,12 +797,12 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
            match !aa_cache with
            | Some aa -> aa
            | None ->
-               let aa = Asap_alap.compute ~lib ~clock_ps ~scc_window region in
+               let aa = Asap_alap.compute ~plan ~lib ~clock_ps ~scc_window region in
                aa_cache := Some aa;
                aa)
-         else Asap_alap.compute ~lib ~clock_ps ~scc_window region
+         else Asap_alap.compute ~plan ~lib ~clock_ps ~scc_window region
        in
-       let ctx = match ctx0 with Some c -> c | None -> Pass_ctx.create region in
+       let ctx = match ctx0 with Some c -> c | None -> Pass_ctx.create ~plan region in
        Pass_ctx.refresh_scores ctx ~boosts ~aa;
        (* a merge that widened an instance in the last pass can flip
           prealloc-shared flags, which moves sharing-mux delays on every
@@ -971,7 +972,7 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
                let aa_old = aa in
                let aa_new =
                  if !aa_dirty then begin
-                   let aa' = Asap_alap.compute ~lib ~clock_ps ~scc_window region in
+                   let aa' = Asap_alap.compute ~plan ~lib ~clock_ps ~scc_window region in
                    aa_cache := Some aa';
                    aa'
                  end

@@ -51,10 +51,17 @@ type t = {
   nest : nest option;  (** loop-nest metadata; [None] for ordinary regions *)
 }
 
+(* the netlist packs a control step into 21 bits of its busy-table key *)
+let max_steps_limit = (1 lsl 21) - 1
+
 let create ?(min_steps = 1) ?(max_steps = 64) ?pipeline ?continue_cond ?stall_cond
     ?(is_loop = false) ?(source_waits = 1) ?members ?nest ~name dfg =
   if min_steps < 1 then invalid_arg "Region.create: min_steps < 1";
   if max_steps < min_steps then invalid_arg "Region.create: max_steps < min_steps";
+  if min_steps > max_steps_limit || max_steps > max_steps_limit then
+    invalid_arg
+      (Printf.sprintf "Region.create: latency bound %d above the limit %d"
+         (max min_steps max_steps) max_steps_limit);
   (match pipeline with
   | Some { ii } when ii < 1 -> invalid_arg "Region.create: ii < 1"
   | _ -> ());

@@ -49,6 +49,10 @@ type t = {
   nest : nest option;  (** loop-nest metadata; [None] for ordinary regions *)
 }
 
+val max_steps_limit : int
+(** Largest latency bound a region accepts, 2{^21} - 1: the netlist packs
+    a control step into 21 bits of its busy-table key. *)
+
 val create :
   ?min_steps:int ->
   ?max_steps:int ->
@@ -64,7 +68,9 @@ val create :
   t
 (** Membership defaults to every op currently in the DFG.  A pipelined
     region starts at LI = max(min_steps, II+1) — "exploration often starts
-    from LI = II + 1" (Section V, condition 2). *)
+    from LI = II + 1" (Section V, condition 2).
+    @raise Invalid_argument unless 1 <= [min_steps] <= [max_steps] <=
+    {!max_steps_limit}. *)
 
 val mem : t -> int -> bool
 

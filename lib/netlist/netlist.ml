@@ -68,6 +68,11 @@ type inst = {
           change (the hottest query of the timing engine) *)
   mutable mux_delays : float array option;
       (** memoized per-port mux delay, derived from [mux_cache] *)
+  mutable n_bound : int;  (** [List.length bound] *)
+  mutable delay_memo : float;  (** {!inst_delay}; nan until computed for this [rtype] *)
+  compat : Bytes.t;
+      (** need id -> compatibility tier under this [rtype] (see
+          {!compat_tier}); ['\255'] until computed *)
 }
 
 type placement = { pl_step : int; pl_finish : int; pl_inst : int option }
@@ -90,7 +95,7 @@ type cell = {
 type undo =
   | U_place of int  (** placement was absent before the trial *)
   | U_replace of int * placement
-  | U_bound of inst * int list
+  | U_bound of inst * int list * int
   | U_rtype of inst * Resource.t
   | U_mux of inst * int list array option * float array option
   | U_busy of int list ref * int list
@@ -158,7 +163,7 @@ type t = {
       (** op -> positions in each pred's bucket, parallel to [gpreds_c] *)
   busy : (int, int list ref) Hashtbl.t;
       (** (inst lsl 21) lor slot -> bound ops; slots are control steps,
-          far below 2^21 *)
+          below 2^21 ({!Region.max_steps_limit}) *)
   chain : Hls_timing.Cycle_detector.t;
   mutable generation : int;
   mutable trial_on : bool;
@@ -177,6 +182,10 @@ type t = {
   mutable out0_c : int array option array;  (** distance-0 consumer ids *)
   mutable lat_c : int array;  (** op latency, -1 = not computed *)
   mutable opdelay_c : float array;  (** exec delay off-instance, nan = unknown *)
+  need_c : int array;
+      (** op -> id of its resource need, -1 for none; sized by the graph
+          the netlist was created on *)
+  needs : Resource.t array;  (** need id -> resource need *)
   member_needs : Resource.t list;  (** static: resource needs of the members *)
   class_ops_memo : (Resource.t, int) Hashtbl.t;
       (** rtype -> members mergeable into it (static per region) *)
@@ -216,6 +225,23 @@ let create ~lib ~clock_ps (region : Region.t) =
   let rt_c = Array.make cap None in
   Dfg.iter_ops dfg (fun op -> rt_c.(op.Dfg.id) <- Resource.of_op dfg op);
   let member_needs = List.filter_map (fun op -> rt_c.(op.Dfg.id)) (Region.member_ops region) in
+  (* intern the distinct needs: each instance memoizes one compatibility
+     tier per need *)
+  let need_ids = Hashtbl.create 8 and needs = ref [] in
+  let need_c =
+    Array.map
+      (function
+        | None -> -1
+        | Some rt -> (
+            match Hashtbl.find_opt need_ids rt with
+            | Some k -> k
+            | None ->
+                let k = Hashtbl.length need_ids in
+                Hashtbl.add need_ids rt k;
+                needs := rt :: !needs;
+                k))
+      rt_c
+  in
   {
     region;
     lib;
@@ -254,6 +280,8 @@ let create ~lib ~clock_ps (region : Region.t) =
     out0_c = Array.make cap None;
     lat_c = Array.make cap (-1);
     opdelay_c = Array.make cap nan;
+    need_c;
+    needs = Array.of_list (List.rev !needs);
     member_needs;
     class_ops_memo = Hashtbl.create 8;
     prealloc_stale = true;
@@ -357,7 +385,8 @@ let iclass t rclass =
 let add_inst ?(added_by_expert = false) t rtype =
   let inst =
     { inst_id = t.next_inst_id; rtype; bound = []; prealloc_shared = false; added_by_expert;
-      mux_cache = None; mux_delays = None }
+      mux_cache = None; mux_delays = None; n_bound = 0; delay_memo = nan;
+      compat = Bytes.make (Array.length t.needs) '\255' }
   in
   t.next_inst_id <- t.next_inst_id + 1;
   t.insts_rev <- inst :: t.insts_rev;
@@ -402,6 +431,44 @@ let class_insts t (op : Dfg.op) =
 
 let find_inst t id =
   if id >= 0 && id < t.next_inst_id then t.inst_arr.(id) else raise Not_found
+
+(** [Library.delay] of the instance's current type, memoized on the
+    instance until its type changes. *)
+let inst_delay t i =
+  let d = i.delay_memo in
+  if Float.is_nan d then begin
+    let d = Library.delay t.lib i.rtype in
+    i.delay_memo <- d;
+    d
+  end
+  else d
+
+(** How an instance of [op]'s class can host [op]: 0 when its type already
+    fits the op's need, 1 when it can be widened to, 2 when neither.  One
+    byte per (need, instance), recomputed only after the instance's type
+    changed. *)
+let tier_of need have =
+  if Resource.fits ~need ~have then 0 else if Resource.can_merge need have then 1 else 2
+
+let compat_tier t (op : Dfg.op) i =
+  let id = op.Dfg.id in
+  let k = if id < Array.length t.need_c then t.need_c.(id) else -1 in
+  if k < 0 then match resource_of t op with Some need -> tier_of need i.rtype | None -> 2
+  else begin
+    let c = Bytes.unsafe_get i.compat k in
+    if c <> '\255' then Char.code c
+    else begin
+      let v = tier_of t.needs.(k) i.rtype in
+      Bytes.unsafe_set i.compat k (Char.unsafe_chr v);
+      v
+    end
+  end
+
+(* the type-derived memos of an instance are stale once its type moves *)
+let set_type i rt =
+  i.rtype <- rt;
+  i.delay_memo <- nan;
+  Bytes.fill i.compat 0 (Bytes.length i.compat) '\255'
 
 (** Mark shared instances: a class with more candidate ops than instances
     will be shared, so its input muxes are pre-allocated (Fig. 8a).  The
@@ -457,6 +524,7 @@ let reset_pass ~price_muxes t =
   List.iter
     (fun i ->
       i.bound <- [];
+      i.n_bound <- 0;
       i.mux_cache <- None;
       i.mux_delays <- None)
     t.insts_rev;
@@ -508,7 +576,8 @@ let n_placed t =
 let slot t step = if Region.is_pipelined t.region then step mod Region.ii t.region else step
 
 (* busy keys pack (instance, slot) into one int: slots are control steps,
-   bounded far below 2^21 by the region's latency interval *)
+   below 2^21 because [Region.create] refuses a latency bound above
+   [Region.max_steps_limit] *)
 let busy_key inst s = (inst lsl 21) lor s
 
 let busy_ref t inst step =
@@ -710,8 +779,10 @@ let rollback t =
           t.pl_inst.(op) <- (match pl.pl_inst with Some i -> i | None -> -1);
           t.pl_gen.(op) <- t.pass_stamp;
           step_index_add t op pl.pl_step
-      | U_bound (i, b) -> i.bound <- b
-      | U_rtype (i, rt) -> i.rtype <- rt
+      | U_bound (i, b, n) ->
+          i.bound <- b;
+          i.n_bound <- n
+      | U_rtype (i, rt) -> set_type i rt
       | U_mux (i, mc, md) ->
           i.mux_cache <- mc;
           i.mux_delays <- md
@@ -764,8 +835,9 @@ let rec sorted_insert x = function
     {!port_srcs}. *)
 let attach t i op_id =
   if not (List.mem op_id i.bound) then begin
-    if t.trial_on then t.undo_log <- U_bound (i, i.bound) :: t.undo_log;
+    if t.trial_on then t.undo_log <- U_bound (i, i.bound, i.n_bound) :: t.undo_log;
     i.bound <- op_id :: i.bound;
+    i.n_bound <- i.n_bound + 1;
     match i.mux_cache with
     | None -> invalidate_mux t i
     | Some c ->
@@ -803,7 +875,7 @@ let attach t i op_id =
 let set_rtype t i rt =
   if rt <> i.rtype then begin
     if t.trial_on then t.undo_log <- U_rtype (i, i.rtype) :: t.undo_log;
-    i.rtype <- rt;
+    set_type i rt;
     t.prealloc_stale <- true;
     invalidate_mux t i
   end
@@ -961,7 +1033,7 @@ let guard_arrival t ~step op = guard_arrival_with t ~step ~lookup:(arrival_raw t
 (** Combinational delay of [op] when executed on [inst_opt]. *)
 let exec_delay t (op : Dfg.op) inst_opt =
   match inst_opt with
-  | Some i -> Library.delay t.lib (find_inst t i).rtype
+  | Some i -> inst_delay t (find_inst t i)
   | None ->
       let id = op.Dfg.id in
       if id < t.cap then begin
@@ -1072,7 +1144,7 @@ let screen_busy_reject t ~(op : Dfg.op) ~step ~finish ~(inst : inst) ~(changed_p
   if (not t.mux_priced) || changed_ports = [] then false
   else begin
     let ff = t.lib.Library.ff_clk_q in
-    let exec = Library.delay t.lib inst.rtype in
+    let exec = inst_delay t inst in
     let reg_setup = reg_mux_delay t +. t.lib.Library.ff_setup in
     let grown =
       List.map

@@ -29,6 +29,14 @@ type inst = {
       (** per-port distinct sources, invalidated when [bound]/[rtype] change *)
   mutable mux_delays : float array option;
       (** memoized per-port mux delay, derived from [mux_cache] *)
+  mutable n_bound : int;
+      (** [List.length bound], kept by {!attach}, {!rollback} and
+          {!reset_pass} *)
+  mutable delay_memo : float;
+      (** {!inst_delay}; nan until computed, reset whenever [rtype] changes
+          (by {!set_rtype} or its rollback) *)
+  compat : Bytes.t;
+      (** {!compat_tier} per resource need; reset whenever [rtype] changes *)
 }
 
 type placement = { pl_step : int; pl_finish : int; pl_inst : int option }
@@ -75,6 +83,16 @@ val resource_of : t -> Dfg.op -> Resource.t option
 
 val add_inst : ?added_by_expert:bool -> t -> Resource.t -> inst
 val find_inst : t -> int -> inst
+
+val inst_delay : t -> inst -> float
+(** [Library.delay] of the instance's current type, memoized on the
+    instance until the type changes. *)
+
+val compat_tier : t -> Dfg.op -> inst -> int
+(** How an instance of [op]'s class can host [op]: [0] when its type
+    already fits the op's need ({!Resource.fits}), [1] when it can be
+    widened to ({!Resource.can_merge}), [2] when neither.  Memoized per
+    (need, instance) until the instance's type changes. *)
 
 val refresh_prealloc : t -> bool
 (** Recompute each instance's [prealloc_shared] flag if an instance was

@@ -36,6 +36,7 @@ expect 1 "unknown design"         schedule no_such_design
 expect 1 "missing .bhv file"      schedule missing_file.bhv
 expect 1 "overconstrained spec"   schedule example1 --ii 1 --latency 1..1 --no-degrade
 expect 1 "bad latency bounds"     schedule example1 --latency nonsense
+expect 1 "unrepresentable latency" flow example1 --latency=10000000..10000000
 expect 1 "bad --jobs"             explore example1 --jobs 0
 expect 1 "bad --clock"            flow example1 --clock 0
 expect 1 "bad --timeout"          flow example1 --timeout=nan

@@ -12,22 +12,31 @@
 #  - a ceiling on the nodes the structural-cycle detector's searches
 #    visit, also deterministic: the incremental topological order keeps it
 #    near 37k, and a search that stops pruning to the order's window
-#    (a plain DFS per query) visits about 160k.
+#    (a plain DFS per query) visits about 160k;
+#  - the exact pass and query counts of the ~1k point (10 passes, 72805
+#    queries).  Both are deterministic, so a change meant only to make
+#    the scheduler faster that moves the schedule it finds at this size
+#    fails here.  A change that moves them on purpose updates the two
+#    constants below.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MAX_WALL_1K="${MAX_WALL_1K:-15.0}"
 max_queries_1k=150000
 max_cycle_visits_1k=92000
+passes_1k=10
+queries_1k=72805
 
 dune exec bench/main.exe -- scale --smoke
 
 if command -v python3 >/dev/null 2>&1; then
-  python3 - "$MAX_WALL_1K" "$max_queries_1k" "$max_cycle_visits_1k" <<'EOF'
+  python3 - "$MAX_WALL_1K" "$max_queries_1k" "$max_cycle_visits_1k" "$passes_1k" "$queries_1k" <<'EOF'
 import json, sys
 limit = float(sys.argv[1])
 max_queries = int(sys.argv[2])
 max_cycle_visits = int(sys.argv[3])
+passes_1k = int(sys.argv[4])
+queries_1k = int(sys.argv[5])
 with open("BENCH_scale.json") as f:
     data = json.load(f)
 points = data["points"]
@@ -40,9 +49,14 @@ assert big["queries"] <= max_queries, (
     f"~1k-op point issued {big['queries']} timing queries > {max_queries} ceiling")
 assert big["cycle_visits"] <= max_cycle_visits, (
     f"~1k-op point's cycle check visited {big['cycle_visits']} nodes > {max_cycle_visits} ceiling")
+assert big["passes"] == passes_1k, (
+    f"~1k-op point ran {big['passes']} passes, expected exactly {passes_1k}")
+assert big["queries"] == queries_1k, (
+    f"~1k-op point issued {big['queries']} timing queries, expected exactly {queries_1k}")
 print(f"scale smoke OK: {big['ops']} ops in {big['wall_s']:.2f}s "
       f"(guard {limit}s), {big['queries']} queries (ceiling {max_queries}), "
-      f"{big['cycle_visits']} cycle visits (ceiling {max_cycle_visits})")
+      f"{big['cycle_visits']} cycle visits (ceiling {max_cycle_visits}), "
+      f"{big['passes']} passes and {big['queries']} queries as pinned")
 EOF
 else
   # no python3: pull the largest point's counters with sed/awk
@@ -51,11 +65,15 @@ else
   wall=$(echo "$big" | grep -o 'wall_s":[0-9.]*' | cut -d: -f2)
   queries=$(echo "$big" | grep -o 'queries":[0-9]*' | cut -d: -f2)
   cvis=$(echo "$big" | grep -o 'cycle_visits":[0-9]*' | cut -d: -f2)
+  passes=$(echo "$big" | grep -o 'passes":[0-9]*' | cut -d: -f2)
   awk -v w="$wall" -v m="$MAX_WALL_1K" -v q="$queries" -v mq="$max_queries_1k" \
-    -v c="$cvis" -v mc="$max_cycle_visits_1k" 'BEGIN {
+    -v c="$cvis" -v mc="$max_cycle_visits_1k" -v p="$passes" -v pp="$passes_1k" \
+    -v eq="$queries_1k" 'BEGIN {
     if (w == "" || w + 0 > m + 0) { print "scale smoke FAILED: wall " w "s > " m "s"; exit 1 }
     if (q == "" || q + 0 > mq + 0) { print "scale smoke FAILED: " q " queries > " mq; exit 1 }
     if (c == "" || c + 0 > mc + 0) { print "scale smoke FAILED: " c " cycle visits > " mc; exit 1 }
+    if (p == "" || p + 0 != pp + 0) { print "scale smoke FAILED: " p " passes != " pp; exit 1 }
+    if (q + 0 != eq + 0) { print "scale smoke FAILED: " q " queries != " eq; exit 1 }
     print "scale smoke OK: ~1k point in " w "s (guard " m "s), " q " queries (ceiling " mq "), " \
-      c " cycle visits (ceiling " mc ")" }'
+      c " cycle visits (ceiling " mc "), " p " passes as pinned" }'
 fi

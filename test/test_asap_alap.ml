@@ -91,6 +91,67 @@ let test_guard_is_dependency () =
   let preds = Asap_alap.sched_preds region guarded in
   Alcotest.(check bool) "guard pred is a scheduling dependency" true (List.mem c.Dfg.id preds)
 
+(* Plan reuse: a plan built once per schedule serves every later
+   [compute] — after the latency interval moved (add_step / reset_steps)
+   and under any SCC windows — exactly as a freshly built one would. *)
+let prop_plan_reuse =
+  QCheck.Test.make ~name:"stale plan = fresh plan across LI moves and SCC windows" ~count:40
+    QCheck.(pair (int_range 1 10000) (int_range 0 2))
+    (fun (seed, mode) ->
+      let profile =
+        {
+          Hls_designs.Synthetic.default_profile with
+          Hls_designs.Synthetic.p_ops = 20 + (seed mod 80);
+          p_seed = seed;
+          p_tightness = 0.2 +. (float_of_int (seed mod 5) /. 10.0);
+        }
+      in
+      let ii = if mode = 0 then None else Some mode in
+      let region =
+        Hls_frontend.Elaborate.main_region ?ii
+          (Hls_frontend.Elaborate.design (Hls_designs.Synthetic.design ~profile ()))
+      in
+      let clock_ps = [| 1200.0; 1600.0; 2400.0 |].(seed mod 3) in
+      let plan = Asap_alap.plan ~lib region in
+      let rng = Random.State.make [| seed |] in
+      (* windows: each SCC (or, sequential, a few random ops) pinned to a
+         random stage of the current interval *)
+      let windows () =
+        let li = region.Region.n_steps in
+        let w = Hashtbl.create 8 in
+        let width = Region.ii region in
+        let pin ops =
+          let lo = Random.State.int rng (max 1 li) in
+          List.iter (fun o -> Hashtbl.replace w o (lo, lo + width - 1)) ops
+        in
+        if Region.is_pipelined region then List.iter pin (Region.sccs region)
+        else
+          List.iter
+            (fun (o : Dfg.op) -> if Random.State.int rng 8 = 0 then pin [ o.Dfg.id ])
+            (Region.member_ops region);
+        fun id -> Hashtbl.find_opt w id
+      in
+      let agree () =
+        List.for_all
+          (fun scc_window ->
+            let stale = Asap_alap.compute ~plan ~lib ~clock_ps ~scc_window region in
+            let fresh = Asap_alap.compute ~lib ~clock_ps ~scc_window region in
+            stale.Asap_alap.ranges = fresh.Asap_alap.ranges
+            && stale.Asap_alap.infeasible = fresh.Asap_alap.infeasible)
+          [ (fun _ -> None); windows (); windows () ]
+      in
+      let ok0 = agree () in
+      let added = ref 0 in
+      while !added < 1 + Random.State.int rng 5 && Region.add_step region do
+        incr added
+      done;
+      let ok1 = agree () in
+      let lo = region.Region.min_steps and hi = region.Region.max_steps in
+      Region.reset_steps region (lo + Random.State.int rng (hi - lo + 1));
+      let ok2 = agree () in
+      Region.reset_steps region hi;
+      ok0 && ok1 && ok2 && agree ())
+
 let suite =
   [
     Alcotest.test_case "chaining packs a step" `Quick test_chaining_packs;
@@ -100,4 +161,5 @@ let suite =
     Alcotest.test_case "SCC window clamps" `Quick test_scc_window_clamps;
     Alcotest.test_case "anchors clamp / conflicts flagged" `Quick test_anchor_clamps_and_infeasible;
     Alcotest.test_case "guards are dependencies" `Quick test_guard_is_dependency;
+    QCheck_alcotest.to_alcotest prop_plan_reuse;
   ]

@@ -413,6 +413,117 @@ let test_screen_fires_on_synthetic () =
       Alcotest.(check int) "wrong claims" 0 wrong;
       Alcotest.(check bool) (Printf.sprintf "screen fired (%d claims)" claims) true (claims > 0)
 
+(* Candidate order.  Replay a finished schedule of a synthetic design onto
+   a fresh binder whose instance set doubles the schedule's: each
+   instance is preceded by a copy half as wide, which its ops can widen
+   but not fit.  Every resource op is attempted at its scheduled step the
+   way a pass attempts it — the lazy [candidates] offered one at a time,
+   [try_bind] on each until one binds — so the offers interleave with
+   rolled-back trials and widening merges.  Every offered sequence must
+   be a prefix of [compatible_insts] taken before the attempt, and all
+   of it when nothing binds (the op is then force-bound on its scheduled
+   instance's twin).  Returns (mismatches, attempts with a failed trial,
+   widening binds), or [None] when the design does not schedule at
+   1600 ps.  A replay clock tighter than that makes trials fail on slack
+   too, not only on busy tables. *)
+let candidate_order_run ~seed ~ops ~ii ~replay_clock =
+  let profile =
+    {
+      Hls_designs.Synthetic.default_profile with
+      Hls_designs.Synthetic.p_ops = ops;
+      p_seed = seed;
+      p_tightness = 0.2 +. (float_of_int (seed mod 5) /. 10.0);
+    }
+  in
+  let region =
+    Hls_frontend.Elaborate.main_region ?ii
+      (Hls_frontend.Elaborate.design (Hls_designs.Synthetic.design ~profile ()))
+  in
+  match Scheduler.schedule ~lib ~clock_ps:1600.0 region with
+  | Error _ -> None
+  | Ok s ->
+      let dfg = region.Region.dfg in
+      let b = Binding.create ~lib ~clock_ps:replay_clock region in
+      let half w = (w + 1) / 2 in
+      List.iter
+        (fun (i : Netlist.inst) ->
+          let rt = i.Netlist.rtype in
+          ignore
+            (Binding.add_inst b
+               { rt with Resource.in_widths = List.map half rt.Resource.in_widths });
+          ignore (Binding.add_inst b rt))
+        (Netlist.insts s.Scheduler.s_binding.Binding.net);
+      Binding.reset_pass b;
+      let order =
+        Netlist.fold_placements s.Scheduler.s_binding.Binding.net
+          (fun id pl acc -> ((pl.Netlist.pl_step, id), pl) :: acc)
+          []
+        |> List.sort compare
+      in
+      let mismatches = ref 0 and failed = ref 0 and widened = ref 0 in
+      let ids = List.map (fun (i : Binding.inst) -> i.Binding.inst_id) in
+      List.iter
+        (fun ((step, id), (pl : Netlist.placement)) ->
+          let op = Dfg.find dfg id in
+          match pl.Netlist.pl_inst with
+          | None ->
+              if Result.is_error (Binding.try_bind b op ~step ~inst_opt:None) then
+                Binding.force_bind b op ~step ~inst_opt:None
+          | Some k ->
+              let reference = ids (Binding.compatible_insts b op) in
+              let offered = ref [] in
+              let rec go seq =
+                match seq () with
+                | Seq.Nil -> false
+                | Seq.Cons ((i : Binding.inst), rest) -> (
+                    offered := i.Binding.inst_id :: !offered;
+                    let before = i.Binding.rtype in
+                    match Binding.try_bind b op ~step ~inst_opt:(Some i.Binding.inst_id) with
+                    | Ok () ->
+                        if i.Binding.rtype <> before then incr widened;
+                        true
+                    | Error _ -> go rest)
+              in
+              let bound = go (Binding.candidates b op) in
+              let offered = List.rev !offered in
+              if List.length offered > 1 || not bound then incr failed;
+              let rec is_prefix p l =
+                match (p, l) with
+                | [], _ -> true
+                | x :: p', y :: l' -> x = y && is_prefix p' l'
+                | _ :: _, [] -> false
+              in
+              if not (if bound then is_prefix offered reference else offered = reference) then
+                incr mismatches;
+              if not bound then Binding.force_bind b op ~step ~inst_opt:(Some ((2 * k) + 1)))
+        order;
+      Some (!mismatches, !failed, !widened)
+
+let prop_candidate_order =
+  QCheck.Test.make ~name:"lazy candidates follow compatible_insts order" ~count:24
+    QCheck.(pair (int_range 1 10000) (int_range 0 2))
+    (fun (seed, mode) ->
+      let ii = if mode = 0 then None else Some mode in
+      let replay_clock = [| 1600.0; 1400.0; 1250.0 |].(seed mod 3) in
+      match candidate_order_run ~seed ~ops:(60 + (seed mod 120)) ~ii ~replay_clock with
+      | None -> QCheck.assume_fail ()
+      | Some (0, _, _) -> true
+      | Some (m, _, _) -> QCheck.Test.fail_reportf "seed=%d ii=%d: %d attempts out of order" seed mode m)
+
+(* the property above is not vacuous: its attempts do roll trials back and
+   widen instances, sequential and pipelined alike *)
+let test_candidate_order_coverage () =
+  List.iter
+    (fun ii ->
+      let name = match ii with None -> "seq" | Some k -> Printf.sprintf "II=%d" k in
+      match candidate_order_run ~seed:5 ~ops:150 ~ii ~replay_clock:1400.0 with
+      | None -> Alcotest.failf "%s: seed 5 failed to schedule" name
+      | Some (m, failed, widened) ->
+          Alcotest.(check int) (name ^ ": out-of-order attempts") 0 m;
+          Alcotest.(check bool) (Printf.sprintf "%s: %d failed trials" name failed) true (failed > 0);
+          Alcotest.(check bool) (Printf.sprintf "%s: %d widening binds" name widened) true (widened > 0))
+    [ None; Some 1; Some 2 ]
+
 let suite =
   [
     Alcotest.test_case "Fig. 8 delay arithmetic" `Quick test_fig8_clean;
@@ -429,4 +540,7 @@ let suite =
       test_screen_consumer_with_slack;
     Alcotest.test_case "screen fires on synthetic designs" `Quick test_screen_fires_on_synthetic;
     QCheck_alcotest.to_alcotest prop_screen_claims_are_busy;
+    Alcotest.test_case "candidate order: trials roll back, merges widen" `Quick
+      test_candidate_order_coverage;
+    QCheck_alcotest.to_alcotest prop_candidate_order;
   ]

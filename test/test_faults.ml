@@ -114,6 +114,26 @@ let test_bad_latency_bounds () =
   Alcotest.(check bool) "elaborate or schedule phase" true
     (d.Diag.d_phase = Diag.Elaborate || d.Diag.d_phase = Diag.Schedule)
 
+(* a latency bound the busy tables cannot represent is refused up front,
+   before any pass walks its states; the largest accepted bound is
+   Region.max_steps_limit *)
+let test_unrepresentable_latency_bounds () =
+  let limit = Hls_ir.Region.max_steps_limit in
+  List.iter
+    (fun (lo, hi) ->
+      ignore
+        (expect_error ~phase:Diag.Elaborate ~code:"invalid_bounds"
+           ~options:{ no_verify with min_latency = Some lo; max_latency = Some hi }
+           (Hls_designs.Example1.design ())))
+    [ (1, limit + 1); (limit + 1, limit + 1); (max_int, max_int); (10_000_000, 10_000_000) ];
+  match
+    run_caught
+      ~options:{ no_verify with min_latency = Some 1; max_latency = Some limit }
+      (Hls_designs.Example1.design ())
+  with
+  | Ok _ -> ()
+  | Error d -> Alcotest.failf "bound %d refused: %s" limit d.Diag.d_message
+
 (* ---- fault class 6: degenerate designs (empty, empty loop body) ---- *)
 
 let test_empty_design () =
@@ -389,6 +409,7 @@ let suite =
     Alcotest.test_case "negative stimulus length" `Quick test_negative_stimulus;
     Alcotest.test_case "unknown port" `Quick test_unknown_port;
     Alcotest.test_case "inverted latency bounds" `Quick test_bad_latency_bounds;
+    Alcotest.test_case "unrepresentable latency bounds" `Quick test_unrepresentable_latency_bounds;
     Alcotest.test_case "empty design" `Quick test_empty_design;
     Alcotest.test_case "empty loop body" `Quick test_empty_loop_body;
     Alcotest.test_case "recurrence infeasible" `Quick test_recurrence_infeasible;

@@ -297,6 +297,47 @@ let test_inst_registration_linear () =
     (Printf.sprintf "registration of 5k instances took %.3fs (< 1s)" dt)
     true (dt < 1.0)
 
+(* The instance delay memo follows the instance's type: a widening
+   [set_rtype] inside a trial re-prices the instance, and rolling the
+   trial back restores the narrow delay — as does the compatibility tier
+   memoized alongside it. *)
+let test_delay_memo_follows_rtype () =
+  let region = synthetic_region 3 ~ops:60 in
+  let net = Netlist.create ~lib ~clock_ps:1600.0 region in
+  let op, wide =
+    Dfg.fold_ops (Netlist.dfg net)
+      (fun o acc ->
+        match (acc, Netlist.resource_of net o) with
+        | None, Some rt
+          when rt.Resource.rclass = Opkind.R_addsub && List.for_all (fun w -> w > 1) rt.Resource.in_widths
+          ->
+            Some (o, rt)
+        | _ -> acc)
+      None
+    |> Option.get
+  in
+  (* half as wide: the op can widen it, but does not fit it *)
+  let narrow =
+    { wide with Resource.in_widths = List.map (fun w -> (w + 1) / 2) wide.Resource.in_widths }
+  in
+  let i = Netlist.add_inst net narrow in
+  let d_narrow = Library.delay lib narrow and d_wide = Library.delay lib wide in
+  Alcotest.(check bool) "widths price differently" true (d_narrow <> d_wide);
+  Alcotest.(check (float 0.0)) "narrow delay" d_narrow (Netlist.inst_delay net i);
+  Alcotest.(check int) "mergeable before" 1 (Netlist.compat_tier net op i);
+  Netlist.begin_trial net;
+  Netlist.set_rtype net i wide;
+  Alcotest.(check (float 0.0)) "widened in the trial" d_wide (Netlist.inst_delay net i);
+  Alcotest.(check (float 0.0)) "exec delay on the instance" d_wide
+    (Netlist.exec_delay net op (Some i.Netlist.inst_id));
+  Alcotest.(check int) "fits in the trial" 0 (Netlist.compat_tier net op i);
+  Netlist.rollback net;
+  Alcotest.(check bool) "type restored" true (i.Netlist.rtype = narrow);
+  Alcotest.(check (float 0.0)) "narrow again after rollback" d_narrow (Netlist.inst_delay net i);
+  Alcotest.(check (float 0.0)) "exec delay after rollback" d_narrow
+    (Netlist.exec_delay net op (Some i.Netlist.inst_id));
+  Alcotest.(check int) "mergeable after rollback" 1 (Netlist.compat_tier net op i)
+
 let suite =
   [
     Alcotest.test_case "rollback restores all observables" `Quick test_rollback_restores;
@@ -306,6 +347,8 @@ let suite =
       test_propagation_bounded_by_change;
     Alcotest.test_case "rebind storm issues no queries" `Quick test_rebind_storm_is_free;
     Alcotest.test_case "5k-instance registration stays linear" `Quick test_inst_registration_linear;
+    Alcotest.test_case "delay memo follows set_rtype and rollback" `Quick
+      test_delay_memo_follows_rtype;
     QCheck_alcotest.to_alcotest prop_failed_bind_is_invisible;
     QCheck_alcotest.to_alcotest prop_incremental_matches_reference;
     QCheck_alcotest.to_alcotest prop_large_design_matches_reference;
