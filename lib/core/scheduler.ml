@@ -35,9 +35,6 @@ type options = {
   timing_aware : bool;
   expert : Expert.options;
   max_passes : int;
-  dedicated_ops : int list;
-      (** user constraint (Section IV.B item 4): ops that must not share
-          their resource instance with anything *)
   warm_start : bool;
       (** reuse pass-invariant analysis across relaxation passes, pick ready
           ops through the lazy-deletion heap, and replay the unaffected
@@ -60,22 +57,13 @@ type options = {
   timeout_s : float option;
       (** wall-clock budget for the whole relaxation loop; checked at the
           top of every pass *)
-  (* --- feedback hints (lib/feedback): batched constraints applied at
-     schedule start instead of discovered one expert action at a time.
-     Hints referencing ops/SCCs/resources absent from this region are
-     silently skipped — a hint is advice mined from an earlier run, not a
-     hard constraint. *)
-  priority_boosts : (int * float) list;
-      (** additive priority-score deltas per op (critical-subgraph cones) *)
-  speculated_ops : int list;  (** ops to pre-speculate *)
-  forbidden_pairs : (int * int) list;  (** (op, inst) pairs to pre-forbid *)
-  scc_stage_hints : (int * int) list;
-      (** (scc index, stage) pre-pins for pipelined regions *)
-  resource_floors : (Resource.t * int) list;
-      (** minimum instance counts per resource type, topped up at start *)
-  latency_floor : int option;
-      (** start the latency interval at least here (clamped to the
-          region's max); skipped for pipelined regions *)
+  hints : Hints.t;
+      (** batched constraints applied at schedule start instead of
+          discovered one expert action at a time: feedback hints mined
+          from an earlier run (lib/feedback), or a user's dedications
+          (Section IV.B item 4).  Hints referencing ops, instances or
+          SCCs absent from this region are skipped — a hint is advice,
+          not a hard constraint. *)
 }
 
 let default_options =
@@ -83,18 +71,12 @@ let default_options =
     timing_aware = true;
     expert = Expert.default_options;
     max_passes = 200;
-    dedicated_ops = [];
     warm_start = true;
     tolerate_scc_slack = false;
     seed_latency_floor = true;
     max_actions = 2000;
     timeout_s = None;
-    priority_boosts = [];
-    speculated_ops = [];
-    forbidden_pairs = [];
-    scc_stage_hints = [];
-    resource_floors = [];
-    latency_floor = None;
+    hints = Hints.empty;
   }
 
 type t = {
@@ -598,7 +580,6 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
   let t0 = Unix.gettimeofday () in
   let dfg = region.Region.dfg in
   let binding = Binding.create ~timing_aware:opts.timing_aware ~lib ~clock_ps region in
-  List.iter (fun op -> Hashtbl.replace binding.Binding.dedicated op ()) opts.dedicated_ops;
   (* --- initial resource set, estimated at the latency upper bound --- *)
   let initial_li = region.Region.n_steps in
   (* the graph-only half of the interval analysis, shared by every
@@ -624,27 +605,51 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
     if floor > region.Region.n_steps && floor <= region.Region.max_steps then
       Region.reset_steps region floor
   end;
-  (* --- feedback hints: batched constraints from an earlier schedule of
-     this (or a neighboring) design, applied up front so the relaxation
-     loop starts where the previous run converged.  Every hint is vetted
-     against this region — stale op/inst/SCC references are skipped. *)
+  (* --- SCC bookkeeping for pipelined regions --- *)
+  let sccs = if Region.is_pipelined region then Region.sccs region else [] in
+  let scc_idx = Array.make (Array.length region.Region.members) None in
+  List.iteri (fun k ops -> List.iter (fun o -> scc_idx.(o) <- Some k) ops) sccs;
+  let scc_of op = if op >= 0 && op < Array.length scc_idx then scc_idx.(op) else None in
+  let scc_persist = Array.make (List.length sccs) None in
+  let scc_stage_local = Array.make (List.length sccs) None in
+  let scc_moves = Array.make (List.length sccs) 0 in
+  (* --- hints: batched constraints from an earlier schedule of this (or a
+     neighboring) design, applied up front so the relaxation loop starts
+     where the previous run converged.  Every hint is vetted against this
+     region and stale op/inst/SCC references are skipped.  The store
+     yields keys in constructor order, so each forbid is vetted against
+     the instances that exist before any floor adds one.  Floors keep the
+     largest count per resource type and the smallest latency, so they
+     are gathered here and applied after the fold. *)
   let hints_applied = ref 0 in
   let hint () = incr hints_applied in
+  let n_insts = Hls_netlist.Netlist.n_insts binding.Binding.net in
+  let boosts = ref [] in
+  let floors = ref [] in
+  let latency_floor = ref None in
   List.iter
-    (fun op ->
-      if Dfg.mem dfg op then begin
-        (Dfg.find dfg op).Dfg.speculated <- true;
-        hint ()
-      end)
-    opts.speculated_ops;
-  List.iter
-    (fun (op, inst) ->
-      if Dfg.mem dfg op && inst >= 0 && inst < Hls_netlist.Netlist.n_insts binding.Binding.net
-      then begin
-        Hashtbl.replace binding.Binding.forbidden (op, inst) ();
-        hint ()
-      end)
-    opts.forbidden_pairs;
+    (fun ((h : Hints.hint), e) ->
+      match h with
+      | Boost op when Dfg.mem dfg op ->
+          boosts := (op, Hints.boost_delta e) :: !boosts;
+          hint ()
+      | Speculate op when Dfg.mem dfg op ->
+          (Dfg.find dfg op).Dfg.speculated <- true;
+          hint ()
+      | Dedicate op -> Hashtbl.replace binding.Binding.dedicated op ()
+      | Forbid (op, inst) when Dfg.mem dfg op && inst >= 0 && inst < n_insts ->
+          Hashtbl.replace binding.Binding.forbidden (op, inst) ();
+          hint ()
+      | Scc_stage (k, stage) when k >= 0 && k < Array.length scc_persist ->
+          if scc_persist.(k) = None then hint ();
+          scc_persist.(k) <- Some (max stage (Option.value scc_persist.(k) ~default:0))
+      | Resource_floor (rt, n) ->
+          let prev = Option.value (List.assoc_opt rt !floors) ~default:0 in
+          floors := (rt, max prev n) :: List.remove_assoc rt !floors
+      | Latency_floor li ->
+          latency_floor := Some (Option.fold ~none:li ~some:(min li) !latency_floor)
+      | Boost _ | Speculate _ | Forbid _ | Scc_stage _ -> ())
+    (Hints.to_list opts.hints);
   List.iter
     (fun ((rt : Resource.t), n) ->
       let have =
@@ -659,8 +664,8 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
         done;
         hint ()
       end)
-    opts.resource_floors;
-  (match opts.latency_floor with
+    (List.sort compare !floors);
+  (match !latency_floor with
   | Some floor when not (Region.is_pipelined region) ->
       let floor = min floor region.Region.max_steps in
       if floor > region.Region.n_steps then begin
@@ -668,25 +673,6 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
         hint ()
       end
   | _ -> ());
-  let boosts =
-    List.filter (fun (op, _) -> Dfg.mem dfg op) opts.priority_boosts
-  in
-  List.iter (fun _ -> hint ()) boosts;
-  (* --- SCC bookkeeping for pipelined regions --- *)
-  let sccs = if Region.is_pipelined region then Region.sccs region else [] in
-  let scc_idx = Array.make (Array.length region.Region.members) None in
-  List.iteri (fun k ops -> List.iter (fun o -> scc_idx.(o) <- Some k) ops) sccs;
-  let scc_of op = if op >= 0 && op < Array.length scc_idx then scc_idx.(op) else None in
-  let scc_persist = Array.make (List.length sccs) None in
-  let scc_stage_local = Array.make (List.length sccs) None in
-  let scc_moves = Array.make (List.length sccs) 0 in
-  List.iter
-    (fun (k, stage) ->
-      if k >= 0 && k < Array.length scc_persist then begin
-        scc_persist.(k) <- Some (max 0 stage);
-        hint ()
-      end)
-    opts.scc_stage_hints;
   (* early recurrence feasibility (RecMII analogue): an SCC whose longest
      internal combinational chain cannot be registered apart within its
      II-state stage window can never be scheduled at this II *)
@@ -803,7 +789,7 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
          else Asap_alap.compute ~plan ~lib ~clock_ps ~scc_window region
        in
        let ctx = match ctx0 with Some c -> c | None -> Pass_ctx.create ~plan region in
-       Pass_ctx.refresh_scores ctx ~boosts ~aa;
+       Pass_ctx.refresh_scores ctx ~boosts:!boosts ~aa;
        (* a merge that widened an instance in the last pass can flip
           prealloc-shared flags, which moves sharing-mux delays on every
           step: no prefix of the previous pass is replayable then *)

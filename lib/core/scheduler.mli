@@ -19,8 +19,6 @@ type options = {
           report reads a slack *)
   expert : Expert.options;
   max_passes : int;
-  dedicated_ops : int list;
-      (** user constraint: ops that must own their resource instance *)
   warm_start : bool;
       (** reuse pass-invariant analysis across relaxation passes, pick
           ready ops through the lazy-deletion heap, and replay the
@@ -37,19 +35,15 @@ type options = {
       (** budget on total relaxation actions across all passes *)
   timeout_s : float option;
       (** wall-clock budget for the whole relaxation loop *)
-  priority_boosts : (int * float) list;
-      (** feedback hints: additive priority-score deltas per op (mined
-          critical-subgraph cones); stale op ids are skipped *)
-  speculated_ops : int list;  (** feedback hints: ops to pre-speculate *)
-  forbidden_pairs : (int * int) list;
-      (** feedback hints: (op, inst) pairs to pre-forbid *)
-  scc_stage_hints : (int * int) list;
-      (** feedback hints: (scc index, stage) pre-pins (pipelined regions) *)
-  resource_floors : (Resource.t * int) list;
-      (** feedback hints: minimum instance counts, topped up at start *)
-  latency_floor : int option;
-      (** feedback hint: start LI at least here (clamped to the region's
-          max steps; ignored for pipelined regions) *)
+  hints : Hints.t;
+      (** the scheduler's batched input, applied at schedule start: feedback
+          hints mined from an earlier run and user dedications (ops that
+          must own their resource instance).  Stale op, instance and SCC
+          ids are skipped; resource floors keep the largest count per
+          type, SCC stages the largest stage, and the latency floor the
+          smallest value (clamped to the region's max steps; ignored for
+          pipelined regions).  [s_hints_applied] counts the hints that
+          took effect, dedications excluded. *)
 }
 
 val default_options : options
@@ -114,41 +108,6 @@ val stats : t -> stats
 
 val placement : t -> int -> Binding.placement option
 val ops_on_step : t -> int -> int list
-
-type pass_outcome = Pass_ok | Pass_failed of Restraint.t list
-
-(** One pass-log entry: enough to re-apply the event structurally on a
-    warm start (binds carry the committed placement and post-merge
-    instance type; restraints carry the fail so a fresh weight-mutable
-    {!Restraint.t} can be minted on replay). *)
-type pass_event =
-  | Ev_bind of {
-      ev_op : int;
-      ev_step : int;
-      ev_finish : int;
-      ev_inst : int option;
-      ev_rtype : Resource.t option;
-    }
-  | Ev_restraint of { ev_op : int; ev_step : int; ev_fail : Restraint.fail; ev_fatal : bool }
-
-val run_pass :
-  opts:options ->
-  trace:Trace.t option ->
-  ctx:Pass_ctx.t ->
-  binding:Binding.t ->
-  aa:Asap_alap.t ->
-  scc_of:(int -> int option) ->
-  ?scc_members:int list list ->
-  ?warm:pass_event list * int ->
-  scc_stage_base:(int -> int option) ->
-  scc_stage_local:int option array ->
-  Region.t ->
-  pass_outcome * pass_event list
-(** One SCHEDULE_PASS (exposed for tests and custom drivers).  [ctx] is
-    the region's pass-invariant context with scores already refreshed for
-    [aa].  [warm] is [(previous pass's event log, first dirty step)]:
-    events strictly before the dirty step are replayed structurally
-    instead of re-vetted.  Returns the outcome and this pass's event log. *)
 
 val schedule :
   ?opts:options ->

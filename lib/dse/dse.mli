@@ -130,11 +130,6 @@ val base_fingerprint : options:Hls_flow.Flow.options -> Hls_frontend.Ast.design 
     point-neutralized options.  [sweep] computes this once and keys the
     cache on [(base, point)], sparing one marshal+digest per point. *)
 
-val hint_store_key : options:Hls_flow.Flow.options -> Hls_frontend.Ast.design -> string
-(** The cross-point hint store's key: the base fingerprint additionally
-    neutralized in the feedback fields themselves, so a design's seed run
-    and its warm-started runs share one store entry. *)
-
 val shutdown : t -> unit
 (** Drop the engine's memo cache and hint store.  The engine stays
     usable: a later sweep runs its points afresh.  Safe to call more

@@ -61,8 +61,8 @@ type options = {
           serving the best (II, LI, area) iteration *)
   feedback_iters : int;  (** schedule calls the feedback loop may spend *)
   hints : Feedback.Hints.t;
-      (** pre-mined hints applied to every schedule call (the DSE engine
-          threads a shared store through here) *)
+      (** pre-mined hints merged into [sched.hints] for every schedule
+          call (the DSE engine threads a shared store through here) *)
 }
 
 let default_options =
@@ -424,8 +424,9 @@ let check_budget (o : Scheduler.options) =
 
 let run ?(options = default_options) ?trace (design : Ast.design) : (t, Diag.t) Stdlib.result =
   (* pre-mined hints (the DSE engine's shared store, or a caller's) are
-     applied whether or not the iterate loop runs; an empty store leaves
-     the scheduler options — and therefore every golden byte — untouched *)
+     merged into the scheduler's hint store whether or not the iterate
+     loop runs; an empty store leaves the scheduler options — and
+     therefore every golden byte — untouched *)
   let run_with hints =
     let sched = Feedback.Hints.apply hints options.sched in
     run_ladder ~options:{ options with sched } ~trace design

@@ -46,9 +46,11 @@ type options = {
   feedback_iters : int;
       (** schedule calls the feedback loop may spend (default 2) *)
   hints : Hls_feedback.Feedback.Hints.t;
-      (** pre-mined hints applied to every schedule call; the DSE engine
-          threads its shared cross-point store through here.  An empty
-          store leaves the flow byte-identical to the pre-feedback one. *)
+      (** pre-mined hints merged into [sched.hints], the scheduler's one
+          hint input, for every schedule call (with the feedback loop's
+          own mined hints on top); the DSE engine threads its shared
+          cross-point store through here.  An empty store leaves the
+          flow byte-identical to the pre-feedback one. *)
 }
 
 val default_options : options

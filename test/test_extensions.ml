@@ -117,7 +117,12 @@ let test_dedicated_instance () =
   let a_mul =
     List.find (fun o -> o.Dfg.kind = Opkind.Bin Opkind.Mul) (Dfg.ops dfg)
   in
-  let opts = { Scheduler.default_options with dedicated_ops = [ a_mul.Dfg.id ] } in
+  let opts =
+    {
+      Scheduler.default_options with
+      hints = Hls_core.Hints.(add (Dedicate a_mul.Dfg.id) empty);
+    }
+  in
   match Scheduler.schedule ~opts ~lib:base_lib ~clock_ps:1600.0 region with
   | Error err -> Alcotest.failf "dedicated schedule failed: %s" err.Scheduler.e_message
   | Ok s ->
