@@ -1,4 +1,4 @@
-.PHONY: all build test faults dse check fmt ci bench bench-scale bench-nest bench-feedback bench-kernel nest-smoke scale-smoke kernel-smoke bench-smoke bench-serve serve-smoke chaos-smoke feedback-smoke exit-codes golden clean
+.PHONY: all build test faults dse hot-path check fmt ci bench bench-scale bench-nest bench-feedback bench-kernel nest-smoke scale-smoke kernel-smoke bench-smoke bench-serve serve-smoke chaos-smoke feedback-smoke exit-codes golden clean
 
 all: build
 
@@ -18,11 +18,16 @@ faults:
 dse:
 	dune exec test/test_main.exe -- test dse
 
+# no polymorphic compare or hash in the scheduler's hot-path modules
+# (nm over their native objects; see the script's header)
+hot-path:
+	./scripts/hot_path_symbols.sh
+
 # the one target CI needs: everything builds (lib/diag, lib/check, lib/dse
 # and lib/netlist with warnings-as-errors, see their dune files), the full
-# suite passes, and the fault suite is re-run on its own so its output is
-# visible
-check: build test faults
+# suite passes, the fault suite is re-run on its own so its output is
+# visible, and the hot-path modules stay free of polymorphic compare
+check: build test faults hot-path
 
 # reformat in place (requires ocamlformat; a no-op under the repo's
 # `disable` profile until formatting is adopted file by file)

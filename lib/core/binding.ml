@@ -152,10 +152,11 @@ let quick_slack t (op : Dfg.op) ~step ~inst_id =
   let g = Netlist.guard_arrival t.net ~step op in
   t.clock_ps -. (fmax (data +. d) g +. Netlist.reg_mux_delay t.net +. t.lib.Library.ff_setup)
 
-(** Would binding [op] on [i] widen the instance's resource type? *)
+(** Would binding [op] on [i] widen the instance's resource type?  (Its
+    memoized compatibility tier is 0 exactly when the type already fits.) *)
 let widens t (op : Dfg.op) (i : inst) =
   match Netlist.resource_of t.net op with
-  | Some need -> not (Resource.fits ~need ~have:i.rtype)
+  | Some _ -> Netlist.compat_tier t.net op i > 0
   | None -> false
 
 (** The ports of [i] that gain an effective mux input when [op] binds to
@@ -172,13 +173,13 @@ let changed_ports t (op : Dfg.op) (i : inst) =
     List.filter_map
       (fun e ->
         if
-          Dfg.input t.dfg op.Dfg.id ~port:e.Dfg.port = Some e
+          Dfg.is_input t.dfg op.Dfg.id e
           && Netlist.mux_inputs_with t.net i ~port:e.Dfg.port ~src:e.Dfg.src
              <> Netlist.mux_inputs t.net i ~port:e.Dfg.port
         then Some e.Dfg.port
         else None)
       (Dfg.in_edges t.dfg op.Dfg.id)
-    |> List.sort_uniq compare
+    |> List.sort_uniq Int.compare
 
 (** Open a netlist transaction for the candidate, apply the bind's
     structural mutations and propagate its arrivals.  Returns the worst
@@ -248,20 +249,21 @@ let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
     let chain_srcs =
       match inst with
       | Some i ->
-          if Hashtbl.mem t.forbidden (op.Dfg.id, i.inst_id) then raise (Fail Restraint.F_forbidden);
+          (* the pair and dedication tables are empty unless a hint or an
+             expert action filled them: skip their hashing then *)
+          if Hashtbl.length t.forbidden > 0 && Hashtbl.mem t.forbidden (op.Dfg.id, i.inst_id) then
+            raise (Fail Restraint.F_forbidden);
+          (* neither fits nor may be widened to (the memoized tier) *)
           (match Netlist.resource_of t.net op with
-          | Some need when not (Resource.fits ~need ~have:i.rtype) ->
-              if not (Resource.can_merge need i.rtype) then
-                raise (Fail (Restraint.F_busy i.rtype))
+          | Some _ when Netlist.compat_tier net op i = 2 -> raise (Fail (Restraint.F_busy i.rtype))
           | _ -> ());
           (* user-dedicated instances: a dedicated op tolerates no cohabitant
              in any state, and instances already hosting a dedicated op admit
              nobody else *)
-          if Hashtbl.mem t.dedicated op.Dfg.id && i.bound <> [] then
-            raise (Fail (Restraint.F_busy i.rtype));
           if
             Hashtbl.length t.dedicated > 0
-            && List.exists (fun o -> Hashtbl.mem t.dedicated o) i.bound
+            && ((Hashtbl.mem t.dedicated op.Dfg.id && i.bound <> [])
+               || List.exists (fun o -> Hashtbl.mem t.dedicated o) i.bound)
           then raise (Fail (Restraint.F_busy i.rtype));
           (* busy check across occupied steps, honouring edge equivalence and
              predicate orthogonality *)
@@ -394,8 +396,8 @@ let force_bind t (op : Dfg.op) ~step ~inst_opt =
             Netlist.set_rtype net inst
               {
                 Resource.rclass = inst.rtype.Resource.rclass;
-                in_widths = List.map2 max inst.rtype.Resource.in_widths need.Resource.in_widths;
-                out_width = max inst.rtype.Resource.out_width need.Resource.out_width;
+                in_widths = List.map2 Int.max inst.rtype.Resource.in_widths need.Resource.in_widths;
+                out_width = Int.max inst.rtype.Resource.out_width need.Resource.out_width;
               }
       | _ -> ());
       Netlist.attach net inst op.Dfg.id;
@@ -433,26 +435,36 @@ let compatible_insts t (op : Dfg.op) =
       |> by_key
 
 (** {!compatible_insts}, lazily.  The head is the minimum (tier, load,
-    registration order) of one scan over the op's class, reading the
-    memoized tier ({!Netlist.compat_tier}) and the O(1) count [n_bound],
-    so an attempt whose first candidate binds builds no list and sorts
-    nothing.  The tail — [compatible_insts] minus its head — is built
-    only when forced, i.e. after the head failed, and a failed bind
+    registration order) over the op's class, reading the memoized tier
+    ({!Netlist.compat_tier}) and the O(1) count [n_bound], so an attempt
+    whose first candidate binds builds no list and sorts nothing.  The
+    class's first unloaded instance ({!Netlist.first_unloaded}, a cursor)
+    is the head whenever its type fits: nothing can beat (tier 0, load 0),
+    and every instance registered before it is loaded.  Otherwise one scan
+    finds the head.  The tail — [compatible_insts] minus its head — is
+    built only when forced, i.e. after the head failed, and a failed bind
     leaves every tier and count where it found them. *)
 let candidates t (op : Dfg.op) : inst Seq.t =
  fun () ->
   let insts = Netlist.class_insts t.net op in
-  let best = ref None and best_tier = ref 2 and best_load = ref max_int in
-  List.iter
-    (fun (i : inst) ->
-      let tier = Netlist.compat_tier t.net op i in
-      if tier < !best_tier || (tier = !best_tier && tier < 2 && i.n_bound < !best_load) then begin
-        best := Some i;
-        best_tier := tier;
-        best_load := i.n_bound
-      end)
-    insts;
-  match !best with
+  let head =
+    match Netlist.first_unloaded t.net op with
+    | Some i when Netlist.compat_tier t.net op i = 0 -> Some i
+    | _ ->
+        let best = ref None and best_tier = ref 2 and best_load = ref max_int in
+        List.iter
+          (fun (i : inst) ->
+            let tier = Netlist.compat_tier t.net op i in
+            if tier < !best_tier || (tier = !best_tier && tier < 2 && i.n_bound < !best_load)
+            then begin
+              best := Some i;
+              best_tier := tier;
+              best_load := i.n_bound
+            end)
+          insts;
+        !best
+  in
+  match head with
   | None -> Seq.Nil
   | Some first ->
       let rest () =
@@ -508,7 +520,7 @@ let estimate t (op : Dfg.op) ~step =
   let data =
     List.fold_left
       (fun acc e ->
-        max acc (Netlist.source_arrival t.net ~step e +. mux))
+        fmax acc (Netlist.source_arrival t.net ~step e +. mux))
       (match op.Dfg.kind with Opkind.Const _ -> 0.0 | _ -> t.lib.Library.ff_clk_q)
       (Dfg.in_edges t.dfg op.Dfg.id)
   in
@@ -521,7 +533,7 @@ let estimate t (op : Dfg.op) ~step =
     [speculated] drops the guard from the enable path. *)
 let would_fit t (op : Dfg.op) ~step ~speculated =
   let data, guard, d, overhead = estimate t op ~step in
-  let commit = if speculated then data +. d else max (data +. d) guard in
+  let commit = if speculated then data +. d else fmax (data +. d) guard in
   commit +. overhead <= t.clock_ps +. 0.001
 
 (** Is the failing path dominated by the guard's enable arrival (so that
@@ -549,7 +561,7 @@ let would_fit_existing t (op : Dfg.op) =
           let worst_mux =
             List.fold_left
               (fun acc port ->
-                max acc
+                fmax acc
                   (Library.mux_delay t.lib ~inputs:(Netlist.mux_inputs t.net i ~port + 1)))
               0.0
               (List.init (List.length i.rtype.Resource.in_widths) Fun.id)

@@ -12,7 +12,9 @@ type t = {
   ctx_preds : int list array;
   ctx_deps : int list array;
   ctx_fanout : int -> int;
-  ctx_class_key : (Opkind.rclass * int list) option array;
+  ctx_class_key : int array;
+  ctx_n_class_keys : int;
+  ctx_blocked_order : int array;
   ctx_scores : float array;
   mutable ctx_scores_aa : Asap_alap.t option;
 }
@@ -27,24 +29,50 @@ let class_key dfg op =
             rt.Resource.in_widths )
   | None -> None
 
+(* The order of the end-of-pass blocked restraints: the iteration order of
+   a [Hashtbl] created for the members and filled in member order, which
+   is what the expert's list-order tie-breaks have always seen.  The
+   leftover ops of a pass are this order filtered (a [Hashtbl] keeps its
+   order under removals). *)
+let blocked_order members n =
+  let h = Hashtbl.create n in
+  List.iter (fun o -> Hashtbl.replace h o.Dfg.id ()) members;
+  let order = ref [] in
+  Hashtbl.iter (fun id () -> order := id :: !order) h;
+  Array.of_list (List.rev !order)
+
 let create ~(plan : Asap_alap.plan) (region : Region.t) =
   let dfg = region.Region.dfg in
   let members = plan.Asap_alap.p_members in
   let preds = plan.Asap_alap.p_preds in
   let n = Array.length region.Region.members in
-  let deps = Array.make n [] and class_keys = Array.make n None in
+  let deps = Array.make n [] and class_keys = Array.make n (-1) in
+  (* intern the bucketed class keys to dense ints *)
+  let interned = Hashtbl.create 8 in
   List.iter
     (fun o ->
       List.iter (fun p -> deps.(p) <- o.Dfg.id :: deps.(p)) preds.(o.Dfg.id);
-      class_keys.(o.Dfg.id) <- class_key dfg o)
+      match class_key dfg o with
+      | Some key ->
+          class_keys.(o.Dfg.id) <-
+            (match Hashtbl.find_opt interned key with
+            | Some k -> k
+            | None ->
+                let k = Hashtbl.length interned in
+                Hashtbl.add interned key k;
+                k)
+      | None -> ())
     members;
+  let n_members = List.length members in
   {
     ctx_members = members;
-    ctx_n_members = List.length members;
+    ctx_n_members = n_members;
     ctx_preds = preds;
     ctx_deps = deps;
     ctx_fanout = Priority.fanout_table dfg;
     ctx_class_key = class_keys;
+    ctx_n_class_keys = Hashtbl.length interned;
+    ctx_blocked_order = blocked_order members n_members;
     ctx_scores = Array.make n 0.0;
     ctx_scores_aa = None;
   }

@@ -20,8 +20,16 @@ type t = {
       (** op id -> distance-0 scheduling predecessors (data + guard) *)
   ctx_deps : int list array;  (** reverse of [ctx_preds] *)
   ctx_fanout : int -> int;  (** fanout-cone size, precomputed per op *)
-  ctx_class_key : (Opkind.rclass * int list) option array;
-      (** bucketed resource-class key for the busy-class memo *)
+  ctx_class_key : int array;
+      (** op id -> its bucketed resource-class key (class and operand
+          widths rounded up to 8/16/32/64 bits) for the busy-class memo,
+          interned to [0 .. ctx_n_class_keys - 1]; -1 for wire ops *)
+  ctx_n_class_keys : int;
+  ctx_blocked_order : int array;
+      (** the members in the order a pass emits its end-of-pass blocked
+          restraints: the iteration order of a [Hashtbl] filled with the
+          member ids in member order, kept because the expert breaks ties
+          by restraint-list order *)
   ctx_scores : float array;  (** priority scores under the last aa, by op id *)
   mutable ctx_scores_aa : Asap_alap.t option;
       (** the aa value [ctx_scores] was computed from (physical identity) *)

@@ -9,7 +9,7 @@ type t = {
 }
 
 let create ?(capacity = 64) () =
-  let capacity = max 1 capacity in
+  let capacity = Int.max 1 capacity in
   { scores = Array.make capacity 0.0; ids = Array.make capacity 0; size = 0 }
 
 let clear t = t.size <- 0
@@ -18,8 +18,10 @@ let is_empty t = t.size = 0
 
 let length t = t.size
 
-(* lexicographic (score, -id): among equal scores the smaller id wins *)
-let above ~score ~id ~score' ~id' = score > score' || (score = score' && id < id')
+(* lexicographic (score, -id): among equal scores the smaller id wins.
+   Typed, so every sift compares floats and ints inline instead of
+   calling the runtime's polymorphic compare *)
+let above ~(score : float) ~(id : int) ~score' ~id' = score > score' || (score = score' && id < id')
 
 let grow t =
   let cap = Array.length t.scores in

@@ -203,10 +203,19 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
     add_restraint ~op ~step ~fail ~fatal;
     log := Ev_restraint { ev_op = op; ev_step = step; ev_fail = fail; ev_fatal = fatal } :: !log
   in
-  let failed = Hashtbl.create 8 in
   let members = ctx.Pass_ctx.ctx_members in
-  let unplaced = Hashtbl.create ctx.Pass_ctx.ctx_n_members in
-  List.iter (fun o -> Hashtbl.replace unplaced o.Dfg.id o) members;
+  let n_ids = Array.length ctx.Pass_ctx.ctx_preds in
+  (* id-indexed pass state: the ops not yet placed nor failed, and the
+     failed ones, each with its count *)
+  let unplaced = Array.make n_ids false and n_unplaced = ref ctx.Pass_ctx.ctx_n_members in
+  let failed = Array.make n_ids false and n_failed = ref 0 in
+  List.iter (fun o -> unplaced.(o.Dfg.id) <- true) members;
+  let settle id =
+    if unplaced.(id) then begin
+      unplaced.(id) <- false;
+      decr n_unplaced
+    end
+  in
   (* --- incremental readiness ---
      [pending.(op)] counts unplaced scheduling predecessors; an op enters
      the ready pool when it reaches zero.  [min_step] tracks the earliest
@@ -215,15 +224,15 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
   let preds_of = ctx.Pass_ctx.ctx_preds in
   let deps_of = ctx.Pass_ctx.ctx_deps in
   let scores = ctx.Pass_ctx.ctx_scores in
-  let pending = Array.make (Array.length preds_of) 0 in
-  let min_step = Array.make (Array.length preds_of) 0 in
-  let ready = Array.make (Array.length preds_of) false in
+  let pending = Array.make n_ids 0 in
+  let min_step = Array.make n_ids 0 in
+  let ready = Array.make n_ids false in
   (* [deferred_at.(op) = e]: the op was deferred out of step [e] *)
-  let deferred_at = Array.make (Array.length preds_of) (-1) in
+  let deferred_at = Array.make n_ids (-1) in
   (* the heap mirrors [ready] under lazy deletion: [ready] stays the truth
      set, stale heap entries are discarded on pop *)
   let use_heap = opts.warm_start in
-  let heap = Ready_heap.create ~capacity:(max 16 ctx.Pass_ctx.ctx_n_members) () in
+  let heap = Ready_heap.create ~capacity:(Int.max 16 ctx.Pass_ctx.ctx_n_members) () in
   let enter_ready id =
     ready.(id) <- true;
     if use_heap then Ready_heap.push heap ~score:scores.(id) id
@@ -236,7 +245,7 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
     members;
   let on_placed op_id =
     ready.(op_id) <- false;
-    Hashtbl.remove unplaced op_id;
+    settle op_id;
     let pl = Option.get (Binding.placement binding op_id) in
     let p_op = Dfg.find dfg op_id in
     let avail =
@@ -245,7 +254,7 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
     in
     List.iter
       (fun d ->
-        if Hashtbl.mem unplaced d then begin
+        if unplaced.(d) then begin
           min_step.(d) <- Int.max avail min_step.(d);
           let n = pending.(d) - 1 in
           pending.(d) <- n;
@@ -254,8 +263,11 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
       deps_of.(op_id)
   in
   let drop_failed op_id =
-    Hashtbl.replace failed op_id ();
-    Hashtbl.remove unplaced op_id;
+    if not failed.(op_id) then begin
+      failed.(op_id) <- true;
+      incr n_failed
+    end;
+    settle op_id;
     ready.(op_id) <- false
   in
   (* ops whose earliest feasible step falls beyond the latency interval can
@@ -274,7 +286,7 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
     | Some k -> (
         match scc_stage_local.(k) with
         | None -> None
-        | Some stage -> Some (stage * ii, min ((stage * ii) + ii - 1) (li - 1)))
+        | Some stage -> Some (stage * ii, Int.min ((stage * ii) + ii - 1) (li - 1)))
   in
   (match asap_stage_pins region aa scc_members with
   | Some pins ->
@@ -300,17 +312,20 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
     let r = Asap_alap.range aa op.Dfg.id in
     let alap =
       match window_of op.Dfg.id with
-      | Some (_, hi) -> min r.Asap_alap.alap hi
+      | Some (_, hi) -> Int.min r.Asap_alap.alap hi
       | None -> r.Asap_alap.alap
     in
     step >= alap || step = li - 1
   in
   (* big-design fast path: when every instance of a resource class is busy
      (or mux-saturated) at a step, sibling unguarded ops of the same class
-     defer immediately instead of re-probing each instance *)
+     defer immediately instead of re-probing each instance.
+     [blocked_at.(k) = e]: class key [k] is blocked at step [e] *)
   let use_class_memo = ctx.Pass_ctx.ctx_n_members > 500 in
-  let class_key (op : Dfg.op) =
-    ctx.Pass_ctx.ctx_class_key.(op.Dfg.id)
+  let blocked_at = Array.make ctx.Pass_ctx.ctx_n_class_keys (-1) in
+  let class_blocked (op : Dfg.op) e =
+    let k = ctx.Pass_ctx.ctx_class_key.(op.Dfg.id) in
+    k >= 0 && blocked_at.(k) = e
   in
   let log_bind op_id =
     let pl = Option.get (Binding.placement binding op_id) in
@@ -343,7 +358,7 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
   (* attempt [op] at step [e], updating the pass state exactly as the
      historic inner loop did; true when the bind landed and assigned an
      SCC stage *)
-  let try_place (op : Dfg.op) e blocked_class =
+  let try_place (op : Dfg.op) e =
     let attempt () =
       if Opkind.is_resource_op op.Dfg.kind then begin
         match Binding.candidates binding op () with
@@ -412,9 +427,8 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
            && Guard.is_always op.Dfg.guard
            && List.for_all (function Restraint.F_busy _ -> true | _ -> false) fails
          then
-           match class_key op with
-           | Some k -> Hashtbl.replace blocked_class k ()
-           | None -> ());
+           let k = ctx.Pass_ctx.ctx_class_key.(op.Dfg.id) in
+           if k >= 0 then blocked_at.(k) <- e);
         let fatal = last_chance op e in
         (* record the most informative failure of the attempts *)
         let best_fail =
@@ -433,9 +447,10 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
         in
         add_logged_restraint ~op:op.Dfg.id ~step:e ~fail:best_fail ~fatal;
         if fatal then begin
-          Trace.logf ~level:Trace.Warn trace "    op %d (%s) FAILED at step %d: %s" op.Dfg.id
-            op.Dfg.name e
-            (Restraint.fail_to_string best_fail);
+          if Option.is_some trace then
+            Trace.logf ~level:Trace.Warn trace "    op %d (%s) FAILED at step %d: %s" op.Dfg.id
+              op.Dfg.name e
+              (Restraint.fail_to_string best_fail);
           drop_failed op.Dfg.id
         end
         else deferred_at.(op.Dfg.id) <- e;
@@ -464,7 +479,7 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
             if event_step ev < s then
               match ev with
               | Ev_bind { ev_op; ev_step; ev_finish; ev_inst; ev_rtype } ->
-                  if Hashtbl.mem unplaced ev_op then begin
+                  if unplaced.(ev_op) then begin
                     Binding.replay_bind binding ~propagate:false (Dfg.find dfg ev_op)
                       ~step:ev_step ~finish:ev_finish ~inst_opt:ev_inst ~rtype:ev_rtype;
                     replayed_bind := true;
@@ -481,7 +496,6 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
   in
   for e = start_step to li - 1 do
     let deferred id = deferred_at.(id) = e in
-    let blocked_class = Hashtbl.create 8 in
     if use_heap then begin
       (* heap pick: pop in descending (score, -id); stale entries (no
          longer ready) are discarded, entries ineligible at this step are
@@ -505,16 +519,14 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
                 else if
                   use_class_memo
                   && Guard.is_always op.Dfg.guard
-                  && (match class_key op with
-                     | Some k -> Hashtbl.mem blocked_class k
-                     | None -> false)
+                  && class_blocked op e
                   && not (last_chance op e)
                 then begin
                   deferred_at.(id) <- e;
                   stash := (s, id) :: !stash
                 end
                 else begin
-                  let scc_assigned = try_place op e blocked_class in
+                  let scc_assigned = try_place op e in
                   if deferred id then stash := (s, id) :: !stash;
                   if scc_assigned then flush_stash ()
                 end
@@ -542,24 +554,24 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
         | Some (_, op)
           when use_class_memo
                && Guard.is_always op.Dfg.guard
-               && (match class_key op with
-                  | Some k -> Hashtbl.mem blocked_class k
-                  | None -> false)
+               && class_blocked op e
                && not (last_chance op e) ->
             deferred_at.(op.Dfg.id) <- e
-        | Some (_, op) -> ignore (try_place op e blocked_class)
+        | Some (_, op) -> ignore (try_place op e)
       done
     end
   done;
   (* ops never placed and never directly failed were blocked upstream *)
-  Hashtbl.iter
-    (fun id _ ->
-      let r = Restraint.make ~op:id ~step:(li - 1) ~fail:Restraint.F_blocked ~fatal:false in
-      r.Restraint.r_weight <- 0.5;
-      restraints := r :: !restraints)
-    unplaced;
+  Array.iter
+    (fun id ->
+      if unplaced.(id) then begin
+        let r = Restraint.make ~op:id ~step:(li - 1) ~fail:Restraint.F_blocked ~fatal:false in
+        r.Restraint.r_weight <- 0.5;
+        restraints := r :: !restraints
+      end)
+    ctx.Pass_ctx.ctx_blocked_order;
   let outcome =
-    if Hashtbl.length failed = 0 && Hashtbl.length unplaced = 0 then Pass_ok
+    if !n_failed = 0 && !n_unplaced = 0 then Pass_ok
     else
       (* deferral restraints of ops that eventually placed are noise: the
          relaxation decision is driven by the ops the pass actually lost *)
@@ -595,9 +607,10 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
         ignore (Binding.add_inst binding rt)
       done)
     initial;
-  Trace.logf trace "initial resources: %s"
-    (String.concat ", "
-       (List.map (fun (rt, n, _) -> Printf.sprintf "%dx %s" n (Resource.to_string rt)) initial));
+  if Option.is_some trace then
+    Trace.logf trace "initial resources: %s"
+      (String.concat ", "
+         (List.map (fun (rt, n, _) -> Printf.sprintf "%dx %s" n (Resource.to_string rt)) initial));
   (* seed the latency interval at the resource-implied lower bound, so the
      relaxation loop does not add those unavoidable states one at a time *)
   if opts.seed_latency_floor && not (Region.is_pipelined region) then begin
@@ -837,9 +850,11 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
                   })
        | Pass_failed restraints -> (
            Trace.logf trace "pass %d: failed with %d restraints" !passes (List.length restraints);
-           List.iter
-             (fun r -> Trace.logf ~level:Trace.Debug trace "    restraint: %s" (Restraint.to_string r))
-             restraints;
+           if Option.is_some trace then
+             List.iter
+               (fun r ->
+                 Trace.logf ~level:Trace.Debug trace "    restraint: %s" (Restraint.to_string r))
+               restraints;
            let scc_stage k =
              match scc_stage_local.(k) with
              | Some s -> s

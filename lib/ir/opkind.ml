@@ -186,6 +186,14 @@ let rclass_to_string = function
   | R_blackbox s -> "ip:" ^ s
   | R_wire -> "wire"
 
+(* typed: [R_blackbox] carries a string, so a polymorphic [=] would go
+   through the runtime's structural compare *)
+let equal_rclass a b =
+  match (a, b) with
+  | R_blackbox x, R_blackbox y -> String.equal x y
+  | R_blackbox _, _ | _, R_blackbox _ -> false
+  | _ -> a == b
+
 (** True when the op consumes a shareable datapath resource (and therefore
     participates in resource allocation, sharing-mux construction and
     busy-table bookkeeping). *)

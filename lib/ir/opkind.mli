@@ -85,6 +85,10 @@ val unop_to_string : unop -> string
 val to_string : t -> string
 val rclass_to_string : rclass -> string
 
+val equal_rclass : rclass -> rclass -> bool
+(** Structural equality on resource classes, without the polymorphic
+    compare. *)
+
 val is_resource_op : t -> bool
 (** Does the op occupy a shareable datapath resource (participating in
     allocation, sharing muxes and busy tables)? *)

@@ -51,7 +51,9 @@ type t = {
   nest : nest option;  (** loop-nest metadata; [None] for ordinary regions *)
 }
 
-(* the netlist packs a control step into 21 bits of its busy-table key *)
+(* the largest latency bound a user may ask for: far beyond any schedule
+   the relaxation loop reaches, and small enough that every per-step
+   table stays addressable *)
 let max_steps_limit = (1 lsl 21) - 1
 
 let create ?(min_steps = 1) ?(max_steps = 64) ?pipeline ?continue_cond ?stall_cond

@@ -50,8 +50,9 @@ type t = {
 }
 
 val max_steps_limit : int
-(** Largest latency bound a region accepts, 2{^21} - 1: the netlist packs
-    a control step into 21 bits of its busy-table key. *)
+(** Largest latency bound a region accepts, 2{^21} - 1 states.  A larger
+    bound is refused up front ([invalid_bounds] from the flow) instead of
+    letting the relaxation loop walk toward it. *)
 
 val create :
   ?min_steps:int ->

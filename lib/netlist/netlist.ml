@@ -34,6 +34,10 @@
     deduplicated by op id — an op already pending is not enqueued again —
     and stops at cells whose arrival did not move, so the visit count
     stays bounded by the changed region, not the full fanout cone.
+    The busy table is an int-keyed open-addressing table stamped the
+    same way (see {!type-busy}), and no comparison on these paths goes
+    through the polymorphic compare or hash ([scripts/hot_path_symbols.sh]
+    checks the object code).
 
     The graph itself is read straight from {!Dfg} and {!Region}, whose op,
     edge and membership lookups are array reads too.  The few per-op facts
@@ -55,6 +59,9 @@ open Hls_techlib
 (* [Stdlib.max] specialised to floats (same semantics, NaN included),
    without the polymorphic comparison call *)
 let fmax (a : float) b = if a >= b then a else b
+
+(* and [Stdlib.min]: [fmin x nan] is nan, [fmin nan x] is x *)
+let fmin (a : float) b = if a <= b then a else b
 
 type inst = {
   inst_id : int;
@@ -130,6 +137,32 @@ type iclass = {
   ic_class : Opkind.rclass;
   mutable ic_rev : inst list;  (** newest first *)
   mutable ic_memo : inst list option;  (** registration order *)
+  mutable ic_cursor : inst list;
+      (** a suffix of the registration order that starts at or before the
+          first instance with nothing bound, valid while [ic_cursor_pass]
+          is the pass stamp (see {!first_unloaded}) *)
+  mutable ic_cursor_pass : int;
+}
+
+(** The busy table: (instance, slot) -> the ops occupying it.  Open
+    addressing with linear probing over parallel arrays, hashed by a
+    multiplicative (Fibonacci) hash of both key halves.  A cell is live
+    only while its stamp equals the netlist's pass stamp, so
+    {!reset_pass} empties the table in O(1) and keeps its capacity; a
+    stale cell reads as free.  Within a pass cells are only claimed,
+    never freed (a rollback restores a cell's list, not its key), so a
+    probe stops at the first free cell.  The capacity is a power of two
+    at least twice the live cells: it follows the slots actually
+    occupied, not the latency bound.  The lists sit in refs so that undo
+    entries stay valid across a rehash. *)
+type busy = {
+  mutable bz_stamp : int array;
+  mutable bz_inst : int array;
+  mutable bz_slot : int array;
+  mutable bz_ops : int list ref array;
+  mutable bz_bits : int;  (** log2 of the capacity *)
+  mutable bz_live : int;  (** live cells, counted for pass [bz_pass] *)
+  mutable bz_pass : int;
 }
 
 type t = {
@@ -161,9 +194,7 @@ type t = {
   mutable gpreds_c : int array option array;  (** op -> guard preds (static) *)
   mutable gpos : int array option array;
       (** op -> positions in each pred's bucket, parallel to [gpreds_c] *)
-  busy : (int, int list ref) Hashtbl.t;
-      (** (inst lsl 21) lor slot -> bound ops; slots are control steps,
-          below 2^21 ({!Region.max_steps_limit}) *)
+  busy : busy;  (** (instance, slot) -> ops occupying it, this pass *)
   chain : Hls_timing.Cycle_detector.t;
   mutable generation : int;
   mutable trial_on : bool;
@@ -218,10 +249,18 @@ let fresh_cell () =
 
 let fresh_bucket () = { b_a = [||]; b_len = 0; b_gen = 0; b_sorted = []; b_dirty = false }
 
+(* shared filler for free busy cells: never handed out, never written *)
+let no_ops = ref []
+
+let busy_make bits =
+  let n = 1 lsl bits in
+  { bz_stamp = Array.make n 0; bz_inst = Array.make n 0; bz_slot = Array.make n 0;
+    bz_ops = Array.make n no_ops; bz_bits = bits; bz_live = 0; bz_pass = 0 }
+
 let create ~lib ~clock_ps (region : Region.t) =
   let dfg = region.Region.dfg in
-  let cap = 1 + Dfg.fold_ops dfg (fun op m -> max m op.Dfg.id) (-1) in
-  let cap = max cap 16 in
+  let cap = 1 + Dfg.fold_ops dfg (fun op m -> Int.max m op.Dfg.id) (-1) in
+  let cap = Int.max cap 16 in
   let rt_c = Array.make cap None in
   Dfg.iter_ops dfg (fun op -> rt_c.(op.Dfg.id) <- Resource.of_op dfg op);
   let member_needs = List.filter_map (fun op -> rt_c.(op.Dfg.id)) (Region.member_ops region) in
@@ -264,7 +303,7 @@ let create ~lib ~clock_ps (region : Region.t) =
     gslots = Array.init cap (fun _ -> fresh_bucket ());
     gpreds_c = Array.make cap None;
     gpos = Array.make cap None;
-    busy = Hashtbl.create 64;
+    busy = busy_make 6;
     chain = Hls_timing.Cycle_detector.create ();
     generation = 0;
     trial_on = false;
@@ -307,7 +346,7 @@ let grow_with a cap f =
    for callers querying ids outside the original graph *)
 let ensure_cap t id =
   if id >= t.cap then begin
-    let cap = max (id + 1) (2 * t.cap) in
+    let cap = Int.max (id + 1) (2 * t.cap) in
     t.pl_gen <- grow_arr t.pl_gen cap 0;
     t.pl_step <- grow_arr t.pl_step cap 0;
     t.pl_finish <- grow_arr t.pl_finish cap 0;
@@ -375,10 +414,12 @@ let stats t =
     s_cycle_visits = Hls_timing.Cycle_detector.visits t.chain }
 
 let iclass t rclass =
-  match List.find_opt (fun c -> c.ic_class = rclass) t.classes with
+  match List.find_opt (fun c -> Opkind.equal_rclass c.ic_class rclass) t.classes with
   | Some c -> c
   | None ->
-      let c = { ic_class = rclass; ic_rev = []; ic_memo = Some [] } in
+      let c =
+        { ic_class = rclass; ic_rev = []; ic_memo = Some []; ic_cursor = []; ic_cursor_pass = 0 }
+      in
       t.classes <- c :: t.classes;
       c
 
@@ -393,7 +434,7 @@ let add_inst ?(added_by_expert = false) t rtype =
   t.insts_memo <- None;
   t.prealloc_stale <- true;
   if inst.inst_id = Array.length t.inst_arr then begin
-    let n = max 16 (2 * inst.inst_id) in
+    let n = Int.max 16 (2 * inst.inst_id) in
     t.inst_arr <- grow_arr t.inst_arr n inst;
     t.scr_last <- grow_arr t.scr_last n (-1)
   end;
@@ -401,6 +442,7 @@ let add_inst ?(added_by_expert = false) t rtype =
   let c = iclass t rtype.Resource.rclass in
   c.ic_rev <- inst :: c.ic_rev;
   c.ic_memo <- None;
+  c.ic_cursor_pass <- 0;
   inst
 
 (** Instances in registration order (ascending id); memoized, so the
@@ -415,19 +457,38 @@ let insts t =
 
 let n_insts t = t.next_inst_id
 
+let class_list c =
+  match c.ic_memo with
+  | Some l -> l
+  | None ->
+      let l = List.rev c.ic_rev in
+      c.ic_memo <- Some l;
+      l
+
 (** The instances of [op]'s resource class, in registration order; empty
     for wire-class ops. *)
 let class_insts t (op : Dfg.op) =
   match resource_of t op with
   | None -> []
+  | Some rt -> class_list (iclass t rt.Resource.rclass)
+
+(** The first instance of [op]'s class, in registration order, with no op
+    bound.  Committed loads only grow within a pass (a rolled-back trial
+    restores them), so the instances the last call skipped are still
+    loaded: a per-class cursor resumes the scan where it stopped.  Inside
+    a trial the scan does not move the cursor. *)
+let first_unloaded t (op : Dfg.op) =
+  match resource_of t op with
+  | None -> None
   | Some rt -> (
       let c = iclass t rt.Resource.rclass in
-      match c.ic_memo with
-      | Some l -> l
-      | None ->
-          let l = List.rev c.ic_rev in
-          c.ic_memo <- Some l;
-          l)
+      let rec skip = function i :: rest when i.n_bound > 0 -> skip rest | l -> l in
+      let l = skip (if c.ic_cursor_pass = t.pass_stamp then c.ic_cursor else class_list c) in
+      if not t.trial_on then begin
+        c.ic_cursor <- l;
+        c.ic_cursor_pass <- t.pass_stamp
+      end;
+      match l with i :: _ -> Some i | [] -> None)
 
 let find_inst t id =
   if id >= 0 && id < t.next_inst_id then t.inst_arr.(id) else raise Not_found
@@ -520,7 +581,6 @@ let refresh_prealloc t =
 let reset_pass ~price_muxes t =
   t.pass_stamp <- t.pass_stamp + 1;
   t.mux_priced <- price_muxes;
-  Hashtbl.reset t.busy;
   List.iter
     (fun i ->
       i.bound <- [];
@@ -575,37 +635,95 @@ let n_placed t =
 
 let slot t step = if Region.is_pipelined t.region then step mod Region.ii t.region else step
 
-(* busy keys pack (instance, slot) into one int: slots are control steps,
-   below 2^21 because [Region.create] refuses a latency bound above
-   [Region.max_steps_limit] *)
-let busy_key inst s = (inst lsl 21) lor s
+(* Fibonacci hash of (inst, slot) onto [bits] bits: the multiply mixes
+   both halves into the top bits, so one step's entries for different
+   instances spread over the table *)
+let busy_hash (inst : int) (sl : int) bits =
+  (((inst lsl 31) lxor sl) * 0x1E3779B97F4A7C15) lsr (Sys.int_size - bits)
 
-let busy_ref t inst step =
-  let key = busy_key inst (slot t step) in
-  match Hashtbl.find_opt t.busy key with
-  | Some r -> r
-  | None ->
+(* the live cell of (inst, slot) when >= 0, else [-1 - free cell] *)
+let busy_find t inst sl =
+  let b = t.busy in
+  let pass = t.pass_stamp in
+  let mask = Array.length b.bz_stamp - 1 in
+  let rec probe k =
+    if b.bz_stamp.(k) <> pass then -1 - k
+    else if b.bz_inst.(k) = inst && b.bz_slot.(k) = sl then k
+    else probe ((k + 1) land mask)
+  in
+  probe (busy_hash inst sl b.bz_bits)
+
+(* double the capacity, carrying over this pass's live cells *)
+let busy_grow t =
+  let b = t.busy in
+  let old_stamp = b.bz_stamp and old_inst = b.bz_inst and old_slot = b.bz_slot in
+  let old_ops = b.bz_ops in
+  let g = busy_make (b.bz_bits + 1) in
+  b.bz_stamp <- g.bz_stamp;
+  b.bz_inst <- g.bz_inst;
+  b.bz_slot <- g.bz_slot;
+  b.bz_ops <- g.bz_ops;
+  b.bz_bits <- g.bz_bits;
+  Array.iteri
+    (fun k st ->
+      if st = t.pass_stamp then begin
+        let j = -1 - busy_find t old_inst.(k) old_slot.(k) in
+        b.bz_stamp.(j) <- st;
+        b.bz_inst.(j) <- old_inst.(k);
+        b.bz_slot.(j) <- old_slot.(k);
+        b.bz_ops.(j) <- old_ops.(k)
+      end)
+    old_stamp
+
+let rec busy_ref t inst step =
+  let sl = slot t step in
+  let k = busy_find t inst sl in
+  if k >= 0 then t.busy.bz_ops.(k)
+  else begin
+    let b = t.busy in
+    if b.bz_pass <> t.pass_stamp then begin
+      b.bz_pass <- t.pass_stamp;
+      b.bz_live <- 0
+    end;
+    if 2 * (b.bz_live + 1) > Array.length b.bz_stamp then begin
+      busy_grow t;
+      busy_ref t inst step
+    end
+    else begin
+      let j = -1 - k in
       let r = ref [] in
-      Hashtbl.replace t.busy key r;
+      b.bz_stamp.(j) <- t.pass_stamp;
+      b.bz_inst.(j) <- inst;
+      b.bz_slot.(j) <- sl;
+      b.bz_ops.(j) <- r;
+      b.bz_live <- b.bz_live + 1;
       r
+    end
+  end
 
 (* a read: a missing slot is empty, and stays absent from the table *)
 let busy_ops t inst step =
-  match Hashtbl.find_opt t.busy (busy_key inst (slot t step)) with Some r -> !r | None -> []
+  let k = busy_find t inst (slot t step) in
+  if k >= 0 then !(t.busy.bz_ops.(k)) else []
 
 let dump_busy t =
-  Hashtbl.fold
-    (fun key r acc ->
-      if !r = [] then acc
-      else ((key lsr 21, key land 0x1fffff), List.sort compare !r) :: acc)
-    t.busy []
-  |> List.sort compare
+  let b = t.busy in
+  let acc = ref [] in
+  Array.iteri
+    (fun k st ->
+      if st = t.pass_stamp && !(b.bz_ops.(k)) <> [] then
+        acc := ((b.bz_inst.(k), b.bz_slot.(k)), List.sort Int.compare !(b.bz_ops.(k))) :: !acc)
+    b.bz_stamp;
+  List.sort
+    (fun (((i : int), (s : int)), _) ((i', s'), _) ->
+      match Int.compare i i' with 0 -> Int.compare s s' | c -> c)
+    !acc
 
 (* --- step index: step -> ops placed there --- *)
 
 let step_bucket t step =
   if step >= Array.length t.steps then
-    t.steps <- grow_with t.steps (max (step + 1) (2 * Array.length t.steps)) fresh_bucket;
+    t.steps <- grow_with t.steps (Int.max (step + 1) (2 * Array.length t.steps)) fresh_bucket;
   let b = t.steps.(step) in
   if b.b_gen <> t.pass_stamp then begin
     b.b_gen <- t.pass_stamp;
@@ -617,7 +735,7 @@ let step_bucket t step =
 
 let bucket_push b x =
   if b.b_len = Array.length b.b_a then begin
-    let a = Array.make (max 4 (2 * Array.length b.b_a)) 0 in
+    let a = Array.make (Int.max 4 (2 * Array.length b.b_a)) 0 in
     Array.blit b.b_a 0 a 0 b.b_len;
     b.b_a <- a
   end;
@@ -653,7 +771,7 @@ let ops_on_step t step =
     if b.b_gen <> t.pass_stamp || b.b_len = 0 then []
     else begin
       if b.b_dirty then begin
-        b.b_sorted <- List.sort compare (Array.to_list (Array.sub b.b_a 0 b.b_len));
+        b.b_sorted <- List.sort Int.compare (Array.to_list (Array.sub b.b_a 0 b.b_len));
         b.b_dirty <- false
       end;
       b.b_sorted
@@ -816,7 +934,7 @@ let invalidate_mux t i =
   i.mux_delays <- None
 
 (** Insert [x] into an ascending duplicate-free list, keeping it so. *)
-let rec sorted_insert x = function
+let rec sorted_insert (x : int) = function
   | [] -> [ x ]
   | y :: _ as l when x < y -> x :: l
   | y :: _ as l when x = y -> l
@@ -834,7 +952,7 @@ let rec sorted_insert x = function
     beyond the cached array stay uncached and fall back to the rebuild in
     {!port_srcs}. *)
 let attach t i op_id =
-  if not (List.mem op_id i.bound) then begin
+  if not (List.memq op_id i.bound) then begin
     if t.trial_on then t.undo_log <- U_bound (i, i.bound, i.n_bound) :: t.undo_log;
     i.bound <- op_id :: i.bound;
     i.n_bound <- i.n_bound + 1;
@@ -849,8 +967,8 @@ let attach t i op_id =
             let p = e.Dfg.port in
             if
               p < Array.length c'
-              && (not (List.mem e.Dfg.src c'.(p)))
-              && Dfg.input t.dfg op_id ~port:p = Some e
+              && (not (List.memq e.Dfg.src c'.(p)))
+              && Dfg.is_input t.dfg op_id e
             then begin
               c'.(p) <- sorted_insert e.Dfg.src c'.(p);
               changed.(p) <- true
@@ -873,7 +991,7 @@ let attach t i op_id =
   end
 
 let set_rtype t i rt =
-  if rt <> i.rtype then begin
+  if not (Resource.equal rt i.rtype) then begin
     if t.trial_on then t.undo_log <- U_rtype (i, i.rtype) :: t.undo_log;
     set_type i rt;
     t.prealloc_stale <- true;
@@ -896,13 +1014,13 @@ let port_srcs t (inst : inst) ~port =
     match inst.mux_cache with
     | Some c when port < Array.length c -> c
     | _ ->
-        let n_ports = max (port + 1) (List.length inst.rtype.Resource.in_widths) in
+        let n_ports = Int.max (port + 1) (List.length inst.rtype.Resource.in_widths) in
         let c =
           Array.init n_ports (fun p ->
               List.filter_map
                 (fun o -> Option.map (fun e -> e.Dfg.src) (Dfg.input t.dfg o ~port:p))
                 inst.bound
-              |> List.sort_uniq compare)
+              |> List.sort_uniq Int.compare)
         in
         (* derived state: rebuilding reflects the current bound/rtype, so a
            rebuild during a trial needs no journal entry of its own — the
@@ -923,7 +1041,7 @@ let mux_inputs t inst ~port =
     input. *)
 let mux_inputs_with t inst ~port ~src =
   let l = port_srcs t inst ~port in
-  let n = if List.exists (fun s -> s = src) l then List.length l else List.length l + 1 in
+  let n = if List.memq src l then List.length l else List.length l + 1 in
   if inst.prealloc_shared then Int.max n 2 else n
 
 let in_mux_delay t inst ~port =
@@ -1155,7 +1273,7 @@ let screen_busy_reject t ~(op : Dfg.op) ~step ~finish ~(inst : inst) ~(changed_p
         changed_ports
     in
     let new_mux p =
-      match List.assoc_opt p grown with
+      match List.assq_opt p grown with
       | Some d -> d
       | None -> in_mux_delay t inst ~port:p
     in
@@ -1278,7 +1396,7 @@ let screen_busy_reject t ~(op : Dfg.op) ~step ~finish ~(inst : inst) ~(changed_p
         (* the cohabitant that proved this instance's last rejection
            usually proves the next one too: try it first *)
         let last = t.scr_last.(inst.inst_id) in
-        (List.mem last inst.bound && proved_by last)
+        (List.memq last inst.bound && proved_by last)
         || List.exists (fun o_id -> o_id <> last && proved_by o_id) inst.bound
   end
 
@@ -1370,7 +1488,9 @@ let propagate t seeds =
 let recompute_all t =
   let by_step =
     fold_placements t (fun id pl acc -> (pl.pl_step, id) :: acc) []
-    |> List.sort compare |> List.map snd
+    |> List.sort (fun ((s : int), (i : int)) (s', i') ->
+           match Int.compare s s' with 0 -> Int.compare i i' | c -> c)
+    |> List.map snd
   in
   ignore (propagate t by_step)
 
@@ -1403,7 +1523,7 @@ let chain_source_insts t op_id ~step =
     end
   in
   List.iter (fun e -> if e.Dfg.distance = 0 then visit e.Dfg.src) (Dfg.in_edges t.dfg op_id);
-  List.sort_uniq compare !acc
+  List.sort_uniq Int.compare !acc
 
 let would_close_cycle t ~src ~dst = Hls_timing.Cycle_detector.would_close_cycle t.chain ~src ~dst
 
@@ -1509,7 +1629,7 @@ let timing_report t : Hls_timing.Synthesize.report =
   { Hls_timing.Synthesize.r_clock_ps = t.clock_ps; r_paths = paths }
 
 (** Worst endpoint slack over all placed ops. *)
-let worst_slack t = fold_placements t (fun id _ acc -> min acc (endpoint_slack t id)) infinity
+let worst_slack t = fold_placements t (fun id _ acc -> fmin acc (endpoint_slack t id)) infinity
 
 (** {2 Reference evaluator — the oracle} *)
 
@@ -1520,8 +1640,10 @@ let worst_slack t = fold_placements t (fun id _ acc -> min acc (endpoint_slack t
 let reference_arrivals t =
   let r : (int, float) Hashtbl.t = Hashtbl.create 64 in
   let ids =
-    fold_placements t (fun id pl acc -> ((pl.pl_step, id), id) :: acc) []
-    |> List.sort compare |> List.map snd
+    fold_placements t (fun id pl acc -> (pl.pl_step, id) :: acc) []
+    |> List.sort (fun ((s : int), (i : int)) (s', i') ->
+           match Int.compare s s' with 0 -> Int.compare i i' | c -> c)
+    |> List.map snd
   in
   let lookup p = match Hashtbl.find_opt r p with Some v -> v | None -> neg_infinity in
   let sweep () =
@@ -1556,5 +1678,5 @@ let reference_deviation t =
         | None, Some a -> abs_float a
         | None, None -> 0.0
       in
-      max acc dev)
+      fmax acc dev)
     0.0

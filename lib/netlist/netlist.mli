@@ -78,6 +78,12 @@ val class_insts : t -> Dfg.op -> inst list
     only instances {!Resource.fits} or {!Resource.can_merge} can accept);
     empty for wire-class ops. *)
 
+val first_unloaded : t -> Dfg.op -> inst option
+(** The first instance of [op]'s class, in registration order, with
+    nothing bound.  Amortized O(1) per pass and class: committed loads
+    only grow within a pass, so a per-class cursor resumes where the last
+    call stopped (a call inside a trial leaves the cursor alone). *)
+
 val resource_of : t -> Dfg.op -> Resource.t option
 (** {!Resource.of_op}, computed once per op when the netlist is created. *)
 

@@ -70,7 +70,7 @@ let width_scale w =
   let s = log (float_of_int w) /. log (float_of_int ref_width) in
   max 0.25 s
 
-let max_in_width rt = List.fold_left max 1 rt.Resource.in_widths
+let max_in_width rt = List.fold_left Int.max 1 rt.Resource.in_widths
 
 let blackbox t name =
   match List.assoc_opt name t.blackboxes with

@@ -29,14 +29,14 @@ let of_op (dfg : Dfg.t) (op : Dfg.op) : t option =
       in
       Some { rclass = rc; in_widths; out_width = op.Dfg.width }
 
-let same_class a b = a.rclass = b.rclass
+let same_class a b = Opkind.equal_rclass a.rclass b.rclass
 
 (** Width-compatibility: per-operand ratio bounded by 2 (and same arity). *)
 let widths_compatible a b =
-  List.length a.in_widths = List.length b.in_widths
+  List.compare_lengths a.in_widths b.in_widths = 0
   && List.for_all2
        (fun wa wb ->
-         let lo = min wa wb and hi = max wa wb in
+         let lo = Int.min wa wb and hi = Int.max wa wb in
          hi <= 2 * lo)
        a.in_widths b.in_widths
 
@@ -47,22 +47,23 @@ let merge a b =
   if not (can_merge a b) then invalid_arg "Resource.merge: incompatible types";
   {
     rclass = a.rclass;
-    in_widths = List.map2 max a.in_widths b.in_widths;
-    out_width = max a.out_width b.out_width;
+    in_widths = List.map2 Int.max a.in_widths b.in_widths;
+    out_width = Int.max a.out_width b.out_width;
   }
 
 (** Whether an op of type [need] can run on an instance of type [have]
     (instance at least as wide on every operand, same class). *)
 let fits ~need ~have =
   same_class need have
-  && List.length need.in_widths = List.length have.in_widths
-  && List.for_all2 (fun wn wh -> wn <= wh) need.in_widths have.in_widths
+  && List.compare_lengths need.in_widths have.in_widths = 0
+  && List.for_all2 (fun (wn : int) wh -> wn <= wh) need.in_widths have.in_widths
   && need.out_width <= have.out_width
 
 let to_string t =
   Printf.sprintf "%s_%s" (Opkind.rclass_to_string t.rclass)
     (String.concat "x" (List.map string_of_int t.in_widths))
 
-let compare_t (a : t) (b : t) = compare (a.rclass, a.in_widths, a.out_width) (b.rclass, b.in_widths, b.out_width)
-
-let equal a b = compare_t a b = 0
+let equal a b =
+  Opkind.equal_rclass a.rclass b.rclass
+  && List.equal Int.equal a.in_widths b.in_widths
+  && a.out_width = b.out_width

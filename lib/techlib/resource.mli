@@ -32,5 +32,5 @@ val fits : need:t -> have:t -> bool
     (same class, instance at least as wide on every operand)? *)
 
 val to_string : t -> string
-val compare_t : t -> t -> int
 val equal : t -> t -> bool
+(** Structural equality, without the polymorphic compare. *)

@@ -58,7 +58,7 @@ let ensure_node t n =
   if n >= t.n_nodes then begin
     let cap = Array.length t.ord in
     if n >= cap then begin
-      let cap' = max (n + 1) (max 16 (2 * cap)) in
+      let cap' = Int.max (n + 1) (Int.max 16 (2 * cap)) in
       let grow a fill = Array.init cap' (fun i -> if i < cap then a.(i) else fill) in
       t.ord <- grow t.ord 0;
       t.succ <- grow t.succ [];
@@ -72,7 +72,7 @@ let ensure_node t n =
   end
 
 let succs t n = if n < t.n_nodes then t.succ.(n) else []
-let mem_edge t ~src ~dst = List.mem dst (succs t src)
+let mem_edge t ~src ~dst = List.memq dst (succs t src)
 
 (* Nodes reached from [start] along [next] through nodes whose position
    lies strictly between [lo] and [hi]; [None] as soon as [target] is
@@ -113,13 +113,13 @@ let would_close_cycle t ~src ~dst =
      && forward t ~src ~dst = None
 
 let closes () = invalid_arg "Cycle_detector.add_edge: closes a cycle"
-let by_ord t l = List.sort (fun a b -> compare t.ord.(a) t.ord.(b)) l
+let by_ord t l = List.sort (fun a b -> Int.compare t.ord.(a) t.ord.(b)) l
 
 (** Record the edge (idempotent).  Raises [Invalid_argument] if it would
     close a cycle — callers must test first. *)
 let add_edge t ~src ~dst =
   if src = dst then closes ();
-  ensure_node t (max src dst);
+  ensure_node t (Int.max src dst);
   if not (mem_edge t ~src ~dst) then begin
     let lo = t.ord.(dst) and hi = t.ord.(src) in
     if lo < hi then begin
@@ -128,7 +128,7 @@ let add_edge t ~src ~dst =
       let fwd = match forward t ~src ~dst with Some f -> f | None -> closes () in
       let bwd = Option.get (search t ~next:t.pred ~start:src ~target:(-1) ~lo ~hi) in
       let nodes = by_ord t bwd @ by_ord t fwd in
-      let pool = List.sort compare (List.map (fun n -> t.ord.(n)) nodes) in
+      let pool = List.sort Int.compare (List.map (fun n -> t.ord.(n)) nodes) in
       List.iter2 (fun n p -> t.ord.(n) <- p) nodes pool
     end;
     t.succ.(src) <- dst :: t.succ.(src);

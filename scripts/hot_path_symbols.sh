@@ -1,0 +1,42 @@
+#!/bin/sh
+# Hot-path symbol gate.  The pass scheduler's inner loop (Ready_heap ->
+# Scheduler.run_pass -> Binding.try_bind -> Netlist, with the structural
+# cycle check and the graph kernels) compares only typed values: ints and
+# floats compare inline, lists of ints go through List.memq/Int.compare.
+# A comparison whose type is left open compiles to a call into OCaml's
+# polymorphic compare or hash instead, so this script lists the undefined
+# symbols of each module's native object (`nm -u`) and fails on any
+#   - polymorphic compare or hash primitive (caml_compare, caml_equal, ...),
+#   - Stdlib.min / Stdlib.max / Stdlib.compare,
+#   - List.mem / List.assoc / List.assoc_opt / List.mem_assoc.
+# Symbol separators differ across compiler versions (`camlStdlib.max_48`
+# or `camlStdlib$max_48`), so both are matched.  Run from the repository
+# root: `./scripts/hot_path_symbols.sh` (it builds first).
+set -eu
+
+modules="Ready_heap Binding Netlist Cycle_detector Graph_algo"
+bad='^(caml_(compare|equal|notequal|lessthan|lessequal|greaterthan|greaterequal|hash)|camlStdlib[.$](min|max|compare)_[0-9]+|camlStdlib__List[.$](mem|assoc|assoc_opt|mem_assoc)_[0-9]+)$'
+
+command -v nm >/dev/null 2>&1 || { echo "hot_path_symbols: nm not found" >&2; exit 1; }
+dune build @all
+
+status=0
+for m in $modules; do
+  obj=$(ls _build/default/lib/*/.*.objs/native/*__"$m".o 2>/dev/null | head -n 1)
+  if [ -z "$obj" ]; then
+    echo "hot_path_symbols: no native object for $m" >&2
+    status=1
+    continue
+  fi
+  hits=$(nm -u "$obj" | awk '{print $NF}' | grep -E "$bad" || true)
+  if [ -n "$hits" ]; then
+    echo "hot_path_symbols: $m ($obj) references:" >&2
+    echo "$hits" | sed 's/^/  /' >&2
+    status=1
+  fi
+done
+
+if [ "$status" -eq 0 ]; then
+  echo "hot-path symbols OK: no polymorphic compare/hash in $modules"
+fi
+exit "$status"

@@ -114,9 +114,8 @@ let test_bad_latency_bounds () =
   Alcotest.(check bool) "elaborate or schedule phase" true
     (d.Diag.d_phase = Diag.Elaborate || d.Diag.d_phase = Diag.Schedule)
 
-(* a latency bound the busy tables cannot represent is refused up front,
-   before any pass walks its states; the largest accepted bound is
-   Region.max_steps_limit *)
+(* a latency bound above Region.max_steps_limit is refused up front,
+   before any pass walks its states; the limit itself is accepted *)
 let test_unrepresentable_latency_bounds () =
   let limit = Hls_ir.Region.max_steps_limit in
   List.iter

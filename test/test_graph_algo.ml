@@ -113,6 +113,92 @@ let prop_topo_none_iff_cycle =
       in
       (Graph_algo.topo_sort ~nodes ~succs = None) = has_cycle)
 
+(* The Hashtbl + Set Kahn sort that [Graph_algo.topo_sort] replaced, kept
+   verbatim as the reference order the array version must reproduce. *)
+let reference_topo_sort ~nodes ~succs =
+  let indeg = Hashtbl.create (List.length nodes) in
+  List.iter (fun n -> Hashtbl.replace indeg n 0) nodes;
+  List.iter
+    (fun n ->
+      List.iter
+        (fun s ->
+          match Hashtbl.find_opt indeg s with
+          | Some d -> Hashtbl.replace indeg s (d + 1)
+          | None -> ())
+        (succs n))
+    nodes;
+  let module Pq = Set.Make (Int) in
+  let ready = ref Pq.empty in
+  Hashtbl.iter (fun n d -> if d = 0 then ready := Pq.add n !ready) indeg;
+  let order = ref [] in
+  let count = ref 0 in
+  while not (Pq.is_empty !ready) do
+    let n = Pq.min_elt !ready in
+    ready := Pq.remove n !ready;
+    order := n :: !order;
+    incr count;
+    List.iter
+      (fun s ->
+        match Hashtbl.find_opt indeg s with
+        | Some d ->
+            let d = d - 1 in
+            Hashtbl.replace indeg s d;
+            if d = 0 then ready := Pq.add s !ready
+        | None -> ())
+      (succs n)
+  done;
+  if !count = List.length nodes then Some (List.rev !order) else None
+
+(* Sparse, possibly negative node ids in a shuffled node list (now and
+   then with one id repeated), each node with up to five successors drawn
+   from the nodes and from ids outside them, duplicates allowed.  Half the
+   graphs only point forward in a random rank order (DAGs, where the order
+   itself is compared); the other half may close cycles. *)
+let sparse_digraph_gen =
+  QCheck.Gen.(
+    int_range 0 24 >>= fun n ->
+    list_repeat n (int_range (-40) 400) >>= fun raw ->
+    let ids = List.sort_uniq Int.compare raw in
+    shuffle_l ids >>= fun ids ->
+    bool >>= fun acyclic ->
+    int_range 0 9 >>= fun dup ->
+    let arr = Array.of_list ids in
+    let k = Array.length arr in
+    let nodes = if dup = 0 && k > 0 then arr.(0) :: ids else ids in
+    let succ_gen rank =
+      list_size (int_range 0 5)
+        (frequency
+           [
+             (1, int_range 401 420);
+             ( 4,
+               if acyclic then
+                 if rank + 1 >= k then int_range 401 420
+                 else int_range (rank + 1) (k - 1) >|= fun j -> arr.(j)
+               else int_range 0 (k - 1) >|= fun j -> arr.(j) );
+           ])
+    in
+    let rec adj_of rank acc =
+      if rank >= k then return (List.rev acc)
+      else succ_gen rank >>= fun ss -> adj_of (rank + 1) ((arr.(rank), ss) :: acc)
+    in
+    adj_of 0 [] >|= fun adj -> (nodes, adj))
+
+let sparse_digraph_arb =
+  QCheck.make sparse_digraph_gen ~print:(fun (nodes, adj) ->
+      Printf.sprintf "nodes=[%s] succs=[%s]"
+        (String.concat ";" (List.map string_of_int nodes))
+        (String.concat "; "
+           (List.map
+              (fun (v, ss) ->
+                Printf.sprintf "%d->%s" v (String.concat "," (List.map string_of_int ss)))
+              adj)))
+
+let prop_topo_matches_reference =
+  QCheck.Test.make ~name:"topo_sort returns the Hashtbl+Set Kahn order" ~count:1000
+    sparse_digraph_arb (fun (nodes, adj) ->
+      let succs v = match List.assoc_opt v adj with Some ss -> ss | None -> [] in
+      Graph_algo.topo_sort ~nodes ~succs = reference_topo_sort ~nodes ~succs)
+
 let suite =
   [
     Alcotest.test_case "topo DAG" `Quick test_topo_dag;
@@ -126,4 +212,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_scc_mutual;
     QCheck_alcotest.to_alcotest prop_topo_respects_edges;
     QCheck_alcotest.to_alcotest prop_topo_none_iff_cycle;
+    QCheck_alcotest.to_alcotest prop_topo_matches_reference;
   ]

@@ -338,6 +338,126 @@ let test_delay_memo_follows_rtype () =
     (Netlist.exec_delay net op (Some i.Netlist.inst_id));
   Alcotest.(check int) "mergeable after rollback" 1 (Netlist.compat_tier net op i)
 
+(* ---- the busy table against a naive (inst, slot) -> ops model ---- *)
+
+type busy_cmd =
+  | Occupy of int * int * int * int  (** instance, step, cycles, op *)
+  | Trial of (int * int * int * int) list * bool  (** occupies, then commit? *)
+  | Reset
+
+(* a netlist over an empty DFG: occupy and the busy reads need no ops *)
+let busy_net ~ii ~n_insts =
+  let pipeline = Option.map (fun ii -> { Region.ii }) ii in
+  let region = Region.create ?pipeline ~name:"busy" (Dfg.create ()) in
+  let net = Netlist.create ~lib ~clock_ps:1600.0 region in
+  let rt = { Resource.rclass = Opkind.R_addsub; in_widths = [ 8; 8 ]; out_width = 8 } in
+  for _ = 1 to n_insts do
+    ignore (Netlist.add_inst net rt)
+  done;
+  Netlist.reset_pass ~price_muxes:true net;
+  net
+
+let busy_case_gen =
+  QCheck.Gen.(
+    oneofl [ None; Some 1; Some 2; Some 3 ] >>= fun ii ->
+    int_range 1 12 >>= fun n_insts ->
+    let occ =
+      quad (int_range 0 (n_insts - 1))
+        (frequency [ (12, int_range 0 40); (1, int_range 0 (Region.max_steps_limit - 4)) ])
+        (int_range 1 3) (int_range 0 60)
+    in
+    let cmd =
+      frequency
+        [
+          (6, occ >|= fun (i, s, c, o) -> Occupy (i, s, c, o));
+          (3, pair (list_size (int_range 1 4) occ) bool >|= fun (l, c) -> Trial (l, c));
+          (1, return Reset);
+        ]
+    in
+    list_size (int_range 1 80) cmd >|= fun cmds -> (ii, n_insts, cmds))
+
+let busy_case_arb =
+  let occ (i, s, c, o) = Printf.sprintf "(%d,%d,%d,%d)" i s c o in
+  QCheck.make busy_case_gen ~print:(fun (ii, n, cmds) ->
+      Printf.sprintf "ii=%s insts=%d [%s]"
+        (match ii with None -> "seq" | Some ii -> string_of_int ii)
+        n
+        (String.concat "; "
+           (List.map
+              (function
+                | Occupy (i, s, c, o) -> "occupy" ^ occ (i, s, c, o)
+                | Trial (l, c) ->
+                    Printf.sprintf "trial[%s]%s" (String.concat "" (List.map occ l))
+                      (if c then "commit" else "rollback")
+                | Reset -> "reset")
+              cmds)))
+
+(* Every command against the model: after each one (and inside each
+   trial, before it ends) the occupied slots read back exactly — same
+   ops, same order — and [dump_busy] lists exactly the non-empty ones. *)
+let prop_busy_table_matches_model =
+  QCheck.Test.make ~name:"busy table = naive (inst, slot) -> ops model" ~count:300 busy_case_arb
+    (fun (ii, n_insts, cmds) ->
+      let net = busy_net ~ii ~n_insts in
+      let slot step = match ii with Some ii -> step mod ii | None -> step in
+      let model : (int * int, int list) Hashtbl.t = Hashtbl.create 16 in
+      let occupy (i, step, cycles, op) =
+        Netlist.occupy net ~inst_id:i ~step ~finish:(step + cycles - 1) op;
+        for s = step to step + cycles - 1 do
+          let k = (i, slot s) in
+          Hashtbl.replace model k (op :: Option.value (Hashtbl.find_opt model k) ~default:[])
+        done
+      in
+      let agrees () =
+        let reads =
+          Hashtbl.fold (fun (i, sl) ops ok -> ok && Netlist.busy_ops net i sl = ops) model true
+        in
+        let dump =
+          Hashtbl.fold
+            (fun k ops acc -> if ops = [] then acc else (k, List.sort compare ops) :: acc)
+            model []
+          |> List.sort compare
+        in
+        (* a step no command reaches reads empty *)
+        let untouched i = ii <> None || Netlist.busy_ops net i (Region.max_steps_limit - 1) = [] in
+        reads && Netlist.dump_busy net = dump && List.for_all untouched (List.init n_insts Fun.id)
+      in
+      List.for_all
+        (fun cmd ->
+          (match cmd with
+          | Occupy (i, s, c, o) -> occupy (i, s, c, o)
+          | Reset ->
+              Netlist.reset_pass ~price_muxes:true net;
+              Hashtbl.reset model
+          | Trial (l, commit) ->
+              let saved = Hashtbl.copy model in
+              Netlist.begin_trial net;
+              List.iter occupy l;
+              if not (agrees ()) then QCheck.Test.fail_report "trial view differs from the model";
+              if commit then Netlist.commit net
+              else begin
+                Netlist.rollback net;
+                Hashtbl.reset model;
+                Hashtbl.iter (Hashtbl.replace model) saved
+              end);
+          agrees ())
+        cmds)
+
+(* The busy table is sized by the slots in use, not by the step number:
+   occupying the last step a region accepts allocates well under 1 MiB. *)
+let test_busy_far_step_is_small () =
+  let net = busy_net ~ii:None ~n_insts:2 in
+  let step = Region.max_steps_limit - 1 in
+  Gc.full_major ();
+  let before = Gc.allocated_bytes () in
+  Netlist.occupy net ~inst_id:1 ~step ~finish:step 7;
+  let grown = Gc.allocated_bytes () -. before in
+  Alcotest.(check (list int)) "slot reads back" [ 7 ] (Netlist.busy_ops net 1 step);
+  Alcotest.(check bool)
+    (Printf.sprintf "occupy at step %d allocated %.0f bytes (< 1 MiB)" step grown)
+    true
+    (grown < 1048576.0)
+
 let suite =
   [
     Alcotest.test_case "rollback restores all observables" `Quick test_rollback_restores;
@@ -352,4 +472,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_failed_bind_is_invisible;
     QCheck_alcotest.to_alcotest prop_incremental_matches_reference;
     QCheck_alcotest.to_alcotest prop_large_design_matches_reference;
+    QCheck_alcotest.to_alcotest prop_busy_table_matches_model;
+    Alcotest.test_case "occupy at the last accepted step stays small" `Quick
+      test_busy_far_step_is_small;
   ]

@@ -220,6 +220,64 @@ let test_example1_trace_narrative () =
     ]
     (List.filteri (fun i _ -> i < 8) (Trace.events trace))
 
+(* Allocation inside [Scheduler.schedule] is a function of its input
+   alone: after a warm-up, two calls on fresh elaborations of the ~1k-op
+   synthetic design read the same [Gc.minor_words] delta, although
+   unrelated allocation between them moves where minor collections fall.
+   A per-request allocation figure that still varies run to run comes
+   from its formula, not from the scheduler ([Gc.counters]' minor + major
+   - promoted counts promotions, which depend on collection timing). *)
+let test_schedule_minor_words_deterministic () =
+  let profile =
+    { Hls_designs.Synthetic.default_profile with p_ops = 500; p_tightness = 0.3; p_seed = 7 }
+  in
+  let words () =
+    let region =
+      Hls_frontend.Elaborate.main_region
+        (Hls_frontend.Elaborate.design (Hls_designs.Synthetic.design ~profile ()))
+    in
+    let w0 = Gc.minor_words () in
+    (match Scheduler.schedule ~lib ~clock_ps:1600.0 region with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "synthetic design failed: %s" e.Scheduler.e_message);
+    Gc.minor_words () -. w0
+  in
+  ignore (words ());
+  let first = words () in
+  (* unrelated allocation, some of it kept live across the second call *)
+  let kept = ref [] in
+  for i = 1 to 250_007 do
+    let cell = Array.make (1 + (i mod 7)) i in
+    if i mod 5 = 0 then kept := cell :: !kept
+  done;
+  let second = words () in
+  ignore (Sys.opaque_identity !kept);
+  Alcotest.(check (float 0.0)) "same minor words" first second
+
+(* A failed pass ends its restraint list with one [F_blocked] marker per
+   op it never reached, and the expert breaks ties by list order, so the
+   markers keep the order they have always had: the iteration order of a
+   [Hashtbl] created for the members and filled in ascending id order. *)
+let test_blocked_restraint_order () =
+  let e = Hls_designs.Example1.elaborated ~ii:2 () in
+  let region = Hls_frontend.Elaborate.main_region e in
+  match Scheduler.schedule ~lib ~clock_ps:1200.0 region with
+  | Ok _ -> Alcotest.fail "example1 at II=2, 1200 ps is expected to be refused"
+  | Error err ->
+      let blocked =
+        List.filter_map
+          (fun (r : Restraint.t) ->
+            if r.Restraint.r_fail = Restraint.F_blocked then Some r.Restraint.r_op else None)
+          err.Scheduler.e_restraints
+      in
+      Alcotest.(check bool) "several blocked ops" true (List.length blocked >= 2);
+      let members = Region.member_ops region in
+      let h = Hashtbl.create (List.length members) in
+      List.iter (fun (o : Dfg.op) -> Hashtbl.replace h o.Dfg.id ()) members;
+      let order = ref [] in
+      Hashtbl.iter (fun id () -> if List.mem id blocked then order := id :: !order) h;
+      Alcotest.(check (list int)) "blocked markers in table order" (List.rev !order) blocked
+
 let suite =
   [
     Alcotest.test_case "Table 2: sequential schedule" `Quick test_table2_sequential;
@@ -233,4 +291,7 @@ let suite =
     Alcotest.test_case "table rendering" `Quick test_table_rendering;
     Alcotest.test_case "tracing off formats nothing" `Quick test_trace_off_formats_nothing;
     Alcotest.test_case "Example 1 trace narrative" `Quick test_example1_trace_narrative;
+    Alcotest.test_case "schedule allocation is run-independent" `Quick
+      test_schedule_minor_words_deterministic;
+    Alcotest.test_case "blocked restraints keep their order" `Quick test_blocked_restraint_order;
   ]
