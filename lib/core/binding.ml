@@ -11,7 +11,8 @@
       user-dedicated instances, busy-table conflicts honouring predicate
       orthogonality, structural combinational cycles),
     - the cheap {!quick_slack} endpoint screen that skips the expensive
-      trial when the op's own path cannot possibly close,
+      trial when the op's own path cannot possibly close, and on an empty
+      instance the op's exact own slack, which is the trial's verdict,
     - the trial protocol itself: a candidate binding runs inside a netlist
       transaction ([begin_trial] / mutate / [propagate]) and is committed
       or rolled back on the resulting worst slack, and
@@ -164,22 +165,20 @@ let widens t (op : Dfg.op) (i : inst) =
     trial mutates them.  A port whose effective input count is unchanged
     keeps its mux delay bit-identical, so ops reading only such ports keep
     their arrivals and need no re-timing.  Empty when the bind widens the
-    instance (every cohabitant is re-timed then). *)
+    instance (every cohabitant is re-timed then).  The op has one in-edge
+    per port, of any distance: exactly the sources the attach cache update
+    inserts. *)
 let changed_ports t (op : Dfg.op) (i : inst) =
   if widens t op i then []
   else
-    (* first-edge-per-port semantics, any distance — exactly the sources
-       the attach cache update inserts *)
     List.filter_map
       (fun e ->
         if
-          Dfg.is_input t.dfg op.Dfg.id e
-          && Netlist.mux_inputs_with t.net i ~port:e.Dfg.port ~src:e.Dfg.src
-             <> Netlist.mux_inputs t.net i ~port:e.Dfg.port
+          Netlist.mux_inputs_with t.net i ~port:e.Dfg.port ~src:e.Dfg.src
+          <> Netlist.mux_inputs t.net i ~port:e.Dfg.port
         then Some e.Dfg.port
         else None)
       (Dfg.in_edges t.dfg op.Dfg.id)
-    |> List.sort_uniq Int.compare
 
 (** Open a netlist transaction for the candidate, apply the bind's
     structural mutations and propagate its arrivals.  Returns the worst
@@ -295,17 +294,34 @@ let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
           else []
       | None -> []
     in
-    let changed_ports = match inst with Some i -> changed_ports t op i | None -> [] in
-    (* saturation screen: when the grown mux provably pushes a cohabitant,
-       or one of its same-step chained consumers, below tolerance — and
-       strictly below the new op's own slack — the trial's busy rejection
-       is already decided, so skip the whole transaction *)
-    (match inst with
-    | Some i
-      when changed_ports <> []
-           && Netlist.screen_busy_reject net ~op ~step ~finish ~inst:i ~changed_ports ->
-        raise (Fail (Restraint.F_busy i.rtype))
-    | _ -> ());
+    let changed_ports =
+      match inst with
+      | None -> []
+      | Some i when i.n_bound = 0 ->
+          (* an empty instance: no cohabitant can carry a busy proof, and
+             the trial seeds the op alone.  When its type already fits,
+             the op's own slack is the trial's exact worst slack; a
+             [force_bind] voids that guarantee for the pass *)
+          if t.timing_aware && not t.has_forced then begin
+            let s = Netlist.empty_bind_slack net op ~step ~finish ~inst:i in
+            if s < -0.001 then raise (Fail (Restraint.F_slack s))
+          end;
+          []
+      | Some i ->
+          let changed_ports = changed_ports t op i in
+          (* saturation screen: when the grown mux provably pushes a
+             cohabitant, or one of its same-step chained consumers, below
+             tolerance — and strictly below the new op's own slack — the
+             trial's busy rejection is already decided, so skip the whole
+             transaction.  The pass's slack floor rules most screens out
+             before they price anyone *)
+          if
+            changed_ports <> []
+            && Netlist.screen_may_prove net ~inst:i ~changed_ports
+            && Netlist.screen_busy_reject net ~op ~step ~finish ~inst:i ~changed_ports
+          then raise (Fail (Restraint.F_busy i.rtype));
+          changed_ports
+    in
     let worst_slack, worst_op = open_trial t op ~step ~finish ~inst_opt ~changed_ports in
     if worst_slack < -0.001 then begin
       Netlist.rollback net;
@@ -382,6 +398,7 @@ let replay_bind t ?(propagate = true) (op : Dfg.op) ~step ~finish ~inst_opt ~rty
 let force_bind t (op : Dfg.op) ~step ~inst_opt =
   t.has_forced <- true;
   let net = t.net in
+  Netlist.poison_slack_floor net;
   let lat = op_latency t op in
   let finish = step + lat - 1 in
   Netlist.place net op.Dfg.id ~step ~finish ~inst_opt;

@@ -104,7 +104,12 @@ val try_bind : t -> Dfg.op -> step:int -> inst_opt:int option -> (unit, Restrain
 (** Attempt a binding; on failure the netlist transaction is rolled back
     and the reason returned.  A trial that breaks an {e already-bound} op's
     timing (the sharing mux grew) reports [F_busy] — the instance is
-    saturated. *)
+    saturated.  Candidates whose verdict is settled without the trial
+    return it without opening one: on an empty instance the op's exact
+    own slack ({!Netlist.empty_bind_slack}) decides [F_slack], and on a
+    loaded one the saturation screen decides [F_busy] (skipped when the
+    pass's slack floor shows it cannot, {!Netlist.screen_may_prove}).
+    The answer is always the one the trial would give. *)
 
 val replay_bind :
   t ->

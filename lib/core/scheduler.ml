@@ -29,7 +29,7 @@ open Hls_techlib
 
 let analysis_jobs = Atomic.make 1
 
-let set_jobs n = Atomic.set analysis_jobs (max 1 n)
+let set_jobs n = Atomic.set analysis_jobs (Int.max 1 n)
 
 type options = {
   timing_aware : bool;
@@ -163,6 +163,16 @@ type pass_event =
 
 let event_step = function Ev_bind e -> e.ev_step | Ev_restraint e -> e.ev_step
 
+(* [Stdlib.max] specialised to floats, same semantics *)
+let fmax (a : float) b = if a >= b then a else b
+
+(* the polymorphic [=] on ranges, field by field (a nan arrival is unequal
+   to itself, as there) *)
+let same_range (a : Asap_alap.range) (b : Asap_alap.range) =
+  a.Asap_alap.asap = b.Asap_alap.asap
+  && a.Asap_alap.alap = b.Asap_alap.alap
+  && a.Asap_alap.asap_arrival = b.Asap_alap.asap_arrival
+
 (* For regions with many independent recurrences (more than 4 SCCs),
    each SCC's stage is pinned from its members' timing-aware ASAP
    estimates instead of from the first (often dependency-free loop-mux)
@@ -178,9 +188,9 @@ let asap_stage_pins region aa sccs =
       (List.map
          (fun members ->
            let m =
-             List.fold_left (fun acc o -> max acc (Asap_alap.range aa o).Asap_alap.asap) 0 members
+             List.fold_left (fun acc o -> Int.max acc (Asap_alap.range aa o).Asap_alap.asap) 0 members
            in
-           Region.stage_of_step region (min m last))
+           Region.stage_of_step region (Int.min m last))
          sccs)
 
 let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap_alap.t) ~scc_of
@@ -546,7 +556,7 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
               if ready_at op e then
                 let s = scores.(id) in
                 match !best with
-                | Some (bs, bop) when (bs, -bop.Dfg.id) >= (s, -id) -> ()
+                | Some ((bs : float), bop) when bs > s || (bs = s && -bop.Dfg.id >= -id) -> ()
                 | _ -> best := Some (s, op))
           ready;
         match !best with
@@ -655,19 +665,20 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
           hint ()
       | Scc_stage (k, stage) when k >= 0 && k < Array.length scc_persist ->
           if scc_persist.(k) = None then hint ();
-          scc_persist.(k) <- Some (max stage (Option.value scc_persist.(k) ~default:0))
+          scc_persist.(k) <- Some (Int.max stage (Option.value scc_persist.(k) ~default:0))
       | Resource_floor (rt, n) ->
-          let prev = Option.value (List.assoc_opt rt !floors) ~default:0 in
-          floors := (rt, max prev n) :: List.remove_assoc rt !floors
+          let prev, others = List.partition (fun (r, _) -> Resource.equal r rt) !floors in
+          let prev = match prev with [ (_, p) ] -> p | _ -> 0 in
+          floors := (rt, Int.max prev n) :: others
       | Latency_floor li ->
-          latency_floor := Some (Option.fold ~none:li ~some:(min li) !latency_floor)
+          latency_floor := Some (Option.fold ~none:li ~some:(Int.min li) !latency_floor)
       | Boost _ | Speculate _ | Forbid _ | Scc_stage _ -> ())
     (Hints.to_list opts.hints);
   List.iter
     (fun ((rt : Resource.t), n) ->
       let have =
         List.fold_left
-          (fun acc (i : Binding.inst) -> if i.Binding.rtype = rt then acc + 1 else acc)
+          (fun acc (i : Binding.inst) -> if Resource.equal i.Binding.rtype rt then acc + 1 else acc)
           0
           (Hls_netlist.Netlist.insts binding.Binding.net)
       in
@@ -677,10 +688,13 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
         done;
         hint ()
       end)
-    (List.sort compare !floors);
+    (List.sort
+       (fun (r, (n : int)) (r', n') ->
+         match Resource.compare r r' with 0 -> Int.compare n n' | c -> c)
+       !floors);
   (match !latency_floor with
   | Some floor when not (Region.is_pipelined region) ->
-      let floor = min floor region.Region.max_steps in
+      let floor = Int.min floor region.Region.max_steps in
       if floor > region.Region.n_steps then begin
         Region.reset_steps region floor;
         hint ()
@@ -695,7 +709,10 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
     let succs id =
       List.filter_map
         (fun e ->
-          let is_select = e.Dfg.port = 0 && (Dfg.find dfg e.Dfg.dst).Dfg.kind = Opkind.Mux in
+          let is_select =
+            e.Dfg.port = 0
+            && match (Dfg.find dfg e.Dfg.dst).Dfg.kind with Opkind.Mux -> true | _ -> false
+          in
           if e.Dfg.distance = 0 && Hashtbl.mem member e.Dfg.dst && not is_select then
             Some e.Dfg.dst
           else None)
@@ -706,12 +723,12 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
     | None -> false (* an internal distance-0 cycle is caught elsewhere *)
     | Some _ ->
         let dist = Graph_algo.longest_path ~nodes:scc ~succs ~weight in
-        let chain = Hashtbl.fold (fun _ v acc -> max acc v) dist 0.0 in
+        let chain = Hashtbl.fold (fun _ v acc -> fmax acc v) dist 0.0 in
         let usable =
           clock_ps -. lib.Library.ff_clk_q -. lib.Library.ff_setup
           -. (if Region.ii region = 1 then 0.0 else Library.mux_delay lib ~inputs:2)
         in
-        let min_states = int_of_float (ceil (chain /. max 1.0 usable)) in
+        let min_states = int_of_float (ceil (chain /. fmax 1.0 usable)) in
         min_states > Region.ii region
   in
   (* each SCC's recurrence check is independent of every other's, so
@@ -930,7 +947,7 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
                       widen in growing increments instead of one state per
                       pass (the schedule quality is unchanged — the pass
                       still packs from step 0 upward) *)
-                   let k = max 1 (1 lsl max 0 (!consecutive_add_state - 2)) in
+                   let k = Int.max 1 (1 lsl Int.max 0 (!consecutive_add_state - 2)) in
                    let added = ref 0 in
                    while !added < k && Region.add_step region do
                      incr added
@@ -983,7 +1000,7 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
                let consider id =
                  let r_old = Asap_alap.range aa_old id in
                  let r_new = Asap_alap.range aa_new id in
-                 s := min !s (min r_old.Asap_alap.asap r_new.Asap_alap.asap)
+                 s := Int.min !s (Int.min r_old.Asap_alap.asap r_new.Asap_alap.asap)
                in
                List.iter consider !dirty_ops;
                List.iter (fun k -> List.iter consider (List.nth sccs k)) !moved_sccs;
@@ -991,7 +1008,8 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
                  List.iter
                    (fun (o : Dfg.op) ->
                      let id = o.Dfg.id in
-                     if Asap_alap.range aa_old id <> Asap_alap.range aa_new id then consider id)
+                     if not (same_range (Asap_alap.range aa_old id) (Asap_alap.range aa_new id))
+                     then consider id)
                    ctx.Pass_ctx.ctx_members;
                  (* a moved pre-pin stage estimate dirties the whole SCC
                     even if individual ranges look stable *)

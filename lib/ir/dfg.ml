@@ -95,18 +95,6 @@ let connect ?(distance = 0) g ~src ~dst ~port =
 (** Producer feeding input [port] of [id], if connected. *)
 let input g id ~port = List.find_opt (fun e -> e.port = port) (in_edges g id)
 
-let equal_edge a b =
-  a.src = b.src && a.dst = b.dst && a.port = b.port && a.distance = b.distance
-
-(* [input g id ~port:e.port = Some e], without the option or the
-   polymorphic compare *)
-let is_input g id e =
-  let rec first = function
-    | [] -> false
-    | e' :: rest -> if e'.port = e.port then equal_edge e' e else first rest
-  in
-  first (in_edges g id)
-
 (** All producers of [id] (ids, one per connected port, sorted by port). *)
 let preds g id = List.map (fun e -> e.src) (in_edges g id)
 

@@ -54,10 +54,6 @@ val out_edges : t -> int -> edge list
 val input : t -> int -> port:int -> edge option
 (** The edge feeding one input port, if connected. *)
 
-val is_input : t -> int -> edge -> bool
-(** [is_input g id e]: [e] is the edge {!input} returns for [e]'s port of
-    [id] (structurally). *)
-
 val preds : t -> int -> int list
 val succs : t -> int -> int list
 

@@ -194,6 +194,28 @@ let equal_rclass a b =
   | R_blackbox _, _ | _, R_blackbox _ -> false
   | _ -> a == b
 
+(* declaration order, black boxes last: the order of the polymorphic
+   compare, which puts constant constructors before the ones with an
+   argument *)
+let rclass_rank = function
+  | R_addsub -> 0
+  | R_mul -> 1
+  | R_divmod -> 2
+  | R_shift -> 3
+  | R_logic -> 4
+  | R_cmp_rel -> 5
+  | R_cmp_eq -> 6
+  | R_mux -> 7
+  | R_port_in -> 8
+  | R_port_out -> 9
+  | R_wire -> 10
+  | R_blackbox _ -> 11
+
+let compare_rclass a b =
+  match (a, b) with
+  | R_blackbox x, R_blackbox y -> String.compare x y
+  | _ -> Int.compare (rclass_rank a) (rclass_rank b)
+
 (** True when the op consumes a shareable datapath resource (and therefore
     participates in resource allocation, sharing-mux construction and
     busy-table bookkeeping). *)

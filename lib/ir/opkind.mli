@@ -89,6 +89,10 @@ val equal_rclass : rclass -> rclass -> bool
 (** Structural equality on resource classes, without the polymorphic
     compare. *)
 
+val compare_rclass : rclass -> rclass -> int
+(** The polymorphic compare's order on resource classes (declaration
+    order, [R_blackbox] last and by callee name), typed. *)
+
 val is_resource_op : t -> bool
 (** Does the op occupy a shareable datapath resource (participating in
     allocation, sharing muxes and busy tables)? *)

@@ -235,6 +235,12 @@ type t = {
   mutable scr_gen : int;
   mutable scr_last : int array;
       (** instance -> the cohabitant that proved its last busy rejection *)
+  mutable slack_floor : float;
+      (** this pass's committed-slack floor: the minimum worst slack over
+          every committed trial and every propagation run outside a trial,
+          [neg_infinity] once a slack-blind bind may have committed (see
+          {!screen_may_prove}) *)
+  mutable trial_worst : float;  (** the open trial's worst slack so far *)
 }
 
 (* field accessors for the abstract [t] (the record itself stays private
@@ -332,6 +338,8 @@ let create ~lib ~clock_ps (region : Region.t) =
     scr_seen = Array.make cap 0;
     scr_gen = 0;
     scr_last = [||];
+    slack_floor = infinity;
+    trial_worst = infinity;
   }
 
 let grow_arr a cap d =
@@ -592,6 +600,7 @@ let reset_pass ~price_muxes t =
   t.trial_on <- false;
   t.touched <- [];
   t.undo_log <- [];
+  t.slack_floor <- infinity;
   ignore (refresh_prealloc t)
 
 (* --- placements --- *)
@@ -850,6 +859,7 @@ let begin_trial t =
   t.trial_on <- true;
   t.touched <- [];
   t.undo_log <- [];
+  t.trial_worst <- infinity;
   t.n_trials <- t.n_trials + 1
 
 let cell_of t id =
@@ -872,6 +882,7 @@ let commit t =
         c.a_live <- true
       end)
     t.touched;
+  t.slack_floor <- fmin t.slack_floor t.trial_worst;
   t.trial_on <- false;
   t.touched <- [];
   t.undo_log <- [];
@@ -945,7 +956,8 @@ let rec sorted_insert (x : int) = function
     caches survive and no arrival recomputation is triggered downstream.
 
     A warm mux cache is updated in place rather than invalidated: the new
-    op contributes at most one source per port, so inserting each into the
+    op has at most one in-edge per port ({!Dfg.connect} keeps it so), so
+    it contributes at most one source per port, and inserting each into the
     cached (sorted, duplicate-free) source lists reproduces exactly what a
     full rebuild over the grown bound list would compute — without the
     O(bound × ports) rescan every trial attach would otherwise pay.  Ports
@@ -965,11 +977,7 @@ let attach t i op_id =
         List.iter
           (fun (e : Dfg.edge) ->
             let p = e.Dfg.port in
-            if
-              p < Array.length c'
-              && (not (List.memq e.Dfg.src c'.(p)))
-              && Dfg.is_input t.dfg op_id e
-            then begin
+            if p < Array.length c' && not (List.memq e.Dfg.src c'.(p)) then begin
               c'.(p) <- sorted_insert e.Dfg.src c'.(p);
               changed.(p) <- true
             end)
@@ -1165,6 +1173,14 @@ let exec_delay t (op : Dfg.op) inst_opt =
       else
         (match resource_of t op with None -> 0.0 | Some rt -> Library.delay t.lib rt)
 
+(* The data arrival's starting value before the inputs are folded in:
+   constants settle at 0, port reads and input-less ops at clock-to-q *)
+let arrival_base t (op : Dfg.op) (ins : Dfg.edge list) =
+  match op.Dfg.kind with
+  | Opkind.Const _ -> 0.0
+  | Opkind.Read _ -> t.lib.Library.ff_clk_q
+  | _ -> if ins = [] then t.lib.Library.ff_clk_q else 0.0
+
 (** One full arrival evaluation of [op] placed at [step] on instance
     [inst] (-1 for none): each input through its sharing mux, unless the
     muxes are unpriced, then the operator delay. *)
@@ -1179,13 +1195,15 @@ let compute_arrival_with t ~lookup (op : Dfg.op) ~step ~inst =
           else a
         in
         fmax acc a)
-      (match op.Dfg.kind with
-      | Opkind.Const _ -> 0.0
-      | Opkind.Read _ -> t.lib.Library.ff_clk_q
-      | _ -> if ins = [] then t.lib.Library.ff_clk_q else 0.0)
-      ins
+      (arrival_base t op ins) ins
   in
   data +. exec_delay t op (if inst >= 0 then Some inst else None)
+
+(* The endpoint slack of an op with this arrival and guard arrival *)
+let slack_of t ~arrival ~guard =
+  let arr = if arrival = neg_infinity then 0.0 else arrival in
+  let reg_path = if t.mux_priced then reg_mux_delay t else 0.0 in
+  t.clock_ps -. (fmax arr guard +. reg_path +. t.lib.Library.ff_setup)
 
 (** Recompute the arrival of a placed op through the same formula the
     reference evaluator uses; returns true if it moved by more than 1 fs.
@@ -1207,14 +1225,56 @@ let recompute_arrival t op_id =
     setup, and its commit enable (the guard, unless speculated) must also
     settle in time. *)
 let endpoint_slack t op_id =
-  let arr =
-    let v = arrival_raw t op_id in
-    if v = neg_infinity then 0.0 else v
-  in
   let op = Dfg.find t.dfg op_id in
   let g = if placed t op_id then guard_arrival t ~step:t.pl_finish.(op_id) op else 0.0 in
-  let reg_path = if t.mux_priced then reg_mux_delay t else 0.0 in
-  t.clock_ps -. (fmax arr g +. reg_path +. t.lib.Library.ff_setup)
+  slack_of t ~arrival:(arrival_raw t op_id) ~guard:g
+
+(** {2 Own slack on an empty instance}
+
+    The trial of a bind onto an instance with nothing bound, whose type
+    already fits the op, retimes the op alone: it is the only seed, no
+    cohabitant shares a mux with it, and the instance keeps its type and
+    delay.  Its inputs are committed arrivals the bind cannot move (they
+    sit upstream of the op), and each of its input muxes has exactly one
+    source, so it is priced at one input, or at two when the instance
+    pre-allocates its muxes.  Unless some op already placed in the op's
+    finishing step reads its result (as data or as a guard), the op is
+    also the only cell the propagation visits.  Then {!compute_arrival_with}
+    (same base, same fold order) and {!endpoint_slack} (same float
+    association) give, bit for bit, the worst slack the trial returns —
+    carried by the op itself.  [nan] when one of these conditions fails:
+    the caller runs the trial then. *)
+
+(* Does an op placed in step [finish] read [id]'s result, as data or as
+   guard?  Exactly the ops the propagation pushes after retiming [id] *)
+let reads_result_in_step t id ~finish =
+  Array.exists (fun d -> placed t d && t.pl_step.(d) = finish) (out0_of t id)
+  || id < Array.length t.gslots
+     &&
+     let b = t.gslots.(id) in
+     b.b_gen = t.pass_stamp
+     &&
+     let rec any k =
+       k < b.b_len && ((placed t b.b_a.(k) && t.pl_step.(b.b_a.(k)) = finish) || any (k + 1))
+     in
+     any 0
+
+let empty_bind_slack t (op : Dfg.op) ~step ~finish ~(inst : inst) =
+  let id = op.Dfg.id in
+  if inst.n_bound > 0 || compat_tier t op inst <> 0 || placed t id || reads_result_in_step t id ~finish
+  then nan
+  else begin
+    let mux = Library.mux_delay t.lib ~inputs:(if inst.prealloc_shared then 2 else 1) in
+    let ins = Dfg.in_edges t.dfg id in
+    let data =
+      List.fold_left
+        (fun acc e ->
+          let a = source_arrival t ~step e in
+          fmax acc (if t.mux_priced then a +. mux else a))
+        (arrival_base t op ins) ins
+    in
+    slack_of t ~arrival:(data +. inst_delay t inst) ~guard:(guard_arrival t ~step:finish op)
+  end
 
 (** {2 Saturation screen}
 
@@ -1222,7 +1282,7 @@ let endpoint_slack t op_id =
     against the committed state, without opening a transaction.
     [changed_ports] are the instance input ports whose effective mux
     input count the bind would grow (computed by the caller against the
-    committed caches, first-edge-per-port semantics).
+    committed caches).
 
     Returns [true] when some already-bound op provably ends up with
     endpoint slack below the -1 fs tolerance {e and} strictly below the
@@ -1257,6 +1317,51 @@ let screen_walk_margin = 0.01
 
 let screen_walk_depth = 8
 
+(* The mux delay of a grown port: one more source than it has now *)
+let grown_mux_delay t inst p =
+  let n = List.length (port_srcs t inst ~port:p) + 1 in
+  let n = if inst.prealloc_shared then Int.max n 2 else n in
+  Library.mux_delay t.lib ~inputs:n
+
+(* Margin of the slack-floor test over the -1 fs tolerance: it covers,
+   with room to spare, the sub-femtosecond residue by which a committed
+   arrival can lag its exact value (the propagation pushes a consumer
+   only when its producer moves by more than 1 fs) *)
+let screen_floor_margin = 1.0
+
+(** Can {!screen_busy_reject} prove anything for this bind?  Every slack
+    it prices is a committed slack moved by the grown mux delays, each by
+    at most Δ, the largest growth of any changed port.  A cohabitant's
+    path passes one grown mux.  The walk below it never comes back through
+    the instance on a latency-1 op: that would be a same-step chain from
+    the instance to itself, which the structural-cycle check forbids.  The
+    only second grown mux a priced path can pass is thus that of a
+    multicycle op ending the walk on the same instance (under an exclusive
+    guard), and only black-box instances host multicycle ops.  So each
+    priced slack is at least the committed slack of its op minus kΔ (k = 1,
+    or 2 on a black-box instance), minus the sub-femtosecond residue by
+    which a stored arrival can lag its exact value.  No committed slack is
+    below the pass's slack floor: each op's stored arrival was last
+    computed in a committed trial or in a propagation outside one, and the
+    floor takes the minimum worst slack over both.  So when the floor
+    minus kΔ clears the tolerance by {!screen_floor_margin}, nothing can
+    prove a rejection and the answer is [false] without pricing anyone.
+    A [force_bind], which may commit a violating op without a trial, drops
+    the floor to [neg_infinity] for the rest of the pass
+    ({!poison_slack_floor}). *)
+let screen_may_prove t ~(inst : inst) ~(changed_ports : int list) =
+  let delta =
+    List.fold_left
+      (fun acc p -> fmax acc (grown_mux_delay t inst p -. in_mux_delay t inst ~port:p))
+      0.0 changed_ports
+  in
+  let delta =
+    match inst.rtype.Resource.rclass with Opkind.R_blackbox _ -> 2.0 *. delta | _ -> delta
+  in
+  not (t.slack_floor -. delta > -0.001 +. screen_floor_margin)
+
+let poison_slack_floor t = t.slack_floor <- neg_infinity
+
 let screen_busy_reject t ~(op : Dfg.op) ~step ~finish ~(inst : inst) ~(changed_ports : int list) =
   (* unpriced muxes make mux growth invisible *)
   if (not t.mux_priced) || changed_ports = [] then false
@@ -1264,14 +1369,7 @@ let screen_busy_reject t ~(op : Dfg.op) ~step ~finish ~(inst : inst) ~(changed_p
     let ff = t.lib.Library.ff_clk_q in
     let exec = inst_delay t inst in
     let reg_setup = reg_mux_delay t +. t.lib.Library.ff_setup in
-    let grown =
-      List.map
-        (fun p ->
-          let n = List.length (port_srcs t inst ~port:p) + 1 in
-          let n = if inst.prealloc_shared then Int.max n 2 else n in
-          (p, Library.mux_delay t.lib ~inputs:n))
-        changed_ports
-    in
+    let grown = List.map (fun p -> (p, grown_mux_delay t inst p)) changed_ports in
     let new_mux p =
       match List.assq_opt p grown with
       | Some d -> d
@@ -1314,12 +1412,6 @@ let screen_busy_reject t ~(op : Dfg.op) ~step ~finish ~(inst : inst) ~(changed_p
        input would itself move *)
     let hypo (o : Dfg.op) ~st ~fstep =
       let ins = Dfg.in_edges t.dfg o.Dfg.id in
-      let base =
-        match o.Dfg.kind with
-        | Opkind.Const _ -> 0.0
-        | Opkind.Read _ -> ff
-        | _ -> if ins = [] then ff else 0.0
-      in
       let data =
         List.fold_left
           (fun acc (e : Dfg.edge) ->
@@ -1338,7 +1430,7 @@ let screen_busy_reject t ~(op : Dfg.op) ~step ~finish ~(inst : inst) ~(changed_p
               else ff
             in
             fmax acc (a +. new_mux e.Dfg.port))
-          base ins
+          (arrival_base t o ins) ins
       in
       let arr = data +. exec in
       if guard_affected o ~fstep then raise Unpriceable;
@@ -1436,7 +1528,9 @@ let wl_pop t =
 (** Propagate arrival changes from [seeds] through same-step chains.
     Returns the worst endpoint slack seen together with the op carrying it
     — so the caller can tell a failure of the new binding itself from
-    collateral damage to ops already bound (a saturated instance).
+    collateral damage to ops already bound (a saturated instance).  The
+    worst slack feeds the pass's slack floor: at once outside a trial, at
+    {!commit} inside one.
 
     The worklist is deduplicated by op id and propagation stops at ops
     whose arrival did not move, so the visited set is bounded by the
@@ -1481,6 +1575,8 @@ let propagate t seeds =
       end
     end
   done;
+  if t.trial_on then t.trial_worst <- fmin t.trial_worst !worst
+  else t.slack_floor <- fmin t.slack_floor !worst;
   (!worst, !worst_op)
 
 (** Refresh every arrival from scratch through the incremental engine

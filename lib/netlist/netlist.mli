@@ -218,6 +218,29 @@ val recompute_arrival : t -> int -> bool
 
 val endpoint_slack : t -> int -> float
 
+val empty_bind_slack : t -> Dfg.op -> step:int -> finish:int -> inst:inst -> float
+(** The worst slack, bit for bit, that the trial of binding the unplaced
+    [op] at [step]..[finish] on [inst] would return, computed without
+    opening it — the op's own endpoint slack, which carries that worst.
+    Defined when [inst] has nothing bound, its type already fits the op,
+    and no op placed in step [finish] reads the op's result; [nan]
+    otherwise.  Issues no timing query. *)
+
+val screen_may_prove : t -> inst:inst -> changed_ports:int list -> bool
+(** [false] when the pass's slack floor shows that {!screen_busy_reject}
+    cannot prove a rejection for a bind growing [changed_ports] of
+    [inst]: every slack the screen prices is a committed slack (none below
+    the floor) less at most the largest mux growth (twice that on a
+    black-box instance, which may host multicycle ops), and the floor
+    clears that with a 1 ps margin over the tolerance.  [true] means "run
+    the screen". *)
+
+val poison_slack_floor : t -> unit
+(** Drop the pass's slack floor — the minimum worst slack over every
+    committed trial and every {!propagate} run outside a trial since
+    {!reset_pass} — to [neg_infinity] for the rest of the pass: a bind
+    committed without a trial may have left any slack. *)
+
 val screen_busy_reject :
   t ->
   op:Dfg.op ->

@@ -63,6 +63,15 @@ let to_string t =
   Printf.sprintf "%s_%s" (Opkind.rclass_to_string t.rclass)
     (String.concat "x" (List.map string_of_int t.in_widths))
 
+(* field by field, as the polymorphic compare walks the record *)
+let compare a b =
+  match Opkind.compare_rclass a.rclass b.rclass with
+  | 0 -> (
+      match List.compare Int.compare a.in_widths b.in_widths with
+      | 0 -> Int.compare a.out_width b.out_width
+      | c -> c)
+  | c -> c
+
 let equal a b =
   Opkind.equal_rclass a.rclass b.rclass
   && List.equal Int.equal a.in_widths b.in_widths

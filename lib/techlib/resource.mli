@@ -34,3 +34,7 @@ val fits : need:t -> have:t -> bool
 val to_string : t -> string
 val equal : t -> t -> bool
 (** Structural equality, without the polymorphic compare. *)
+
+val compare : t -> t -> int
+(** Orders exactly as the polymorphic compare does (class, then operand
+    widths, then result width), without calling it. *)

@@ -3,6 +3,7 @@
 # Scheduler.run_pass -> Binding.try_bind -> Netlist, with the structural
 # cycle check and the graph kernels) compares only typed values: ints and
 # floats compare inline, lists of ints go through List.memq/Int.compare.
+# Scheduler is checked whole, its set-up and relaxation loop included.
 # A comparison whose type is left open compiles to a call into OCaml's
 # polymorphic compare or hash instead, so this script lists the undefined
 # symbols of each module's native object (`nm -u`) and fails on any
@@ -14,7 +15,7 @@
 # root: `./scripts/hot_path_symbols.sh` (it builds first).
 set -eu
 
-modules="Ready_heap Binding Netlist Cycle_detector Graph_algo"
+modules="Ready_heap Scheduler Binding Netlist Cycle_detector Graph_algo"
 bad='^(caml_(compare|equal|notequal|lessthan|lessequal|greaterthan|greaterequal|hash)|camlStdlib[.$](min|max|compare)_[0-9]+|camlStdlib__List[.$](mem|assoc|assoc_opt|mem_assoc)_[0-9]+)$'
 
 command -v nm >/dev/null 2>&1 || { echo "hot_path_symbols: nm not found" >&2; exit 1; }

@@ -7,13 +7,13 @@
 #    to benchmark;
 #  - a ceiling on its netlist timing queries.  The count is deterministic,
 #    so this guard holds on any machine: the saturation screen keeps it
-#    near 73k (525k without the screen's downstream walk), and 150k fails
+#    near 71k (525k without the screen's downstream walk), and 150k fails
 #    as soon as the screen silently stops deciding busy rejections;
 #  - a ceiling on the nodes the structural-cycle detector's searches
 #    visit, also deterministic: the incremental topological order keeps it
 #    near 37k, and a search that stops pruning to the order's window
 #    (a plain DFS per query) visits about 160k;
-#  - the exact pass and query counts of the ~1k point (10 passes, 72805
+#  - the exact pass and query counts of the ~1k point (10 passes, 71090
 #    queries).  Both are deterministic, so a change meant only to make
 #    the scheduler faster that moves the schedule it finds at this size
 #    fails here.  A change that moves them on purpose updates the two
@@ -25,7 +25,7 @@ MAX_WALL_1K="${MAX_WALL_1K:-15.0}"
 max_queries_1k=150000
 max_cycle_visits_1k=92000
 passes_1k=10
-queries_1k=72805
+queries_1k=71090
 
 dune exec bench/main.exe -- scale --smoke
 

@@ -323,14 +323,9 @@ let test_screen_consumer_with_slack () =
   bind_ok b n ~step:1 ~inst_opt:(Some a);
   Alcotest.(check int) "the trial ran" (before + 1) (trials b)
 
-(* Replay a finished schedule of a synthetic design op by op, in (step,
-   id) order, onto a fresh binder with the same instances.  Before each
-   op is replayed, probe it on every compatible instance at its scheduled
-   step that the busy table admits: whenever the screen claims a busy
-   rejection, run the trial try_bind would run and check that it rolls
-   back with the worst slack on some op other than the candidate.
-   Returns (claims, wrong claims). *)
-let screen_vs_trial ~seed ~ops ~clock =
+(* A seeded synthetic design, sequential or at [ii], with a tightness
+   that varies with the seed *)
+let synthetic_region ~seed ~ops ?ii () =
   let profile =
     {
       Hls_designs.Synthetic.default_profile with
@@ -339,10 +334,26 @@ let screen_vs_trial ~seed ~ops ~clock =
       p_tightness = 0.2 +. (float_of_int (seed mod 5) /. 10.0);
     }
   in
-  let region =
-    Hls_frontend.Elaborate.main_region
-      (Hls_frontend.Elaborate.design (Hls_designs.Synthetic.design ~profile ()))
-  in
+  Hls_frontend.Elaborate.main_region ?ii
+    (Hls_frontend.Elaborate.design (Hls_designs.Synthetic.design ~profile ()))
+
+(* Replay a finished schedule of a synthetic design op by op, in (step,
+   id) order, onto a fresh binder with the same instances.  Before each
+   op is replayed, probe it on every compatible instance at its scheduled
+   step that the busy table admits: whenever the screen claims a busy
+   rejection, run the trial try_bind would run and check that it rolls
+   back with the worst slack on some op other than the candidate.  Each
+   probe also asks the slack floor, which must never rule out a screen
+   that would have proved something.  Returns the counts in [screen_run]. *)
+type screen_run = {
+  claims : int;
+  wrong : int;  (** screen claims whose trial did not end busy *)
+  floor_cleared : int;  (** probes the slack floor ruled out *)
+  floor_wrong : int;  (** ... of which the full screen proved a rejection *)
+}
+
+let screen_vs_trial ~seed ~ops ~clock =
+  let region = synthetic_region ~seed ~ops () in
   match Scheduler.schedule ~lib ~clock_ps:clock region with
   | Error _ -> None
   | Ok s ->
@@ -357,7 +368,7 @@ let screen_vs_trial ~seed ~ops ~clock =
         Netlist.fold_placements done_.Binding.net (fun id pl acc -> ((pl.Netlist.pl_step, id), pl) :: acc) []
         |> List.sort compare
       in
-      let claims = ref 0 and wrong = ref 0 in
+      let claims = ref 0 and wrong = ref 0 and floor_cleared = ref 0 and floor_wrong = ref 0 in
       List.iter
         (fun ((step, id), (pl : Netlist.placement)) ->
           let op = Dfg.find dfg id in
@@ -375,11 +386,17 @@ let screen_vs_trial ~seed ~ops ~clock =
           List.iter
             (fun (i : Binding.inst) ->
               let changed_ports = Binding.changed_ports b op i in
+              let screened () =
+                Netlist.screen_busy_reject b.Binding.net ~op ~step ~finish ~inst:i ~changed_ports
+              in
               if
                 free i && changed_ports <> []
-                && Netlist.screen_busy_reject b.Binding.net ~op ~step ~finish ~inst:i
-                     ~changed_ports
+                && not (Netlist.screen_may_prove b.Binding.net ~inst:i ~changed_ports)
               then begin
+                incr floor_cleared;
+                if screened () then incr floor_wrong
+              end;
+              if free i && changed_ports <> [] && screened () then begin
                 incr claims;
                 let worst, worst_op =
                   Binding.open_trial b op ~step ~finish ~inst_opt:(Some i.Binding.inst_id)
@@ -391,7 +408,8 @@ let screen_vs_trial ~seed ~ops ~clock =
             (Binding.compatible_insts b op);
           Binding.replay_bind b op ~step ~finish ~inst_opt:pl.Netlist.pl_inst ~rtype:None)
         order;
-      Some (!claims, !wrong)
+      Some
+        { claims = !claims; wrong = !wrong; floor_cleared = !floor_cleared; floor_wrong = !floor_wrong }
 
 let prop_screen_claims_are_busy =
   QCheck.Test.make ~name:"screen claims only trials that end busy" ~count:20
@@ -400,18 +418,111 @@ let prop_screen_claims_are_busy =
       let clock = [| 1200.0; 1400.0; 1600.0 |].(k) in
       match screen_vs_trial ~seed ~ops:(100 + (seed mod 150)) ~clock with
       | None -> QCheck.assume_fail ()
-      | Some (_, 0) -> true
-      | Some (claims, wrong) ->
+      | Some { wrong = 0; _ } -> true
+      | Some r ->
           QCheck.Test.fail_reportf "seed=%d clock=%.0f: %d of %d screen claims did not end busy"
-            seed clock wrong claims)
+            seed clock r.wrong r.claims)
 
-(* the property above is not vacuous: the screen does fire on such states *)
+let prop_floor_rules_out_only_false_screens =
+  QCheck.Test.make ~name:"slack floor rules out only screens that prove nothing" ~count:20
+    QCheck.(pair (int_range 1 10000) (int_range 0 2))
+    (fun (seed, k) ->
+      let clock = [| 1200.0; 1400.0; 1600.0 |].(k) in
+      match screen_vs_trial ~seed ~ops:(100 + (seed mod 150)) ~clock with
+      | None -> QCheck.assume_fail ()
+      | Some { floor_wrong = 0; _ } -> true
+      | Some r ->
+          QCheck.Test.fail_reportf
+            "seed=%d clock=%.0f: the floor ruled out %d screens that prove a rejection (of %d)"
+            seed clock r.floor_wrong r.floor_cleared)
+
+(* the properties above are not vacuous: the screen does fire on such
+   states, and the floor rules screens out *)
 let test_screen_fires_on_synthetic () =
   match screen_vs_trial ~seed:2 ~ops:150 ~clock:1600.0 with
   | None -> Alcotest.fail "seed 2 failed to schedule"
-  | Some (claims, wrong) ->
-      Alcotest.(check int) "wrong claims" 0 wrong;
-      Alcotest.(check bool) (Printf.sprintf "screen fired (%d claims)" claims) true (claims > 0)
+  | Some r ->
+      Alcotest.(check int) "wrong claims" 0 r.wrong;
+      Alcotest.(check int) "floor ruled out a proving screen" 0 r.floor_wrong;
+      Alcotest.(check bool) (Printf.sprintf "screen fired (%d claims)" r.claims) true (r.claims > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "floor ruled screens out (%d)" r.floor_cleared)
+        true (r.floor_cleared > 0)
+
+(* The own-slack screen against the trial.  Replay a finished schedule of
+   a synthetic design (sequential, II=1, II=2) in (step, id) order onto a
+   fresh binder with the same instances, at a replay clock that may be
+   tighter than the schedule's.  Before each resource op is replayed,
+   probe it on every empty instance of its class whose type fits it:
+   wherever [empty_bind_slack] is defined, open the trial [try_bind]
+   would open and check that its worst slack is the same float, bit for
+   bit, and that the op itself carries it.  Returns (probes, probes with
+   a violating slack, mismatches). *)
+let own_slack_vs_trial ~seed ~ops ~ii ~replay_clock =
+  let region = synthetic_region ~seed ~ops ?ii () in
+  match Scheduler.schedule ~lib ~clock_ps:1600.0 region with
+  | Error _ -> None
+  | Ok s ->
+      let net = s.Scheduler.s_binding.Binding.net in
+      let dfg = region.Region.dfg in
+      let b = Binding.create ~lib ~clock_ps:replay_clock region in
+      List.iter (fun (i : Netlist.inst) -> ignore (Binding.add_inst b i.Netlist.rtype)) (Netlist.insts net);
+      Binding.reset_pass b;
+      let order =
+        Netlist.fold_placements net (fun id pl acc -> ((pl.Netlist.pl_step, id), pl) :: acc) []
+        |> List.sort compare
+      in
+      let probes = ref 0 and violating = ref 0 and mismatches = ref 0 in
+      List.iter
+        (fun ((step, id), (pl : Netlist.placement)) ->
+          let op = Dfg.find dfg id in
+          let finish = pl.Netlist.pl_finish in
+          List.iter
+            (fun (i : Binding.inst) ->
+              let sl = Netlist.empty_bind_slack b.Binding.net op ~step ~finish ~inst:i in
+              if i.Binding.n_bound = 0 && not (Float.is_nan sl) then begin
+                incr probes;
+                if sl < -0.001 then incr violating;
+                let worst, worst_op =
+                  Binding.open_trial b op ~step ~finish ~inst_opt:(Some i.Binding.inst_id)
+                    ~changed_ports:[]
+                in
+                Netlist.rollback b.Binding.net;
+                if Int64.bits_of_float worst <> Int64.bits_of_float sl || worst_op <> id then
+                  incr mismatches
+              end)
+            (Netlist.class_insts b.Binding.net op);
+          Binding.replay_bind b op ~step ~finish ~inst_opt:pl.Netlist.pl_inst ~rtype:None)
+        order;
+      Some (!probes, !violating, !mismatches)
+
+let prop_own_slack_is_trial_slack =
+  QCheck.Test.make ~name:"empty-instance own slack is the trial's worst slack" ~count:24
+    QCheck.(pair (int_range 1 10000) (int_range 0 2))
+    (fun (seed, mode) ->
+      let ii = if mode = 0 then None else Some mode in
+      let replay_clock = [| 1600.0; 1400.0; 1250.0 |].(seed mod 3) in
+      match own_slack_vs_trial ~seed ~ops:(60 + (seed mod 120)) ~ii ~replay_clock with
+      | None -> QCheck.assume_fail ()
+      | Some (_, _, 0) -> true
+      | Some (probes, _, m) ->
+          QCheck.Test.fail_reportf "seed=%d ii=%d: %d of %d own slacks differ from the trial's" seed
+            mode m probes)
+
+(* the property above is not vacuous: it probes violating binds, which the
+   screen decides without a trial, sequential and pipelined alike *)
+let test_own_slack_coverage () =
+  List.iter
+    (fun ii ->
+      let name = match ii with None -> "seq" | Some k -> Printf.sprintf "II=%d" k in
+      match own_slack_vs_trial ~seed:5 ~ops:150 ~ii ~replay_clock:1250.0 with
+      | None -> Alcotest.failf "%s: seed 5 failed to schedule" name
+      | Some (probes, violating, m) ->
+          Alcotest.(check int) (name ^ ": mismatches") 0 m;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %d violating of %d probes" name violating probes)
+            true (violating > 0))
+    [ None; Some 1; Some 2 ]
 
 (* Candidate order.  Replay a finished schedule of a synthetic design onto
    a fresh binder whose instance set doubles the schedule's: each
@@ -427,18 +538,7 @@ let test_screen_fires_on_synthetic () =
    1600 ps.  A replay clock tighter than that makes trials fail on slack
    too, not only on busy tables. *)
 let candidate_order_run ~seed ~ops ~ii ~replay_clock =
-  let profile =
-    {
-      Hls_designs.Synthetic.default_profile with
-      Hls_designs.Synthetic.p_ops = ops;
-      p_seed = seed;
-      p_tightness = 0.2 +. (float_of_int (seed mod 5) /. 10.0);
-    }
-  in
-  let region =
-    Hls_frontend.Elaborate.main_region ?ii
-      (Hls_frontend.Elaborate.design (Hls_designs.Synthetic.design ~profile ()))
-  in
+  let region = synthetic_region ~seed ~ops ?ii () in
   match Scheduler.schedule ~lib ~clock_ps:1600.0 region with
   | Error _ -> None
   | Ok s ->
@@ -540,6 +640,9 @@ let suite =
       test_screen_consumer_with_slack;
     Alcotest.test_case "screen fires on synthetic designs" `Quick test_screen_fires_on_synthetic;
     QCheck_alcotest.to_alcotest prop_screen_claims_are_busy;
+    QCheck_alcotest.to_alcotest prop_floor_rules_out_only_false_screens;
+    Alcotest.test_case "own slack: violating binds probed" `Quick test_own_slack_coverage;
+    QCheck_alcotest.to_alcotest prop_own_slack_is_trial_slack;
     Alcotest.test_case "candidate order: trials roll back, merges widen" `Quick
       test_candidate_order_coverage;
     QCheck_alcotest.to_alcotest prop_candidate_order;

@@ -214,6 +214,51 @@ let prop_dfg_model =
         !sources;
       true)
 
+(* One edge per input port.  The netlist's mux caches read each in-edge
+   of an op as the only source of its port, so after any sequence of
+   connects (replacing an edge), [replace_uses] and removals, every op's
+   in-edges have strictly ascending ports, [Dfg.input] returns each of
+   them for its port, and the out-lists hold exactly the same edges. *)
+let prop_one_edge_per_port =
+  QCheck.Test.make ~name:"at most one in-edge per (dst, port)" ~count:200
+    QCheck.(list_of_size Gen.(int_range 1 120) (quad (int_bound 3) small_nat small_nat (int_bound 2)))
+    (fun cmds ->
+      let g = Dfg.create () in
+      let ids = Array.init 12 (fun _ -> add g (Opkind.Un Opkind.Neg) ~width:4) in
+      let live () = List.filter (Dfg.mem g) (Array.to_list ids) in
+      List.iter
+        (fun (tag, a, b, port) ->
+          match live () with
+          | [] -> ()
+          | l -> (
+              let pick k = List.nth l (k mod List.length l) in
+              match tag with
+              | 0 | 1 -> Dfg.connect g ~distance:(a land 1) ~src:(pick a) ~dst:(pick b) ~port
+              | 2 -> if pick a <> pick b then Dfg.replace_uses g ~old_id:(pick a) ~by:(pick b)
+              | _ -> if a mod 4 = 0 then Dfg.remove_op g (pick b)))
+        cmds;
+      let same (x : Dfg.edge) (y : Dfg.edge) =
+        x.Dfg.src = y.Dfg.src && x.Dfg.dst = y.Dfg.dst && x.Dfg.port = y.Dfg.port
+        && x.Dfg.distance = y.Dfg.distance
+      in
+      let ins = List.concat_map (Dfg.in_edges g) (live ()) in
+      let outs = List.concat_map (Dfg.out_edges g) (live ()) in
+      List.for_all
+        (fun id ->
+          let rec ascending = function
+            | (x : Dfg.edge) :: (y :: _ as rest) -> x.Dfg.port < y.Dfg.port && ascending rest
+            | _ -> true
+          in
+          let es = Dfg.in_edges g id in
+          ascending es
+          && List.for_all
+               (fun (e : Dfg.edge) ->
+                 match Dfg.input g id ~port:e.Dfg.port with Some e' -> same e e' | None -> false)
+               es)
+        (live ())
+      && List.length ins = List.length outs
+      && List.for_all (fun e -> List.exists (same e) outs) ins)
+
 (* random graphs of up to 150 ops (so cones cross the 63-bit word
    boundary) with distance-1 back edges, which cones ignore, and holes
    left by removed ops *)
@@ -247,5 +292,6 @@ let suite =
     Alcotest.test_case "fanout cone" `Quick test_fanout_cone;
     Alcotest.test_case "copy isolation" `Quick test_copy_isolation;
     QCheck_alcotest.to_alcotest prop_dfg_model;
+    QCheck_alcotest.to_alcotest prop_one_edge_per_port;
     QCheck_alcotest.to_alcotest prop_fanout_table;
   ]

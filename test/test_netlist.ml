@@ -179,11 +179,15 @@ let prop_incremental_matches_reference =
             QCheck.Test.fail_reportf "deviation %.6f / %.6f ps exceeds tolerance" dev0 dev1
           else true)
 
-(* Scale oracle property: on ≥1k-op designs the scheduling run is
-   rollback-heavy (thousands of failed trials roll back their partial
-   propagations), and the bounded-incremental arrival state must still
-   match the from-scratch reference — including after an extra storm of
-   failed rebind trials against the finished schedule. *)
+(* Scale oracle property: on ≥1k-op designs the bounded-incremental
+   arrival state matches the from-scratch reference after the scheduling
+   run, and still does after a storm of at least 100 rolled-back trials
+   with real propagation against the finished schedule.  (The scheduler
+   decides its failing candidates before a trial where it can, so the
+   test drives the rollbacks itself: each trial moves a bound op onto
+   another instance of its class, which grows that instance's muxes, and
+   re-times the op and every op bound there, downstream chains included.)
+   A storm of rebinds of placed ops must fail too. *)
 let prop_large_design_matches_reference =
   QCheck.Test.make ~name:"bounded propagation matches reference on 1k-op designs" ~count:2
     QCheck.(int_range 1 10000)
@@ -196,14 +200,39 @@ let prop_large_design_matches_reference =
       match Scheduler.schedule ~lib ~clock_ps:1600.0 region with
       | Error _ -> QCheck.assume_fail ()
       | Ok s ->
-          let st = Scheduler.stats s in
-          if st.Scheduler.st_rollbacks < 100 then
-            QCheck.Test.fail_reportf "run not rollback-heavy (%d rollbacks)"
-              st.Scheduler.st_rollbacks;
           let net = s.Scheduler.s_binding.Hls_core.Binding.net in
           let dev0 = Netlist.reference_deviation net in
-          (* rebind storm: re-trialing placed ops fails (their slot is
-             occupied) and every partial propagation rolls back *)
+          let st0 = Netlist.stats net in
+          let seeded = ref 0 in
+          Netlist.fold_placements net (fun id pl acc -> (id, pl) :: acc) []
+          |> List.iter (fun (op_id, (pl : Netlist.placement)) ->
+                 match pl.Netlist.pl_inst with
+                 | Some i -> (
+                     match
+                       List.find_opt
+                         (fun (j : Netlist.inst) -> j.Netlist.inst_id <> i)
+                         (Netlist.class_insts net (Dfg.find region.Region.dfg op_id))
+                     with
+                     | Some j ->
+                         Netlist.begin_trial net;
+                         Netlist.place net op_id ~step:pl.Netlist.pl_step ~finish:pl.Netlist.pl_finish
+                           ~inst_opt:(Some j.Netlist.inst_id);
+                         Netlist.attach net j op_id;
+                         seeded := !seeded + j.Netlist.n_bound;
+                         ignore (Netlist.propagate net j.Netlist.bound);
+                         Netlist.rollback net
+                     | None -> ())
+                 | None -> ());
+          let st1 = Netlist.stats net in
+          let rollbacks = st1.Netlist.s_rollbacks - st0.Netlist.s_rollbacks in
+          let visits = st1.Netlist.s_visits - st0.Netlist.s_visits in
+          if rollbacks < 100 then
+            QCheck.Test.fail_reportf "storm not rollback-heavy (%d rollbacks)" rollbacks;
+          if visits <= !seeded then
+            QCheck.Test.fail_reportf "storm propagation never left its seeds (%d visits, %d seeds)"
+              visits !seeded;
+          (* rebind storm: rebinding a placed op fails on its own busy
+             slot, before any trial *)
           let b = s.Scheduler.s_binding in
           let stormed = ref 0 in
           Netlist.iter_placements net (fun op_id pl ->

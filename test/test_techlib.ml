@@ -118,6 +118,37 @@ let prop_sizing_never_below_nominal =
       | Some a -> a >= Library.area lib rt -. 0.001
       | None -> true)
 
+(* Resource.compare is the typed stand-in for the polymorphic compare in
+   the scheduler's resource-floor sort: same sign on every pair, black
+   boxes (a constructor with an argument, after every constant class)
+   and their callee names included *)
+let prop_resource_compare_is_polymorphic_order =
+  let open Hls_ir.Opkind in
+  let classes =
+    [| R_addsub; R_mul; R_divmod; R_shift; R_logic; R_cmp_rel; R_cmp_eq; R_mux; R_port_in;
+       R_port_out; R_wire |]
+  in
+  let gen_rt =
+    QCheck.Gen.(
+      map3
+        (fun k widths out ->
+          let rclass =
+            if k < Array.length classes then classes.(k)
+            else R_blackbox ([| ""; "a"; "ab"; "b"; "sqrt"; "sqr" |].(k - Array.length classes))
+          in
+          { Resource.rclass; in_widths = widths; out_width = out })
+        (int_bound (Array.length classes + 5))
+        (list_size (int_bound 3) (int_range 1 4))
+        (int_range 1 4))
+  in
+  let sign c = Int.compare c 0 in
+  QCheck.Test.make ~name:"Resource.compare orders like the polymorphic compare" ~count:2000
+    (QCheck.make QCheck.Gen.(pair gen_rt gen_rt))
+    (fun (a, b) ->
+      sign (Resource.compare a b) = sign (Stdlib.compare a b)
+      && sign (Resource.compare a a) = 0
+      && Resource.equal a b = (Resource.compare a b = 0))
+
 let suite =
   [
     Alcotest.test_case "Table 1 delays exact" `Quick test_table1_exact;
@@ -130,4 +161,5 @@ let suite =
     Alcotest.test_case "blackbox registration" `Quick test_blackbox;
     Alcotest.test_case "resource merge rule" `Quick test_resource_merge;
     QCheck_alcotest.to_alcotest prop_sizing_never_below_nominal;
+    QCheck_alcotest.to_alcotest prop_resource_compare_is_polymorphic_order;
   ]
