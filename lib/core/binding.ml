@@ -43,26 +43,31 @@ type inst = Netlist.inst = {
 
 type placement = Netlist.placement = { pl_step : int; pl_finish : int; pl_inst : int option }
 
+(* Restraint exclusions keyed by op id: the instance ids each op may not
+   bind to, and whether it must own its instance outright.  Both arrays
+   stay empty, so [try_bind]'s lookups end at the bounds test, unless an
+   expert action or a hint filled them. *)
+type exclusions = {
+  mutable forbidden : int list array;  (** op id -> excluded instance ids *)
+  mutable dedicated : bool array;  (** op id -> owns its instance outright *)
+}
+
 type t = {
   net : Netlist.t;  (** the datapath netlist + incremental timing engine *)
   region : Region.t;
   lib : Library.t;
   clock_ps : float;
   dfg : Dfg.t;
-  forbidden : (int * int, unit) Hashtbl.t;  (** (op, inst) pairs excluded by restraints *)
-  dedicated : (int, unit) Hashtbl.t;
-      (** user constraint (Section IV.B item 4): these ops must own their
-          resource instance outright — no sharing in any state *)
+  excl : exclusions;
+      (** forbidden (op, instance) pairs and dedicated ops — the user
+          constraint of Section IV.B item 4: a dedicated op owns its
+          resource instance outright, no sharing in any state *)
   timing_aware : bool;
   mutable has_forced : bool;
       (** a [force_bind] (baseline import, slack-tolerating ablation) may
           have committed a negative-slack op, so the narrowed-seed fast
           path in [try_bind] — which relies on every committed op being
           slack-clean — is disabled for the rest of the pass history *)
-  class_ops_memo : (Resource.t, int) Hashtbl.t;
-      (** member-op count per resource need (the region membership is
-          static, so the counts never change) — keeps the expert's
-          per-restraint estimates from rescanning every member op *)
 }
 
 let create ?(timing_aware = true) ~lib ~clock_ps (region : Region.t) =
@@ -72,12 +77,49 @@ let create ?(timing_aware = true) ~lib ~clock_ps (region : Region.t) =
     lib;
     clock_ps;
     dfg = region.Region.dfg;
-    forbidden = Hashtbl.create 8;
-    dedicated = Hashtbl.create 4;
+    excl = { forbidden = [||]; dedicated = [||] };
     timing_aware;
     has_forced = false;
-    class_ops_memo = Hashtbl.create 8;
   }
+
+(* [a] with room for index [id], grown by doubling *)
+let fit a id default =
+  let n = Array.length a in
+  if id < n then a
+  else begin
+    let b = Array.make (Int.max (id + 1) (2 * n)) default in
+    Array.blit a 0 b 0 n;
+    b
+  end
+
+let forbid t ~op ~inst =
+  if op < 0 then invalid_arg "Binding.forbid: negative op id";
+  let x = t.excl in
+  x.forbidden <- fit x.forbidden op [];
+  let l = x.forbidden.(op) in
+  if not (List.memq inst l) then x.forbidden.(op) <- inst :: l
+
+let dedicate t op =
+  if op < 0 then invalid_arg "Binding.dedicate: negative op id";
+  let x = t.excl in
+  x.dedicated <- fit x.dedicated op false;
+  x.dedicated.(op) <- true
+
+let is_forbidden x ~op ~inst = op < Array.length x.forbidden && List.memq inst x.forbidden.(op)
+
+let is_dedicated x op = op < Array.length x.dedicated && x.dedicated.(op)
+
+let forbidden_pairs t =
+  let acc = ref [] in
+  Array.iteri
+    (fun op l -> List.iter (fun inst -> acc := (op, inst) :: !acc) l)
+    t.excl.forbidden;
+  List.rev !acc
+
+let dedicated_ops t =
+  let acc = ref [] in
+  Array.iteri (fun op d -> if d then acc := op :: !acc) t.excl.dedicated;
+  List.rev !acc
 
 let add_inst ?added_by_expert t rtype = Netlist.add_inst ?added_by_expert t.net rtype
 let find_inst t id = Netlist.find_inst t.net id
@@ -248,9 +290,7 @@ let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
     let chain_srcs =
       match inst with
       | Some i ->
-          (* the pair and dedication tables are empty unless a hint or an
-             expert action filled them: skip their hashing then *)
-          if Hashtbl.length t.forbidden > 0 && Hashtbl.mem t.forbidden (op.Dfg.id, i.inst_id) then
+          if is_forbidden t.excl ~op:op.Dfg.id ~inst:i.inst_id then
             raise (Fail Restraint.F_forbidden);
           (* neither fits nor may be widened to (the memoized tier) *)
           (match Netlist.resource_of t.net op with
@@ -260,9 +300,9 @@ let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
              in any state, and instances already hosting a dedicated op admit
              nobody else *)
           if
-            Hashtbl.length t.dedicated > 0
-            && ((Hashtbl.mem t.dedicated op.Dfg.id && i.bound <> [])
-               || List.exists (fun o -> Hashtbl.mem t.dedicated o) i.bound)
+            Array.length t.excl.dedicated > 0
+            && ((is_dedicated t.excl op.Dfg.id && i.bound <> [])
+               || List.exists (is_dedicated t.excl) i.bound)
           then raise (Fail (Restraint.F_busy i.rtype));
           (* busy check across occupied steps, honouring edge equivalence and
              predicate orthogonality *)
@@ -511,22 +551,7 @@ let estimate t (op : Dfg.op) ~step =
     match Netlist.resource_of t.net op with
     | None -> false
     | Some need ->
-        let n_ops =
-          match Hashtbl.find_opt t.class_ops_memo need with
-          | Some n -> n
-          | None ->
-              let n =
-                List.length
-                  (List.filter
-                     (fun o ->
-                       match Netlist.resource_of t.net o with
-                       | Some rt -> Resource.can_merge rt need
-                       | None -> false)
-                     (Region.member_ops t.region))
-              in
-              Hashtbl.add t.class_ops_memo need n;
-              n
-        in
+        let n_ops = Netlist.class_ops t.net need in
         let n_insts =
           List.length
             (List.filter (fun i -> Resource.can_merge i.rtype need) (Netlist.class_insts t.net op))

@@ -34,25 +34,41 @@ type inst = Netlist.inst = {
 
 type placement = Netlist.placement = { pl_step : int; pl_finish : int; pl_inst : int option }
 
+type exclusions
+(** Forbidden (op, instance) pairs and dedicated ops, in arrays indexed by
+    op id; written by {!forbid} and {!dedicate} only. *)
+
 type t = {
   net : Netlist.t;  (** the datapath netlist + incremental timing engine *)
   region : Region.t;
   lib : Library.t;
   clock_ps : float;
   dfg : Dfg.t;
-  forbidden : (int * int, unit) Hashtbl.t;  (** (op, inst) exclusions *)
-  dedicated : (int, unit) Hashtbl.t;
-      (** user constraint: these ops own their instance outright *)
+  excl : exclusions;
   timing_aware : bool;
   mutable has_forced : bool;
       (** a {!force_bind} ran since the last {!reset_pass}: committed ops
           may carry negative slack, so the narrowed-seed fast path in
           {!try_bind} is disabled for the rest of the pass *)
-  class_ops_memo : (Resource.t, int) Hashtbl.t;
-      (** member-op count per resource need (static region membership) *)
 }
 
 val create : ?timing_aware:bool -> lib:Library.t -> clock_ps:float -> Region.t -> t
+
+val forbid : t -> op:int -> inst:int -> unit
+(** Exclude binding [op] to instance [inst] from now on (an expert
+    [Forbid] action or hint).  Idempotent.
+    @raise Invalid_argument on a negative op id. *)
+
+val dedicate : t -> int -> unit
+(** User constraint (Section IV.B item 4): the op must own its resource
+    instance outright, with no cohabitant in any state.  Idempotent.
+    @raise Invalid_argument on a negative op id. *)
+
+val forbidden_pairs : t -> (int * int) list
+(** Every forbidden (op, instance) pair, by ascending op id. *)
+
+val dedicated_ops : t -> int list
+(** Every dedicated op id, ascending. *)
 
 val add_inst : ?added_by_expert:bool -> t -> Resource.t -> inst
 val find_inst : t -> int -> inst

@@ -659,9 +659,9 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
       | Speculate op when Dfg.mem dfg op ->
           (Dfg.find dfg op).Dfg.speculated <- true;
           hint ()
-      | Dedicate op -> Hashtbl.replace binding.Binding.dedicated op ()
+      | Dedicate op when Dfg.mem dfg op -> Binding.dedicate binding op
       | Forbid (op, inst) when Dfg.mem dfg op && inst >= 0 && inst < n_insts ->
-          Hashtbl.replace binding.Binding.forbidden (op, inst) ();
+          Binding.forbid binding ~op ~inst;
           hint ()
       | Scc_stage (k, stage) when k >= 0 && k < Array.length scc_persist ->
           if scc_persist.(k) = None then hint ();
@@ -672,7 +672,7 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
           floors := (rt, Int.max prev n) :: others
       | Latency_floor li ->
           latency_floor := Some (Option.fold ~none:li ~some:(Int.min li) !latency_floor)
-      | Boost _ | Speculate _ | Forbid _ | Scc_stage _ -> ())
+      | Boost _ | Speculate _ | Dedicate _ | Forbid _ | Scc_stage _ -> ())
     (Hints.to_list opts.hints);
   List.iter
     (fun ((rt : Resource.t), n) ->
@@ -703,9 +703,10 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
   (* early recurrence feasibility (RecMII analogue): an SCC whose longest
      internal combinational chain cannot be registered apart within its
      II-state stage window can never be scheduled at this II *)
-  let rec_check scc =
-    let member = Hashtbl.create 8 in
-    List.iter (fun o -> Hashtbl.replace member o ()) scc;
+  let rec_check k scc =
+    (* SCCs are disjoint, so [scc_idx] is every SCC's member table at once
+       and the concurrent checks only read it *)
+    let member o = match scc_of o with Some k' -> k' = k | None -> false in
     let succs id =
       List.filter_map
         (fun e ->
@@ -713,7 +714,7 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
             e.Dfg.port = 0
             && match (Dfg.find dfg e.Dfg.dst).Dfg.kind with Opkind.Mux -> true | _ -> false
           in
-          if e.Dfg.distance = 0 && Hashtbl.mem member e.Dfg.dst && not is_select then
+          if e.Dfg.distance = 0 && member e.Dfg.dst && not is_select then
             Some e.Dfg.dst
           else None)
         (Dfg.out_edges dfg id)
@@ -738,7 +739,11 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
      count *)
   let scc_arr = Array.of_list sccs in
   let jobs = if Array.length scc_arr >= 8 then Atomic.get analysis_jobs else 1 in
-  let rec_flags = Hls_pool.Pool.map ~jobs rec_check scc_arr in
+  let rec_flags =
+    Hls_pool.Pool.map ~jobs
+      (fun k -> rec_check k scc_arr.(k))
+      (Array.init (Array.length scc_arr) Fun.id)
+  in
   let rec_infeasible = List.filteri (fun k _ -> rec_flags.(k)) sccs in
   let actions = ref [] in
   let n_actions = ref 0 in
@@ -972,7 +977,7 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
                | Expert.Move_scc k ->
                    scc_moves.(k) <- scc_moves.(k) + 1;
                    scc_persist.(k) <- Some (scc_stage k + 1)
-               | Expert.Forbid (op, inst) -> Hashtbl.replace binding.Binding.forbidden (op, inst) ())
+               | Expert.Forbid (op, inst) -> Binding.forbid binding ~op ~inst)
                chosen;
              if !aa_dirty then aa_cache := None;
              (* --- first dirty step: the earliest control step the actions

@@ -44,8 +44,8 @@ let extract (s : Scheduler.t) : Hints.t =
   let add ?weight hint = h := Hints.add ?weight hint !h in
   (* --- the expert's converged corrective state (replay hints) --- *)
   Dfg.iter_ops dfg (fun o -> if o.Dfg.speculated then add (Hints.Speculate o.Dfg.id));
-  Hashtbl.iter (fun (op, inst) () -> add (Hints.Forbid (op, inst))) b.Binding.forbidden;
-  Hashtbl.iter (fun op () -> add (Hints.Dedicate op)) b.Binding.dedicated;
+  List.iter (fun (op, inst) -> add (Hints.Forbid (op, inst))) (Binding.forbidden_pairs b);
+  List.iter (fun op -> add (Hints.Dedicate op)) (Binding.dedicated_ops b);
   let insts = Netlist.insts net in
   let expert_types =
     List.filter_map

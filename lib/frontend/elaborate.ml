@@ -1,12 +1,15 @@
 (** Elaboration: lowered {!Ast.design} → {!Hls_ir.Cdfg.t} plus region
     membership information.
 
-    This reproduces the paper's elaboration step (Fig. 2/3): the thread body
-    becomes a CFG whose [State] nodes are the [wait()] boundaries and whose
-    edges carry the DFG operations, with data dependencies as DFG edges.
-    Loop-carried variables become [Loop_mux] operations whose port 1 is a
-    distance-1 edge from the value computed by the previous iteration —
-    exactly the [loopMux] feeding [aver] in Fig. 3(b).
+    This reproduces the paper's elaboration step (Fig. 2/3), lowered
+    straight to one graph: the thread body becomes DFG operations with data
+    dependencies as DFG edges, split into pre-loop, loop-body and post-loop
+    region members.  The [wait()] boundaries are not graph nodes: they
+    number the control steps, which survive as the body's source latency
+    ([li_waits]) and, in timed mode, as the [anchor] pinning each port op
+    to its wait state.  Loop-carried variables become [Loop_mux] operations
+    whose port 1 is a distance-1 edge from the value computed by the
+    previous iteration — exactly the [loopMux] feeding [aver] in Fig. 3(b).
 
     Wait-free conditionals are predicate-converted on the fly: operations
     from the branches carry {!Hls_ir.Guard} atoms over the (1-bit
@@ -53,8 +56,6 @@ type ctx = {
   mutable guard : Guard.t;
   mutable sink : int list ref;  (** region-membership recorder *)
   mutable touched : (string, unit) Hashtbl.t list;  (** branch write trackers *)
-  mutable cur_node : int;
-  mutable pending : int list;  (** ops awaiting attachment to the next CFG edge *)
   mutable wait_ix : int;
   timed : bool;
   port_cache : (string, int) Hashtbl.t;
@@ -67,7 +68,6 @@ let emit ?(guard_override = None) ?anchor ctx kind ~width ~name inputs =
   let op = Dfg.add_op ctx.cd.Cdfg.dfg kind ~width ~guard ~name ?anchor in
   List.iteri (fun i src -> Dfg.connect ctx.cd.Cdfg.dfg ~src ~dst:op.Dfg.id ~port:i) inputs;
   ctx.sink := op.Dfg.id :: !(ctx.sink);
-  ctx.pending <- op.Dfg.id :: ctx.pending;
   op.Dfg.id
 
 let op_width ctx id = (Dfg.find ctx.cd.Cdfg.dfg id).Dfg.width
@@ -97,14 +97,6 @@ let bool_of ctx id =
   else
     let z = const ctx 0 (op_width ctx id) in
     emit ctx (Opkind.Bin Opkind.Neq) ~width:1 ~name:"truthy" [ id; z ]
-
-let boundary ?(label = `Seq) ctx kind ~name =
-  let n = Cfg.add_node ~name ctx.cd.Cdfg.cfg kind in
-  let e = Cfg.add_edge ~label ctx.cd.Cdfg.cfg ~src:ctx.cur_node ~dst:n.Cfg.nid in
-  List.iter (fun op -> Cdfg.attach ctx.cd ~op ~edge:e.Cfg.eid) ctx.pending;
-  ctx.pending <- [];
-  ctx.cur_node <- n.Cfg.nid;
-  n
 
 let record_touch ctx v = List.iter (fun tbl -> Hashtbl.replace tbl v ()) ctx.touched
 
@@ -178,9 +170,7 @@ let rec stmt ctx (s : Ast.stmt) =
       let id = coerce ctx id ~width:w in
       let anchor = if ctx.timed then Some ctx.wait_ix else None in
       ignore (emit ?anchor ctx (Opkind.Write p) ~width:w ~name:(p ^ "_write") [ id ])
-  | Ast.Wait ->
-      ctx.wait_ix <- ctx.wait_ix + 1;
-      ignore (boundary ctx Cfg.State ~name:(Printf.sprintf "s%d" ctx.wait_ix))
+  | Ast.Wait -> ctx.wait_ix <- ctx.wait_ix + 1
   | Ast.Stall_until e ->
       let id = bool_of ctx (expr ctx e) in
       ctx.stall <- Some id
@@ -229,7 +219,6 @@ let rec stmt ctx (s : Ast.stmt) =
       err "internal: loop statement reached the statement elaborator"
 
 let elaborate_loop ctx (body, cond, attrs) =
-  let lh = boundary ctx (Cfg.Loop_head { kind = `Do_while; cond = None }) ~name:attrs.Ast.l_name in
   let loop_sink = ref [] in
   (* Loop-carried variables: assigned in the body and live into it. *)
   let carried =
@@ -275,12 +264,6 @@ let elaborate_loop ctx (body, cond, attrs) =
     muxes;
   let li_waits = max 1 ctx.wait_ix in
   ctx.wait_ix <- wait_base;
-  let tail = boundary ctx (Cfg.Loop_tail { head = lh.Cfg.nid }) ~name:(attrs.Ast.l_name ^ "_tail") in
-  ignore (Cfg.add_edge ~label:`Back ctx.cd.Cdfg.cfg ~src:tail.Cfg.nid ~dst:lh.Cfg.nid);
-  (* record the exit condition on the head node *)
-  (match continue_op with
-  | Some c -> (Cfg.node ctx.cd.Cdfg.cfg lh.Cfg.nid).Cfg.nkind <- Cfg.Loop_head { kind = `Do_while; cond = Some c }
-  | None -> ());
   let stall = ctx.stall in
   ctx.stall <- None;
   {
@@ -303,7 +286,6 @@ let design ?(timed = false) ?nest (d : Ast.design) : t =
   let d, nest = Desugar.design_ex ?nest d in
   Check.run_exn d;
   let cd = Cdfg.create ~name:d.Ast.d_name ~in_ports:d.Ast.d_ins ~out_ports:d.Ast.d_outs in
-  let entry = Cfg.add_node cd.Cdfg.cfg Cfg.Entry in
   let widths = Hashtbl.create 16 in
   List.iter (fun (v, w) -> Hashtbl.replace widths v w) d.Ast.d_vars;
   let pre_sink = ref [] in
@@ -315,8 +297,6 @@ let design ?(timed = false) ?nest (d : Ast.design) : t =
       guard = Guard.always;
       sink = pre_sink;
       touched = [];
-      cur_node = entry.Cfg.nid;
-      pending = [];
       wait_ix = 0;
       timed;
       port_cache = Hashtbl.create 8;
@@ -338,7 +318,6 @@ let design ?(timed = false) ?nest (d : Ast.design) : t =
   Hashtbl.reset ctx.port_cache;
   Hashtbl.reset ctx.const_cache;
   List.iter (stmt ctx) post;
-  ignore (boundary ctx Cfg.Exit ~name:"exit");
   {
     cdfg = cd;
     source = d;

@@ -1,5 +1,8 @@
-(** Elaboration: lowered {!Ast.design} → {!Hls_ir.Cdfg.t} plus region
-    membership — the paper's elaboration step (Fig. 2/3).
+(** Elaboration: lowered {!Ast.design} → {!Hls_ir.Cdfg.t} (one DFG plus
+    its ports) and region membership — the paper's elaboration step
+    (Fig. 2/3).  The [wait()] boundaries make no graph of their own: they
+    count the loop body's source latency ([li_waits]) and, in timed mode,
+    anchor each port op to its wait state.
 
     Wait-free conditionals are predicate-converted on the fly: branch
     operations carry {!Hls_ir.Guard} atoms over the 1-bit-normalized

@@ -1,51 +1,30 @@
-(** The combined control/data flow graph: a {!Cfg.t}, a {!Dfg.t}, and the
-    association of every DFG operation to the CFG edge (control step) on
-    which the source code specified it.
+(** An elaborated design: its {!Dfg.t} and its declared ports.
 
-    The attachment is what elaboration produces (Fig. 3 of the paper); the
-    optimizer updates it when predicate conversion merges control steps, and
-    the micro-architecture transformer consumes it when slicing pipelined
-    loops into linear scheduling regions. *)
+    Elaboration lowers the thread body straight to the data-flow graph; the
+    control steps of the source survive as wait-state anchors on the DFG
+    ops (the [anchor] field of {!Dfg.op}) and as the region's source
+    latency, so no separate control-flow graph is kept. *)
 
 type t = {
   name : string;
-  cfg : Cfg.t;
   dfg : Dfg.t;
-  attach : (int, int) Hashtbl.t;  (** DFG op id -> CFG edge id *)
   in_ports : (string * int) list;  (** (name, width) *)
   out_ports : (string * int) list;
 }
 
-let create ~name ~in_ports ~out_ports =
-  { name; cfg = Cfg.create (); dfg = Dfg.create (); attach = Hashtbl.create 64; in_ports; out_ports }
-
-(** [attach t ~op ~edge] records that [op] belongs to control step [edge]. *)
-let attach t ~op ~edge = Hashtbl.replace t.attach op edge
-
-let attachment t op = Hashtbl.find_opt t.attach op
-
-(** Ops attached to CFG edge [edge], sorted by op id. *)
-let ops_on_edge t ~edge =
-  Hashtbl.fold (fun op e acc -> if e = edge then op :: acc else acc) t.attach []
-  |> List.sort compare
+let create ~name ~in_ports ~out_ports = { name; dfg = Dfg.create (); in_ports; out_ports }
 
 let port_width t name =
   match List.assoc_opt name t.in_ports with
   | Some w -> Some w
   | None -> List.assoc_opt name t.out_ports
 
-(** Cross-structure validation on top of {!Dfg.validate} and
-    {!Cfg.validate}: every resource-consuming op is attached to a live CFG
-    edge, and port ops reference declared ports. *)
+(** {!Dfg.validate} plus the port checks: every [Read] names a declared
+    input port and every [Write] a declared output port. *)
 let validate t =
-  let errs = ref (Dfg.validate t.dfg @ Cfg.validate t.cfg) in
-  let err fmt = Printf.ksprintf (fun s -> errs := !errs @ [ s ]) fmt in
+  let errs = ref [] in
+  let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
   Dfg.iter_ops t.dfg (fun op ->
-      (match Hashtbl.find_opt t.attach op.Dfg.id with
-      | Some e ->
-          if not (Hashtbl.mem t.cfg.Cfg.edges e) then
-            err "op %d attached to dead CFG edge %d" op.Dfg.id e
-      | None -> err "op %d (%s) has no CFG attachment" op.Dfg.id op.Dfg.name);
       match op.Dfg.kind with
       | Opkind.Read p ->
           if not (List.mem_assoc p t.in_ports) then err "op %d reads undeclared port %s" op.Dfg.id p
@@ -53,16 +32,4 @@ let validate t =
           if not (List.mem_assoc p t.out_ports) then
             err "op %d writes undeclared port %s" op.Dfg.id p
       | _ -> ());
-  !errs
-
-let pp fmt t =
-  Format.fprintf fmt "design %s@." t.name;
-  Format.fprintf fmt "-- CFG --@.%a" Cfg.pp t.cfg;
-  Format.fprintf fmt "-- DFG --@.%a" Dfg.pp t.dfg;
-  List.iter
-    (fun e ->
-      let ops = ops_on_edge t ~edge:e.Cfg.eid in
-      if ops <> [] then
-        Format.fprintf fmt "edge e%d: ops [%s]@." e.Cfg.eid
-          (String.concat "; " (List.map string_of_int ops)))
-    (Cfg.edges t.cfg)
+  Dfg.validate t.dfg @ List.rev !errs

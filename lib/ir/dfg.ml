@@ -230,22 +230,3 @@ let validate g =
       | _ -> ());
       if op.width < 1 then err "op %d: width %d" op.id op.width);
   List.rev !errs
-
-let pp_op fmt (op : op) =
-  Format.fprintf fmt "%%%d = %s :%d%s%s" op.id (Opkind.to_string op.kind) op.width
-    (if Guard.is_always op.guard then "" else Printf.sprintf " if %s" (Guard.to_string op.guard))
-    (if op.name = "" then "" else " (* " ^ op.name ^ " *)")
-
-let pp fmt g =
-  List.iter
-    (fun op ->
-      let ins =
-        String.concat ", "
-          (List.map
-             (fun e ->
-               if e.distance = 0 then Printf.sprintf "%%%d" e.src
-               else Printf.sprintf "%%%d@-%d" e.src e.distance)
-             (in_edges g op.id))
-      in
-      Format.fprintf fmt "%a <- [%s]@." pp_op op ins)
-    (ops g)

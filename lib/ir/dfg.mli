@@ -95,6 +95,3 @@ val copy : t -> t
 
 val validate : t -> string list
 (** Structural well-formedness report (empty = clean). *)
-
-val pp_op : Format.formatter -> op -> unit
-val pp : Format.formatter -> t -> unit

@@ -66,5 +66,3 @@ let to_string (g : t) =
   else
     String.concat " & "
       (List.map (fun a -> (if a.polarity then "p" else "!p") ^ string_of_int a.pred) g)
-
-let pp fmt g = Format.pp_print_string fmt (to_string g)

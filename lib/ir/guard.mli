@@ -40,4 +40,3 @@ val map_preds : (int -> int) -> t -> t
 (** Rewrite predicate ids (used when the optimizer replaces ops). *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -211,9 +211,3 @@ let add_step t =
 let reset_steps t n =
   if n < t.min_steps || n > t.max_steps then invalid_arg "Region.reset_steps: out of bounds";
   t.n_steps <- n
-
-let pp fmt t =
-  Format.fprintf fmt "region %s: LI=%d (bounds %d..%d)%s, %d ops@." t.rname t.n_steps t.min_steps
-    t.max_steps
-    (match t.pipeline with Some { ii } -> Printf.sprintf ", II=%d" ii | None -> "")
-    (n_members t)

@@ -117,5 +117,3 @@ val add_step : t -> bool
 
 val reset_steps : t -> int -> unit
 (** @raise Invalid_argument outside the designer bounds. *)
-
-val pp : Format.formatter -> t -> unit

@@ -539,6 +539,16 @@ let set_type i rt =
   i.delay_memo <- nan;
   Bytes.fill i.compat 0 (Bytes.length i.compat) '\255'
 
+(** Region members whose resource need can merge into [rt], memoized per
+    type permanently (membership is static). *)
+let class_ops t rt =
+  match Hashtbl.find_opt t.class_ops_memo rt with
+  | Some n -> n
+  | None ->
+      let n = List.length (List.filter (fun m -> Resource.can_merge m rt) t.member_needs) in
+      Hashtbl.add t.class_ops_memo rt n;
+      n
+
 (** Mark shared instances: a class with more candidate ops than instances
     will be shared, so its input muxes are pre-allocated (Fig. 8a).  The
     flags depend only on the region's membership and the instances' types,
@@ -562,17 +572,9 @@ let refresh_prealloc t =
           Hashtbl.add n_insts_memo rt n;
           n
     in
-    let ops_of_class rt =
-      match Hashtbl.find_opt t.class_ops_memo rt with
-      | Some n -> n
-      | None ->
-          let n = List.length (List.filter (fun m -> Resource.can_merge m rt) t.member_needs) in
-          Hashtbl.add t.class_ops_memo rt n;
-          n
-    in
     List.fold_left
       (fun moved inst ->
-        let shared = ops_of_class inst.rtype > insts_of_class inst.rtype in
+        let shared = class_ops t inst.rtype > insts_of_class inst.rtype in
         if shared = inst.prealloc_shared then moved
         else begin
           inst.prealloc_shared <- shared;

@@ -100,6 +100,11 @@ val compat_tier : t -> Dfg.op -> inst -> int
     widened to ({!Resource.can_merge}), [2] when neither.  Memoized per
     (need, instance) until the instance's type changes. *)
 
+val class_ops : t -> Resource.t -> int
+(** Region members whose resource need {!Resource.can_merge}s into the
+    given type: the op side of the sharing test that decides
+    [prealloc_shared].  Memoized per type (membership is static). *)
+
 val refresh_prealloc : t -> bool
 (** Recompute each instance's [prealloc_shared] flag if an instance was
     added or changed type since the flags were last computed (region

@@ -3,7 +3,8 @@
     "The goal of the optimizer is to simplify the DFG and CFG as much as
     possible, by applying standard compiler optimizations, such as constant
     propagation, operand width reduction, operation strength reduction,
-    etc."  The passes here:
+    etc."  Elaboration keeps no CFG (see {!Hls_ir.Cdfg}), so here that
+    means the DFG and its region-membership lists.  The passes here:
 
     - {!constant_fold}: operations whose inputs are all constants are
       replaced by constants (iterated to a fixpoint by {!run});
@@ -81,14 +82,8 @@ let commit env : Elaborate.t =
     post_members = members `Post;
   }
 
-(** Replace every use of [old_id] by [by], remove [old_id].  The
-    replacement inherits the victim's CFG attachment when it has none of
-    its own (ops created by the passes). *)
+(** Replace every use of [old_id] by [by], remove [old_id]. *)
 let subsume env ~old_id ~by =
-  (match (Cdfg.attachment env.elab.Elaborate.cdfg old_id,
-          Cdfg.attachment env.elab.Elaborate.cdfg by) with
-  | Some edge, None -> Cdfg.attach env.elab.Elaborate.cdfg ~op:by ~edge
-  | _ -> ());
   Dfg.replace_uses env.dfg ~old_id ~by;
   Dfg.remove_op env.dfg old_id;
   Hashtbl.replace env.removed old_id ()
@@ -189,9 +184,6 @@ let simplify env stats =
                 let kc = Dfg.add_op env.dfg (Opkind.Const k) ~width:(Width.bits_for_signed k) ~name:"shamt" in
                 Dfg.connect env.dfg ~src:a ~dst:sh.Dfg.id ~port:0;
                 Dfg.connect env.dfg ~src:kc.Dfg.id ~dst:sh.Dfg.id ~port:1;
-                (match Cdfg.attachment env.elab.Elaborate.cdfg op.Dfg.id with
-                | Some edge -> Cdfg.attach env.elab.Elaborate.cdfg ~op:kc.Dfg.id ~edge
-                | None -> ());
                 (match region_of env op.Dfg.id with
                 | Some r ->
                     env.extra <- (sh.Dfg.id, r) :: (kc.Dfg.id, r) :: env.extra

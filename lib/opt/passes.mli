@@ -2,7 +2,7 @@
     folding, algebraic simplification and strength reduction, CSE, DCE and
     width-conversion wire collapsing, iterated to a fixpoint.  Passes
     operate on an {!Hls_frontend.Elaborate.t} and keep its
-    region-membership lists and CFG attachments consistent.
+    region-membership lists consistent.
 
     (Predicate conversion itself lives in the frontend — join-mux
     insertion needs elaboration-time variable maps.) *)

@@ -34,7 +34,3 @@ let render ?(title = "") (rows : string list list) : string =
       Buffer.contents buf
 
 let print ?title rows = print_string (render ?title rows)
-
-let cell_f v = Printf.sprintf "%.1f" v
-let cell_f0 v = Printf.sprintf "%.0f" v
-let cell_i v = string_of_int v

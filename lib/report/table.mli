@@ -4,7 +4,3 @@ val render : ?title:string -> string list list -> string
 (** First row is the header; ragged rows pad with blanks. *)
 
 val print : ?title:string -> string list list -> unit
-
-val cell_f : float -> string
-val cell_f0 : float -> string
-val cell_i : int -> string

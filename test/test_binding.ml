@@ -202,7 +202,11 @@ let test_forbidden_pair () =
   let region, _, _, mul1, _, _ = fig8_region () in
   let dfg = dfg_of region in
   let b, mi, _, _ = mk_binding region in
-  Hashtbl.replace b.Binding.forbidden (mul1, mi) ();
+  Binding.forbid b ~op:mul1 ~inst:mi;
+  (* idempotent, so feedback extraction sees each pair once *)
+  Binding.forbid b ~op:mul1 ~inst:mi;
+  Alcotest.(check (list (pair int int))) "one forbidden pair" [ (mul1, mi) ]
+    (Binding.forbidden_pairs b);
   List.iter
     (fun o -> match o.Dfg.kind with Opkind.Read _ -> bind_ok b o ~step:0 ~inst_opt:None | _ -> ())
     (Dfg.ops dfg);

@@ -30,6 +30,26 @@ let test_example1_validates () =
   let e = example1 () in
   Alcotest.(check (list string)) "CDFG validates" [] (Cdfg.validate e.Elaborate.cdfg)
 
+(* The port checks are [Cdfg.validate]'s own: a structurally clean DFG whose
+   [Read]/[Write] name undeclared ports is flagged once per offending op. *)
+let test_undeclared_ports_flagged () =
+  let cd = Cdfg.create ~name:"ports" ~in_ports:[ ("a", 8) ] ~out_ports:[ ("y", 8) ] in
+  let dfg = cd.Cdfg.dfg in
+  let write p src =
+    let w = Dfg.add_op dfg (Opkind.Write p) ~width:8 in
+    Dfg.connect dfg ~src ~dst:w.Dfg.id ~port:0
+  in
+  let ra = Dfg.add_op dfg (Opkind.Read "a") ~width:8 in
+  write "y" ra.Dfg.id;
+  Alcotest.(check (list string)) "declared ports validate" [] (Cdfg.validate cd);
+  let rb = Dfg.add_op dfg (Opkind.Read "b") ~width:8 in
+  write "z" rb.Dfg.id;
+  Alcotest.(check (list string)) "DFG alone is clean" [] (Dfg.validate dfg);
+  Alcotest.(check (list string)) "undeclared read and write flagged"
+    [ Printf.sprintf "op %d reads undeclared port b" rb.Dfg.id;
+      Printf.sprintf "op %d writes undeclared port z" (rb.Dfg.id + 1) ]
+    (Cdfg.validate cd)
+
 let test_guard_on_mul2 () =
   let e = example1 () in
   let dfg = e.Elaborate.cdfg.Cdfg.dfg in
@@ -139,6 +159,7 @@ let suite =
   [
     Alcotest.test_case "example1 shape (Fig. 3)" `Quick test_example1_shape;
     Alcotest.test_case "example1 validates" `Quick test_example1_validates;
+    Alcotest.test_case "undeclared ports flagged" `Quick test_undeclared_ports_flagged;
     Alcotest.test_case "guard on mul2" `Quick test_guard_on_mul2;
     Alcotest.test_case "loop mux wiring" `Quick test_loop_mux_wiring;
     Alcotest.test_case "region extraction" `Quick test_region_extraction;

@@ -129,6 +129,8 @@ let test_dedicated_instance () =
       let pl = Option.get (Binding.placement s.Scheduler.s_binding a_mul.Dfg.id) in
       let inst = Binding.find_inst s.Scheduler.s_binding (Option.get pl.Binding.pl_inst) in
       Alcotest.(check (list int)) "instance owned outright" [ a_mul.Dfg.id ] inst.Binding.bound;
+      Alcotest.(check (list int)) "dedication recorded" [ a_mul.Dfg.id ]
+        (Binding.dedicated_ops s.Scheduler.s_binding);
       let muls =
         List.filter
           (fun (i : Binding.inst) ->

@@ -64,6 +64,7 @@ let test_stale_hints_skipped () =
       empty
       |> add (Boost absent)
       |> add (Speculate absent)
+      |> add (Dedicate absent)
       |> add (Forbid (absent, 0))
       |> add (Forbid (op, 1000))
       |> add (Scc_stage (n_sccs, 1))
@@ -72,6 +73,8 @@ let test_stale_hints_skipped () =
   in
   let _, s = run stale in
   Alcotest.(check int) "no stale hint counted" 0 (Scheduler.stats s).Scheduler.st_hints;
+  Alcotest.(check (list int)) "stale dedication dropped" []
+    (Hls_core.Binding.dedicated_ops s.Scheduler.s_binding);
   Alcotest.(check bool) "schedule equals the empty-store one" true
     (Test_sched_perf.observables s = Test_sched_perf.observables base);
   let _, live = run (Hints.add (Boost op) stale) in

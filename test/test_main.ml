@@ -7,7 +7,6 @@ let () =
       ("guard", Test_guard.suite);
       ("graph_algo", Test_graph_algo.suite);
       ("dfg", Test_dfg.suite);
-      ("cfg", Test_cfg.suite);
       ("techlib", Test_techlib.suite);
       ("frontend", Test_frontend.suite);
       ("elaborate", Test_elaborate.suite);
