@@ -7,7 +7,11 @@
       dune exec bench/main.exe            # everything
       dune exec bench/main.exe table3     # one experiment
       dune exec bench/main.exe -- --list  # available experiments
+      dune exec bench/main.exe -- scale --smoke --out DIR
     v}
+
+    [--smoke] shrinks the sweeps to a fast correctness check; its JSON goes
+    to [_build/bench-smoke/] unless [--out DIR] names another directory.
 
     An unknown experiment name exits 2 before anything runs.
 
@@ -25,6 +29,26 @@ let clock = 1600.0
 (* --smoke: shrink iteration counts so CI can run the benches as a fast
    correctness check (the numbers are then meaningless as measurements) *)
 let smoke = ref false
+
+(* --out DIR: where the BENCH_*.json files go.  The checked-in baselines
+   live at the repository root, so a full run writes there; a --smoke run
+   defaults to _build/bench-smoke/ and never overwrites them *)
+let out_dir = ref None
+
+(* open [name] for writing under the output directory, creating it first *)
+let open_bench_json name =
+  let dir =
+    match !out_dir with Some d -> d | None -> if !smoke then "_build/bench-smoke" else "."
+  in
+  let rec mkdir_p d =
+    if not (Sys.file_exists d) then begin
+      mkdir_p (Filename.dirname d);
+      Sys.mkdir d 0o755
+    end
+  in
+  mkdir_p dir;
+  let path = Filename.concat dir name in
+  (open_out path, path)
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -543,10 +567,13 @@ let bench_scale () =
             in
             Printf.printf
               "  %6d ops  %8.3f s  %9d queries  %8.0f queries/s  %3d passes  %9d visits  \
-               %7d trials (%d rb)  %9d cycle visits  %10d peak words\n%!"
+               %7d trials (%d rb)  %9d cycle visits  %10d peak words  %8d attempts  \
+               %9d candidates  %8d memo screens\n%!"
               n st.Scheduler.st_sched_s st.Scheduler.st_queries qps st.Scheduler.st_passes
               st.Scheduler.st_visits st.Scheduler.st_trials st.Scheduler.st_rollbacks
-              st.Scheduler.st_cycle_visits peak;
+              st.Scheduler.st_cycle_visits peak
+              (st.Scheduler.st_attempts_bound + st.Scheduler.st_attempts_failed)
+              st.Scheduler.st_candidates st.Scheduler.st_rej_screen_memo;
             Some (n, st, peak)
         | Error err ->
             Printf.printf "  %6d ops  FAILED: %s\n%!" n err.Scheduler.e_message;
@@ -560,10 +587,32 @@ let bench_scale () =
         float_of_int st.Scheduler.st_queries /. st.Scheduler.st_sched_s
       else 0.0
     in
+    (* the binder's decision counters: exact, so they carry a claim at
+       sizes where the wall clock cannot *)
+    let decisions =
+      [
+        ("attempts_bound", st.Scheduler.st_attempts_bound);
+        ("attempts_failed", st.Scheduler.st_attempts_failed);
+        ("candidates", st.Scheduler.st_candidates);
+        ("prelude_fails", st.Scheduler.st_prelude_fails);
+        ("rej_forbid", st.Scheduler.st_rej_forbid);
+        ("rej_tier", st.Scheduler.st_rej_tier);
+        ("rej_dedicated", st.Scheduler.st_rej_dedicated);
+        ("rej_busy", st.Scheduler.st_rej_busy);
+        ("rej_quick_slack", st.Scheduler.st_rej_quick_slack);
+        ("rej_empty_slack", st.Scheduler.st_rej_empty_slack);
+        ("rej_cycle", st.Scheduler.st_rej_cycle);
+        ("rej_screen_memo", st.Scheduler.st_rej_screen_memo);
+        ("rej_screen", st.Scheduler.st_rej_screen);
+        ("rej_trial_slack", st.Scheduler.st_rej_trial_slack);
+        ("rej_trial_busy", st.Scheduler.st_rej_trial_busy);
+      ]
+    in
     Printf.sprintf
-      {|{"ops":%d,"wall_s":%.6f,"queries":%d,"queries_per_s":%.1f,"passes":%d,"visits":%d,"cycle_visits":%d,"peak_heap_words":%d}|}
+      {|{"ops":%d,"wall_s":%.6f,"queries":%d,"queries_per_s":%.1f,"passes":%d,"visits":%d,"cycle_visits":%d,"peak_heap_words":%d,"trials":%d,%s}|}
       n st.Scheduler.st_sched_s st.Scheduler.st_queries qps st.Scheduler.st_passes
-      st.Scheduler.st_visits st.Scheduler.st_cycle_visits peak
+      st.Scheduler.st_visits st.Scheduler.st_cycle_visits peak st.Scheduler.st_trials
+      (String.concat "," (List.map (fun (k, v) -> Printf.sprintf {|"%s":%d|} k v) decisions))
   in
   (* the headline scaling exponent: slope of log(wall) over log(ops)
      between the smallest and largest completed points *)
@@ -576,13 +625,13 @@ let bench_scale () =
     | _ -> 0.0
   in
   Printf.printf "scaling exponent (log wall / log ops): %.2f\n" exponent;
-  let oc = open_out "BENCH_scale.json" in
+  let oc, path = open_bench_json "BENCH_scale.json" in
   Printf.fprintf oc {|{"design":"synthetic","clock_ps":%.0f,"scaling_exponent":%.3f,"points":[%s]}
 |}
     clock exponent
     (String.concat "," (List.map json_row rows));
   close_out oc;
-  print_endline "wrote BENCH_scale.json"
+  print_endline ("wrote " ^ path)
 
 (* ------------------------------------------------------------------ *)
 (* Loop-nest pipelining: unroll-based 1-D baseline vs the flattened     *)
@@ -652,11 +701,11 @@ let bench_nest () =
           flat_beats_unroll)
       workloads
   in
-  let oc = open_out "BENCH_nest.json" in
+  let oc, path = open_bench_json "BENCH_nest.json" in
   Printf.fprintf oc {|{"clock_ps":%.0f,"workloads":[%s]}
 |} clock (String.concat "," rows);
   close_out oc;
-  print_endline "wrote BENCH_nest.json"
+  print_endline ("wrote " ^ path)
 
 (* ------------------------------------------------------------------ *)
 (* Compiled kernel simulation: interpreted vs compiled engine           *)
@@ -764,13 +813,13 @@ let bench_kernel () =
       report.Hls_sim.Equiv.fz_infeasible report.Hls_sim.Equiv.fz_checked_values
       (List.length report.Hls_sim.Equiv.fz_failures)
   in
-  let oc = open_out "BENCH_kernel.json" in
+  let oc, path = open_bench_json "BENCH_kernel.json" in
   Printf.fprintf oc {|{"clock_ps":%.0f,"interp_cap":%d,"rows":[%s],"fuzz":%s}
 |} clock interp_cap
     (String.concat "," rows)
     fuzz_json;
   close_out oc;
-  print_endline "wrote BENCH_kernel.json"
+  print_endline ("wrote " ^ path)
 
 (* ------------------------------------------------------------------ *)
 (* Feedback-guided iterative scheduling: scheduler passes and QoR with  *)
@@ -832,11 +881,11 @@ let bench_feedback () =
             Printf.sprintf {|{"design":"%s","ok":false,"code":"%s"}|} name d.Hls_diag.Diag.d_code)
       workloads
   in
-  let oc = open_out "BENCH_feedback.json" in
+  let oc, path = open_bench_json "BENCH_feedback.json" in
   Printf.fprintf oc {|{"clock_ps":%.0f,"workloads":[%s]}
 |} clock (String.concat "," rows);
   close_out oc;
-  print_endline "wrote BENCH_feedback.json"
+  print_endline ("wrote " ^ path)
 
 (* ------------------------------------------------------------------ *)
 
@@ -862,16 +911,20 @@ let experiments =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let args =
-    List.filter
-      (fun a ->
-        if a = "--smoke" then begin
-          smoke := true;
-          false
-        end
-        else true)
-      args
+  let rec flags = function
+    | "--smoke" :: rest ->
+        smoke := true;
+        flags rest
+    | "--out" :: dir :: rest ->
+        out_dir := Some dir;
+        flags rest
+    | [ "--out" ] ->
+        prerr_endline "--out needs a directory";
+        exit 2
+    | a :: rest -> a :: flags rest
+    | [] -> []
   in
+  let args = flags args in
   match args with
   | [ "--list" ] -> List.iter (fun (n, _) -> print_endline n) experiments
   | [] ->

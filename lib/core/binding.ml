@@ -52,6 +52,47 @@ type exclusions = {
   mutable dedicated : bool array;  (** op id -> owns its instance outright *)
 }
 
+(* Decision counters: one increment per decision, no clock read *)
+type counters = {
+  mutable c_bound : int;
+  mutable c_failed : int;
+  mutable c_visited : int;
+  mutable c_prelude : int;
+  mutable c_forbid : int;
+  mutable c_tier : int;
+  mutable c_dedicated : int;
+  mutable c_busy : int;
+  mutable c_quick_slack : int;
+  mutable c_empty_slack : int;
+  mutable c_cycle : int;
+  mutable c_screen_memo : int;
+  mutable c_screen : int;
+  mutable c_trial_slack : int;
+  mutable c_trial_busy : int;
+}
+
+(* What one (op, step) attempt prices once for all its candidates.  One
+   record per binder, refilled by [begin_attempt]; the facts after the
+   prelude are filled on first use.  Between two candidates of an attempt
+   only rolled-back trials run, so the committed state they read does not
+   change. *)
+type attempt = {
+  mutable a_step : int;
+  mutable a_finish : int;
+  mutable a_lat : int;
+  mutable a_pre_ok : bool;  (** window, anchor and modulo checks passed *)
+  mutable a_pre : Restraint.fail;  (** the prelude's failure, when not [a_pre_ok] *)
+  mutable a_srcs : float array;  (** source arrival per in-edge (see [a_srcs_ok]) *)
+  mutable a_srcs_ok : bool;
+  mutable a_guard : float;  (** guard arrival at the step, filled with [a_srcs] *)
+  mutable a_chain : int list;  (** instances chaining into the op (see [a_chain_ok]) *)
+  mutable a_chain_ok : bool;
+  mutable a_own : int;  (** 0 unknown, 1 own slack undefined, 2 defined *)
+  mutable a_data1 : float;  (** data arrival behind 1-input muxes, nan until needed *)
+  mutable a_data2 : float;  (** ... behind 2-input (pre-allocated) muxes *)
+  mutable a_gfin : float;  (** guard arrival at the finishing step, with [a_own] *)
+}
+
 type t = {
   net : Netlist.t;  (** the datapath netlist + incremental timing engine *)
   region : Region.t;
@@ -68,6 +109,8 @@ type t = {
           have committed a negative-slack op, so the narrowed-seed fast
           path in [try_bind] — which relies on every committed op being
           slack-clean — is disabled for the rest of the pass history *)
+  att : attempt;
+  ctr : counters;
 }
 
 let create ?(timing_aware = true) ~lib ~clock_ps (region : Region.t) =
@@ -80,6 +123,41 @@ let create ?(timing_aware = true) ~lib ~clock_ps (region : Region.t) =
     excl = { forbidden = [||]; dedicated = [||] };
     timing_aware;
     has_forced = false;
+    att =
+      {
+        a_step = 0;
+        a_finish = 0;
+        a_lat = 1;
+        a_pre_ok = false;
+        a_pre = Restraint.F_window;
+        a_srcs = Array.make 4 0.0;
+        a_srcs_ok = false;
+        a_guard = 0.0;
+        a_chain = [];
+        a_chain_ok = false;
+        a_own = 0;
+        a_data1 = nan;
+        a_data2 = nan;
+        a_gfin = 0.0;
+      };
+    ctr =
+      {
+        c_bound = 0;
+        c_failed = 0;
+        c_visited = 0;
+        c_prelude = 0;
+        c_forbid = 0;
+        c_tier = 0;
+        c_dedicated = 0;
+        c_busy = 0;
+        c_quick_slack = 0;
+        c_empty_slack = 0;
+        c_cycle = 0;
+        c_screen_memo = 0;
+        c_screen = 0;
+        c_trial_slack = 0;
+        c_trial_busy = 0;
+      };
   }
 
 (* [a] with room for index [id], grown by doubling *)
@@ -171,6 +249,23 @@ let modulo_ok t ~op_id ~step ~finish =
 (* [Stdlib.max] specialised to floats, same semantics *)
 let fmax (a : float) b = if a >= b then a else b
 
+(* The quick screen's expression: the op's endpoint on [i], its source
+   arrivals [srcs] each through the port's mux grown by the op's source,
+   its guard arriving at [guard] *)
+let quick_slack_of t (op : Dfg.op) ~(srcs : float array) ~guard (i : inst) =
+  let d = Netlist.inst_delay t.net i in
+  let rec data acc k = function
+    | [] -> acc
+    | (e : Dfg.edge) :: rest ->
+        (* size the mux by the port's distinct sources after the
+           hypothetical bind — a source already feeding this port on the
+           instance adds no mux input *)
+        let inputs = Netlist.mux_inputs_with t.net i ~port:e.Dfg.port ~src:e.Dfg.src in
+        data (fmax acc (srcs.(k) +. Library.mux_delay t.lib ~inputs)) (k + 1) rest
+  in
+  let data = data t.lib.Library.ff_clk_q 0 (Dfg.in_edges t.dfg op.Dfg.id) in
+  t.clock_ps -. (fmax (data +. d) guard +. Netlist.reg_mux_delay t.net +. t.lib.Library.ff_setup)
+
 (** Cheap feasibility screen before the full trial binding: the op's own
     endpoint path on [inst] (inputs via the grown sharing mux, instance
     delay, register mux, setup).  Returns the estimated slack; a negative
@@ -178,22 +273,9 @@ let fmax (a : float) b = if a >= b then a else b
     Collateral effects on other bound ops are not screened — the trial
     still catches those. *)
 let quick_slack t (op : Dfg.op) ~step ~inst_id =
-  let i = Netlist.find_inst t.net inst_id in
-  let d = Netlist.inst_delay t.net i in
-  let data =
-    List.fold_left
-      (fun acc e ->
-        let a = Netlist.source_arrival t.net ~step e in
-        (* size the mux by the port's distinct sources after the
-           hypothetical bind — a source already feeding this port on the
-           instance adds no mux input *)
-        let inputs = Netlist.mux_inputs_with t.net i ~port:e.Dfg.port ~src:e.Dfg.src in
-        fmax acc (a +. Library.mux_delay t.lib ~inputs))
-      t.lib.Library.ff_clk_q
-      (Dfg.in_edges t.dfg op.Dfg.id)
-  in
-  let g = Netlist.guard_arrival t.net ~step op in
-  t.clock_ps -. (fmax (data +. d) g +. Netlist.reg_mux_delay t.net +. t.lib.Library.ff_setup)
+  let srcs = Array.make (List.length (Dfg.in_edges t.dfg op.Dfg.id)) 0.0 in
+  Netlist.source_arrivals t.net op ~step srcs;
+  quick_slack_of t op ~srcs ~guard:(Netlist.guard_arrival t.net ~step op) (Netlist.find_inst t.net inst_id)
 
 (** Would binding [op] on [i] widen the instance's resource type?  (Its
     memoized compatibility tier is 0 exactly when the type already fits.) *)
@@ -203,30 +285,31 @@ let widens t (op : Dfg.op) (i : inst) =
   | None -> false
 
 (** The ports of [i] that gain an effective mux input when [op] binds to
-    it, ascending — measured against the committed mux caches, before a
-    trial mutates them.  A port whose effective input count is unchanged
-    keeps its mux delay bit-identical, so ops reading only such ports keep
-    their arrivals and need no re-timing.  Empty when the bind widens the
-    instance (every cohabitant is re-timed then).  The op has one in-edge
-    per port, of any distance: exactly the sources the attach cache update
-    inserts. *)
+    it, as a set (bit [p] for port [p]) — measured against the committed
+    mux caches, before a trial mutates them.  A port whose effective input
+    count is unchanged keeps its mux delay bit-identical, so ops reading
+    only such ports keep their arrivals and need no re-timing.  Empty when
+    the bind widens the instance (every cohabitant is re-timed then).  The
+    op has one in-edge per port, of any distance: exactly the sources the
+    attach cache update inserts. *)
 let changed_ports t (op : Dfg.op) (i : inst) =
-  if widens t op i then []
+  if widens t op i then 0
   else
-    List.filter_map
-      (fun e ->
+    List.fold_left
+      (fun acc (e : Dfg.edge) ->
         if
           Netlist.mux_inputs_with t.net i ~port:e.Dfg.port ~src:e.Dfg.src
           <> Netlist.mux_inputs t.net i ~port:e.Dfg.port
-        then Some e.Dfg.port
-        else None)
+        then acc lor Netlist.port_bit e.Dfg.port
+        else acc)
+      0
       (Dfg.in_edges t.dfg op.Dfg.id)
 
 (** Open a netlist transaction for the candidate, apply the bind's
     structural mutations and propagate its arrivals.  Returns the worst
     slack and the op carrying it, with the trial still open: the caller
     commits or rolls back.  [changed_ports] is {!changed_ports} of the
-    candidate ([[]] without an instance). *)
+    candidate ([0] without an instance). *)
 let open_trial t (op : Dfg.op) ~step ~finish ~inst_opt ~changed_ports =
   let net = t.net in
   let inst = Option.map (Netlist.find_inst net) inst_opt in
@@ -257,136 +340,306 @@ let open_trial t (op : Dfg.op) ~step ~finish ~inst_opt ~changed_ports =
         match i.bound with
         | o :: _ when o = op.Dfg.id -> i.bound
         | b -> op.Dfg.id :: List.filter (fun o -> o <> op.Dfg.id) b)
-    | Some _ when changed_ports = [] -> [ op.Dfg.id ]
+    | Some _ when changed_ports = 0 -> [ op.Dfg.id ]
     | Some i ->
         op.Dfg.id
         :: List.filter
-             (fun o ->
-               o <> op.Dfg.id
-               && List.exists (fun p -> Dfg.input t.dfg o ~port:p <> None) changed_ports)
+             (fun o -> o <> op.Dfg.id && Netlist.reads_ports net o ~ports:changed_ports)
              i.bound
   in
   Netlist.propagate net seeds
 
-exception Fail of Restraint.fail
+(** {2 Attempts}
 
-(** Attempt to bind [op] at [step] on [inst_opt] ([None] for wire and port
-    ops).  The candidate runs inside a netlist transaction: on failure the
-    trial is rolled back and the state is left untouched. *)
-let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
-  let net = t.net in
+    An attempt binds one op at one step on the first candidate that takes
+    it.  [begin_attempt] runs the candidate-independent checks once (the
+    prelude: window, anchor, modulo dependencies) and resets the facts the
+    candidates share, which the per-candidate check fills on first use:
+    the op's source and guard arrivals, the instances chaining into it and
+    its data arrival on an empty instance.  Each candidate then runs the
+    checks that depend on the instance, cheapest first, and the trial only
+    when none of them decides. *)
+
+let begin_attempt t (op : Dfg.op) ~step =
+  let a = t.att in
   let lat = op_latency t op in
   let finish = step + lat - 1 in
-  try
-    if finish > t.region.Region.n_steps - 1 then raise (Fail Restraint.F_window);
-    (match op.Dfg.anchor with
-    | Some a when a <> step -> raise (Fail Restraint.F_anchor)
-    | _ -> ());
-    if not (modulo_ok t ~op_id:op.Dfg.id ~step ~finish) then raise (Fail Restraint.F_dep);
-    (* resource-specific checks *)
-    let inst = Option.map (Netlist.find_inst net) inst_opt in
-    (* the instances chaining into the op in this step, walked once: the
-       trial below moves only the op itself, so the commit reuses them *)
-    let chain_srcs =
-      match inst with
-      | Some i ->
-          if is_forbidden t.excl ~op:op.Dfg.id ~inst:i.inst_id then
-            raise (Fail Restraint.F_forbidden);
-          (* neither fits nor may be widened to (the memoized tier) *)
-          (match Netlist.resource_of t.net op with
-          | Some _ when Netlist.compat_tier net op i = 2 -> raise (Fail (Restraint.F_busy i.rtype))
-          | _ -> ());
-          (* user-dedicated instances: a dedicated op tolerates no cohabitant
-             in any state, and instances already hosting a dedicated op admit
-             nobody else *)
-          if
-            Array.length t.excl.dedicated > 0
-            && ((is_dedicated t.excl op.Dfg.id && i.bound <> [])
-               || List.exists (is_dedicated t.excl) i.bound)
-          then raise (Fail (Restraint.F_busy i.rtype));
-          (* busy check across occupied steps, honouring edge equivalence and
-             predicate orthogonality *)
-          for s = step to finish do
-            let others = Netlist.busy_ops net i.inst_id s in
-            if
-              List.exists
-                (fun o ->
-                  not (Guard.mutually_exclusive (Dfg.find t.dfg o).Dfg.guard op.Dfg.guard))
-                others
-            then raise (Fail (Restraint.F_busy i.rtype))
-          done;
-          (* cheap endpoint screen before the expensive trial (timing-aware
-             mode only; the naive ablation stays blind to mux effects) *)
-          if t.timing_aware && i.bound <> [] then begin
-            let sl = quick_slack t op ~step ~inst_id:i.inst_id in
-            if sl < -0.001 then raise (Fail (Restraint.F_slack sl))
-          end;
-          (* structural combinational cycles *)
-          if lat = 1 then begin
-            let srcs = Netlist.chain_source_insts net op.Dfg.id ~step in
-            List.iter
-              (fun j ->
-                if Netlist.would_close_cycle net ~src:j ~dst:i.inst_id then
-                  raise (Fail (Restraint.F_cycle i.inst_id)))
-              srcs;
-            srcs
-          end
-          else []
-      | None -> []
+  a.a_step <- step;
+  a.a_finish <- finish;
+  a.a_lat <- lat;
+  a.a_srcs_ok <- false;
+  a.a_chain_ok <- false;
+  a.a_chain <- [];
+  a.a_own <- 0;
+  a.a_data1 <- nan;
+  a.a_data2 <- nan;
+  a.a_pre_ok <- false;
+  if finish > t.region.Region.n_steps - 1 then a.a_pre <- Restraint.F_window
+  else if (match op.Dfg.anchor with Some s -> s <> step | None -> false) then
+    a.a_pre <- Restraint.F_anchor
+  else if not (modulo_ok t ~op_id:op.Dfg.id ~step ~finish) then a.a_pre <- Restraint.F_dep
+  else a.a_pre_ok <- true
+
+(* the attempt's source arrivals and guard arrival at its step *)
+let attempt_srcs t (op : Dfg.op) =
+  let a = t.att in
+  if not a.a_srcs_ok then begin
+    let n = List.length (Dfg.in_edges t.dfg op.Dfg.id) in
+    if n > Array.length a.a_srcs then a.a_srcs <- Array.make (2 * n) 0.0;
+    Netlist.source_arrivals t.net op ~step:a.a_step a.a_srcs;
+    a.a_guard <- Netlist.guard_arrival t.net ~step:a.a_step op;
+    a.a_srcs_ok <- true
+  end
+
+(* The trial's exact worst slack on an empty instance [i] whose type fits,
+   or nan (run the trial): {!Netlist.empty_bind_slack} with the op's data
+   arrival computed once per mux size and attempt *)
+let attempt_own_slack t (op : Dfg.op) (i : inst) =
+  let a = t.att in
+  if a.a_own = 0 then begin
+    if Netlist.own_slack_defined t.net op ~finish:a.a_finish then begin
+      a.a_own <- 2;
+      a.a_gfin <- Netlist.guard_arrival t.net ~step:a.a_finish op
+    end
+    else a.a_own <- 1
+  end;
+  if a.a_own = 1 || Netlist.compat_tier t.net op i <> 0 then nan
+  else begin
+    attempt_srcs t op;
+    let data =
+      if i.prealloc_shared then begin
+        if Float.is_nan a.a_data2 then a.a_data2 <- Netlist.own_data t.net op ~srcs:a.a_srcs ~inputs:2;
+        a.a_data2
+      end
+      else begin
+        if Float.is_nan a.a_data1 then a.a_data1 <- Netlist.own_data t.net op ~srcs:a.a_srcs ~inputs:1;
+        a.a_data1
+      end
     in
-    let changed_ports =
-      match inst with
-      | None -> []
-      | Some i when i.n_bound = 0 ->
-          (* an empty instance: no cohabitant can carry a busy proof, and
-             the trial seeds the op alone.  When its type already fits,
-             the op's own slack is the trial's exact worst slack; a
-             [force_bind] voids that guarantee for the pass *)
-          if t.timing_aware && not t.has_forced then begin
-            let s = Netlist.empty_bind_slack net op ~step ~finish ~inst:i in
-            if s < -0.001 then raise (Fail (Restraint.F_slack s))
-          end;
-          []
-      | Some i ->
-          let changed_ports = changed_ports t op i in
-          (* saturation screen: when the grown mux provably pushes a
-             cohabitant, or one of its same-step chained consumers, below
-             tolerance — and strictly below the new op's own slack — the
-             trial's busy rejection is already decided, so skip the whole
-             transaction.  The pass's slack floor rules most screens out
-             before they price anyone *)
-          if
-            changed_ports <> []
-            && Netlist.screen_may_prove net ~inst:i ~changed_ports
-            && Netlist.screen_busy_reject net ~op ~step ~finish ~inst:i ~changed_ports
-          then raise (Fail (Restraint.F_busy i.rtype));
-          changed_ports
-    in
-    let worst_slack, worst_op = open_trial t op ~step ~finish ~inst_opt ~changed_ports in
-    if worst_slack < -0.001 then begin
-      Netlist.rollback net;
-      (* a violation on an op already bound means this instance cannot
-         absorb one more source: the resource, not the timing of the new
-         op, is the limiting factor *)
-      if worst_op <> op.Dfg.id then
-        Error
-          (Restraint.F_busy
-             (match inst with
-             | Some i -> i.rtype
-             | None ->
-                 Option.value (Netlist.resource_of t.net op)
-                   ~default:{ Resource.rclass = Opkind.R_wire; in_widths = []; out_width = 1 }))
-      else Error (Restraint.F_slack worst_slack)
+    Netlist.own_slack t.net ~data ~inst:i ~guard:a.a_gfin
+  end
+
+(* would binding the op on [i] close a structural combinational cycle
+   through an instance chaining into it? *)
+let closes_cycle t (op : Dfg.op) (i : inst) =
+  let a = t.att in
+  if not a.a_chain_ok then begin
+    a.a_chain <- Netlist.chain_source_insts t.net op.Dfg.id ~step:a.a_step;
+    a.a_chain_ok <- true
+  end;
+  let rec any = function
+    | [] -> false
+    | j :: rest -> Netlist.would_close_cycle t.net ~src:j ~dst:i.inst_id || any rest
+  in
+  any a.a_chain
+
+(* does a cohabitant in some step of [step]..[finish] conflict with the
+   op, honouring edge equivalence and predicate orthogonality? *)
+let busy_conflict t (op : Dfg.op) (i : inst) ~step ~finish =
+  let rec conflict = function
+    | [] -> false
+    | o :: rest ->
+        (not (Guard.mutually_exclusive (Dfg.find t.dfg o).Dfg.guard op.Dfg.guard)) || conflict rest
+  in
+  let rec from s = s <= finish && (conflict (Netlist.busy_ops t.net i.inst_id s) || from (s + 1)) in
+  from step
+
+(* Run the trial of the attempt's op on [inst_opt] and commit or roll it
+   back on its worst slack *)
+let trial t (op : Dfg.op) ~inst_opt ~changed_ports =
+  let net = t.net and a = t.att and c = t.ctr in
+  let worst_slack, worst_op =
+    open_trial t op ~step:a.a_step ~finish:a.a_finish ~inst_opt ~changed_ports
+  in
+  if worst_slack < -0.001 then begin
+    Netlist.rollback net;
+    (* a violation on an op already bound means this instance cannot
+       absorb one more source: the resource, not the timing of the new
+       op, is the limiting factor *)
+    if worst_op <> op.Dfg.id then begin
+      c.c_trial_busy <- c.c_trial_busy + 1;
+      Error
+        (Restraint.F_busy
+           (match inst_opt with
+           | Some i -> (Netlist.find_inst net i).rtype
+           | None ->
+               Option.value (Netlist.resource_of t.net op)
+                 ~default:{ Resource.rclass = Opkind.R_wire; in_widths = []; out_width = 1 }))
     end
     else begin
-      Netlist.commit net;
-      (* commit chain edges *)
-      (match inst with
-      | Some i -> List.iter (fun j -> Netlist.add_chain_edge net ~src:j ~dst:i.inst_id) chain_srcs
-      | None -> ());
-      Ok ()
+      c.c_trial_slack <- c.c_trial_slack + 1;
+      Error (Restraint.F_slack worst_slack)
     end
-  with Fail f -> Error f
+  end
+  else begin
+    Netlist.commit net;
+    (* commit chain edges: the trial moved only the op itself, so the
+       chain sources the cycle check walked are still the ones *)
+    (match inst_opt with
+    | Some i when a.a_lat = 1 ->
+        List.iter (fun j -> Netlist.add_chain_edge net ~src:j ~dst:i) a.a_chain
+    | _ -> ());
+    Ok ()
+  end
+
+(* One candidate instance of the attempt: the instance checks in order,
+   each counted where it decides, then the trial *)
+let check_inst t (op : Dfg.op) (i : inst) : (unit, Restraint.fail) result =
+  let net = t.net and a = t.att and c = t.ctr in
+  c.c_visited <- c.c_visited + 1;
+  if is_forbidden t.excl ~op:op.Dfg.id ~inst:i.inst_id then begin
+    c.c_forbid <- c.c_forbid + 1;
+    Error Restraint.F_forbidden
+  end
+  else if
+    (* neither fits nor may be widened to (the memoized tier) *)
+    Option.is_some (Netlist.resource_of net op) && Netlist.compat_tier net op i = 2
+  then begin
+    c.c_tier <- c.c_tier + 1;
+    Error (Restraint.F_busy i.rtype)
+  end
+  else if
+    (* user-dedicated instances: a dedicated op tolerates no cohabitant
+       in any state, and instances already hosting a dedicated op admit
+       nobody else *)
+    Array.length t.excl.dedicated > 0
+    && ((is_dedicated t.excl op.Dfg.id && i.n_bound > 0)
+       || List.exists (is_dedicated t.excl) i.bound)
+  then begin
+    c.c_dedicated <- c.c_dedicated + 1;
+    Error (Restraint.F_busy i.rtype)
+  end
+  else if busy_conflict t op i ~step:a.a_step ~finish:a.a_finish then begin
+    c.c_busy <- c.c_busy + 1;
+    Error (Restraint.F_busy i.rtype)
+  end
+  else begin
+    (* cheap endpoint screen before the expensive trial (timing-aware
+       mode only; the naive ablation stays blind to mux effects) *)
+    let sl =
+      if t.timing_aware && i.n_bound > 0 then begin
+        attempt_srcs t op;
+        quick_slack_of t op ~srcs:a.a_srcs ~guard:a.a_guard i
+      end
+      else infinity
+    in
+    if sl < -0.001 then begin
+      c.c_quick_slack <- c.c_quick_slack + 1;
+      Error (Restraint.F_slack sl)
+    end
+    else if a.a_lat = 1 && closes_cycle t op i then begin
+      c.c_cycle <- c.c_cycle + 1;
+      Error (Restraint.F_cycle i.inst_id)
+    end
+    else if i.n_bound = 0 then begin
+      (* an empty instance: no cohabitant can carry a busy proof, and
+         the trial seeds the op alone.  When its type already fits,
+         the op's own slack is the trial's exact worst slack; a
+         [force_bind] voids that guarantee for the pass *)
+      let s = if t.timing_aware && not t.has_forced then attempt_own_slack t op i else nan in
+      if s < -0.001 then begin
+        c.c_empty_slack <- c.c_empty_slack + 1;
+        Error (Restraint.F_slack s)
+      end
+      else trial t op ~inst_opt:(Some i.inst_id) ~changed_ports:0
+    end
+    else begin
+      let changed_ports = changed_ports t op i in
+      (* saturation screen: when the grown mux provably pushes a
+         cohabitant, or one of its same-step chained consumers, below
+         tolerance — and strictly below the new op's own slack — the
+         trial's busy rejection is already decided, so skip the whole
+         transaction.  The pass's slack floor rules most screens out
+         before they price anyone *)
+      match
+        if changed_ports <> 0 && Netlist.screen_may_prove net ~inst:i ~changed_ports then
+          Netlist.screen net ~op ~step:a.a_step ~finish:a.a_finish ~inst:i ~changed_ports
+        else Netlist.Screen_pass
+      with
+      | Netlist.Screen_memo ->
+          c.c_screen_memo <- c.c_screen_memo + 1;
+          Error (Restraint.F_busy i.rtype)
+      | Netlist.Screen_computed ->
+          c.c_screen <- c.c_screen + 1;
+          Error (Restraint.F_busy i.rtype)
+      | Netlist.Screen_pass -> trial t op ~inst_opt:(Some i.inst_id) ~changed_ports
+    end
+  end
+
+(* the wire or port op of the attempt: the trial alone *)
+let check_wire t (op : Dfg.op) =
+  t.ctr.c_visited <- t.ctr.c_visited + 1;
+  trial t op ~inst_opt:None ~changed_ports:0
+
+(* did [begin_attempt]'s prelude fail (counted once per attempt)? *)
+let prelude_failed t =
+  (not t.att.a_pre_ok)
+  && begin
+       t.ctr.c_prelude <- t.ctr.c_prelude + 1;
+       true
+     end
+
+let count_attempt t ~bound =
+  let c = t.ctr in
+  if bound then c.c_bound <- c.c_bound + 1 else c.c_failed <- c.c_failed + 1
+
+(** Attempt to bind [op] at [step] on [inst_opt] ([None] for wire and port
+    ops): an attempt with one candidate.  The candidate runs inside a
+    netlist transaction: on failure the trial is rolled back and the state
+    is left untouched. *)
+let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
+  begin_attempt t op ~step;
+  let r =
+    if prelude_failed t then Error t.att.a_pre
+    else
+      match inst_opt with
+      | Some id -> check_inst t op (Netlist.find_inst t.net id)
+      | None -> check_wire t op
+  in
+  count_attempt t ~bound:(Result.is_ok r);
+  r
+
+(* The candidate cursor over {!Netlist.next_candidate}: slot [k] of the
+   tier-[tier] walk is [2k + tier]; -1 before the first and after the
+   last *)
+let cursor_next t (op : Dfg.op) cur =
+  let tier, from = if cur < 0 then (0, 0) else (cur land 1, (cur lsr 1) + 1) in
+  let k = Netlist.next_candidate t.net op ~tier ~from in
+  if k >= 0 then (2 * k) + tier
+  else if tier = 0 then
+    let k = Netlist.next_candidate t.net op ~tier:1 ~from:0 in
+    if k >= 0 then (2 * k) + 1 else -1
+  else -1
+
+(** Bind [op] at [step] on its first candidate that takes it: every
+    instance compatible with it in {!compatible_insts} order, or the op
+    alone when it is a wire or port op.  [[]] when it bound; otherwise the
+    failures, the last candidate's first.  A failed prelude fails every
+    candidate the same way and is returned once; an op with no compatible
+    instance fails with [F_no_resource]. *)
+let attempt t (op : Dfg.op) ~step =
+  let resource = Opkind.is_resource_op op.Dfg.kind in
+  let first = if resource then cursor_next t op (-1) else 0 in
+  let fails =
+    if first < 0 then
+      match Resource.of_op t.dfg op with Some rt -> [ Restraint.F_no_resource rt ] | None -> []
+    else begin
+      begin_attempt t op ~step;
+      if prelude_failed t then [ t.att.a_pre ]
+      else if not resource then match check_wire t op with Ok () -> [] | Error f -> [ f ]
+      else
+        let rec go fails cur =
+          match check_inst t op (Netlist.candidate_at t.net op (cur lsr 1)) with
+          | Ok () -> []
+          | Error f ->
+              let next = cursor_next t op cur in
+              if next < 0 then f :: fails else go (f :: fails) next
+        in
+        go [] first
+    end
+  in
+  count_attempt t ~bound:(match fails with [] -> true | _ -> false);
+  fails
 
 (** Re-apply a binding already vetted and committed by an earlier pass,
     skipping every feasibility check and the trial protocol.  [rtype] is
@@ -491,48 +744,23 @@ let compatible_insts t (op : Dfg.op) =
              else None)
       |> by_key
 
-(** {!compatible_insts}, lazily.  The head is the minimum (tier, load,
-    registration order) over the op's class, reading the memoized tier
-    ({!Netlist.compat_tier}) and the O(1) count [n_bound], so an attempt
-    whose first candidate binds builds no list and sorts nothing.  The
-    class's first unloaded instance ({!Netlist.first_unloaded}, a cursor)
-    is the head whenever its type fits: nothing can beat (tier 0, load 0),
-    and every instance registered before it is loaded.  Otherwise one scan
-    finds the head.  The tail — [compatible_insts] minus its head — is
-    built only when forced, i.e. after the head failed, and a failed bind
-    leaves every tier and count where it found them. *)
+(** The empty-instance own slack one attempt at [step] shares among its
+    candidates, priced on each of [insts] in turn; [nan] where the attempt
+    runs the trial instead. *)
+let empty_slacks t (op : Dfg.op) ~step insts =
+  begin_attempt t op ~step;
+  List.map (fun (i : inst) -> if i.n_bound > 0 then nan else attempt_own_slack t op i) insts
+
+(** {!compatible_insts} as the attempts walk it: the class's (load, id)
+    order, tier 0 then tier 1 ({!Netlist.next_candidate}).  Forcing the
+    rest after a failed {!try_bind} of the head is sound: a failed bind
+    leaves the netlist, and so the order, as it found it. *)
 let candidates t (op : Dfg.op) : inst Seq.t =
- fun () ->
-  let insts = Netlist.class_insts t.net op in
-  let head =
-    match Netlist.first_unloaded t.net op with
-    | Some i when Netlist.compat_tier t.net op i = 0 -> Some i
-    | _ ->
-        let best = ref None and best_tier = ref 2 and best_load = ref max_int in
-        List.iter
-          (fun (i : inst) ->
-            let tier = Netlist.compat_tier t.net op i in
-            if tier < !best_tier || (tier = !best_tier && tier < 2 && i.n_bound < !best_load)
-            then begin
-              best := Some i;
-              best_tier := tier;
-              best_load := i.n_bound
-            end)
-          insts;
-        !best
+  let rec from cur () =
+    if cur < 0 then Seq.Nil
+    else Seq.Cons (Netlist.candidate_at t.net op (cur lsr 1), from (cursor_next t op cur))
   in
-  match head with
-  | None -> Seq.Nil
-  | Some first ->
-      let rest () =
-        List.filter_map
-          (fun (i : inst) ->
-            let tier = Netlist.compat_tier t.net op i in
-            if tier < 2 && i != first then Some (tier, i.n_bound, i) else None)
-          insts
-        |> by_key
-      in
-      Seq.Cons (first, fun () -> List.to_seq (rest ()) ())
+  fun () -> from (cursor_next t op (-1)) ()
 
 (** Worst endpoint slack over all placed ops. *)
 let worst_slack t = Netlist.worst_slack t.net

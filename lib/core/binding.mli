@@ -38,6 +38,33 @@ type exclusions
 (** Forbidden (op, instance) pairs and dedicated ops, in arrays indexed by
     op id; written by {!forbid} and {!dedicate} only. *)
 
+(** Decision counters, accumulated over the binder's life: one increment
+    per decision, no clock read, so equal on every run.  Every candidate
+    checked ([c_visited]) either binds — the attempt then counts in
+    [c_bound] — or is rejected in exactly one of the stages [c_forbid] to
+    [c_trial_busy]. *)
+type counters = {
+  mutable c_bound : int;  (** attempts that bound *)
+  mutable c_failed : int;  (** attempts that failed on every candidate *)
+  mutable c_visited : int;  (** candidates checked *)
+  mutable c_prelude : int;  (** attempts failed before any candidate (window, anchor, modulo) *)
+  mutable c_forbid : int;  (** rejections: a forbidden (op, instance) pair *)
+  mutable c_tier : int;  (** ... an instance the op neither fits nor widens *)
+  mutable c_dedicated : int;  (** ... a dedicated op or instance *)
+  mutable c_busy : int;  (** ... a busy slot *)
+  mutable c_quick_slack : int;  (** ... {!quick_slack} *)
+  mutable c_empty_slack : int;  (** ... the op's exact own slack on an empty instance *)
+  mutable c_cycle : int;  (** ... a structural combinational cycle *)
+  mutable c_screen_memo : int;  (** ... the saturation memo ({!Netlist.Screen_memo}) *)
+  mutable c_screen : int;  (** ... a computed saturation screen *)
+  mutable c_trial_slack : int;  (** ... a trial, on the op's own slack *)
+  mutable c_trial_busy : int;  (** ... a trial, on a bound op's slack *)
+}
+
+type attempt
+(** The per-(op, step) facts an attempt prices once for all its
+    candidates; one record per binder, reused. *)
+
 type t = {
   net : Netlist.t;  (** the datapath netlist + incremental timing engine *)
   region : Region.t;
@@ -50,6 +77,8 @@ type t = {
       (** a {!force_bind} ran since the last {!reset_pass}: committed ops
           may carry negative slack, so the narrowed-seed fast path in
           {!try_bind} is disabled for the rest of the pass *)
+  att : attempt;
+  ctr : counters;
 }
 
 val create : ?timing_aware:bool -> lib:Library.t -> clock_ps:float -> Region.t -> t
@@ -96,10 +125,11 @@ val quick_slack : t -> Dfg.op -> step:int -> inst_id:int -> float
     instance, with each input mux sized by the port's distinct sources
     after the hypothetical bind. *)
 
-val changed_ports : t -> Dfg.op -> inst -> int list
+val changed_ports : t -> Dfg.op -> inst -> int
 (** The ports of the instance that gain an effective mux input when the op
-    binds to it, ascending, measured against the committed mux caches;
-    empty when the bind widens the instance's resource type. *)
+    binds to it, as a set ({!Netlist.port_bit}), measured against the
+    committed mux caches; empty ([0]) when the bind widens the instance's
+    resource type. *)
 
 val open_trial :
   t ->
@@ -107,25 +137,43 @@ val open_trial :
   step:int ->
   finish:int ->
   inst_opt:int option ->
-  changed_ports:int list ->
+  changed_ports:int ->
   float * int
 (** The trial {!try_bind} runs once every cheaper check has passed: open a
     netlist transaction, apply the bind's structural mutations and
     propagate its arrivals.  Returns the worst slack and the op carrying
     it, with the trial still open for the caller to commit or roll back.
-    [changed_ports] is {!changed_ports} of the candidate ([[]] without an
+    [changed_ports] is {!changed_ports} of the candidate ([0] without an
     instance). *)
 
 val try_bind : t -> Dfg.op -> step:int -> inst_opt:int option -> (unit, Restraint.fail) result
-(** Attempt a binding; on failure the netlist transaction is rolled back
-    and the reason returned.  A trial that breaks an {e already-bound} op's
-    timing (the sharing mux grew) reports [F_busy] — the instance is
-    saturated.  Candidates whose verdict is settled without the trial
-    return it without opening one: on an empty instance the op's exact
-    own slack ({!Netlist.empty_bind_slack}) decides [F_slack], and on a
-    loaded one the saturation screen decides [F_busy] (skipped when the
-    pass's slack floor shows it cannot, {!Netlist.screen_may_prove}).
-    The answer is always the one the trial would give. *)
+(** Attempt a binding: an {!attempt} with the one candidate [inst_opt].
+    On failure the netlist transaction is rolled back and the reason
+    returned.  A trial that breaks an {e already-bound} op's timing (the
+    sharing mux grew) reports [F_busy] — the instance is saturated.
+    Candidates whose verdict is settled without the trial return it
+    without opening one: on an empty instance the op's exact own slack
+    ({!Netlist.empty_bind_slack}) decides [F_slack], and on a loaded one
+    the saturation screen decides [F_busy] (skipped when the pass's slack
+    floor shows it cannot, {!Netlist.screen_may_prove}).  The answer is
+    always the one the trial would give. *)
+
+val attempt : t -> Dfg.op -> step:int -> Restraint.fail list
+(** Bind [op] at [step] on the first of its candidates that takes it —
+    its compatible instances in {!compatible_insts} order, walked by the
+    class's candidate cursor without building a list, or the op alone for
+    a wire or port op — exactly as {!try_bind} on each in turn would.
+    [[]] when it bound; otherwise every candidate's failure, the last
+    candidate's first.  The window, anchor and modulo checks and the op's
+    source arrivals, guard arrivals, chain sources and empty-instance own
+    slack are priced once per attempt; a failed window, anchor or modulo
+    check fails every candidate alike and is returned once.  An op with
+    no compatible instance fails with [F_no_resource]. *)
+
+val empty_slacks : t -> Dfg.op -> step:int -> inst list -> float list
+(** The exact own slack that one {!attempt} at [step] prices once (per
+    mux size) and shares among its empty candidates, on each instance in
+    turn: {!Netlist.empty_bind_slack}, bit for bit, on every instance. *)
 
 val replay_bind :
   t ->
@@ -157,11 +205,11 @@ val compatible_insts : t -> Dfg.op -> inst list
     rebuilt from scratch on every call. *)
 
 val candidates : t -> Dfg.op -> inst Seq.t
-(** {!compatible_insts}, enumerated lazily: the head is one scan over the
-    op's class with memoized compatibility and O(1) load, and the tail is
-    built (and sorted) only when forced.  Forcing it after a failed
-    {!try_bind} of the head is sound: a failed bind leaves the netlist
-    as it found it. *)
+(** {!compatible_insts} in the order {!attempt} walks them: the cursor
+    over the class's (load, id) order, tier 0 then tier 1
+    ({!Netlist.next_candidate}).  Forcing the rest after a failed
+    {!try_bind} of the head is sound: a failed bind leaves the netlist,
+    and the order, as it found it. *)
 
 val worst_slack : t -> float
 

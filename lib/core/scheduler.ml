@@ -114,10 +114,26 @@ type stats = {
   st_warm_passes : int;  (** passes served by warm-start prefix replay *)
   st_cold_passes : int;  (** passes run from a cold restart *)
   st_hints : int;  (** feedback hints applied at schedule start *)
+  st_attempts_bound : int;  (** (op, step) bind attempts that bound *)
+  st_attempts_failed : int;  (** ... that failed on every candidate *)
+  st_candidates : int;  (** candidate bindings checked *)
+  st_prelude_fails : int;  (** attempts failed before any candidate *)
+  st_rej_forbid : int;  (** candidate rejections, by the stage that decided *)
+  st_rej_tier : int;
+  st_rej_dedicated : int;
+  st_rej_busy : int;
+  st_rej_quick_slack : int;
+  st_rej_empty_slack : int;
+  st_rej_cycle : int;
+  st_rej_screen_memo : int;
+  st_rej_screen : int;
+  st_rej_trial_slack : int;
+  st_rej_trial_busy : int;
 }
 
 let stats t =
   let ns = Hls_netlist.Netlist.stats t.s_binding.Binding.net in
+  let c = t.s_binding.Binding.ctr in
   {
     st_passes = t.s_passes;
     st_actions = List.length t.s_actions;
@@ -131,6 +147,21 @@ let stats t =
     st_warm_passes = t.s_warm_passes;
     st_cold_passes = t.s_cold_passes;
     st_hints = t.s_hints_applied;
+    st_attempts_bound = c.Binding.c_bound;
+    st_attempts_failed = c.Binding.c_failed;
+    st_candidates = c.Binding.c_visited;
+    st_prelude_fails = c.Binding.c_prelude;
+    st_rej_forbid = c.Binding.c_forbid;
+    st_rej_tier = c.Binding.c_tier;
+    st_rej_dedicated = c.Binding.c_dedicated;
+    st_rej_busy = c.Binding.c_busy;
+    st_rej_quick_slack = c.Binding.c_quick_slack;
+    st_rej_empty_slack = c.Binding.c_empty_slack;
+    st_rej_cycle = c.Binding.c_cycle;
+    st_rej_screen_memo = c.Binding.c_screen_memo;
+    st_rej_screen = c.Binding.c_screen;
+    st_rej_trial_slack = c.Binding.c_trial_slack;
+    st_rej_trial_busy = c.Binding.c_trial_busy;
   }
 
 (* internal: unwinds the relaxation loop into a typed error *)
@@ -369,33 +400,7 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
      historic inner loop did; true when the bind landed and assigned an
      SCC stage *)
   let try_place (op : Dfg.op) e =
-    let attempt () =
-      if Opkind.is_resource_op op.Dfg.kind then begin
-        match Binding.candidates binding op () with
-        | Seq.Nil -> (
-            match Resource.of_op dfg op with
-            | Some rt -> [ Restraint.F_no_resource rt ]
-            | None -> [])
-        | Seq.Cons (i, rest) ->
-            (* candidates are enumerated lazily: the next is computed only
-               after the previous one failed *)
-            let rec go fails (i : Binding.inst) rest =
-              match Binding.try_bind binding op ~step:e ~inst_opt:(Some i.Binding.inst_id) with
-              | Ok () -> []
-              | Error f -> (
-                  match rest () with
-                  | Seq.Nil -> f :: fails
-                  | Seq.Cons (j, rest) -> go (f :: fails) j rest)
-            in
-            let remaining = go [] i rest in
-            if remaining = [] && Binding.is_placed binding op.Dfg.id then [] else remaining
-      end
-      else
-        match Binding.try_bind binding op ~step:e ~inst_opt:None with
-        | Ok () -> []
-        | Error f -> [ f ]
-    in
-    match attempt () with
+    match Binding.attempt binding op ~step:e with
     | [] ->
         on_placed op.Dfg.id;
         log_bind op.Dfg.id;

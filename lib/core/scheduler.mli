@@ -100,6 +100,24 @@ type stats = {
   st_warm_passes : int;  (** passes served by warm-start prefix replay *)
   st_cold_passes : int;  (** passes run from a cold restart *)
   st_hints : int;  (** feedback hints applied at schedule start *)
+  (* the binder's decision counters ({!Binding.counters}), exact and
+     equal on every run: each checked candidate either binds or is
+     rejected by exactly one stage *)
+  st_attempts_bound : int;  (** (op, step) bind attempts that bound *)
+  st_attempts_failed : int;  (** ... that failed on every candidate *)
+  st_candidates : int;  (** candidate bindings checked *)
+  st_prelude_fails : int;  (** attempts failed by window, anchor or modulo, before any candidate *)
+  st_rej_forbid : int;  (** rejections: forbidden pair *)
+  st_rej_tier : int;  (** ... instance neither fits nor widens *)
+  st_rej_dedicated : int;  (** ... dedication *)
+  st_rej_busy : int;  (** ... busy slot *)
+  st_rej_quick_slack : int;  (** ... {!Binding.quick_slack} *)
+  st_rej_empty_slack : int;  (** ... exact own slack on an empty instance *)
+  st_rej_cycle : int;  (** ... structural combinational cycle *)
+  st_rej_screen_memo : int;  (** ... saturation memo *)
+  st_rej_screen : int;  (** ... computed saturation screen *)
+  st_rej_trial_slack : int;  (** ... trial, the op's own slack *)
+  st_rej_trial_busy : int;  (** ... trial, a bound op's slack *)
 }
 
 val stats : t -> stats

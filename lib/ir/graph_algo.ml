@@ -160,28 +160,6 @@ let scc ~(nodes : int list) ~(succs : int -> int list) =
   List.iter visit nodes;
   List.rev !comps
 
-(** [reachable ~from ~succs] is the set (as a hashtable) of nodes reachable
-    from [from], including [from] itself. *)
-let reachable ~(from : int) ~(succs : int -> int list) =
-  let seen = Hashtbl.create 64 in
-  let stack = ref [ from ] in
-  Hashtbl.replace seen from ();
-  let continue = ref true in
-  while !continue do
-    match !stack with
-    | [] -> continue := false
-    | n :: rest ->
-        stack := rest;
-        List.iter
-          (fun s ->
-            if not (Hashtbl.mem seen s) then begin
-              Hashtbl.replace seen s ();
-              stack := s :: !stack
-            end)
-          (succs n)
-  done;
-  seen
-
 (** Longest path lengths from sources in a DAG, with per-node weights.
     Returns a hashtable node -> longest distance (sum of weights along the
     heaviest path ending at the node, inclusive).  Raises

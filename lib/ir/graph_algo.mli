@@ -12,9 +12,6 @@ val scc : nodes:int list -> succs:(int -> int list) -> int list list
 (** Tarjan's strongly connected components, in reverse topological order
     of the condensation. *)
 
-val reachable : from:int -> succs:(int -> int list) -> (int, unit) Hashtbl.t
-(** Nodes reachable from [from], inclusive. *)
-
 val longest_path :
   nodes:int list -> succs:(int -> int list) -> weight:(int -> float) -> (int, float) Hashtbl.t
 (** Heaviest-path weight ending at each node (inclusive of the node's own

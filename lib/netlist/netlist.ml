@@ -131,18 +131,24 @@ type bucket = {
   mutable b_dirty : bool;
 }
 
-(** The instances of one resource class, in registration order.  An
-    instance never changes class: {!set_rtype} only widens within one. *)
+(** The instances of one resource class, in registration order and in
+    candidate order.  An instance never changes class: {!set_rtype} only
+    widens within one. *)
 type iclass = {
   ic_class : Opkind.rclass;
   mutable ic_rev : inst list;  (** newest first *)
   mutable ic_memo : inst list option;  (** registration order *)
-  mutable ic_cursor : inst list;
-      (** a suffix of the registration order that starts at or before the
-          first instance with nothing bound, valid while [ic_cursor_pass]
-          is the pass stamp (see {!first_unloaded}) *)
-  mutable ic_cursor_pass : int;
+  mutable ic_order : inst array;
+      (** the first [ic_len] slots: the class in ascending (load, id)
+          order, load being [n_bound] (see {!next_candidate}) *)
+  mutable ic_len : int;
 }
+
+(* filler for ops of no class: an empty order *)
+let no_class = { ic_class = Opkind.R_wire; ic_rev = []; ic_memo = Some []; ic_order = [||]; ic_len = 0 }
+
+(** The outcome of a saturation screen ({!screen}). *)
+type screen = Screen_pass | Screen_memo | Screen_computed
 
 (** The busy table: (instance, slot) -> the ops occupying it.  Open
     addressing with linear probing over parallel arrays, hashed by a
@@ -173,6 +179,8 @@ type t = {
   mutable insts_rev : inst list;  (** newest first; see {!insts} *)
   mutable insts_memo : inst list option;  (** registration order *)
   mutable inst_arr : inst array;  (** id -> instance (slots from [next_inst_id] on are filler) *)
+  mutable cls_of : iclass array;  (** instance id -> its class *)
+  mutable ord_pos : int array;  (** instance id -> its slot in its class's [ic_order] *)
   mutable next_inst_id : int;
   mutable cap : int;  (** dense-array capacity: > every op id seen *)
   mutable pass_stamp : int;
@@ -217,6 +225,7 @@ type t = {
       (** op -> id of its resource need, -1 for none; sized by the graph
           the netlist was created on *)
   needs : Resource.t array;  (** need id -> resource need *)
+  need_cls : iclass array;  (** need id -> its class, [no_class] until looked up *)
   member_needs : Resource.t list;  (** static: resource needs of the members *)
   class_ops_memo : (Resource.t, int) Hashtbl.t;
       (** rtype -> members mergeable into it (static per region) *)
@@ -235,6 +244,14 @@ type t = {
   mutable scr_gen : int;
   mutable scr_last : int array;
       (** instance -> the cohabitant that proved its last busy rejection *)
+  mutable scr_grown : float array;  (** port -> its grown mux delay, for one screen *)
+  (* the saturation memo (see {!screen}): per (instance, changed-port
+     set), the least slack the last computed screen priced, valid while
+     the instance's epoch is the one it was stored under *)
+  mutable sat_epoch : int array;  (** instance -> epoch of its last invalidation *)
+  mutable sat_tick : int;  (** the last epoch handed out *)
+  mutable sat_at : int array;  (** [inst * sat_slots + ports] -> epoch stored under, -1 none *)
+  mutable sat_val : float array;  (** ... -> the least priced slack *)
   mutable slack_floor : float;
       (** this pass's committed-slack floor: the minimum worst slack over
           every committed trial and every propagation run outside a trial,
@@ -295,6 +312,8 @@ let create ~lib ~clock_ps (region : Region.t) =
     insts_rev = [];
     insts_memo = Some [];
     inst_arr = [||];
+    cls_of = [||];
+    ord_pos = [||];
     next_inst_id = 0;
     cap;
     pass_stamp = 1;
@@ -327,6 +346,7 @@ let create ~lib ~clock_ps (region : Region.t) =
     opdelay_c = Array.make cap nan;
     need_c;
     needs = Array.of_list (List.rev !needs);
+    need_cls = Array.make (List.length !needs) no_class;
     member_needs;
     class_ops_memo = Hashtbl.create 8;
     prealloc_stale = true;
@@ -338,6 +358,11 @@ let create ~lib ~clock_ps (region : Region.t) =
     scr_seen = Array.make cap 0;
     scr_gen = 0;
     scr_last = [||];
+    scr_grown = Array.make 64 0.0;
+    sat_epoch = [||];
+    sat_tick = 0;
+    sat_at = [||];
+    sat_val = [||];
     slack_floor = infinity;
     trial_worst = infinity;
   }
@@ -425,11 +450,44 @@ let iclass t rclass =
   match List.find_opt (fun c -> Opkind.equal_rclass c.ic_class rclass) t.classes with
   | Some c -> c
   | None ->
-      let c =
-        { ic_class = rclass; ic_rev = []; ic_memo = Some []; ic_cursor = []; ic_cursor_pass = 0 }
-      in
+      let c = { ic_class = rclass; ic_rev = []; ic_memo = Some []; ic_order = [||]; ic_len = 0 } in
       t.classes <- c :: t.classes;
       c
+
+(* (load, id) order, the order {!next_candidate} walks a class in *)
+let order_lt (a : inst) (b : inst) =
+  a.n_bound < b.n_bound || (a.n_bound = b.n_bound && a.inst_id < b.inst_id)
+
+(** Move [i] to its slot in its class's (load, id) order after its load
+    changed: one insertion step, past the instances it now sorts after
+    or before. *)
+let reorder t (i : inst) =
+  let c = t.cls_of.(i.inst_id) in
+  let a = c.ic_order in
+  let p = ref t.ord_pos.(i.inst_id) in
+  while !p + 1 < c.ic_len && order_lt a.(!p + 1) i do
+    let j = a.(!p + 1) in
+    a.(!p) <- j;
+    t.ord_pos.(j.inst_id) <- !p;
+    incr p
+  done;
+  while !p > 0 && order_lt i a.(!p - 1) do
+    let j = a.(!p - 1) in
+    a.(!p) <- j;
+    t.ord_pos.(j.inst_id) <- !p;
+    decr p
+  done;
+  a.(!p) <- i;
+  t.ord_pos.(i.inst_id) <- !p
+
+(* a fresh epoch for [i]: every memoized screen of the instance is stale *)
+let sat_invalidate t (i : inst) =
+  t.sat_tick <- t.sat_tick + 1;
+  t.sat_epoch.(i.inst_id) <- t.sat_tick
+
+(* memo slots per instance: one per set of changed ports among the first
+   three (more ports are screened without the memo) *)
+let sat_slots = 8
 
 let add_inst ?(added_by_expert = false) t rtype =
   let inst =
@@ -441,16 +499,27 @@ let add_inst ?(added_by_expert = false) t rtype =
   t.insts_rev <- inst :: t.insts_rev;
   t.insts_memo <- None;
   t.prealloc_stale <- true;
+  let c = iclass t rtype.Resource.rclass in
   if inst.inst_id = Array.length t.inst_arr then begin
     let n = Int.max 16 (2 * inst.inst_id) in
     t.inst_arr <- grow_arr t.inst_arr n inst;
-    t.scr_last <- grow_arr t.scr_last n (-1)
+    t.cls_of <- grow_arr t.cls_of n c;
+    t.ord_pos <- grow_arr t.ord_pos n 0;
+    t.scr_last <- grow_arr t.scr_last n (-1);
+    t.sat_epoch <- grow_arr t.sat_epoch n 0;
+    t.sat_at <- grow_arr t.sat_at (n * sat_slots) (-1);
+    t.sat_val <- grow_arr t.sat_val (n * sat_slots) infinity
   end;
   t.inst_arr.(inst.inst_id) <- inst;
-  let c = iclass t rtype.Resource.rclass in
+  sat_invalidate t inst;
   c.ic_rev <- inst :: c.ic_rev;
   c.ic_memo <- None;
-  c.ic_cursor_pass <- 0;
+  if c.ic_len = Array.length c.ic_order then c.ic_order <- grow_arr c.ic_order (Int.max 4 (2 * c.ic_len)) inst;
+  c.ic_order.(c.ic_len) <- inst;
+  t.cls_of.(inst.inst_id) <- c;
+  t.ord_pos.(inst.inst_id) <- c.ic_len;
+  c.ic_len <- c.ic_len + 1;
+  reorder t inst;
   inst
 
 (** Instances in registration order (ascending id); memoized, so the
@@ -473,30 +542,24 @@ let class_list c =
       c.ic_memo <- Some l;
       l
 
+(* [op]'s class, looked up once per resource need *)
+let class_of_op t (op : Dfg.op) =
+  let id = op.Dfg.id in
+  let k = if id < Array.length t.need_c then t.need_c.(id) else -1 in
+  if k >= 0 then begin
+    let c = t.need_cls.(k) in
+    if c != no_class then c
+    else begin
+      let c = iclass t t.needs.(k).Resource.rclass in
+      t.need_cls.(k) <- c;
+      c
+    end
+  end
+  else match resource_of t op with None -> no_class | Some rt -> iclass t rt.Resource.rclass
+
 (** The instances of [op]'s resource class, in registration order; empty
     for wire-class ops. *)
-let class_insts t (op : Dfg.op) =
-  match resource_of t op with
-  | None -> []
-  | Some rt -> class_list (iclass t rt.Resource.rclass)
-
-(** The first instance of [op]'s class, in registration order, with no op
-    bound.  Committed loads only grow within a pass (a rolled-back trial
-    restores them), so the instances the last call skipped are still
-    loaded: a per-class cursor resumes the scan where it stopped.  Inside
-    a trial the scan does not move the cursor. *)
-let first_unloaded t (op : Dfg.op) =
-  match resource_of t op with
-  | None -> None
-  | Some rt -> (
-      let c = iclass t rt.Resource.rclass in
-      let rec skip = function i :: rest when i.n_bound > 0 -> skip rest | l -> l in
-      let l = skip (if c.ic_cursor_pass = t.pass_stamp then c.ic_cursor else class_list c) in
-      if not t.trial_on then begin
-        c.ic_cursor <- l;
-        c.ic_cursor_pass <- t.pass_stamp
-      end;
-      match l with i :: _ -> Some i | [] -> None)
+let class_insts t (op : Dfg.op) = class_list (class_of_op t op)
 
 let find_inst t id =
   if id >= 0 && id < t.next_inst_id then t.inst_arr.(id) else raise Not_found
@@ -532,6 +595,23 @@ let compat_tier t (op : Dfg.op) i =
       v
     end
   end
+
+let rec scan_order t (op : Dfg.op) c tier k =
+  if k >= c.ic_len then -1
+  else if compat_tier t op c.ic_order.(k) = tier then k
+  else scan_order t op c tier (k + 1)
+
+(** The candidate cursor: the first slot at or after [from] in the (load,
+    id) order of [op]'s class whose instance has compatibility tier [tier]
+    for [op]; -1 when there is none.  A walk over tier 0 from slot 0, then
+    over tier 1 from slot 0, visits the candidates in (tier, load,
+    registration) order.  The order follows every load change
+    ({!attach}, {!rollback}, {!add_inst}, {!reset_pass}), so a walk that
+    resumes after a rolled-back trial finds the order it left. *)
+let next_candidate t (op : Dfg.op) ~tier ~from = scan_order t op (class_of_op t op) tier from
+
+(** The instance in slot [k] of [op]'s class order. *)
+let candidate_at t (op : Dfg.op) k = (class_of_op t op).ic_order.(k)
 
 (* the type-derived memos of an instance are stale once its type moves *)
 let set_type i rt =
@@ -578,6 +658,8 @@ let refresh_prealloc t =
         if shared = inst.prealloc_shared then moved
         else begin
           inst.prealloc_shared <- shared;
+          (* its mux delays moved: its memoized screens are stale *)
+          sat_invalidate t inst;
           true
         end)
       false all
@@ -596,8 +678,18 @@ let reset_pass ~price_muxes t =
       i.bound <- [];
       i.n_bound <- 0;
       i.mux_cache <- None;
-      i.mux_delays <- None)
+      i.mux_delays <- None;
+      sat_invalidate t i)
     t.insts_rev;
+  (* every load is 0 again: the candidate order is registration order *)
+  List.iter
+    (fun c ->
+      List.iteri
+        (fun k i ->
+          c.ic_order.(k) <- i;
+          t.ord_pos.(i.inst_id) <- k)
+        (class_list c))
+    t.classes;
   Hls_timing.Cycle_detector.clear t.chain;
   t.trial_on <- false;
   t.touched <- [];
@@ -912,8 +1004,12 @@ let rollback t =
           step_index_add t op pl.pl_step
       | U_bound (i, b, n) ->
           i.bound <- b;
-          i.n_bound <- n
-      | U_rtype (i, rt) -> set_type i rt
+          i.n_bound <- n;
+          sat_invalidate t i;
+          reorder t i
+      | U_rtype (i, rt) ->
+          set_type i rt;
+          sat_invalidate t i
       | U_mux (i, mc, md) ->
           i.mux_cache <- mc;
           i.mux_delays <- md
@@ -970,6 +1066,8 @@ let attach t i op_id =
     if t.trial_on then t.undo_log <- U_bound (i, i.bound, i.n_bound) :: t.undo_log;
     i.bound <- op_id :: i.bound;
     i.n_bound <- i.n_bound + 1;
+    sat_invalidate t i;
+    reorder t i;
     match i.mux_cache with
     | None -> invalidate_mux t i
     | Some c ->
@@ -1004,6 +1102,7 @@ let set_rtype t i rt =
   if not (Resource.equal rt i.rtype) then begin
     if t.trial_on then t.undo_log <- U_rtype (i, i.rtype) :: t.undo_log;
     set_type i rt;
+    sat_invalidate t i;
     t.prealloc_stale <- true;
     invalidate_mux t i
   end
@@ -1261,32 +1360,58 @@ let reads_result_in_step t id ~finish =
      in
      any 0
 
+(* Is the op's own slack on an empty instance the trial's worst slack?
+   Not when the op is placed, nor when an op placed in its finishing step
+   reads its result *)
+let own_slack_defined t (op : Dfg.op) ~finish =
+  not (placed t op.Dfg.id || reads_result_in_step t op.Dfg.id ~finish)
+
+(** Store {!source_arrival} of the op's [k]-th in-edge ({!Dfg.in_edges}
+    order) in [srcs.(k)]; [srcs] has room for every in-edge. *)
+let source_arrivals t (op : Dfg.op) ~step (srcs : float array) =
+  let rec fill k = function
+    | [] -> ()
+    | e :: rest ->
+        srcs.(k) <- source_arrival t ~step e;
+        fill (k + 1) rest
+  in
+  fill 0 (Dfg.in_edges t.dfg op.Dfg.id)
+
+(** The op's data arrival behind input muxes of [inputs] inputs each, from
+    its source arrivals [srcs] ({!source_arrivals}): the data term of
+    {!compute_arrival_with}, same base and fold order. *)
+let own_data t (op : Dfg.op) ~(srcs : float array) ~inputs =
+  let mux = Library.mux_delay t.lib ~inputs in
+  let ins = Dfg.in_edges t.dfg op.Dfg.id in
+  let acc = ref (arrival_base t op ins) in
+  for k = 0 to List.length ins - 1 do
+    let a = srcs.(k) in
+    acc := fmax !acc (if t.mux_priced then a +. mux else a)
+  done;
+  !acc
+
+(** The op's endpoint slack executing on [inst] with data arrival [data]
+    and guard arrival [guard]: {!endpoint_slack}'s expression. *)
+let own_slack t ~data ~(inst : inst) ~guard = slack_of t ~arrival:(data +. inst_delay t inst) ~guard
+
 let empty_bind_slack t (op : Dfg.op) ~step ~finish ~(inst : inst) =
-  let id = op.Dfg.id in
-  if inst.n_bound > 0 || compat_tier t op inst <> 0 || placed t id || reads_result_in_step t id ~finish
-  then nan
+  if inst.n_bound > 0 || compat_tier t op inst <> 0 || not (own_slack_defined t op ~finish) then nan
   else begin
-    let mux = Library.mux_delay t.lib ~inputs:(if inst.prealloc_shared then 2 else 1) in
-    let ins = Dfg.in_edges t.dfg id in
-    let data =
-      List.fold_left
-        (fun acc e ->
-          let a = source_arrival t ~step e in
-          fmax acc (if t.mux_priced then a +. mux else a))
-        (arrival_base t op ins) ins
-    in
-    slack_of t ~arrival:(data +. inst_delay t inst) ~guard:(guard_arrival t ~step:finish op)
+    let srcs = Array.make (List.length (Dfg.in_edges t.dfg op.Dfg.id)) 0.0 in
+    source_arrivals t op ~step srcs;
+    let data = own_data t op ~srcs ~inputs:(if inst.prealloc_shared then 2 else 1) in
+    own_slack t ~data ~inst ~guard:(guard_arrival t ~step:finish op)
   end
 
 (** {2 Saturation screen}
 
     Price a hypothetical bind of [op] at [step]..[finish] on [inst]
     against the committed state, without opening a transaction.
-    [changed_ports] are the instance input ports whose effective mux
-    input count the bind would grow (computed by the caller against the
-    committed caches).
+    [changed_ports] is the set of instance input ports whose effective mux
+    input count the bind would grow (bit [p] for port [p], computed by the
+    caller against the committed caches).
 
-    Returns [true] when some already-bound op provably ends up with
+    Proves a rejection when some already-bound op provably ends up with
     endpoint slack below the -1 fs tolerance {e and} strictly below the
     new op's own exact slack: the full trial is then guaranteed to fail
     with [worst_op <> op] — a busy rejection — so the caller can return
@@ -1307,8 +1432,28 @@ let empty_bind_slack t (op : Dfg.op) ~step ~finish ~(inst : inst) =
     the bind might disturb (it reads a grown port, or a same-step chain
     connects it to one — or to the new op's result) makes the new op or
     the cohabitant unpriceable, and with the new op unpriceable the
-    screen answers [false] — "run the real trial" — never a wrong
-    verdict. *)
+    screen answers [Screen_pass] — "run the real trial" — never a wrong
+    verdict.
+
+    {b The memo.}  Only the comparison with the new op's own slack [s_op]
+    depends on the op, and only when no placed op reads the op's result
+    (then no source of a cohabitant can chain from it).  So a computed
+    screen walks every cohabitant and every walk to the end, in the order
+    the short-circuiting screen would take — the first value that proves
+    is the one that screen stops at, so the verdict and the cohabitant it
+    credits are the same — and stores the least value priced, per
+    instance and set of changed ports.  Any attach, type change or
+    rollback on the instance, a pre-allocation flip and {!reset_pass}
+    give the instance a fresh epoch and drop its entries.  Within a pass
+    the other changes only lower what a fresh screen would price: a
+    committed arrival only rises (the argument of the slack floor below),
+    mux delays grow with their inputs and exec delays with the type, and a
+    newly placed consumer only adds a walk.  So a stored value is at least
+    the value a fresh screen of the same set would price now, and when it
+    is below the tolerance and below [s_op] the trial rejects busy: a hit
+    decides with one comparison ([Screen_memo]).  A stored value that
+    proves nothing may be stale, so the screen is computed again and
+    stored ([Screen_computed] when it proves). *)
 
 (* Per-hop slack of the downstream walk's arrival bound.  The trial's
    propagation pushes a consumer only when its producer moves by more
@@ -1331,7 +1476,26 @@ let grown_mux_delay t inst p =
    only when its producer moves by more than 1 fs) *)
 let screen_floor_margin = 1.0
 
-(** Can {!screen_busy_reject} prove anything for this bind?  Every slack
+(* Does [o] read one of the ports in the set [ports]? *)
+let reads_ports t o ~ports =
+  List.exists (fun (e : Dfg.edge) -> (ports lsr e.Dfg.port) land 1 = 1) (Dfg.in_edges t.dfg o)
+
+(* [f p] for every port [p] in the set [ports], ascending *)
+let iter_ports ports f =
+  let rec go m p =
+    if m <> 0 then begin
+      if m land 1 = 1 then f p;
+      go (m lsr 1) (p + 1)
+    end
+  in
+  go ports 0
+
+(** The bit of port [p] in a port set. *)
+let port_bit p =
+  if p < 0 || p >= Sys.int_size - 1 then invalid_arg "Netlist.port_bit: port out of range";
+  1 lsl p
+
+(** Can {!screen} prove anything for this bind?  Every slack
     it prices is a committed slack moved by the grown mux delays, each by
     at most Δ, the largest growth of any changed port.  A cohabitant's
     path passes one grown mux.  The walk below it never comes back through
@@ -1351,33 +1515,43 @@ let screen_floor_margin = 1.0
     A [force_bind], which may commit a violating op without a trial, drops
     the floor to [neg_infinity] for the rest of the pass
     ({!poison_slack_floor}). *)
-let screen_may_prove t ~(inst : inst) ~(changed_ports : int list) =
+let screen_may_prove t ~(inst : inst) ~changed_ports =
+  let delta = ref 0.0 in
+  iter_ports changed_ports (fun p ->
+      delta := fmax !delta (grown_mux_delay t inst p -. in_mux_delay t inst ~port:p));
   let delta =
-    List.fold_left
-      (fun acc p -> fmax acc (grown_mux_delay t inst p -. in_mux_delay t inst ~port:p))
-      0.0 changed_ports
-  in
-  let delta =
-    match inst.rtype.Resource.rclass with Opkind.R_blackbox _ -> 2.0 *. delta | _ -> delta
+    match inst.rtype.Resource.rclass with Opkind.R_blackbox _ -> 2.0 *. !delta | _ -> !delta
   in
   not (t.slack_floor -. delta > -0.001 +. screen_floor_margin)
 
 let poison_slack_floor t = t.slack_floor <- neg_infinity
 
-let screen_busy_reject t ~(op : Dfg.op) ~step ~finish ~(inst : inst) ~(changed_ports : int list) =
+(* [op] is not placed and no placed op reads its result at distance 0, as
+   data or as guard: the cohabitant half of a screen then does not depend
+   on the op *)
+let unread t (op : Dfg.op) =
+  let id = op.Dfg.id in
+  (not (placed t id))
+  && (not (Array.exists (fun d -> placed t d) (out0_of t id)))
+  && not
+       (id < Array.length t.gslots
+       &&
+       let b = t.gslots.(id) in
+       b.b_gen = t.pass_stamp && b.b_len > 0)
+
+let screen t ~(op : Dfg.op) ~step ~finish ~(inst : inst) ~changed_ports =
   (* unpriced muxes make mux growth invisible *)
-  if (not t.mux_priced) || changed_ports = [] then false
+  if (not t.mux_priced) || changed_ports = 0 then Screen_pass
   else begin
     let ff = t.lib.Library.ff_clk_q in
     let exec = inst_delay t inst in
     let reg_setup = reg_mux_delay t +. t.lib.Library.ff_setup in
-    let grown = List.map (fun p -> (p, grown_mux_delay t inst p)) changed_ports in
+    let grown = t.scr_grown in
+    iter_ports changed_ports (fun p -> grown.(p) <- grown_mux_delay t inst p);
     let new_mux p =
-      match List.assq_opt p grown with
-      | Some d -> d
-      | None -> in_mux_delay t inst ~port:p
+      if (changed_ports lsr p) land 1 = 1 then grown.(p) else in_mux_delay t inst ~port:p
     in
-    let reads_changed o = List.exists (fun p -> Dfg.input t.dfg o ~port:p <> None) changed_ports in
+    let reads_changed o = reads_ports t o ~ports:changed_ports in
     (* would [id]'s committed arrival move under the hypothetical bind?
        True when it reads a grown port on [inst] or when the change (or
        the new op's result) reaches it through a same-step chain; deep
@@ -1440,58 +1614,82 @@ let screen_busy_reject t ~(op : Dfg.op) ~step ~finish ~(inst : inst) ~(changed_p
       (arr, t.clock_ps -. (fmax arr g +. reg_setup))
     in
     match hypo op ~st:step ~fstep:finish with
-    | exception Unpriceable -> false
+    | exception Unpriceable -> Screen_pass
     | _, s_op ->
         let proves s = s < -0.001 && s < s_op in
-        t.scr_gen <- t.scr_gen + 1;
-        let gen = t.scr_gen in
-        (* [lb] bounds [x]'s in-trial arrival from below, [h] hops under a
-           priced cohabitant.  Follow a same-step consumer only where the
-           bound exceeds its committed arrival by more than the push
-           threshold — exactly where the trial's propagation reaches it *)
-        let rec walk x lb h =
-          h < screen_walk_depth
-          && Region.mem t.region x
-          && lat_of t x <= 1
-          &&
-          let fstep = t.pl_finish.(x) in
-          List.exists
-            (fun (e : Dfg.edge) ->
-              let d = e.Dfg.dst in
-              e.Dfg.distance = 0 && d <> op.Dfg.id && placed t d
-              && t.pl_step.(d) = fstep
-              && t.scr_seen.(d) <> gen
-              &&
-              let di = t.pl_inst.(d) in
-              let mux =
-                if di < 0 then 0.0
-                else if di = inst.inst_id then new_mux e.Dfg.port
-                else in_mux_delay t t.inst_arr.(di) ~port:e.Dfg.port
-              in
-              let ex = exec_delay t (Dfg.find t.dfg d) (if di < 0 then None else Some di) in
-              let lb_d = lb +. mux +. ex -. screen_walk_margin in
-              lb_d -. arrival_raw t d > 0.001
-              && begin
-                   t.scr_seen.(d) <- gen;
-                   proves (t.clock_ps -. (lb_d +. reg_setup)) || walk d lb_d (h + 1)
-                 end)
-            (Dfg.out_edges t.dfg x)
+        let slot =
+          if changed_ports < sat_slots then (inst.inst_id * sat_slots) + changed_ports else -1
         in
-        let proved_by o_id =
-          o_id <> op.Dfg.id && placed t o_id && reads_changed o_id
-          && (match hypo (Dfg.find t.dfg o_id) ~st:t.pl_step.(o_id) ~fstep:t.pl_finish.(o_id) with
-             | exception Unpriceable -> false
-             | a, s -> proves s || walk o_id a 0)
-          && begin
-               t.scr_last.(inst.inst_id) <- o_id;
-               true
-             end
-        in
-        (* the cohabitant that proved this instance's last rejection
-           usually proves the next one too: try it first *)
-        let last = t.scr_last.(inst.inst_id) in
-        (List.memq last inst.bound && proved_by last)
-        || List.exists (fun o_id -> o_id <> last && proved_by o_id) inst.bound
+        let epoch = t.sat_epoch.(inst.inst_id) in
+        if slot >= 0 && t.sat_at.(slot) = epoch && proves t.sat_val.(slot) && unread t op then
+          Screen_memo
+        else begin
+          t.scr_gen <- t.scr_gen + 1;
+          let gen = t.scr_gen in
+          (* the least value priced, and the first cohabitant with a value
+             that proves *)
+          let least = ref infinity and prover = ref (-1) and cur = ref (-1) in
+          let note s =
+            if s < !least then least := s;
+            if !prover < 0 && proves s then prover := !cur
+          in
+          (* [lb] bounds [x]'s in-trial arrival from below, [h] hops under a
+             priced cohabitant.  Follow a same-step consumer only where the
+             bound exceeds its committed arrival by more than the push
+             threshold — exactly where the trial's propagation reaches it *)
+          let rec walk x lb h =
+            if h < screen_walk_depth && Region.mem t.region x && lat_of t x <= 1 then begin
+              let fstep = t.pl_finish.(x) in
+              List.iter
+                (fun (e : Dfg.edge) ->
+                  let d = e.Dfg.dst in
+                  if
+                    e.Dfg.distance = 0 && d <> op.Dfg.id && placed t d
+                    && t.pl_step.(d) = fstep
+                    && t.scr_seen.(d) <> gen
+                  then begin
+                    let di = t.pl_inst.(d) in
+                    let mux =
+                      if di < 0 then 0.0
+                      else if di = inst.inst_id then new_mux e.Dfg.port
+                      else in_mux_delay t t.inst_arr.(di) ~port:e.Dfg.port
+                    in
+                    let ex = exec_delay t (Dfg.find t.dfg d) (if di < 0 then None else Some di) in
+                    let lb_d = lb +. mux +. ex -. screen_walk_margin in
+                    if lb_d -. arrival_raw t d > 0.001 then begin
+                      t.scr_seen.(d) <- gen;
+                      note (t.clock_ps -. (lb_d +. reg_setup));
+                      walk d lb_d (h + 1)
+                    end
+                  end)
+                (Dfg.out_edges t.dfg x)
+            end
+          in
+          let price o_id =
+            if o_id <> op.Dfg.id && placed t o_id && reads_changed o_id then begin
+              cur := o_id;
+              match hypo (Dfg.find t.dfg o_id) ~st:t.pl_step.(o_id) ~fstep:t.pl_finish.(o_id) with
+              | exception Unpriceable -> ()
+              | a, s ->
+                  note s;
+                  walk o_id a 0
+            end
+          in
+          (* the cohabitant that proved this instance's last rejection
+             usually proves the next one too: it goes first *)
+          let last = t.scr_last.(inst.inst_id) in
+          if List.memq last inst.bound then price last;
+          List.iter (fun o_id -> if o_id <> last then price o_id) inst.bound;
+          if slot >= 0 then begin
+            t.sat_at.(slot) <- epoch;
+            t.sat_val.(slot) <- !least
+          end;
+          if !prover >= 0 then begin
+            t.scr_last.(inst.inst_id) <- !prover;
+            Screen_computed
+          end
+          else Screen_pass
+        end
   end
 
 (* --- propagation worklist: FIFO ring with membership stamps --- *)

@@ -78,11 +78,19 @@ val class_insts : t -> Dfg.op -> inst list
     only instances {!Resource.fits} or {!Resource.can_merge} can accept);
     empty for wire-class ops. *)
 
-val first_unloaded : t -> Dfg.op -> inst option
-(** The first instance of [op]'s class, in registration order, with
-    nothing bound.  Amortized O(1) per pass and class: committed loads
-    only grow within a pass, so a per-class cursor resumes where the last
-    call stopped (a call inside a trial leaves the cursor alone). *)
+val next_candidate : t -> Dfg.op -> tier:int -> from:int -> int
+(** The candidate cursor.  Each class keeps its instances in ascending
+    (load, id) order, load being [n_bound]; {!attach}, {!rollback},
+    {!add_inst} and {!reset_pass} move an instance by one insertion step
+    when its load changes.  [next_candidate t op ~tier ~from] is the first
+    slot at or after [from] in the order of [op]'s class whose instance
+    has compatibility tier [tier] for [op] ({!compat_tier}), or -1.
+    Walking tier 0 from slot 0, then tier 1 from slot 0, visits the
+    candidates in (tier, load, registration) order without allocating; a
+    rolled-back trial leaves the order as it found it. *)
+
+val candidate_at : t -> Dfg.op -> int -> inst
+(** The instance in the given slot of [op]'s class order. *)
 
 val resource_of : t -> Dfg.op -> Resource.t option
 (** {!Resource.of_op}, computed once per op when the netlist is created. *)
@@ -223,6 +231,25 @@ val recompute_arrival : t -> int -> bool
 
 val endpoint_slack : t -> int -> float
 
+val source_arrivals : t -> Dfg.op -> step:int -> float array -> unit
+(** [source_arrivals t op ~step srcs] stores {!source_arrival} of the op's
+    [k]-th in-edge ({!Dfg.in_edges} order) in [srcs.(k)]. *)
+
+val own_slack_defined : t -> Dfg.op -> finish:int -> bool
+(** The op is not placed and no op placed in step [finish] reads its
+    result: the condition under which {!empty_bind_slack} is not [nan]
+    on an empty instance its type fits. *)
+
+val own_data : t -> Dfg.op -> srcs:float array -> inputs:int -> float
+(** The op's data arrival behind input muxes of [inputs] inputs each, from
+    its {!source_arrivals}. *)
+
+val own_slack : t -> data:float -> inst:inst -> guard:float -> float
+(** The endpoint slack of an op with data arrival [data] executing on
+    [inst], its guard arriving at [guard].  {!empty_bind_slack} is
+    [own_slack ~data:(own_data ~inputs:1 or 2)] with the guard's arrival
+    at [finish]. *)
+
 val empty_bind_slack : t -> Dfg.op -> step:int -> finish:int -> inst:inst -> float
 (** The worst slack, bit for bit, that the trial of binding the unplaced
     [op] at [step]..[finish] on [inst] would return, computed without
@@ -231,8 +258,15 @@ val empty_bind_slack : t -> Dfg.op -> step:int -> finish:int -> inst:inst -> flo
     and no op placed in step [finish] reads the op's result; [nan]
     otherwise.  Issues no timing query. *)
 
-val screen_may_prove : t -> inst:inst -> changed_ports:int list -> bool
-(** [false] when the pass's slack floor shows that {!screen_busy_reject}
+val port_bit : int -> int
+(** The bit of a port in a port set, as {!screen} takes them.
+    @raise Invalid_argument on a port outside [0 .. Sys.int_size - 2]. *)
+
+val reads_ports : t -> int -> ports:int -> bool
+(** Does the op read one of the ports in the set? *)
+
+val screen_may_prove : t -> inst:inst -> changed_ports:int -> bool
+(** [false] when the pass's slack floor shows that {!screen}
     cannot prove a rejection for a bind growing [changed_ports] of
     [inst]: every slack the screen prices is a committed slack (none below
     the floor) less at most the largest mux growth (twice that on a
@@ -246,22 +280,28 @@ val poison_slack_floor : t -> unit
     {!reset_pass} — to [neg_infinity] for the rest of the pass: a bind
     committed without a trial may have left any slack. *)
 
-val screen_busy_reject :
-  t ->
-  op:Dfg.op ->
-  step:int ->
-  finish:int ->
-  inst:inst ->
-  changed_ports:int list ->
-  bool
-(** Saturation screen: [true] when binding [op] on [inst] provably breaks
-    the timing of an already-bound cohabitant, or of one of its same-step
-    chained consumers (up to 8 hops down, through arrival lower bounds),
-    strictly below the op's own exact slack — the full trial would reject
-    with [F_busy] — all priced from committed state.  [false] means "run
-    the real trial", never a wrong verdict.  [changed_ports] are the
-    instance ports whose effective mux input count the bind grows.  Always
-    [false] while the muxes are unpriced. *)
+type screen =
+  | Screen_pass  (** nothing proved: run the trial *)
+  | Screen_memo  (** a rejection proved by the saturation memo *)
+  | Screen_computed  (** a rejection proved by pricing the cohabitants *)
+
+val screen :
+  t -> op:Dfg.op -> step:int -> finish:int -> inst:inst -> changed_ports:int -> screen
+(** Saturation screen: a rejection when binding [op] on [inst] provably
+    breaks the timing of an already-bound cohabitant, or of one of its
+    same-step chained consumers (up to 8 hops down, through arrival lower
+    bounds), strictly below the op's own exact slack — the full trial
+    would reject with [F_busy] — all priced from committed state.
+    [Screen_pass] means "run the real trial", never a wrong verdict.
+    [changed_ports] is the set of instance ports whose effective mux
+    input count the bind grows ({!port_bit}).  Always [Screen_pass] while
+    the muxes are unpriced.
+
+    A computed screen stores the least slack it priced per (instance,
+    port set); until the instance next changes or the pass ends, a stored
+    value below the tolerance and the op's own slack decides the next
+    screen of that set with one comparison ([Screen_memo]).  A computed
+    screen proves exactly when the short-circuiting screen would. *)
 
 val propagate : t -> int list -> float * int
 (** Propagate arrival changes from the seed ops through same-step chains;

@@ -16,10 +16,11 @@ cd "$(dirname "$0")/.."
 dune build bin/hlsc.exe bench/main.exe
 
 # 1: pass reduction at no QoR cost, recorded in BENCH_feedback.json
-dune exec --no-build bench/main.exe -- feedback --smoke >/dev/null
-grep -q '"fewer_passes":false' BENCH_feedback.json && { echo "FAIL: a workload did not reduce passes"; exit 1; }
-grep -q '"qor_no_worse":false' BENCH_feedback.json && { echo "FAIL: feedback worsened QoR on a workload"; exit 1; }
-grep -q '"fewer_passes":true' BENCH_feedback.json || { echo "FAIL: no feedback workloads recorded"; exit 1; }
+smoke_dir=_build/bench-smoke
+dune exec --no-build bench/main.exe -- feedback --smoke --out "$smoke_dir" >/dev/null
+grep -q '"fewer_passes":false' "$smoke_dir/BENCH_feedback.json" && { echo "FAIL: a workload did not reduce passes"; exit 1; }
+grep -q '"qor_no_worse":false' "$smoke_dir/BENCH_feedback.json" && { echo "FAIL: feedback worsened QoR on a workload"; exit 1; }
+grep -q '"fewer_passes":true' "$smoke_dir/BENCH_feedback.json" || { echo "FAIL: no feedback workloads recorded"; exit 1; }
 
 # 2: exploration shares hints across points
 out=$(dune exec --no-build bin/hlsc.exe -- explore idct --grid "ii=2,4;latency=none;clock=1200,1600" --feedback)

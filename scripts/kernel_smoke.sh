@@ -38,8 +38,9 @@ empty=$(run cosim example1 --ii 1 --iters 0)
 grep -q "0 iterations" <<<"$empty" || { echo "FAIL: cosim --iters 0 issued an iteration"; exit 1; }
 
 # 3: the experiment code path (short lengths, reduced fuzz batch)
-dune exec --no-build bench/main.exe -- kernel --smoke >/dev/null
-grep -q '"fuzz"' BENCH_kernel.json || { echo "FAIL: BENCH_kernel.json has no fuzz record"; exit 1; }
-grep -q '"failures":0' BENCH_kernel.json || { echo "FAIL: bench fuzz batch recorded failures"; exit 1; }
+smoke_dir=_build/bench-smoke
+dune exec --no-build bench/main.exe -- kernel --smoke --out "$smoke_dir" >/dev/null
+grep -q '"fuzz"' "$smoke_dir/BENCH_kernel.json" || { echo "FAIL: BENCH_kernel.json has no fuzz record"; exit 1; }
+grep -q '"failures":0' "$smoke_dir/BENCH_kernel.json" || { echo "FAIL: bench fuzz batch recorded failures"; exit 1; }
 
 echo "kernel smoke OK: 200-case three-way fuzz clean, engines agree on all examples, bench path alive"

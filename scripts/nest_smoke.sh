@@ -36,8 +36,9 @@ fi
 echo "$err" | grep -q "unroll_overflow" || { echo "FAIL: expected unroll_overflow, got: $err"; exit 1; }
 
 # 3: the bench experiment's verdict
-dune exec --no-build bench/main.exe -- nest --smoke >/dev/null
-grep -q '"multi_d_wins":false' BENCH_nest.json && { echo "FAIL: a workload lost to the 1-D baseline"; exit 1; }
-grep -q '"multi_d_wins":true' BENCH_nest.json || { echo "FAIL: no multi_d_wins entries in BENCH_nest.json"; exit 1; }
+smoke_dir=_build/bench-smoke
+dune exec --no-build bench/main.exe -- nest --smoke --out "$smoke_dir" >/dev/null
+grep -q '"multi_d_wins":false' "$smoke_dir/BENCH_nest.json" && { echo "FAIL: a workload lost to the 1-D baseline"; exit 1; }
+grep -q '"multi_d_wins":true' "$smoke_dir/BENCH_nest.json" || { echo "FAIL: no multi_d_wins entries in BENCH_nest.json"; exit 1; }
 
 echo "nest smoke OK: both examples and gemm4 verified, 1-D baseline refused on stencil2d, multi-D wins recorded"

@@ -14,10 +14,12 @@
 #    near 37k, and a search that stops pruning to the order's window
 #    (a plain DFS per query) visits about 160k;
 #  - the exact pass and query counts of the ~1k point (10 passes, 71090
-#    queries).  Both are deterministic, so a change meant only to make
-#    the scheduler faster that moves the schedule it finds at this size
-#    fails here.  A change that moves them on purpose updates the two
-#    constants below.
+#    queries), and the binder's exact decision counts there: the (op,
+#    step) bind attempts (8828) and the candidate bindings they checked
+#    (53356).  All are deterministic, so a change meant only to make the
+#    scheduler faster that moves the schedule it finds at this size, or
+#    the candidates it walks to find it, fails here.  A change that moves
+#    them on purpose updates the constants below.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,18 +28,25 @@ max_queries_1k=150000
 max_cycle_visits_1k=92000
 passes_1k=10
 queries_1k=71090
+attempts_1k=8828
+candidates_1k=53356
 
-dune exec bench/main.exe -- scale --smoke
+# smoke output goes to the build tree: the checked-in BENCH_scale.json
+# holds the full four-point sweep
+smoke_dir=_build/bench-smoke
+dune exec bench/main.exe -- scale --smoke --out "$smoke_dir"
 
 if command -v python3 >/dev/null 2>&1; then
-  python3 - "$MAX_WALL_1K" "$max_queries_1k" "$max_cycle_visits_1k" "$passes_1k" "$queries_1k" <<'EOF'
+  python3 - "$smoke_dir/BENCH_scale.json" "$MAX_WALL_1K" "$max_queries_1k" "$max_cycle_visits_1k" "$passes_1k" "$queries_1k" "$attempts_1k" "$candidates_1k" <<'EOF'
 import json, sys
-limit = float(sys.argv[1])
-max_queries = int(sys.argv[2])
-max_cycle_visits = int(sys.argv[3])
-passes_1k = int(sys.argv[4])
-queries_1k = int(sys.argv[5])
-with open("BENCH_scale.json") as f:
+limit = float(sys.argv[2])
+max_queries = int(sys.argv[3])
+max_cycle_visits = int(sys.argv[4])
+passes_1k = int(sys.argv[5])
+queries_1k = int(sys.argv[6])
+attempts_1k = int(sys.argv[7])
+candidates_1k = int(sys.argv[8])
+with open(sys.argv[1]) as f:
     data = json.load(f)
 points = data["points"]
 assert len(points) >= 2, f"expected >= 2 smoke points, got {len(points)}"
@@ -53,27 +62,39 @@ assert big["passes"] == passes_1k, (
     f"~1k-op point ran {big['passes']} passes, expected exactly {passes_1k}")
 assert big["queries"] == queries_1k, (
     f"~1k-op point issued {big['queries']} timing queries, expected exactly {queries_1k}")
+attempts = big["attempts_bound"] + big["attempts_failed"]
+assert attempts == attempts_1k, (
+    f"~1k-op point made {attempts} bind attempts, expected exactly {attempts_1k}")
+assert big["candidates"] == candidates_1k, (
+    f"~1k-op point checked {big['candidates']} candidates, expected exactly {candidates_1k}")
 print(f"scale smoke OK: {big['ops']} ops in {big['wall_s']:.2f}s "
       f"(guard {limit}s), {big['queries']} queries (ceiling {max_queries}), "
       f"{big['cycle_visits']} cycle visits (ceiling {max_cycle_visits}), "
-      f"{big['passes']} passes and {big['queries']} queries as pinned")
+      f"{big['passes']} passes, {big['queries']} queries, {attempts} attempts and "
+      f"{big['candidates']} candidates as pinned")
 EOF
 else
   # no python3: pull the largest point's counters with sed/awk
-  big=$(sed 's/},{/}\n{/g' BENCH_scale.json | grep -o '"ops":[0-9]*,"wall_s":.*' |
+  big=$(sed 's/},{/}\n{/g' "$smoke_dir/BENCH_scale.json" | grep -o '"ops":[0-9]*,"wall_s":.*' |
     sort -t: -k2 -n | tail -1)
   wall=$(echo "$big" | grep -o 'wall_s":[0-9.]*' | cut -d: -f2)
   queries=$(echo "$big" | grep -o 'queries":[0-9]*' | cut -d: -f2)
   cvis=$(echo "$big" | grep -o 'cycle_visits":[0-9]*' | cut -d: -f2)
   passes=$(echo "$big" | grep -o 'passes":[0-9]*' | cut -d: -f2)
+  bound=$(echo "$big" | grep -o 'attempts_bound":[0-9]*' | cut -d: -f2)
+  failed=$(echo "$big" | grep -o 'attempts_failed":[0-9]*' | cut -d: -f2)
+  cands=$(echo "$big" | grep -o '"candidates":[0-9]*' | cut -d: -f2)
   awk -v w="$wall" -v m="$MAX_WALL_1K" -v q="$queries" -v mq="$max_queries_1k" \
     -v c="$cvis" -v mc="$max_cycle_visits_1k" -v p="$passes" -v pp="$passes_1k" \
-    -v eq="$queries_1k" 'BEGIN {
+    -v eq="$queries_1k" -v a="$((bound + failed))" -v ea="$attempts_1k" -v n="$cands" \
+    -v en="$candidates_1k" 'BEGIN {
     if (w == "" || w + 0 > m + 0) { print "scale smoke FAILED: wall " w "s > " m "s"; exit 1 }
     if (q == "" || q + 0 > mq + 0) { print "scale smoke FAILED: " q " queries > " mq; exit 1 }
     if (c == "" || c + 0 > mc + 0) { print "scale smoke FAILED: " c " cycle visits > " mc; exit 1 }
     if (p == "" || p + 0 != pp + 0) { print "scale smoke FAILED: " p " passes != " pp; exit 1 }
     if (q + 0 != eq + 0) { print "scale smoke FAILED: " q " queries != " eq; exit 1 }
+    if (a + 0 != ea + 0) { print "scale smoke FAILED: " a " attempts != " ea; exit 1 }
+    if (n == "" || n + 0 != en + 0) { print "scale smoke FAILED: " n " candidates != " en; exit 1 }
     print "scale smoke OK: ~1k point in " w "s (guard " m "s), " q " queries (ceiling " mq "), " \
-      c " cycle visits (ceiling " mc "), " p " passes as pinned" }'
+      c " cycle visits (ceiling " mc "), " p " passes, " a " attempts and " n " candidates as pinned" }'
 fi

@@ -391,16 +391,18 @@ let screen_vs_trial ~seed ~ops ~clock =
             (fun (i : Binding.inst) ->
               let changed_ports = Binding.changed_ports b op i in
               let screened () =
-                Netlist.screen_busy_reject b.Binding.net ~op ~step ~finish ~inst:i ~changed_ports
+                match Netlist.screen b.Binding.net ~op ~step ~finish ~inst:i ~changed_ports with
+                | Netlist.Screen_pass -> false
+                | Netlist.Screen_memo | Netlist.Screen_computed -> true
               in
               if
-                free i && changed_ports <> []
+                free i && changed_ports <> 0
                 && not (Netlist.screen_may_prove b.Binding.net ~inst:i ~changed_ports)
               then begin
                 incr floor_cleared;
                 if screened () then incr floor_wrong
               end;
-              if free i && changed_ports <> [] && screened () then begin
+              if free i && changed_ports <> 0 && screened () then begin
                 incr claims;
                 let worst, worst_op =
                   Binding.open_trial b op ~step ~finish ~inst_opt:(Some i.Binding.inst_id)
@@ -489,7 +491,7 @@ let own_slack_vs_trial ~seed ~ops ~ii ~replay_clock =
                 if sl < -0.001 then incr violating;
                 let worst, worst_op =
                   Binding.open_trial b op ~step ~finish ~inst_opt:(Some i.Binding.inst_id)
-                    ~changed_ports:[]
+                    ~changed_ports:0
                 in
                 Netlist.rollback b.Binding.net;
                 if Int64.bits_of_float worst <> Int64.bits_of_float sl || worst_op <> id then
@@ -532,47 +534,88 @@ let test_own_slack_coverage () =
    a fresh binder whose instance set doubles the schedule's: each
    instance is preceded by a copy half as wide, which its ops can widen
    but not fit.  Every resource op is attempted at its scheduled step the
-   way a pass attempts it — the lazy [candidates] offered one at a time,
-   [try_bind] on each until one binds — so the offers interleave with
-   rolled-back trials and widening merges.  Every offered sequence must
-   be a prefix of [compatible_insts] taken before the attempt, and all
-   of it when nothing binds (the op is then force-bound on its scheduled
-   instance's twin).  Returns (mismatches, attempts with a failed trial,
-   widening binds), or [None] when the design does not schedule at
-   1600 ps.  A replay clock tighter than that makes trials fail on slack
-   too, not only on busy tables. *)
+   way a pass attempts it — the [candidates] cursor offered one at a
+   time, [try_bind] on each until one binds — so the offers interleave
+   with rolled-back trials and widening merges.  Every offered sequence
+   must be a prefix of [compatible_insts] taken before the attempt, and
+   all of it when nothing binds (the op is then force-bound on its
+   scheduled instance's twin).  Between attempts the order is also moved
+   from outside an attempt: every 7th op adds a fresh half-width instance
+   to its class mid-pass, every 11th widens the least-loaded half-width
+   one with [set_rtype], and half-way through the pass is reset and its
+   binds so far replayed.  After each such move the whole cursor walk
+   must equal [compatible_insts].  Returns (mismatches, attempts with a
+   failed trial, widening binds), or [None] when the design does not
+   schedule at 1600 ps.  A replay clock tighter than that makes trials
+   fail on slack too, not only on busy tables. *)
 let candidate_order_run ~seed ~ops ~ii ~replay_clock =
   let region = synthetic_region ~seed ~ops ?ii () in
   match Scheduler.schedule ~lib ~clock_ps:1600.0 region with
   | Error _ -> None
   | Ok s ->
       let dfg = region.Region.dfg in
+      let net = s.Scheduler.s_binding.Binding.net in
       let b = Binding.create ~lib ~clock_ps:replay_clock region in
-      let half w = (w + 1) / 2 in
+      let half (rt : Resource.t) =
+        { rt with Resource.in_widths = List.map (fun w -> (w + 1) / 2) rt.Resource.in_widths }
+      in
       List.iter
         (fun (i : Netlist.inst) ->
           let rt = i.Netlist.rtype in
-          ignore
-            (Binding.add_inst b
-               { rt with Resource.in_widths = List.map half rt.Resource.in_widths });
+          ignore (Binding.add_inst b (half rt));
           ignore (Binding.add_inst b rt))
-        (Netlist.insts s.Scheduler.s_binding.Binding.net);
+        (Netlist.insts net);
       Binding.reset_pass b;
       let order =
-        Netlist.fold_placements s.Scheduler.s_binding.Binding.net
-          (fun id pl acc -> ((pl.Netlist.pl_step, id), pl) :: acc)
-          []
+        Netlist.fold_placements net (fun id pl acc -> ((pl.Netlist.pl_step, id), pl) :: acc) []
         |> List.sort compare
       in
       let mismatches = ref 0 and failed = ref 0 and widened = ref 0 in
       let ids = List.map (fun (i : Binding.inst) -> i.Binding.inst_id) in
-      List.iter
-        (fun ((step, id), (pl : Netlist.placement)) ->
+      let walk_matches op =
+        if ids (List.of_seq (Binding.candidates b op)) <> ids (Binding.compatible_insts b op) then
+          incr mismatches
+      in
+      (* the binds of this pass so far, newest first and marked when
+         forced, for the replay after the reset *)
+      let placed = ref [] in
+      let n = List.length order in
+      List.iteri
+        (fun k ((step, id), (pl : Netlist.placement)) ->
           let op = Dfg.find dfg id in
+          if k = n / 2 then begin
+            Binding.reset_pass b;
+            List.iter
+              (fun (o, st, fin, inst_opt, forced) ->
+                if forced then Binding.force_bind b (Dfg.find dfg o) ~step:st ~inst_opt
+                else Binding.replay_bind b (Dfg.find dfg o) ~step:st ~finish:fin ~inst_opt ~rtype:None)
+              (List.rev !placed);
+            walk_matches op
+          end;
+          (match Netlist.resource_of b.Binding.net op with
+          | Some need when k mod 7 = 3 ->
+              ignore (Binding.add_inst b (half need));
+              walk_matches op
+          | Some need when k mod 11 = 5 -> (
+              let narrow =
+                List.filter
+                  (fun (i : Binding.inst) -> Netlist.compat_tier b.Binding.net op i = 1)
+                  (Netlist.class_insts b.Binding.net op)
+              in
+              match List.sort (fun (x : Binding.inst) y -> compare x.Binding.n_bound y.Binding.n_bound) narrow with
+              | i :: _ ->
+                  Netlist.set_rtype b.Binding.net i (Resource.merge need i.Binding.rtype);
+                  walk_matches op
+              | [] -> ())
+          | _ -> ());
+          let forced =
           match pl.Netlist.pl_inst with
           | None ->
-              if Result.is_error (Binding.try_bind b op ~step ~inst_opt:None) then
-                Binding.force_bind b op ~step ~inst_opt:None
+              Result.is_error (Binding.try_bind b op ~step ~inst_opt:None)
+              && begin
+                   Binding.force_bind b op ~step ~inst_opt:None;
+                   true
+                 end
           | Some k ->
               let reference = ids (Binding.compatible_insts b op) in
               let offered = ref [] in
@@ -599,7 +642,13 @@ let candidate_order_run ~seed ~ops ~ii ~replay_clock =
               in
               if not (if bound then is_prefix offered reference else offered = reference) then
                 incr mismatches;
-              if not bound then Binding.force_bind b op ~step ~inst_opt:(Some ((2 * k) + 1)))
+              if not bound then Binding.force_bind b op ~step ~inst_opt:(Some ((2 * k) + 1));
+              not bound
+          in
+          match Binding.placement b id with
+          | Some p ->
+              placed := (id, p.Binding.pl_step, p.Binding.pl_finish, p.Binding.pl_inst, forced) :: !placed
+          | None -> ())
         order;
       Some (!mismatches, !failed, !widened)
 
@@ -628,6 +677,278 @@ let test_candidate_order_coverage () =
           Alcotest.(check bool) (Printf.sprintf "%s: %d widening binds" name widened) true (widened > 0))
     [ None; Some 1; Some 2 ]
 
+(* Replay a finished schedule of a synthetic design in (step, id) order
+   onto two binders built alike, at a replay clock tighter than the
+   schedule's so that attempts fail.  Before each op is replayed, attempt
+   it at its scheduled step on both: on [a] with [Binding.attempt], on
+   [p] with [try_bind] on each instance of [compatible_insts] in turn
+   until one binds.  The outcome lists must be equal, slacks bit for bit,
+   and so must the restraint a pass records from them (the scheduler's
+   most informative failure).  An op neither binds is force-bound on its
+   scheduled instance in both, so the two binders stay alike.  Each op is
+   first attempted past the last step too, where the window check fails
+   every candidate: there the attempt answers once.  Returns (mismatches,
+   attempts with a failure, prelude collapses). *)
+let same_fail (x : Restraint.fail) (y : Restraint.fail) =
+  match (x, y) with
+  | Restraint.F_slack u, Restraint.F_slack v -> Int64.bits_of_float u = Int64.bits_of_float v
+  | Restraint.F_busy r, Restraint.F_busy r' | Restraint.F_no_resource r, Restraint.F_no_resource r' ->
+      Resource.equal r r'
+  | Restraint.F_cycle i, Restraint.F_cycle j -> i = j
+  | _ -> Restraint.fail_to_string x = Restraint.fail_to_string y
+
+(* the scheduler's choice of the failure a pass records *)
+let best_fail fails =
+  let score = function
+    | Restraint.F_slack _ -> 5
+    | Restraint.F_cycle _ -> 4
+    | Restraint.F_window | Restraint.F_dep -> 3
+    | Restraint.F_busy _ | Restraint.F_no_resource _ -> 2
+    | Restraint.F_forbidden | Restraint.F_anchor -> 1
+    | Restraint.F_blocked -> 0
+  in
+  List.fold_left (fun a b -> if score b > score a then b else a) (List.hd fails) (List.tl fails)
+
+let attempt_vs_try_bind ~seed ~ops ~ii ~replay_clock =
+  let region = synthetic_region ~seed ~ops ?ii () in
+  match Scheduler.schedule ~lib ~clock_ps:1600.0 region with
+  | Error _ -> None
+  | Ok s ->
+      let dfg = region.Region.dfg in
+      let net = s.Scheduler.s_binding.Binding.net in
+      let mk () =
+        let b = Binding.create ~lib ~clock_ps:replay_clock region in
+        List.iter (fun (i : Netlist.inst) -> ignore (Binding.add_inst b i.Netlist.rtype)) (Netlist.insts net);
+        Binding.reset_pass b;
+        b
+      in
+      let a = mk () and p = mk () in
+      let per_candidate op ~step =
+        if not (Opkind.is_resource_op op.Dfg.kind) then
+          match Binding.try_bind p op ~step ~inst_opt:None with Ok () -> [] | Error f -> [ f ]
+        else
+          match Binding.compatible_insts p op with
+          | [] -> (
+              match Resource.of_op dfg op with Some rt -> [ Restraint.F_no_resource rt ] | None -> [])
+          | insts ->
+              let rec go fails = function
+                | [] -> fails
+                | (i : Binding.inst) :: rest -> (
+                    match Binding.try_bind p op ~step ~inst_opt:(Some i.Binding.inst_id) with
+                    | Ok () -> []
+                    | Error f -> go (f :: fails) rest)
+              in
+              go [] insts
+      in
+      let mismatches = ref 0 and failing = ref 0 and collapsed = ref 0 in
+      let compare_at op ~step =
+        let fa = Binding.attempt a op ~step and fp = per_candidate op ~step in
+        let same =
+          match (fa, fp) with
+          | [], [] -> true
+          | [ f ], (_ :: _ :: _ as l) when List.for_all (same_fail f) l ->
+              (* a prelude failure, once *)
+              incr collapsed;
+              true
+          | _ -> List.length fa = List.length fp && List.for_all2 same_fail fa fp
+        in
+        if fa <> [] then incr failing;
+        if not (same && (fa = [] || same_fail (best_fail fa) (best_fail fp))) then incr mismatches
+      in
+      let order =
+        Netlist.fold_placements net (fun id pl acc -> ((pl.Netlist.pl_step, id), pl) :: acc) []
+        |> List.sort compare
+      in
+      List.iter
+        (fun ((step, id), (pl : Netlist.placement)) ->
+          let op = Dfg.find dfg id in
+          compare_at op ~step:region.Region.n_steps;
+          compare_at op ~step;
+          if not (Binding.is_placed a id) then begin
+            Binding.force_bind a op ~step ~inst_opt:pl.Netlist.pl_inst;
+            Binding.force_bind p op ~step ~inst_opt:pl.Netlist.pl_inst
+          end)
+        order;
+      let trials b = (Netlist.stats b.Binding.net).Netlist.s_trials in
+      if trials a <> trials p then incr mismatches;
+      Some (!mismatches, !failing, !collapsed)
+
+let prop_attempt_is_per_candidate =
+  QCheck.Test.make ~name:"attempt answers as try_bind on each candidate" ~count:18
+    QCheck.(pair (int_range 1 10000) (int_range 0 2))
+    (fun (seed, mode) ->
+      let ii = if mode = 0 then None else Some mode in
+      let replay_clock = [| 1600.0; 1400.0; 1250.0 |].(seed mod 3) in
+      match attempt_vs_try_bind ~seed ~ops:(60 + (seed mod 120)) ~ii ~replay_clock with
+      | None -> QCheck.assume_fail ()
+      | Some (0, _, _) -> true
+      | Some (m, _, _) ->
+          QCheck.Test.fail_reportf "seed=%d ii=%d: %d attempts differ from per-candidate binds" seed mode m)
+
+let test_attempt_coverage () =
+  List.iter
+    (fun ii ->
+      let name = match ii with None -> "seq" | Some k -> Printf.sprintf "II=%d" k in
+      match attempt_vs_try_bind ~seed:5 ~ops:150 ~ii ~replay_clock:1400.0 with
+      | None -> Alcotest.failf "%s: seed 5 failed to schedule" name
+      | Some (m, failing, collapsed) ->
+          Alcotest.(check int) (name ^ ": differing attempts") 0 m;
+          Alcotest.(check bool) (Printf.sprintf "%s: %d failing attempts" name failing) true (failing > 0);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %d collapsed preludes" name collapsed)
+            true (collapsed > 0))
+    [ None; Some 1; Some 2 ]
+
+(* Every rejection the saturation memo decides is a trial that ends busy.
+   Replay a finished schedule as [candidate_order_run] does, without the
+   doubled instances: each op is attempted at its scheduled step on its
+   candidates in turn with [try_bind].  Whenever the memo decided a
+   candidate (its counter moved), open the trial [try_bind] skipped and
+   check that it ends with a worst slack below -1 fs on an op other than
+   the one being bound, then roll it back.  Returns (memo decisions,
+   wrong ones). *)
+let memo_vs_trial ~seed ~ops ~ii ~replay_clock =
+  let region = synthetic_region ~seed ~ops ?ii () in
+  match Scheduler.schedule ~lib ~clock_ps:1600.0 region with
+  | Error _ -> None
+  | Ok s ->
+      let dfg = region.Region.dfg in
+      let net = s.Scheduler.s_binding.Binding.net in
+      let b = Binding.create ~lib ~clock_ps:replay_clock region in
+      List.iter (fun (i : Netlist.inst) -> ignore (Binding.add_inst b i.Netlist.rtype)) (Netlist.insts net);
+      Binding.reset_pass b;
+      let order =
+        Netlist.fold_placements net (fun id pl acc -> ((pl.Netlist.pl_step, id), pl) :: acc) []
+        |> List.sort compare
+      in
+      let decided = ref 0 and wrong = ref 0 in
+      List.iter
+        (fun ((step, id), (pl : Netlist.placement)) ->
+          let op = Dfg.find dfg id in
+          let rec go seq =
+            match seq () with
+            | Seq.Nil -> false
+            | Seq.Cons ((i : Binding.inst), rest) -> (
+                let memo0 = b.Binding.ctr.Binding.c_screen_memo in
+                match Binding.try_bind b op ~step ~inst_opt:(Some i.Binding.inst_id) with
+                | Ok () -> true
+                | Error f ->
+                    if b.Binding.ctr.Binding.c_screen_memo > memo0 then begin
+                      incr decided;
+                      let worst, worst_op =
+                        Binding.open_trial b op ~step ~finish:pl.Netlist.pl_finish
+                          ~inst_opt:(Some i.Binding.inst_id)
+                          ~changed_ports:(Binding.changed_ports b op i)
+                      in
+                      Netlist.rollback b.Binding.net;
+                      let busy = match f with Restraint.F_busy _ -> true | _ -> false in
+                      if not (busy && worst < -0.001 && worst_op <> id) then incr wrong
+                    end;
+                    go rest)
+          in
+          let bound = pl.Netlist.pl_inst <> None && go (Binding.candidates b op) in
+          if not bound then Binding.force_bind b op ~step ~inst_opt:pl.Netlist.pl_inst)
+        order;
+      Some (!decided, !wrong)
+
+let prop_memo_decides_busy_trials =
+  QCheck.Test.make ~name:"memo-decided rejections are busy trials" ~count:18
+    QCheck.(pair (int_range 1 10000) (int_range 0 2))
+    (fun (seed, mode) ->
+      let ii = if mode = 0 then None else Some mode in
+      let replay_clock = [| 1600.0; 1400.0; 1250.0 |].(seed mod 3) in
+      match memo_vs_trial ~seed ~ops:(80 + (seed mod 150)) ~ii ~replay_clock with
+      | None -> QCheck.assume_fail ()
+      | Some (_, 0) -> true
+      | Some (d, w) ->
+          QCheck.Test.fail_reportf "seed=%d ii=%d: %d of %d memo rejections did not end busy" seed
+            mode w d)
+
+(* the property above is not vacuous: the memo decides rejections,
+   sequential and pipelined *)
+let test_memo_fires () =
+  List.iter
+    (fun (ii, seed, clock) ->
+      let name = match ii with None -> "seq" | Some k -> Printf.sprintf "II=%d" k in
+      match memo_vs_trial ~seed ~ops:150 ~ii ~replay_clock:clock with
+      | None -> Alcotest.failf "%s: seed %d failed to schedule" name seed
+      | Some (d, w) ->
+          Alcotest.(check int) (name ^ ": memo rejections that did not end busy") 0 w;
+          Alcotest.(check bool) (Printf.sprintf "%s: memo decided %d" name d) true (d > 0))
+    [ (None, 2, 1400.0); (Some 2, 7, 1250.0) ]
+
+(* The own slack an attempt shares among its empty candidates is
+   [Netlist.empty_bind_slack] on each of them, bit for bit (nan alike).
+   Probed on every instance of each op's class before the op is
+   replayed, at its scheduled step. *)
+let shared_own_slack_run ~seed ~ops ~ii ~replay_clock =
+  let region = synthetic_region ~seed ~ops ?ii () in
+  match Scheduler.schedule ~lib ~clock_ps:1600.0 region with
+  | Error _ -> None
+  | Ok s ->
+      let dfg = region.Region.dfg in
+      let net = s.Scheduler.s_binding.Binding.net in
+      let b = Binding.create ~lib ~clock_ps:replay_clock region in
+      List.iter (fun (i : Netlist.inst) -> ignore (Binding.add_inst b i.Netlist.rtype)) (Netlist.insts net);
+      Binding.reset_pass b;
+      let order =
+        Netlist.fold_placements net (fun id pl acc -> ((pl.Netlist.pl_step, id), pl) :: acc) []
+        |> List.sort compare
+      in
+      let defined = ref 0 and mismatches = ref 0 in
+      List.iter
+        (fun ((step, id), (pl : Netlist.placement)) ->
+          let op = Dfg.find dfg id in
+          let finish = pl.Netlist.pl_finish in
+          let insts = Netlist.class_insts b.Binding.net op in
+          List.iter2
+            (fun (i : Binding.inst) shared ->
+              let own = Netlist.empty_bind_slack b.Binding.net op ~step ~finish ~inst:i in
+              if not (Float.is_nan own) then incr defined;
+              if Int64.bits_of_float own <> Int64.bits_of_float shared then incr mismatches)
+            insts
+            (Binding.empty_slacks b op ~step insts);
+          Binding.replay_bind b op ~step ~finish ~inst_opt:pl.Netlist.pl_inst ~rtype:None)
+        order;
+      Some (!defined, !mismatches)
+
+let test_shared_own_slack () =
+  List.iter
+    (fun (ii, clock) ->
+      let name = match ii with None -> "seq" | Some k -> Printf.sprintf "II=%d" k in
+      match shared_own_slack_run ~seed:5 ~ops:150 ~ii ~replay_clock:clock with
+      | None -> Alcotest.failf "%s: seed 5 failed to schedule" name
+      | Some (defined, m) ->
+          Alcotest.(check int) (name ^ ": shared own slacks that differ") 0 m;
+          Alcotest.(check bool) (Printf.sprintf "%s: %d defined" name defined) true (defined > 0))
+    [ (None, 1600.0); (Some 1, 1400.0); (Some 2, 1250.0) ]
+
+(* The decision counters account for every candidate: each one checked
+   either binds (one per bound attempt) or is rejected by exactly one
+   stage, and the trials are the binds plus the trial rejections *)
+let test_decision_counters () =
+  List.iter
+    (fun ii ->
+      let name = match ii with None -> "seq" | Some k -> Printf.sprintf "II=%d" k in
+      let region = synthetic_region ~seed:5 ~ops:150 ?ii () in
+      match Scheduler.schedule ~lib ~clock_ps:1600.0 region with
+      | Error _ -> Alcotest.failf "%s: seed 5 failed to schedule" name
+      | Ok s ->
+          let st = Scheduler.stats s in
+          let open Scheduler in
+          let rejected =
+            st.st_rej_forbid + st.st_rej_tier + st.st_rej_dedicated + st.st_rej_busy
+            + st.st_rej_quick_slack + st.st_rej_empty_slack + st.st_rej_cycle
+            + st.st_rej_screen_memo + st.st_rej_screen + st.st_rej_trial_slack
+            + st.st_rej_trial_busy
+          in
+          Alcotest.(check int) (name ^ ": candidates") st.st_candidates (rejected + st.st_attempts_bound);
+          Alcotest.(check int) (name ^ ": commits") st.st_commits st.st_attempts_bound;
+          Alcotest.(check int) (name ^ ": rollbacks") st.st_rollbacks
+            (st.st_rej_trial_slack + st.st_rej_trial_busy);
+          Alcotest.(check bool) (name ^ ": attempts failed") true (st.st_attempts_failed > 0))
+    [ None; Some 1; Some 2 ]
+
 let suite =
   [
     Alcotest.test_case "Fig. 8 delay arithmetic" `Quick test_fig8_clean;
@@ -650,4 +971,10 @@ let suite =
     Alcotest.test_case "candidate order: trials roll back, merges widen" `Quick
       test_candidate_order_coverage;
     QCheck_alcotest.to_alcotest prop_candidate_order;
+    Alcotest.test_case "attempt: failures, preludes collapsed" `Quick test_attempt_coverage;
+    QCheck_alcotest.to_alcotest prop_attempt_is_per_candidate;
+    Alcotest.test_case "memo decides rejections" `Quick test_memo_fires;
+    QCheck_alcotest.to_alcotest prop_memo_decides_busy_trials;
+    Alcotest.test_case "shared own slack is empty_bind_slack" `Quick test_shared_own_slack;
+    Alcotest.test_case "decision counters account for every candidate" `Quick test_decision_counters;
   ]

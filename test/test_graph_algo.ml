@@ -40,12 +40,6 @@ let test_scc_singletons () =
   let comps = Graph_algo.scc ~nodes ~succs in
   Alcotest.(check int) "three singleton components" 3 (List.length comps)
 
-let test_reachable () =
-  let _, succs = adj [ (0, 1); (1, 2); (3, 4) ] 5 in
-  let r = Graph_algo.reachable ~from:0 ~succs in
-  Alcotest.(check bool) "reaches 2" true (Hashtbl.mem r 2);
-  Alcotest.(check bool) "does not reach 4" false (Hashtbl.mem r 4)
-
 let test_has_path () =
   let _, succs = adj [ (0, 1); (1, 2) ] 3 in
   Alcotest.(check bool) "0 -> 2" true (Graph_algo.has_path ~from:0 ~target:2 ~succs);
@@ -205,7 +199,6 @@ let suite =
     Alcotest.test_case "topo cycle" `Quick test_topo_cycle;
     Alcotest.test_case "scc" `Quick test_scc;
     Alcotest.test_case "scc singletons" `Quick test_scc_singletons;
-    Alcotest.test_case "reachable" `Quick test_reachable;
     Alcotest.test_case "has_path" `Quick test_has_path;
     Alcotest.test_case "longest path" `Quick test_longest_path;
     QCheck_alcotest.to_alcotest prop_scc_partition;
