@@ -7,11 +7,11 @@
       dune exec bench/main.exe            # everything
       dune exec bench/main.exe table3     # one experiment
       dune exec bench/main.exe -- --list  # available experiments
-      dune exec bench/main.exe -- scale --smoke --out DIR
+      dune exec bench/main.exe -- scale --smoke
     v}
 
     [--smoke] shrinks the sweeps to a fast correctness check; its JSON goes
-    to [_build/bench-smoke/] unless [--out DIR] names another directory.
+    to [_build/bench-smoke/], so the checked-in baselines stay as they are.
 
     An unknown experiment name exits 2 before anything runs.
 
@@ -30,16 +30,11 @@ let clock = 1600.0
    correctness check (the numbers are then meaningless as measurements) *)
 let smoke = ref false
 
-(* --out DIR: where the BENCH_*.json files go.  The checked-in baselines
-   live at the repository root, so a full run writes there; a --smoke run
-   defaults to _build/bench-smoke/ and never overwrites them *)
-let out_dir = ref None
-
-(* open [name] for writing under the output directory, creating it first *)
+(* open the BENCH_*.json file [name] for writing: a full run writes the
+   checked-in baselines at the repository root, a --smoke run writes under
+   _build/bench-smoke/ (created first) and never overwrites them *)
 let open_bench_json name =
-  let dir =
-    match !out_dir with Some d -> d | None -> if !smoke then "_build/bench-smoke" else "."
-  in
+  let dir = if !smoke then "_build/bench-smoke" else "." in
   let rec mkdir_p d =
     if not (Sys.file_exists d) then begin
       mkdir_p (Filename.dirname d);
@@ -911,20 +906,16 @@ let experiments =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let rec flags = function
-    | "--smoke" :: rest ->
-        smoke := true;
-        flags rest
-    | "--out" :: dir :: rest ->
-        out_dir := Some dir;
-        flags rest
-    | [ "--out" ] ->
-        prerr_endline "--out needs a directory";
-        exit 2
-    | a :: rest -> a :: flags rest
-    | [] -> []
+  let args =
+    List.filter
+      (fun a ->
+        if a = "--smoke" then begin
+          smoke := true;
+          false
+        end
+        else true)
+      args
   in
-  let args = flags args in
   match args with
   | [ "--list" ] -> List.iter (fun (n, _) -> print_endline n) experiments
   | [] ->

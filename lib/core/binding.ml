@@ -284,24 +284,30 @@ let widens t (op : Dfg.op) (i : inst) =
   | Some _ -> Netlist.compat_tier t.net op i > 0
   | None -> false
 
+(* does binding the op whose in-edge is [e] on [i] grow the effective
+   mux of [e]'s port?  Measured against the committed mux caches *)
+let grows t (i : inst) (e : Dfg.edge) =
+  Netlist.mux_inputs_with t.net i ~port:e.Dfg.port ~src:e.Dfg.src
+  <> Netlist.mux_inputs t.net i ~port:e.Dfg.port
+
 (** The ports of [i] that gain an effective mux input when [op] binds to
     it, as a set (bit [p] for port [p]) — measured against the committed
     mux caches, before a trial mutates them.  A port whose effective input
     count is unchanged keeps its mux delay bit-identical, so ops reading
     only such ports keep their arrivals and need no re-timing.  Empty when
-    the bind widens the instance (every cohabitant is re-timed then).  The
-    op has one in-edge per port, of any distance: exactly the sources the
-    attach cache update inserts. *)
+    the bind widens the instance (every cohabitant is re-timed then), and
+    [-1] when a port above {!Netlist.port_set_max} grows (no screen runs
+    then, and the trial finds the ports one by one).  The op has one
+    in-edge per port, of any distance: exactly the sources the attach
+    cache update inserts. *)
 let changed_ports t (op : Dfg.op) (i : inst) =
   if widens t op i then 0
   else
     List.fold_left
       (fun acc (e : Dfg.edge) ->
-        if
-          Netlist.mux_inputs_with t.net i ~port:e.Dfg.port ~src:e.Dfg.src
-          <> Netlist.mux_inputs t.net i ~port:e.Dfg.port
-        then acc lor Netlist.port_bit e.Dfg.port
-        else acc)
+        if acc < 0 || not (grows t i e) then acc
+        else if e.Dfg.port > Netlist.port_set_max then -1
+        else acc lor Netlist.port_bit e.Dfg.port)
       0
       (Dfg.in_edges t.dfg op.Dfg.id)
 
@@ -314,6 +320,13 @@ let open_trial t (op : Dfg.op) ~step ~finish ~inst_opt ~changed_ports =
   let net = t.net in
   let inst = Option.map (Netlist.find_inst net) inst_opt in
   let widens = match inst with Some i -> widens t op i | None -> false in
+  (* the op's in-edges whose port mux grows, when the set cannot hold
+     them: taken before the attach moves the caches *)
+  let grown =
+    match inst with
+    | Some i when changed_ports < 0 -> List.filter (grows t i) (Dfg.in_edges t.dfg op.Dfg.id)
+    | _ -> []
+  in
   Netlist.begin_trial net;
   Netlist.place net op.Dfg.id ~step ~finish ~inst_opt;
   (match inst with
@@ -341,6 +354,16 @@ let open_trial t (op : Dfg.op) ~step ~finish ~inst_opt ~changed_ports =
         | o :: _ when o = op.Dfg.id -> i.bound
         | b -> op.Dfg.id :: List.filter (fun o -> o <> op.Dfg.id) b)
     | Some _ when changed_ports = 0 -> [ op.Dfg.id ]
+    | Some i when changed_ports < 0 ->
+        op.Dfg.id
+        :: List.filter
+             (fun o ->
+               o <> op.Dfg.id
+               && List.exists
+                    (fun (e : Dfg.edge) ->
+                      List.exists (fun (g : Dfg.edge) -> g.Dfg.port = e.Dfg.port) grown)
+                    (Dfg.in_edges t.dfg o))
+             i.bound
     | Some i ->
         op.Dfg.id
         :: List.filter
@@ -552,7 +575,7 @@ let check_inst t (op : Dfg.op) (i : inst) : (unit, Restraint.fail) result =
          transaction.  The pass's slack floor rules most screens out
          before they price anyone *)
       match
-        if changed_ports <> 0 && Netlist.screen_may_prove net ~inst:i ~changed_ports then
+        if changed_ports > 0 && Netlist.screen_may_prove net ~inst:i ~changed_ports then
           Netlist.screen net ~op ~step:a.a_step ~finish:a.a_finish ~inst:i ~changed_ports
         else Netlist.Screen_pass
       with
@@ -743,13 +766,6 @@ let compatible_insts t (op : Dfg.op) =
                Some ((if fits then 0 else 1), List.length i.bound, i)
              else None)
       |> by_key
-
-(** The empty-instance own slack one attempt at [step] shares among its
-    candidates, priced on each of [insts] in turn; [nan] where the attempt
-    runs the trial instead. *)
-let empty_slacks t (op : Dfg.op) ~step insts =
-  begin_attempt t op ~step;
-  List.map (fun (i : inst) -> if i.n_bound > 0 then nan else attempt_own_slack t op i) insts
 
 (** {!compatible_insts} as the attempts walk it: the class's (load, id)
     order, tier 0 then tier 1 ({!Netlist.next_candidate}).  Forcing the

@@ -123,13 +123,16 @@ val modulo_ok : t -> op_id:int -> step:int -> finish:int -> bool
 val quick_slack : t -> Dfg.op -> step:int -> inst_id:int -> float
 (** Cheap endpoint screen before the full trial: the op's own path on the
     instance, with each input mux sized by the port's distinct sources
-    after the hypothetical bind. *)
+    after the hypothetical bind.  The binder prices the same formula from
+    its attempt record; this standalone form is the reference the tests
+    check the formula against. *)
 
 val changed_ports : t -> Dfg.op -> inst -> int
 (** The ports of the instance that gain an effective mux input when the op
     binds to it, as a set ({!Netlist.port_bit}), measured against the
     committed mux caches; empty ([0]) when the bind widens the instance's
-    resource type. *)
+    resource type, and [-1] when a port above {!Netlist.port_set_max}
+    grows. *)
 
 val open_trial :
   t ->
@@ -170,11 +173,6 @@ val attempt : t -> Dfg.op -> step:int -> Restraint.fail list
     check fails every candidate alike and is returned once.  An op with
     no compatible instance fails with [F_no_resource]. *)
 
-val empty_slacks : t -> Dfg.op -> step:int -> inst list -> float list
-(** The exact own slack that one {!attempt} at [step] prices once (per
-    mux size) and shares among its empty candidates, on each instance in
-    turn: {!Netlist.empty_bind_slack}, bit for bit, on every instance. *)
-
 val replay_bind :
   t ->
   ?propagate:bool ->
@@ -209,7 +207,8 @@ val candidates : t -> Dfg.op -> inst Seq.t
     over the class's (load, id) order, tier 0 then tier 1
     ({!Netlist.next_candidate}).  Forcing the rest after a failed
     {!try_bind} of the head is sound: a failed bind leaves the netlist,
-    and the order, as it found it. *)
+    and the order, as it found it.  The binder walks the cursor inside
+    {!attempt}; this sequence is how the tests read the same walk. *)
 
 val worst_slack : t -> float
 

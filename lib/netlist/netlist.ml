@@ -1448,12 +1448,20 @@ let empty_bind_slack t (op : Dfg.op) ~step ~finish ~(inst : inst) =
     the other changes only lower what a fresh screen would price: a
     committed arrival only rises (the argument of the slack floor below),
     mux delays grow with their inputs and exec delays with the type, and a
-    newly placed consumer only adds a walk.  So a stored value is at least
-    the value a fresh screen of the same set would price now, and when it
-    is below the tolerance and below [s_op] the trial rejects busy: a hit
-    decides with one comparison ([Screen_memo]).  A stored value that
-    proves nothing may be stale, so the screen is computed again and
-    stored ([Screen_computed] when it proves). *)
+    newly placed consumer only adds a walk.  So the op that carried a
+    stored value [v] ends the trial with a slack of at most [v]: the trial
+    re-times it, or leaves a committed arrival that has already risen to
+    the bound the walk priced.  In the second case its committed slack is
+    at most [v]; no committed slack is below the pass's slack floor
+    ({!screen_may_prove}), so when [v] is below the floor the trial
+    re-times that op.  A hit therefore needs [v] below the floor, the
+    tolerance and [s_op], and then the trial rejects busy: it decides with
+    one comparison ([Screen_memo]).  In a pass of trials the floor sits at
+    or above the tolerance, so that test costs no hit; after a
+    [force_bind] ({!poison_slack_floor}) no entry is read for the rest of
+    the pass.  A stored value that proves nothing may be stale, so the
+    screen is computed again and stored ([Screen_computed] when it
+    proves). *)
 
 (* Per-hop slack of the downstream walk's arrival bound.  The trial's
    propagation pushes a consumer only when its producer moves by more
@@ -1476,9 +1484,16 @@ let grown_mux_delay t inst p =
    only when its producer moves by more than 1 fs) *)
 let screen_floor_margin = 1.0
 
+(** The highest port a port set holds: bit [Sys.int_size - 2], the top
+    bit of a non-negative int. *)
+let port_set_max = Sys.int_size - 2
+
+(* is port [p] in the set [ports]?  A port beyond the set's range never is *)
+let in_ports ports p = p >= 0 && p <= port_set_max && (ports lsr p) land 1 = 1
+
 (* Does [o] read one of the ports in the set [ports]? *)
 let reads_ports t o ~ports =
-  List.exists (fun (e : Dfg.edge) -> (ports lsr e.Dfg.port) land 1 = 1) (Dfg.in_edges t.dfg o)
+  List.exists (fun (e : Dfg.edge) -> in_ports ports e.Dfg.port) (Dfg.in_edges t.dfg o)
 
 (* [f p] for every port [p] in the set [ports], ascending *)
 let iter_ports ports f =
@@ -1492,7 +1507,7 @@ let iter_ports ports f =
 
 (** The bit of port [p] in a port set. *)
 let port_bit p =
-  if p < 0 || p >= Sys.int_size - 1 then invalid_arg "Netlist.port_bit: port out of range";
+  if p < 0 || p > port_set_max then invalid_arg "Netlist.port_bit: port out of range";
   1 lsl p
 
 (** Can {!screen} prove anything for this bind?  Every slack
@@ -1541,16 +1556,14 @@ let unread t (op : Dfg.op) =
 
 let screen t ~(op : Dfg.op) ~step ~finish ~(inst : inst) ~changed_ports =
   (* unpriced muxes make mux growth invisible *)
-  if (not t.mux_priced) || changed_ports = 0 then Screen_pass
+  if (not t.mux_priced) || changed_ports <= 0 then Screen_pass
   else begin
     let ff = t.lib.Library.ff_clk_q in
     let exec = inst_delay t inst in
     let reg_setup = reg_mux_delay t +. t.lib.Library.ff_setup in
     let grown = t.scr_grown in
     iter_ports changed_ports (fun p -> grown.(p) <- grown_mux_delay t inst p);
-    let new_mux p =
-      if (changed_ports lsr p) land 1 = 1 then grown.(p) else in_mux_delay t inst ~port:p
-    in
+    let new_mux p = if in_ports changed_ports p then grown.(p) else in_mux_delay t inst ~port:p in
     let reads_changed o = reads_ports t o ~ports:changed_ports in
     (* would [id]'s committed arrival move under the hypothetical bind?
        True when it reads a grown port on [inst] or when the change (or
@@ -1621,7 +1634,13 @@ let screen t ~(op : Dfg.op) ~step ~finish ~(inst : inst) ~changed_ports =
           if changed_ports < sat_slots then (inst.inst_id * sat_slots) + changed_ports else -1
         in
         let epoch = t.sat_epoch.(inst.inst_id) in
-        if slot >= 0 && t.sat_at.(slot) = epoch && proves t.sat_val.(slot) && unread t op then
+        if
+          slot >= 0
+          && t.sat_at.(slot) = epoch
+          && proves t.sat_val.(slot)
+          && t.sat_val.(slot) < t.slack_floor
+          && unread t op
+        then
           Screen_memo
         else begin
           t.scr_gen <- t.scr_gen + 1;

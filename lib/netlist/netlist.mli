@@ -258,12 +258,16 @@ val empty_bind_slack : t -> Dfg.op -> step:int -> finish:int -> inst:inst -> flo
     and no op placed in step [finish] reads the op's result; [nan]
     otherwise.  Issues no timing query. *)
 
+val port_set_max : int
+(** The highest port a port set holds ([Sys.int_size - 2]). *)
+
 val port_bit : int -> int
 (** The bit of a port in a port set, as {!screen} takes them.
-    @raise Invalid_argument on a port outside [0 .. Sys.int_size - 2]. *)
+    @raise Invalid_argument on a port outside [0 .. port_set_max]. *)
 
 val reads_ports : t -> int -> ports:int -> bool
-(** Does the op read one of the ports in the set? *)
+(** Does the op read one of the ports in the set?  A port above
+    {!port_set_max} is in no set. *)
 
 val screen_may_prove : t -> inst:inst -> changed_ports:int -> bool
 (** [false] when the pass's slack floor shows that {!screen}
@@ -295,13 +299,15 @@ val screen :
     [Screen_pass] means "run the real trial", never a wrong verdict.
     [changed_ports] is the set of instance ports whose effective mux
     input count the bind grows ({!port_bit}).  Always [Screen_pass] while
-    the muxes are unpriced.
+    the muxes are unpriced, or when the set is not positive.
 
     A computed screen stores the least slack it priced per (instance,
     port set); until the instance next changes or the pass ends, a stored
-    value below the tolerance and the op's own slack decides the next
-    screen of that set with one comparison ([Screen_memo]).  A computed
-    screen proves exactly when the short-circuiting screen would. *)
+    value below the tolerance, the op's own slack and the pass's slack
+    floor decides the next screen of that set with one comparison
+    ([Screen_memo]).  After a {!poison_slack_floor} no stored value is
+    read.  A computed screen proves exactly when the short-circuiting
+    screen would. *)
 
 val propagate : t -> int list -> float * int
 (** Propagate arrival changes from the seed ops through same-step chains;

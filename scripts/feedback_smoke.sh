@@ -17,7 +17,7 @@ dune build bin/hlsc.exe bench/main.exe
 
 # 1: pass reduction at no QoR cost, recorded in BENCH_feedback.json
 smoke_dir=_build/bench-smoke
-dune exec --no-build bench/main.exe -- feedback --smoke --out "$smoke_dir" >/dev/null
+dune exec --no-build bench/main.exe -- feedback --smoke >/dev/null
 grep -q '"fewer_passes":false' "$smoke_dir/BENCH_feedback.json" && { echo "FAIL: a workload did not reduce passes"; exit 1; }
 grep -q '"qor_no_worse":false' "$smoke_dir/BENCH_feedback.json" && { echo "FAIL: feedback worsened QoR on a workload"; exit 1; }
 grep -q '"fewer_passes":true' "$smoke_dir/BENCH_feedback.json" || { echo "FAIL: no feedback workloads recorded"; exit 1; }

@@ -39,7 +39,7 @@ grep -q "0 iterations" <<<"$empty" || { echo "FAIL: cosim --iters 0 issued an it
 
 # 3: the experiment code path (short lengths, reduced fuzz batch)
 smoke_dir=_build/bench-smoke
-dune exec --no-build bench/main.exe -- kernel --smoke --out "$smoke_dir" >/dev/null
+dune exec --no-build bench/main.exe -- kernel --smoke >/dev/null
 grep -q '"fuzz"' "$smoke_dir/BENCH_kernel.json" || { echo "FAIL: BENCH_kernel.json has no fuzz record"; exit 1; }
 grep -q '"failures":0' "$smoke_dir/BENCH_kernel.json" || { echo "FAIL: bench fuzz batch recorded failures"; exit 1; }
 

@@ -37,7 +37,7 @@ echo "$err" | grep -q "unroll_overflow" || { echo "FAIL: expected unroll_overflo
 
 # 3: the bench experiment's verdict
 smoke_dir=_build/bench-smoke
-dune exec --no-build bench/main.exe -- nest --smoke --out "$smoke_dir" >/dev/null
+dune exec --no-build bench/main.exe -- nest --smoke >/dev/null
 grep -q '"multi_d_wins":false' "$smoke_dir/BENCH_nest.json" && { echo "FAIL: a workload lost to the 1-D baseline"; exit 1; }
 grep -q '"multi_d_wins":true' "$smoke_dir/BENCH_nest.json" || { echo "FAIL: no multi_d_wins entries in BENCH_nest.json"; exit 1; }
 

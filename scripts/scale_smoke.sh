@@ -34,7 +34,7 @@ candidates_1k=53356
 # smoke output goes to the build tree: the checked-in BENCH_scale.json
 # holds the full four-point sweep
 smoke_dir=_build/bench-smoke
-dune exec bench/main.exe -- scale --smoke --out "$smoke_dir"
+dune exec bench/main.exe -- scale --smoke
 
 if command -v python3 >/dev/null 2>&1; then
   python3 - "$smoke_dir/BENCH_scale.json" "$MAX_WALL_1K" "$max_queries_1k" "$max_cycle_visits_1k" "$passes_1k" "$queries_1k" "$attempts_1k" "$candidates_1k" <<'EOF'

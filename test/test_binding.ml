@@ -805,9 +805,12 @@ let test_attempt_coverage () =
    candidates in turn with [try_bind].  Whenever the memo decided a
    candidate (its counter moved), open the trial [try_bind] skipped and
    check that it ends with a worst slack below -1 fs on an op other than
-   the one being bound, then roll it back.  Returns (memo decisions,
-   wrong ones). *)
-let memo_vs_trial ~seed ~ops ~ii ~replay_clock =
+   the one being bound, then roll it back.  An op that binds nowhere is
+   left unplaced, or with [~force] force-bound where the schedule put it,
+   as the slack-tolerating ablation does; the memo must decide nothing
+   for the rest of that pass.  Returns (memo decisions, wrong ones,
+   decisions after a force). *)
+let memo_vs_trial ~force ~seed ~ops ~ii ~replay_clock =
   let region = synthetic_region ~seed ~ops ?ii () in
   match Scheduler.schedule ~lib ~clock_ps:1600.0 region with
   | Error _ -> None
@@ -821,7 +824,7 @@ let memo_vs_trial ~seed ~ops ~ii ~replay_clock =
         Netlist.fold_placements net (fun id pl acc -> ((pl.Netlist.pl_step, id), pl) :: acc) []
         |> List.sort compare
       in
-      let decided = ref 0 and wrong = ref 0 in
+      let decided = ref 0 and wrong = ref 0 and after_force = ref 0 in
       List.iter
         (fun ((step, id), (pl : Netlist.placement)) ->
           let op = Dfg.find dfg id in
@@ -835,6 +838,7 @@ let memo_vs_trial ~seed ~ops ~ii ~replay_clock =
                 | Error f ->
                     if b.Binding.ctr.Binding.c_screen_memo > memo0 then begin
                       incr decided;
+                      if b.Binding.has_forced then incr after_force;
                       let worst, worst_op =
                         Binding.open_trial b op ~step ~finish:pl.Netlist.pl_finish
                           ~inst_opt:(Some i.Binding.inst_id)
@@ -847,40 +851,54 @@ let memo_vs_trial ~seed ~ops ~ii ~replay_clock =
                     go rest)
           in
           let bound = pl.Netlist.pl_inst <> None && go (Binding.candidates b op) in
-          if not bound then Binding.force_bind b op ~step ~inst_opt:pl.Netlist.pl_inst)
+          if force && not bound then Binding.force_bind b op ~step ~inst_opt:pl.Netlist.pl_inst)
         order;
-      Some (!decided, !wrong)
+      Some (!decided, !wrong, !after_force)
 
 let prop_memo_decides_busy_trials =
   QCheck.Test.make ~name:"memo-decided rejections are busy trials" ~count:18
-    QCheck.(pair (int_range 1 10000) (int_range 0 2))
-    (fun (seed, mode) ->
+    QCheck.(triple (int_range 1 10000) (int_range 0 2) bool)
+    (fun (seed, mode, force) ->
       let ii = if mode = 0 then None else Some mode in
       let replay_clock = [| 1600.0; 1400.0; 1250.0 |].(seed mod 3) in
-      match memo_vs_trial ~seed ~ops:(80 + (seed mod 150)) ~ii ~replay_clock with
+      match memo_vs_trial ~force ~seed ~ops:(80 + (seed mod 150)) ~ii ~replay_clock with
       | None -> QCheck.assume_fail ()
-      | Some (_, 0) -> true
-      | Some (d, w) ->
-          QCheck.Test.fail_reportf "seed=%d ii=%d: %d of %d memo rejections did not end busy" seed
-            mode w d)
+      | Some (_, 0, 0) -> true
+      | Some (d, w, a) ->
+          QCheck.Test.fail_reportf
+            "seed=%d ii=%d force=%b: of %d memo rejections %d did not end busy, %d followed a force"
+            seed mode force d w a)
 
-(* the property above is not vacuous: the memo decides rejections,
-   sequential and pipelined *)
+(* the property above is not vacuous: the memo decides rejections on
+   sequential replays, and none once the ablation path forces a bind *)
 let test_memo_fires () =
   List.iter
-    (fun (ii, seed, clock) ->
-      let name = match ii with None -> "seq" | Some k -> Printf.sprintf "II=%d" k in
-      match memo_vs_trial ~seed ~ops:150 ~ii ~replay_clock:clock with
-      | None -> Alcotest.failf "%s: seed %d failed to schedule" name seed
-      | Some (d, w) ->
+    (fun (seed, clock) ->
+      let name = Printf.sprintf "seed %d at %.0f ps" seed clock in
+      match memo_vs_trial ~force:false ~seed ~ops:300 ~ii:None ~replay_clock:clock with
+      | None -> Alcotest.failf "%s: failed to schedule" name
+      | Some (d, w, _) ->
           Alcotest.(check int) (name ^ ": memo rejections that did not end busy") 0 w;
           Alcotest.(check bool) (Printf.sprintf "%s: memo decided %d" name d) true (d > 0))
-    [ (None, 2, 1400.0); (Some 2, 7, 1250.0) ]
+    [ (1, 1300.0); (7, 1300.0) ];
+  match memo_vs_trial ~force:true ~seed:7 ~ops:300 ~ii:None ~replay_clock:1300.0 with
+  | None -> Alcotest.fail "seed 7: failed to schedule"
+  | Some (_, w, a) ->
+      Alcotest.(check int) "forced: memo rejections that did not end busy" 0 w;
+      Alcotest.(check int) "forced: memo rejections after a force" 0 a
 
 (* The own slack an attempt shares among its empty candidates is
-   [Netlist.empty_bind_slack] on each of them, bit for bit (nan alike).
-   Probed on every instance of each op's class before the op is
-   replayed, at its scheduled step. *)
+   [Netlist.empty_bind_slack] on each of them, bit for bit.  A finished
+   schedule is replayed op by op, in (step, id) order.  Before an op is
+   replayed, when every empty candidate whose own slack is defined
+   violates (and one does), the op is attempted at its scheduled step
+   with [Binding.attempt].  If the attempt fails on every candidate, each
+   such candidate must fail with [F_slack] of exactly its own slack, or
+   on a check that runs before it (a prelude, a forbidden pair, a
+   cycle).  An attempt that binds after all (on a loaded candidate)
+   leaves a state the schedule may not fit beside, so the replay starts
+   over from the schedule's prefix.  Returns (slacks compared,
+   mismatches). *)
 let shared_own_slack_run ~seed ~ops ~ii ~replay_clock =
   let region = synthetic_region ~seed ~ops ?ii () in
   match Scheduler.schedule ~lib ~clock_ps:1600.0 region with
@@ -888,29 +906,62 @@ let shared_own_slack_run ~seed ~ops ~ii ~replay_clock =
   | Ok s ->
       let dfg = region.Region.dfg in
       let net = s.Scheduler.s_binding.Binding.net in
-      let b = Binding.create ~lib ~clock_ps:replay_clock region in
-      List.iter (fun (i : Netlist.inst) -> ignore (Binding.add_inst b i.Netlist.rtype)) (Netlist.insts net);
-      Binding.reset_pass b;
+      let replay b ((step, id), (pl : Netlist.placement)) =
+        Binding.replay_bind b (Dfg.find dfg id) ~step ~finish:pl.Netlist.pl_finish
+          ~inst_opt:pl.Netlist.pl_inst ~rtype:None
+      in
+      let fresh prefix =
+        let b = Binding.create ~lib ~clock_ps:replay_clock region in
+        List.iter (fun (i : Netlist.inst) -> ignore (Binding.add_inst b i.Netlist.rtype)) (Netlist.insts net);
+        Binding.reset_pass b;
+        List.iter (replay b) prefix;
+        b
+      in
       let order =
         Netlist.fold_placements net (fun id pl acc -> ((pl.Netlist.pl_step, id), pl) :: acc) []
         |> List.sort compare
       in
-      let defined = ref 0 and mismatches = ref 0 in
-      List.iter
-        (fun ((step, id), (pl : Netlist.placement)) ->
-          let op = Dfg.find dfg id in
-          let finish = pl.Netlist.pl_finish in
-          let insts = Netlist.class_insts b.Binding.net op in
-          List.iter2
-            (fun (i : Binding.inst) shared ->
-              let own = Netlist.empty_bind_slack b.Binding.net op ~step ~finish ~inst:i in
-              if not (Float.is_nan own) then incr defined;
-              if Int64.bits_of_float own <> Int64.bits_of_float shared then incr mismatches)
-            insts
-            (Binding.empty_slacks b op ~step insts);
-          Binding.replay_bind b op ~step ~finish ~inst_opt:pl.Netlist.pl_inst ~rtype:None)
-        order;
-      Some (!defined, !mismatches)
+      let compared = ref 0 and mismatches = ref 0 in
+      let rec go b done_rev = function
+        | [] -> ()
+        | (((step, id), (pl : Netlist.placement)) as x) :: rest ->
+            let op = Dfg.find dfg id in
+            let cands = List.of_seq (Binding.candidates b op) in
+            let own =
+              List.map
+                (fun (i : Binding.inst) ->
+                  if i.Binding.n_bound = 0 then
+                    Netlist.empty_bind_slack b.Binding.net op ~step ~finish:pl.Netlist.pl_finish ~inst:i
+                  else nan)
+                cands
+            in
+            let b =
+              if List.exists (fun o -> o < -0.001) own && not (List.exists (fun o -> o >= -0.001) own)
+              then
+                match Binding.attempt b op ~step with
+                | [] -> fresh (List.rev done_rev)
+                | fails ->
+                    if List.length fails = List.length cands then
+                      List.iter2
+                        (fun (f : Restraint.fail) own ->
+                          if not (Float.is_nan own) then
+                            match f with
+                            | Restraint.F_slack sl ->
+                                incr compared;
+                                if Int64.bits_of_float sl <> Int64.bits_of_float own then incr mismatches
+                            | Restraint.F_window | Restraint.F_anchor | Restraint.F_dep
+                            | Restraint.F_forbidden | Restraint.F_cycle _ ->
+                                ()
+                            | _ -> incr mismatches)
+                        (List.rev fails) own;
+                    b
+              else b
+            in
+            replay b x;
+            go b (x :: done_rev) rest
+      in
+      go (fresh []) [] order;
+      Some (!compared, !mismatches)
 
 let test_shared_own_slack () =
   List.iter
@@ -918,10 +969,87 @@ let test_shared_own_slack () =
       let name = match ii with None -> "seq" | Some k -> Printf.sprintf "II=%d" k in
       match shared_own_slack_run ~seed:5 ~ops:150 ~ii ~replay_clock:clock with
       | None -> Alcotest.failf "%s: seed 5 failed to schedule" name
-      | Some (defined, m) ->
+      | Some (compared, m) ->
           Alcotest.(check int) (name ^ ": shared own slacks that differ") 0 m;
-          Alcotest.(check bool) (Printf.sprintf "%s: %d defined" name defined) true (defined > 0))
-    [ (None, 1600.0); (Some 1, 1400.0); (Some 2, 1250.0) ]
+          Alcotest.(check bool) (Printf.sprintf "%s: %d compared" name compared) true (compared > 0))
+    [ (None, 1250.0); (Some 1, 1400.0); (Some 2, 1250.0) ]
+
+(* A call with more arguments than a port set has bits: three calls of
+   one 64-argument function share an instance at II=3, so the third bind
+   grows the mux of every port, 62 and 63 among them.  The binder leaves
+   the screen out for it and seeds the trial port by port. *)
+let test_wide_call_shared () =
+  let args p = String.concat ", " (List.init 64 (fun _ -> "$" ^ p)) in
+  let src =
+    Printf.sprintf
+      {|
+design wide {
+  in a : 8;
+  in b : 8;
+  in c : 8;
+  out r : 32;
+  out q : 32;
+  out s : 32;
+  wait();
+  do [name=main, latency=1..8, ii=3] {
+    $r = f(%s);
+    $q = f(%s);
+    $s = f(%s);
+    wait();
+  } while (1);
+}
+|}
+      (args "a") (args "b") (args "c")
+  in
+  let region =
+    Hls_frontend.Elaborate.main_region ~ii:3
+      (Hls_frontend.Elaborate.design (Hls_frontend.Parser.parse_string src))
+  in
+  let dfg = region.Region.dfg in
+  let calls =
+    List.filter_map
+      (fun (o : Dfg.op) -> match o.Dfg.kind with Opkind.Call _ -> Some o.Dfg.id | _ -> None)
+      (Dfg.ops dfg)
+  in
+  Alcotest.(check int) "three calls" 3 (List.length calls);
+  match Scheduler.schedule ~lib ~clock_ps:1600.0 region with
+  | Error e -> Alcotest.failf "wide calls failed to schedule: %s" e.Scheduler.e_message
+  | Ok s ->
+      let net = s.Scheduler.s_binding.Binding.net in
+      let inst id =
+        match Netlist.placement net id with Some pl -> pl.Netlist.pl_inst | None -> None
+      in
+      let shared = List.sort_uniq compare (List.map inst calls) in
+      Alcotest.(check int) "the calls share one instance" 1 (List.length shared);
+      (* the last call's bind, replayed: its changed ports overflow the set *)
+      let order =
+        Netlist.fold_placements net (fun id pl acc -> ((pl.Netlist.pl_step, id), pl) :: acc) []
+        |> List.sort compare
+      in
+      let last = List.fold_left (fun acc ((_, id), _) -> if List.mem id calls then id else acc) (-1) order in
+      let b = Binding.create ~lib ~clock_ps:1600.0 region in
+      List.iter (fun (i : Netlist.inst) -> ignore (Binding.add_inst b i.Netlist.rtype)) (Netlist.insts net);
+      Binding.reset_pass b;
+      List.iter
+        (fun ((step, id), (pl : Netlist.placement)) ->
+          let op = Dfg.find dfg id in
+          if id = last then begin
+            let i = Binding.find_inst b (Option.get pl.Netlist.pl_inst) in
+            Alcotest.(check int) "ports beyond the set" (-1) (Binding.changed_ports b op i);
+            (match Binding.try_bind b op ~step ~inst_opt:pl.Netlist.pl_inst with
+            | Ok () -> ()
+            | Error f -> Alcotest.failf "the last call failed to rebind: %s" (Restraint.fail_to_string f));
+            (* the trial re-timed every cohabitant the grown muxes moved:
+               a full recomputation moves no arrival *)
+            let arrivals () = List.map (fun c -> Netlist.arrival b.Binding.net c) calls in
+            let before = arrivals () in
+            Binding.recompute_all b;
+            Alcotest.(check (list (option (float 0.0)))) "arrivals at the fixpoint" (arrivals ()) before
+          end
+          else
+            Binding.replay_bind b op ~step ~finish:pl.Netlist.pl_finish ~inst_opt:pl.Netlist.pl_inst
+              ~rtype:None)
+        order
 
 (* The decision counters account for every candidate: each one checked
    either binds (one per bound attempt) or is rejected by exactly one
@@ -976,5 +1104,6 @@ let suite =
     Alcotest.test_case "memo decides rejections" `Quick test_memo_fires;
     QCheck_alcotest.to_alcotest prop_memo_decides_busy_trials;
     Alcotest.test_case "shared own slack is empty_bind_slack" `Quick test_shared_own_slack;
+    Alcotest.test_case "a wide call shares an instance" `Quick test_wide_call_shared;
     Alcotest.test_case "decision counters account for every candidate" `Quick test_decision_counters;
   ]
