@@ -47,8 +47,9 @@ bench:
 	dune exec bench/main.exe
 
 # the design-size sweep: schedules seeded synthetic designs at ~350 / 1k
-# / 3k / 10k elaborated ops and writes the scaling curve (wall, queries,
-# queries/s, passes, peak heap words) to BENCH_scale.json
+# / 3k / 10k elaborated ops, three runs each, and writes the scaling curve
+# (median wall with min and max, queries, passes, decision counters) to
+# BENCH_scale.json
 bench-scale:
 	dune exec bench/main.exe -- scale
 

@@ -539,6 +539,46 @@ let bench_scale () =
      ~350 / 1k / 3k / 10k (elaboration roughly doubles the source op
      count with muxes and port plumbing) *)
   let sizes = if !smoke then [ 175; 500 ] else [ 175; 500; 1500; 5000 ] in
+  (* every point is scheduled [reps] times: the wall clock is the median,
+     with its min and max, and every count must repeat exactly *)
+  let reps = if !smoke then 1 else 3 in
+  (* the exact counters of a schedule, the JSON columns they fill *)
+  let counts (st : Scheduler.stats) =
+    [
+      ("queries", st.Scheduler.st_queries);
+      ("passes", st.Scheduler.st_passes);
+      ("visits", st.Scheduler.st_visits);
+      ("cycle_visits", st.Scheduler.st_cycle_visits);
+      ("trials", st.Scheduler.st_trials);
+      ("rollbacks", st.Scheduler.st_rollbacks);
+      (* the binder's decision counters: exact, so they carry a claim at
+         sizes where the wall clock cannot *)
+      ("attempts_bound", st.Scheduler.st_attempts_bound);
+      ("attempts_failed", st.Scheduler.st_attempts_failed);
+      ("candidates", st.Scheduler.st_candidates);
+      ("prelude_fails", st.Scheduler.st_prelude_fails);
+      ("rej_forbid", st.Scheduler.st_rej_forbid);
+      ("rej_tier", st.Scheduler.st_rej_tier);
+      ("rej_dedicated", st.Scheduler.st_rej_dedicated);
+      ("rej_busy", st.Scheduler.st_rej_busy);
+      ("rej_quick_slack", st.Scheduler.st_rej_quick_slack);
+      ("rej_empty_slack", st.Scheduler.st_rej_empty_slack);
+      ("rej_cycle", st.Scheduler.st_rej_cycle);
+      ("rej_screen_memo", st.Scheduler.st_rej_screen_memo);
+      ("rej_screen", st.Scheduler.st_rej_screen);
+      ("rej_trial_slack", st.Scheduler.st_rej_trial_slack);
+      ("rej_trial_busy", st.Scheduler.st_rej_trial_busy);
+      ("screens_skipped", st.Scheduler.st_screens_skipped);
+      ("screens_futile", st.Scheduler.st_screens_futile);
+    ]
+  in
+  (* median, min and max of a point's walls *)
+  let spread walls =
+    let a = Array.of_list (List.sort Float.compare walls) in
+    let n = Array.length a in
+    let median = if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0 in
+    (median, a.(0), a.(n - 1))
+  in
   let rows =
     List.map
       (fun ops ->
@@ -546,77 +586,61 @@ let bench_scale () =
           { Hls_designs.Synthetic.default_profile with
             Hls_designs.Synthetic.p_ops = ops; p_seed = 7; p_tightness = 0.3 }
         in
-        let d = Hls_designs.Synthetic.design ~profile () in
-        let e = Elaborate.design d in
-        let region = Elaborate.main_region e in
-        let n = Region.n_members region in
-        Gc.compact ();
-        match Scheduler.schedule ~lib ~clock_ps:clock region with
-        | Ok s ->
-            let st = Scheduler.stats s in
-            let peak = (Gc.quick_stat ()).Gc.top_heap_words in
-            let qps =
-              if st.Scheduler.st_sched_s > 0.0 then
-                float_of_int st.Scheduler.st_queries /. st.Scheduler.st_sched_s
-              else 0.0
+        (* a fresh region per rep: a schedule leaves marks on the ops
+           it was given (speculated guards), which steer the next one *)
+        let fresh () = Elaborate.main_region (Elaborate.design (Hls_designs.Synthetic.design ~profile ())) in
+        let n = Region.n_members (fresh ()) in
+        let run () =
+          let region = fresh () in
+          Gc.compact ();
+          match Scheduler.schedule ~lib ~clock_ps:clock region with
+          | Ok s -> Ok (Scheduler.stats s, (Gc.quick_stat ()).Gc.top_heap_words)
+          | Error err -> Error err.Scheduler.e_message
+        in
+        match run () with
+        | Error m ->
+            Printf.printf "  %6d ops  FAILED: %s\n%!" n m;
+            None
+        | Ok (st, peak) ->
+            let walls =
+              st.Scheduler.st_sched_s
+              :: List.init (reps - 1) (fun _ ->
+                     match run () with
+                     | Ok (st', _) when counts st' = counts st -> st'.Scheduler.st_sched_s
+                     | Ok _ -> failwith (Printf.sprintf "scale: %d ops: the counts differ between reps" n)
+                     | Error m -> failwith (Printf.sprintf "scale: %d ops: a rep failed: %s" n m))
             in
+            let wall, lo, hi = spread walls in
+            let qps = if wall > 0.0 then float_of_int st.Scheduler.st_queries /. wall else 0.0 in
             Printf.printf
-              "  %6d ops  %8.3f s  %9d queries  %8.0f queries/s  %3d passes  %9d visits  \
-               %7d trials (%d rb)  %9d cycle visits  %10d peak words  %8d attempts  \
-               %9d candidates  %8d memo screens\n%!"
-              n st.Scheduler.st_sched_s st.Scheduler.st_queries qps st.Scheduler.st_passes
-              st.Scheduler.st_visits st.Scheduler.st_trials st.Scheduler.st_rollbacks
-              st.Scheduler.st_cycle_visits peak
+              "  %6d ops  %8.3f s (%d reps, %.3f..%.3f)  %9d queries  %8.0f queries/s  %3d passes  \
+               %9d visits  %7d trials (%d rb)  %9d cycle visits  %10d peak words  %8d attempts  \
+               %9d candidates  %8d memo screens  %6d skipped  %6d futile\n%!"
+              n wall reps lo hi st.Scheduler.st_queries qps st.Scheduler.st_passes st.Scheduler.st_visits
+              st.Scheduler.st_trials st.Scheduler.st_rollbacks st.Scheduler.st_cycle_visits peak
               (st.Scheduler.st_attempts_bound + st.Scheduler.st_attempts_failed)
-              st.Scheduler.st_candidates st.Scheduler.st_rej_screen_memo;
-            Some (n, st, peak)
-        | Error err ->
-            Printf.printf "  %6d ops  FAILED: %s\n%!" n err.Scheduler.e_message;
-            None)
+              st.Scheduler.st_candidates st.Scheduler.st_rej_screen_memo
+              st.Scheduler.st_screens_skipped st.Scheduler.st_screens_futile;
+            Some (n, st, walls, peak))
       sizes
   in
   let rows = List.filter_map Fun.id rows in
-  let json_row (n, (st : Scheduler.stats), peak) =
-    let qps =
-      if st.Scheduler.st_sched_s > 0.0 then
-        float_of_int st.Scheduler.st_queries /. st.Scheduler.st_sched_s
-      else 0.0
-    in
-    (* the binder's decision counters: exact, so they carry a claim at
-       sizes where the wall clock cannot *)
-    let decisions =
-      [
-        ("attempts_bound", st.Scheduler.st_attempts_bound);
-        ("attempts_failed", st.Scheduler.st_attempts_failed);
-        ("candidates", st.Scheduler.st_candidates);
-        ("prelude_fails", st.Scheduler.st_prelude_fails);
-        ("rej_forbid", st.Scheduler.st_rej_forbid);
-        ("rej_tier", st.Scheduler.st_rej_tier);
-        ("rej_dedicated", st.Scheduler.st_rej_dedicated);
-        ("rej_busy", st.Scheduler.st_rej_busy);
-        ("rej_quick_slack", st.Scheduler.st_rej_quick_slack);
-        ("rej_empty_slack", st.Scheduler.st_rej_empty_slack);
-        ("rej_cycle", st.Scheduler.st_rej_cycle);
-        ("rej_screen_memo", st.Scheduler.st_rej_screen_memo);
-        ("rej_screen", st.Scheduler.st_rej_screen);
-        ("rej_trial_slack", st.Scheduler.st_rej_trial_slack);
-        ("rej_trial_busy", st.Scheduler.st_rej_trial_busy);
-      ]
-    in
+  let json_row (n, (st : Scheduler.stats), walls, peak) =
+    let wall, lo, hi = spread walls in
+    let qps = if wall > 0.0 then float_of_int st.Scheduler.st_queries /. wall else 0.0 in
     Printf.sprintf
-      {|{"ops":%d,"wall_s":%.6f,"queries":%d,"queries_per_s":%.1f,"passes":%d,"visits":%d,"cycle_visits":%d,"peak_heap_words":%d,"trials":%d,%s}|}
-      n st.Scheduler.st_sched_s st.Scheduler.st_queries qps st.Scheduler.st_passes
-      st.Scheduler.st_visits st.Scheduler.st_cycle_visits peak st.Scheduler.st_trials
-      (String.concat "," (List.map (fun (k, v) -> Printf.sprintf {|"%s":%d|} k v) decisions))
+      {|{"ops":%d,"wall_s":%.6f,"wall_min_s":%.6f,"wall_max_s":%.6f,"reps":%d,"queries_per_s":%.1f,"peak_heap_words":%d,%s}|}
+      n wall lo hi (List.length walls) qps peak
+      (String.concat "," (List.map (fun (k, v) -> Printf.sprintf {|"%s":%d|} k v) (counts st)))
   in
   (* the headline scaling exponent: slope of log(wall) over log(ops)
      between the smallest and largest completed points *)
   let exponent =
     match (rows, List.rev rows) with
-    | (n0, st0, _) :: _, (n1, st1, _) :: _
-      when n1 > n0 && st0.Scheduler.st_sched_s > 0.0 && st1.Scheduler.st_sched_s > 0.0 ->
-        log (st1.Scheduler.st_sched_s /. st0.Scheduler.st_sched_s)
-        /. log (float_of_int n1 /. float_of_int n0)
+    | (n0, _, w0, _) :: _, (n1, _, w1, _) :: _ ->
+        let (m0, _, _), (m1, _, _) = (spread w0, spread w1) in
+        if n1 > n0 && m0 > 0.0 && m1 > 0.0 then log (m1 /. m0) /. log (float_of_int n1 /. float_of_int n0)
+        else 0.0
     | _ -> 0.0
   in
   Printf.printf "scaling exponent (log wall / log ops): %.2f\n" exponent;

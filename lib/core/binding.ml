@@ -35,6 +35,7 @@ type inst = Netlist.inst = {
   mutable prealloc_shared : bool;
   added_by_expert : bool;
   mutable mux_cache : int list array option;
+  mutable mux_n : int array;
   mutable mux_delays : float array option;
   mutable n_bound : int;
   mutable delay_memo : float;
@@ -69,6 +70,8 @@ type counters = {
   mutable c_screen : int;
   mutable c_trial_slack : int;
   mutable c_trial_busy : int;
+  mutable c_screen_skipped : int;
+  mutable c_screen_futile : int;
 }
 
 (* What one (op, step) attempt prices once for all its candidates.  One
@@ -157,6 +160,8 @@ let create ?(timing_aware = true) ~lib ~clock_ps (region : Region.t) =
         c_screen = 0;
         c_trial_slack = 0;
         c_trial_busy = 0;
+        c_screen_skipped = 0;
+        c_screen_futile = 0;
       };
   }
 
@@ -572,20 +577,24 @@ let check_inst t (op : Dfg.op) (i : inst) : (unit, Restraint.fail) result =
          cohabitant, or one of its same-step chained consumers, below
          tolerance — and strictly below the new op's own slack — the
          trial's busy rejection is already decided, so skip the whole
-         transaction.  The pass's slack floor rules most screens out
-         before they price anyone *)
-      match
-        if changed_ports > 0 && Netlist.screen_may_prove net ~inst:i ~changed_ports then
-          Netlist.screen net ~op ~step:a.a_step ~finish:a.a_finish ~inst:i ~changed_ports
-        else Netlist.Screen_pass
-      with
-      | Netlist.Screen_memo ->
-          c.c_screen_memo <- c.c_screen_memo + 1;
-          Error (Restraint.F_busy i.rtype)
-      | Netlist.Screen_computed ->
-          c.c_screen <- c.c_screen + 1;
-          Error (Restraint.F_busy i.rtype)
-      | Netlist.Screen_pass -> trial t op ~inst_opt:(Some i.inst_id) ~changed_ports
+         transaction.  The instance's slack floor rules out the screens
+         that cannot prove anything before they price anyone *)
+      if changed_ports <= 0 then trial t op ~inst_opt:(Some i.inst_id) ~changed_ports
+      else if not (Netlist.screen_may_prove net ~inst:i ~changed_ports) then begin
+        c.c_screen_skipped <- c.c_screen_skipped + 1;
+        trial t op ~inst_opt:(Some i.inst_id) ~changed_ports
+      end
+      else
+        match Netlist.screen net ~op ~step:a.a_step ~finish:a.a_finish ~inst:i ~changed_ports with
+        | Netlist.Screen_memo ->
+            c.c_screen_memo <- c.c_screen_memo + 1;
+            Error (Restraint.F_busy i.rtype)
+        | Netlist.Screen_computed ->
+            c.c_screen <- c.c_screen + 1;
+            Error (Restraint.F_busy i.rtype)
+        | Netlist.Screen_pass ->
+            c.c_screen_futile <- c.c_screen_futile + 1;
+            trial t op ~inst_opt:(Some i.inst_id) ~changed_ports
     end
   end
 

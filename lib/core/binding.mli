@@ -26,6 +26,7 @@ type inst = Netlist.inst = {
   mutable prealloc_shared : bool;
   added_by_expert : bool;
   mutable mux_cache : int list array option;
+  mutable mux_n : int array;  (** source count per [mux_cache] list *)
   mutable mux_delays : float array option;
   mutable n_bound : int;  (** [List.length bound] *)
   mutable delay_memo : float;  (** see {!Netlist.inst_delay} *)
@@ -59,6 +60,10 @@ type counters = {
   mutable c_screen : int;  (** ... a computed saturation screen *)
   mutable c_trial_slack : int;  (** ... a trial, on the op's own slack *)
   mutable c_trial_busy : int;  (** ... a trial, on a bound op's slack *)
+  mutable c_screen_skipped : int;
+      (** saturation screens the instance floor ruled out
+          ({!Netlist.screen_may_prove}); the trial ran *)
+  mutable c_screen_futile : int;  (** saturation screens run that proved nothing; the trial ran *)
 }
 
 type attempt

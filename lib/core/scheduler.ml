@@ -129,6 +129,8 @@ type stats = {
   st_rej_screen : int;
   st_rej_trial_slack : int;
   st_rej_trial_busy : int;
+  st_screens_skipped : int;
+  st_screens_futile : int;
 }
 
 let stats t =
@@ -162,6 +164,8 @@ let stats t =
     st_rej_screen = c.Binding.c_screen;
     st_rej_trial_slack = c.Binding.c_trial_slack;
     st_rej_trial_busy = c.Binding.c_trial_busy;
+    st_screens_skipped = c.Binding.c_screen_skipped;
+    st_screens_futile = c.Binding.c_screen_futile;
   }
 
 (* internal: unwinds the relaxation loop into a typed error *)

@@ -118,6 +118,8 @@ type stats = {
   st_rej_screen : int;  (** ... computed saturation screen *)
   st_rej_trial_slack : int;  (** ... trial, the op's own slack *)
   st_rej_trial_busy : int;  (** ... trial, a bound op's slack *)
+  st_screens_skipped : int;  (** saturation screens the instance floor ruled out *)
+  st_screens_futile : int;  (** saturation screens run that proved nothing *)
 }
 
 val stats : t -> stats

@@ -73,6 +73,8 @@ type inst = {
   mutable mux_cache : int list array option;
       (** per-port distinct sources, invalidated when [bound]/[rtype]
           change (the hottest query of the timing engine) *)
+  mutable mux_n : int array;
+      (** the length of each [mux_cache] list, while that is [Some] *)
   mutable mux_delays : float array option;
       (** memoized per-port mux delay, derived from [mux_cache] *)
   mutable n_bound : int;  (** [List.length bound] *)
@@ -104,7 +106,7 @@ type undo =
   | U_replace of int * placement
   | U_bound of inst * int list * int
   | U_rtype of inst * Resource.t
-  | U_mux of inst * int list array option * float array option
+  | U_mux of inst * int list array option * int array * float array option
   | U_busy of int list ref * int list
 
 type stats = {
@@ -245,6 +247,16 @@ type t = {
   mutable scr_last : int array;
       (** instance -> the cohabitant that proved its last busy rejection *)
   mutable scr_grown : float array;  (** port -> its grown mux delay, for one screen *)
+  (* the bind one screen prices, read by its closure-free helpers: the
+     new op, its finishing step, the instance and the changed ports *)
+  mutable scr_op : int;
+  mutable scr_finish : int;
+  mutable scr_inst : int;
+  mutable scr_ports : int;
+  mutable scr_cur : int;  (** the cohabitant being priced *)
+  mutable scr_prover : int;  (** the first cohabitant whose value proves, -1 none *)
+  scr_f : float array;
+      (** the screen's float scratch, unboxed: see the [sf_] slots *)
   (* the saturation memo (see {!screen}): per (instance, changed-port
      set), the least slack the last computed screen priced, valid while
      the instance's epoch is the one it was stored under *)
@@ -255,9 +267,19 @@ type t = {
   mutable slack_floor : float;
       (** this pass's committed-slack floor: the minimum worst slack over
           every committed trial and every propagation run outside a trial,
-          [neg_infinity] once a slack-blind bind may have committed (see
-          {!screen_may_prove}) *)
+          read by the saturation memo ({!screen}); [neg_infinity] once a
+          slack-blind bind may have committed, which disables the
+          instance floors too (see {!screen_may_prove}) *)
   mutable trial_worst : float;  (** the open trial's worst slack so far *)
+  mutable inst_floor : float array;
+      (** instance -> its slack floor: the least committed endpoint slack
+          this pass over its bound ops and their same-step consumer cones,
+          capped at [floor_cap] (see {!screen_may_prove}) *)
+  floor_cap : float;
+  mutable floors_kept : bool;
+      (** the instance floors are kept for this pass: built by the first
+          read ({!inst_floor}), dropped by {!reset_pass} *)
+  mutable op_slack : float array;  (** op -> its endpoint slack at its last recomputation *)
 }
 
 (* field accessors for the abstract [t] (the record itself stays private
@@ -279,6 +301,28 @@ let busy_make bits =
   let n = 1 lsl bits in
   { bz_stamp = Array.make n 0; bz_inst = Array.make n 0; bz_slot = Array.make n 0;
     bz_ops = Array.make n no_ops; bz_bits = bits; bz_live = 0; bz_pass = 0 }
+
+(* Margin of the slack-floor test over the -1 fs tolerance: it covers,
+   with room to spare, the sub-femtosecond residue by which a committed
+   arrival can lag its exact value (the propagation pushes a consumer
+   only when its producer moves by more than 1 fs) *)
+let screen_floor_margin = 1.0
+
+(* The cap of the instance floors, above which a slack is not noted.  A
+   grown port adds one mux input, so its delay grows by at most [d_mux2]
+   (the second input) or [d_mux_per_extra_input] (any later one), and
+   the floor test subtracts that growth, twice on a black-box instance
+   ({!screen_may_prove}).  With [k] = 2 when some member needs a black
+   box and 1 otherwise, a floor at the cap clears the test whatever the
+   growth, as the uncapped floor above it would.  (A cap only ever
+   lowers a floor, so it costs no soundness on any instance.) *)
+let floor_cap (lib : Library.t) member_needs =
+  let k =
+    if List.exists (fun (rt : Resource.t) -> match rt.Resource.rclass with Opkind.R_blackbox _ -> true | _ -> false) member_needs
+    then 2.0
+    else 1.0
+  in
+  -0.001 +. screen_floor_margin +. (k *. fmax lib.Library.d_mux2 lib.Library.d_mux_per_extra_input) +. 1.0
 
 let create ~lib ~clock_ps (region : Region.t) =
   let dfg = region.Region.dfg in
@@ -359,12 +403,23 @@ let create ~lib ~clock_ps (region : Region.t) =
     scr_gen = 0;
     scr_last = [||];
     scr_grown = Array.make 64 0.0;
+    scr_op = -1;
+    scr_finish = 0;
+    scr_inst = 0;
+    scr_ports = 0;
+    scr_cur = -1;
+    scr_prover = -1;
+    scr_f = Array.make 5 0.0;
     sat_epoch = [||];
     sat_tick = 0;
     sat_at = [||];
     sat_val = [||];
     slack_floor = infinity;
     trial_worst = infinity;
+    inst_floor = [||];
+    floor_cap = floor_cap lib member_needs;
+    floors_kept = false;
+    op_slack = Array.make cap infinity;
   }
 
 let grow_arr a cap d =
@@ -398,6 +453,7 @@ let ensure_cap t id =
     t.opdelay_c <- grow_arr t.opdelay_c cap nan;
     t.in_wl <- grow_arr t.in_wl cap 0;
     t.scr_seen <- grow_arr t.scr_seen cap 0;
+    t.op_slack <- grow_arr t.op_slack cap infinity;
     t.cap <- cap
   end
 
@@ -492,7 +548,7 @@ let sat_slots = 8
 let add_inst ?(added_by_expert = false) t rtype =
   let inst =
     { inst_id = t.next_inst_id; rtype; bound = []; prealloc_shared = false; added_by_expert;
-      mux_cache = None; mux_delays = None; n_bound = 0; delay_memo = nan;
+      mux_cache = None; mux_n = [||]; mux_delays = None; n_bound = 0; delay_memo = nan;
       compat = Bytes.make (Array.length t.needs) '\255' }
   in
   t.next_inst_id <- t.next_inst_id + 1;
@@ -508,7 +564,8 @@ let add_inst ?(added_by_expert = false) t rtype =
     t.scr_last <- grow_arr t.scr_last n (-1);
     t.sat_epoch <- grow_arr t.sat_epoch n 0;
     t.sat_at <- grow_arr t.sat_at (n * sat_slots) (-1);
-    t.sat_val <- grow_arr t.sat_val (n * sat_slots) infinity
+    t.sat_val <- grow_arr t.sat_val (n * sat_slots) infinity;
+    t.inst_floor <- grow_arr t.inst_floor n t.floor_cap
   end;
   t.inst_arr.(inst.inst_id) <- inst;
   sat_invalidate t inst;
@@ -695,6 +752,8 @@ let reset_pass ~price_muxes t =
   t.touched <- [];
   t.undo_log <- [];
   t.slack_floor <- infinity;
+  Array.fill t.inst_floor 0 (Array.length t.inst_floor) t.floor_cap;
+  t.floors_kept <- false;
   ignore (refresh_prealloc t)
 
 (* --- placements --- *)
@@ -966,6 +1025,54 @@ let cell_of t id =
   end;
   c
 
+(** {2 Instance slack floors}
+
+    Instance [i]'s floor is the least committed endpoint slack, this
+    pass, over the ops a saturation screen on [i] can price: [i]'s bound
+    ops and, below each, the ops that read it at distance 0 in the step
+    it finishes, recursively, through latency-1 region members (the
+    screen's downstream walk follows exactly those edges).  Every slack
+    is noted as it becomes committed — at {!commit} for the ops the trial
+    re-timed, at once for a recomputation outside a trial — against the
+    instance of the op and of every op upstream of it on such a chain.
+    An op is placed after its producers, so a chain that reaches it
+    already exists when its slack is first noted, and a later trial that
+    re-times it notes it again.  A pass that never screens (no instance
+    is shared) need not pay for the notes, so the floors are built by
+    their first read, from every placed op's committed slack — within a
+    pass a committed slack only falls, so that is the least it has
+    been — and noted from then on. *)
+
+(* lower by [s] the floor of [id]'s instance and of every instance whose
+   same-step chain reaches [id]; [gen] marks the ops already visited *)
+let rec floor_note_up t id (s : float) gen =
+  let j = t.pl_inst.(id) in
+  if j >= 0 && s < t.inst_floor.(j) then t.inst_floor.(j) <- s;
+  floor_note_ins t t.pl_step.(id) s gen (Dfg.in_edges t.dfg id)
+
+and floor_note_ins t st s gen = function
+  | [] -> ()
+  | (e : Dfg.edge) :: rest ->
+      let p = e.Dfg.src in
+      if
+        e.Dfg.distance = 0 && p < t.cap
+        && t.pl_finish.(p) = st
+        && placed t p
+        && t.scr_seen.(p) <> gen
+        && Region.mem t.region p
+        && lat_of t p <= 1
+      then begin
+        t.scr_seen.(p) <- gen;
+        floor_note_up t p s gen
+      end;
+      floor_note_ins t st s gen rest
+
+let floor_note t id s =
+  if t.floors_kept && s < t.floor_cap then begin
+    t.scr_gen <- t.scr_gen + 1;
+    floor_note_up t id s t.scr_gen
+  end
+
 let commit t =
   if not t.trial_on then invalid_arg "Netlist.commit: no active trial";
   List.iter
@@ -973,7 +1080,8 @@ let commit t =
       let c = t.cells.(op) in
       if c.a_pass = t.pass_stamp && c.a_gen = t.generation then begin
         c.a_committed <- c.a_trial;
-        c.a_live <- true
+        c.a_live <- true;
+        floor_note t op t.op_slack.(op)
       end)
     t.touched;
   t.slack_floor <- fmin t.slack_floor t.trial_worst;
@@ -1010,8 +1118,9 @@ let rollback t =
       | U_rtype (i, rt) ->
           set_type i rt;
           sat_invalidate t i
-      | U_mux (i, mc, md) ->
+      | U_mux (i, mc, mn, md) ->
           i.mux_cache <- mc;
+          i.mux_n <- mn;
           i.mux_delays <- md
       | U_busy (r, l) -> r := l)
     t.undo_log;
@@ -1037,8 +1146,11 @@ let place t op_id ~step ~finish ~inst_opt =
   t.pl_gen.(op_id) <- t.pass_stamp;
   step_index_add t op_id step
 
+(* a source count as mux inputs: a pre-allocated mux has at least two *)
+let effective_inputs inst n = if inst.prealloc_shared then Int.max n 2 else n
+
 let invalidate_mux t i =
-  if t.trial_on then t.undo_log <- U_mux (i, i.mux_cache, i.mux_delays) :: t.undo_log;
+  if t.trial_on then t.undo_log <- U_mux (i, i.mux_cache, i.mux_n, i.mux_delays) :: t.undo_log;
   i.mux_cache <- None;
   i.mux_delays <- None
 
@@ -1071,15 +1183,14 @@ let attach t i op_id =
     match i.mux_cache with
     | None -> invalidate_mux t i
     | Some c ->
-        if t.trial_on then t.undo_log <- U_mux (i, i.mux_cache, i.mux_delays) :: t.undo_log;
-        let c' = Array.copy c in
-        let changed = Array.make (Array.length c) false in
+        if t.trial_on then t.undo_log <- U_mux (i, i.mux_cache, i.mux_n, i.mux_delays) :: t.undo_log;
+        let c' = Array.copy c and n' = Array.copy i.mux_n in
         List.iter
           (fun (e : Dfg.edge) ->
             let p = e.Dfg.port in
             if p < Array.length c' && not (List.memq e.Dfg.src c'.(p)) then begin
               c'.(p) <- sorted_insert e.Dfg.src c'.(p);
-              changed.(p) <- true
+              n'.(p) <- n'.(p) + 1
             end)
           (Dfg.in_edges t.dfg op_id);
         i.mux_cache <- Some c';
@@ -1087,15 +1198,12 @@ let attach t i op_id =
         | None -> ()
         | Some d ->
             let d' = Array.copy d in
-            Array.iteri
-              (fun p ch ->
-                if ch && p < Array.length d' then begin
-                  let n = List.length c'.(p) in
-                  let n = if i.prealloc_shared then Int.max n 2 else n in
-                  d'.(p) <- Library.mux_delay t.lib ~inputs:n
-                end)
-              changed;
-            i.mux_delays <- Some d')
+            for p = 0 to Int.min (Array.length d') (Array.length n') - 1 do
+              if n'.(p) <> i.mux_n.(p) then
+                d'.(p) <- Library.mux_delay t.lib ~inputs:(effective_inputs i n'.(p))
+            done;
+            i.mux_delays <- Some d');
+        i.mux_n <- n'
   end
 
 let set_rtype t i rt =
@@ -1136,22 +1244,27 @@ let port_srcs t (inst : inst) ~port =
            attach/set_rtype that changed the inputs already journaled the
            pre-trial caches *)
         inst.mux_cache <- Some c;
+        inst.mux_n <- Array.map List.length c;
         inst.mux_delays <- None;
         c
   in
   if port < Array.length srcs then srcs.(port) else []
 
-let mux_inputs t inst ~port =
-  let n = List.length (port_srcs t inst ~port) in
-  if inst.prealloc_shared then Int.max n 2 else n
+(* The number of distinct sources feeding [port], kept beside the cache *)
+let src_count t inst ~port =
+  (match inst.mux_cache with
+  | Some c when port < Array.length c -> ()
+  | _ -> ignore (port_srcs t inst ~port));
+  inst.mux_n.(port)
+
+let mux_inputs t inst ~port = effective_inputs inst (src_count t inst ~port)
 
 (** Mux inputs of [port] after a hypothetical bind of an op whose [port]
     input comes from [src]: a source already feeding the port adds no mux
     input. *)
 let mux_inputs_with t inst ~port ~src =
-  let l = port_srcs t inst ~port in
-  let n = if List.memq src l then List.length l else List.length l + 1 in
-  if inst.prealloc_shared then Int.max n 2 else n
+  let n = src_count t inst ~port in
+  effective_inputs inst (if List.memq src (port_srcs t inst ~port) then n else n + 1)
 
 let in_mux_delay t inst ~port =
   match inst.mux_delays with
@@ -1306,8 +1419,19 @@ let slack_of t ~arrival ~guard =
   let reg_path = if t.mux_priced then reg_mux_delay t else 0.0 in
   t.clock_ps -. (fmax arr guard +. reg_path +. t.lib.Library.ff_setup)
 
+(** Worst-case registered-endpoint slack of a placed op: its result must
+    traverse the register-input mux (when the muxes are priced) and meet
+    setup, and its commit enable (the guard, unless speculated) must also
+    settle in time. *)
+let endpoint_slack t op_id =
+  let op = Dfg.find t.dfg op_id in
+  let g = if placed t op_id then guard_arrival t ~step:t.pl_finish.(op_id) op else 0.0 in
+  slack_of t ~arrival:(arrival_raw t op_id) ~guard:g
+
 (** Recompute the arrival of a placed op through the same formula the
-    reference evaluator uses; returns true if it moved by more than 1 fs.
+    reference evaluator uses, and its endpoint slack into [op_slack]
+    (noted in the instance floors at once outside a trial, at {!commit}
+    inside one); returns true if the arrival moved by more than 1 fs.
     The guard does not serialize with the datapath — it drives the commit
     register's enable pin in parallel and is accounted for in
     {!endpoint_slack}. *)
@@ -1319,16 +1443,10 @@ let recompute_arrival t op_id =
   in
   let old = arrival_raw t op_id in
   set_arrival t op_id v;
+  let s = endpoint_slack t op_id in
+  t.op_slack.(op_id) <- s;
+  if not t.trial_on then floor_note t op_id s;
   old = neg_infinity || abs_float (old -. v) > 0.001
-
-(** Worst-case registered-endpoint slack of a placed op: its result must
-    traverse the register-input mux (when the muxes are priced) and meet
-    setup, and its commit enable (the guard, unless speculated) must also
-    settle in time. *)
-let endpoint_slack t op_id =
-  let op = Dfg.find t.dfg op_id in
-  let g = if placed t op_id then guard_arrival t ~step:t.pl_finish.(op_id) op else 0.0 in
-  slack_of t ~arrival:(arrival_raw t op_id) ~guard:g
 
 (** {2 Own slack on an empty instance}
 
@@ -1452,9 +1570,10 @@ let empty_bind_slack t (op : Dfg.op) ~step ~finish ~(inst : inst) =
     stored value [v] ends the trial with a slack of at most [v]: the trial
     re-times it, or leaves a committed arrival that has already risen to
     the bound the walk priced.  In the second case its committed slack is
-    at most [v]; no committed slack is below the pass's slack floor
-    ({!screen_may_prove}), so when [v] is below the floor the trial
-    re-times that op.  A hit therefore needs [v] below the floor, the
+    at most [v]; no committed slack is below the pass's slack floor (the
+    minimum worst slack over every committed trial and every propagation
+    run outside one), so when [v] is below the floor the trial re-times
+    that op.  A hit therefore needs [v] below the floor, the
     tolerance and [s_op], and then the trial rejects busy: it decides with
     one comparison ([Screen_memo]).  In a pass of trials the floor sits at
     or above the tolerance, so that test costs no hit; after a
@@ -1474,15 +1593,7 @@ let screen_walk_depth = 8
 
 (* The mux delay of a grown port: one more source than it has now *)
 let grown_mux_delay t inst p =
-  let n = List.length (port_srcs t inst ~port:p) + 1 in
-  let n = if inst.prealloc_shared then Int.max n 2 else n in
-  Library.mux_delay t.lib ~inputs:n
-
-(* Margin of the slack-floor test over the -1 fs tolerance: it covers,
-   with room to spare, the sub-femtosecond residue by which a committed
-   arrival can lag its exact value (the propagation pushes a consumer
-   only when its producer moves by more than 1 fs) *)
-let screen_floor_margin = 1.0
+  Library.mux_delay t.lib ~inputs:(effective_inputs inst (src_count t inst ~port:p + 1))
 
 (** The highest port a port set holds: bit [Sys.int_size - 2], the top
     bit of a non-negative int. *)
@@ -1491,53 +1602,78 @@ let port_set_max = Sys.int_size - 2
 (* is port [p] in the set [ports]?  A port beyond the set's range never is *)
 let in_ports ports p = p >= 0 && p <= port_set_max && (ports lsr p) land 1 = 1
 
-(* Does [o] read one of the ports in the set [ports]? *)
-let reads_ports t o ~ports =
-  List.exists (fun (e : Dfg.edge) -> in_ports ports e.Dfg.port) (Dfg.in_edges t.dfg o)
+let rec reads_ports_in ports = function
+  | [] -> false
+  | (e : Dfg.edge) :: rest -> in_ports ports e.Dfg.port || reads_ports_in ports rest
 
-(* [f p] for every port [p] in the set [ports], ascending *)
-let iter_ports ports f =
-  let rec go m p =
-    if m <> 0 then begin
-      if m land 1 = 1 then f p;
-      go (m lsr 1) (p + 1)
-    end
-  in
-  go ports 0
+(* Does [o] read one of the ports in the set [ports]? *)
+let reads_ports t o ~ports = reads_ports_in ports (Dfg.in_edges t.dfg o)
 
 (** The bit of port [p] in a port set. *)
 let port_bit p =
   if p < 0 || p > port_set_max then invalid_arg "Netlist.port_bit: port out of range";
   1 lsl p
 
-(** Can {!screen} prove anything for this bind?  Every slack
-    it prices is a committed slack moved by the grown mux delays, each by
-    at most Δ, the largest growth of any changed port.  A cohabitant's
-    path passes one grown mux.  The walk below it never comes back through
-    the instance on a latency-1 op: that would be a same-step chain from
-    the instance to itself, which the structural-cycle check forbids.  The
-    only second grown mux a priced path can pass is thus that of a
-    multicycle op ending the walk on the same instance (under an exclusive
-    guard), and only black-box instances host multicycle ops.  So each
-    priced slack is at least the committed slack of its op minus kΔ (k = 1,
-    or 2 on a black-box instance), minus the sub-femtosecond residue by
-    which a stored arrival can lag its exact value.  No committed slack is
-    below the pass's slack floor: each op's stored arrival was last
-    computed in a committed trial or in a propagation outside one, and the
-    floor takes the minimum worst slack over both.  So when the floor
-    minus kΔ clears the tolerance by {!screen_floor_margin}, nothing can
-    prove a rejection and the answer is [false] without pricing anyone.
-    A [force_bind], which may commit a violating op without a trial, drops
-    the floor to [neg_infinity] for the rest of the pass
-    ({!poison_slack_floor}). *)
+(* Store the grown mux delay of every port in the set [ports] of [inst]
+   in [scr_grown]; the largest growth over them *)
+let grow_ports t inst ports =
+  let delta = ref 0.0 and m = ref ports and p = ref 0 in
+  while !m <> 0 do
+    if !m land 1 = 1 then begin
+      let g = grown_mux_delay t inst !p in
+      t.scr_grown.(!p) <- g;
+      delta := fmax !delta (g -. in_mux_delay t inst ~port:!p)
+    end;
+    m := !m lsr 1;
+    incr p
+  done;
+  !delta
+
+(** The instance's slack floor (the first read of a pass builds every
+    instance's), [neg_infinity] once the floors are disabled for the
+    pass. *)
+let inst_floor t (inst : inst) =
+  if t.slack_floor = neg_infinity then neg_infinity
+  else begin
+    if not t.floors_kept then begin
+      t.floors_kept <- true;
+      for id = 0 to t.cap - 1 do
+        if placed t id then floor_note t id (endpoint_slack t id)
+      done
+    end;
+    t.inst_floor.(inst.inst_id)
+  end
+
+(** Can {!screen} prove anything for this bind?  Every slack it prices
+    belongs to an op in the instance's cone — a cohabitant, or an op its
+    downstream walk reaches — and is that op's committed slack moved by
+    the grown mux delays, each by at most Δ, the largest growth of any
+    changed port.  A cohabitant's path passes one grown mux.  The walk
+    below it never comes back through the instance on a latency-1 op: that
+    would be a same-step chain from the instance to itself, which the
+    structural-cycle check forbids.  The only second grown mux a priced
+    path can pass is thus that of a multicycle op ending the walk on the
+    same instance (under an exclusive guard), and only black-box instances
+    host multicycle ops.  So each priced slack is at least the committed
+    slack of its op minus kΔ (k = 1, or 2 on a black-box instance), minus
+    the sub-femtosecond residue by which a stored arrival can lag its
+    exact value.  No committed slack in the cone is below the instance's
+    floor F_i (see {e Instance slack floors}), so when F_i − kΔ clears the
+    tolerance by {!screen_floor_margin}, nothing can prove a rejection and
+    the answer is [false] without pricing anyone.  That also holds for a
+    memo hit: a value stored under the instance's current epoch was priced
+    against the same mux counts and against a floor at least F_i (floors
+    only fall within a pass), so it is at least F_i − kΔ too and proves
+    nothing.  A [force_bind], which may commit a violating op without a
+    trial, disables the floors for the rest of the pass
+    ({!poison_slack_floor}).  Unpriced muxes make growth invisible: then
+    the answer is [false] too. *)
 let screen_may_prove t ~(inst : inst) ~changed_ports =
-  let delta = ref 0.0 in
-  iter_ports changed_ports (fun p ->
-      delta := fmax !delta (grown_mux_delay t inst p -. in_mux_delay t inst ~port:p));
-  let delta =
-    match inst.rtype.Resource.rclass with Opkind.R_blackbox _ -> 2.0 *. !delta | _ -> !delta
-  in
-  not (t.slack_floor -. delta > -0.001 +. screen_floor_margin)
+  t.mux_priced && changed_ports > 0
+  &&
+  let delta = grow_ports t inst changed_ports in
+  let delta = match inst.rtype.Resource.rclass with Opkind.R_blackbox _ -> 2.0 *. delta | _ -> delta in
+  not (inst_floor t inst -. delta > -0.001 +. screen_floor_margin)
 
 let poison_slack_floor t = t.slack_floor <- neg_infinity
 
@@ -1546,169 +1682,213 @@ let poison_slack_floor t = t.slack_floor <- neg_infinity
    on the op *)
 let unread t (op : Dfg.op) =
   let id = op.Dfg.id in
+  let outs = out0_of t id in
+  let k = ref 0 in
+  while !k < Array.length outs && not (placed t outs.(!k)) do
+    incr k
+  done;
   (not (placed t id))
-  && (not (Array.exists (fun d -> placed t d) (out0_of t id)))
+  && !k = Array.length outs
   && not
        (id < Array.length t.gslots
        &&
        let b = t.gslots.(id) in
        b.b_gen = t.pass_stamp && b.b_len > 0)
 
+(* The screen's helpers read the bind from the [scr_] fields and keep
+   their floats in [scr_f], so pricing allocates no closure *)
+let sf_arr = 0 (* the arrival the last [scr_hypo] priced *)
+let sf_slack = 1 (* ... and its endpoint slack *)
+let sf_reg_setup = 2 (* register mux delay plus setup *)
+let sf_least = 3 (* the least value the computed screen priced *)
+let sf_s_op = 4 (* the new op's own slack *)
+
+(* the mux delay of [p] on the screened instance, grown when [p] is a
+   changed port *)
+let scr_mux t p =
+  if in_ports t.scr_ports p then t.scr_grown.(p) else in_mux_delay t t.inst_arr.(t.scr_inst) ~port:p
+
+(* Would [id]'s committed arrival move under the screened bind?  True
+   when it reads a grown port on the instance or when the change (or the
+   new op's result) reaches it through a same-step chain; deep chains
+   bail out conservatively *)
+let rec scr_affected t depth id =
+  depth > 8
+  || (t.pl_inst.(id) = t.scr_inst && reads_ports t id ~ports:t.scr_ports)
+  || scr_affected_ins t depth t.pl_step.(id) (Dfg.in_edges t.dfg id)
+
+and scr_affected_ins t depth st = function
+  | [] -> false
+  | (e : Dfg.edge) :: rest ->
+      (e.Dfg.distance = 0
+      &&
+      if e.Dfg.src = t.scr_op then t.scr_finish = st
+      else
+        let p = e.Dfg.src in
+        Region.mem t.region p && placed t p
+        && (not (lat_of t p > 1))
+        && t.pl_finish.(p) = st
+        && scr_affected t (depth + 1) p)
+      || scr_affected_ins t depth st rest
+
+(* does a guard predecessor of [o] move under the screened bind? *)
+let scr_guard_affected t (o : Dfg.op) ~fstep =
+  (not (o.Dfg.speculated || Guard.is_always o.Dfg.guard))
+  &&
+  let gp = gpreds_of t o.Dfg.id in
+  let hit = ref false and k = ref 0 in
+  while (not !hit) && !k < Array.length gp do
+    let g = gp.(!k) in
+    hit :=
+      if g = t.scr_op then t.scr_finish = fstep
+      else Region.mem t.region g && placed t g && t.pl_finish.(g) = fstep && scr_affected t 0 g;
+    incr k
+  done;
+  !hit
+
+(* Price [o] executing on the screened instance at [st]..[fstep] with
+   the grown mux delays: its exact arrival and endpoint slack go to the
+   [sf_arr] and [sf_slack] slots.  False, pricing nothing, when a
+   committed input would itself move *)
+let scr_hypo t (o : Dfg.op) ~st ~fstep =
+  let ff = t.lib.Library.ff_clk_q in
+  let ins = Dfg.in_edges t.dfg o.Dfg.id in
+  let data = ref (arrival_base t o ins) and ok = ref true and l = ref ins in
+  while
+    !ok
+    &&
+    match !l with
+    | [] -> false
+    | (e : Dfg.edge) :: rest ->
+        l := rest;
+        let s = e.Dfg.src in
+        let a =
+          if e.Dfg.distance <> 0 then ff
+          else if s = t.scr_op then begin
+            if t.scr_finish = st then ok := false;
+            ff
+          end
+          else if Region.mem t.region s && placed t s && (not (lat_of t s > 1)) && t.pl_finish.(s) = st
+          then begin
+            if scr_affected t 0 s then ok := false;
+            let v = arrival_raw t s in
+            if v = neg_infinity then ff else v
+          end
+          else ff
+        in
+        data := fmax !data (a +. scr_mux t e.Dfg.port);
+        true
+  do
+    ()
+  done;
+  !ok
+  && (not (scr_guard_affected t o ~fstep))
+  &&
+  let arr = !data +. inst_delay t t.inst_arr.(t.scr_inst) in
+  let g = guard_arrival t ~step:fstep o in
+  t.scr_f.(sf_arr) <- arr;
+  t.scr_f.(sf_slack) <- t.clock_ps -. (fmax arr g +. t.scr_f.(sf_reg_setup));
+  true
+
+(* a value the computed screen priced for the cohabitant [scr_cur] *)
+let scr_note t s =
+  let f = t.scr_f in
+  if s < f.(sf_least) then f.(sf_least) <- s;
+  if t.scr_prover < 0 && s < -0.001 && s < f.(sf_s_op) then t.scr_prover <- t.scr_cur
+
+(* [lb] bounds [x]'s in-trial arrival from below, [h] hops under a priced
+   cohabitant.  Follow a same-step consumer only where the bound exceeds
+   its committed arrival by more than the push threshold — exactly where
+   the trial's propagation reaches it *)
+let rec scr_walk t x lb h =
+  if h < screen_walk_depth && Region.mem t.region x && lat_of t x <= 1 then
+    scr_walk_outs t t.pl_finish.(x) lb h (Dfg.out_edges t.dfg x)
+
+and scr_walk_outs t fstep lb h = function
+  | [] -> ()
+  | (e : Dfg.edge) :: rest ->
+      let d = e.Dfg.dst in
+      if
+        e.Dfg.distance = 0 && d <> t.scr_op && placed t d
+        && t.pl_step.(d) = fstep
+        && t.scr_seen.(d) <> t.scr_gen
+      then begin
+        let di = t.pl_inst.(d) in
+        let mux =
+          if di < 0 then 0.0
+          else if di = t.scr_inst then scr_mux t e.Dfg.port
+          else in_mux_delay t t.inst_arr.(di) ~port:e.Dfg.port
+        in
+        let ex = exec_delay t (Dfg.find t.dfg d) (if di < 0 then None else Some di) in
+        let lb_d = lb +. mux +. ex -. screen_walk_margin in
+        if lb_d -. arrival_raw t d > 0.001 then begin
+          t.scr_seen.(d) <- t.scr_gen;
+          scr_note t (t.clock_ps -. (lb_d +. t.scr_f.(sf_reg_setup)));
+          scr_walk t d lb_d (h + 1)
+        end
+      end;
+      scr_walk_outs t fstep lb h rest
+
+(* price the cohabitant [o_id] when it reads a changed port, then walk
+   below it *)
+let scr_price t o_id =
+  if o_id <> t.scr_op && placed t o_id && reads_ports t o_id ~ports:t.scr_ports then begin
+    t.scr_cur <- o_id;
+    if scr_hypo t (Dfg.find t.dfg o_id) ~st:t.pl_step.(o_id) ~fstep:t.pl_finish.(o_id) then begin
+      scr_note t t.scr_f.(sf_slack);
+      scr_walk t o_id t.scr_f.(sf_arr) 0
+    end
+  end
+
+let rec scr_price_all t ~skip = function
+  | [] -> ()
+  | o_id :: rest ->
+      if o_id <> skip then scr_price t o_id;
+      scr_price_all t ~skip rest
+
 let screen t ~(op : Dfg.op) ~step ~finish ~(inst : inst) ~changed_ports =
   (* unpriced muxes make mux growth invisible *)
   if (not t.mux_priced) || changed_ports <= 0 then Screen_pass
   else begin
-    let ff = t.lib.Library.ff_clk_q in
-    let exec = inst_delay t inst in
-    let reg_setup = reg_mux_delay t +. t.lib.Library.ff_setup in
-    let grown = t.scr_grown in
-    iter_ports changed_ports (fun p -> grown.(p) <- grown_mux_delay t inst p);
-    let new_mux p = if in_ports changed_ports p then grown.(p) else in_mux_delay t inst ~port:p in
-    let reads_changed o = reads_ports t o ~ports:changed_ports in
-    (* would [id]'s committed arrival move under the hypothetical bind?
-       True when it reads a grown port on [inst] or when the change (or
-       the new op's result) reaches it through a same-step chain; deep
-       chains bail out conservatively *)
-    let rec affected depth id =
-      depth > 8
-      || (t.pl_inst.(id) = inst.inst_id && reads_changed id)
-      ||
-      let st = t.pl_step.(id) in
-      List.exists
-        (fun (e : Dfg.edge) ->
-          e.Dfg.distance = 0
-          &&
-          if e.Dfg.src = op.Dfg.id then finish = st
-          else
-            let p = e.Dfg.src in
-            Region.mem t.region p && placed t p
-            && not (lat_of t p > 1)
-            && t.pl_finish.(p) = st
-            && affected (depth + 1) p)
-        (Dfg.in_edges t.dfg id)
+    (* the memo slot first: a hit needs only the op's own slack *)
+    let slot = if changed_ports < sat_slots then (inst.inst_id * sat_slots) + changed_ports else -1 in
+    let epoch = t.sat_epoch.(inst.inst_id) in
+    let stored =
+      if slot >= 0 && t.sat_at.(slot) = epoch then t.sat_val.(slot) else infinity
     in
-    let guard_affected (o : Dfg.op) ~fstep =
-      (not (o.Dfg.speculated || Guard.is_always o.Dfg.guard))
-      && Array.exists
-           (fun g ->
-             if g = op.Dfg.id then finish = fstep
-             else Region.mem t.region g && placed t g && t.pl_finish.(g) = fstep && affected 0 g)
-           (gpreds_of t o.Dfg.id)
-    in
-    let exception Unpriceable in
-    (* exact arrival and endpoint slack of [o] executing on [inst] at
-       [st]..[fstep] with the grown mux delays; raises when a committed
-       input would itself move *)
-    let hypo (o : Dfg.op) ~st ~fstep =
-      let ins = Dfg.in_edges t.dfg o.Dfg.id in
-      let data =
-        List.fold_left
-          (fun acc (e : Dfg.edge) ->
-            let s = e.Dfg.src in
-            let a =
-              if e.Dfg.distance <> 0 then ff
-              else if s = op.Dfg.id then
-                if finish = st then raise Unpriceable else ff
-              else if
-                Region.mem t.region s && placed t s && not (lat_of t s > 1) && t.pl_finish.(s) = st
-              then begin
-                if affected 0 s then raise Unpriceable;
-                let v = arrival_raw t s in
-                if v = neg_infinity then ff else v
-              end
-              else ff
-            in
-            fmax acc (a +. new_mux e.Dfg.port))
-          (arrival_base t o ins) ins
-      in
-      let arr = data +. exec in
-      if guard_affected o ~fstep then raise Unpriceable;
-      let g = guard_arrival t ~step:fstep o in
-      (arr, t.clock_ps -. (fmax arr g +. reg_setup))
-    in
-    match hypo op ~st:step ~fstep:finish with
-    | exception Unpriceable -> Screen_pass
-    | _, s_op ->
-        let proves s = s < -0.001 && s < s_op in
-        let slot =
-          if changed_ports < sat_slots then (inst.inst_id * sat_slots) + changed_ports else -1
-        in
-        let epoch = t.sat_epoch.(inst.inst_id) in
-        if
-          slot >= 0
-          && t.sat_at.(slot) = epoch
-          && proves t.sat_val.(slot)
-          && t.sat_val.(slot) < t.slack_floor
-          && unread t op
-        then
-          Screen_memo
-        else begin
-          t.scr_gen <- t.scr_gen + 1;
-          let gen = t.scr_gen in
-          (* the least value priced, and the first cohabitant with a value
-             that proves *)
-          let least = ref infinity and prover = ref (-1) and cur = ref (-1) in
-          let note s =
-            if s < !least then least := s;
-            if !prover < 0 && proves s then prover := !cur
-          in
-          (* [lb] bounds [x]'s in-trial arrival from below, [h] hops under a
-             priced cohabitant.  Follow a same-step consumer only where the
-             bound exceeds its committed arrival by more than the push
-             threshold — exactly where the trial's propagation reaches it *)
-          let rec walk x lb h =
-            if h < screen_walk_depth && Region.mem t.region x && lat_of t x <= 1 then begin
-              let fstep = t.pl_finish.(x) in
-              List.iter
-                (fun (e : Dfg.edge) ->
-                  let d = e.Dfg.dst in
-                  if
-                    e.Dfg.distance = 0 && d <> op.Dfg.id && placed t d
-                    && t.pl_step.(d) = fstep
-                    && t.scr_seen.(d) <> gen
-                  then begin
-                    let di = t.pl_inst.(d) in
-                    let mux =
-                      if di < 0 then 0.0
-                      else if di = inst.inst_id then new_mux e.Dfg.port
-                      else in_mux_delay t t.inst_arr.(di) ~port:e.Dfg.port
-                    in
-                    let ex = exec_delay t (Dfg.find t.dfg d) (if di < 0 then None else Some di) in
-                    let lb_d = lb +. mux +. ex -. screen_walk_margin in
-                    if lb_d -. arrival_raw t d > 0.001 then begin
-                      t.scr_seen.(d) <- gen;
-                      note (t.clock_ps -. (lb_d +. reg_setup));
-                      walk d lb_d (h + 1)
-                    end
-                  end)
-                (Dfg.out_edges t.dfg x)
-            end
-          in
-          let price o_id =
-            if o_id <> op.Dfg.id && placed t o_id && reads_changed o_id then begin
-              cur := o_id;
-              match hypo (Dfg.find t.dfg o_id) ~st:t.pl_step.(o_id) ~fstep:t.pl_finish.(o_id) with
-              | exception Unpriceable -> ()
-              | a, s ->
-                  note s;
-                  walk o_id a 0
-            end
-          in
-          (* the cohabitant that proved this instance's last rejection
-             usually proves the next one too: it goes first *)
-          let last = t.scr_last.(inst.inst_id) in
-          if List.memq last inst.bound then price last;
-          List.iter (fun o_id -> if o_id <> last then price o_id) inst.bound;
-          if slot >= 0 then begin
-            t.sat_at.(slot) <- epoch;
-            t.sat_val.(slot) <- !least
-          end;
-          if !prover >= 0 then begin
-            t.scr_last.(inst.inst_id) <- !prover;
-            Screen_computed
-          end
-          else Screen_pass
+    let hit_may = stored < -0.001 && stored < t.slack_floor && unread t op in
+    t.scr_op <- op.Dfg.id;
+    t.scr_finish <- finish;
+    t.scr_inst <- inst.inst_id;
+    t.scr_ports <- changed_ports;
+    ignore (grow_ports t inst changed_ports);
+    t.scr_f.(sf_reg_setup) <- reg_mux_delay t +. t.lib.Library.ff_setup;
+    if not (scr_hypo t op ~st:step ~fstep:finish) then Screen_pass
+    else begin
+      let s_op = t.scr_f.(sf_slack) in
+      if hit_may && stored < s_op then Screen_memo
+      else begin
+        t.scr_gen <- t.scr_gen + 1;
+        t.scr_f.(sf_least) <- infinity;
+        t.scr_f.(sf_s_op) <- s_op;
+        t.scr_prover <- -1;
+        t.scr_cur <- -1;
+        (* the cohabitant that proved this instance's last rejection
+           usually proves the next one too: it goes first *)
+        let last = t.scr_last.(inst.inst_id) in
+        if List.memq last inst.bound then scr_price t last;
+        scr_price_all t ~skip:last inst.bound;
+        if slot >= 0 then begin
+          t.sat_at.(slot) <- epoch;
+          t.sat_val.(slot) <- t.scr_f.(sf_least)
+        end;
+        if t.scr_prover >= 0 then begin
+          t.scr_last.(inst.inst_id) <- t.scr_prover;
+          Screen_computed
         end
+        else Screen_pass
+      end
+    end
   end
 
 (* --- propagation worklist: FIFO ring with membership stamps --- *)
@@ -1771,7 +1951,7 @@ let propagate t seeds =
     t.n_visits <- t.n_visits + 1;
     if placed t id then begin
       let changed = recompute_arrival t id in
-      let slack = endpoint_slack t id in
+      let slack = t.op_slack.(id) in
       if slack < !worst then begin
         worst := slack;
         worst_op := id

@@ -27,6 +27,9 @@ type inst = {
   added_by_expert : bool;
   mutable mux_cache : int list array option;
       (** per-port distinct sources, invalidated when [bound]/[rtype] change *)
+  mutable mux_n : int array;
+      (** the length of each [mux_cache] list, while that is [Some]: the
+          mux input counts read in O(1) *)
   mutable mux_delays : float array option;
       (** memoized per-port mux delay, derived from [mux_cache] *)
   mutable n_bound : int;
@@ -270,19 +273,35 @@ val reads_ports : t -> int -> ports:int -> bool
     {!port_set_max} is in no set. *)
 
 val screen_may_prove : t -> inst:inst -> changed_ports:int -> bool
-(** [false] when the pass's slack floor shows that {!screen}
-    cannot prove a rejection for a bind growing [changed_ports] of
-    [inst]: every slack the screen prices is a committed slack (none below
-    the floor) less at most the largest mux growth (twice that on a
-    black-box instance, which may host multicycle ops), and the floor
-    clears that with a 1 ps margin over the tolerance.  [true] means "run
-    the screen". *)
+(** [false] when the instance's slack floor ({!inst_floor}) shows that
+    {!screen} cannot prove a rejection for a bind growing [changed_ports]
+    of [inst]: every slack the screen prices, or stored in its memo, is a
+    committed slack of an op in the instance's cone (none below the
+    floor) less at most the largest mux growth (twice that on a black-box
+    instance, which may host multicycle ops), and the floor clears that
+    with a 1 ps margin over the tolerance.  Also [false] while the muxes
+    are unpriced or when the set is not positive.  [true] means "run the
+    screen". *)
+
+val inst_floor : t -> inst -> float
+(** The instance's slack floor: the least endpoint slack committed this
+    pass (since {!reset_pass}) by its bound ops and by the ops that read
+    them, recursively, at distance 0 in the step they finish through
+    latency-1 region members — the cone a screen on the instance prices.
+    The first read of a pass builds the floors from the committed slacks;
+    from then on a slack counts when it becomes committed: at {!commit}
+    for the ops a trial re-timed, at once for a recomputation outside a
+    trial.  The
+    floor is capped where {!screen_may_prove} rules out whatever the mux
+    growth, so an instance with an empty cone reads the cap;
+    [neg_infinity] after {!poison_slack_floor}. *)
 
 val poison_slack_floor : t -> unit
 (** Drop the pass's slack floor — the minimum worst slack over every
     committed trial and every {!propagate} run outside a trial since
-    {!reset_pass} — to [neg_infinity] for the rest of the pass: a bind
-    committed without a trial may have left any slack. *)
+    {!reset_pass} — to [neg_infinity] for the rest of the pass, and with
+    it every instance's floor: a bind committed without a trial may have
+    left any slack. *)
 
 type screen =
   | Screen_pass  (** nothing proved: run the trial *)

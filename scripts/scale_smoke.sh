@@ -19,7 +19,11 @@
 #    (53356).  All are deterministic, so a change meant only to make the
 #    scheduler faster that moves the schedule it finds at this size, or
 #    the candidates it walks to find it, fails here.  A change that moves
-#    them on purpose updates the constants below.
+#    them on purpose updates the constants below;
+#  - the exact saturation-screen counts of the ~1k point: the screens the
+#    instance slack floor rules out before pricing anyone (2420) and the
+#    screens that run and prove nothing (221).  A floor that stops ruling
+#    screens out moves both.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,6 +34,8 @@ passes_1k=10
 queries_1k=71090
 attempts_1k=8828
 candidates_1k=53356
+screens_skipped_1k=2420
+screens_futile_1k=221
 
 # smoke output goes to the build tree: the checked-in BENCH_scale.json
 # holds the full four-point sweep
@@ -37,7 +43,7 @@ smoke_dir=_build/bench-smoke
 dune exec bench/main.exe -- scale --smoke
 
 if command -v python3 >/dev/null 2>&1; then
-  python3 - "$smoke_dir/BENCH_scale.json" "$MAX_WALL_1K" "$max_queries_1k" "$max_cycle_visits_1k" "$passes_1k" "$queries_1k" "$attempts_1k" "$candidates_1k" <<'EOF'
+  python3 - "$smoke_dir/BENCH_scale.json" "$MAX_WALL_1K" "$max_queries_1k" "$max_cycle_visits_1k" "$passes_1k" "$queries_1k" "$attempts_1k" "$candidates_1k" "$screens_skipped_1k" "$screens_futile_1k" <<'EOF'
 import json, sys
 limit = float(sys.argv[2])
 max_queries = int(sys.argv[3])
@@ -46,6 +52,8 @@ passes_1k = int(sys.argv[5])
 queries_1k = int(sys.argv[6])
 attempts_1k = int(sys.argv[7])
 candidates_1k = int(sys.argv[8])
+screens_skipped_1k = int(sys.argv[9])
+screens_futile_1k = int(sys.argv[10])
 with open(sys.argv[1]) as f:
     data = json.load(f)
 points = data["points"]
@@ -67,11 +75,16 @@ assert attempts == attempts_1k, (
     f"~1k-op point made {attempts} bind attempts, expected exactly {attempts_1k}")
 assert big["candidates"] == candidates_1k, (
     f"~1k-op point checked {big['candidates']} candidates, expected exactly {candidates_1k}")
+assert big["screens_skipped"] == screens_skipped_1k, (
+    f"~1k-op point's floor ruled out {big['screens_skipped']} screens, expected exactly {screens_skipped_1k}")
+assert big["screens_futile"] == screens_futile_1k, (
+    f"~1k-op point ran {big['screens_futile']} futile screens, expected exactly {screens_futile_1k}")
 print(f"scale smoke OK: {big['ops']} ops in {big['wall_s']:.2f}s "
       f"(guard {limit}s), {big['queries']} queries (ceiling {max_queries}), "
       f"{big['cycle_visits']} cycle visits (ceiling {max_cycle_visits}), "
-      f"{big['passes']} passes, {big['queries']} queries, {attempts} attempts and "
-      f"{big['candidates']} candidates as pinned")
+      f"{big['passes']} passes, {big['queries']} queries, {attempts} attempts, "
+      f"{big['candidates']} candidates, {big['screens_skipped']} skipped and "
+      f"{big['screens_futile']} futile screens as pinned")
 EOF
 else
   # no python3: pull the largest point's counters with sed/awk
@@ -84,10 +97,13 @@ else
   bound=$(echo "$big" | grep -o 'attempts_bound":[0-9]*' | cut -d: -f2)
   failed=$(echo "$big" | grep -o 'attempts_failed":[0-9]*' | cut -d: -f2)
   cands=$(echo "$big" | grep -o '"candidates":[0-9]*' | cut -d: -f2)
+  skipped=$(echo "$big" | grep -o '"screens_skipped":[0-9]*' | cut -d: -f2)
+  futile=$(echo "$big" | grep -o '"screens_futile":[0-9]*' | cut -d: -f2)
   awk -v w="$wall" -v m="$MAX_WALL_1K" -v q="$queries" -v mq="$max_queries_1k" \
     -v c="$cvis" -v mc="$max_cycle_visits_1k" -v p="$passes" -v pp="$passes_1k" \
     -v eq="$queries_1k" -v a="$((bound + failed))" -v ea="$attempts_1k" -v n="$cands" \
-    -v en="$candidates_1k" 'BEGIN {
+    -v en="$candidates_1k" -v k="$skipped" -v ek="$screens_skipped_1k" -v f="$futile" \
+    -v ef="$screens_futile_1k" 'BEGIN {
     if (w == "" || w + 0 > m + 0) { print "scale smoke FAILED: wall " w "s > " m "s"; exit 1 }
     if (q == "" || q + 0 > mq + 0) { print "scale smoke FAILED: " q " queries > " mq; exit 1 }
     if (c == "" || c + 0 > mc + 0) { print "scale smoke FAILED: " c " cycle visits > " mc; exit 1 }
@@ -95,6 +111,9 @@ else
     if (q + 0 != eq + 0) { print "scale smoke FAILED: " q " queries != " eq; exit 1 }
     if (a + 0 != ea + 0) { print "scale smoke FAILED: " a " attempts != " ea; exit 1 }
     if (n == "" || n + 0 != en + 0) { print "scale smoke FAILED: " n " candidates != " en; exit 1 }
+    if (k == "" || k + 0 != ek + 0) { print "scale smoke FAILED: " k " skipped screens != " ek; exit 1 }
+    if (f == "" || f + 0 != ef + 0) { print "scale smoke FAILED: " f " futile screens != " ef; exit 1 }
     print "scale smoke OK: ~1k point in " w "s (guard " m "s), " q " queries (ceiling " mq "), " \
-      c " cycle visits (ceiling " mc "), " p " passes, " a " attempts and " n " candidates as pinned" }'
+      c " cycle visits (ceiling " mc "), " p " passes, " a " attempts, " n " candidates, " k \
+      " skipped and " f " futile screens as pinned" }'
 fi

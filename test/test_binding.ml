@@ -887,6 +887,197 @@ let test_memo_fires () =
       Alcotest.(check int) "forced: memo rejections that did not end busy" 0 w;
       Alcotest.(check int) "forced: memo rejections after a force" 0 a
 
+(* The instance floor against the full screen.  Replay a finished
+   schedule as [memo_vs_trial] does: each op is attempted at its
+   scheduled step on its candidates in turn with [try_bind], so trials
+   commit and roll back as in a pass, and an op that binds nowhere is
+   left unplaced or, with [~force], force-bound where the schedule put
+   it.  Before each candidate that hosts ops already, whenever its floor
+   rules the screen out, run the full screen (the memo read, then the
+   cohabitant pricing) and check that it proves nothing.  Returns (screens
+   ruled out, of which the screen proved a rejection). *)
+let floor_vs_screen ~force ~seed ~ops ~ii ~replay_clock =
+  let region = synthetic_region ~seed ~ops ?ii () in
+  match Scheduler.schedule ~lib ~clock_ps:1600.0 region with
+  | Error _ -> None
+  | Ok s ->
+      let dfg = region.Region.dfg in
+      let net = s.Scheduler.s_binding.Binding.net in
+      let b = Binding.create ~lib ~clock_ps:replay_clock region in
+      List.iter (fun (i : Netlist.inst) -> ignore (Binding.add_inst b i.Netlist.rtype)) (Netlist.insts net);
+      Binding.reset_pass b;
+      let order =
+        Netlist.fold_placements net (fun id pl acc -> ((pl.Netlist.pl_step, id), pl) :: acc) []
+        |> List.sort compare
+      in
+      let ruled_out = ref 0 and wrong = ref 0 in
+      List.iter
+        (fun ((step, id), (pl : Netlist.placement)) ->
+          let op = Dfg.find dfg id in
+          let rec go seq =
+            match seq () with
+            | Seq.Nil -> false
+            | Seq.Cons ((i : Binding.inst), rest) -> (
+                let changed_ports = Binding.changed_ports b op i in
+                if
+                  i.Binding.n_bound > 0 && changed_ports > 0
+                  && not (Netlist.screen_may_prove b.Binding.net ~inst:i ~changed_ports)
+                then begin
+                  incr ruled_out;
+                  match
+                    Netlist.screen b.Binding.net ~op ~step ~finish:pl.Netlist.pl_finish ~inst:i
+                      ~changed_ports
+                  with
+                  | Netlist.Screen_pass -> ()
+                  | Netlist.Screen_memo | Netlist.Screen_computed -> incr wrong
+                end;
+                match Binding.try_bind b op ~step ~inst_opt:(Some i.Binding.inst_id) with
+                | Ok () -> true
+                | Error _ -> go rest)
+          in
+          let bound = pl.Netlist.pl_inst <> None && go (Binding.candidates b op) in
+          if force && not bound then Binding.force_bind b op ~step ~inst_opt:pl.Netlist.pl_inst)
+        order;
+      Some (!ruled_out, !wrong)
+
+let prop_instance_floor_rules_out_passes =
+  QCheck.Test.make ~name:"instance floor rules out only screens that pass" ~count:18
+    QCheck.(triple (int_range 1 10000) (int_range 0 2) bool)
+    (fun (seed, mode, force) ->
+      let ii = if mode = 0 then None else Some mode in
+      let replay_clock = [| 1600.0; 1400.0; 1250.0 |].(seed mod 3) in
+      match floor_vs_screen ~force ~seed ~ops:(80 + (seed mod 150)) ~ii ~replay_clock with
+      | None -> QCheck.assume_fail ()
+      | Some (_, 0) -> true
+      | Some (r, w) ->
+          QCheck.Test.fail_reportf
+            "seed=%d ii=%d force=%b: the floor ruled out %d screens that prove a rejection (of %d)"
+            seed mode force w r)
+
+(* the property above is not vacuous: the floor rules screens out on
+   sequential and II=2 replays.  At II=1 no instance is shared (every
+   slot is the one slot), so no screen runs there *)
+let test_instance_floor_fires () =
+  List.iter
+    (fun (ii, seed, ops, clock) ->
+      let name = match ii with None -> "seq" | Some k -> Printf.sprintf "II=%d" k in
+      match floor_vs_screen ~force:false ~seed ~ops ~ii ~replay_clock:clock with
+      | None -> Alcotest.failf "%s: failed to schedule" name
+      | Some (r, w) ->
+          Alcotest.(check int) (name ^ ": ruled-out screens that prove") 0 w;
+          Alcotest.(check bool) (Printf.sprintf "%s: the floor ruled out %d" name r) true (r > 0))
+    [ (None, 7, 300, 1300.0); (Some 2, 2, 150, 1400.0) ]
+
+(* The ops a screen on [i] can price: its bound ops and, below each, the
+   distance-0 consumers placed in the step a latency-1 region member
+   finishes, recursively (the screen's downstream walk) *)
+let screen_cone (b : Binding.t) (i : Binding.inst) =
+  let net = b.Binding.net and dfg = b.Binding.dfg in
+  let seen = Hashtbl.create 16 in
+  let rec down x =
+    if not (Hashtbl.mem seen x) then begin
+      Hashtbl.add seen x ();
+      match Netlist.placement net x with
+      | Some pl when Region.mem b.Binding.region x && Binding.op_latency b (Dfg.find dfg x) <= 1 ->
+          List.iter
+            (fun (e : Dfg.edge) ->
+              if e.Dfg.distance = 0 then
+                match Netlist.placement net e.Dfg.dst with
+                | Some pd when pd.Netlist.pl_step = pl.Netlist.pl_finish -> down e.Dfg.dst
+                | _ -> ())
+            (Dfg.out_edges dfg x)
+      | _ -> ()
+    end
+  in
+  List.iter down i.Binding.bound;
+  Hashtbl.fold (fun x () acc -> x :: acc) seen []
+
+(* instances whose floor is above the committed endpoint slack of an op
+   in their cone (beyond the 1 fs by which a guard may rise unseen) *)
+let floor_breaches (b : Binding.t) =
+  let net = b.Binding.net in
+  List.fold_left
+    (fun n (i : Netlist.inst) ->
+      let f = Netlist.inst_floor net i in
+      if List.exists (fun y -> f > Netlist.endpoint_slack net y +. 0.002) (screen_cone b i) then n + 1
+      else n)
+    0 (Netlist.insts net)
+
+let floors (b : Binding.t) = List.map (Netlist.inst_floor b.Binding.net) (Netlist.insts b.Binding.net)
+
+(* The floor bounds every committed slack in the instance's cone: after
+   each commit of a try_bind replay, across a rolled-back trial (which
+   leaves every floor as it was), after a warm replay with one
+   [recompute_all], and after [reset_pass] (a fresh binder replaying the
+   same binds has the same floors) *)
+let test_instance_floor_bounds_cone () =
+  let region = synthetic_region ~seed:7 ~ops:200 () in
+  let dfg = region.Region.dfg in
+  let s =
+    match Scheduler.schedule ~lib ~clock_ps:1600.0 region with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "seed 7 failed to schedule"
+  in
+  let net = s.Scheduler.s_binding.Binding.net in
+  let order =
+    Netlist.fold_placements net (fun id pl acc -> ((pl.Netlist.pl_step, id), pl) :: acc) []
+    |> List.sort compare
+  in
+  let fresh clock =
+    let b = Binding.create ~lib ~clock_ps:clock region in
+    List.iter (fun (i : Netlist.inst) -> ignore (Binding.add_inst b i.Netlist.rtype)) (Netlist.insts net);
+    Binding.reset_pass b;
+    b
+  in
+  (* try_bind replay at a tighter clock: commits and rollbacks *)
+  let b = fresh 1300.0 in
+  let breaches = ref 0 and rollbacks = ref 0 and moved = ref 0 and low = ref 0 in
+  List.iter
+    (fun ((step, id), (pl : Netlist.placement)) ->
+      let op = Dfg.find dfg id in
+      let rec go seq =
+        match seq () with
+        | Seq.Nil -> ()
+        | Seq.Cons ((i : Binding.inst), rest) ->
+            let before = floors b in
+            let _ =
+              Binding.open_trial b op ~step ~finish:pl.Netlist.pl_finish
+                ~inst_opt:(Some i.Binding.inst_id) ~changed_ports:(Binding.changed_ports b op i)
+            in
+            Netlist.rollback b.Binding.net;
+            incr rollbacks;
+            if floors b <> before then incr moved;
+            (match Binding.try_bind b op ~step ~inst_opt:(Some i.Binding.inst_id) with
+            | Ok () -> breaches := !breaches + floor_breaches b
+            | Error _ -> go rest)
+      in
+      if pl.Netlist.pl_inst <> None then go (Binding.candidates b op))
+    order;
+  List.iter (fun f -> if f < 50.0 then incr low) (floors b);
+  Alcotest.(check int) "breaches after commits" 0 !breaches;
+  Alcotest.(check int) "floors a rolled-back trial moved" 0 !moved;
+  Alcotest.(check bool) (Printf.sprintf "%d trials rolled back" !rollbacks) true (!rollbacks > 0);
+  Alcotest.(check bool) (Printf.sprintf "%d floors below 50 ps" !low) true (!low > 0);
+  (* a warm replay: structure only, then one recompute_all *)
+  let replay b ~propagate =
+    List.iter
+      (fun ((step, id), (pl : Netlist.placement)) ->
+        Binding.replay_bind b ~propagate (Dfg.find dfg id) ~step ~finish:pl.Netlist.pl_finish
+          ~inst_opt:pl.Netlist.pl_inst ~rtype:None)
+      order;
+    if not propagate then Binding.recompute_all b
+  in
+  Binding.reset_pass b;
+  replay b ~propagate:false;
+  Alcotest.(check int) "breaches after a warm replay" 0 (floor_breaches b);
+  (* reset_pass keeps no floor of the pass before *)
+  Binding.reset_pass b;
+  replay b ~propagate:true;
+  let b' = fresh 1300.0 in
+  replay b' ~propagate:true;
+  Alcotest.(check int) "breaches after reset_pass" 0 (floor_breaches b);
+  Alcotest.(check bool) "floors after reset_pass are a fresh binder's" true (floors b = floors b')
+
 (* The own slack an attempt shares among its empty candidates is
    [Netlist.empty_bind_slack] on each of them, bit for bit.  A finished
    schedule is replayed op by op, in (step, id) order.  Before an op is
@@ -1103,6 +1294,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_attempt_is_per_candidate;
     Alcotest.test_case "memo decides rejections" `Quick test_memo_fires;
     QCheck_alcotest.to_alcotest prop_memo_decides_busy_trials;
+    Alcotest.test_case "instance floor rules screens out" `Quick test_instance_floor_fires;
+    QCheck_alcotest.to_alcotest prop_instance_floor_rules_out_passes;
+    Alcotest.test_case "instance floor bounds its cone's slacks" `Quick test_instance_floor_bounds_cone;
     Alcotest.test_case "shared own slack is empty_bind_slack" `Quick test_shared_own_slack;
     Alcotest.test_case "a wide call shares an instance" `Quick test_wide_call_shared;
     Alcotest.test_case "decision counters account for every candidate" `Quick test_decision_counters;
