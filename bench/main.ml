@@ -436,8 +436,9 @@ let baselines () =
   let rows =
     List.concat_map
       (fun (name, d, ii) ->
+        (* one elaboration; each engine schedules its own region of it *)
+        let e = Elaborate.design d in
         let ours =
-          let e = Elaborate.design d in
           let region = Elaborate.main_region ~ii e in
           match Scheduler.schedule ~lib ~clock_ps:clock region with
           | Ok s ->
@@ -452,7 +453,6 @@ let baselines () =
         let modulo =
           (* unpinned: the cycle-grained engine reports the II it can reach
              (its chaining-blind RecMII is larger than ours) *)
-          let e = Elaborate.design d in
           let region = Elaborate.main_region ~ii e in
           match Hls_baseline.Modulo.schedule ~lib ~clock_ps:clock region with
           | Ok m ->
@@ -466,7 +466,6 @@ let baselines () =
           | Error e -> [ [ name ^ " / modulo"; "-"; e.Hls_baseline.Modulo.m_message; "-"; "-" ] ]
         in
         let sehwa =
-          let e = Elaborate.design d in
           let region = Elaborate.main_region ~ii e in
           match Hls_baseline.Sehwa.schedule ~ii ~lib ~clock_ps:clock region with
           | Ok m ->
@@ -539,9 +538,11 @@ let bench_scale () =
      ~350 / 1k / 3k / 10k (elaboration roughly doubles the source op
      count with muxes and port plumbing) *)
   let sizes = if !smoke then [ 175; 500 ] else [ 175; 500; 1500; 5000 ] in
-  (* every point is scheduled [reps] times: the wall clock is the median,
-     with its min and max, and every count must repeat exactly *)
-  let reps = if !smoke then 1 else 3 in
+  (* every point is elaborated once and scheduled [reps] times on that one
+     region: the wall clock is the median, with its min and max, and every
+     count must repeat exactly — a schedule depends on nothing an earlier
+     one left behind *)
+  let reps = if !smoke then 2 else 3 in
   (* the exact counters of a schedule, the JSON columns they fill *)
   let counts (st : Scheduler.stats) =
     [
@@ -586,12 +587,9 @@ let bench_scale () =
           { Hls_designs.Synthetic.default_profile with
             Hls_designs.Synthetic.p_ops = ops; p_seed = 7; p_tightness = 0.3 }
         in
-        (* a fresh region per rep: a schedule leaves marks on the ops
-           it was given (speculated guards), which steer the next one *)
-        let fresh () = Elaborate.main_region (Elaborate.design (Hls_designs.Synthetic.design ~profile ())) in
-        let n = Region.n_members (fresh ()) in
+        let region = Elaborate.main_region (Elaborate.design (Hls_designs.Synthetic.design ~profile ())) in
+        let n = Region.n_members region in
         let run () =
-          let region = fresh () in
           Gc.compact ();
           match Scheduler.schedule ~lib ~clock_ps:clock region with
           | Ok s -> Ok (Scheduler.stats s, (Gc.quick_stat ()).Gc.top_heap_words)

@@ -257,11 +257,7 @@ let schedule ?ii ?(budget_factor = 6) ~(lib : Library.t) ~clock_ps (region : Reg
     (result, error) Stdlib.result =
   let t0 = Unix.gettimeofday () in
   (* resource set: reuse the same initial estimator as the main engine *)
-  let saved = region.Region.n_steps in
-  Region.reset_steps region region.Region.max_steps;
-  let aa = Asap_alap.compute ~lib ~clock_ps region in
-  let alloc = Alloc.run ~lib ~clock_ps region aa in
-  Region.reset_steps region saved;
+  let alloc = Alloc.initial ~lib ~clock_ps region in
   let mii = max (res_mii alloc) (rec_mii region) in
   let start_ii = match ii with Some i -> max i 1 | None -> max 1 mii in
   let max_ii = match ii with Some i -> i | None -> start_ii + 64 in

@@ -115,11 +115,7 @@ let fold_ok (region : Region.t) sched ~ii =
     check passes. *)
 let schedule ~ii ~(lib : Library.t) ~clock_ps (region : Region.t) : (result, error) Stdlib.result =
   let t0 = Unix.gettimeofday () in
-  let saved = region.Region.n_steps in
-  Region.reset_steps region region.Region.max_steps;
-  let aa = Asap_alap.compute ~lib ~clock_ps region in
-  let alloc = Alloc.run ~lib ~clock_ps region aa in
-  Region.reset_steps region saved;
+  let alloc = Alloc.initial ~lib ~clock_ps region in
   let rec attempt li n =
     if li > region.Region.max_steps then
       Error { s_message = Printf.sprintf "folding never succeeded up to LI=%d" li }

@@ -136,6 +136,13 @@ let run ?lib ?(clock_ps = 0.0) (region : Region.t) (aa : Asap_alap.t) :
     (fun c -> (c.c_rtype, class_lower_bound ?lib ~clock_ps region aa c, List.length c.c_ops))
     (classes region)
 
+(* [run] at the latency upper bound, leaving the region at its initial LI *)
+let initial ?plan ~lib ~clock_ps (region : Region.t) =
+  Region.reset_steps region region.Region.max_steps;
+  let alloc = run ~lib ~clock_ps region (Asap_alap.compute ?plan ~lib ~clock_ps region) in
+  Region.reset_steps region (Region.initial_steps region);
+  alloc
+
 (** Latency lower bound implied by the resource set: with [n] instances
     serving [ops] operations (exclusive groups counted once), at least
     [ceil(ops / n)] states are needed.  Seeding the latency interval here

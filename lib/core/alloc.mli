@@ -28,6 +28,10 @@ val run : ?lib:Library.t -> ?clock_ps:float -> Region.t -> Asap_alap.t -> (Resou
 (** The initial resource set: (merged type, instance count, class
     population) per class. *)
 
+val initial :
+  ?plan:Asap_alap.plan -> lib:Library.t -> clock_ps:float -> Region.t -> (Resource.t * int * int) list
+(** {!run} at the latency upper bound; leaves {!Region.initial_steps}. *)
+
 val latency_floor : (Resource.t * int * int) list -> int
 (** The latency lower bound the resource counts imply
     (max ceil(ops / instances)). *)

@@ -107,11 +107,6 @@ type t = {
           constraint of Section IV.B item 4: a dedicated op owns its
           resource instance outright, no sharing in any state *)
   timing_aware : bool;
-  mutable has_forced : bool;
-      (** a [force_bind] (baseline import, slack-tolerating ablation) may
-          have committed a negative-slack op, so the narrowed-seed fast
-          path in [try_bind] — which relies on every committed op being
-          slack-clean — is disabled for the rest of the pass history *)
   att : attempt;
   ctr : counters;
 }
@@ -125,7 +120,6 @@ let create ?(timing_aware = true) ~lib ~clock_ps (region : Region.t) =
     dfg = region.Region.dfg;
     excl = { forbidden = [||]; dedicated = [||] };
     timing_aware;
-    has_forced = false;
     att =
       {
         a_step = 0;
@@ -204,17 +198,19 @@ let dedicated_ops t =
   Array.iteri (fun op d -> if d then acc := op :: !acc) t.excl.dedicated;
   List.rev !acc
 
+let speculate t op = Netlist.speculate t.net op
+let speculated t op = Netlist.speculated t.net op
+let speculated_ops t = Netlist.speculated_ops t.net
+
 let add_inst ?added_by_expert t rtype = Netlist.add_inst ?added_by_expert t.net rtype
 let find_inst t id = Netlist.find_inst t.net id
+
+let refresh_prealloc t = Netlist.refresh_prealloc t.net
 
 (** Reset all pass-local netlist state while keeping the resource set and
     forbidden pairs — the state carried between scheduling passes — and
     price the sharing muxes during the pass only when [timing_aware]. *)
-let refresh_prealloc t = Netlist.refresh_prealloc t.net
-
-let reset_pass t =
-  t.has_forced <- false;
-  Netlist.reset_pass ~price_muxes:t.timing_aware t.net
+let reset_pass t = Netlist.reset_pass ~price_muxes:t.timing_aware t.net
 
 let placement t op_id = Netlist.placement t.net op_id
 let is_placed t op_id = Netlist.is_placed t.net op_id
@@ -350,11 +346,11 @@ let open_trial t (op : Dfg.op) ~step ~finish ~inst_opt ~changed_ports =
      non-negative slack — so dropping them from the seeds changes
      neither the worst slack nor the accept/reject decision.  The
      induction breaks if a [force_bind] smuggled in a negative-slack op,
-     so [has_forced] falls back to full re-timing. *)
+     so a forced pass falls back to full re-timing. *)
   let seeds =
     match inst with
     | None -> [ op.Dfg.id ]
-    | Some i when widens || t.has_forced -> (
+    | Some i when widens || Netlist.forced net -> (
         match i.bound with
         | o :: _ when o = op.Dfg.id -> i.bound
         | b -> op.Dfg.id :: List.filter (fun o -> o <> op.Dfg.id) b)
@@ -564,7 +560,7 @@ let check_inst t (op : Dfg.op) (i : inst) : (unit, Restraint.fail) result =
          the trial seeds the op alone.  When its type already fits,
          the op's own slack is the trial's exact worst slack; a
          [force_bind] voids that guarantee for the pass *)
-      let s = if t.timing_aware && not t.has_forced then attempt_own_slack t op i else nan in
+      let s = if t.timing_aware && not (Netlist.forced t.net) then attempt_own_slack t op i else nan in
       if s < -0.001 then begin
         c.c_empty_slack <- c.c_empty_slack + 1;
         Error (Restraint.F_slack s)
@@ -721,9 +717,8 @@ let replay_bind t ?(propagate = true) (op : Dfg.op) ~step ~finish ~inst_opt ~rty
     schedules produced by external engines — the baseline comparators —
     into the accurate timing/area reporting machinery. *)
 let force_bind t (op : Dfg.op) ~step ~inst_opt =
-  t.has_forced <- true;
   let net = t.net in
-  Netlist.poison_slack_floor net;
+  Netlist.mark_forced net;
   let lat = op_latency t op in
   let finish = step + lat - 1 in
   Netlist.place net op.Dfg.id ~step ~finish ~inst_opt;

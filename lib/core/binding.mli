@@ -78,10 +78,6 @@ type t = {
   dfg : Dfg.t;
   excl : exclusions;
   timing_aware : bool;
-  mutable has_forced : bool;
-      (** a {!force_bind} ran since the last {!reset_pass}: committed ops
-          may carry negative slack, so the narrowed-seed fast path in
-          {!try_bind} is disabled for the rest of the pass *)
   att : attempt;
   ctr : counters;
 }
@@ -103,6 +99,13 @@ val forbidden_pairs : t -> (int * int) list
 
 val dedicated_ops : t -> int list
 (** Every dedicated op id, ascending. *)
+
+val speculate : t -> int -> unit
+(** A [Speculate] action or hint: the op's guard leaves its commit path
+    for the rest of this binder's schedule. *)
+
+val speculated : t -> int -> bool
+val speculated_ops : t -> int list  (** ascending *)
 
 val add_inst : ?added_by_expert:bool -> t -> Resource.t -> inst
 val find_inst : t -> int -> inst
@@ -162,8 +165,8 @@ val try_bind : t -> Dfg.op -> step:int -> inst_opt:int option -> (unit, Restrain
     Candidates whose verdict is settled without the trial return it
     without opening one: on an empty instance the op's exact own slack
     ({!Netlist.empty_bind_slack}) decides [F_slack], and on a loaded one
-    the saturation screen decides [F_busy] (skipped when the pass's slack
-    floor shows it cannot, {!Netlist.screen_may_prove}).  The answer is
+    the saturation screen decides [F_busy] (skipped when the instance's
+    slack floor shows it cannot, {!Netlist.screen_may_prove}).  The answer is
     always the one the trial would give. *)
 
 val attempt : t -> Dfg.op -> step:int -> Restraint.fail list
@@ -198,7 +201,7 @@ val replay_bind :
 
 val force_bind : t -> Dfg.op -> step:int -> inst_opt:int option -> unit
 (** Record a placement unconditionally (imports of external schedules and
-    the Table 4 ablation). *)
+    the Table 4 ablation); marks the pass {!Netlist.forced}. *)
 
 val recompute_all : t -> unit
 

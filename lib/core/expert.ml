@@ -125,13 +125,12 @@ let choose ~(opts : options) ~(binding : Binding.t) ~(region : Region.t)
         match r.Restraint.r_fail with
         | Restraint.F_busy rt | Restraint.F_no_resource rt ->
             (* only count restraints a fresh instance would actually solve *)
-            if Binding.would_fit binding op ~step:r.Restraint.r_step ~speculated:op.Dfg.speculated
+            if Binding.would_fit binding op ~step:r.Restraint.r_step ~speculated:false
             then credit rt r.Restraint.r_weight
         | Restraint.F_slack _ ->
             if
               (not (Binding.would_fit_existing binding op))
-              && Binding.would_fit binding op ~step:r.Restraint.r_step
-                   ~speculated:op.Dfg.speculated
+              && Binding.would_fit binding op ~step:r.Restraint.r_step ~speculated:false
             then
               Option.iter (fun rt -> credit rt r.Restraint.r_weight) (Resource.of_op dfg op)
         | _ -> ())
@@ -163,7 +162,7 @@ let choose ~(opts : options) ~(binding : Binding.t) ~(region : Region.t)
       | Restraint.F_slack _ | Restraint.F_window ->
           let op = Dfg.find dfg r.Restraint.r_op in
           if
-            (not op.Dfg.speculated)
+            (not (Binding.speculated binding op.Dfg.id))
             && (not (Guard.is_always op.Dfg.guard))
             && Binding.guard_dominated binding op ~step:r.Restraint.r_step
             && Binding.would_fit binding op ~step:r.Restraint.r_step ~speculated:true

@@ -611,15 +611,11 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
   let t0 = Unix.gettimeofday () in
   let dfg = region.Region.dfg in
   let binding = Binding.create ~timing_aware:opts.timing_aware ~lib ~clock_ps region in
-  (* --- initial resource set, estimated at the latency upper bound --- *)
-  let initial_li = region.Region.n_steps in
-  (* the graph-only half of the interval analysis, shared by every
-     [Asap_alap.compute] of this call whatever the latency interval *)
+  (* --- initial resource set, estimated at the latency upper bound; the
+     graph-only half of the interval analysis is shared by every
+     [Asap_alap.compute] of this call whatever the latency interval --- *)
   let plan = Asap_alap.plan ~lib region in
-  Region.reset_steps region region.Region.max_steps;
-  let aa_alloc = Asap_alap.compute ~plan ~lib ~clock_ps region in
-  let initial = Alloc.run ~lib ~clock_ps region aa_alloc in
-  Region.reset_steps region initial_li;
+  let initial = Alloc.initial ~plan ~lib ~clock_ps region in
   List.iter
     (fun (rt, n, _) ->
       for _ = 1 to n do
@@ -666,7 +662,7 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
           boosts := (op, Hints.boost_delta e) :: !boosts;
           hint ()
       | Speculate op when Dfg.mem dfg op ->
-          (Dfg.find dfg op).Dfg.speculated <- true;
+          Binding.speculate binding op;
           hint ()
       | Dedicate op when Dfg.mem dfg op -> Binding.dedicate binding op
       | Forbid (op, inst) when Dfg.mem dfg op && inst >= 0 && inst < n_insts ->
@@ -982,7 +978,7 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
                    for _ = 1 to n do
                      ignore (Binding.add_inst ~added_by_expert:true binding rt)
                    done
-               | Expert.Speculate op -> (Dfg.find dfg op).Dfg.speculated <- true
+               | Expert.Speculate op -> Binding.speculate binding op
                | Expert.Move_scc k ->
                    scc_moves.(k) <- scc_moves.(k) + 1;
                    scc_persist.(k) <- Some (scc_stage k + 1)

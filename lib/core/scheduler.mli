@@ -137,7 +137,9 @@ val schedule :
   Region.t ->
   (t, error) result
 (** Schedule and bind a region: initial resource estimation at the latency
-    upper bound, then passes from the lower bound under relaxation. *)
+    upper bound, then passes from {!Region.initial_steps} under
+    relaxation.  Writes nothing but the final LI into [n_steps], so a
+    second schedule of the region repeats the first. *)
 
 val to_table : t -> string list list
 (** The paper's Table 2 rendering: resources × states. *)

@@ -3,7 +3,7 @@
     choices.
 
     {b Parallelism.}  Every grid point is an independent [Flow.run]
-    (elaboration is always fresh, and the flow touches no global mutable
+    (each elaborates its own graph, and the flow touches no global mutable
     state), so the sweep is one {!Hls_pool.Pool.map} over the points
     still to run.  The map returns results in index order, so the result
     list is independent of the worker count and of scheduling

@@ -147,11 +147,9 @@ let resolve_ii ~options (elab : Elaborate.t) : (int option, Diag.t) Stdlib.resul
                 kernel
                 (String.concat "x" (List.map string_of_int expected)))
 
-(** Elaborate a design and build its main region, converting every frontend
-    exception (including designer-bound violations from {!Region.create})
-    into a typed diagnostic. *)
-let elaborate_guarded ~options (design : Ast.design) :
-    (Elaborate.t * Region.t, Diag.t) Stdlib.result =
+(** Elaborate and validate a design (once per request), converting every
+    frontend exception into a typed diagnostic. *)
+let elaborate_guarded ~options (design : Ast.design) : (Elaborate.t, Diag.t) Stdlib.result =
   match Elaborate.design ~nest:options.nest_mode design with
   | exception Hls_frontend.Fault.Error f ->
       (* preserve the typed machine code (e.g. nest_shape, unroll_overflow) *)
@@ -165,19 +163,22 @@ let elaborate_guarded ~options (design : Ast.design) :
       | _ :: _ as errs ->
           Diag.error ~phase:Diag.Elaborate ~code:"invalid_cdfg" "invalid CDFG: %s"
             (String.concat "; " errs)
-      | [] -> (
-          match resolve_ii ~options elab with
-          | Stdlib.Error d -> Stdlib.Error d
-          | Stdlib.Ok ii -> (
-              match
-                Elaborate.main_region ?ii ?min_latency:options.min_latency
-                  ?max_latency:options.max_latency elab
-              with
-              | exception Invalid_argument m ->
-                  Diag.error ~phase:Diag.Elaborate ~code:"invalid_bounds" "%s" m
-              | exception Failure m ->
-                  Diag.error ~phase:Diag.Elaborate ~code:"internal" ~severity:Diag.Fatal "%s" m
-              | region -> Ok (elab, region))))
+      | [] -> Stdlib.Ok elab)
+
+(** A fresh main region for one schedule, at [options]' II and latency
+    bounds; a bound {!Region.create} refuses is [invalid_bounds]. *)
+let main_region ~options elab : (Region.t, Diag.t) Stdlib.result =
+  match resolve_ii ~options elab with
+  | Stdlib.Error d -> Stdlib.Error d
+  | Stdlib.Ok ii -> (
+      match
+        Elaborate.main_region ?ii ?min_latency:options.min_latency ?max_latency:options.max_latency
+          elab
+      with
+      | exception Invalid_argument m -> Diag.error ~phase:Diag.Elaborate ~code:"invalid_bounds" "%s" m
+      | exception Failure m ->
+          Diag.error ~phase:Diag.Elaborate ~code:"internal" ~severity:Diag.Fatal "%s" m
+      | region -> Stdlib.Ok region)
 
 (** Fold, audit, size, simulate — everything downstream of a successful
     schedule, shared by all tiers.  [check_timing] is off for the
@@ -265,14 +266,11 @@ let finish ~options ~tier ~check_timing (design : Ast.design) elab region (sched
       f_stats = Scheduler.stats sched;
     }
 
-(** One complete attempt with the unified scheduler at [options.ii].
-    Elaboration is always fresh (scheduling mutates speculation flags and
-    the region latency), so one [Ast.design] value can be explored under
-    many configurations. *)
-let run_unified ~options ~trace ~tier (design : Ast.design) : (t, Diag.t) Stdlib.result =
-  match elaborate_guarded ~options design with
+(** One complete attempt with the unified scheduler at [options.ii]. *)
+let run_unified ~options ~trace ~tier (design : Ast.design) elab : (t, Diag.t) Stdlib.result =
+  match main_region ~options elab with
   | Stdlib.Error d -> Stdlib.Error d
-  | Stdlib.Ok (elab, region) -> (
+  | Stdlib.Ok region -> (
       match
         Scheduler.schedule ~opts:options.sched ?trace ~lib:options.lib ~clock_ps:options.clock_ps
           region
@@ -290,14 +288,14 @@ let run_unified ~options ~trace ~tier (design : Ast.design) : (t, Diag.t) Stdlib
     sequential region.  Structurally valid by construction (and audited
     like any other tier), but timing-naive — the area report carries any
     residual negative slack as post-synthesis upsizing/WNS. *)
-let run_baseline ~options (design : Ast.design) : (t, Diag.t) Stdlib.result =
+let run_baseline ~options (design : Ast.design) elab : (t, Diag.t) Stdlib.result =
   (* Sehwa folds at a fixed II with LI in (II, max_steps]; sweep the II
-     upward from the request and serve the first configuration that folds.
-     Each attempt elaborates fresh, as everywhere else in the flow. *)
+     upward from the request and serve the first configuration that folds *)
+  let seq_options = { options with ii = None; ii_dims = None } in
   let attempt ii : (t, Diag.t) Stdlib.result =
-    match elaborate_guarded ~options:{ options with ii = None; ii_dims = None } design with
+    match main_region ~options:seq_options elab with
     | Stdlib.Error d -> Stdlib.Error d
-    | Stdlib.Ok (elab, region) -> (
+    | Stdlib.Ok region -> (
         match Hls_baseline.Sehwa.schedule ~ii ~lib:options.lib ~clock_ps:options.clock_ps region with
         | exception Invalid_argument m ->
             Diag.error ~phase:Diag.Schedule ~code:"baseline_internal" ~severity:Diag.Fatal "%s" m
@@ -323,9 +321,9 @@ let run_baseline ~options (design : Ast.design) : (t, Diag.t) Stdlib.result =
             in
             finish ~options ~tier:Tier_baseline ~check_timing:false design elab region sched)
   in
-  match elaborate_guarded ~options:{ options with ii = None; ii_dims = None } design with
+  match main_region ~options:seq_options elab with
   | Stdlib.Error d -> Stdlib.Error d
-  | Stdlib.Ok (_, region0) ->
+  | Stdlib.Ok region0 ->
       let max_ii = max 1 (region0.Region.max_steps - 1) in
       let start = match options.ii with Some i when i >= 1 -> min i max_ii | _ -> 1 in
       let rec sweep ii last =
@@ -352,8 +350,8 @@ let degradable (d : Diag.t) =
   | Diag.Feedback ->
       false
 
-let run_ladder ~options ~trace (design : Ast.design) : (t, Diag.t) Stdlib.result =
-  match run_unified ~options ~trace ~tier:Tier_requested design with
+let run_ladder ~options ~trace (design : Ast.design) elab : (t, Diag.t) Stdlib.result =
+  match run_unified ~options ~trace ~tier:Tier_requested design elab with
   | Stdlib.Ok r -> Stdlib.Ok r
   | Stdlib.Error d0 when (not options.degrade) || not (degradable d0) -> Stdlib.Error d0
   | Stdlib.Error d0 ->
@@ -368,18 +366,16 @@ let run_ladder ~options ~trace (design : Ast.design) : (t, Diag.t) Stdlib.result
                 ( Tier_relaxed_ii j,
                   fun () ->
                     run_unified ~options:{ options with ii = Some j; ii_dims = None } ~trace
-                      ~tier:(Tier_relaxed_ii j) design ))
+                      ~tier:(Tier_relaxed_ii j) design elab ))
               relaxed
             @ [
                 ( Tier_sequential,
                   fun () ->
-                    run_unified
-                      ~options:{ options with ii = None; ii_dims = None }
-                      ~trace ~tier:Tier_sequential
-                      design );
+                    run_unified ~options:{ options with ii = None; ii_dims = None } ~trace
+                      ~tier:Tier_sequential design elab );
               ]
         | None -> [])
-        @ [ (Tier_baseline, fun () -> run_baseline ~options design) ]
+        @ [ (Tier_baseline, fun () -> run_baseline ~options design elab) ]
       in
       let note_of tier (d : Diag.t) =
         Diag.make ~phase:d.Diag.d_phase ~severity:Diag.Warning ~code:"degraded"
@@ -427,9 +423,9 @@ let run ?(options = default_options) ?trace (design : Ast.design) : (t, Diag.t) 
      merged into the scheduler's hint store whether or not the iterate
      loop runs; an empty store leaves the scheduler options — and
      therefore every golden byte — untouched *)
-  let run_with hints =
+  let run_with elab hints =
     let sched = Feedback.Hints.apply hints options.sched in
-    run_ladder ~options:{ options with sched } ~trace design
+    run_ladder ~options:{ options with sched } ~trace design elab
   in
   (* a clock period that is not a positive finite number would schedule
      into nonsense delay and power figures: reject it before elaborating *)
@@ -440,12 +436,12 @@ let run ?(options = default_options) ?trace (design : Ast.design) : (t, Diag.t) 
     Diag.error ~phase:Diag.Frontend ~code:"bad_stimulus"
       "stimulus length must be a non-negative number of iterations, got %d" options.sim_iters
   else
-    match check_budget options.sched with
+    match Result.bind (check_budget options.sched) (fun () -> elaborate_guarded ~options design) with
     | Stdlib.Error d -> Stdlib.Error d
-    | Stdlib.Ok () when not options.feedback -> run_with options.hints
-    | Stdlib.Ok () ->
+    | Stdlib.Ok elab when not options.feedback -> run_with elab options.hints
+    | Stdlib.Ok elab ->
         let result, iters, _store =
-          Feedback.iterate ~max_iters:options.feedback_iters ~hints:options.hints ~run:run_with
+          Feedback.iterate ~max_iters:options.feedback_iters ~hints:options.hints ~run:(run_with elab)
             ~extract:(fun f -> Feedback.extract f.f_sched)
             ~quality:(fun f ->
               (f.f_cycles_per_iter, f.f_sched.Scheduler.s_li, f.f_area.Hls_rtl.Stats.a_total))

@@ -75,8 +75,9 @@ type t = {
 }
 
 val run : ?options:options -> ?trace:Hls_core.Trace.t -> Ast.design -> (t, Diag.t) result
-(** Elaboration is always fresh, so one design value can be explored under
-    many configurations.  Never raises; always terminates.  A [clock_ps]
+(** Elaborates once; each schedule (ladder rung, baseline II attempt,
+    feedback iteration) takes its own region of that graph.  Never
+    raises; always terminates.  A [clock_ps]
     that is not a positive finite number fails at once with a [bad_clock]
     frontend diagnostic, and a scheduling budget {!check_budget} rejects
     with its [bad_budget] one; no degradation tier serves either. *)

@@ -6,7 +6,8 @@
     dependency, [d >= 1] when the consumer reads the value produced [d]
     iterations earlier (a loop-carried dependency).  Cycles through
     positive-distance edges are exactly the strongly connected components
-    that constrain pipelining (Section V, requirement (a) of the paper). *)
+    that constrain pipelining (Section V, requirement (a) of the paper).
+    Read-only after elaboration: a schedule's decisions live in its binder. *)
 
 type op = {
   id : int;
@@ -16,8 +17,6 @@ type op = {
   mutable name : string;  (** diagnostic name, e.g. ["mul1_op"] *)
   mutable anchor : int option;
       (** pin to an exact control step (user constraint / timed I/O) *)
-  mutable speculated : bool;
-      (** guard removed from the commit path by the [Speculate] action *)
 }
 
 type edge = { src : int; dst : int; port : int; distance : int }
@@ -61,7 +60,7 @@ let add_op ?(guard = Guard.always) ?(name = "") ?anchor g kind ~width =
   g.next_id <- id + 1;
   g.n_ops <- g.n_ops + 1;
   let name = if name = "" then Printf.sprintf "%s_%d" (Opkind.rclass_to_string (Opkind.rclass kind)) id else name in
-  let op = { id; kind; width; guard; name; anchor; speculated = false } in
+  let op = { id; kind; width; guard; name; anchor } in
   g.ops.(id) <- Some op;
   op
 

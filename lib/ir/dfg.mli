@@ -13,7 +13,11 @@
     In-edges are kept sorted by port at {!connect} time, so {!in_edges}
     neither sorts nor allocates; out-edges are newest first.  {!iter_ops},
     {!fold_ops} and {!ops} visit ops in ascending id order, in a copy as in
-    its source. *)
+    its source.
+
+    The frontend and the optimizer build and rewrite a graph; after
+    elaboration it is read-only, and a schedule keeps its decisions
+    (speculated guards included) in its own binder. *)
 
 type op = {
   id : int;
@@ -22,7 +26,6 @@ type op = {
   mutable guard : Guard.t;
   mutable name : string;  (** diagnostic name, e.g. ["mul1_op"] *)
   mutable anchor : int option;  (** pin to an exact control step *)
-  mutable speculated : bool;  (** guard removed from the commit path *)
 }
 
 type edge = { src : int; dst : int; port : int; distance : int }

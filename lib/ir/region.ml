@@ -35,7 +35,7 @@ type t = {
   dfg : Dfg.t;  (** the design-wide DFG (shared, not owned) *)
   members : bool array;  (** op id -> scheduled within this region *)
   n_members : int;  (** distinct ids in [members] *)
-  mutable n_steps : int;  (** current latency interval LI (number of states) *)
+  mutable n_steps : int;  (** current LI (number of states); the last schedule's once it returns *)
   min_steps : int;  (** designer lower latency bound *)
   max_steps : int;  (** designer upper latency bound; relaxation stops here *)
   pipeline : pipeline_spec option;
@@ -55,6 +55,12 @@ type t = {
    the relaxation loop reaches, and small enough that every per-step
    table stays addressable *)
 let max_steps_limit = (1 lsl 21) - 1
+
+(* pipelined execution needs LI > II; exploration starts at II+1
+   (Section V, condition 2) *)
+let initial_li ~min_steps = function None -> min_steps | Some { ii } -> max min_steps (ii + 1)
+
+let initial_steps t = initial_li ~min_steps:t.min_steps t.pipeline
 
 let create ?(min_steps = 1) ?(max_steps = 64) ?pipeline ?continue_cond ?stall_cond
     ?(is_loop = false) ?(source_waits = 1) ?members ?nest ~name dfg =
@@ -83,20 +89,12 @@ let create ?(min_steps = 1) ?(max_steps = 64) ?pipeline ?continue_cond ?stall_co
         end)
       0 ids
   in
-  let initial =
-    match pipeline with
-    | None -> min_steps
-    | Some { ii } ->
-        (* pipelined execution needs LI > II; exploration starts at II+1
-           (Section V, condition 2) *)
-        max min_steps (ii + 1)
-  in
   {
     rname = name;
     dfg;
     members = member_arr;
     n_members;
-    n_steps = initial;
+    n_steps = initial_li ~min_steps pipeline;
     min_steps;
     max_steps;
     pipeline;

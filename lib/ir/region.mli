@@ -35,7 +35,7 @@ type t = {
   dfg : Dfg.t;  (** the design-wide DFG (shared, not owned) *)
   members : bool array;  (** op id -> member (ids past the end are not) *)
   n_members : int;  (** distinct ids in [members] *)
-  mutable n_steps : int;  (** current latency interval LI *)
+  mutable n_steps : int;  (** current LI; the last schedule's once it returns *)
   min_steps : int;
   max_steps : int;  (** designer latency bounds; relaxation stops here *)
   pipeline : pipeline_spec option;
@@ -72,6 +72,9 @@ val create :
     from LI = II + 1" (Section V, condition 2).
     @raise Invalid_argument unless 1 <= [min_steps] <= [max_steps] <=
     {!max_steps_limit}. *)
+
+val initial_steps : t -> int
+(** The LI {!create} sets, where every schedule of the region starts. *)
 
 val mem : t -> int -> bool
 

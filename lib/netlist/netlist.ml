@@ -215,9 +215,8 @@ type t = {
   mutable n_commits : int;
   mutable n_rollbacks : int;
   mutable n_visits : int;
-  (* per-op facts computed once (the graph, widths and guards do not
-     change during scheduling; only the [speculated] flag flips, which is
-     read from the op record, not from these) *)
+  (* per-op facts computed once (the graph is read-only after
+     elaboration) *)
   mutable rt_c : Resource.t option array;  (** {!Resource.of_op}, eager *)
   mutable classes : iclass list;  (** per resource class, few *)
   mutable out0_c : int array option array;  (** distance-0 consumer ids *)
@@ -264,13 +263,7 @@ type t = {
   mutable sat_tick : int;  (** the last epoch handed out *)
   mutable sat_at : int array;  (** [inst * sat_slots + ports] -> epoch stored under, -1 none *)
   mutable sat_val : float array;  (** ... -> the least priced slack *)
-  mutable slack_floor : float;
-      (** this pass's committed-slack floor: the minimum worst slack over
-          every committed trial and every propagation run outside a trial,
-          read by the saturation memo ({!screen}); [neg_infinity] once a
-          slack-blind bind may have committed, which disables the
-          instance floors too (see {!screen_may_prove}) *)
-  mutable trial_worst : float;  (** the open trial's worst slack so far *)
+  mutable forced : bool;  (** a trial-less bind ({!mark_forced}) since {!reset_pass} *)
   mutable inst_floor : float array;
       (** instance -> its slack floor: the least committed endpoint slack
           this pass over its bound ops and their same-step consumer cones,
@@ -280,6 +273,7 @@ type t = {
       (** the instance floors are kept for this pass: built by the first
           read ({!inst_floor}), dropped by {!reset_pass} *)
   mutable op_slack : float array;  (** op -> its endpoint slack at its last recomputation *)
+  mutable spec : bool array;  (** op -> guard off the commit path ({!speculate}), all passes *)
 }
 
 (* field accessors for the abstract [t] (the record itself stays private
@@ -414,12 +408,12 @@ let create ~lib ~clock_ps (region : Region.t) =
     sat_tick = 0;
     sat_at = [||];
     sat_val = [||];
-    slack_floor = infinity;
-    trial_worst = infinity;
+    forced = false;
     inst_floor = [||];
     floor_cap = floor_cap lib member_needs;
     floors_kept = false;
     op_slack = Array.make cap infinity;
+    spec = Array.make cap false;
   }
 
 let grow_arr a cap d =
@@ -454,6 +448,7 @@ let ensure_cap t id =
     t.in_wl <- grow_arr t.in_wl cap 0;
     t.scr_seen <- grow_arr t.scr_seen cap 0;
     t.op_slack <- grow_arr t.op_slack cap infinity;
+    t.spec <- grow_arr t.spec cap false;
     t.cap <- cap
   end
 
@@ -751,10 +746,16 @@ let reset_pass ~price_muxes t =
   t.trial_on <- false;
   t.touched <- [];
   t.undo_log <- [];
-  t.slack_floor <- infinity;
+  t.forced <- false;
   Array.fill t.inst_floor 0 (Array.length t.inst_floor) t.floor_cap;
   t.floors_kept <- false;
   ignore (refresh_prealloc t)
+
+(* --- speculation --- *)
+
+let speculate t id = ensure_cap t id; t.spec.(id) <- true
+let speculated t id = id < t.cap && t.spec.(id)
+let speculated_ops t = List.filter (fun id -> t.spec.(id)) (List.init t.cap Fun.id)
 
 (* --- placements --- *)
 
@@ -1012,7 +1013,6 @@ let begin_trial t =
   t.trial_on <- true;
   t.touched <- [];
   t.undo_log <- [];
-  t.trial_worst <- infinity;
   t.n_trials <- t.n_trials + 1
 
 let cell_of t id =
@@ -1084,7 +1084,6 @@ let commit t =
         floor_note t op t.op_slack.(op)
       end)
     t.touched;
-  t.slack_floor <- fmin t.slack_floor t.trial_worst;
   t.trial_on <- false;
   t.touched <- [];
   t.undo_log <- [];
@@ -1350,7 +1349,7 @@ let source_arrival_with t ~step ~lookup e =
 let source_arrival t ~step e = source_arrival_with t ~step ~lookup:(arrival_raw t) e
 
 let guard_arrival_with t ~step ~lookup (op : Dfg.op) =
-  if op.Dfg.speculated || Guard.is_always op.Dfg.guard then 0.0
+  if Guard.is_always op.Dfg.guard || t.spec.(op.Dfg.id) then 0.0
   else
     let ff = t.lib.Library.ff_clk_q in
     let gp = gpreds_of t op.Dfg.id in
@@ -1564,21 +1563,20 @@ let empty_bind_slack t (op : Dfg.op) ~step ~finish ~(inst : inst) =
     rollback on the instance, a pre-allocation flip and {!reset_pass}
     give the instance a fresh epoch and drop its entries.  Within a pass
     the other changes only lower what a fresh screen would price: a
-    committed arrival only rises (the argument of the slack floor below),
+    committed arrival only rises (the argument of the instance floors),
     mux delays grow with their inputs and exec delays with the type, and a
     newly placed consumer only adds a walk.  So the op that carried a
     stored value [v] ends the trial with a slack of at most [v]: the trial
     re-times it, or leaves a committed arrival that has already risen to
     the bound the walk priced.  In the second case its committed slack is
-    at most [v]; no committed slack is below the pass's slack floor (the
-    minimum worst slack over every committed trial and every propagation
-    run outside one), so when [v] is below the floor the trial re-times
-    that op.  A hit therefore needs [v] below the floor, the
-    tolerance and [s_op], and then the trial rejects busy: it decides with
-    one comparison ([Screen_memo]).  In a pass of trials the floor sits at
-    or above the tolerance, so that test costs no hit; after a
-    [force_bind] ({!poison_slack_floor}) no entry is read for the rest of
-    the pass.  A stored value that proves nothing may be stale, so the
+    at most [v].  But no committed slack is below the tolerance: a trial
+    commits only when its worst slack clears it, and a replayed prefix
+    re-commits what such trials accepted.  So when [v] is below the
+    tolerance the trial re-times that op.  A hit therefore needs [v]
+    below the tolerance and [s_op], and then the trial rejects busy: it
+    decides with one comparison ([Screen_memo]).  Only a [force_bind]
+    commits without a trial, so no entry is read while the pass is
+    {!forced}.  A stored value that proves nothing may be stale, so the
     screen is computed again and stored ([Screen_computed] when it
     proves). *)
 
@@ -1630,10 +1628,9 @@ let grow_ports t inst ports =
   !delta
 
 (** The instance's slack floor (the first read of a pass builds every
-    instance's), [neg_infinity] once the floors are disabled for the
-    pass. *)
+    instance's), [neg_infinity] while the pass is {!forced}. *)
 let inst_floor t (inst : inst) =
-  if t.slack_floor = neg_infinity then neg_infinity
+  if t.forced then neg_infinity
   else begin
     if not t.floors_kept then begin
       t.floors_kept <- true;
@@ -1666,7 +1663,7 @@ let inst_floor t (inst : inst) =
     only fall within a pass), so it is at least F_i − kΔ too and proves
     nothing.  A [force_bind], which may commit a violating op without a
     trial, disables the floors for the rest of the pass
-    ({!poison_slack_floor}).  Unpriced muxes make growth invisible: then
+    ({!mark_forced}).  Unpriced muxes make growth invisible: then
     the answer is [false] too. *)
 let screen_may_prove t ~(inst : inst) ~changed_ports =
   t.mux_priced && changed_ports > 0
@@ -1675,7 +1672,8 @@ let screen_may_prove t ~(inst : inst) ~changed_ports =
   let delta = match inst.rtype.Resource.rclass with Opkind.R_blackbox _ -> 2.0 *. delta | _ -> delta in
   not (inst_floor t inst -. delta > -0.001 +. screen_floor_margin)
 
-let poison_slack_floor t = t.slack_floor <- neg_infinity
+let mark_forced t = t.forced <- true
+let forced t = t.forced
 
 (* [op] is not placed and no placed op reads its result at distance 0, as
    data or as guard: the cohabitant half of a screen then does not depend
@@ -1733,7 +1731,7 @@ and scr_affected_ins t depth st = function
 
 (* does a guard predecessor of [o] move under the screened bind? *)
 let scr_guard_affected t (o : Dfg.op) ~fstep =
-  (not (o.Dfg.speculated || Guard.is_always o.Dfg.guard))
+  (not (Guard.is_always o.Dfg.guard || t.spec.(o.Dfg.id)))
   &&
   let gp = gpreds_of t o.Dfg.id in
   let hit = ref false and k = ref 0 in
@@ -1856,7 +1854,7 @@ let screen t ~(op : Dfg.op) ~step ~finish ~(inst : inst) ~changed_ports =
     let stored =
       if slot >= 0 && t.sat_at.(slot) = epoch then t.sat_val.(slot) else infinity
     in
-    let hit_may = stored < -0.001 && stored < t.slack_floor && unread t op in
+    let hit_may = stored < -0.001 && (not t.forced) && unread t op in
     t.scr_op <- op.Dfg.id;
     t.scr_finish <- finish;
     t.scr_inst <- inst.inst_id;
@@ -1927,9 +1925,7 @@ let wl_pop t =
 (** Propagate arrival changes from [seeds] through same-step chains.
     Returns the worst endpoint slack seen together with the op carrying it
     — so the caller can tell a failure of the new binding itself from
-    collateral damage to ops already bound (a saturated instance).  The
-    worst slack feeds the pass's slack floor: at once outside a trial, at
-    {!commit} inside one.
+    collateral damage to ops already bound (a saturated instance).
 
     The worklist is deduplicated by op id and propagation stops at ops
     whose arrival did not move, so the visited set is bounded by the
@@ -1974,8 +1970,6 @@ let propagate t seeds =
       end
     end
   done;
-  if t.trial_on then t.trial_worst <- fmin t.trial_worst !worst
-  else t.slack_floor <- fmin t.slack_floor !worst;
   (!worst, !worst_op)
 
 (** Refresh every arrival from scratch through the incremental engine

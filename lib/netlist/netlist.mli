@@ -138,6 +138,12 @@ val price_muxes : t -> unit
     {!recompute_all}); a no-op when the muxes are already priced.  Must
     not run inside a trial. *)
 
+(** {2 Speculation} — guards off the commit path, kept across {!reset_pass} *)
+
+val speculate : t -> int -> unit
+val speculated : t -> int -> bool
+val speculated_ops : t -> int list  (** ascending *)
+
 (** {2 Placements} *)
 
 val placement : t -> int -> placement option
@@ -294,14 +300,14 @@ val inst_floor : t -> inst -> float
     trial.  The
     floor is capped where {!screen_may_prove} rules out whatever the mux
     growth, so an instance with an empty cone reads the cap;
-    [neg_infinity] after {!poison_slack_floor}. *)
+    [neg_infinity] while the pass is {!forced}. *)
 
-val poison_slack_floor : t -> unit
-(** Drop the pass's slack floor — the minimum worst slack over every
-    committed trial and every {!propagate} run outside a trial since
-    {!reset_pass} — to [neg_infinity] for the rest of the pass, and with
-    it every instance's floor: a bind committed without a trial may have
-    left any slack. *)
+val mark_forced : t -> unit
+(** Note a bind committed without a trial, which may leave any slack:
+    until {!reset_pass} the pass is {!forced}, every instance floor reads
+    [neg_infinity] and the saturation memo is not read. *)
+
+val forced : t -> bool
 
 type screen =
   | Screen_pass  (** nothing proved: run the trial *)
@@ -322,11 +328,10 @@ val screen :
 
     A computed screen stores the least slack it priced per (instance,
     port set); until the instance next changes or the pass ends, a stored
-    value below the tolerance, the op's own slack and the pass's slack
-    floor decides the next screen of that set with one comparison
-    ([Screen_memo]).  After a {!poison_slack_floor} no stored value is
-    read.  A computed screen proves exactly when the short-circuiting
-    screen would. *)
+    value below the tolerance and the op's own slack decides the next
+    screen of that set with one comparison ([Screen_memo]); none is read
+    while the pass is {!forced}.  A computed screen proves exactly when
+    the short-circuiting screen would. *)
 
 val propagate : t -> int list -> float * int
 (** Propagate arrival changes from the seed ops through same-step chains;

@@ -838,7 +838,7 @@ let memo_vs_trial ~force ~seed ~ops ~ii ~replay_clock =
                 | Error f ->
                     if b.Binding.ctr.Binding.c_screen_memo > memo0 then begin
                       incr decided;
-                      if b.Binding.has_forced then incr after_force;
+                      if Netlist.forced b.Binding.net then incr after_force;
                       let worst, worst_op =
                         Binding.open_trial b op ~step ~finish:pl.Netlist.pl_finish
                           ~inst_opt:(Some i.Binding.inst_id)

@@ -278,6 +278,81 @@ let test_blocked_restraint_order () =
       Hashtbl.iter (fun id () -> if List.mem id blocked then order := id :: !order) h;
       Alcotest.(check (list int)) "blocked markers in table order" (List.rev !order) blocked
 
+(* What a schedule decided, as one comparable string: the LI, passes and
+   timing queries, then each placed op's step, instance and endpoint
+   slack (a speculated guard shows in the slack) *)
+let outcome (r : (Scheduler.t, Scheduler.error) result) =
+  match r with
+  | Error e -> Printf.sprintf "error %s after %d passes" e.Scheduler.e_code e.Scheduler.e_passes
+  | Ok s ->
+      let st = Scheduler.stats s in
+      let net = s.Scheduler.s_binding.Binding.net in
+      Hls_netlist.Netlist.fold_placements net
+        (fun id pl acc -> (id, pl.Binding.pl_step, pl.Binding.pl_inst) :: acc)
+        []
+      |> List.sort compare
+      |> List.map (fun (id, step, inst) ->
+             Printf.sprintf "%d@%d/%d:%.3f" id step (Option.value inst ~default:(-1))
+               (Hls_netlist.Netlist.endpoint_slack net id))
+      |> String.concat " "
+      |> Printf.sprintf "LI=%d passes=%d queries=%d %s" s.Scheduler.s_li st.Scheduler.st_passes
+           st.Scheduler.st_queries
+
+(* A schedule depends on its region, options and hints alone: scheduling
+   one region a second time repeats the first schedule exactly, whatever
+   LI or speculated guards the first left behind *)
+let test_reschedule_same_region () =
+  let differing =
+    List.concat_map
+      (fun (name, mk) ->
+        let e = Hls_frontend.Elaborate.design (mk ()) in
+        List.concat_map
+          (fun ii ->
+            List.filter_map
+              (fun clock_ps ->
+                let region = Hls_frontend.Elaborate.main_region ?ii e in
+                let first = outcome (Scheduler.schedule ~lib ~clock_ps region) in
+                let second = outcome (Scheduler.schedule ~lib ~clock_ps region) in
+                if first = second then None
+                else
+                  Some
+                    (Printf.sprintf "%s II=%s %.0f ps" name
+                       (Option.fold ~none:"seq" ~some:string_of_int ii)
+                       clock_ps))
+              [ 1200.0; 1600.0; 2400.0 ])
+          [ None; Some 1; Some 2 ])
+      Hls_server.Design_db.builtins
+  in
+  Alcotest.(check (list string)) "configurations whose second schedule differs" [] differing
+
+(* A [Speculate] hint is a decision of the one schedule it is given to:
+   it takes sobel's late guard off the edge write's commit path, and a
+   later schedule of the same region without hints is a fresh region's *)
+let test_speculate_hint_stays_in_its_schedule () =
+  let e = Hls_frontend.Elaborate.design (Hls_designs.Conv.design ()) in
+  let region () = Hls_frontend.Elaborate.main_region ~ii:1 e in
+  let schedule ?(opts = Scheduler.default_options) r =
+    outcome (Scheduler.schedule ~opts ~lib ~clock_ps:clock r)
+  in
+  let guarded_writes =
+    List.filter
+      (fun (o : Dfg.op) ->
+        (match o.Dfg.kind with Opkind.Write _ -> true | _ -> false)
+        && not (Guard.is_always o.Dfg.guard))
+      (Region.member_ops (region ()))
+  in
+  Alcotest.(check bool) "sobel has a guarded write" true (guarded_writes <> []);
+  let hints =
+    List.fold_left
+      (fun h (o : Dfg.op) -> Hints.add (Hints.Speculate o.Dfg.id) h)
+      Hints.empty guarded_writes
+  in
+  let fresh = schedule (region ()) in
+  let r = region () in
+  let hinted = schedule ~opts:{ Scheduler.default_options with Scheduler.hints } r in
+  Alcotest.(check bool) "the hint moves the guarded writes' slack" true (hinted <> fresh);
+  Alcotest.(check string) "rescheduled without hints = a fresh region" fresh (schedule r)
+
 let suite =
   [
     Alcotest.test_case "Table 2: sequential schedule" `Quick test_table2_sequential;
@@ -294,4 +369,8 @@ let suite =
     Alcotest.test_case "schedule allocation is run-independent" `Quick
       test_schedule_minor_words_deterministic;
     Alcotest.test_case "blocked restraints keep their order" `Quick test_blocked_restraint_order;
+    Alcotest.test_case "rescheduling a region repeats its schedule" `Slow
+      test_reschedule_same_region;
+    Alcotest.test_case "a Speculate hint stays in its schedule" `Quick
+      test_speculate_hint_stays_in_its_schedule;
   ]
