@@ -149,12 +149,7 @@ let table4 () =
     let ablated =
       {
         normal with
-        Hls_flow.Flow.sched =
-          {
-            Scheduler.default_options with
-            expert = { Expert.enable_scc_move = false };
-            tolerate_scc_slack = true;
-          };
+        Hls_flow.Flow.sched = { Scheduler.default_options with scc_move = false };
         verify = false;
       }
     in
@@ -545,6 +540,7 @@ let bench_scale () =
   let reps = if !smoke then 2 else 3 in
   (* the exact counters of a schedule, the JSON columns they fill *)
   let counts (st : Scheduler.stats) =
+    let c = st.Scheduler.st_decisions in
     [
       ("queries", st.Scheduler.st_queries);
       ("passes", st.Scheduler.st_passes);
@@ -554,23 +550,23 @@ let bench_scale () =
       ("rollbacks", st.Scheduler.st_rollbacks);
       (* the binder's decision counters: exact, so they carry a claim at
          sizes where the wall clock cannot *)
-      ("attempts_bound", st.Scheduler.st_attempts_bound);
-      ("attempts_failed", st.Scheduler.st_attempts_failed);
-      ("candidates", st.Scheduler.st_candidates);
-      ("prelude_fails", st.Scheduler.st_prelude_fails);
-      ("rej_forbid", st.Scheduler.st_rej_forbid);
-      ("rej_tier", st.Scheduler.st_rej_tier);
-      ("rej_dedicated", st.Scheduler.st_rej_dedicated);
-      ("rej_busy", st.Scheduler.st_rej_busy);
-      ("rej_quick_slack", st.Scheduler.st_rej_quick_slack);
-      ("rej_empty_slack", st.Scheduler.st_rej_empty_slack);
-      ("rej_cycle", st.Scheduler.st_rej_cycle);
-      ("rej_screen_memo", st.Scheduler.st_rej_screen_memo);
-      ("rej_screen", st.Scheduler.st_rej_screen);
-      ("rej_trial_slack", st.Scheduler.st_rej_trial_slack);
-      ("rej_trial_busy", st.Scheduler.st_rej_trial_busy);
-      ("screens_skipped", st.Scheduler.st_screens_skipped);
-      ("screens_futile", st.Scheduler.st_screens_futile);
+      ("attempts_bound", c.Binding.c_bound);
+      ("attempts_failed", c.Binding.c_failed);
+      ("candidates", c.Binding.c_visited);
+      ("prelude_fails", c.Binding.c_prelude);
+      ("rej_forbid", c.Binding.c_forbid);
+      ("rej_tier", c.Binding.c_tier);
+      ("rej_dedicated", c.Binding.c_dedicated);
+      ("rej_busy", c.Binding.c_busy);
+      ("rej_quick_slack", c.Binding.c_quick_slack);
+      ("rej_empty_slack", c.Binding.c_empty_slack);
+      ("rej_cycle", c.Binding.c_cycle);
+      ("rej_screen_memo", c.Binding.c_screen_memo);
+      ("rej_screen", c.Binding.c_screen);
+      ("rej_trial_slack", c.Binding.c_trial_slack);
+      ("rej_trial_busy", c.Binding.c_trial_busy);
+      ("screens_skipped", c.Binding.c_screen_skipped);
+      ("screens_futile", c.Binding.c_screen_futile);
     ]
   in
   (* median, min and max of a point's walls *)
@@ -600,6 +596,7 @@ let bench_scale () =
             Printf.printf "  %6d ops  FAILED: %s\n%!" n m;
             None
         | Ok (st, peak) ->
+            let c = st.Scheduler.st_decisions in
             let walls =
               st.Scheduler.st_sched_s
               :: List.init (reps - 1) (fun _ ->
@@ -616,9 +613,9 @@ let bench_scale () =
                %9d candidates  %8d memo screens  %6d skipped  %6d futile\n%!"
               n wall reps lo hi st.Scheduler.st_queries qps st.Scheduler.st_passes st.Scheduler.st_visits
               st.Scheduler.st_trials st.Scheduler.st_rollbacks st.Scheduler.st_cycle_visits peak
-              (st.Scheduler.st_attempts_bound + st.Scheduler.st_attempts_failed)
-              st.Scheduler.st_candidates st.Scheduler.st_rej_screen_memo
-              st.Scheduler.st_screens_skipped st.Scheduler.st_screens_futile;
+              (c.Binding.c_bound + c.Binding.c_failed)
+              c.Binding.c_visited c.Binding.c_screen_memo c.Binding.c_screen_skipped
+              c.Binding.c_screen_futile;
             Some (n, st, walls, peak))
       sizes
   in

@@ -33,10 +33,6 @@ type action =
   | Move_scc of int  (** SCC index; moves its stage assignment one later *)
   | Forbid of int * int
 
-type options = { enable_scc_move : bool  (** Table 4 ablation switch *) }
-
-let default_options = { enable_scc_move = true }
-
 (* cap on actions returned per pass by [choose_many]: the winner plus at
    most [max_batch - 1] batched runner-ups *)
 let max_batch = 8
@@ -68,8 +64,9 @@ let score s = s.sc_gain /. (0.5 +. s.sc_cost)
     exhausted (the specification is overconstrained).
 
     [scc_of op] maps an op to its SCC index (if any); [scc_stage k] is the
-    stage the SCC currently occupies; [n_stages] bounds SCC moves. *)
-let choose ~(opts : options) ~(binding : Binding.t) ~(region : Region.t)
+    stage the SCC currently occupies; [n_stages] bounds SCC moves.
+    [scc_move = false] (the Table 4 ablation) proposes no SCC move. *)
+let choose ~scc_move ~(binding : Binding.t) ~(region : Region.t)
     ~(restraints : Restraint.t list) ~(sccs : int list list) ~(scc_of : int -> int option)
     ~(scc_stage : int -> int) : (action * string) option =
   let dfg = region.Region.dfg in
@@ -176,7 +173,7 @@ let choose ~(opts : options) ~(binding : Binding.t) ~(region : Region.t)
       | _ -> ())
     restraints;
   (* --- Move_scc --- *)
-  if opts.enable_scc_move && Region.is_pipelined region then begin
+  if scc_move && Region.is_pipelined region then begin
     let n_stages = Region.n_stages region in
     (* the downstream cone is only consulted for F_blocked restraints, and
        computing it is O(region) per SCC — build it lazily so the common
@@ -239,9 +236,9 @@ let choose ~(opts : options) ~(binding : Binding.t) ~(region : Region.t)
     distinct failing SCCs (a design with many small recurrences would
     otherwise burn one pass per move).  Other action kinds stay
     exclusive. *)
-let choose_many ~opts ~binding ~region ~restraints ~sccs ~scc_of ~scc_stage :
+let choose_many ~scc_move ~binding ~region ~restraints ~sccs ~scc_of ~scc_stage :
     (action * string) list =
-  match choose ~opts ~binding ~region ~restraints ~sccs ~scc_of ~scc_stage with
+  match choose ~scc_move ~binding ~region ~restraints ~sccs ~scc_of ~scc_stage with
   | None -> []
   | Some ((Move_scc k0, _) as first) ->
       (* gather every other SCC with fatal window/slack/dep restraints that

@@ -19,17 +19,13 @@ type action =
           slack failure") *)
   | Forbid of int * int  (** exclude a comb-cycle-closing (op, inst) pair *)
 
-type options = { enable_scc_move : bool  (** the Table 4 ablation switch *) }
-
-val default_options : options
-
 val action_to_string : action -> string
 
 val downstream : Dfg.t -> int list -> (int, unit) Hashtbl.t
 (** Distance-0 downstream cone of a set of ops, inclusive. *)
 
 val choose_many :
-  opts:options ->
+  scc_move:bool ->
   binding:Binding.t ->
   region:Region.t ->
   restraints:Restraint.t list ->
@@ -38,11 +34,12 @@ val choose_many :
   scc_stage:(int -> int) ->
   (action * string) list
 (** The corrective actions for one failed pass, best first, or [[]] when
-    the portfolio is exhausted (specification overconstrained).  The
-    winner is the single action with the best estimated gain; resource
-    additions are credited only for restraints the timing estimate says a
-    fresh instance would actually solve — the paper's "a second
-    multiplier does not help" reasoning.  When the winner adds a resource
+    the portfolio is exhausted (specification overconstrained).
+    [~scc_move:false] leaves [Move_scc] out of the portfolio (the Table 4
+    ablation).  The winner is the single action with the best estimated
+    gain; resource additions are credited only for restraints the timing
+    estimate says a fresh instance would actually solve — the paper's "a
+    second multiplier does not help" reasoning.  When the winner adds a resource
     or moves an SCC, up to 7 runner-ups of the same kind (other starving
     types, other failing SCCs) ride along: each saves one full pass on a
     large design. *)

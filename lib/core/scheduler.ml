@@ -33,7 +33,11 @@ let set_jobs n = Atomic.set analysis_jobs (Int.max 1 n)
 
 type options = {
   timing_aware : bool;
-  expert : Expert.options;
+  scc_move : bool;
+      (** [false] is the Table 4 ablation: the expert never moves an SCC,
+          and SCC members are bound at their window even with negative
+          slack, leaving the violation for downstream logic synthesis to
+          absorb *)
   max_passes : int;
   warm_start : bool;
       (** reuse pass-invariant analysis across relaxation passes, pick ready
@@ -43,10 +47,6 @@ type options = {
           recomputes ASAP/ALAP and re-vets every binding from step 0.  That
           loop is the test reference: [test_sched_perf]'s warm-equals-cold
           property checks every observable of the warm path against it. *)
-  tolerate_scc_slack : bool;
-      (** Table 4 ablation: when the SCC-move action is disabled, bind SCC
-          members at their window even with negative slack and leave the
-          violation for downstream logic synthesis to absorb *)
   seed_latency_floor : bool;
       (** start the latency interval at the resource-implied lower bound
           instead of the designer minimum; disable to follow the paper's
@@ -69,10 +69,9 @@ type options = {
 let default_options =
   {
     timing_aware = true;
-    expert = Expert.default_options;
+    scc_move = true;
     max_passes = 200;
     warm_start = true;
-    tolerate_scc_slack = false;
     seed_latency_floor = true;
     max_actions = 2000;
     timeout_s = None;
@@ -114,23 +113,7 @@ type stats = {
   st_warm_passes : int;  (** passes served by warm-start prefix replay *)
   st_cold_passes : int;  (** passes run from a cold restart *)
   st_hints : int;  (** feedback hints applied at schedule start *)
-  st_attempts_bound : int;  (** (op, step) bind attempts that bound *)
-  st_attempts_failed : int;  (** ... that failed on every candidate *)
-  st_candidates : int;  (** candidate bindings checked *)
-  st_prelude_fails : int;  (** attempts failed before any candidate *)
-  st_rej_forbid : int;  (** candidate rejections, by the stage that decided *)
-  st_rej_tier : int;
-  st_rej_dedicated : int;
-  st_rej_busy : int;
-  st_rej_quick_slack : int;
-  st_rej_empty_slack : int;
-  st_rej_cycle : int;
-  st_rej_screen_memo : int;
-  st_rej_screen : int;
-  st_rej_trial_slack : int;
-  st_rej_trial_busy : int;
-  st_screens_skipped : int;
-  st_screens_futile : int;
+  st_decisions : Binding.counters;  (** the binder's decision counters *)
 }
 
 let stats t =
@@ -149,33 +132,14 @@ let stats t =
     st_warm_passes = t.s_warm_passes;
     st_cold_passes = t.s_cold_passes;
     st_hints = t.s_hints_applied;
-    st_attempts_bound = c.Binding.c_bound;
-    st_attempts_failed = c.Binding.c_failed;
-    st_candidates = c.Binding.c_visited;
-    st_prelude_fails = c.Binding.c_prelude;
-    st_rej_forbid = c.Binding.c_forbid;
-    st_rej_tier = c.Binding.c_tier;
-    st_rej_dedicated = c.Binding.c_dedicated;
-    st_rej_busy = c.Binding.c_busy;
-    st_rej_quick_slack = c.Binding.c_quick_slack;
-    st_rej_empty_slack = c.Binding.c_empty_slack;
-    st_rej_cycle = c.Binding.c_cycle;
-    st_rej_screen_memo = c.Binding.c_screen_memo;
-    st_rej_screen = c.Binding.c_screen;
-    st_rej_trial_slack = c.Binding.c_trial_slack;
-    st_rej_trial_busy = c.Binding.c_trial_busy;
-    st_screens_skipped = c.Binding.c_screen_skipped;
-    st_screens_futile = c.Binding.c_screen_futile;
+    (* a copy: the counters stay the binder's *)
+    st_decisions = { c with Binding.c_bound = c.Binding.c_bound };
   }
 
 (* internal: unwinds the relaxation loop into a typed error *)
 exception Give_up of { g_code : string; g_budget : Hls_diag.Diag.budget option; g_message : string }
 
 let placement t op = Binding.placement t.s_binding op
-
-(** Ops scheduled on a given step, sorted by id — served by the netlist's
-    per-step reverse index instead of a fold over all placements. *)
-let ops_on_step t step = Hls_netlist.Netlist.ops_on_step t.s_binding.Binding.net step
 
 (* ------------------------------------------------------------------ *)
 
@@ -346,7 +310,7 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
        says it cannot meet timing there — the force-bind absorbs the
        violation *)
     (r.Asap_alap.asap <= step
-    || (opts.tolerate_scc_slack && window_of op.Dfg.id <> None))
+    || ((not opts.scc_move) && window_of op.Dfg.id <> None))
     && min_step.(op.Dfg.id) <= step
     && (match window_of op.Dfg.id with
        | Some (lo, hi) -> lo <= step && step <= hi
@@ -392,7 +356,7 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
   in
   (* pass-local SCC stage assignment on first placement; true when a stage
      was assigned (the heap's ineligible stash is then re-examined — under
-     [tolerate_scc_slack] a fresh window can make a member eligible) *)
+     the Table 4 ablation a fresh window can make a member eligible) *)
   let note_scc_placement op_id step =
     match scc_of op_id with
     | Some k when scc_stage_local.(k) = None ->
@@ -426,7 +390,7 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
              (Hls_netlist.Netlist.endpoint_slack binding.Binding.net op.Dfg.id));
         note_scc_placement op.Dfg.id e
     | fails
-      when opts.tolerate_scc_slack && scc_of op.Dfg.id <> None && last_chance op e
+      when (not opts.scc_move) && scc_of op.Dfg.id <> None && last_chance op e
            && List.exists (function Restraint.F_slack _ -> true | _ -> false) fails ->
         (* ablation mode: accept the violating binding; the negative
            slack surfaces in the timing report and Table 4's area
@@ -889,13 +853,9 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
            in
            (* stop proposing moves for an SCC that has been bounced around
               without converging *)
-           let expert_opts =
-             if Array.exists (fun m -> m > 6) scc_moves then
-               { Expert.enable_scc_move = false }
-             else opts.expert
-           in
+           let scc_move = opts.scc_move && not (Array.exists (fun m -> m > 6) scc_moves) in
            match
-             Expert.choose_many ~opts:expert_opts ~binding ~region
+             Expert.choose_many ~scc_move ~binding ~region
                ~restraints ~sccs ~scc_of ~scc_stage
            with
            | [] ->
@@ -994,8 +954,7 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
                 whose pre-pin stage estimate changed — joins the dirty
                 set. *)
              if
-               opts.warm_start && !result = None && (not !global)
-               && not opts.tolerate_scc_slack
+               opts.warm_start && !result = None && (not !global) && opts.scc_move
              then begin
                let aa_old = aa in
                let aa_new =

@@ -17,7 +17,10 @@ type options = {
           the sharing muxes unpriced (pure operator delays), and the muxes
           are priced as soon as the pass returns, before the expert or any
           report reads a slack *)
-  expert : Expert.options;
+  scc_move : bool;
+      (** [false] is the Table 4 ablation: the expert never moves an SCC,
+          and SCC members are force-bound at their window, leaving the
+          slack for downstream sizing to absorb *)
   max_passes : int;
   warm_start : bool;
       (** reuse pass-invariant analysis across relaxation passes, pick
@@ -25,9 +28,6 @@ type options = {
           unaffected schedule prefix after a local expert action; disable
           for the cold-restart loop, the test reference every warm-path
           observable is checked against *)
-  tolerate_scc_slack : bool;
-      (** Table 4 ablation: with SCC moves disabled, force-bind SCC members
-          at their window and let downstream sizing absorb the slack *)
   seed_latency_floor : bool;
       (** start LI at the resource-implied lower bound; disable to follow
           the paper's one-state-at-a-time narratives *)
@@ -100,26 +100,10 @@ type stats = {
   st_warm_passes : int;  (** passes served by warm-start prefix replay *)
   st_cold_passes : int;  (** passes run from a cold restart *)
   st_hints : int;  (** feedback hints applied at schedule start *)
-  (* the binder's decision counters ({!Binding.counters}), exact and
-     equal on every run: each checked candidate either binds or is
-     rejected by exactly one stage *)
-  st_attempts_bound : int;  (** (op, step) bind attempts that bound *)
-  st_attempts_failed : int;  (** ... that failed on every candidate *)
-  st_candidates : int;  (** candidate bindings checked *)
-  st_prelude_fails : int;  (** attempts failed by window, anchor or modulo, before any candidate *)
-  st_rej_forbid : int;  (** rejections: forbidden pair *)
-  st_rej_tier : int;  (** ... instance neither fits nor widens *)
-  st_rej_dedicated : int;  (** ... dedication *)
-  st_rej_busy : int;  (** ... busy slot *)
-  st_rej_quick_slack : int;  (** ... {!Binding.quick_slack} *)
-  st_rej_empty_slack : int;  (** ... exact own slack on an empty instance *)
-  st_rej_cycle : int;  (** ... structural combinational cycle *)
-  st_rej_screen_memo : int;  (** ... saturation memo *)
-  st_rej_screen : int;  (** ... computed saturation screen *)
-  st_rej_trial_slack : int;  (** ... trial, the op's own slack *)
-  st_rej_trial_busy : int;  (** ... trial, a bound op's slack *)
-  st_screens_skipped : int;  (** saturation screens the instance floor ruled out *)
-  st_screens_futile : int;  (** saturation screens run that proved nothing *)
+  st_decisions : Binding.counters;
+      (** a copy of the binder's decision counters, taken by {!stats}:
+          exact and equal on every run, each checked candidate either
+          binds or is rejected by exactly one stage *)
 }
 
 val stats : t -> stats
@@ -127,7 +111,6 @@ val stats : t -> stats
     design-space exploration engine). *)
 
 val placement : t -> int -> Binding.placement option
-val ops_on_step : t -> int -> int list
 
 val schedule :
   ?opts:options ->

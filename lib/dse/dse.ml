@@ -245,20 +245,10 @@ let base_fingerprint ~(options : Flow.options) (design : Hls_frontend.Ast.design
    neutral in everything the feedback machinery itself varies — so the
    seed run (no warm hints) and the warm-started runs of one design all
    read and write the same store entry *)
-let hint_store_key ~(options : Flow.options) (design : Hls_frontend.Ast.design) =
-  let neutral =
-    {
-      options with
-      Flow.ii = None;
-      min_latency = None;
-      max_latency = None;
-      clock_ps = 0.0;
-      feedback = false;
-      feedback_iters = 0;
-      hints = Feedback.Hints.empty;
-    }
-  in
-  Digest.to_hex (Digest.string (Marshal.to_string (design, neutral) []))
+let hint_store_key ~(options : Flow.options) design =
+  base_fingerprint
+    ~options:{ options with Flow.feedback = false; feedback_iters = 0; hints = Feedback.Hints.empty }
+    design
 
 let run_point ~options design p : (Flow.t, Diag.t) Stdlib.result * profile =
   let t0 = Unix.gettimeofday () in

@@ -182,7 +182,9 @@ let main_region ~options elab : (Region.t, Diag.t) Stdlib.result =
 
 (** Fold, audit, size, simulate — everything downstream of a successful
     schedule, shared by all tiers.  [check_timing] is off for the
-    timing-naive baseline tier. *)
+    timing-naive baseline tier and for the Table 4 ablation
+    ([Scheduler.options.scc_move = false]), whose negative slack is by
+    design. *)
 let finish ~options ~tier ~check_timing (design : Ast.design) elab region (sched : Scheduler.t) :
     (t, Diag.t) Stdlib.result =
   let ( let* ) r f = match r with Stdlib.Error e -> Stdlib.Error e | Stdlib.Ok x -> f x in
@@ -281,8 +283,7 @@ let run_unified ~options ~trace ~tier (design : Ast.design) elab : (t, Diag.t) S
           Diag.error ~phase:Diag.Schedule ~code:"internal" ~severity:Diag.Fatal "%s" m
       | Stdlib.Error e -> Stdlib.Error (diag_of_sched_error e)
       | Stdlib.Ok sched ->
-          let check_timing = not options.sched.Scheduler.tolerate_scc_slack in
-          finish ~options ~tier ~check_timing design elab region sched)
+          finish ~options ~tier ~check_timing:options.sched.Scheduler.scc_move design elab region sched)
 
 (** The last rung: the decoupled schedule-then-fold baseline on a
     sequential region.  Structurally valid by construction (and audited

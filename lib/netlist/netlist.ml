@@ -121,17 +121,10 @@ type stats = {
       (** instances visited by the structural-cycle detector's searches *)
 }
 
-(** Growable per-step (or per-guard-pred) bucket of op ids, swap-removed
-    in O(1) via the positions stored in the owner's [si_pos]/[gpos]
-    arrays.  [b_gen] is the pass stamp: a stale bucket reads as empty.
-    [b_sorted]/[b_dirty] cache the ascending-id view for {!ops_on_step}. *)
-type bucket = {
-  mutable b_a : int array;
-  mutable b_len : int;
-  mutable b_gen : int;
-  mutable b_sorted : int list;
-  mutable b_dirty : bool;
-}
+(** Growable per-guard-pred bucket of op ids, swap-removed in O(1) via
+    the positions stored in the owner's [gpos] array.  [b_gen] is the
+    pass stamp: a stale bucket reads as empty. *)
+type bucket = { mutable b_a : int array; mutable b_len : int; mutable b_gen : int }
 
 (** The instances of one resource class, in registration order and in
     candidate order.  An instance never changes class: {!set_rtype} only
@@ -197,8 +190,6 @@ type t = {
   mutable mux_priced : bool;
       (** sharing muxes count in arrivals and endpoint slack; off only
           while a timing-unaware pass binds (see {!reset_pass}) *)
-  mutable steps : bucket array;  (** step -> ops placed there *)
-  mutable si_pos : int array;  (** op -> its position in its step bucket *)
   mutable gslots : bucket array;
       (** guard predecessor (op id) -> placed ops whose guard reads it *)
   mutable gpreds_c : int array option array;  (** op -> guard preds (static) *)
@@ -286,7 +277,7 @@ let dfg t = t.dfg
 let fresh_cell () =
   { a_committed = 0.0; a_live = false; a_trial = 0.0; a_gen = min_int; a_pass = 0 }
 
-let fresh_bucket () = { b_a = [||]; b_len = 0; b_gen = 0; b_sorted = []; b_dirty = false }
+let fresh_bucket () = { b_a = [||]; b_len = 0; b_gen = 0 }
 
 (* shared filler for free busy cells: never handed out, never written *)
 let no_ops = ref []
@@ -361,8 +352,6 @@ let create ~lib ~clock_ps (region : Region.t) =
     pl_inst = Array.make cap (-1);
     cells = Array.init cap (fun _ -> fresh_cell ());
     mux_priced = true;
-    steps = Array.init 64 (fun _ -> fresh_bucket ());
-    si_pos = Array.make cap 0;
     gslots = Array.init cap (fun _ -> fresh_bucket ());
     gpreds_c = Array.make cap None;
     gpos = Array.make cap None;
@@ -434,7 +423,6 @@ let ensure_cap t id =
     t.pl_finish <- grow_arr t.pl_finish cap 0;
     t.pl_inst <- grow_arr t.pl_inst cap (-1);
     t.cells <- grow_with t.cells cap fresh_cell;
-    t.si_pos <- grow_arr t.si_pos cap 0;
     t.gslots <- grow_with t.gslots cap fresh_bucket;
     t.gpreds_c <- grow_arr t.gpreds_c cap None;
     t.gpos <- grow_arr t.gpos cap None;
@@ -882,19 +870,10 @@ let dump_busy t =
       match Int.compare i i' with 0 -> Int.compare s s' | c -> c)
     !acc
 
-(* --- step index: step -> ops placed there --- *)
-
-let step_bucket t step =
-  if step >= Array.length t.steps then
-    t.steps <- grow_with t.steps (Int.max (step + 1) (2 * Array.length t.steps)) fresh_bucket;
-  let b = t.steps.(step) in
-  if b.b_gen <> t.pass_stamp then begin
-    b.b_gen <- t.pass_stamp;
-    b.b_len <- 0;
-    b.b_sorted <- [];
-    b.b_dirty <- false
-  end;
-  b
+(* --- guard index: guard predecessor -> placed ops whose guard reads it.
+   Membership depends only on the op being placed (the guard structure is
+   static), so a re-placement needs no update.  Removal is O(#preds) via
+   the positions stored in [gpos]. --- *)
 
 let bucket_push b x =
   if b.b_len = Array.length b.b_a then begin
@@ -905,54 +884,12 @@ let bucket_push b x =
   b.b_a.(b.b_len) <- x;
   b.b_len <- b.b_len + 1
 
-(* [remove] consults the op's *current* placement, so it must run before
-   the placement entry is changed *)
-let step_index_remove t op_id =
-  if placed t op_id then begin
-    let b = step_bucket t t.pl_step.(op_id) in
-    let p = t.si_pos.(op_id) in
-    let last = b.b_len - 1 in
-    if p <> last then begin
-      let moved = b.b_a.(last) in
-      b.b_a.(p) <- moved;
-      t.si_pos.(moved) <- p
-    end;
-    b.b_len <- last;
-    b.b_dirty <- true
-  end
-
-let step_index_add t op_id step =
-  let b = step_bucket t step in
-  bucket_push b op_id;
-  t.si_pos.(op_id) <- b.b_len - 1;
-  b.b_dirty <- true
-
-let ops_on_step t step =
-  if step >= Array.length t.steps then []
-  else
-    let b = t.steps.(step) in
-    if b.b_gen <> t.pass_stamp || b.b_len = 0 then []
-    else begin
-      if b.b_dirty then begin
-        b.b_sorted <- List.sort Int.compare (Array.to_list (Array.sub b.b_a 0 b.b_len));
-        b.b_dirty <- false
-      end;
-      b.b_sorted
-    end
-
-(* --- guard index: guard predecessor -> placed ops whose guard reads it.
-   Membership depends only on the op being placed (the guard structure is
-   static), so a re-placement needs no update.  Removal is O(#preds) via
-   the positions stored in [gpos]. --- *)
-
 let guard_bucket t pred =
   ensure_cap t pred;
   let b = t.gslots.(pred) in
   if b.b_gen <> t.pass_stamp then begin
     b.b_gen <- t.pass_stamp;
-    b.b_len <- 0;
-    b.b_sorted <- [];
-    b.b_dirty <- false
+    b.b_len <- 0
   end;
   b
 
@@ -1090,7 +1027,6 @@ let commit t =
   t.n_commits <- t.n_commits + 1
 
 let unplace t op_id =
-  step_index_remove t op_id;
   guard_index_remove t op_id;
   t.pl_gen.(op_id) <- 0
 
@@ -1103,12 +1039,10 @@ let rollback t =
     (function
       | U_place op -> unplace t op
       | U_replace (op, pl) ->
-          step_index_remove t op;
           t.pl_step.(op) <- pl.pl_step;
           t.pl_finish.(op) <- pl.pl_finish;
           t.pl_inst.(op) <- (match pl.pl_inst with Some i -> i | None -> -1);
-          t.pl_gen.(op) <- t.pass_stamp;
-          step_index_add t op pl.pl_step
+          t.pl_gen.(op) <- t.pass_stamp
       | U_bound (i, b, n) ->
           i.bound <- b;
           i.n_bound <- n;
@@ -1138,12 +1072,10 @@ let place t op_id ~step ~finish ~inst_opt =
     | Some pl -> t.undo_log <- U_replace (op_id, pl) :: t.undo_log
     | None -> t.undo_log <- U_place op_id :: t.undo_log);
   if fresh then guard_index_add t op_id;
-  step_index_remove t op_id;
   t.pl_step.(op_id) <- step;
   t.pl_finish.(op_id) <- finish;
   t.pl_inst.(op_id) <- (match inst_opt with Some i -> i | None -> -1);
-  t.pl_gen.(op_id) <- t.pass_stamp;
-  step_index_add t op_id step
+  t.pl_gen.(op_id) <- t.pass_stamp
 
 (* a source count as mux inputs: a pre-allocated mux has at least two *)
 let effective_inputs inst n = if inst.prealloc_shared then Int.max n 2 else n

@@ -10,10 +10,12 @@
     pairs) lives above it in [Hls_core.Binding].
 
     The representation is dense: every hot per-op table is an int-indexed
-    array with a pass stamp, so {!reset_pass} is O(1), unplacing an op is
-    O(1) swap-remove, and {!propagate} runs a worklist deduplicated by op
-    id that stops at unchanged arrivals.  [t] is abstract so the dense
-    tables can evolve without touching callers. *)
+    array with a pass stamp, so {!reset_pass} is O(1), the placement
+    table is the one record of where each op sits (unplacing clears its
+    stamp and swap-removes it from the guard index), and {!propagate}
+    runs a worklist deduplicated by op id that stops at unchanged
+    arrivals.  [t] is abstract so the dense tables can evolve without
+    touching callers. *)
 
 open Hls_ir
 open Hls_techlib
@@ -156,10 +158,6 @@ val fold_placements : t -> (int -> placement -> 'a -> 'a) -> 'a -> 'a
 (** Fold over placed ops in ascending id order. *)
 
 val n_placed : t -> int
-
-val ops_on_step : t -> int -> int list
-(** Ops placed on a step, sorted ascending by id — served from a per-step
-    bucket with a memoized sorted view, not a fold over all placements. *)
 
 val slot : t -> int -> int
 (** Modulo slot of a control step ([step mod II] when pipelined). *)

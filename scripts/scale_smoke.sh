@@ -24,6 +24,10 @@
 #    instance slack floor rules out before pricing anyone (2420) and the
 #    screens that run and prove nothing (221).  A floor that stops ruling
 #    screens out moves both.
+# The ~359-op (II=2) point is pinned the same way, exactly: 3 passes,
+# 10100 queries, 2132 attempts, 4474 candidates, 379 skipped and 24
+# futile screens.  Unlike the ~1k point it runs prefix replay, so a
+# change to the warm start that moves a schedule shows here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,6 +40,12 @@ attempts_1k=8828
 candidates_1k=53356
 screens_skipped_1k=2420
 screens_futile_1k=221
+passes_small=3
+queries_small=10100
+attempts_small=2132
+candidates_small=4474
+screens_skipped_small=379
+screens_futile_small=24
 
 # smoke output goes to the build tree: the checked-in BENCH_scale.json
 # holds the full four-point sweep
@@ -43,7 +53,9 @@ smoke_dir=_build/bench-smoke
 dune exec bench/main.exe -- scale --smoke
 
 if command -v python3 >/dev/null 2>&1; then
-  python3 - "$smoke_dir/BENCH_scale.json" "$MAX_WALL_1K" "$max_queries_1k" "$max_cycle_visits_1k" "$passes_1k" "$queries_1k" "$attempts_1k" "$candidates_1k" "$screens_skipped_1k" "$screens_futile_1k" <<'EOF'
+  python3 - "$smoke_dir/BENCH_scale.json" "$MAX_WALL_1K" "$max_queries_1k" "$max_cycle_visits_1k" "$passes_1k" "$queries_1k" "$attempts_1k" "$candidates_1k" "$screens_skipped_1k" "$screens_futile_1k" \
+    "$passes_small" "$queries_small" "$attempts_small" "$candidates_small" "$screens_skipped_small" \
+    "$screens_futile_small" <<'EOF'
 import json, sys
 limit = float(sys.argv[2])
 max_queries = int(sys.argv[3])
@@ -54,6 +66,9 @@ attempts_1k = int(sys.argv[7])
 candidates_1k = int(sys.argv[8])
 screens_skipped_1k = int(sys.argv[9])
 screens_futile_1k = int(sys.argv[10])
+small_pins = dict(zip(
+    ["passes", "queries", "attempts", "candidates", "screens_skipped", "screens_futile"],
+    map(int, sys.argv[11:17])))
 with open(sys.argv[1]) as f:
     data = json.load(f)
 points = data["points"]
@@ -79,7 +94,12 @@ assert big["screens_skipped"] == screens_skipped_1k, (
     f"~1k-op point's floor ruled out {big['screens_skipped']} screens, expected exactly {screens_skipped_1k}")
 assert big["screens_futile"] == screens_futile_1k, (
     f"~1k-op point ran {big['screens_futile']} futile screens, expected exactly {screens_futile_1k}")
-print(f"scale smoke OK: {big['ops']} ops in {big['wall_s']:.2f}s "
+small = min(points, key=lambda p: p["ops"])
+small_counts = dict(small, attempts=small["attempts_bound"] + small["attempts_failed"])
+for key, want in small_pins.items():
+    assert small_counts[key] == want, (
+        f"~{small['ops']}-op point: {key} = {small_counts[key]}, expected exactly {want}")
+print(f"scale smoke OK: ~{small['ops']}-op point's counts as pinned; {big['ops']} ops in {big['wall_s']:.2f}s "
       f"(guard {limit}s), {big['queries']} queries (ceiling {max_queries}), "
       f"{big['cycle_visits']} cycle visits (ceiling {max_cycle_visits}), "
       f"{big['passes']} passes, {big['queries']} queries, {attempts} attempts, "
@@ -99,6 +119,21 @@ else
   cands=$(echo "$big" | grep -o '"candidates":[0-9]*' | cut -d: -f2)
   skipped=$(echo "$big" | grep -o '"screens_skipped":[0-9]*' | cut -d: -f2)
   futile=$(echo "$big" | grep -o '"screens_futile":[0-9]*' | cut -d: -f2)
+  small=$(sed 's/},{/}\n{/g' "$smoke_dir/BENCH_scale.json" | grep -o '"ops":[0-9]*,"wall_s":.*' |
+    sort -t: -k2 -n | head -1)
+  small_field() { echo "$small" | grep -o "\"$1\":[0-9]*" | cut -d: -f2; }
+  check_small() {
+    if [ "$2" != "$3" ]; then
+      echo "scale smoke FAILED: smallest point's $1 = $2, expected exactly $3"
+      exit 1
+    fi
+  }
+  check_small passes "$(small_field passes)" "$passes_small"
+  check_small queries "$(small_field queries)" "$queries_small"
+  check_small attempts "$(( $(small_field attempts_bound) + $(small_field attempts_failed) ))" "$attempts_small"
+  check_small candidates "$(small_field candidates)" "$candidates_small"
+  check_small screens_skipped "$(small_field screens_skipped)" "$screens_skipped_small"
+  check_small screens_futile "$(small_field screens_futile)" "$screens_futile_small"
   awk -v w="$wall" -v m="$MAX_WALL_1K" -v q="$queries" -v mq="$max_queries_1k" \
     -v c="$cvis" -v mc="$max_cycle_visits_1k" -v p="$passes" -v pp="$passes_1k" \
     -v eq="$queries_1k" -v a="$((bound + failed))" -v ea="$attempts_1k" -v n="$cands" \

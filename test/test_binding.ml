@@ -1254,18 +1254,17 @@ let test_decision_counters () =
       | Error _ -> Alcotest.failf "%s: seed 5 failed to schedule" name
       | Ok s ->
           let st = Scheduler.stats s in
-          let open Scheduler in
+          let c = st.Scheduler.st_decisions in
+          let open Binding in
           let rejected =
-            st.st_rej_forbid + st.st_rej_tier + st.st_rej_dedicated + st.st_rej_busy
-            + st.st_rej_quick_slack + st.st_rej_empty_slack + st.st_rej_cycle
-            + st.st_rej_screen_memo + st.st_rej_screen + st.st_rej_trial_slack
-            + st.st_rej_trial_busy
+            c.c_forbid + c.c_tier + c.c_dedicated + c.c_busy + c.c_quick_slack + c.c_empty_slack
+            + c.c_cycle + c.c_screen_memo + c.c_screen + c.c_trial_slack + c.c_trial_busy
           in
-          Alcotest.(check int) (name ^ ": candidates") st.st_candidates (rejected + st.st_attempts_bound);
-          Alcotest.(check int) (name ^ ": commits") st.st_commits st.st_attempts_bound;
-          Alcotest.(check int) (name ^ ": rollbacks") st.st_rollbacks
-            (st.st_rej_trial_slack + st.st_rej_trial_busy);
-          Alcotest.(check bool) (name ^ ": attempts failed") true (st.st_attempts_failed > 0))
+          Alcotest.(check int) (name ^ ": candidates") c.c_visited (rejected + c.c_bound);
+          Alcotest.(check int) (name ^ ": commits") st.Scheduler.st_commits c.c_bound;
+          Alcotest.(check int) (name ^ ": rollbacks") st.Scheduler.st_rollbacks
+            (c.c_trial_slack + c.c_trial_busy);
+          Alcotest.(check bool) (name ^ ": attempts failed") true (c.c_failed > 0))
     [ None; Some 1; Some 2 ]
 
 let suite =

@@ -61,34 +61,12 @@ let test_heap_interleaved () =
   Alcotest.(check bool) "is_empty" true (Ready_heap.is_empty h)
 
 (* ------------------------------------------------------------------ *)
-(* per-step reverse index                                              *)
+(* warm == cold                                                        *)
 
 let schedule_design ?opts ?ii d =
   let e = Hls_frontend.Elaborate.design d in
   let region = Hls_frontend.Elaborate.main_region ?ii e in
   (region, Scheduler.schedule ?opts ~lib ~clock_ps:1600.0 region)
-
-let test_ops_on_step_contract () =
-  let region, r = schedule_design (Hls_designs.Idct.design ()) in
-  let s = match r with Ok s -> s | Error e -> Alcotest.failf "idct failed: %s" e.Scheduler.e_message in
-  let net = s.Scheduler.s_binding.Binding.net in
-  for step = 0 to s.Scheduler.s_li - 1 do
-    (* reference: the historic fold over every placement *)
-    let reference =
-      List.sort compare
-        (Hls_netlist.Netlist.fold_placements net
-           (fun op (pl : Binding.placement) acc -> if pl.Binding.pl_step = step then op :: acc else acc)
-           [])
-    in
-    let indexed = Scheduler.ops_on_step s step in
-    Alcotest.(check (list int))
-      (Printf.sprintf "step %d: index = fold, sorted ascending" step)
-      reference indexed
-  done;
-  ignore region
-
-(* ------------------------------------------------------------------ *)
-(* warm == cold                                                        *)
 
 (** Everything downstream consumes: latency, pass count, every placement
     triple, and every instance's (rtype, bound set). *)
@@ -219,7 +197,6 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_heap_order;
     Alcotest.test_case "heap interleaved push/pop" `Quick test_heap_interleaved;
-    Alcotest.test_case "ops_on_step matches placements fold" `Quick test_ops_on_step_contract;
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
     Alcotest.test_case "warm/cold pass counters" `Quick test_pass_counters;
     QCheck_alcotest.to_alcotest prop_jobs_deterministic;

@@ -281,7 +281,7 @@ let test_blocked_restraint_order () =
 (* What a schedule decided, as one comparable string: the LI, passes and
    timing queries, then each placed op's step, instance and endpoint
    slack (a speculated guard shows in the slack) *)
-let outcome (r : (Scheduler.t, Scheduler.error) result) =
+let outcome ?(slacks = true) (r : (Scheduler.t, Scheduler.error) result) =
   match r with
   | Error e -> Printf.sprintf "error %s after %d passes" e.Scheduler.e_code e.Scheduler.e_passes
   | Ok s ->
@@ -292,8 +292,8 @@ let outcome (r : (Scheduler.t, Scheduler.error) result) =
         []
       |> List.sort compare
       |> List.map (fun (id, step, inst) ->
-             Printf.sprintf "%d@%d/%d:%.3f" id step (Option.value inst ~default:(-1))
-               (Hls_netlist.Netlist.endpoint_slack net id))
+             Printf.sprintf "%d@%d/%d%s" id step (Option.value inst ~default:(-1))
+               (if slacks then Printf.sprintf ":%.3f" (Hls_netlist.Netlist.endpoint_slack net id) else ""))
       |> String.concat " "
       |> Printf.sprintf "LI=%d passes=%d queries=%d %s" s.Scheduler.s_li st.Scheduler.st_passes
            st.Scheduler.st_queries
@@ -327,12 +327,16 @@ let test_reschedule_same_region () =
 
 (* A [Speculate] hint is a decision of the one schedule it is given to:
    it takes sobel's late guard off the edge write's commit path, and a
-   later schedule of the same region without hints is a fresh region's *)
+   later schedule of the same region without hints is a fresh region's.
+   In this timing model the hint moves slacks only (EXPERIMENTS.md, known
+   delta 7): a guard arrives when its condition op's committed arrival
+   does, and that op already passed the same endpoint check.  A timing
+   model in which speculation changes a schedule must change this test. *)
 let test_speculate_hint_stays_in_its_schedule () =
   let e = Hls_frontend.Elaborate.design (Hls_designs.Conv.design ()) in
   let region () = Hls_frontend.Elaborate.main_region ~ii:1 e in
-  let schedule ?(opts = Scheduler.default_options) r =
-    outcome (Scheduler.schedule ~opts ~lib ~clock_ps:clock r)
+  let schedule ?(opts = Scheduler.default_options) ?slacks r =
+    outcome ?slacks (Scheduler.schedule ~opts ~lib ~clock_ps:clock r)
   in
   let guarded_writes =
     List.filter
@@ -351,7 +355,10 @@ let test_speculate_hint_stays_in_its_schedule () =
   let r = region () in
   let hinted = schedule ~opts:{ Scheduler.default_options with Scheduler.hints } r in
   Alcotest.(check bool) "the hint moves the guarded writes' slack" true (hinted <> fresh);
-  Alcotest.(check string) "rescheduled without hints = a fresh region" fresh (schedule r)
+  Alcotest.(check string) "rescheduled without hints = a fresh region" fresh (schedule r);
+  Alcotest.(check string) "the hint moves no placement, LI, pass or query count"
+    (schedule ~slacks:false (region ()))
+    (schedule ~opts:{ Scheduler.default_options with Scheduler.hints } ~slacks:false (region ()))
 
 let suite =
   [
