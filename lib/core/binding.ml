@@ -198,10 +198,6 @@ let dedicated_ops t =
   Array.iteri (fun op d -> if d then acc := op :: !acc) t.excl.dedicated;
   List.rev !acc
 
-let speculate t op = Netlist.speculate t.net op
-let speculated t op = Netlist.speculated t.net op
-let speculated_ops t = Netlist.speculated_ops t.net
-
 let add_inst ?added_by_expert t rtype = Netlist.add_inst ?added_by_expert t.net rtype
 let find_inst t id = Netlist.find_inst t.net id
 
@@ -791,10 +787,10 @@ let worst_slack t = Netlist.worst_slack t.net
     saved the failing binding?"  These estimators answer using the arrival
     state the pass left behind. *)
 
-(** Estimated (data arrival, guard arrival, exec delay, endpoint overhead)
-    for an unplaced op hypothetically placed at [step].  The data arrival
-    includes a 2-input sharing mux when the op's class will be shared. *)
-let estimate t (op : Dfg.op) ~step =
+(** Would [op] meet timing at [step] on a fresh resource instance?  Its
+    data arrival includes a 2-input sharing mux when the op's class will be
+    shared; its commit also waits for its guard's enable arrival. *)
+let would_fit t (op : Dfg.op) ~step =
   let shared =
     match Netlist.resource_of t.net op with
     | None -> false
@@ -817,20 +813,7 @@ let estimate t (op : Dfg.op) ~step =
   let guard = Netlist.guard_arrival t.net ~step op in
   let d = Netlist.exec_delay t.net op None in
   let overhead = Netlist.reg_mux_delay t.net +. t.lib.Library.ff_setup in
-  (data, guard, d, overhead)
-
-(** Would [op] meet timing at [step] on a fresh resource instance?
-    [speculated] drops the guard from the enable path. *)
-let would_fit t (op : Dfg.op) ~step ~speculated =
-  let data, guard, d, overhead = estimate t op ~step in
-  let commit = if speculated then data +. d else fmax (data +. d) guard in
-  commit +. overhead <= t.clock_ps +. 0.001
-
-(** Is the failing path dominated by the guard's enable arrival (so that
-    speculation, not resources, is the right fix)? *)
-let guard_dominated t (op : Dfg.op) ~step =
-  let data, guard, d, _ = estimate t op ~step in
-  guard > data +. d +. 0.001
+  fmax (data +. d) guard +. overhead <= t.clock_ps +. 0.001
 
 (** Would [op] meet timing on some {e existing} compatible instance if all
     its inputs were registered (i.e. at a fresh later step)?  False when

@@ -100,13 +100,6 @@ val forbidden_pairs : t -> (int * int) list
 val dedicated_ops : t -> int list
 (** Every dedicated op id, ascending. *)
 
-val speculate : t -> int -> unit
-(** A [Speculate] action or hint: the op's guard leaves its commit path
-    for the rest of this binder's schedule. *)
-
-val speculated : t -> int -> bool
-val speculated_ops : t -> int list  (** ascending *)
-
 val add_inst : ?added_by_expert:bool -> t -> Resource.t -> inst
 val find_inst : t -> int -> inst
 
@@ -220,10 +213,8 @@ val candidates : t -> Dfg.op -> inst Seq.t
 
 val worst_slack : t -> float
 
-val estimate : t -> Dfg.op -> step:int -> float * float * float * float
-(** (data arrival, guard arrival, exec delay, endpoint overhead) for a
-    hypothetical placement — the expert system's evidence. *)
+val would_fit : t -> Dfg.op -> step:int -> bool
+(** Would the op meet timing at [step] on a fresh resource instance?  The
+    expert system's evidence for adding a resource. *)
 
-val would_fit : t -> Dfg.op -> step:int -> speculated:bool -> bool
 val would_fit_existing : t -> Dfg.op -> bool
-val guard_dominated : t -> Dfg.op -> step:int -> bool

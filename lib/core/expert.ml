@@ -14,14 +14,17 @@
       is how the paper's Example 1 knows that a second multiplier "does not
       help because two multiplications cannot fit in the given clock
       cycle");
-    - [Speculate] — drop a guard from an op's commit path when the guard,
-      not the data, dominates the failing arrival;
     - [Move_scc] — the novel pipelining action: move a whole strongly
       connected component to the next pipeline stage when a member fails
       ("this failure is distinguished from an ordinary negative slack
       failure");
     - [Forbid] — exclude an (op, instance) pair that closed a structural
-      combinational cycle. *)
+      combinational cycle.
+
+    The paper's fifth action, taking a guard off an op's commit path, is
+    not modelled: a guard here arrives with its condition op's committed
+    arrival, which already passed the same endpoint check, so no failure
+    is the guard's alone (EXPERIMENTS.md, known delta 7). *)
 
 open Hls_ir
 open Hls_techlib
@@ -29,7 +32,6 @@ open Hls_techlib
 type action =
   | Add_state
   | Add_resource of Resource.t * int  (** type and how many instances *)
-  | Speculate of int
   | Move_scc of int  (** SCC index; moves its stage assignment one later *)
   | Forbid of int * int
 
@@ -40,7 +42,6 @@ let max_batch = 8
 let action_to_string = function
   | Add_state -> "add_state"
   | Add_resource (rt, n) -> Printf.sprintf "add_resource(%dx %s)" n (Resource.to_string rt)
-  | Speculate op -> Printf.sprintf "speculate(op %d)" op
   | Move_scc k -> Printf.sprintf "move_scc(#%d)" k
   | Forbid (op, inst) -> Printf.sprintf "forbid(op %d, inst %d)" op inst
 
@@ -122,12 +123,11 @@ let choose ~scc_move ~(binding : Binding.t) ~(region : Region.t)
         match r.Restraint.r_fail with
         | Restraint.F_busy rt | Restraint.F_no_resource rt ->
             (* only count restraints a fresh instance would actually solve *)
-            if Binding.would_fit binding op ~step:r.Restraint.r_step ~speculated:false
-            then credit rt r.Restraint.r_weight
+            if Binding.would_fit binding op ~step:r.Restraint.r_step then credit rt r.Restraint.r_weight
         | Restraint.F_slack _ ->
             if
               (not (Binding.would_fit_existing binding op))
-              && Binding.would_fit binding op ~step:r.Restraint.r_step ~speculated:false
+              && Binding.would_fit binding op ~step:r.Restraint.r_step
             then
               Option.iter (fun rt -> credit rt r.Restraint.r_weight) (Resource.of_op dfg op)
         | _ -> ())
@@ -152,26 +152,6 @@ let choose ~scc_move ~(binding : Binding.t) ~(region : Region.t)
         end)
       by_type
   end;
-  (* --- Speculate --- *)
-  List.iter
-    (fun (r : Restraint.t) ->
-      match r.Restraint.r_fail with
-      | Restraint.F_slack _ | Restraint.F_window ->
-          let op = Dfg.find dfg r.Restraint.r_op in
-          if
-            (not (Binding.speculated binding op.Dfg.id))
-            && (not (Guard.is_always op.Dfg.guard))
-            && Binding.guard_dominated binding op ~step:r.Restraint.r_step
-            && Binding.would_fit binding op ~step:r.Restraint.r_step ~speculated:true
-          then
-            push
-              {
-                sc_action = Speculate op.Dfg.id;
-                sc_gain = r.Restraint.r_weight;
-                sc_cost = 0.1;
-              }
-      | _ -> ())
-    restraints;
   (* --- Move_scc --- *)
   if scc_move && Region.is_pipelined region then begin
     let n_stages = Region.n_stages region in

@@ -10,9 +10,6 @@ open Hls_techlib
 type action =
   | Add_state
   | Add_resource of Resource.t * int  (** type and how many instances *)
-  | Speculate of int
-      (** drop an op's guard from its commit path (its enable arrival, not
-          its data, dominated the failure) *)
   | Move_scc of int
       (** the paper's novel action: move a whole SCC one pipeline stage
           later ("this failure is distinguished from an ordinary negative

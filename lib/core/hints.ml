@@ -4,7 +4,6 @@ open Hls_techlib
 
 type hint =
   | Boost of int
-  | Speculate of int
   | Dedicate of int
   | Forbid of int * int
   | Scc_stage of int * int
@@ -43,13 +42,13 @@ let ops t =
   M.fold
     (fun h _ acc ->
       match h with
-      | Boost op | Speculate op | Dedicate op | Forbid (op, _) -> op :: acc
+      | Boost op | Dedicate op | Forbid (op, _) -> op :: acc
       | Scc_stage _ | Resource_floor _ | Latency_floor _ -> acc)
     t []
   |> List.sort_uniq compare
 
 let portable t =
-  M.filter (fun h _ -> match h with Boost _ | Speculate _ | Dedicate _ -> true | _ -> false) t
+  M.filter (fun h _ -> match h with Boost _ | Dedicate _ -> true | _ -> false) t
 
 let digest t =
   let keys = M.fold (fun h _ acc -> h :: acc) t [] in

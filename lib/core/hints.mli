@@ -15,7 +15,6 @@ open Hls_techlib
     advice, never a hard constraint. *)
 type hint =
   | Boost of int  (** raise the op's scheduling priority *)
-  | Speculate of int  (** pre-speculate the op *)
   | Dedicate of int  (** pre-dedicate the op's resource instance *)
   | Forbid of int * int  (** pre-forbid the (op, inst) pair *)
   | Scc_stage of int * int  (** pre-pin SCC [k] to this stage *)
@@ -46,8 +45,8 @@ val ops : t -> int list
 
 val portable : t -> t
 (** The hints safe to carry to a {e different} micro-architecture point
-    of the same design: boosts, speculations and dedications (op ids
-    are elaboration-stable).  Instance pairs, SCC stages, resource
+    of the same design: boosts and dedications (op ids are
+    elaboration-stable).  Instance pairs, SCC stages, resource
     floors and latency floors are configuration-specific and dropped. *)
 
 val digest : t -> string

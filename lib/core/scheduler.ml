@@ -10,7 +10,7 @@
 
     The outer loop implements "iterative simultaneous scheduling and
     binding passes": on failure the {!Expert} system relaxes constraints
-    (add state / add resource / speculate / move SCC / forbid pair) and the
+    (add state / add resource / move SCC / forbid pair) and the
     pass re-runs, up to [max_passes].
 
     Pipelining needs only the two extensions of Section V: busy tables keyed
@@ -625,9 +625,6 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
       | Boost op when Dfg.mem dfg op ->
           boosts := (op, Hints.boost_delta e) :: !boosts;
           hint ()
-      | Speculate op when Dfg.mem dfg op ->
-          Binding.speculate binding op;
-          hint ()
       | Dedicate op when Dfg.mem dfg op -> Binding.dedicate binding op
       | Forbid (op, inst) when Dfg.mem dfg op && inst >= 0 && inst < n_insts ->
           Binding.forbid binding ~op ~inst;
@@ -641,7 +638,7 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
           floors := (rt, Int.max prev n) :: others
       | Latency_floor li ->
           latency_floor := Some (Option.fold ~none:li ~some:(Int.min li) !latency_floor)
-      | Boost _ | Speculate _ | Dedicate _ | Forbid _ | Scc_stage _ -> ())
+      | Boost _ | Dedicate _ | Forbid _ | Scc_stage _ -> ())
     (Hints.to_list opts.hints);
   List.iter
     (fun ((rt : Resource.t), n) ->
@@ -721,7 +718,7 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
   (* --- warm-start state ---
      [ctx0] is the pass-invariant analysis, hoisted out of the pass; the
      aa cache keeps ASAP/ALAP across passes whose actions cannot move it
-     (speculate / forbid / add-resource); [prev_log]+[next_warm] carry the
+     (forbid / add-resource); [prev_log]+[next_warm] carry the
      previous pass's event log and the first step the latest actions can
      affect, enabling prefix replay.  With [warm_start = false] none of
      this is consulted: every pass rebuilds its tables and recomputes the
@@ -873,8 +870,8 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
            | chosen ->
              (* classify the round's actions for warm-start eligibility:
                 global actions (add-state / add-resource) change what every
-                op can do and force a cold pass; local actions (speculate /
-                forbid / move-SCC) dirty only identifiable ops or windows *)
+                op can do and force a cold pass; local actions (forbid /
+                move-SCC) dirty only identifiable ops or windows *)
              let dirty_ops = ref [] in
              let moved_sccs = ref [] in
              let global = ref false in
@@ -886,7 +883,6 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
                      global := true;
                      aa_dirty := true
                  | Expert.Add_resource _ -> global := true
-                 | Expert.Speculate op -> dirty_ops := op :: !dirty_ops
                  | Expert.Move_scc k ->
                      aa_dirty := true;
                      moved_sccs := k :: !moved_sccs
@@ -938,7 +934,6 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
                    for _ = 1 to n do
                      ignore (Binding.add_inst ~added_by_expert:true binding rt)
                    done
-               | Expert.Speculate op -> Binding.speculate binding op
                | Expert.Move_scc k ->
                    scc_moves.(k) <- scc_moves.(k) + 1;
                    scc_persist.(k) <- Some (scc_stage k + 1)

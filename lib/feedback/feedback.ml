@@ -43,7 +43,6 @@ let extract (s : Scheduler.t) : Hints.t =
   let h = ref Hints.empty in
   let add ?weight hint = h := Hints.add ?weight hint !h in
   (* --- the expert's converged corrective state (replay hints) --- *)
-  List.iter (fun op -> add (Hints.Speculate op)) (Binding.speculated_ops b);
   List.iter (fun (op, inst) -> add (Hints.Forbid (op, inst))) (Binding.forbidden_pairs b);
   List.iter (fun op -> add (Hints.Dedicate op)) (Binding.dedicated_ops b);
   let insts = Netlist.insts net in

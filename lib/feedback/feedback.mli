@@ -33,7 +33,7 @@ end
 
 val extract : Scheduler.t -> Hints.t
 (** Mine an accepted schedule: the expert's converged corrective state
-    (speculations, forbidden pairs, expert-added resource counts, SCC
+    (forbidden pairs, dedications, expert-added resource counts, SCC
     stages, the accepted latency interval) plus the critical subgraphs
     still visible in the result — fan-in cones of negative-slack
     endpoints and contended busy-table cliques, weighted by severity. *)

@@ -16,8 +16,8 @@
     its source.
 
     The frontend and the optimizer build and rewrite a graph; after
-    elaboration it is read-only, and a schedule keeps its decisions
-    (speculated guards included) in its own binder. *)
+    elaboration it is read-only, and a schedule keeps its decisions in its
+    own binder. *)
 
 type op = {
   id : int;

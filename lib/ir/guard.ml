@@ -10,8 +10,7 @@
       predicates", Section V), and may be counted once by the initial
       resource estimator (Section IV.A);
     - a guarded operation whose result is committed with a register enable
-      has the guard's arrival time on its timing path; the [Speculate]
-      relaxation removes the guard from the enable path. *)
+      has the guard's arrival time on its timing path. *)
 
 type atom = { pred : int  (** DFG op id computing the condition *); polarity : bool }
 

@@ -264,7 +264,6 @@ type t = {
       (** the instance floors are kept for this pass: built by the first
           read ({!inst_floor}), dropped by {!reset_pass} *)
   mutable op_slack : float array;  (** op -> its endpoint slack at its last recomputation *)
-  mutable spec : bool array;  (** op -> guard off the commit path ({!speculate}), all passes *)
 }
 
 (* field accessors for the abstract [t] (the record itself stays private
@@ -402,7 +401,6 @@ let create ~lib ~clock_ps (region : Region.t) =
     floor_cap = floor_cap lib member_needs;
     floors_kept = false;
     op_slack = Array.make cap infinity;
-    spec = Array.make cap false;
   }
 
 let grow_arr a cap d =
@@ -436,7 +434,6 @@ let ensure_cap t id =
     t.in_wl <- grow_arr t.in_wl cap 0;
     t.scr_seen <- grow_arr t.scr_seen cap 0;
     t.op_slack <- grow_arr t.op_slack cap infinity;
-    t.spec <- grow_arr t.spec cap false;
     t.cap <- cap
   end
 
@@ -738,12 +735,6 @@ let reset_pass ~price_muxes t =
   Array.fill t.inst_floor 0 (Array.length t.inst_floor) t.floor_cap;
   t.floors_kept <- false;
   ignore (refresh_prealloc t)
-
-(* --- speculation --- *)
-
-let speculate t id = ensure_cap t id; t.spec.(id) <- true
-let speculated t id = id < t.cap && t.spec.(id)
-let speculated_ops t = List.filter (fun id -> t.spec.(id)) (List.init t.cap Fun.id)
 
 (* --- placements --- *)
 
@@ -1281,7 +1272,7 @@ let source_arrival_with t ~step ~lookup e =
 let source_arrival t ~step e = source_arrival_with t ~step ~lookup:(arrival_raw t) e
 
 let guard_arrival_with t ~step ~lookup (op : Dfg.op) =
-  if Guard.is_always op.Dfg.guard || t.spec.(op.Dfg.id) then 0.0
+  if Guard.is_always op.Dfg.guard then 0.0
   else
     let ff = t.lib.Library.ff_clk_q in
     let gp = gpreds_of t op.Dfg.id in
@@ -1352,8 +1343,7 @@ let slack_of t ~arrival ~guard =
 
 (** Worst-case registered-endpoint slack of a placed op: its result must
     traverse the register-input mux (when the muxes are priced) and meet
-    setup, and its commit enable (the guard, unless speculated) must also
-    settle in time. *)
+    setup, and its commit enable (the guard) must also settle in time. *)
 let endpoint_slack t op_id =
   let op = Dfg.find t.dfg op_id in
   let g = if placed t op_id then guard_arrival t ~step:t.pl_finish.(op_id) op else 0.0 in
@@ -1663,7 +1653,7 @@ and scr_affected_ins t depth st = function
 
 (* does a guard predecessor of [o] move under the screened bind? *)
 let scr_guard_affected t (o : Dfg.op) ~fstep =
-  (not (Guard.is_always o.Dfg.guard || t.spec.(o.Dfg.id)))
+  (not (Guard.is_always o.Dfg.guard))
   &&
   let gp = gpreds_of t o.Dfg.id in
   let hit = ref false and k = ref 0 in

@@ -140,12 +140,6 @@ val price_muxes : t -> unit
     {!recompute_all}); a no-op when the muxes are already priced.  Must
     not run inside a trial. *)
 
-(** {2 Speculation} — guards off the commit path, kept across {!reset_pass} *)
-
-val speculate : t -> int -> unit
-val speculated : t -> int -> bool
-val speculated_ops : t -> int list  (** ascending *)
-
 (** {2 Placements} *)
 
 val placement : t -> int -> placement option

@@ -15,7 +15,7 @@ module Synthetic = Hls_designs.Synthetic
 
 let test_store_algebra () =
   let open Hints in
-  let a = empty |> add (Boost 3) |> add ~weight:2.0 (Speculate 7) in
+  let a = empty |> add (Boost 3) |> add ~weight:2.0 (Forbid (7, 0)) in
   let b = empty |> add ~weight:5.0 (Boost 3) |> add (Dedicate 1) in
   Alcotest.(check bool) "empty is empty" true (is_empty empty);
   Alcotest.(check int) "sizes" 2 (size a);
@@ -63,7 +63,7 @@ let test_stale_hints_skipped () =
     Hints.(
       empty
       |> add (Boost absent)
-      |> add (Speculate absent)
+      |> add (Boost (-1))
       |> add (Dedicate absent)
       |> add (Forbid (absent, 0))
       |> add (Forbid (op, 1000))

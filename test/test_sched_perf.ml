@@ -103,7 +103,7 @@ let prop_warm_equals_cold =
         }
       in
       let d = Hls_designs.Synthetic.design ~profile () in
-      (* a third of the cases pipeline, so SCC moves / speculation — the
+      (* a third of the cases pipeline, so SCC moves and forbids — the
          actions that actually exercise prefix replay — occur *)
       let ii = if seed mod 3 = 0 then Some (1 + (seed mod 3)) else None in
       let run warm_start =

@@ -280,8 +280,8 @@ let test_blocked_restraint_order () =
 
 (* What a schedule decided, as one comparable string: the LI, passes and
    timing queries, then each placed op's step, instance and endpoint
-   slack (a speculated guard shows in the slack) *)
-let outcome ?(slacks = true) (r : (Scheduler.t, Scheduler.error) result) =
+   slack *)
+let outcome (r : (Scheduler.t, Scheduler.error) result) =
   match r with
   | Error e -> Printf.sprintf "error %s after %d passes" e.Scheduler.e_code e.Scheduler.e_passes
   | Ok s ->
@@ -292,15 +292,15 @@ let outcome ?(slacks = true) (r : (Scheduler.t, Scheduler.error) result) =
         []
       |> List.sort compare
       |> List.map (fun (id, step, inst) ->
-             Printf.sprintf "%d@%d/%d%s" id step (Option.value inst ~default:(-1))
-               (if slacks then Printf.sprintf ":%.3f" (Hls_netlist.Netlist.endpoint_slack net id) else ""))
+             Printf.sprintf "%d@%d/%d:%.3f" id step (Option.value inst ~default:(-1))
+               (Hls_netlist.Netlist.endpoint_slack net id))
       |> String.concat " "
       |> Printf.sprintf "LI=%d passes=%d queries=%d %s" s.Scheduler.s_li st.Scheduler.st_passes
            st.Scheduler.st_queries
 
 (* A schedule depends on its region, options and hints alone: scheduling
    one region a second time repeats the first schedule exactly, whatever
-   LI or speculated guards the first left behind *)
+   LI the first left behind *)
 let test_reschedule_same_region () =
   let differing =
     List.concat_map
@@ -325,41 +325,6 @@ let test_reschedule_same_region () =
   in
   Alcotest.(check (list string)) "configurations whose second schedule differs" [] differing
 
-(* A [Speculate] hint is a decision of the one schedule it is given to:
-   it takes sobel's late guard off the edge write's commit path, and a
-   later schedule of the same region without hints is a fresh region's.
-   In this timing model the hint moves slacks only (EXPERIMENTS.md, known
-   delta 7): a guard arrives when its condition op's committed arrival
-   does, and that op already passed the same endpoint check.  A timing
-   model in which speculation changes a schedule must change this test. *)
-let test_speculate_hint_stays_in_its_schedule () =
-  let e = Hls_frontend.Elaborate.design (Hls_designs.Conv.design ()) in
-  let region () = Hls_frontend.Elaborate.main_region ~ii:1 e in
-  let schedule ?(opts = Scheduler.default_options) ?slacks r =
-    outcome ?slacks (Scheduler.schedule ~opts ~lib ~clock_ps:clock r)
-  in
-  let guarded_writes =
-    List.filter
-      (fun (o : Dfg.op) ->
-        (match o.Dfg.kind with Opkind.Write _ -> true | _ -> false)
-        && not (Guard.is_always o.Dfg.guard))
-      (Region.member_ops (region ()))
-  in
-  Alcotest.(check bool) "sobel has a guarded write" true (guarded_writes <> []);
-  let hints =
-    List.fold_left
-      (fun h (o : Dfg.op) -> Hints.add (Hints.Speculate o.Dfg.id) h)
-      Hints.empty guarded_writes
-  in
-  let fresh = schedule (region ()) in
-  let r = region () in
-  let hinted = schedule ~opts:{ Scheduler.default_options with Scheduler.hints } r in
-  Alcotest.(check bool) "the hint moves the guarded writes' slack" true (hinted <> fresh);
-  Alcotest.(check string) "rescheduled without hints = a fresh region" fresh (schedule r);
-  Alcotest.(check string) "the hint moves no placement, LI, pass or query count"
-    (schedule ~slacks:false (region ()))
-    (schedule ~opts:{ Scheduler.default_options with Scheduler.hints } ~slacks:false (region ()))
-
 let suite =
   [
     Alcotest.test_case "Table 2: sequential schedule" `Quick test_table2_sequential;
@@ -378,6 +343,4 @@ let suite =
     Alcotest.test_case "blocked restraints keep their order" `Quick test_blocked_restraint_order;
     Alcotest.test_case "rescheduling a region repeats its schedule" `Slow
       test_reschedule_same_region;
-    Alcotest.test_case "a Speculate hint stays in its schedule" `Quick
-      test_speculate_hint_stays_in_its_schedule;
   ]
