@@ -106,10 +106,10 @@ let choose ~scc_move ~(binding : Binding.t) ~(region : Region.t)
     if gain > 0.0 then push { sc_action = Add_state; sc_gain = gain; sc_cost = 1.0 }
   end;
   (* --- Add_resource ---
-     Credited by busy/missing-resource restraints a fresh instance would
-     satisfy, and by negative-slack restraints whose op no longer fits any
-     existing instance (saturated sharing muxes) but would fit a fresh
-     one. *)
+     Credited by busy/missing-resource and forbidden-pair restraints a
+     fresh instance would satisfy, and by negative-slack restraints whose
+     op no longer fits any existing instance (saturated sharing muxes) but
+     would fit a fresh one. *)
   begin
     let by_type = Hashtbl.create 4 in
     let credit rt w =
@@ -124,6 +124,9 @@ let choose ~scc_move ~(binding : Binding.t) ~(region : Region.t)
         | Restraint.F_busy rt | Restraint.F_no_resource rt ->
             (* only count restraints a fresh instance would actually solve *)
             if Binding.would_fit binding op ~step:r.Restraint.r_step then credit rt r.Restraint.r_weight
+        | Restraint.F_forbidden ->
+            if Binding.would_fit binding op ~step:r.Restraint.r_step then
+              Option.iter (fun rt -> credit rt r.Restraint.r_weight) (Resource.of_op dfg op)
         | Restraint.F_slack _ ->
             if
               (not (Binding.would_fit_existing binding op))
