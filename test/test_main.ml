@@ -12,6 +12,7 @@ let () =
       ("elaborate", Test_elaborate.suite);
       ("binding", Test_binding.suite);
       ("scheduler", Test_scheduler.suite);
+      ("expert", Test_expert.suite);
       ("alloc", Test_alloc.suite);
       ("timing", Test_timing.suite);
       ("pipeline", Test_pipeline.suite);

@@ -227,6 +227,38 @@ let test_fold_validates_nest () =
       let fold = Pipeline.fold s in
       Alcotest.(check (list string)) "validate clean" [] (Pipeline.validate s fold)
 
+(* examples/matmul.bhv: the imperfect row-by-row nest.  At II=2 its
+   last pass fails on a forbidden (op, instance) pair, which a fresh adder
+   serves, so the flow must not fall back to a relaxed II *)
+let matmul_source =
+  {|design matmul {
+  in  a   : 16;
+  in  b   : 16;
+  out dot : 38;
+  var acc : 38;
+  var i   : 5;
+  var j   : 5;
+
+  for (i = 0; i < 8; i++) [name=row, latency=1..8] {
+    acc = 0;
+    for (j = 0; j < 8; j++) [name=col, ii=1, latency=1..6] {
+      acc = acc + $a * $b;
+      wait();
+    }
+    $dot = acc;
+  }
+}|}
+
+let test_matmul_ii2_served () =
+  let options = { Flow.default_options with Flow.ii = Some 2; degrade = false } in
+  match Flow.run ~options (Parser.parse_string matmul_source) with
+  | Error d -> Alcotest.failf "matmul II=2 refused: %s" (Hls_diag.Diag.to_string d)
+  | Ok r ->
+      Alcotest.(check int) "II" 2 r.Flow.f_cycles_per_iter;
+      Alcotest.(check int) "LI" 4 r.Flow.f_sched.Scheduler.s_li;
+      Alcotest.(check bool) "verified" true
+        (match r.Flow.f_equiv with Some v -> v.Hls_sim.Equiv.equivalent | None -> false)
+
 (* ---- end-to-end property: flattened nests simulate byte-identically ---- *)
 
 (** Random nests of depth 2-4 (perfect and imperfect): the full flow
@@ -313,6 +345,7 @@ let suite =
     Alcotest.test_case "ineligible deep nest raises nest_shape" `Quick test_nest3_shape_fault;
     Alcotest.test_case "region nest math" `Quick test_region_nest_math;
     Alcotest.test_case "fold validates a flattened nest" `Quick test_fold_validates_nest;
+    Alcotest.test_case "matmul at II=2 is served without degrading" `Quick test_matmul_ii2_served;
     QCheck_alcotest.to_alcotest prop_flattened_nest_equivalent;
     QCheck_alcotest.to_alcotest prop_flattened_nest3_equivalent;
     QCheck_alcotest.to_alcotest prop_flatten_matches_unroll;
