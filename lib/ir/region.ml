@@ -153,21 +153,6 @@ let n_stages t =
 (** Stage containing step [s]. *)
 let stage_of_step t s = match t.pipeline with Some { ii } -> s / ii | None -> 0
 
-(** Steps [a] and [b] are equivalent (will fold onto the same kernel state)
-    iff congruent modulo II.  In a non-pipelined region no two distinct
-    steps are equivalent. *)
-let steps_equivalent t a b =
-  match t.pipeline with Some { ii } -> a mod ii = b mod ii | None -> a = b
-
-(** All steps equivalent to [s] within the current latency interval. *)
-let equivalent_steps t s =
-  match t.pipeline with
-  | None -> [ s ]
-  | Some { ii } ->
-      let r = s mod ii in
-      let rec go k acc = if k >= t.n_steps then List.rev acc else go (k + ii) (k :: acc) in
-      go r []
-
 (** Strongly connected components of the member subgraph (over all edges,
     including loop-carried ones): the op groups that must fit within one
     pipeline stage.

@@ -105,11 +105,6 @@ val n_stages : t -> int
 
 val stage_of_step : t -> int -> int
 
-val steps_equivalent : t -> int -> int -> bool
-(** Congruent modulo II (always false for distinct sequential steps). *)
-
-val equivalent_steps : t -> int -> int list
-
 val sccs : t -> int list list
 (** SCCs of the member subgraph over all edges — the groups that must fit
     one pipeline stage.  Mux {e select} inputs count as control, not data,

@@ -35,11 +35,3 @@ let front (points : 'a point list) : 'a point list =
         scan (min best_y gmin) (List.rev_append survivors acc) rest
   in
   scan infinity [] sorted
-
-(** Points on the front, tagged. *)
-let front_tags points = List.map (fun p -> p.p_tag) (front points)
-
-(** Structural, not physical: a caller may rebuild an equal point and still
-    ask whether it sits on the front. *)
-let is_on_front points p =
-  List.exists (fun q -> q = p) points && not (List.exists (fun q -> dominates q p) points)

@@ -13,10 +13,3 @@ val front : 'a point list -> 'a point list
 (** The minimizing front, sorted by x then y and structurally
     deduplicated: the output is invariant under duplication and
     reordering of the input.  O(n log n). *)
-
-val front_tags : 'a point list -> 'a list
-
-val is_on_front : 'a point list -> 'a point -> bool
-(** Structural: true when a point equal to [p] is in [points] and no
-    point dominates it — a caller may rebuild an equal point and still
-    ask. *)

@@ -1,4 +1,4 @@
-(** Regions: equivalence classes, stages, latency bounds, SCC queries. *)
+(** Regions: initial LI, stages, latency bounds, SCC queries. *)
 
 open Hls_ir
 
@@ -16,17 +16,6 @@ let test_pipelined_initial_li () =
   Alcotest.(check int) "LI = II + 1" 4 r.Region.n_steps;
   let r2 = mk ~pipeline:{ Region.ii = 3 } ~min_steps:6 () in
   Alcotest.(check int) "designer minimum wins when larger" 6 r2.Region.n_steps
-
-let test_equivalence () =
-  let r = mk ~pipeline:{ Region.ii = 2 } () in
-  Region.reset_steps r 6;
-  Alcotest.(check bool) "0 ~ 2" true (Region.steps_equivalent r 0 2);
-  Alcotest.(check bool) "0 ~ 4" true (Region.steps_equivalent r 0 4);
-  Alcotest.(check bool) "0 !~ 1" false (Region.steps_equivalent r 0 1);
-  Alcotest.(check (list int)) "class of 1" [ 1; 3; 5 ] (Region.equivalent_steps r 1);
-  let seq = mk () in
-  Region.reset_steps seq 4;
-  Alcotest.(check (list int)) "sequential classes are singletons" [ 2 ] (Region.equivalent_steps seq 2)
 
 let test_stages () =
   let r = mk ~pipeline:{ Region.ii = 2 } () in
@@ -62,7 +51,6 @@ let test_membership () =
 let suite =
   [
     Alcotest.test_case "pipelined initial LI" `Quick test_pipelined_initial_li;
-    Alcotest.test_case "step equivalence" `Quick test_equivalence;
     Alcotest.test_case "stages" `Quick test_stages;
     Alcotest.test_case "add_step bounds" `Quick test_add_step_bounds;
     Alcotest.test_case "bad arguments" `Quick test_bad_args;

@@ -40,7 +40,7 @@ let test_pareto_front () =
     [ point ~x:1.0 ~y:10.0 "a"; point ~x:2.0 ~y:5.0 "b"; point ~x:3.0 ~y:6.0 "c";
       point ~x:4.0 ~y:1.0 "d" ]
   in
-  let f = front_tags pts in
+  let f = List.map (fun p -> p.p_tag) (front pts) in
   Alcotest.(check (list string)) "dominated c removed" [ "a"; "b"; "d" ] f
 
 let prop_front_not_dominated =
@@ -72,16 +72,6 @@ let contains s needle =
   let nl = String.length needle and sl = String.length s in
   let rec go i = i + nl <= sl && (String.sub s i nl = needle || go (i + 1)) in
   go 0
-
-let test_pareto_is_on_front_structural () =
-  (* regression: is_on_front compared points physically, so a caller that
-     rebuilt an equal point always got false *)
-  let open Hls_report.Pareto in
-  let pts = [ point ~x:1.0 ~y:10.0 "a"; point ~x:2.0 ~y:5.0 "b"; point ~x:3.0 ~y:6.0 "c" ] in
-  Alcotest.(check bool) "rebuilt equal point is on the front" true
-    (is_on_front pts (point ~x:2.0 ~y:5.0 "b"));
-  Alcotest.(check bool) "dominated point is not" false (is_on_front pts (point ~x:3.0 ~y:6.0 "c"));
-  Alcotest.(check bool) "absent point is not" false (is_on_front pts (point ~x:0.5 ~y:0.5 "z"))
 
 let prop_front_invariant_dup_reorder =
   (* regression: front kept structural duplicates, so duplicating the
@@ -140,7 +130,6 @@ let suite =
     Alcotest.test_case "plot log drops non-positive" `Quick test_plot_log_drops_nonpositive;
     Alcotest.test_case "plot grid rounding" `Quick test_plot_grid_rounding;
     Alcotest.test_case "pareto front" `Quick test_pareto_front;
-    Alcotest.test_case "pareto is_on_front structural" `Quick test_pareto_is_on_front_structural;
     QCheck_alcotest.to_alcotest prop_front_not_dominated;
     QCheck_alcotest.to_alcotest prop_front_covers;
     QCheck_alcotest.to_alcotest prop_front_invariant_dup_reorder;
