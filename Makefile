@@ -77,8 +77,8 @@ bench-feedback:
 	dune exec bench/main.exe -- feedback
 
 # what CI's feedback-smoke job runs: pass reduction at equal-or-better
-# QoR on every bench workload, cross-point hint reuse in explore
-# --feedback, and golden byte-identity with feedback off
+# QoR on every bench workload and cross-point hint reuse in explore
+# --feedback
 feedback-smoke:
 	./scripts/feedback_smoke.sh
 

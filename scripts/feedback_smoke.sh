@@ -7,9 +7,6 @@
 #     in strictly fewer scheduler passes with --feedback on.
 #  2. `hlsc explore --feedback` reuses mined hints across grid points
 #     (the cross-point hint store actually warms later points).
-#  3. With feedback OFF (the default), the committed paper artifacts
-#     regenerate byte-identically — the subsystem is inert unless asked
-#     for.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,7 +24,4 @@ out=$(dune exec --no-build bin/hlsc.exe -- explore idct --grid "ii=2,4;latency=n
 echo "$out" | grep -Eq "feedback: [1-9][0-9]* point\(s\) hint-warmed" \
   || { echo "FAIL: explore --feedback reported no hint-warmed points"; echo "$out" | tail -2; exit 1; }
 
-# 3: feedback off leaves the golden artifacts byte-identical
-./scripts/check_golden.sh
-
-echo "feedback smoke OK: fewer passes at equal-or-better QoR, cross-point hint reuse, golden artifacts unchanged"
+echo "feedback smoke OK: fewer passes at equal-or-better QoR, cross-point hint reuse"
