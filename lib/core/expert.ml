@@ -123,7 +123,8 @@ let choose ~scc_move ~(binding : Binding.t) ~(region : Region.t)
         match r.Restraint.r_fail with
         | Restraint.F_busy rt | Restraint.F_no_resource rt ->
             (* only count restraints a fresh instance would actually solve *)
-            if Binding.would_fit binding op ~step:r.Restraint.r_step then credit rt r.Restraint.r_weight
+            if Binding.would_fit binding op ~step:r.Restraint.r_step
+            then credit rt r.Restraint.r_weight
         | Restraint.F_forbidden ->
             if Binding.would_fit binding op ~step:r.Restraint.r_step then
               Option.iter (fun rt -> credit rt r.Restraint.r_weight) (Resource.of_op dfg op)
