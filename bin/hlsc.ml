@@ -225,13 +225,7 @@ let designs_cmd =
 
 let compile_cmd =
   let doc = "Elaborate a design and summarize its CDFG." in
-  let optimize_arg =
-    Arg.(
-      value & flag
-      & info [ "optimize" ]
-          ~doc:"Run the DFG optimizer on the elaborated design and report what it changed.")
-  in
-  let run name optimize =
+  let run name =
     guarded @@ fun () ->
     let design = or_die (load_design name) in
     match Elaborate.design design with
@@ -239,23 +233,13 @@ let compile_cmd =
         prerr_endline ("hlsc: " ^ Hls_frontend.Fault.message f);
         exit 1
     | e ->
-        let e, stats_msg =
-          if optimize then
-            let e', st = Hls_opt.Passes.run e in
-            ( e',
-              Printf.sprintf
-                " (optimizer: %d folded, %d simplified, %d merged, %d deleted, %d collapsed, %d narrowed)"
-                st.Hls_opt.Passes.folded st.Hls_opt.Passes.simplified st.Hls_opt.Passes.merged
-                st.Hls_opt.Passes.deleted st.Hls_opt.Passes.collapsed st.Hls_opt.Passes.narrowed )
-          else (e, "")
-        in
         (match Hls_ir.Cdfg.validate e.Elaborate.cdfg with
         | [] -> ()
         | errs ->
             List.iter (fun m -> prerr_endline ("invalid: " ^ m)) errs;
             exit 1);
         let dfg = e.Elaborate.cdfg.Hls_ir.Cdfg.dfg in
-        Printf.printf "design %s: %d DFG operations%s\n" design.Ast.d_name (Hls_ir.Dfg.size dfg) stats_msg;
+        Printf.printf "design %s: %d DFG operations\n" design.Ast.d_name (Hls_ir.Dfg.size dfg);
         (match e.Elaborate.loop with
         | Some li ->
             Printf.printf "main loop '%s': %d ops, %s, %d source wait state(s)\n"
@@ -271,7 +255,7 @@ let compile_cmd =
           (fun i scc -> Printf.printf "SCC %d: %d ops (must fit one pipeline stage)\n" i (List.length scc))
           (Hls_ir.Region.sccs region)
   in
-  Cmd.v (Cmd.info "compile" ~doc) Term.(const run $ design_arg $ optimize_arg)
+  Cmd.v (Cmd.info "compile" ~doc) Term.(const run $ design_arg)
 
 let schedule_cmd =
   let doc = "Schedule and bind a design; print the resource/state table." in

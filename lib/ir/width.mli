@@ -3,8 +3,8 @@
     Widths are plain [int]s (number of bits, >= 1).  Values are
     two's-complement signed; every operation produces the smallest width
     representing all results of its input widths.  These rules are shared
-    by elaboration, the optimizer and the simulators, so that all agree on
-    one finite-width semantics. *)
+    by elaboration and the simulators, so that all agree on one
+    finite-width semantics. *)
 
 type t = int
 

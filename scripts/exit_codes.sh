@@ -61,6 +61,7 @@ expect 124 "bad flag"             schedule example1 --no-such-flag
 expect 124 "unknown subcommand"   frobnicate
 expect 124 "missing argument"     schedule
 expect 124 "no --optimize on flow" flow example1 --optimize
+expect 124 "no --optimize on compile" compile example1 --optimize
 
 # an explicit --feedback-iters turns the loop on, even at its default value
 if $HLSC flow idct --feedback-iters 2 2>&1 >/dev/null | grep -q feedback_iter; then

@@ -17,7 +17,6 @@ let () =
       ("timing", Test_timing.suite);
       ("pipeline", Test_pipeline.suite);
       ("sim", Test_sim.suite);
-      ("opt", Test_opt.suite);
       ("rtl", Test_rtl.suite);
       ("baseline", Test_baseline.suite);
       ("report", Test_report.suite);
