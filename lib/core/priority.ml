@@ -20,7 +20,7 @@ let popcount x =
     only during the sweep, instead of one DFS with a fresh visited set per
     op. *)
 let fanout_table (dfg : Dfg.t) =
-  let n = 1 + Dfg.fold_ops dfg (fun op m -> max m op.Dfg.id) (-1) in
+  let n = Dfg.size dfg in
   let words = (n + 62) / 63 in
   let bits = Array.make (n * words) 0 in
   let counts = Array.make n 0 in

@@ -12,38 +12,35 @@
 type op = {
   id : int;
   kind : Opkind.t;
-  mutable width : int;  (** result width in bits *)
-  mutable guard : Guard.t;
-  mutable name : string;  (** diagnostic name, e.g. ["mul1_op"] *)
-  mutable anchor : int option;
-      (** pin to an exact control step (user constraint / timed I/O) *)
+  width : int;  (** result width in bits *)
+  guard : Guard.t;
+  name : string;  (** diagnostic name, e.g. ["mul1_op"] *)
+  anchor : int option;  (** pin to an exact control step (user constraint / timed I/O) *)
 }
 
 type edge = { src : int; dst : int; port : int; distance : int }
 
-(* Ops and edge lists live in arrays indexed by op id (ids are dense:
-   [add_op] hands them out in sequence), so [find], [in_edges] and
-   [out_edges] are array reads.  A removed op leaves a [None] hole. *)
+(* Ops and edge lists live in arrays indexed by op id.  Ids are dense
+   ([add_op] hands them out in sequence and nothing removes an op), so
+   slots [0, next_id) all hold ops and [find], [in_edges] and [out_edges]
+   are array reads. *)
 type t = {
   mutable next_id : int;
-  mutable n_ops : int;  (** live ops *)
-  mutable ops : op option array;
+  mutable ops : op array;  (** slots at or above [next_id] hold [vacant] *)
   mutable ins : edge list array;  (** incoming edges by dst, sorted by port *)
   mutable outs : edge list array;  (** outgoing edges by src, newest first *)
 }
 
+let vacant = { id = -1; kind = Opkind.Const 0; width = 1; guard = Guard.always; name = ""; anchor = None }
+
 let create () =
-  { next_id = 0; n_ops = 0; ops = Array.make 64 None; ins = Array.make 64 []; outs = Array.make 64 [] }
+  { next_id = 0; ops = Array.make 64 vacant; ins = Array.make 64 []; outs = Array.make 64 [] }
 
-let find_opt g id = if id >= 0 && id < g.next_id then g.ops.(id) else None
-let mem g id = Option.is_some (find_opt g id)
+let mem g id = id >= 0 && id < g.next_id
 
-let find g id =
-  match find_opt g id with
-  | Some op -> op
-  | None -> invalid_arg (Printf.sprintf "Dfg.find: no op %d" id)
-
-let size g = g.n_ops
+let find g id = if mem g id then g.ops.(id) else invalid_arg (Printf.sprintf "Dfg.find: no op %d" id)
+let find_opt g id = if mem g id then Some g.ops.(id) else None
+let size g = g.next_id
 
 let add_op ?(guard = Guard.always) ?(name = "") ?anchor g kind ~width =
   let id = g.next_id in
@@ -53,15 +50,14 @@ let add_op ?(guard = Guard.always) ?(name = "") ?anchor g kind ~width =
       Array.blit a 0 b 0 id;
       b
     in
-    g.ops <- grow g.ops None;
+    g.ops <- grow g.ops vacant;
     g.ins <- grow g.ins [];
     g.outs <- grow g.outs []
   end;
   g.next_id <- id + 1;
-  g.n_ops <- g.n_ops + 1;
   let name = if name = "" then Printf.sprintf "%s_%d" (Opkind.rclass_to_string (Opkind.rclass kind)) id else name in
   let op = { id; kind; width; guard; name; anchor } in
-  g.ops.(id) <- Some op;
+  g.ops.(id) <- op;
   op
 
 (** Incoming edges of [id], sorted by port ([connect] keeps them so). *)
@@ -69,23 +65,16 @@ let in_edges g id = if id >= 0 && id < g.next_id then g.ins.(id) else []
 
 let out_edges g id = if id >= 0 && id < g.next_id then g.outs.(id) else []
 
-(* drop the edge feeding (dst, port) from its producer's out list *)
-let unlink_out g (old : edge) =
-  g.outs.(old.src) <-
-    List.filter (fun e -> not (e.dst = old.dst && e.port = old.port)) g.outs.(old.src)
-
 let connect ?(distance = 0) g ~src ~dst ~port =
   if not (mem g src) then invalid_arg "Dfg.connect: unknown src";
   if not (mem g dst) then invalid_arg "Dfg.connect: unknown dst";
   if distance < 0 then invalid_arg "Dfg.connect: negative distance";
   let e = { src; dst; port; distance } in
-  (* at most one edge per (dst, port): an existing one is replaced, at
-     both of its ends *)
+  (* at most one edge per (dst, port) *)
   let rec insert = function
     | e' :: rest when e'.port < port -> e' :: insert rest
-    | e' :: rest when e'.port = port ->
-        unlink_out g e';
-        e :: rest
+    | e' :: _ when e'.port = port ->
+        invalid_arg (Printf.sprintf "Dfg.connect: port %d of op %d already connected" port dst)
     | l -> e :: l
   in
   g.ins.(dst) <- insert g.ins.(dst);
@@ -102,7 +91,7 @@ let succs g id = List.map (fun e -> e.dst) (out_edges g id)
 
 let iter_ops g f =
   for id = 0 to g.next_id - 1 do
-    match g.ops.(id) with Some op -> f op | None -> ()
+    f g.ops.(id)
   done
 
 let fold_ops g f acc =
@@ -120,30 +109,6 @@ let all_edges g =
     acc := g.ins.(id) @ !acc
   done;
   !acc
-
-(** [remove_op g id] deletes the op and all edges touching it.  Callers are
-    responsible for having rewired consumers first. *)
-let remove_op g id =
-  if mem g id then begin
-    List.iter (unlink_out g) g.ins.(id);
-    List.iter
-      (fun e -> g.ins.(e.dst) <- List.filter (fun e' -> e'.src <> id) g.ins.(e.dst))
-      g.outs.(id);
-    g.ops.(id) <- None;
-    g.ins.(id) <- [];
-    g.outs.(id) <- [];
-    g.n_ops <- g.n_ops - 1
-  end
-
-(** [replace_uses g ~old_id ~by] rewires every consumer of [old_id] to read
-    from [by] instead (same ports and distances), and rewrites guards that
-    mention [old_id] as a predicate. *)
-let replace_uses g ~old_id ~by =
-  List.iter
-    (fun e -> connect g ~src:by ~dst:e.dst ~port:e.port ~distance:e.distance)
-    (out_edges g old_id);
-  iter_ops g (fun op ->
-      op.guard <- Guard.map_preds (fun p -> if p = old_id then by else p) op.guard)
 
 (** Topological order over distance-0 edges.  Raises [Invalid_argument] if
     the zero-distance subgraph has a cycle (an ill-formed DFG: combinational
@@ -189,19 +154,9 @@ let fanout_cone_size g id =
   go id;
   Hashtbl.length seen
 
-(** Deep copy: ops are re-allocated so mutation of the copy never aliases
-    the original; edges are immutable and shared. *)
-let copy g =
-  {
-    next_id = g.next_id;
-    n_ops = g.n_ops;
-    ops = Array.map (Option.map (fun op -> { op with id = op.id })) g.ops;
-    ins = Array.copy g.ins;
-    outs = Array.copy g.outs;
-  }
-
-(** Structural well-formedness: arities respected, edges reference live ops,
-    guard predicates are 1-bit ops, loop_mux has its distance-1 edge. *)
+(** Structural well-formedness: arities respected, guard predicates are
+    1-bit ops, loop_mux has its distance-1 edge.  ([connect] already
+    refuses edges from or to unknown ops.) *)
 let validate g =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
@@ -211,13 +166,9 @@ let validate g =
       if expected >= 0 && List.length ins <> expected then
         err "op %d (%s): arity %d, expected %d" op.id op.name (List.length ins) expected;
       List.iter
-        (fun e ->
-          if not (mem g e.src) then err "op %d: dangling input from %d" op.id e.src)
-        ins;
-      List.iter
         (fun a ->
           match find_opt g a.Guard.pred with
-          | None -> err "op %d: guard references dead op %d" op.id a.Guard.pred
+          | None -> err "op %d: guard references unknown op %d" op.id a.Guard.pred
           | Some p -> if p.width <> 1 then err "op %d: guard pred %d is %d-bit" op.id p.id p.width)
         op.guard;
       (match op.kind with

@@ -12,20 +12,20 @@
     {!in_edges} and {!out_edges} are O(1) array reads with no hashing.
     In-edges are kept sorted by port at {!connect} time, so {!in_edges}
     neither sorts nor allocates; out-edges are newest first.  {!iter_ops},
-    {!fold_ops} and {!ops} visit ops in ascending id order, in a copy as in
-    its source.
+    {!fold_ops} and {!ops} visit ops in ascending id order.
 
-    The frontend and the optimizer build and rewrite a graph; after
-    elaboration it is read-only, and a schedule keeps its decisions in its
-    own binder. *)
+    The frontend builds a graph by adding ops and edges; nothing removes or
+    rewrites either, so the ids of a graph are exactly [0 .. size - 1].
+    Op records are immutable, after elaboration the graph is read-only,
+    and a schedule keeps its decisions in its own binder. *)
 
 type op = {
   id : int;
   kind : Opkind.t;
-  mutable width : int;  (** result width in bits *)
-  mutable guard : Guard.t;
-  mutable name : string;  (** diagnostic name, e.g. ["mul1_op"] *)
-  mutable anchor : int option;  (** pin to an exact control step *)
+  width : int;  (** result width in bits *)
+  guard : Guard.t;
+  name : string;  (** diagnostic name, e.g. ["mul1_op"] *)
+  anchor : int option;  (** pin to an exact control step *)
 }
 
 type edge = { src : int; dst : int; port : int; distance : int }
@@ -39,14 +39,17 @@ val find : t -> int -> op
 (** O(1).  @raise Invalid_argument on unknown ids. *)
 
 val find_opt : t -> int -> op option
+
 val size : t -> int
+(** Number of ops; also one above the largest id. *)
 
 val add_op : ?guard:Guard.t -> ?name:string -> ?anchor:int -> t -> Opkind.t -> width:int -> op
 
 val connect : ?distance:int -> t -> src:int -> dst:int -> port:int -> unit
-(** Connect [src]'s result to input [port] of [dst]; at most one edge per
-    (dst, port) — reconnecting replaces the old edge at both of its ends.
-    Keeps [dst]'s in-edges sorted by port. *)
+(** Connect [src]'s result to input [port] of [dst].  Keeps [dst]'s
+    in-edges sorted by port.
+    @raise Invalid_argument on an unknown [src] or [dst], a negative
+    [distance], or a (dst, port) that already has its edge. *)
 
 val in_edges : t -> int -> edge list
 (** Incoming edges, sorted by port; O(1), no allocation. *)
@@ -72,13 +75,6 @@ val ops : t -> op list
 val all_edges : t -> edge list
 (** Every edge, sorted by (dst, port). *)
 
-val remove_op : t -> int -> unit
-(** Delete the op and every edge touching it (rewire consumers first). *)
-
-val replace_uses : t -> old_id:int -> by:int -> unit
-(** Rewire every consumer of [old_id] to read [by] (same ports and
-    distances) and rewrite guards mentioning [old_id]. *)
-
 val topo_order : t -> int list
 (** Topological order over distance-0 edges.
     @raise Invalid_argument on a zero-distance cycle. *)
@@ -92,9 +88,6 @@ val fanout_cone_size : t -> int -> int
 (** Size of the transitive distance-0 fanout cone, by one DFS.  The
     scheduler's priority function reads the whole table at once from
     [Priority.fanout_table]; this is its test oracle. *)
-
-val copy : t -> t
-(** Deep copy; mutating the copy never aliases the original. *)
 
 val validate : t -> string list
 (** Structural well-formedness report (empty = clean). *)

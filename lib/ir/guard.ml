@@ -32,7 +32,7 @@ let rec insert a = function
       else Option.map (fun r -> b :: r) (insert a rest)
 
 (** [conj g1 g2] is the conjunction, or [None] if contradictory (an op that
-    can never execute; the optimizer deletes those). *)
+    can never execute). *)
 let conj (g1 : t) (g2 : t) : t option =
   List.fold_left (fun acc a -> Option.bind acc (insert a)) (Some g1) g2
 
@@ -54,11 +54,6 @@ let implies (g1 : t) (g2 : t) =
 let preds (g : t) = List.map (fun a -> a.pred) g
 
 let equal (g1 : t) (g2 : t) = g1 = g2
-
-(** Rewrite predicate ids (used when the optimizer replaces an op). *)
-let map_preds f (g : t) : t =
-  let renamed = List.map (fun a -> { a with pred = f a.pred }) g in
-  List.sort_uniq (fun a b -> compare (a.pred, a.polarity) (b.pred, b.polarity)) renamed
 
 let to_string (g : t) =
   if is_always g then "1"

@@ -36,7 +36,4 @@ val preds : t -> int list
 
 val equal : t -> t -> bool
 
-val map_preds : (int -> int) -> t -> t
-(** Rewrite predicate ids (used when the optimizer replaces ops). *)
-
 val to_string : t -> string

@@ -374,7 +374,7 @@ let compile_cells (elab : Elaborate.t) (sched : Scheduler.t) ~ii ~stages
     !r
   in
   let mask = ring - 1 in
-  let n_ops = Dfg.fold_ops dfg (fun op m -> max m op.Dfg.id) (-1) + 1 in
+  let n_ops = Dfg.size dfg in
   let values = Array.init ring (fun _ -> Array.make n_ops 0) in
   let stamp = Array.init ring (fun _ -> Array.make n_ops (-1)) in
   let pre = Array.make n_ops 0 in

@@ -79,7 +79,7 @@ let run ?funcs ?max_iters (elab : Elaborate.t) (sched : Scheduler.t) (stim : Sti
         min (cond_step / ii) (n_iters - !committed)
     | _ -> 0
   in
-  let counts = Array.make (Dfg.fold_ops dfg (fun op m -> max m op.Dfg.id) (-1) + 1) 0 in
+  let counts = Array.make (Dfg.size dfg) 0 in
   List.iter (fun id -> counts.(id) <- counts.(id) + 1) elab.Elaborate.pre_members;
   List.iter (fun id -> counts.(id) <- counts.(id) + !committed) members;
   let exec_counts = Hashtbl.create 64 in

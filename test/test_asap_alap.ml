@@ -7,10 +7,10 @@ open Hls_core
 let lib = Hls_techlib.Library.artisan90
 
 (* read -> mul -> add -> gt chain (the Fig. 8 shape) *)
-let chain_region ?(li = 4) () =
+let chain_region ?(li = 4) ?mul_anchor () =
   let dfg = Dfg.create () in
   let r = Dfg.add_op dfg (Opkind.Read "a") ~width:32 in
-  let m = Dfg.add_op dfg (Opkind.Bin Opkind.Mul) ~width:32 ~name:"m" in
+  let m = Dfg.add_op dfg (Opkind.Bin Opkind.Mul) ~width:32 ~name:"m" ?anchor:mul_anchor in
   let a = Dfg.add_op dfg (Opkind.Bin Opkind.Add) ~width:32 ~name:"a" in
   let g = Dfg.add_op dfg (Opkind.Bin Opkind.Gt) ~width:1 ~name:"g" in
   Dfg.connect dfg ~src:r.Dfg.id ~dst:m.Dfg.id ~port:0;
@@ -61,19 +61,16 @@ let test_scc_window_clamps () =
   Alcotest.(check int) "alap clamped" 2 rm.Asap_alap.alap
 
 let test_anchor_clamps_and_infeasible () =
-  let region, r, m, _, _ = chain_region () in
-  (Dfg.find region.Region.dfg m).Dfg.anchor <- Some 1;
+  let region, _, m, _, _ = chain_region ~mul_anchor:1 () in
   let aa = Asap_alap.compute ~lib ~clock_ps:1600.0 region in
   Alcotest.(check int) "anchored op pinned" 1 (Asap_alap.range aa m).Asap_alap.asap;
-  ignore r;
   (* contradictory anchor + window -> infeasible list *)
   let aa2 =
     Asap_alap.compute ~lib ~clock_ps:1600.0
       ~scc_window:(fun id -> if id = m then Some (3, 3) else None)
       region
   in
-  Alcotest.(check bool) "conflict detected" true (List.mem m aa2.Asap_alap.infeasible);
-  (Dfg.find region.Region.dfg m).Dfg.anchor <- None
+  Alcotest.(check bool) "conflict detected" true (List.mem m aa2.Asap_alap.infeasible)
 
 let test_guard_is_dependency () =
   let dfg = Dfg.create () in

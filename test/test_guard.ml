@@ -40,11 +40,6 @@ let test_implies () =
   Alcotest.(check bool) "weaker does not imply stronger" false (Guard.implies b a);
   Alcotest.(check bool) "everything implies always" true (Guard.implies a Guard.always)
 
-let test_map_preds () =
-  let a = get (g [ (1, true); (2, false) ]) in
-  let renamed = Guard.map_preds (fun p -> p + 10) a in
-  Alcotest.(check (list int)) "renamed preds" [ 11; 12 ] (Guard.preds renamed)
-
 let atom_gen = QCheck.Gen.(map2 (fun p pol -> (p, pol)) (int_range 0 6) bool)
 
 let guard_gen =
@@ -83,7 +78,6 @@ let suite =
     Alcotest.test_case "conj" `Quick test_conj;
     Alcotest.test_case "mutual exclusion" `Quick test_mutual_exclusion;
     Alcotest.test_case "implies" `Quick test_implies;
-    Alcotest.test_case "map_preds" `Quick test_map_preds;
     QCheck_alcotest.to_alcotest prop_mutex_symmetric;
     QCheck_alcotest.to_alcotest prop_conj_implies;
     QCheck_alcotest.to_alcotest prop_exclusive_conj_contradicts;
