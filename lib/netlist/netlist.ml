@@ -24,13 +24,12 @@
     because the next trial bumps the generation.
 
     {b Representation.}  Every hot table is a dense array indexed by op id
-    (op ids are small and near-contiguous after elaboration): placements,
-    the arrival cells, the per-step and per-guard reverse indexes,
-    and the propagation worklist's membership stamps.  Each entry carries a
-    pass stamp, so {!reset_pass} is O(1) on the per-op state — it bumps the
-    stamp and every stale entry reads as absent.  The step and guard
-    indexes use swap-remove with stored positions, so unplacing an op is
-    O(1) instead of O(step population).  {!propagate} runs a worklist
+    (op ids are [0 .. Dfg.size - 1]): placements, the arrival cells, the
+    per-guard-predicate reverse index, and the propagation worklist's
+    membership stamps.  Each entry carries a pass stamp, so {!reset_pass}
+    is O(1) on the per-op state — it bumps the stamp and every stale entry
+    reads as absent.  The guard index uses swap-remove with stored
+    positions, so unplacing an op is O(1) instead of O(bucket population).  {!propagate} runs a worklist
     deduplicated by op id — an op already pending is not enqueued again —
     and stops at cells whose arrival did not move, so the visit count
     stays bounded by the changed region, not the full fanout cone.
@@ -234,8 +233,6 @@ type t = {
      generation per walk *)
   mutable scr_seen : int array;
   mutable scr_gen : int;
-  mutable scr_last : int array;
-      (** instance -> the cohabitant that proved its last busy rejection *)
   mutable scr_grown : float array;  (** port -> its grown mux delay, for one screen *)
   (* the bind one screen prices, read by its closure-free helpers: the
      new op, its finishing step, the instance and the changed ports *)
@@ -243,8 +240,7 @@ type t = {
   mutable scr_finish : int;
   mutable scr_inst : int;
   mutable scr_ports : int;
-  mutable scr_cur : int;  (** the cohabitant being priced *)
-  mutable scr_prover : int;  (** the first cohabitant whose value proves, -1 none *)
+  mutable scr_proved : bool;  (** a priced value proves the rejection *)
   scr_f : float array;
       (** the screen's float scratch, unboxed: see the [sf_] slots *)
   (* the saturation memo (see {!screen}): per (instance, changed-port
@@ -310,8 +306,7 @@ let floor_cap (lib : Library.t) member_needs =
 
 let create ~lib ~clock_ps (region : Region.t) =
   let dfg = region.Region.dfg in
-  let cap = 1 + Dfg.fold_ops dfg (fun op m -> Int.max m op.Dfg.id) (-1) in
-  let cap = Int.max cap 16 in
+  let cap = Int.max (Dfg.size dfg) 16 in
   let rt_c = Array.make cap None in
   Dfg.iter_ops dfg (fun op -> rt_c.(op.Dfg.id) <- Resource.of_op dfg op);
   let member_needs = List.filter_map (fun op -> rt_c.(op.Dfg.id)) (Region.member_ops region) in
@@ -383,14 +378,12 @@ let create ~lib ~clock_ps (region : Region.t) =
     prop_gen = 0;
     scr_seen = Array.make cap 0;
     scr_gen = 0;
-    scr_last = [||];
     scr_grown = Array.make 64 0.0;
     scr_op = -1;
     scr_finish = 0;
     scr_inst = 0;
     scr_ports = 0;
-    scr_cur = -1;
-    scr_prover = -1;
+    scr_proved = false;
     scr_f = Array.make 5 0.0;
     sat_epoch = [||];
     sat_tick = 0;
@@ -541,7 +534,6 @@ let add_inst ?(added_by_expert = false) t rtype =
     t.inst_arr <- grow_arr t.inst_arr n inst;
     t.cls_of <- grow_arr t.cls_of n c;
     t.ord_pos <- grow_arr t.ord_pos n 0;
-    t.scr_last <- grow_arr t.scr_last n (-1);
     t.sat_epoch <- grow_arr t.sat_epoch n 0;
     t.sat_at <- grow_arr t.sat_at (n * sat_slots) (-1);
     t.sat_val <- grow_arr t.sat_val (n * sat_slots) infinity;
@@ -1477,11 +1469,10 @@ let empty_bind_slack t (op : Dfg.op) ~step ~finish ~(inst : inst) =
     {b The memo.}  Only the comparison with the new op's own slack [s_op]
     depends on the op, and only when no placed op reads the op's result
     (then no source of a cohabitant can chain from it).  So a computed
-    screen walks every cohabitant and every walk to the end, in the order
-    the short-circuiting screen would take — the first value that proves
-    is the one that screen stops at, so the verdict and the cohabitant it
-    credits are the same — and stores the least value priced, per
-    instance and set of changed ports.  Any attach, type change or
+    screen walks every cohabitant, in the instance's bound order, and
+    every walk to the end; it proves when any value it prices proves, and
+    stores the least value priced, per instance and set of changed
+    ports.  Any attach, type change or
     rollback on the instance, a pre-allocation flip and {!reset_pass}
     give the instance a fresh epoch and drop its entries.  Within a pass
     the other changes only lower what a fresh screen would price: a
@@ -1710,11 +1701,11 @@ let scr_hypo t (o : Dfg.op) ~st ~fstep =
   t.scr_f.(sf_slack) <- t.clock_ps -. (fmax arr g +. t.scr_f.(sf_reg_setup));
   true
 
-(* a value the computed screen priced for the cohabitant [scr_cur] *)
+(* a value the computed screen priced *)
 let scr_note t s =
   let f = t.scr_f in
   if s < f.(sf_least) then f.(sf_least) <- s;
-  if t.scr_prover < 0 && s < -0.001 && s < f.(sf_s_op) then t.scr_prover <- t.scr_cur
+  if s < -0.001 && s < f.(sf_s_op) then t.scr_proved <- true
 
 (* [lb] bounds [x]'s in-trial arrival from below, [h] hops under a priced
    cohabitant.  Follow a same-step consumer only where the bound exceeds
@@ -1753,18 +1744,17 @@ and scr_walk_outs t fstep lb h = function
    below it *)
 let scr_price t o_id =
   if o_id <> t.scr_op && placed t o_id && reads_ports t o_id ~ports:t.scr_ports then begin
-    t.scr_cur <- o_id;
     if scr_hypo t (Dfg.find t.dfg o_id) ~st:t.pl_step.(o_id) ~fstep:t.pl_finish.(o_id) then begin
       scr_note t t.scr_f.(sf_slack);
       scr_walk t o_id t.scr_f.(sf_arr) 0
     end
   end
 
-let rec scr_price_all t ~skip = function
+let rec scr_price_all t = function
   | [] -> ()
   | o_id :: rest ->
-      if o_id <> skip then scr_price t o_id;
-      scr_price_all t ~skip rest
+      scr_price t o_id;
+      scr_price_all t rest
 
 let screen t ~(op : Dfg.op) ~step ~finish ~(inst : inst) ~changed_ports =
   (* unpriced muxes make mux growth invisible *)
@@ -1791,22 +1781,13 @@ let screen t ~(op : Dfg.op) ~step ~finish ~(inst : inst) ~changed_ports =
         t.scr_gen <- t.scr_gen + 1;
         t.scr_f.(sf_least) <- infinity;
         t.scr_f.(sf_s_op) <- s_op;
-        t.scr_prover <- -1;
-        t.scr_cur <- -1;
-        (* the cohabitant that proved this instance's last rejection
-           usually proves the next one too: it goes first *)
-        let last = t.scr_last.(inst.inst_id) in
-        if List.memq last inst.bound then scr_price t last;
-        scr_price_all t ~skip:last inst.bound;
+        t.scr_proved <- false;
+        scr_price_all t inst.bound;
         if slot >= 0 then begin
           t.sat_at.(slot) <- epoch;
           t.sat_val.(slot) <- t.scr_f.(sf_least)
         end;
-        if t.scr_prover >= 0 then begin
-          t.scr_last.(inst.inst_id) <- t.scr_prover;
-          Screen_computed
-        end
-        else Screen_pass
+        if t.scr_proved then Screen_computed else Screen_pass
       end
     end
   end
