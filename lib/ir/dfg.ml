@@ -61,9 +61,9 @@ let add_op ?(guard = Guard.always) ?(name = "") ?anchor g kind ~width =
   op
 
 (** Incoming edges of [id], sorted by port ([connect] keeps them so). *)
-let in_edges g id = if id >= 0 && id < g.next_id then g.ins.(id) else []
+let in_edges g id = if mem g id then g.ins.(id) else []
 
-let out_edges g id = if id >= 0 && id < g.next_id then g.outs.(id) else []
+let out_edges g id = if mem g id then g.outs.(id) else []
 
 let connect ?(distance = 0) g ~src ~dst ~port =
   if not (mem g src) then invalid_arg "Dfg.connect: unknown src";

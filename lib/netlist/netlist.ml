@@ -29,7 +29,8 @@
     membership stamps.  Each entry carries a pass stamp, so {!reset_pass}
     is O(1) on the per-op state — it bumps the stamp and every stale entry
     reads as absent.  The guard index uses swap-remove with stored
-    positions, so unplacing an op is O(1) instead of O(bucket population).  {!propagate} runs a worklist
+    positions, so unplacing an op is O(1) instead of O(bucket
+    population).  {!propagate} runs a worklist
     deduplicated by op id — an op already pending is not enqueued again —
     and stops at cells whose arrival did not move, so the visit count
     stays bounded by the changed region, not the full fanout cone.
