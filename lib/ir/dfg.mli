@@ -16,7 +16,7 @@
 
     The frontend builds a graph by adding ops and edges; nothing removes or
     rewrites either, so the ids of a graph are exactly [0 .. size - 1].
-    Op records are immutable, after elaboration the graph is read-only,
+    Op records are immutable; after elaboration the graph is read-only,
     and a schedule keeps its decisions in its own binder. *)
 
 type op = {
