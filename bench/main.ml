@@ -420,6 +420,11 @@ let examples () =
 
 let baselines () =
   section "BASELINES — unified timing-aware engine vs modulo scheduling vs schedule-then-fold";
+  (* the worst paths downstream synthesis sizes *)
+  let report (b : Binding.t) =
+    Hls_timing.Graph.worst_paths b.Binding.graph ~endpoints:(Hls_netlist.Netlist.registered_ops b.Binding.net)
+      ~rtype:(fun i -> (Binding.find_inst b i).Binding.rtype)
+  in
   let designs =
     [
       ("example1 II=2", Hls_designs.Example1.design (), 2);
@@ -437,7 +442,7 @@ let baselines () =
           let region = Elaborate.main_region ~ii e in
           match Scheduler.schedule ~lib ~clock_ps:clock region with
           | Ok s ->
-              let rep = Hls_netlist.Netlist.timing_report s.Scheduler.s_binding.Binding.net in
+              let rep = report s.Scheduler.s_binding in
               let syn = Hls_timing.Synthesize.run lib rep in
               [ [ name ^ " / ours"; string_of_int s.Scheduler.s_li;
                   Printf.sprintf "%.0f" syn.Hls_timing.Synthesize.s_wns;
@@ -451,7 +456,7 @@ let baselines () =
           let region = Elaborate.main_region ~ii e in
           match Hls_baseline.Modulo.schedule ~lib ~clock_ps:clock region with
           | Ok m ->
-              let rep = Hls_netlist.Netlist.timing_report m.Hls_baseline.Modulo.m_binding.Binding.net in
+              let rep = report m.Hls_baseline.Modulo.m_binding in
               let syn = Hls_timing.Synthesize.run lib rep in
               [ [ Printf.sprintf "%s / modulo (reaches II=%d)" name m.Hls_baseline.Modulo.m_ii;
                   string_of_int m.Hls_baseline.Modulo.m_li;
@@ -464,7 +469,7 @@ let baselines () =
           let region = Elaborate.main_region ~ii e in
           match Hls_baseline.Sehwa.schedule ~ii ~lib ~clock_ps:clock region with
           | Ok m ->
-              let rep = Hls_netlist.Netlist.timing_report m.Hls_baseline.Sehwa.s_binding.Binding.net in
+              let rep = report m.Hls_baseline.Sehwa.s_binding in
               let syn = Hls_timing.Synthesize.run lib rep in
               [ [ name ^ " / schedule-then-fold";
                   Printf.sprintf "%d (%d attempts)" m.Hls_baseline.Sehwa.s_li m.Hls_baseline.Sehwa.s_attempts;

@@ -31,10 +31,6 @@ type result = {
 
 type error = { m_message : string }
 
-(** Resource-constrained minimum II: ops per class over instances. *)
-let res_mii alloc =
-  List.fold_left (fun acc (_, n, ops) -> max acc ((ops + n - 1) / max 1 n)) 1 alloc
-
 (** Recurrence-constrained minimum II: for every SCC cycle, the latency
     around the cycle divided by its distance.  Computed per SCC with a
     Bellman-Ford-style bound (unit latencies — the baseline's view). *)
@@ -258,7 +254,9 @@ let schedule ?ii ?(budget_factor = 6) ~(lib : Library.t) ~clock_ps (region : Reg
   let t0 = Unix.gettimeofday () in
   (* resource set: reuse the same initial estimator as the main engine *)
   let alloc = Alloc.initial ~lib ~clock_ps region in
-  let mii = max (res_mii alloc) (rec_mii region) in
+  (* ResMII: ops per class over instances, the bound that floors the
+     main engine's latency *)
+  let mii = max (Alloc.latency_floor alloc) (rec_mii region) in
   let start_ii = match ii with Some i -> max i 1 | None -> max 1 mii in
   let max_ii = match ii with Some i -> i | None -> start_ii + 64 in
   let rec search cur =
@@ -279,7 +277,7 @@ let schedule ?ii ?(budget_factor = 6) ~(lib : Library.t) ~clock_ps (region : Reg
               let inst_opt = if i >= 0 then Some inst_ids.(i) else None in
               Binding.force_bind binding op ~step:(c - min_c) ~inst_opt)
             sched;
-          Binding.recompute_all binding;
+          Hls_timing.Graph.recompute_all binding.Binding.graph;
           Ok
             {
               m_ii = cur;

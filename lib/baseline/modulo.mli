@@ -19,7 +19,6 @@ type result = {
 
 type error = { m_message : string }
 
-val res_mii : (Resource.t * int * int) list -> int
 val rec_mii : Region.t -> int
 
 val schedule :

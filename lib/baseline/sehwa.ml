@@ -131,7 +131,7 @@ let schedule ~ii ~(lib : Library.t) ~clock_ps (region : Region.t) : (result, err
               Binding.force_bind binding op ~step:t
                 ~inst_opt:(if i >= 0 then Some inst_ids.(i) else None))
             sched;
-          Binding.recompute_all binding;
+          Hls_timing.Graph.recompute_all binding.Binding.graph;
           Ok { s_ii = ii; s_li = li; s_binding = binding; s_attempts = n; s_time_s = Unix.gettimeofday () -. t0 }
       | _ -> attempt (li + 1) (n + 1)
   in

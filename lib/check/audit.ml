@@ -83,7 +83,7 @@ let run ?(check_timing = true) (region : Region.t) (s : Scheduler.t) (fold : Pip
     (Netlist.insts nl);
   (* accurate timing is met *)
   if check_timing then begin
-    let wns = Netlist.worst_slack nl in
+    let wns = Hls_timing.Graph.worst_slack (Netlist.graph nl) in
     if wns < -0.001 then fail "timing" "negative endpoint slack: %.0f ps" wns
   end;
   (* folding invariants *)

@@ -147,6 +147,6 @@ let initial ?plan ~lib ~clock_ps (region : Region.t) =
     serving [ops] operations (exclusive groups counted once), at least
     [ceil(ops / n)] states are needed.  Seeding the latency interval here
     saves the relaxation loop from adding those states one pass at a
-    time. *)
+    time.  The same fold is the modulo baseline's ResMII. *)
 let latency_floor (alloc : (Resource.t * int * int) list) =
   List.fold_left (fun acc (_, n, ops) -> max acc ((ops + n - 1) / max 1 n)) 1 alloc

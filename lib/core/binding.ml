@@ -2,9 +2,10 @@
 
     Binding an operation assigns it both a control step and a resource
     instance.  The structural netlist — instances, sharing muxes, busy
-    tables, placements, arrivals — and the incremental timing engine live
-    in [Hls_netlist.Netlist]; this module layers the paper's {e policy} on
-    top of that mechanism:
+    tables, placements — lives in [Hls_netlist.Netlist], the incremental
+    timing engine in [Hls_timing.Graph] and the saturation screen in
+    [Hls_netlist.Screen]; this module layers the paper's {e policy} on top
+    of that mechanism:
 
     - the restraint checks gating a candidate binding (scheduling window,
       anchors, modulo/inter-iteration dependencies, forbidden pairs,
@@ -27,6 +28,8 @@
 open Hls_ir
 open Hls_techlib
 module Netlist = Hls_netlist.Netlist
+module Screen = Hls_netlist.Screen
+module G = Hls_timing.Graph
 
 type inst = Netlist.inst = {
   inst_id : int;
@@ -36,9 +39,7 @@ type inst = Netlist.inst = {
   added_by_expert : bool;
   mutable mux_cache : int list array option;
   mutable mux_n : int array;
-  mutable mux_delays : float array option;
   mutable n_bound : int;
-  mutable delay_memo : float;
   compat : Bytes.t;
 }
 
@@ -97,7 +98,9 @@ type attempt = {
 }
 
 type t = {
-  net : Netlist.t;  (** the datapath netlist + incremental timing engine *)
+  net : Netlist.t;  (** the datapath netlist *)
+  graph : G.t;  (** its timing graph ({!Netlist.graph}) *)
+  scr : Screen.t;  (** its saturation screen *)
   region : Region.t;
   lib : Library.t;
   clock_ps : float;
@@ -112,8 +115,11 @@ type t = {
 }
 
 let create ?(timing_aware = true) ~lib ~clock_ps (region : Region.t) =
+  let net = Netlist.create ~lib ~clock_ps region in
   {
-    net = Netlist.create ~lib ~clock_ps region;
+    net;
+    graph = Netlist.graph net;
+    scr = Screen.create net;
     region;
     lib;
     clock_ps;
@@ -250,7 +256,7 @@ let fmax (a : float) b = if a >= b then a else b
    arrivals [srcs] each through the port's mux grown by the op's source,
    its guard arriving at [guard] *)
 let quick_slack_of t (op : Dfg.op) ~(srcs : float array) ~guard (i : inst) =
-  let d = Netlist.inst_delay t.net i in
+  let d = t.graph.G.unit_delay.(i.inst_id) in
   let rec data acc k = function
     | [] -> acc
     | (e : Dfg.edge) :: rest ->
@@ -261,7 +267,7 @@ let quick_slack_of t (op : Dfg.op) ~(srcs : float array) ~guard (i : inst) =
         data (fmax acc (srcs.(k) +. Library.mux_delay t.lib ~inputs)) (k + 1) rest
   in
   let data = data t.lib.Library.ff_clk_q 0 (Dfg.in_edges t.dfg op.Dfg.id) in
-  t.clock_ps -. (fmax (data +. d) guard +. Netlist.reg_mux_delay t.net +. t.lib.Library.ff_setup)
+  t.clock_ps -. (fmax (data +. d) guard +. t.graph.G.reg_mux +. t.lib.Library.ff_setup)
 
 (** Cheap feasibility screen before the full trial binding: the op's own
     endpoint path on [inst] (inputs via the grown sharing mux, instance
@@ -271,8 +277,8 @@ let quick_slack_of t (op : Dfg.op) ~(srcs : float array) ~guard (i : inst) =
     still catches those. *)
 let quick_slack t (op : Dfg.op) ~step ~inst_id =
   let srcs = Array.make (List.length (Dfg.in_edges t.dfg op.Dfg.id)) 0.0 in
-  Netlist.source_arrivals t.net op ~step srcs;
-  quick_slack_of t op ~srcs ~guard:(Netlist.guard_arrival t.net ~step op) (Netlist.find_inst t.net inst_id)
+  G.source_arrivals t.graph op ~step srcs;
+  quick_slack_of t op ~srcs ~guard:(G.guard_arrival t.graph ~step op) (Netlist.find_inst t.net inst_id)
 
 (** Would binding [op] on [i] widen the instance's resource type?  (Its
     memoized compatibility tier is 0 exactly when the type already fits.) *)
@@ -293,7 +299,7 @@ let grows t (i : inst) (e : Dfg.edge) =
     count is unchanged keeps its mux delay bit-identical, so ops reading
     only such ports keep their arrivals and need no re-timing.  Empty when
     the bind widens the instance (every cohabitant is re-timed then), and
-    [-1] when a port above {!Netlist.port_set_max} grows (no screen runs
+    [-1] when a port above {!Screen.port_set_max} grows (no screen runs
     then, and the trial finds the ports one by one).  The op has one
     in-edge per port, of any distance: exactly the sources the attach
     cache update inserts. *)
@@ -303,8 +309,8 @@ let changed_ports t (op : Dfg.op) (i : inst) =
     List.fold_left
       (fun acc (e : Dfg.edge) ->
         if acc < 0 || not (grows t i e) then acc
-        else if e.Dfg.port > Netlist.port_set_max then -1
-        else acc lor Netlist.port_bit e.Dfg.port)
+        else if e.Dfg.port > Screen.port_set_max then -1
+        else acc lor Screen.port_bit e.Dfg.port)
       0
       (Dfg.in_edges t.dfg op.Dfg.id)
 
@@ -364,10 +370,10 @@ let open_trial t (op : Dfg.op) ~step ~finish ~inst_opt ~changed_ports =
     | Some i ->
         op.Dfg.id
         :: List.filter
-             (fun o -> o <> op.Dfg.id && Netlist.reads_ports net o ~ports:changed_ports)
+             (fun o -> o <> op.Dfg.id && Screen.reads_ports t.dfg o ~ports:changed_ports)
              i.bound
   in
-  Netlist.propagate net seeds
+  G.propagate t.graph seeds
 
 (** {2 Attempts}
 
@@ -406,8 +412,8 @@ let attempt_srcs t (op : Dfg.op) =
   if not a.a_srcs_ok then begin
     let n = List.length (Dfg.in_edges t.dfg op.Dfg.id) in
     if n > Array.length a.a_srcs then a.a_srcs <- Array.make (2 * n) 0.0;
-    Netlist.source_arrivals t.net op ~step:a.a_step a.a_srcs;
-    a.a_guard <- Netlist.guard_arrival t.net ~step:a.a_step op;
+    G.source_arrivals t.graph op ~step:a.a_step a.a_srcs;
+    a.a_guard <- G.guard_arrival t.graph ~step:a.a_step op;
     a.a_srcs_ok <- true
   end
 
@@ -419,7 +425,7 @@ let attempt_own_slack t (op : Dfg.op) (i : inst) =
   if a.a_own = 0 then begin
     if Netlist.own_slack_defined t.net op ~finish:a.a_finish then begin
       a.a_own <- 2;
-      a.a_gfin <- Netlist.guard_arrival t.net ~step:a.a_finish op
+      a.a_gfin <- G.guard_arrival t.graph ~step:a.a_finish op
     end
     else a.a_own <- 1
   end;
@@ -428,15 +434,15 @@ let attempt_own_slack t (op : Dfg.op) (i : inst) =
     attempt_srcs t op;
     let data =
       if i.prealloc_shared then begin
-        if Float.is_nan a.a_data2 then a.a_data2 <- Netlist.own_data t.net op ~srcs:a.a_srcs ~inputs:2;
+        if Float.is_nan a.a_data2 then a.a_data2 <- G.own_data t.graph op ~srcs:a.a_srcs ~inputs:2;
         a.a_data2
       end
       else begin
-        if Float.is_nan a.a_data1 then a.a_data1 <- Netlist.own_data t.net op ~srcs:a.a_srcs ~inputs:1;
+        if Float.is_nan a.a_data1 then a.a_data1 <- G.own_data t.graph op ~srcs:a.a_srcs ~inputs:1;
         a.a_data1
       end
     in
-    Netlist.own_slack t.net ~data ~inst:i ~guard:a.a_gfin
+    G.slack_of t.graph ~arrival:(data +. t.graph.G.unit_delay.(i.inst_id)) ~guard:a.a_gfin
   end
 
 (* would binding the op on [i] close a structural combinational cycle
@@ -572,19 +578,19 @@ let check_inst t (op : Dfg.op) (i : inst) : (unit, Restraint.fail) result =
          transaction.  The instance's slack floor rules out the screens
          that cannot prove anything before they price anyone *)
       if changed_ports <= 0 then trial t op ~inst_opt:(Some i.inst_id) ~changed_ports
-      else if not (Netlist.screen_may_prove net ~inst:i ~changed_ports) then begin
+      else if not (Screen.screen_may_prove t.scr ~inst:i ~changed_ports) then begin
         c.c_screen_skipped <- c.c_screen_skipped + 1;
         trial t op ~inst_opt:(Some i.inst_id) ~changed_ports
       end
       else
-        match Netlist.screen net ~op ~step:a.a_step ~finish:a.a_finish ~inst:i ~changed_ports with
-        | Netlist.Screen_memo ->
+        match Screen.screen t.scr ~op ~step:a.a_step ~finish:a.a_finish ~inst:i ~changed_ports with
+        | Screen.Screen_memo ->
             c.c_screen_memo <- c.c_screen_memo + 1;
             Error (Restraint.F_busy i.rtype)
-        | Netlist.Screen_computed ->
+        | Screen.Screen_computed ->
             c.c_screen <- c.c_screen + 1;
             Error (Restraint.F_busy i.rtype)
-        | Netlist.Screen_pass ->
+        | Screen.Screen_pass ->
             c.c_screen_futile <- c.c_screen_futile + 1;
             trial t op ~inst_opt:(Some i.inst_id) ~changed_ports
     end
@@ -674,7 +680,7 @@ let attempt t (op : Dfg.op) ~step =
     after a replayed prefix is bit-identical to the cold pass's.
 
     [propagate:false] applies only the structural mutation and leaves the
-    arrivals stale; the caller must run one {!recompute_all} after the
+    arrivals stale; the caller must run one {!G.recompute_all} after the
     whole replayed batch.  Sound because the arrival fixpoint is unique
     given the structure (combinational cycles are excluded by the cycle
     detector), so one sweep over the final structure lands on the same
@@ -698,7 +704,7 @@ let replay_bind t ?(propagate = true) (op : Dfg.op) ~step ~finish ~inst_opt ~rty
           | o :: _ when o = op.Dfg.id -> i.bound
           | b -> op.Dfg.id :: List.filter (fun o -> o <> op.Dfg.id) b)
     in
-    ignore (Netlist.propagate net seeds)
+    ignore (G.propagate t.graph seeds)
   end;
   match inst with
   | Some i ->
@@ -736,10 +742,7 @@ let force_bind t (op : Dfg.op) ~step ~inst_opt =
       Netlist.attach net inst op.Dfg.id;
       Netlist.occupy net ~inst_id:i ~step ~finish op.Dfg.id
   | None -> ());
-  ignore (Netlist.propagate net [ op.Dfg.id ])
-
-(** Refresh every arrival after a batch of [force_bind]s. *)
-let recompute_all t = Netlist.recompute_all t.net
+  ignore (G.propagate t.graph [ op.Dfg.id ])
 
 (* Instances keyed by (compatibility tier, bound-op count), in key order;
    the stable sort keeps registration order on equal keys *)
@@ -778,9 +781,6 @@ let candidates t (op : Dfg.op) : inst Seq.t =
   in
   fun () -> from (cursor_next t op (-1)) ()
 
-(** Worst endpoint slack over all placed ops. *)
-let worst_slack t = Netlist.worst_slack t.net
-
 (** {2 Estimation hooks for the expert system}
 
     After a failed pass, the expert system asks "would this action have
@@ -806,13 +806,13 @@ let would_fit t (op : Dfg.op) ~step =
   let data =
     List.fold_left
       (fun acc e ->
-        fmax acc (Netlist.source_arrival t.net ~step e +. mux))
+        fmax acc (G.source_arrival t.graph ~step e +. mux))
       (match op.Dfg.kind with Opkind.Const _ -> 0.0 | _ -> t.lib.Library.ff_clk_q)
       (Dfg.in_edges t.dfg op.Dfg.id)
   in
-  let guard = Netlist.guard_arrival t.net ~step op in
-  let d = Netlist.exec_delay t.net op None in
-  let overhead = Netlist.reg_mux_delay t.net +. t.lib.Library.ff_setup in
+  let guard = G.guard_arrival t.graph ~step op in
+  let d = G.exec_delay t.graph op (-1) in
+  let overhead = t.graph.G.reg_mux +. t.lib.Library.ff_setup in
   fmax (data +. d) guard +. overhead <= t.clock_ps +. 0.001
 
 (** Would [op] meet timing on some {e existing} compatible instance if all
@@ -822,7 +822,7 @@ let would_fit t (op : Dfg.op) ~step =
     Deliberately conservative: the hypothetical step is unknown, so every
     port is charged one extra mux input regardless of source identity. *)
 let would_fit_existing t (op : Dfg.op) =
-  let overhead = Netlist.reg_mux_delay t.net +. t.lib.Library.ff_setup in
+  let overhead = t.graph.G.reg_mux +. t.lib.Library.ff_setup in
   match Netlist.resource_of t.net op with
   | None -> true
   | Some need ->

@@ -1,15 +1,16 @@
 (** Simultaneous scheduling-and-binding policy (Section IV.B).
 
     Binding assigns an operation both a control step and a resource
-    instance.  The structural netlist and the incremental timing engine
-    live in [Hls_netlist.Netlist]; this module layers the paper's policy on
-    top: restraint checks (window, anchors, modulo dependencies, forbidden
+    instance.  The structural netlist lives in [Hls_netlist.Netlist], the
+    incremental timing engine in [Hls_timing.Graph] and the saturation
+    screen in [Hls_netlist.Screen]; this module layers the paper's policy
+    on top: restraint checks (window, anchors, modulo dependencies, forbidden
     pairs, dedication, busy-table conflicts, structural cycles), the cheap
     {!quick_slack} screen, the trial protocol (each candidate binding runs
     inside a netlist transaction, committed or rolled back on the worst
     slack it produces), and the expert system's estimation hooks.
 
-    The netlist keeps one arrival per bound op, all mux delays included —
+    The timing graph keeps one arrival per bound op, all mux delays included —
     what the paper's netlist queries return.  [timing_aware = false] (the
     timing-awareness ablation) binds each pass with the sharing muxes
     unpriced; the scheduler prices them when the pass ends, so the final
@@ -18,6 +19,7 @@
 open Hls_ir
 open Hls_techlib
 module Netlist = Hls_netlist.Netlist
+module Screen = Hls_netlist.Screen
 
 type inst = Netlist.inst = {
   inst_id : int;
@@ -27,9 +29,7 @@ type inst = Netlist.inst = {
   added_by_expert : bool;
   mutable mux_cache : int list array option;
   mutable mux_n : int array;  (** source count per [mux_cache] list *)
-  mutable mux_delays : float array option;
   mutable n_bound : int;  (** [List.length bound] *)
-  mutable delay_memo : float;  (** see {!Netlist.inst_delay} *)
   compat : Bytes.t;  (** see {!Netlist.compat_tier} *)
 }
 
@@ -56,13 +56,13 @@ type counters = {
   mutable c_quick_slack : int;  (** ... {!quick_slack} *)
   mutable c_empty_slack : int;  (** ... the op's exact own slack on an empty instance *)
   mutable c_cycle : int;  (** ... a structural combinational cycle *)
-  mutable c_screen_memo : int;  (** ... the saturation memo ({!Netlist.Screen_memo}) *)
+  mutable c_screen_memo : int;  (** ... the saturation memo ({!Screen.Screen_memo}) *)
   mutable c_screen : int;  (** ... a computed saturation screen *)
   mutable c_trial_slack : int;  (** ... a trial, on the op's own slack *)
   mutable c_trial_busy : int;  (** ... a trial, on a bound op's slack *)
   mutable c_screen_skipped : int;
       (** saturation screens the instance floor ruled out
-          ({!Netlist.screen_may_prove}); the trial ran *)
+          ({!Screen.screen_may_prove}); the trial ran *)
   mutable c_screen_futile : int;  (** saturation screens run that proved nothing; the trial ran *)
 }
 
@@ -71,7 +71,9 @@ type attempt
     candidates; one record per binder, reused. *)
 
 type t = {
-  net : Netlist.t;  (** the datapath netlist + incremental timing engine *)
+  net : Netlist.t;  (** the datapath netlist *)
+  graph : Hls_timing.Graph.t;  (** its timing graph ({!Netlist.graph}) *)
+  scr : Screen.t;  (** its saturation screen *)
   region : Region.t;
   lib : Library.t;
   clock_ps : float;
@@ -130,9 +132,9 @@ val quick_slack : t -> Dfg.op -> step:int -> inst_id:int -> float
 
 val changed_ports : t -> Dfg.op -> inst -> int
 (** The ports of the instance that gain an effective mux input when the op
-    binds to it, as a set ({!Netlist.port_bit}), measured against the
+    binds to it, as a set ({!Screen.port_bit}), measured against the
     committed mux caches; empty ([0]) when the bind widens the instance's
-    resource type, and [-1] when a port above {!Netlist.port_set_max}
+    resource type, and [-1] when a port above {!Screen.port_set_max}
     grows. *)
 
 val open_trial :
@@ -159,7 +161,7 @@ val try_bind : t -> Dfg.op -> step:int -> inst_opt:int option -> (unit, Restrain
     without opening one: on an empty instance the op's exact own slack
     ({!Netlist.empty_bind_slack}) decides [F_slack], and on a loaded one
     the saturation screen decides [F_busy] (skipped when the instance's
-    slack floor shows it cannot, {!Netlist.screen_may_prove}).  The answer is
+    slack floor shows it cannot, {!Screen.screen_may_prove}).  The answer is
     always the one the trial would give. *)
 
 val attempt : t -> Dfg.op -> step:int -> Restraint.fail list
@@ -189,14 +191,12 @@ val replay_bind :
     [rtype] is the instance type the original bind left behind.
     [propagate] (default [true]): when [false], only the structural
     mutation is applied — the caller batches the whole replayed prefix and
-    runs one {!recompute_all} at the end, reaching the same (unique)
+    runs one {!Hls_timing.Graph.recompute_all} at the end, reaching the same (unique)
     arrival fixpoint in a single sweep. *)
 
 val force_bind : t -> Dfg.op -> step:int -> inst_opt:int option -> unit
 (** Record a placement unconditionally (imports of external schedules and
     the Table 4 ablation); marks the pass {!Netlist.forced}. *)
-
-val recompute_all : t -> unit
 
 val compatible_insts : t -> Dfg.op -> inst list
 (** Candidate instances, exact-fit then least-loaded first, ties in
@@ -210,8 +210,6 @@ val candidates : t -> Dfg.op -> inst Seq.t
     {!try_bind} of the head is sound: a failed bind leaves the netlist,
     and the order, as it found it.  The binder walks the cursor inside
     {!attempt}; this sequence is how the tests read the same walk. *)
-
-val worst_slack : t -> float
 
 val would_fit : t -> Dfg.op -> step:int -> bool
 (** Would the op meet timing at [step] on a fresh resource instance?  The

@@ -386,8 +386,8 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
                         ^ "#" ^ string_of_int i
              | None -> "wire")
              e
-             (Option.value (Hls_netlist.Netlist.arrival binding.Binding.net op.Dfg.id) ~default:0.0)
-             (Hls_netlist.Netlist.endpoint_slack binding.Binding.net op.Dfg.id));
+             (Option.value (Hls_timing.Graph.arrival binding.Binding.graph op.Dfg.id) ~default:0.0)
+             (Hls_timing.Graph.endpoint_slack binding.Binding.graph op.Dfg.id));
         note_scc_placement op.Dfg.id e
     | fails
       when (not opts.scc_move) && scc_of op.Dfg.id <> None && last_chance op e
@@ -474,7 +474,7 @@ let run_pass ~opts ~trace ~(ctx : Pass_ctx.t) ~(binding : Binding.t) ~(aa : Asap
                   add_logged_restraint ~op:ev_op ~step:ev_step ~fail:ev_fail ~fatal:ev_fatal;
                   if ev_fatal then drop_failed ev_op)
           events;
-        if !replayed_bind then Binding.recompute_all binding;
+        if !replayed_bind then Hls_timing.Graph.recompute_all binding.Binding.graph;
         s
   in
   for e = start_step to li - 1 do
@@ -812,7 +812,7 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
        (* a timing-unaware pass bound with its sharing muxes unpriced:
           price them now, before the expert's estimates, the feedback
           miner or any report reads an arrival *)
-       Hls_netlist.Netlist.price_muxes binding.Binding.net;
+       Hls_timing.Graph.price_muxes binding.Binding.graph;
        prev_log := Some pass_log;
        match outcome with
        | Pass_ok ->

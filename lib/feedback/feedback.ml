@@ -89,7 +89,7 @@ let extract (s : Scheduler.t) : Hints.t =
   in
   List.iter
     (fun op ->
-      let sl = Netlist.endpoint_slack net op in
+      let sl = Hls_timing.Graph.endpoint_slack (Netlist.graph net) op in
       if sl < slack_band then
         cone_from op ((slack_band -. sl) /. Float.max 1.0 b.Binding.clock_ps))
     (Netlist.registered_ops net);

@@ -83,12 +83,6 @@ let connect ?(distance = 0) g ~src ~dst ~port =
 (** Producer feeding input [port] of [id], if connected. *)
 let input g id ~port = List.find_opt (fun e -> e.port = port) (in_edges g id)
 
-(** All producers of [id] (ids, one per connected port, sorted by port). *)
-let preds g id = List.map (fun e -> e.src) (in_edges g id)
-
-(** All consumers of [id]'s result. *)
-let succs g id = List.map (fun e -> e.dst) (out_edges g id)
-
 let iter_ops g f =
   for id = 0 to g.next_id - 1 do
     f g.ops.(id)
@@ -121,22 +115,6 @@ let topo_order g =
   match Graph_algo.topo_sort ~nodes ~succs:succs0 with
   | Some order -> order
   | None -> invalid_arg "Dfg.topo_order: zero-distance cycle in DFG"
-
-(** Strongly connected components over {e all} edges (including
-    loop-carried ones).  Only components with more than one node, or with a
-    self-loop, are returned: these are the SCCs that must be scheduled
-    within one pipeline stage. *)
-let sccs g =
-  let nodes = List.map (fun op -> op.id) (ops g) in
-  let succs id = List.map (fun e -> e.dst) (out_edges g id) in
-  let comps = Graph_algo.scc ~nodes ~succs in
-  List.filter
-    (fun comp ->
-      match comp with
-      | [ x ] -> List.exists (fun e -> e.dst = x) (out_edges g x)
-      | _ :: _ :: _ -> true
-      | [] -> false)
-    comps
 
 (** Number of ops in the transitive fanout cone of [id] (distance-0 edges):
     the oracle for the priority function's one-sweep table. *)

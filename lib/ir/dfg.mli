@@ -60,9 +60,6 @@ val out_edges : t -> int -> edge list
 val input : t -> int -> port:int -> edge option
 (** The edge feeding one input port, if connected. *)
 
-val preds : t -> int -> int list
-val succs : t -> int -> int list
-
 val iter_ops : t -> (op -> unit) -> unit
 (** Ascending id order. *)
 
@@ -78,11 +75,6 @@ val all_edges : t -> edge list
 val topo_order : t -> int list
 (** Topological order over distance-0 edges.
     @raise Invalid_argument on a zero-distance cycle. *)
-
-val sccs : t -> int list list
-(** Strongly connected components over all edges (loop-carried included);
-    only multi-node components and self-loops are returned — the SCCs that
-    must fit one pipeline stage. *)
 
 val fanout_cone_size : t -> int -> int
 (** Size of the transitive distance-0 fanout cone, by one DFS.  The

@@ -224,10 +224,6 @@ let is_resource_op k =
   | R_wire | R_port_in | R_port_out -> false
   | _ -> true
 
-let is_commutative = function
-  | Bin (Add | Mul | Band | Bor | Bxor | Land | Lor | Eq | Neq) -> true
-  | _ -> false
-
 (** Evaluate a kind over concrete operand values; widths are applied by the
     caller via {!Width.truncate}.  [Read]/[Write]/[Call] are handled by the
     simulators, not here. *)

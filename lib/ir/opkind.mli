@@ -97,8 +97,6 @@ val is_resource_op : t -> bool
 (** Does the op occupy a shareable datapath resource (participating in
     allocation, sharing muxes and busy tables)? *)
 
-val is_commutative : t -> bool
-
 val eval_pure : t -> int list -> int option
 (** Evaluate over concrete operands (callers apply {!Width.truncate}).
     [None] for stateful/contextual kinds ([Read], [Write], [Loop_mux],

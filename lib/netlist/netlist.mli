@@ -1,21 +1,22 @@
-(** Explicit datapath-netlist value with an incremental timing engine and a
-    transactional what-if API ({!begin_trial} / {!commit} / {!rollback}).
+(** Explicit datapath-netlist value over the incremental timing graph
+    {!Hls_timing.Graph}, with a transactional what-if API ({!begin_trial}
+    / {!commit} / {!rollback}).
 
     This layer owns the structural netlist state built by simultaneous
     scheduling-and-binding — instances, port sharing/mux structure,
-    busy/occupancy tables, placements — and one arrival time per placed op,
+    busy/occupancy tables, placements, the guard index — and keeps the
+    graph's node and unit arrays current; the graph ({!graph}) times it,
     sharing-mux delays included.  Only the timing-awareness ablation turns
     mux pricing off, for the duration of a pass ({!reset_pass},
-    {!price_muxes}).  Policy (modulo constraints, dedication, forbidden
-    pairs) lives above it in [Hls_core.Binding].
+    {!Hls_timing.Graph.price_muxes}).  The saturation screen lives in
+    [Screen]; policy (modulo constraints, dedication, forbidden pairs) in
+    [Hls_core.Binding].
 
     The representation is dense: every hot per-op table is an int-indexed
-    array with a pass stamp, so {!reset_pass} is O(1), the placement
+    array with a pass stamp, so {!reset_pass} is O(1), and the placement
     table is the one record of where each op sits (unplacing clears its
-    stamp and swap-removes it from the guard index), and {!propagate}
-    runs a worklist deduplicated by op id that stops at unchanged
-    arrivals.  [t] is abstract so the dense tables can evolve without
-    touching callers. *)
+    stamp and swap-removes it from the guard index).  [t] is abstract so
+    the dense tables can evolve without touching callers. *)
 
 open Hls_ir
 open Hls_techlib
@@ -32,14 +33,9 @@ type inst = {
   mutable mux_n : int array;
       (** the length of each [mux_cache] list, while that is [Some]: the
           mux input counts read in O(1) *)
-  mutable mux_delays : float array option;
-      (** memoized per-port mux delay, derived from [mux_cache] *)
   mutable n_bound : int;
       (** [List.length bound], kept by {!attach}, {!rollback} and
           {!reset_pass} *)
-  mutable delay_memo : float;
-      (** {!inst_delay}; nan until computed, reset whenever [rtype] changes
-          (by {!set_rtype} or its rollback) *)
   compat : Bytes.t;
       (** {!compat_tier} per resource need; reset whenever [rtype] changes *)
 }
@@ -70,6 +66,10 @@ val lib : t -> Library.t
 val clock_ps : t -> float
 val dfg : t -> Dfg.t
 val chain : t -> Hls_timing.Cycle_detector.t
+
+val graph : t -> Hls_timing.Graph.t
+(** The timing graph: its nodes are the ops, its units the instances.
+    Everything that reads or moves an arrival goes through it. *)
 
 val insts : t -> inst list
 (** Instances in registration order (ascending id); memoized, so
@@ -104,8 +104,13 @@ val add_inst : ?added_by_expert:bool -> t -> Resource.t -> inst
 val find_inst : t -> int -> inst
 
 val inst_delay : t -> inst -> float
-(** [Library.delay] of the instance's current type, memoized on the
-    instance until the type changes. *)
+(** [Library.delay] of the instance's current type: its unit delay in the
+    graph, set by {!add_inst} and every type change. *)
+
+val inst_epoch : t -> inst -> int
+(** The epoch of the instance's last change: its bound ops, its type or
+    its pre-allocation flag moved, or {!reset_pass} ran.  Whatever was
+    derived from the instance under an older epoch may be stale. *)
 
 val compat_tier : t -> Dfg.op -> inst -> int
 (** How an instance of [op]'s class can host [op]: [0] when its type
@@ -131,14 +136,10 @@ val reset_pass : price_muxes:bool -> t -> unit
     {!refresh_prealloc}.  O(1) on the dense per-op tables (a pass-stamp
     bump).
 
-    [~price_muxes:false] starts a mux-blind pass: until {!price_muxes},
-    arrivals and endpoint slacks leave out every sharing-mux delay (input
-    and register muxes), as a timing-unaware scheduler would believe. *)
-
-val price_muxes : t -> unit
-(** Turn mux pricing back on and re-time every placed op (one
-    {!recompute_all}); a no-op when the muxes are already priced.  Must
-    not run inside a trial. *)
+    [~price_muxes:false] starts a mux-blind pass: until
+    {!Hls_timing.Graph.price_muxes}, arrivals and endpoint slacks leave
+    out every sharing-mux delay (input and register muxes), as a
+    timing-unaware scheduler would believe. *)
 
 (** {2 Placements} *)
 
@@ -173,12 +174,12 @@ val in_trial : t -> bool
 
 val begin_trial : t -> unit
 (** Open a trial: subsequent mutations are journaled and arrival writes
-    land in generation-stamped trial slots.  Raises [Invalid_argument] if a
+    land in the graph's generation-stamped trial slots.  Raises [Invalid_argument] if a
     trial is already active. *)
 
 val commit : t -> unit
-(** Fold the trial arrivals into the committed ones (O(touched ops)) and
-    drop the undo log. *)
+(** Fold the trial arrivals into the committed ones (O(touched ops),
+    {!Hls_timing.Graph.commit}) and drop the undo log. *)
 
 val rollback : t -> unit
 (** Replay the structural undo log and abandon the trial arrivals (their
@@ -210,129 +211,38 @@ val mux_inputs_with : t -> inst -> port:int -> src:int -> int
     no mux input. *)
 
 val in_mux_delay : t -> inst -> port:int -> float
-val reg_mux_delay : t -> float
+(** The port's mux delay ({!Hls_timing.Graph.input_mux} of the instance),
+    rebuilt from the source caches when stale. *)
 
-(** {2 Timing queries} *)
+val src_count : t -> inst -> port:int -> int
+(** Distinct sources feeding the port (cached): {!mux_inputs} before
+    pre-allocation. *)
 
-val arrival : t -> int -> float option
-(** Current visible arrival of a placed op: the trial value when the
-    active trial has written it, the committed value otherwise. *)
-
-val committed_arrivals : t -> (int * float) list
-(** Committed arrivals as [(op, arrival)], ascending by op id — for
-    snapshot tests. *)
-
-val source_arrival : t -> step:int -> Dfg.edge -> float
-val guard_arrival : t -> step:int -> Dfg.op -> float
-val exec_delay : t -> Dfg.op -> int option -> float
-
-val recompute_arrival : t -> int -> bool
-(** Recompute the arrival of a placed op with the reference evaluator's
-    formula; true if it moved.  Counts as one netlist timing query. *)
-
-val endpoint_slack : t -> int -> float
-
-val source_arrivals : t -> Dfg.op -> step:int -> float array -> unit
-(** [source_arrivals t op ~step srcs] stores {!source_arrival} of the op's
-    [k]-th in-edge ({!Dfg.in_edges} order) in [srcs.(k)]. *)
+(** {2 Own slack on an empty instance} *)
 
 val own_slack_defined : t -> Dfg.op -> finish:int -> bool
 (** The op is not placed and no op placed in step [finish] reads its
     result: the condition under which {!empty_bind_slack} is not [nan]
     on an empty instance its type fits. *)
 
-val own_data : t -> Dfg.op -> srcs:float array -> inputs:int -> float
-(** The op's data arrival behind input muxes of [inputs] inputs each, from
-    its {!source_arrivals}. *)
-
-val own_slack : t -> data:float -> inst:inst -> guard:float -> float
-(** The endpoint slack of an op with data arrival [data] executing on
-    [inst], its guard arriving at [guard].  {!empty_bind_slack} is
-    [own_slack ~data:(own_data ~inputs:1 or 2)] with the guard's arrival
-    at [finish]. *)
-
 val empty_bind_slack : t -> Dfg.op -> step:int -> finish:int -> inst:inst -> float
 (** The worst slack, bit for bit, that the trial of binding the unplaced
     [op] at [step]..[finish] on [inst] would return, computed without
-    opening it — the op's own endpoint slack, which carries that worst.
-    Defined when [inst] has nothing bound, its type already fits the op,
-    and no op placed in step [finish] reads the op's result; [nan]
-    otherwise.  Issues no timing query. *)
-
-val port_set_max : int
-(** The highest port a port set holds ([Sys.int_size - 2]). *)
-
-val port_bit : int -> int
-(** The bit of a port in a port set, as {!screen} takes them.
-    @raise Invalid_argument on a port outside [0 .. port_set_max]. *)
-
-val reads_ports : t -> int -> ports:int -> bool
-(** Does the op read one of the ports in the set?  A port above
-    {!port_set_max} is in no set. *)
-
-val screen_may_prove : t -> inst:inst -> changed_ports:int -> bool
-(** [false] when the instance's slack floor ({!inst_floor}) shows that
-    {!screen} cannot prove a rejection for a bind growing [changed_ports]
-    of [inst]: every slack the screen prices, or stored in its memo, is a
-    committed slack of an op in the instance's cone (none below the
-    floor) less at most the largest mux growth (twice that on a black-box
-    instance, which may host multicycle ops), and the floor clears that
-    with a 1 ps margin over the tolerance.  Also [false] while the muxes
-    are unpriced or when the set is not positive.  [true] means "run the
-    screen". *)
-
-val inst_floor : t -> inst -> float
-(** The instance's slack floor: the least endpoint slack committed this
-    pass (since {!reset_pass}) by its bound ops and by the ops that read
-    them, recursively, at distance 0 in the step they finish through
-    latency-1 region members — the cone a screen on the instance prices.
-    The first read of a pass builds the floors from the committed slacks;
-    from then on a slack counts when it becomes committed: at {!commit}
-    for the ops a trial re-timed, at once for a recomputation outside a
-    trial.  The
-    floor is capped where {!screen_may_prove} rules out whatever the mux
-    growth, so an instance with an empty cone reads the cap;
-    [neg_infinity] while the pass is {!forced}. *)
+    opening it — the op's own endpoint slack, which carries that worst:
+    {!Hls_timing.Graph.slack_of} of {!Hls_timing.Graph.own_data} behind
+    1-input muxes (2 when pre-allocated) plus the instance delay, its
+    guard arriving at [finish].  Defined when [inst] has nothing bound,
+    its type already fits the op, and no op placed in step [finish] reads
+    the op's result; [nan] otherwise.  Issues no timing query. *)
 
 val mark_forced : t -> unit
 (** Note a bind committed without a trial, which may leave any slack:
-    until {!reset_pass} the pass is {!forced}, every instance floor reads
-    [neg_infinity] and the saturation memo is not read. *)
+    until {!reset_pass} the pass is {!forced}. *)
 
 val forced : t -> bool
 
-type screen =
-  | Screen_pass  (** nothing proved: run the trial *)
-  | Screen_memo  (** a rejection proved by the saturation memo *)
-  | Screen_computed  (** a rejection proved by pricing the cohabitants *)
+(** {2 Structural cycles} *)
 
-val screen :
-  t -> op:Dfg.op -> step:int -> finish:int -> inst:inst -> changed_ports:int -> screen
-(** Saturation screen: a rejection when binding [op] on [inst] provably
-    breaks the timing of an already-bound cohabitant, or of one of its
-    same-step chained consumers (up to 8 hops down, through arrival lower
-    bounds), strictly below the op's own exact slack — the full trial
-    would reject with [F_busy] — all priced from committed state.
-    [Screen_pass] means "run the real trial", never a wrong verdict.
-    [changed_ports] is the set of instance ports whose effective mux
-    input count the bind grows ({!port_bit}).  Always [Screen_pass] while
-    the muxes are unpriced, or when the set is not positive.
-
-    A computed screen stores the least slack it priced per (instance,
-    port set); until the instance next changes or the pass ends, a stored
-    value below the tolerance and the op's own slack decides the next
-    screen of that set with one comparison ([Screen_memo]); none is read
-    while the pass is {!forced}.  A computed screen proves exactly when
-    the short-circuiting screen would. *)
-
-val propagate : t -> int list -> float * int
-(** Propagate arrival changes from the seed ops through same-step chains;
-    returns the worst endpoint slack and the op carrying it.  The worklist
-    is deduplicated by op id and stops at ops whose arrival did not move,
-    so the visited set is bounded by the region the change actually
-    reaches, not the seeds' fanout cone. *)
-
-val recompute_all : t -> unit
 val chain_source_insts : t -> int -> step:int -> int list
 val would_close_cycle : t -> src:int -> dst:int -> bool
 val add_chain_edge : t -> src:int -> dst:int -> unit
@@ -340,15 +250,5 @@ val add_chain_edge : t -> src:int -> dst:int -> unit
 (** {2 Reporting} *)
 
 val registered_ops : t -> int list
-val timing_report : t -> Hls_timing.Synthesize.report
-val worst_slack : t -> float
-
-(** {2 Reference evaluator — the oracle} *)
-
-val reference_arrivals : t -> (int, float) Hashtbl.t
-(** From-scratch recomputation of every arrival, ignoring all incremental
-    state.  Does not touch the query counters. *)
-
-val reference_deviation : t -> float
-(** Worst absolute difference between the incremental arrival state and
-    {!reference_arrivals} over all placed ops. *)
+(** Placed ops whose value must live in a register — the endpoints of
+    {!Hls_timing.Graph.worst_paths} — ascending. *)

@@ -36,7 +36,10 @@ let area ?(synth : Hls_timing.Synthesize.result option) ?(io_widths : int list =
   let synth =
     match synth with
     | Some r -> r
-    | None -> Hls_timing.Synthesize.run lib (Netlist.timing_report net)
+    | None ->
+        Hls_timing.Synthesize.run lib
+          (Hls_timing.Graph.worst_paths (Netlist.graph net) ~endpoints:(Netlist.registered_ops net)
+             ~rtype:(fun i -> (Netlist.find_inst net i).Netlist.rtype))
   in
   let used_insts = List.filter (fun i -> i.Netlist.bound <> []) (Netlist.insts net) in
   let sized_area inst =

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Hot-path symbol gate.  The pass scheduler's inner loop (Ready_heap ->
-# Scheduler.run_pass -> Binding.try_bind -> Netlist, with the structural
-# cycle check and the graph kernels) compares only typed values: ints and
-# floats compare inline, lists of ints go through List.memq/Int.compare.
+# Scheduler.run_pass -> Binding.try_bind -> Netlist, Screen and the timing
+# Graph, with the structural cycle check and the graph kernels) compares
+# only typed values: ints and floats compare inline, lists of ints go
+# through List.memq/Int.compare.
 # Scheduler is checked whole, its set-up and relaxation loop included.
 # A comparison whose type is left open compiles to a call into OCaml's
 # polymorphic compare or hash instead, so this script lists the undefined
@@ -19,7 +20,7 @@
 # root: `./scripts/hot_path_symbols.sh` (it builds first).
 set -eu
 
-modules="Ready_heap Scheduler Binding Netlist Cycle_detector Graph_algo"
+modules="Ready_heap Scheduler Binding Netlist Screen Graph Cycle_detector Graph_algo"
 # modules also barred from the generic Hashtbl
 hashtbl_modules="Binding"
 bad='^(caml_(compare|equal|notequal|lessthan|lessequal|greaterthan|greaterequal|hash)|camlStdlib[.$](min|max|compare)_[0-9]+|camlStdlib__List[.$](mem|assoc|assoc_opt|mem_assoc)_[0-9]+)$'

@@ -80,7 +80,14 @@ let test_max_share_bound () =
 let test_latency_floor () =
   Alcotest.(check int) "floor of 10 ops on 3 insts" 4
     (Alloc.latency_floor [ ({ Hls_techlib.Resource.rclass = Opkind.R_mul; in_widths = []; out_width = 1 }, 3, 10) ]);
-  Alcotest.(check int) "empty floor" 1 (Alloc.latency_floor [])
+  Alcotest.(check int) "empty floor" 1 (Alloc.latency_floor []);
+  (* the modulo baseline's ResMII: the worst class decides *)
+  Alcotest.(check int) "worst of two classes" 5
+    (Alloc.latency_floor
+       [
+         ({ Hls_techlib.Resource.rclass = Opkind.R_mul; in_widths = []; out_width = 1 }, 3, 10);
+         ({ Hls_techlib.Resource.rclass = Opkind.R_addsub; in_widths = []; out_width = 1 }, 2, 9);
+       ])
 
 let suite =
   [

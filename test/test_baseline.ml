@@ -83,7 +83,12 @@ let test_modulo_naive_timing_shows () =
   match Hls_baseline.Modulo.schedule ~lib ~clock_ps:1600.0 region with
   | Error e -> Alcotest.fail e.Hls_baseline.Modulo.m_message
   | Ok m ->
-      let rep = Hls_netlist.Netlist.timing_report m.Hls_baseline.Modulo.m_binding.Binding.net in
+      let b = m.Hls_baseline.Modulo.m_binding in
+      let rep =
+        Hls_timing.Graph.worst_paths b.Binding.graph
+          ~endpoints:(Hls_netlist.Netlist.registered_ops b.Binding.net)
+          ~rtype:(fun i -> (Binding.find_inst b i).Binding.rtype)
+      in
       let syn = Hls_timing.Synthesize.run lib rep in
       (* just assert the report machinery runs end to end on imported
          schedules; sign of slack depends on the MRT outcome *)
@@ -121,11 +126,6 @@ let test_sehwa_relaxes_on_fold_conflict () =
   | Error _ -> () (* acceptable: folding may never succeed with the fixed resource set *)
   | Ok m -> check_valid region m.Hls_baseline.Sehwa.s_binding ~ii:1
 
-let test_res_mii () =
-  Alcotest.(check int) "10 ops on 3 insts need II>=4" 4
-    (Hls_baseline.Modulo.res_mii
-       [ ({ Hls_techlib.Resource.rclass = Opkind.R_mul; in_widths = []; out_width = 1 }, 3, 10) ])
-
 let test_rec_mii () =
   let _, region = region_of ~ii:1 (Hls_designs.Dotprod.design ()) in
   (* the accumulator SCC implies a recurrence bound of at least 1 *)
@@ -139,6 +139,5 @@ let suite =
     Alcotest.test_case "modulo: naive timing analyzable" `Quick test_modulo_naive_timing_shows;
     Alcotest.test_case "sehwa: example1" `Quick test_sehwa_example1;
     Alcotest.test_case "sehwa: fold conflicts relax" `Quick test_sehwa_relaxes_on_fold_conflict;
-    Alcotest.test_case "ResMII" `Quick test_res_mii;
     Alcotest.test_case "RecMII" `Quick test_rec_mii;
   ]

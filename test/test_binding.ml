@@ -6,6 +6,8 @@ open Hls_ir
 open Hls_core
 open Hls_techlib
 module Netlist = Hls_netlist.Netlist
+module Screen = Hls_netlist.Screen
+module G = Hls_timing.Graph
 
 let lib = Library.artisan90
 let clock = 1600.0
@@ -69,13 +71,13 @@ let test_fig8_clean () =
     (Dfg.ops dfg);
   bind_ok b (Dfg.find dfg mul1) ~step:0 ~inst_opt:(Some mi);
   Alcotest.(check (float 0.5)) "Fig 8a: mul arrival 1080" 1080.0
-    (Option.get (Netlist.arrival b.Binding.net mul1));
+    (Option.get (G.arrival b.Binding.graph mul1));
   bind_ok b (Dfg.find dfg add) ~step:0 ~inst_opt:(Some ai);
   (* Fig 8b: 40 + 110 + 930 + 350 = 1430; endpoint 1430+110+40 = 1580 *)
   Alcotest.(check (float 0.5)) "Fig 8b: add arrival 1430" 1430.0
-    (Option.get (Netlist.arrival b.Binding.net add));
+    (Option.get (G.arrival b.Binding.graph add));
   Alcotest.(check (float 0.5)) "Fig 8b: add slack 20" 20.0
-    (Netlist.endpoint_slack b.Binding.net add);
+    (G.endpoint_slack b.Binding.graph add);
   (* Fig 8c: gt would land at 1800 -> slack -200: the binder rejects it *)
   (match Binding.try_bind b (Dfg.find dfg gt) ~step:0 ~inst_opt:(Some ci) with
   | Ok () -> Alcotest.fail "gt must not fit in state s1"
@@ -391,13 +393,13 @@ let screen_vs_trial ~seed ~ops ~clock =
             (fun (i : Binding.inst) ->
               let changed_ports = Binding.changed_ports b op i in
               let screened () =
-                match Netlist.screen b.Binding.net ~op ~step ~finish ~inst:i ~changed_ports with
-                | Netlist.Screen_pass -> false
-                | Netlist.Screen_memo | Netlist.Screen_computed -> true
+                match Screen.screen b.Binding.scr ~op ~step ~finish ~inst:i ~changed_ports with
+                | Screen.Screen_pass -> false
+                | Screen.Screen_memo | Screen.Screen_computed -> true
               in
               if
                 free i && changed_ports <> 0
-                && not (Netlist.screen_may_prove b.Binding.net ~inst:i ~changed_ports)
+                && not (Screen.screen_may_prove b.Binding.scr ~inst:i ~changed_ports)
               then begin
                 incr floor_cleared;
                 if screened () then incr floor_wrong
@@ -921,15 +923,15 @@ let floor_vs_screen ~force ~seed ~ops ~ii ~replay_clock =
                 let changed_ports = Binding.changed_ports b op i in
                 if
                   i.Binding.n_bound > 0 && changed_ports > 0
-                  && not (Netlist.screen_may_prove b.Binding.net ~inst:i ~changed_ports)
+                  && not (Screen.screen_may_prove b.Binding.scr ~inst:i ~changed_ports)
                 then begin
                   incr ruled_out;
                   match
-                    Netlist.screen b.Binding.net ~op ~step ~finish:pl.Netlist.pl_finish ~inst:i
+                    Screen.screen b.Binding.scr ~op ~step ~finish:pl.Netlist.pl_finish ~inst:i
                       ~changed_ports
                   with
-                  | Netlist.Screen_pass -> ()
-                  | Netlist.Screen_memo | Netlist.Screen_computed -> incr wrong
+                  | Screen.Screen_pass -> ()
+                  | Screen.Screen_memo | Screen.Screen_computed -> incr wrong
                 end;
                 match Binding.try_bind b op ~step ~inst_opt:(Some i.Binding.inst_id) with
                 | Ok () -> true
@@ -998,12 +1000,12 @@ let floor_breaches (b : Binding.t) =
   let net = b.Binding.net in
   List.fold_left
     (fun n (i : Netlist.inst) ->
-      let f = Netlist.inst_floor net i in
-      if List.exists (fun y -> f > Netlist.endpoint_slack net y +. 0.002) (screen_cone b i) then n + 1
+      let f = Screen.inst_floor b.Binding.scr i in
+      if List.exists (fun y -> f > G.endpoint_slack b.Binding.graph y +. 0.002) (screen_cone b i) then n + 1
       else n)
     0 (Netlist.insts net)
 
-let floors (b : Binding.t) = List.map (Netlist.inst_floor b.Binding.net) (Netlist.insts b.Binding.net)
+let floors (b : Binding.t) = List.map (Screen.inst_floor b.Binding.scr) (Netlist.insts b.Binding.net)
 
 (* The floor bounds every committed slack in the instance's cone: after
    each commit of a try_bind replay, across a rolled-back trial (which
@@ -1065,7 +1067,7 @@ let test_instance_floor_bounds_cone () =
         Binding.replay_bind b ~propagate (Dfg.find dfg id) ~step ~finish:pl.Netlist.pl_finish
           ~inst_opt:pl.Netlist.pl_inst ~rtype:None)
       order;
-    if not propagate then Binding.recompute_all b
+    if not propagate then G.recompute_all b.Binding.graph
   in
   Binding.reset_pass b;
   replay b ~propagate:false;
@@ -1232,9 +1234,9 @@ design wide {
             | Error f -> Alcotest.failf "the last call failed to rebind: %s" (Restraint.fail_to_string f));
             (* the trial re-timed every cohabitant the grown muxes moved:
                a full recomputation moves no arrival *)
-            let arrivals () = List.map (fun c -> Netlist.arrival b.Binding.net c) calls in
+            let arrivals () = List.map (fun c -> G.arrival b.Binding.graph c) calls in
             let before = arrivals () in
-            Binding.recompute_all b;
+            G.recompute_all b.Binding.graph;
             Alcotest.(check (list (option (float 0.0)))) "arrivals at the fixpoint" (arrivals ()) before
           end
           else

@@ -14,8 +14,8 @@ let test_build_and_find () =
   Dfg.connect g ~src:a ~dst:s ~port:0;
   Dfg.connect g ~src:b ~dst:s ~port:1;
   Alcotest.(check int) "size" 3 (Dfg.size g);
-  Alcotest.(check (list int)) "preds sorted by port" [ a; b ] (Dfg.preds g s);
-  Alcotest.(check (list int)) "succs of a" [ s ] (Dfg.succs g a);
+  Alcotest.(check (list int)) "preds sorted by port" [ a; b ] (List.map (fun (e : Dfg.edge) -> e.Dfg.src) (Dfg.in_edges g s));
+  Alcotest.(check (list int)) "succs of a" [ s ] (List.map (fun (e : Dfg.edge) -> e.Dfg.dst) (Dfg.out_edges g a));
   Alcotest.(check bool) "validate clean" true (Dfg.validate g = []);
   Alcotest.(check bool) "ids are 0 .. size - 1" true (Dfg.mem g 2 && not (Dfg.mem g 3));
   Alcotest.check_raises "unknown id" (Invalid_argument "Dfg.find: no op 3") (fun () ->
@@ -30,8 +30,8 @@ let test_connect_rejects_duplicate () =
   Alcotest.check_raises "second edge on port 0"
     (Invalid_argument "Dfg.connect: port 0 of op 2 already connected") (fun () ->
       Dfg.connect g ~src:b ~dst:u ~port:0);
-  Alcotest.(check (list int)) "first edge kept" [ a ] (Dfg.preds g u);
-  Alcotest.(check (list int)) "b gained no consumer" [] (Dfg.succs g b)
+  Alcotest.(check (list int)) "first edge kept" [ a ] (List.map (fun (e : Dfg.edge) -> e.Dfg.src) (Dfg.in_edges g u));
+  Alcotest.(check (list int)) "b gained no consumer" [] (List.map (fun (e : Dfg.edge) -> e.Dfg.dst) (Dfg.out_edges g b))
 
 let test_loop_carried_scc () =
   let g = mk () in
@@ -43,7 +43,7 @@ let test_loop_carried_scc () =
   Dfg.connect g ~src:lm ~dst:inc ~port:0;
   Dfg.connect g ~src:one ~dst:inc ~port:1;
   Dfg.connect g ~src:inc ~dst:lm ~port:1 ~distance:1;
-  let sccs = Dfg.sccs g in
+  let sccs = Region.sccs (Region.create ~pipeline:{ Region.ii = 1 } ~name:"acc" g) in
   Alcotest.(check int) "one SCC" 1 (List.length sccs);
   Alcotest.(check (list int)) "accumulator cycle" [ lm; inc ] (List.sort compare (List.hd sccs));
   (* topo over distance-0 edges must still succeed *)

@@ -93,7 +93,7 @@ let test_timing_awareness_ablation () =
   Alcotest.(check string) "naive area/wns" "12277/-47" (area_wns n);
   let net = n.Hls_flow.Flow.f_sched.Hls_core.Scheduler.s_binding.Hls_core.Binding.net in
   Alcotest.(check bool) "naive netlist matches the reference evaluator" true
-    (Hls_netlist.Netlist.reference_deviation net < 1e-6)
+    (Hls_timing.Graph.reference_deviation (Hls_netlist.Netlist.graph net) < 1e-6)
 
 (* ---- design library sanity ---- *)
 

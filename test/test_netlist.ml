@@ -8,15 +8,16 @@ open Hls_ir
 open Hls_core
 open Hls_techlib
 module Netlist = Hls_netlist.Netlist
+module G = Hls_timing.Graph
 
 let lib = Library.artisan90
 
 (** Every observable of the netlist, in canonical (sorted) form: placements,
     non-empty busy slots, per-instance structure with the mux projections,
     the committed arrivals, and the chain-graph edge count.  Derived caches
-    (mux_cache / mux_delays) are observed through their projections, not
-    their representation — a rolled-back trial may leave them rebuilt or
-    invalidated, which must be indistinguishable. *)
+    (mux_cache and the graph's unit_mux) are observed through their
+    projections, not their representation — a rolled-back trial may leave
+    them rebuilt or invalidated, which must be indistinguishable. *)
 let snapshot (net : Netlist.t) =
   let placements = Netlist.fold_placements net (fun k v acc -> (k, v) :: acc) [] in
   let busy = Netlist.dump_busy net in
@@ -35,7 +36,7 @@ let snapshot (net : Netlist.t) =
   ( placements,
     busy,
     insts,
-    Netlist.committed_arrivals net,
+    G.committed_arrivals (Netlist.graph net),
     Hls_timing.Cycle_detector.n_edges (Netlist.chain net) )
 
 let scheduled_example1 () =
@@ -61,7 +62,7 @@ let test_rollback_restores () =
   Alcotest.(check bool) "trial open" true (Netlist.in_trial net);
   Netlist.place net op_id ~step:(pl.Netlist.pl_step + 1) ~finish:(pl.Netlist.pl_finish + 1)
     ~inst_opt:pl.Netlist.pl_inst;
-  ignore (Netlist.recompute_arrival net op_id);
+  ignore (G.recompute_arrival (Netlist.graph net) op_id);
   (match pl.Netlist.pl_inst with
   | Some i -> Netlist.set_rtype net (Netlist.find_inst net i) { (Netlist.find_inst net i).Netlist.rtype with Resource.out_width = 64 }
   | None -> ());
@@ -77,11 +78,11 @@ let test_commit_idempotent_and_reference () =
   let net = s.Scheduler.s_binding.Hls_core.Binding.net in
   let before = snapshot net in
   Netlist.begin_trial net;
-  Netlist.iter_placements net (fun op _ -> ignore (Netlist.recompute_arrival net op));
+  Netlist.iter_placements net (fun op _ -> ignore (G.recompute_arrival (Netlist.graph net) op));
   Netlist.commit net;
   Alcotest.(check bool) "commit of a no-op trial is a no-op" true (snapshot net = before);
   Alcotest.(check bool) "incremental state matches the reference evaluator" true
-    (Netlist.reference_deviation net < 1e-6)
+    (G.reference_deviation (Netlist.graph net) < 1e-6)
 
 let test_nested_trial_rejected () =
   let s = scheduled_example1 () in
@@ -167,14 +168,14 @@ let prop_incremental_matches_reference =
       | Error _ -> QCheck.assume_fail ()
       | Ok s ->
           let net = s.Scheduler.s_binding.Hls_core.Binding.net in
-          let dev0 = Netlist.reference_deviation net in
+          let dev0 = G.reference_deviation (Netlist.graph net) in
           Netlist.begin_trial net;
-          Netlist.iter_placements net (fun op _ -> ignore (Netlist.recompute_arrival net op));
+          Netlist.iter_placements net (fun op _ -> ignore (G.recompute_arrival (Netlist.graph net) op));
           Netlist.rollback net;
           Netlist.begin_trial net;
-          Netlist.iter_placements net (fun op _ -> ignore (Netlist.recompute_arrival net op));
+          Netlist.iter_placements net (fun op _ -> ignore (G.recompute_arrival (Netlist.graph net) op));
           Netlist.commit net;
-          let dev1 = Netlist.reference_deviation net in
+          let dev1 = G.reference_deviation (Netlist.graph net) in
           if dev0 > 0.05 || dev1 > 0.05 then
             QCheck.Test.fail_reportf "deviation %.6f / %.6f ps exceeds tolerance" dev0 dev1
           else true)
@@ -201,7 +202,7 @@ let prop_large_design_matches_reference =
       | Error _ -> QCheck.assume_fail ()
       | Ok s ->
           let net = s.Scheduler.s_binding.Hls_core.Binding.net in
-          let dev0 = Netlist.reference_deviation net in
+          let dev0 = G.reference_deviation (Netlist.graph net) in
           let st0 = Netlist.stats net in
           let seeded = ref 0 in
           Netlist.fold_placements net (fun id pl acc -> (id, pl) :: acc) []
@@ -219,7 +220,7 @@ let prop_large_design_matches_reference =
                            ~inst_opt:(Some j.Netlist.inst_id);
                          Netlist.attach net j op_id;
                          seeded := !seeded + j.Netlist.n_bound;
-                         ignore (Netlist.propagate net j.Netlist.bound);
+                         ignore (G.propagate (Netlist.graph net) j.Netlist.bound);
                          Netlist.rollback net
                      | None -> ())
                  | None -> ());
@@ -247,7 +248,7 @@ let prop_large_design_matches_reference =
                     | Ok () -> QCheck.Test.fail_reportf "rebind of a placed op succeeded"
                     | Error _ -> ())
                 | None -> ());
-          let dev1 = Netlist.reference_deviation net in
+          let dev1 = G.reference_deviation (Netlist.graph net) in
           if dev0 > 0.05 || dev1 > 0.05 then
             QCheck.Test.fail_reportf "deviation %.6f / %.6f ps exceeds tolerance" dev0 dev1
           else true)
@@ -269,7 +270,7 @@ let test_propagation_bounded_by_change () =
   let cone = Dfg.fanout_cone_size dfg seed in
   let v0 = (Netlist.stats net).Netlist.s_visits in
   Netlist.begin_trial net;
-  ignore (Netlist.propagate net [ seed ]);
+  ignore (G.propagate (Netlist.graph net) [ seed ]);
   Netlist.rollback net;
   let visited = (Netlist.stats net).Netlist.s_visits - v0 in
   Alcotest.(check int) "unchanged arrival: only the seed is visited" 1 visited;
@@ -326,10 +327,10 @@ let test_inst_registration_linear () =
     (Printf.sprintf "registration of 5k instances took %.3fs (< 1s)" dt)
     true (dt < 1.0)
 
-(* The instance delay memo follows the instance's type: a widening
-   [set_rtype] inside a trial re-prices the instance, and rolling the
-   trial back restores the narrow delay — as does the compatibility tier
-   memoized alongside it. *)
+(* The instance delay (the graph's unit delay) follows the instance's
+   type: a widening [set_rtype] inside a trial re-prices the instance, and
+   rolling the trial back restores the narrow delay — as does the
+   compatibility tier memoized alongside it. *)
 let test_delay_memo_follows_rtype () =
   let region = synthetic_region 3 ~ops:60 in
   let net = Netlist.create ~lib ~clock_ps:1600.0 region in
@@ -358,13 +359,13 @@ let test_delay_memo_follows_rtype () =
   Netlist.set_rtype net i wide;
   Alcotest.(check (float 0.0)) "widened in the trial" d_wide (Netlist.inst_delay net i);
   Alcotest.(check (float 0.0)) "exec delay on the instance" d_wide
-    (Netlist.exec_delay net op (Some i.Netlist.inst_id));
+    (G.exec_delay (Netlist.graph net) op i.Netlist.inst_id);
   Alcotest.(check int) "fits in the trial" 0 (Netlist.compat_tier net op i);
   Netlist.rollback net;
   Alcotest.(check bool) "type restored" true (i.Netlist.rtype = narrow);
   Alcotest.(check (float 0.0)) "narrow again after rollback" d_narrow (Netlist.inst_delay net i);
   Alcotest.(check (float 0.0)) "exec delay after rollback" d_narrow
-    (Netlist.exec_delay net op (Some i.Netlist.inst_id));
+    (G.exec_delay (Netlist.graph net) op i.Netlist.inst_id);
   Alcotest.(check int) "mergeable after rollback" 1 (Netlist.compat_tier net op i)
 
 (* ---- the busy table against a naive (inst, slot) -> ops model ---- *)

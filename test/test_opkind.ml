@@ -50,16 +50,6 @@ let test_result_width () =
   Alcotest.(check int) "slice" 8 (Opkind.result_width (Opkind.Slice (9, 2)) [ 32 ]);
   Alcotest.(check int) "read uses self" 12 (Opkind.result_width ~self:12 (Opkind.Read "p") [])
 
-let prop_eval_commutative =
-  QCheck.Test.make ~name:"commutative ops commute" ~count:300
-    QCheck.(pair (int_range (-1000) 1000) (int_range (-1000) 1000))
-    (fun (a, b) ->
-      List.for_all
-        (fun k ->
-          (not (Opkind.is_commutative k)) || Opkind.eval_pure k [ a; b ] = Opkind.eval_pure k [ b; a ])
-        [ Opkind.Bin Opkind.Add; Opkind.Bin Opkind.Mul; Opkind.Bin Opkind.Band;
-          Opkind.Bin Opkind.Bor; Opkind.Bin Opkind.Eq; Opkind.Bin Opkind.Sub ])
-
 let suite =
   [
     Alcotest.test_case "arity" `Quick test_arity;
@@ -68,5 +58,4 @@ let suite =
     Alcotest.test_case "complexity ordering" `Quick test_complexity_order;
     Alcotest.test_case "eval_pure" `Quick test_eval_pure;
     Alcotest.test_case "result widths" `Quick test_result_width;
-    QCheck_alcotest.to_alcotest prop_eval_commutative;
   ]

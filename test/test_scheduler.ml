@@ -54,7 +54,7 @@ let test_table2_sequential () =
   (* the narrative: two add_state relaxations (latency 1 -> 3) *)
   Alcotest.(check int) "three passes" 3 s.Scheduler.s_passes;
   Alcotest.(check bool) "non-negative final slack" true
-    (Binding.worst_slack s.Scheduler.s_binding >= 0.0)
+    (Hls_timing.Graph.worst_slack s.Scheduler.s_binding.Binding.graph >= 0.0)
 
 let test_example2_ii2 () =
   let _, s = schedule_example1 ~ii:2 ~max_latency:4 () in
@@ -119,7 +119,7 @@ let test_relaxed_clock_shares_multiplier () =
   match Scheduler.schedule ~lib ~clock_ps:6000.0 region with
   | Ok s ->
       Alcotest.(check int) "LI = 3 (one multiplier)" 3 s.Scheduler.s_li;
-      Alcotest.(check bool) "ample slack" true (Binding.worst_slack s.Scheduler.s_binding > 1000.0)
+      Alcotest.(check bool) "ample slack" true (Hls_timing.Graph.worst_slack s.Scheduler.s_binding.Binding.graph > 1000.0)
   | Error err -> Alcotest.failf "must fit: %s" err.Scheduler.e_message
 
 let test_anchor_respected () =
@@ -293,7 +293,7 @@ let outcome (r : (Scheduler.t, Scheduler.error) result) =
       |> List.sort compare
       |> List.map (fun (id, step, inst) ->
              Printf.sprintf "%d@%d/%d:%.3f" id step (Option.value inst ~default:(-1))
-               (Hls_netlist.Netlist.endpoint_slack net id))
+               (Hls_timing.Graph.endpoint_slack (Hls_netlist.Netlist.graph net) id))
       |> String.concat " "
       |> Printf.sprintf "LI=%d passes=%d queries=%d %s" s.Scheduler.s_li st.Scheduler.st_passes
            st.Scheduler.st_queries

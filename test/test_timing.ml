@@ -1,5 +1,5 @@
-(** Timing substrate: the incremental cycle detector and the downstream
-    logic-synthesis sizing model. *)
+(** Timing substrate: the incremental cycle detector, the timing graph on
+    its own, and the downstream logic-synthesis sizing model. *)
 
 open Hls_timing
 
@@ -105,11 +105,74 @@ let test_synthesize_multi_element_path () =
   Alcotest.(check int) "both upsized" 2 r.Synthesize.s_upsized;
   Alcotest.(check bool) "feasible" true r.Synthesize.s_feasible
 
+(* ---- the timing graph without a netlist or binder ---- *)
+
+(* A hand-built 4-op chain: a port read feeding three negations, all
+   placed in step 0 off any unit *)
+let chain_graph () =
+  let open Hls_ir in
+  let dfg = Dfg.create () in
+  let ids =
+    List.map
+      (fun k -> (Dfg.add_op dfg k ~width:16).Dfg.id)
+      [ Opkind.Read "x"; Opkind.Un Opkind.Neg; Opkind.Un Opkind.Neg; Opkind.Un Opkind.Neg ]
+  in
+  List.iteri (fun k d -> if k > 0 then Dfg.connect dfg ~src:(List.nth ids (k - 1)) ~dst:d ~port:0) ids;
+  let g = Graph.create ~lib ~clock_ps:1600.0 (Region.create ~name:"chain" dfg) in
+  List.iter
+    (fun id ->
+      g.Graph.node_pass.(id) <- g.Graph.pass;
+      g.Graph.node_step.(id) <- 0;
+      g.Graph.node_finish.(id) <- 0)
+    ids;
+  Graph.recompute_all g;
+  (g, ids)
+
+let arrivals (g : Graph.t) ids = List.map (fun id -> Option.get (Graph.arrival g id)) ids
+
+(* An abandoned trial that raised one delay leaves every pre-trial arrival
+   and never fires the commit hook; a committed one fires it once per
+   re-timed node and leaves the incremental arrivals equal to the
+   reference evaluator's *)
+let test_graph_standalone_trials () =
+  let g, ids = chain_graph () in
+  let a = Array.of_list ids in
+  let before = arrivals g ids in
+  Alcotest.(check bool) "arrivals rise along the chain" true
+    (List.sort Float.compare before = before && List.nth before 3 > List.nth before 1);
+  Alcotest.(check (float 1e-9)) "settled arrivals match the reference" 0.0 (Graph.reference_deviation g);
+  let notes = ref [] in
+  Graph.on_commit g (fun id -> notes := id :: !notes);
+  let d1 = g.Graph.node_delay.(a.(1)) in
+  Graph.begin_trial g;
+  g.Graph.node_delay.(a.(1)) <- d1 +. 100.0;
+  ignore (Graph.propagate g [ a.(1) ]);
+  Alcotest.(check (float 1e-9)) "the trial sees the raised delay at the chain's end"
+    (List.nth before 3 +. 100.0) (List.nth (arrivals g ids) 3);
+  Graph.abandon g;
+  Alcotest.(check (list (float 0.0))) "abandoned: every pre-trial arrival" before (arrivals g ids);
+  g.Graph.node_delay.(a.(1)) <- d1;
+  Alcotest.(check (list int)) "abandoned: no commit note" [] !notes;
+  let d2 = g.Graph.node_delay.(a.(2)) in
+  Graph.begin_trial g;
+  g.Graph.node_delay.(a.(2)) <- d2 +. 50.0;
+  let worst, worst_op = Graph.propagate g [ a.(2) ] in
+  Graph.commit g;
+  Alcotest.(check int) "the chain's end carries the worst slack" a.(3) worst_op;
+  Alcotest.(check (float 1e-9)) "its slack" (Graph.endpoint_slack g a.(3)) worst;
+  Alcotest.(check (list int)) "committed: one note per re-timed node" [ a.(2); a.(3) ]
+    (List.sort Int.compare !notes);
+  Alcotest.(check (float 1e-9)) "committed arrival moved" (List.nth before 3 +. 50.0)
+    (List.nth (arrivals g ids) 3);
+  Alcotest.(check (float 1e-9)) "incremental = reference after the commit" 0.0
+    (Graph.reference_deviation g)
+
 let suite =
   [
     Alcotest.test_case "cycle detector basics" `Quick test_cycle_detector_basic;
     Alcotest.test_case "cycle detector idempotence" `Quick test_cycle_detector_idempotent;
     QCheck_alcotest.to_alcotest prop_detector_never_cyclic;
+    Alcotest.test_case "graph: standalone trials and the oracle" `Quick test_graph_standalone_trials;
     Alcotest.test_case "synthesize: nominal" `Quick test_synthesize_nominal;
     Alcotest.test_case "synthesize: upsizing" `Quick test_synthesize_upsizes;
     Alcotest.test_case "synthesize: infeasible" `Quick test_synthesize_infeasible;
