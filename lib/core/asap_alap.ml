@@ -95,6 +95,19 @@ let sched_succs_tagged ~guard_deps region (op : Dfg.op) =
     (fun ((a : int), ga) (b, gb) -> match Int.compare a b with 0 -> Bool.compare ga gb | c -> c)
     (data @ guarded)
 
+(** The forward (ASAP) sweep's result under one library and clock: it
+    reads neither the latency interval nor the SCC windows. *)
+type fwd = {
+  fw_lib : Library.t;
+  fw_clock : float;
+  fw_step : int array;  (** op -> ASAP step *)
+  fw_arr : float array;  (** op -> in-step arrival there *)
+}
+
+(** The backward (ALAP) sweep's result under one library, clock and
+    latency interval: it reads no SCC window either. *)
+type bwd = { bw_lib : Library.t; bw_clock : float; bw_li : int; bw_start : int array  (** op -> ALAP step *) }
+
 (** Everything {!compute} needs that depends only on the region's graph
     and the library, not on the latency interval or the SCC windows.
     Per-op tables are indexed by op id. *)
@@ -107,6 +120,8 @@ type plan = {
   p_data_preds : int list array;  (** [p_preds] minus the guard predicates *)
   p_guard_preds : int list array;  (** member guard predicates *)
   p_succs : (int * bool) list array;  (** consumers, [true] = guard edge *)
+  mutable p_fwd : fwd option;  (** the last forward sweep *)
+  mutable p_bwd : bwd option;  (** the last backward sweep *)
 }
 
 let plan ~(lib : Library.t) (region : Region.t) =
@@ -139,29 +154,19 @@ let plan ~(lib : Library.t) (region : Region.t) =
     | None -> invalid_arg "Asap_alap.compute: combinational cycle among member ops"
   in
   { p_members = members; p_order = order; p_delay; p_lat; p_preds; p_data_preds; p_guard_preds;
-    p_succs }
+    p_succs; p_fwd = None; p_bwd = None }
 
 (** Clamp a range with an anchor and an SCC stage window. *)
 let clamp_range ~anchor ~window (a, b) =
-  let a, b = match anchor with Some s -> (max a s, min b s) | None -> (a, b) in
-  match window with Some (lo, hi) -> (max a lo, min b hi) | None -> (a, b)
+  let a, b = match anchor with Some s -> (Int.max a s, Int.min b s) | None -> (a, b) in
+  match window with Some (lo, hi) -> (Int.max a lo, Int.min b hi) | None -> (a, b)
 
-(** [compute ~lib ~clock_ps ~scc_window region] analyzes all member ops.
-    [scc_window op] returns the inclusive step window imposed by a pipeline
-    SCC stage assignment, if any.  [plan] defaults to a fresh {!plan}; a
-    plan built earlier for the same region and library gives the same
-    result, whatever the latency interval now is.  Every per-op table is
-    an array indexed by op id. *)
-let compute ?plan:pl ~(lib : Library.t) ~clock_ps ?(scc_window = fun _ -> None) (region : Region.t) :
-    t =
-  let pl = match pl with Some p -> p | None -> plan ~lib region in
+(* The forward (ASAP) sweep: op -> step and in-step arrival there *)
+let forward pl ~(lib : Library.t) ~clock_ps (region : Region.t) =
   let dfg = region.Region.dfg in
   let n = Array.length region.Region.members in
-  let li = region.Region.n_steps in
-  let order = pl.p_order in
   let overhead = lib.Library.ff_setup in
   let ff = lib.Library.ff_clk_q in
-  (* ---- forward (ASAP) ---- *)
   (* op -> step, finish step, out arrival, multi-cycle; unset ops read as
      registered inputs available at step 0 *)
   let f_step = Array.make n 0 and f_fin = Array.make n 0 in
@@ -211,8 +216,15 @@ let compute ?plan:pl ~(lib : Library.t) ~clock_ps ?(scc_window = fun _ -> None) 
       f_fin.(id) <- step + lat - 1;
       f_arr.(id) <- out;
       f_multi.(id) <- lat > 1)
-    order;
-  (* ---- backward (ALAP) ---- *)
+    pl.p_order;
+  { fw_lib = lib; fw_clock = clock_ps; fw_step = f_step; fw_arr = f_arr }
+
+(* The backward (ALAP) sweep from the latency interval [li]: op -> ALAP
+   start step *)
+let backward pl ~(lib : Library.t) ~clock_ps ~li (region : Region.t) =
+  let n = Array.length region.Region.members in
+  let overhead = lib.Library.ff_setup in
+  let ff = lib.Library.ff_clk_q in
   (* op -> ALAP start step, required output time *)
   let b_start = Array.make n (li - 1) and b_req = Array.make n (clock_ps -. overhead) in
   List.iter
@@ -244,19 +256,53 @@ let compute ?plan:pl ~(lib : Library.t) ~clock_ps ?(scc_window = fun _ -> None) 
       in
       b_start.(id) <- alap_start;
       b_req.(id) <- req)
-    (List.rev order);
+    (List.rev pl.p_order);
+  { bw_lib = lib; bw_clock = clock_ps; bw_li = li; bw_start = b_start }
+
+(** [compute ~lib ~clock_ps ~scc_window region] analyzes all member ops.
+    [scc_window op] returns the inclusive step window imposed by a pipeline
+    SCC stage assignment, if any.  [plan] defaults to a fresh {!plan}; a
+    plan built earlier for the same region and library gives the same
+    result, whatever the latency interval now is.  Every per-op table is
+    an array indexed by op id.  The plan keeps its last forward sweep,
+    which depends on the library and clock alone, and its last backward
+    sweep, which also depends on the latency interval: a call that
+    repeats them reuses them.  Windows and anchors only clamp the
+    sweeps' results. *)
+let compute ?plan:pl ~(lib : Library.t) ~clock_ps ?(scc_window = fun _ -> None) (region : Region.t) :
+    t =
+  let pl = match pl with Some p -> p | None -> plan ~lib region in
+  let dfg = region.Region.dfg in
+  let n = Array.length region.Region.members in
+  let li = region.Region.n_steps in
+  let fw =
+    match pl.p_fwd with
+    | Some fw when fw.fw_lib == lib && Float.equal fw.fw_clock clock_ps -> fw
+    | _ ->
+        let fw = forward pl ~lib ~clock_ps region in
+        pl.p_fwd <- Some fw;
+        fw
+  in
+  let bw =
+    match pl.p_bwd with
+    | Some bw when bw.bw_lib == lib && Float.equal bw.bw_clock clock_ps && bw.bw_li = li -> bw
+    | _ ->
+        let bw = backward pl ~lib ~clock_ps ~li region in
+        pl.p_bwd <- Some bw;
+        bw
+  in
   (* ---- combine, clamp, detect infeasibility ---- *)
   let ranges = Array.make n None in
   let infeasible = ref [] in
   List.iter
     (fun id ->
       let op = Dfg.find dfg id in
-      let asap = f_step.(id) and arr = f_arr.(id) in
-      let alap = Int.min b_start.(id) (li - 1) in
+      let asap = fw.fw_step.(id) and arr = fw.fw_arr.(id) in
+      let alap = Int.min bw.bw_start.(id) (li - 1) in
       let asap', alap' =
         clamp_range ~anchor:op.Dfg.anchor ~window:(scc_window id) (asap, alap)
       in
       if asap' > alap' then infeasible := id :: !infeasible;
       ranges.(id) <- Some { asap = asap'; alap = Int.max asap' alap'; asap_arrival = arr })
-    order;
+    pl.p_order;
   { ranges; infeasible = List.rev !infeasible }

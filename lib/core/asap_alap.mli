@@ -32,10 +32,18 @@ val sched_preds : Region.t -> Dfg.op -> int list
 (** Ordering dependencies: distance-0 data inputs plus guard predicates,
     restricted to region members. *)
 
+type fwd
+(** A forward (ASAP) sweep, kept for its library and clock. *)
+
+type bwd
+(** A backward (ALAP) sweep, kept for its library, clock and latency
+    interval. *)
+
 (** Everything {!compute} needs that depends only on the region's graph
     and the library, not on the latency interval or the SCC windows.
-    Per-op tables are indexed by op id ([[]] / [0] for non-members). *)
-type plan = {
+    Per-op tables are indexed by op id ([[]] / [0] for non-members).
+    Only {!plan} builds one and only {!compute} writes its sweeps. *)
+type plan = private {
   p_members : Dfg.op list;  (** region members, ascending id *)
   p_order : int list;  (** members in topological order *)
   p_delay : float array;  (** {!op_delay} *)
@@ -46,6 +54,8 @@ type plan = {
   p_succs : (int * bool) list array;
       (** distance-0 data consumers and guarded members, ascending, tagged
           [true] when reached only through a guard (enable) edge *)
+  mutable p_fwd : fwd option;  (** the last forward sweep {!compute} ran *)
+  mutable p_bwd : bwd option;  (** the last backward sweep {!compute} ran *)
 }
 
 val plan : lib:Library.t -> Region.t -> plan
@@ -64,4 +74,8 @@ val compute :
   t
 (** The two sweeps (ASAP forward, ALAP backward from the current latency
     interval) and the anchor/window clamping.  [plan] defaults to a fresh
-    {!plan} of the region; pass one built earlier to skip rebuilding it. *)
+    {!plan} of the region; pass one built earlier to skip rebuilding it.
+    The forward sweep reads neither the latency interval nor the SCC
+    windows, and the backward one reads no window, so the plan keeps the
+    last of each: a call on the same library and clock reruns the forward
+    sweep never, and the backward one only for a new latency interval. *)

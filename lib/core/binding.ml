@@ -30,6 +30,7 @@ open Hls_techlib
 module Netlist = Hls_netlist.Netlist
 module Screen = Hls_netlist.Screen
 module G = Hls_timing.Graph
+module Cycles = Hls_timing.Cycle_detector
 
 type inst = Netlist.inst = {
   inst_id : int;
@@ -73,6 +74,9 @@ type counters = {
   mutable c_trial_busy : int;
   mutable c_screen_skipped : int;
   mutable c_screen_futile : int;
+  mutable c_class_busy : int;
+  mutable c_slack_bound : int;
+  mutable c_failed_visited : int;
 }
 
 (* What one (op, step) attempt prices once for all its candidates.  One
@@ -95,6 +99,8 @@ type attempt = {
   mutable a_data1 : float;  (** data arrival behind 1-input muxes, nan until needed *)
   mutable a_data2 : float;  (** ... behind 2-input (pre-allocated) muxes *)
   mutable a_gfin : float;  (** guard arrival at the finishing step, with [a_own] *)
+  mutable a_qdata2 : float;  (** {!quick_slack}'s data arrival behind 2-input muxes, nan until needed *)
+  mutable a_by_bound : bool;  (** the last candidate was rejected by the slack bound *)
 }
 
 type t = {
@@ -142,6 +148,8 @@ let create ?(timing_aware = true) ~lib ~clock_ps (region : Region.t) =
         a_data1 = nan;
         a_data2 = nan;
         a_gfin = 0.0;
+        a_qdata2 = nan;
+        a_by_bound = false;
       };
     ctr =
       {
@@ -162,6 +170,9 @@ let create ?(timing_aware = true) ~lib ~clock_ps (region : Region.t) =
         c_trial_busy = 0;
         c_screen_skipped = 0;
         c_screen_futile = 0;
+        c_class_busy = 0;
+        c_slack_bound = 0;
+        c_failed_visited = 0;
       };
   }
 
@@ -254,20 +265,29 @@ let fmax (a : float) b = if a >= b then a else b
 
 (* The quick screen's expression: the op's endpoint on [i], its source
    arrivals [srcs] each through the port's mux grown by the op's source,
-   its guard arriving at [guard] *)
+   its guard arriving at [guard].  The loop keeps its accumulator in a
+   local variable and reads the mux delays from the graph's table, so it
+   boxes no float *)
 let quick_slack_of t (op : Dfg.op) ~(srcs : float array) ~guard (i : inst) =
   let d = t.graph.G.unit_delay.(i.inst_id) in
-  let rec data acc k = function
-    | [] -> acc
-    | (e : Dfg.edge) :: rest ->
+  let data = ref t.lib.Library.ff_clk_q and k = ref 0 in
+  let rest = ref (Dfg.in_edges t.dfg op.Dfg.id) in
+  while
+    match !rest with
+    | [] -> false
+    | (e : Dfg.edge) :: tl ->
         (* size the mux by the port's distinct sources after the
            hypothetical bind — a source already feeding this port on the
            instance adds no mux input *)
         let inputs = Netlist.mux_inputs_with t.net i ~port:e.Dfg.port ~src:e.Dfg.src in
-        data (fmax acc (srcs.(k) +. Library.mux_delay t.lib ~inputs)) (k + 1) rest
-  in
-  let data = data t.lib.Library.ff_clk_q 0 (Dfg.in_edges t.dfg op.Dfg.id) in
-  t.clock_ps -. (fmax (data +. d) guard +. t.graph.G.reg_mux +. t.lib.Library.ff_setup)
+        data := fmax !data (srcs.(!k) +. t.graph.G.mux_tab.(inputs));
+        incr k;
+        rest := tl;
+        true
+  do
+    ()
+  done;
+  t.clock_ps -. (fmax (!data +. d) guard +. t.graph.G.reg_mux +. t.lib.Library.ff_setup)
 
 (** Cheap feasibility screen before the full trial binding: the op's own
     endpoint path on [inst] (inputs via the grown sharing mux, instance
@@ -289,9 +309,7 @@ let widens t (op : Dfg.op) (i : inst) =
 
 (* does binding the op whose in-edge is [e] on [i] grow the effective
    mux of [e]'s port?  Measured against the committed mux caches *)
-let grows t (i : inst) (e : Dfg.edge) =
-  Netlist.mux_inputs_with t.net i ~port:e.Dfg.port ~src:e.Dfg.src
-  <> Netlist.mux_inputs t.net i ~port:e.Dfg.port
+let grows t (i : inst) (e : Dfg.edge) = Netlist.mux_grows t.net i ~port:e.Dfg.port ~src:e.Dfg.src
 
 (** The ports of [i] that gain an effective mux input when [op] binds to
     it, as a set (bit [p] for port [p]) — measured against the committed
@@ -399,6 +417,7 @@ let begin_attempt t (op : Dfg.op) ~step =
   a.a_own <- 0;
   a.a_data1 <- nan;
   a.a_data2 <- nan;
+  a.a_qdata2 <- nan;
   a.a_pre_ok <- false;
   if finish > t.region.Region.n_steps - 1 then a.a_pre <- Restraint.F_window
   else if (match op.Dfg.anchor with Some s -> s <> step | None -> false) then
@@ -445,19 +464,53 @@ let attempt_own_slack t (op : Dfg.op) (i : inst) =
     G.slack_of t.graph ~arrival:(data +. t.graph.G.unit_delay.(i.inst_id)) ~guard:a.a_gfin
   end
 
+(* An upper bound on {!quick_slack} of the attempt's op on the loaded
+   [i], exact in floats: the same expression with every source behind a
+   2-input mux, the fewest inputs a grown mux has when {!grown_muxes_shared}
+   holds ([Library.mux_delay] does not fall as inputs grow).  The data
+   arrival is priced once per attempt, so the bound depends on the
+   instance delay alone: one value per instance type *)
+let slack_bound t (op : Dfg.op) (i : inst) =
+  let a = t.att in
+  if Float.is_nan a.a_qdata2 then begin
+    let mux = t.graph.G.mux_tab.(2) in
+    let rec data acc k = function
+      | [] -> acc
+      | _ :: rest -> data (fmax acc (a.a_srcs.(k) +. mux)) (k + 1) rest
+    in
+    a.a_qdata2 <-
+      (* where muxes speed up with inputs, only the guard term bounds *)
+      (if t.lib.Library.d_mux_per_extra_input < 0.0 then neg_infinity
+       else data t.lib.Library.ff_clk_q 0 (Dfg.in_edges t.dfg op.Dfg.id))
+  end;
+  let d = t.graph.G.unit_delay.(i.inst_id) in
+  t.clock_ps -. (fmax (a.a_qdata2 +. d) a.a_guard +. t.graph.G.reg_mux +. t.lib.Library.ff_setup)
+
+(* Does every mux the op's bind on the loaded [i] grows have at least 2
+   inputs?  So when the instance pre-allocates its muxes, or when every
+   port the op reads already has a source other than the op's own *)
+let grown_muxes_shared t (op : Dfg.op) (i : inst) =
+  let rec shared = function
+    | [] -> true
+    | (e : Dfg.edge) :: rest ->
+        let n = Netlist.src_count t.net i ~port:e.Dfg.port in
+        (n >= 2 || (n = 1 && Netlist.mux_inputs_with t.net i ~port:e.Dfg.port ~src:e.Dfg.src >= 2))
+        && shared rest
+  in
+  i.prealloc_shared || shared (Dfg.in_edges t.dfg op.Dfg.id)
+
 (* would binding the op on [i] close a structural combinational cycle
-   through an instance chaining into it? *)
+   through an instance chaining into it?  The chain sources are fixed for
+   the attempt, so one backward search from them answers every candidate:
+   [i] closes a cycle exactly when it reaches one of them *)
 let closes_cycle t (op : Dfg.op) (i : inst) =
   let a = t.att in
   if not a.a_chain_ok then begin
     a.a_chain <- Netlist.chain_source_insts t.net op.Dfg.id ~step:a.a_step;
+    (match a.a_chain with [] -> () | l -> Cycles.mark_reaching (Netlist.chain t.net) l);
     a.a_chain_ok <- true
   end;
-  let rec any = function
-    | [] -> false
-    | j :: rest -> Netlist.would_close_cycle t.net ~src:j ~dst:i.inst_id || any rest
-  in
-  any a.a_chain
+  match a.a_chain with [] -> false | _ :: _ -> Cycles.reaches (Netlist.chain t.net) i.inst_id
 
 (* does a cohabitant in some step of [step]..[finish] conflict with the
    op, honouring edge equivalence and predicate orthogonality? *)
@@ -513,6 +566,7 @@ let trial t (op : Dfg.op) ~inst_opt ~changed_ports =
 let check_inst t (op : Dfg.op) (i : inst) : (unit, Restraint.fail) result =
   let net = t.net and a = t.att and c = t.ctr in
   c.c_visited <- c.c_visited + 1;
+  a.a_by_bound <- false;
   if is_forbidden t.excl ~op:op.Dfg.id ~inst:i.inst_id then begin
     c.c_forbid <- c.c_forbid + 1;
     Error Restraint.F_forbidden
@@ -541,16 +595,25 @@ let check_inst t (op : Dfg.op) (i : inst) : (unit, Restraint.fail) result =
   end
   else begin
     (* cheap endpoint screen before the expensive trial (timing-aware
-       mode only; the naive ablation stays blind to mux effects) *)
+       mode only; the naive ablation stays blind to mux effects).  Where
+       the slack bound is already below tolerance the screen rejects too:
+       the rejection then carries the bound, which the attempt replaces
+       by the exact screen value where a pass reads it *)
     let sl =
       if t.timing_aware && i.n_bound > 0 then begin
         attempt_srcs t op;
-        quick_slack_of t op ~srcs:a.a_srcs ~guard:a.a_guard i
+        let b = slack_bound t op i in
+        if b < -0.001 && grown_muxes_shared t op i then begin
+          a.a_by_bound <- true;
+          b
+        end
+        else quick_slack_of t op ~srcs:a.a_srcs ~guard:a.a_guard i
       end
       else infinity
     in
     if sl < -0.001 then begin
-      c.c_quick_slack <- c.c_quick_slack + 1;
+      if a.a_by_bound then c.c_slack_bound <- c.c_slack_bound + 1
+      else c.c_quick_slack <- c.c_quick_slack + 1;
       Error (Restraint.F_slack sl)
     end
     else if a.a_lat = 1 && closes_cycle t op i then begin
@@ -609,24 +672,36 @@ let prelude_failed t =
        true
      end
 
-let count_attempt t ~bound =
+let count_attempt t ~visited0 ~bound =
   let c = t.ctr in
-  if bound then c.c_bound <- c.c_bound + 1 else c.c_failed <- c.c_failed + 1
+  if bound then c.c_bound <- c.c_bound + 1
+  else begin
+    c.c_failed <- c.c_failed + 1;
+    c.c_failed_visited <- c.c_failed_visited + (c.c_visited - visited0)
+  end
+
+(* the exact {!quick_slack} of the attempt's op on instance [id] *)
+let exact_slack t (op : Dfg.op) id =
+  Restraint.F_slack (quick_slack_of t op ~srcs:t.att.a_srcs ~guard:t.att.a_guard (Netlist.find_inst t.net id))
 
 (** Attempt to bind [op] at [step] on [inst_opt] ([None] for wire and port
     ops): an attempt with one candidate.  The candidate runs inside a
     netlist transaction: on failure the trial is rolled back and the state
     is left untouched. *)
 let try_bind t (op : Dfg.op) ~step ~inst_opt : (unit, Restraint.fail) result =
+  let visited0 = t.ctr.c_visited in
   begin_attempt t op ~step;
   let r =
     if prelude_failed t then Error t.att.a_pre
     else
       match inst_opt with
-      | Some id -> check_inst t op (Netlist.find_inst t.net id)
+      | Some id -> (
+          match check_inst t op (Netlist.find_inst t.net id) with
+          | Error (Restraint.F_slack _) when t.att.a_by_bound -> Error (exact_slack t op id)
+          | r -> r)
       | None -> check_wire t op
   in
-  count_attempt t ~bound:(Result.is_ok r);
+  count_attempt t ~visited0 ~bound:(Result.is_ok r);
   r
 
 (* The candidate cursor over {!Netlist.next_candidate}: slot [k] of the
@@ -641,6 +716,42 @@ let cursor_next t (op : Dfg.op) cur =
     if k >= 0 then (2 * k) + 1 else -1
   else -1
 
+(* The all-busy verdict.  An unguarded op conflicts with any occupant,
+   so with no forbidden pair and no dedication in force the first check
+   that decides each of its candidates is the busy one.  When some slot of
+   its span has every instance of its class occupied, each candidate
+   therefore rejects [F_busy] of its own type, which is what the walk
+   would find one candidate at a time *)
+let class_busy t (op : Dfg.op) =
+  let x = t.excl and a = t.att in
+  Guard.is_always op.Dfg.guard
+  && Array.length x.dedicated = 0
+  && (op.Dfg.id >= Array.length x.forbidden
+     || match x.forbidden.(op.Dfg.id) with [] -> true | _ :: _ -> false)
+  && Netlist.class_saturated t.net op ~step:a.a_step ~finish:a.a_finish
+
+(* the walk's failures under the all-busy verdict, cursor [first] on *)
+let all_busy t (op : Dfg.op) first =
+  let rec go fails cur =
+    let i = Netlist.candidate_at t.net op (cur lsr 1) in
+    t.ctr.c_class_busy <- t.ctr.c_class_busy + 1;
+    let fails = Restraint.F_busy i.rtype :: fails in
+    let next = cursor_next t op cur in
+    if next < 0 then fails else go fails next
+  in
+  go [] first
+
+(* [fails] with its first slack rejection — the last in walk order, the
+   one a pass records — priced exactly when the slack bound decided it
+   on instance [id] (-1: it did not) *)
+let exact_last_slack t (op : Dfg.op) id fails =
+  let rec fix = function
+    | Restraint.F_slack _ :: rest -> exact_slack t op id :: rest
+    | f :: rest -> f :: fix rest
+    | [] -> []
+  in
+  if id < 0 then fails else fix fails
+
 (** Bind [op] at [step] on its first candidate that takes it: every
     instance compatible with it in {!compatible_insts} order, or the op
     alone when it is a wire or port op.  [[]] when it bound; otherwise the
@@ -648,6 +759,7 @@ let cursor_next t (op : Dfg.op) cur =
     candidate the same way and is returned once; an op with no compatible
     instance fails with [F_no_resource]. *)
 let attempt t (op : Dfg.op) ~step =
+  let visited0 = t.ctr.c_visited in
   let resource = Opkind.is_resource_op op.Dfg.kind in
   let first = if resource then cursor_next t op (-1) else 0 in
   let fails =
@@ -657,18 +769,27 @@ let attempt t (op : Dfg.op) ~step =
       begin_attempt t op ~step;
       if prelude_failed t then [ t.att.a_pre ]
       else if not resource then match check_wire t op with Ok () -> [] | Error f -> [ f ]
+      else if class_busy t op then all_busy t op first
       else
-        let rec go fails cur =
-          match check_inst t op (Netlist.candidate_at t.net op (cur lsr 1)) with
+        (* [bounded]: the instance whose slack rejection, the latest in
+           walk order, the bound decided, or -1 *)
+        let rec go fails bounded cur =
+          let i = Netlist.candidate_at t.net op (cur lsr 1) in
+          match check_inst t op i with
           | Ok () -> []
           | Error f ->
+              let bounded =
+                match f with
+                | Restraint.F_slack _ -> if t.att.a_by_bound then i.inst_id else -1
+                | _ -> bounded
+              in
               let next = cursor_next t op cur in
-              if next < 0 then f :: fails else go (f :: fails) next
+              if next < 0 then exact_last_slack t op bounded (f :: fails) else go (f :: fails) bounded next
         in
-        go [] first
+        go [] (-1) first
     end
   in
-  count_attempt t ~bound:(match fails with [] -> true | _ -> false);
+  count_attempt t ~visited0 ~bound:(match fails with [] -> true | _ -> false);
   fails
 
 (** Re-apply a binding already vetted and committed by an earlier pass,

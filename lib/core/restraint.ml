@@ -51,14 +51,16 @@ let to_string r =
     failed operations ("Restraint analysis is done for the fanin cones of
     the failed operations"). *)
 let weight_by_proximity (dfg : Hls_ir.Dfg.t) (restraints : t list) =
-  let fatal_ops = List.filter_map (fun r -> if r.r_fatal then Some r.r_op else None) restraints in
-  let cone = Hashtbl.create 32 in
+  (* the cone as one byte per op id: ['\001'] once reached *)
+  let cone = Bytes.make (Hls_ir.Dfg.size dfg) '\000' in
   let rec up id =
-    if not (Hashtbl.mem cone id) then begin
-      Hashtbl.replace cone id ();
+    if Bytes.get cone id = '\000' then begin
+      Bytes.set cone id '\001';
       List.iter (fun e -> if e.Hls_ir.Dfg.distance = 0 then up e.Hls_ir.Dfg.src) (Hls_ir.Dfg.in_edges dfg id)
     end
   in
-  List.iter up fatal_ops;
-  List.iter (fun r -> if (not r.r_fatal) && Hashtbl.mem cone r.r_op then r.r_weight <- r.r_weight +. 0.4) restraints;
+  List.iter (fun r -> if r.r_fatal then up r.r_op) restraints;
+  List.iter
+    (fun r -> if (not r.r_fatal) && Bytes.get cone r.r_op <> '\000' then r.r_weight <- r.r_weight +. 0.4)
+    restraints;
   restraints

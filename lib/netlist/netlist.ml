@@ -67,6 +67,20 @@ type inst = {
 
 type placement = { pl_step : int; pl_finish : int; pl_inst : int option }
 
+(** The instances of one resource class, in registration order and in
+    candidate order.  An instance never changes class: {!set_rtype} only
+    widens within one. *)
+type iclass = {
+  ic_class : Opkind.rclass;
+  mutable ic_rev : inst list;  (** newest first *)
+  mutable ic_memo : inst list option;  (** registration order *)
+  mutable ic_order : inst array;
+      (** the first [ic_len] slots: the class in ascending (load, id)
+          order, load being [n_bound] (see {!next_candidate}) *)
+  mutable ic_len : int;
+  ic_id : int;  (** the class's key in the occupancy counts, dense from 0 *)
+}
+
 (** Structural undo log entry: each records the absolute prior value, so
     replaying the log newest-first leaves the oldest (pre-trial) value in
     place for every mutated location. *)
@@ -78,6 +92,7 @@ type undo =
   | U_mux of inst * int list array option * int array * float array
       (** the caches and the graph's mux-delay array of the instance *)
   | U_busy of int list ref * int list
+  | U_occ of int ref  (** a class's occupancy count went up by one *)
 
 type stats = {
   s_queries : int;  (** netlist timing queries (arrival recomputations) *)
@@ -91,21 +106,9 @@ type stats = {
       (** instances visited by the structural-cycle detector's searches *)
 }
 
-(** The instances of one resource class, in registration order and in
-    candidate order.  An instance never changes class: {!set_rtype} only
-    widens within one. *)
-type iclass = {
-  ic_class : Opkind.rclass;
-  mutable ic_rev : inst list;  (** newest first *)
-  mutable ic_memo : inst list option;  (** registration order *)
-  mutable ic_order : inst array;
-      (** the first [ic_len] slots: the class in ascending (load, id)
-          order, load being [n_bound] (see {!next_candidate}) *)
-  mutable ic_len : int;
-}
-
 (* filler for ops of no class: an empty order *)
-let no_class = { ic_class = Opkind.R_wire; ic_rev = []; ic_memo = Some []; ic_order = [||]; ic_len = 0 }
+let no_class =
+  { ic_class = Opkind.R_wire; ic_rev = []; ic_memo = Some []; ic_order = [||]; ic_len = 0; ic_id = -1 }
 
 (** The busy table: (instance, slot) -> the ops occupying it.  Open
     addressing with linear probing over parallel arrays, hashed by a
@@ -116,16 +119,19 @@ let no_class = { ic_class = Opkind.R_wire; ic_rev = []; ic_memo = Some []; ic_or
     restores a cell's list, not its key), so a probe stops at the first
     free cell.  The capacity is a power of two at least twice the live
     cells: it follows the slots actually occupied, not the latency bound.
-    The lists sit in refs so that undo entries stay valid across a
-    rehash. *)
-type busy = {
+    The values sit in refs so that undo entries stay valid across a
+    rehash.  The same table, keyed by (class, slot), holds the occupancy
+    counts: how many instances of the class have an occupant in the
+    slot. *)
+type 'a busy = {
   mutable bz_stamp : int array;
-  mutable bz_inst : int array;
+  mutable bz_inst : int array;  (** instance, or class for the counts *)
   mutable bz_slot : int array;
-  mutable bz_ops : int list ref array;
+  mutable bz_val : 'a ref array;
   mutable bz_bits : int;  (** log2 of the capacity *)
   mutable bz_live : int;  (** live cells, counted for pass [bz_pass] *)
   mutable bz_pass : int;
+  bz_free : 'a ref;  (** shared filler for free cells: never handed out, never written *)
 }
 
 type t = {
@@ -150,7 +156,8 @@ type t = {
       (** guard predecessor (op id) -> placed ops whose guard reads it *)
   gpos : int array option array;
       (** op -> positions in each pred's bucket, parallel to its guard preds *)
-  busy : busy;  (** (instance, slot) -> ops occupying it, this pass *)
+  busy : int list busy;  (** (instance, slot) -> ops occupying it, this pass *)
+  occ : int busy;  (** (class id, slot) -> its instances with an occupant there, this pass *)
   chain : Hls_timing.Cycle_detector.t;
   mutable undo_log : undo list;
   mutable n_trials : int;
@@ -182,13 +189,10 @@ let clock_ps t = t.clock_ps
 let dfg t = t.dfg
 let graph t = t.g
 
-(* shared filler for free busy cells: never handed out, never written *)
-let no_ops = ref []
-
-let busy_make bits =
+let busy_make bits free =
   let n = 1 lsl bits in
   { bz_stamp = Array.make n 0; bz_inst = Array.make n 0; bz_slot = Array.make n 0;
-    bz_ops = Array.make n no_ops; bz_bits = bits; bz_live = 0; bz_pass = 0 }
+    bz_val = Array.make n free; bz_bits = bits; bz_live = 0; bz_pass = 0; bz_free = free }
 
 let extended a cap d =
   let b = Array.make cap d in
@@ -217,7 +221,10 @@ let iclass t rclass =
   match List.find_opt (fun c -> Opkind.equal_rclass c.ic_class rclass) t.classes with
   | Some c -> c
   | None ->
-      let c = { ic_class = rclass; ic_rev = []; ic_memo = Some []; ic_order = [||]; ic_len = 0 } in
+      let c =
+        { ic_class = rclass; ic_rev = []; ic_memo = Some []; ic_order = [||]; ic_len = 0;
+          ic_id = List.length t.classes }
+      in
       t.classes <- c :: t.classes;
       c
 
@@ -324,10 +331,6 @@ let class_insts t (op : Dfg.op) = class_list (class_of_op t op)
 
 let find_inst t id =
   if id >= 0 && id < t.next_inst_id then t.inst_arr.(id) else raise Not_found
-
-(** [Library.delay] of the instance's current type, kept in the graph's
-    unit table by {!add_inst} and every type change. *)
-let inst_delay t i = t.g.G.unit_delay.(i.inst_id)
 
 (** How an instance of [op]'s class can host [op]: 0 when its type already
     fits the op's need, 1 when it can be widened to, 2 when neither.  One
@@ -477,13 +480,6 @@ let fold_placements t f acc =
   iter_placements t (fun id pl -> acc := f id pl !acc);
   !acc
 
-let n_placed t =
-  let n = ref 0 in
-  for id = 0 to Array.length t.pl_gen - 1 do
-    if placed t id then incr n
-  done;
-  !n
-
 let slot t step = if Region.is_pipelined t.region then step mod Region.ii t.region else step
 
 (* Fibonacci hash of (inst, slot) onto [bits] bits: the multiply mixes
@@ -493,9 +489,7 @@ let busy_hash (inst : int) (sl : int) bits =
   (((inst lsl 31) lxor sl) * 0x1E3779B97F4A7C15) lsr (Sys.int_size - bits)
 
 (* the live cell of (inst, slot) when >= 0, else [-1 - free cell] *)
-let busy_find t inst sl =
-  let b = t.busy in
-  let pass = t.g.G.pass in
+let busy_find b ~pass inst sl =
   let mask = Array.length b.bz_stamp - 1 in
   let rec probe k =
     if b.bz_stamp.(k) <> pass then -1 - k
@@ -505,66 +499,65 @@ let busy_find t inst sl =
   probe (busy_hash inst sl b.bz_bits)
 
 (* double the capacity, carrying over this pass's live cells *)
-let busy_grow t =
-  let b = t.busy in
+let busy_grow b ~pass =
   let old_stamp = b.bz_stamp and old_inst = b.bz_inst and old_slot = b.bz_slot in
-  let old_ops = b.bz_ops in
-  let g = busy_make (b.bz_bits + 1) in
+  let old_val = b.bz_val in
+  let g = busy_make (b.bz_bits + 1) b.bz_free in
   b.bz_stamp <- g.bz_stamp;
   b.bz_inst <- g.bz_inst;
   b.bz_slot <- g.bz_slot;
-  b.bz_ops <- g.bz_ops;
+  b.bz_val <- g.bz_val;
   b.bz_bits <- g.bz_bits;
   Array.iteri
     (fun k st ->
-      if st = t.g.G.pass then begin
-        let j = -1 - busy_find t old_inst.(k) old_slot.(k) in
+      if st = pass then begin
+        let j = -1 - busy_find b ~pass old_inst.(k) old_slot.(k) in
         b.bz_stamp.(j) <- st;
         b.bz_inst.(j) <- old_inst.(k);
         b.bz_slot.(j) <- old_slot.(k);
-        b.bz_ops.(j) <- old_ops.(k)
+        b.bz_val.(j) <- old_val.(k)
       end)
     old_stamp
 
-let rec busy_ref t inst step =
-  let sl = slot t step in
-  let k = busy_find t inst sl in
-  if k >= 0 then t.busy.bz_ops.(k)
+(* the live value of (inst, slot), claimed with [empty] when absent *)
+let rec busy_cell b ~pass inst sl (empty : 'a) : 'a ref =
+  let k = busy_find b ~pass inst sl in
+  if k >= 0 then b.bz_val.(k)
   else begin
-    let b = t.busy in
-    let pass = t.g.G.pass in
     if b.bz_pass <> pass then begin
       b.bz_pass <- pass;
       b.bz_live <- 0
     end;
     if 2 * (b.bz_live + 1) > Array.length b.bz_stamp then begin
-      busy_grow t;
-      busy_ref t inst step
+      busy_grow b ~pass;
+      busy_cell b ~pass inst sl empty
     end
     else begin
       let j = -1 - k in
-      let r = ref [] in
+      let r = ref empty in
       b.bz_stamp.(j) <- pass;
       b.bz_inst.(j) <- inst;
       b.bz_slot.(j) <- sl;
-      b.bz_ops.(j) <- r;
+      b.bz_val.(j) <- r;
       b.bz_live <- b.bz_live + 1;
       r
     end
   end
 
+let busy_ref t inst step = busy_cell t.busy ~pass:t.g.G.pass inst (slot t step) []
+
 (* a read: a missing slot is empty, and stays absent from the table *)
 let busy_ops t inst step =
-  let k = busy_find t inst (slot t step) in
-  if k >= 0 then !(t.busy.bz_ops.(k)) else []
+  let k = busy_find t.busy ~pass:t.g.G.pass inst (slot t step) in
+  if k >= 0 then !(t.busy.bz_val.(k)) else []
 
 let dump_busy t =
   let b = t.busy in
   let acc = ref [] in
   Array.iteri
     (fun k st ->
-      if st = t.g.G.pass && !(b.bz_ops.(k)) <> [] then
-        acc := ((b.bz_inst.(k), b.bz_slot.(k)), List.sort Int.compare !(b.bz_ops.(k))) :: !acc)
+      if st = t.g.G.pass && !(b.bz_val.(k)) <> [] then
+        acc := ((b.bz_inst.(k), b.bz_slot.(k)), List.sort Int.compare !(b.bz_val.(k))) :: !acc)
     b.bz_stamp;
   List.sort
     (fun (((i : int), (s : int)), _) ((i', s'), _) ->
@@ -643,8 +636,6 @@ let guard_index_remove t op_id =
 
 (* --- transactions --- *)
 
-let in_trial t = t.g.G.trial_on
-
 let begin_trial t =
   if t.g.G.trial_on then invalid_arg "Netlist.begin_trial: trial already active";
   G.begin_trial t.g;
@@ -686,7 +677,8 @@ let rollback t =
           i.mux_cache <- mc;
           i.mux_n <- mn;
           t.g.G.unit_mux.(i.inst_id) <- md
-      | U_busy (r, l) -> r := l)
+      | U_busy (r, l) -> r := l
+      | U_occ r -> decr r)
     t.undo_log;
   G.abandon t.g;
   t.undo_log <- [];
@@ -763,7 +755,7 @@ let attach t i op_id =
           let d' = Array.copy d in
           for p = 0 to Int.min (Array.length d') (Array.length n') - 1 do
             if n'.(p) <> i.mux_n.(p) then
-              d'.(p) <- Library.mux_delay t.lib ~inputs:(effective_inputs i n'.(p))
+              d'.(p) <- t.g.G.mux_tab.(effective_inputs i n'.(p))
           done;
           t.g.G.unit_mux.(i.inst_id) <- d'
         end;
@@ -779,12 +771,33 @@ let set_rtype t i rt =
     invalidate_mux t i
   end
 
+(* one more instance of [c] occupied in slot [sl]: its first occupant *)
+let occ_incr t c sl =
+  let r = busy_cell t.occ ~pass:t.g.G.pass c.ic_id sl 0 in
+  incr r;
+  if t.g.G.trial_on then t.undo_log <- U_occ r :: t.undo_log
+
 let occupy t ~inst_id ~step ~finish op_id =
   for s = step to finish do
     let r = busy_ref t inst_id s in
+    (match !r with [] -> occ_incr t t.cls_of.(inst_id) (slot t s) | _ :: _ -> ());
     if t.g.G.trial_on then t.undo_log <- U_busy (r, !r) :: t.undo_log;
     r := op_id :: !r
   done
+
+(** Does some step of [step]..[finish] have every instance of [op]'s class
+    occupied in its slot?  One count per (class, slot), kept by {!occupy}
+    and undone by {!rollback}; {!reset_pass} voids them with the pass
+    stamp. *)
+let class_saturated t (op : Dfg.op) ~step ~finish =
+  let c = class_of_op t op and b = t.occ in
+  let rec from s =
+    s <= finish
+    &&
+    let k = busy_find b ~pass:t.g.G.pass c.ic_id (slot t s) in
+    (k >= 0 && !(b.bz_val.(k)) >= c.ic_len) || from (s + 1)
+  in
+  c.ic_len > 0 && from step
 
 (** {2 Mux structure} *)
 
@@ -830,6 +843,13 @@ let mux_inputs_with t inst ~port ~src =
   let n = src_count t inst ~port in
   effective_inputs inst (if List.memq src (port_srcs t inst ~port) then n else n + 1)
 
+(* [mux_inputs_with] differs from [mux_inputs] exactly when [src] is new
+   to the port and, on a pre-allocated instance, the port already had two
+   sources or more *)
+let mux_grows t inst ~port ~src =
+  (src_count t inst ~port >= 2 || not inst.prealloc_shared)
+  && not (List.memq src (port_srcs t inst ~port))
+
 (* the graph's mux fill: rebuild the instance's per-port mux delays from
    its source caches *)
 let in_mux_delay_fill t inst ~port =
@@ -837,12 +857,10 @@ let in_mux_delay_fill t inst ~port =
   (* the call above guarantees mux_cache covers [port] *)
   let c = match inst.mux_cache with Some c -> c | None -> [||] in
   let d =
-    Array.init (Array.length c) (fun p -> Library.mux_delay t.lib ~inputs:(mux_inputs t inst ~port:p))
+    Array.init (Array.length c) (fun p -> t.g.G.mux_tab.(mux_inputs t inst ~port:p))
   in
   t.g.G.unit_mux.(inst.inst_id) <- d;
-  if port < Array.length d then d.(port) else Library.mux_delay t.lib ~inputs:(mux_inputs t inst ~port)
-
-let in_mux_delay t inst ~port = G.input_mux t.g inst.inst_id port
+  if port < Array.length d then d.(port) else t.g.G.mux_tab.(mux_inputs t inst ~port)
 
 let create ~lib ~clock_ps (region : Region.t) =
   let dfg = region.Region.dfg in
@@ -887,7 +905,8 @@ let create ~lib ~clock_ps (region : Region.t) =
       pl_inst = g.G.node_unit;
       gslots = g.G.gslots;
       gpos = Array.make cap None;
-      busy = busy_make 6;
+      busy = busy_make 6 (ref []);
+      occ = busy_make 4 (ref 0);
       chain = Hls_timing.Cycle_detector.create ();
       undo_log = [];
       n_trials = 0;
@@ -952,7 +971,7 @@ let empty_bind_slack t (op : Dfg.op) ~step ~finish ~(inst : inst) =
     let srcs = Array.make (List.length (Dfg.in_edges t.dfg op.Dfg.id)) 0.0 in
     G.source_arrivals t.g op ~step srcs;
     let data = G.own_data t.g op ~srcs ~inputs:(if inst.prealloc_shared then 2 else 1) in
-    G.slack_of t.g ~arrival:(data +. inst_delay t inst) ~guard:(G.guard_arrival t.g ~step:finish op)
+    G.slack_of t.g ~arrival:(data +. t.g.G.unit_delay.(inst.inst_id)) ~guard:(G.guard_arrival t.g ~step:finish op)
   end
 
 let mark_forced t = t.forced <- true
@@ -979,8 +998,6 @@ let chain_source_insts t op_id ~step =
   in
   List.iter (fun e -> if e.Dfg.distance = 0 then visit e.Dfg.src) (Dfg.in_edges t.dfg op_id);
   List.sort_uniq Int.compare !acc
-
-let would_close_cycle t ~src ~dst = Hls_timing.Cycle_detector.would_close_cycle t.chain ~src ~dst
 
 let chain t = t.chain
 

@@ -65,7 +65,10 @@ val region : t -> Region.t
 val lib : t -> Library.t
 val clock_ps : t -> float
 val dfg : t -> Dfg.t
+
 val chain : t -> Hls_timing.Cycle_detector.t
+(** The structural-cycle detector over the instances: {!add_chain_edge}
+    records its edges, {!reset_pass} clears them. *)
 
 val graph : t -> Hls_timing.Graph.t
 (** The timing graph: its nodes are the ops, its units the instances.
@@ -102,10 +105,6 @@ val resource_of : t -> Dfg.op -> Resource.t option
 
 val add_inst : ?added_by_expert:bool -> t -> Resource.t -> inst
 val find_inst : t -> int -> inst
-
-val inst_delay : t -> inst -> float
-(** [Library.delay] of the instance's current type: its unit delay in the
-    graph, set by {!add_inst} and every type change. *)
 
 val inst_epoch : t -> inst -> int
 (** The epoch of the instance's last change: its bound ops, its type or
@@ -152,14 +151,19 @@ val iter_placements : t -> (int -> placement -> unit) -> unit
 val fold_placements : t -> (int -> placement -> 'a -> 'a) -> 'a -> 'a
 (** Fold over placed ops in ascending id order. *)
 
-val n_placed : t -> int
-
 val slot : t -> int -> int
 (** Modulo slot of a control step ([step mod II] when pipelined). *)
 
 val busy_ops : t -> int -> int -> int list
 (** [busy_ops t inst_id step] — ops occupying the instance in the step's
     slot.  A read: it never adds an entry to the busy table. *)
+
+val class_saturated : t -> Dfg.op -> step:int -> finish:int -> bool
+(** Does some step of [step]..[finish] have every instance of [op]'s class
+    occupied in its slot?  Read from a count per (class, slot) that
+    {!occupy} keeps under the trial journal and the pass stamp, so
+    {!rollback} and {!reset_pass} stay as cheap as before.  False for a
+    class with no instance. *)
 
 val dump_busy : t -> ((int * int) * int list) list
 (** Non-empty busy entries as [((inst, slot), sorted ops)], sorted — for
@@ -169,8 +173,6 @@ val op_latency : t -> Dfg.op -> int
 val is_multicycle : t -> Dfg.op -> bool
 
 (** {2 Transactions} *)
-
-val in_trial : t -> bool
 
 val begin_trial : t -> unit
 (** Open a trial: subsequent mutations are journaled and arrival writes
@@ -199,10 +201,6 @@ val occupy : t -> inst_id:int -> step:int -> finish:int -> int -> unit
 
 (** {2 Mux structure} *)
 
-val port_srcs : t -> inst -> port:int -> int list
-(** Distinct sources feeding the port over the instance's bound ops
-    (cached). *)
-
 val mux_inputs : t -> inst -> port:int -> int
 
 val mux_inputs_with : t -> inst -> port:int -> src:int -> int
@@ -210,9 +208,9 @@ val mux_inputs_with : t -> inst -> port:int -> src:int -> int
     on this port comes from [src]: a source already feeding the port adds
     no mux input. *)
 
-val in_mux_delay : t -> inst -> port:int -> float
-(** The port's mux delay ({!Hls_timing.Graph.input_mux} of the instance),
-    rebuilt from the source caches when stale. *)
+val mux_grows : t -> inst -> port:int -> src:int -> bool
+(** Would a bind whose [port] input comes from [src] change the port's
+    effective mux inputs ({!mux_inputs_with} against {!mux_inputs})? *)
 
 val src_count : t -> inst -> port:int -> int
 (** Distinct sources feeding the port (cached): {!mux_inputs} before
@@ -244,7 +242,6 @@ val forced : t -> bool
 (** {2 Structural cycles} *)
 
 val chain_source_insts : t -> int -> step:int -> int list
-val would_close_cycle : t -> src:int -> dst:int -> bool
 val add_chain_edge : t -> src:int -> dst:int -> unit
 
 (** {2 Reporting} *)

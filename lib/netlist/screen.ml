@@ -291,7 +291,7 @@ let grow_ports s (inst : Netlist.inst) ports =
     if !m land 1 = 1 then begin
       let n = Netlist.src_count s.net inst ~port:!p + 1 in
       let n = if inst.Netlist.prealloc_shared then Int.max n 2 else n in
-      let gr = Library.mux_delay s.lib ~inputs:n in
+      let gr = s.g.G.mux_tab.(n) in
       s.grown.(!p) <- gr;
       delta := fmax !delta (gr -. mux s.g inst.Netlist.inst_id !p)
     end;

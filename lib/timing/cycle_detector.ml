@@ -35,6 +35,16 @@ type t = {
   mutable pred : int list array;
   mutable mark : int array;  (** visit stamps, one generation per search *)
   mutable stamp : int;
+  mutable reach : int array;  (** stamps of {!mark_reaching}, one generation per call *)
+  mutable reach_gen : int;
+  mutable reach_targets : int list;  (** the last {!mark_reaching}'s targets *)
+  mutable reach_lo : int;
+      (** the search has visited every node placed at or above this
+          position with a path into a target *)
+  mutable reach_pending : int list;
+      (** the search's frontier below [reach_lo]: targets and
+          predecessors of visited nodes, not yet visited *)
+  mutable reach_hi : int;  (** the highest target's position *)
   mutable n_nodes : int;  (** nodes [0 .. n_nodes-1] have a position *)
   mutable n_edges : int;
   mutable visits : int;
@@ -47,6 +57,12 @@ let create () =
     pred = [||];
     mark = [||];
     stamp = 0;
+    reach = [||];
+    reach_gen = 0;
+    reach_targets = [];
+    reach_lo = max_int;
+    reach_pending = [];
+    reach_hi = -1;
     n_nodes = 0;
     n_edges = 0;
     visits = 0;
@@ -63,7 +79,8 @@ let ensure_node t n =
       t.ord <- grow t.ord 0;
       t.succ <- grow t.succ [];
       t.pred <- grow t.pred [];
-      t.mark <- grow t.mark 0
+      t.mark <- grow t.mark 0;
+      t.reach <- grow t.reach 0
     end;
     for i = t.n_nodes to n do
       t.ord.(i) <- i
@@ -111,6 +128,51 @@ let would_close_cycle t ~src ~dst =
   || src < t.n_nodes && dst < t.n_nodes
      && t.ord.(src) > t.ord.(dst)
      && forward t ~src ~dst = None
+
+(* stamp [n] and, through its predecessors, every node above
+   [reach_lo] with a path into it; the predecessors placed below wait in
+   [reach_pending] *)
+let rec expand t g n =
+  if t.reach.(n) <> g then begin
+    t.reach.(n) <- g;
+    t.visits <- t.visits + 1;
+    List.iter
+      (fun p -> if t.ord.(p) >= t.reach_lo then expand t g p else t.reach_pending <- p :: t.reach_pending)
+      t.pred.(n)
+  end
+
+(** Start a backward search from [targets]; {!reaches} carries it down
+    the order only as far as the nodes it is asked about.  Every node on
+    a path into a target sorts below it, so asking about [n] needs only
+    the window of the order between [n] and the highest target: nothing
+    for a target itself or a node placed above every target, and each
+    node of the window visited at most once per call.  Nodes outside the
+    graph have no edges and reach only themselves. *)
+let mark_reaching t targets =
+  t.reach_gen <- t.reach_gen + 1;
+  t.reach_targets <- targets;
+  t.reach_lo <- max_int;
+  t.reach_pending <- List.filter (fun n -> n < t.n_nodes) targets;
+  t.reach_hi <- List.fold_left (fun hi n -> Int.max hi t.ord.(n)) (-1) t.reach_pending
+
+(** Does [n] reach a target of the last {!mark_reaching}?  The search
+    first visits every node placed at or above [n] with a path into a
+    target: a path from [n] climbs the order, so [n] is visited then
+    exactly when one exists.  Valid until the next {!add_edge} or
+    {!clear}. *)
+let reaches t n =
+  List.memq n t.reach_targets
+  || n < t.n_nodes
+     && t.ord.(n) <= t.reach_hi
+     &&
+     let o = t.ord.(n) and g = t.reach_gen in
+     if o < t.reach_lo then begin
+       t.reach_lo <- o;
+       let waiting = t.reach_pending in
+       t.reach_pending <- [];
+       List.iter (fun p -> if t.ord.(p) >= o then expand t g p else t.reach_pending <- p :: t.reach_pending) waiting
+     end;
+     t.reach.(n) = g
 
 let closes () = invalid_arg "Cycle_detector.add_edge: closes a cycle"
 let by_ord t l = List.sort (fun a b -> Int.compare t.ord.(a) t.ord.(b)) l

@@ -20,6 +20,19 @@ val succs : t -> int -> int list
 val would_close_cycle : t -> src:int -> dst:int -> bool
 (** True in particular for self-edges. *)
 
+val mark_reaching : t -> int list -> unit
+(** Start one backward search from the given targets.  Adding [src -> dst]
+    for each target [src] would close a cycle exactly when {!reaches}
+    [dst]: {!would_close_cycle} for many [dst] at the price of one
+    search. *)
+
+val reaches : t -> int -> bool
+(** Does the node have a path to a target of the last {!mark_reaching}
+    (a target reaches itself)?  The search goes down the order lazily,
+    only as far as the lowest node asked about, each node visited at most
+    once per {!mark_reaching}.  Valid until the next {!add_edge} or
+    {!clear}. *)
+
 val add_edge : t -> src:int -> dst:int -> unit
 (** Idempotent.  @raise Invalid_argument when the edge would close a
     cycle — callers must test first. *)

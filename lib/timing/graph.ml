@@ -44,6 +44,7 @@ type t = {
   mutable unit_delay : float array;
   mutable unit_mux : float array array;
   mutable mux_fill : int -> int -> float;
+  mux_tab : float array;
   mutable priced : bool;
   cells : cell array;
   mutable generation : int;
@@ -102,6 +103,7 @@ let create ~lib ~clock_ps (region : Region.t) =
     unit_delay = [||];
     unit_mux = [||];
     mux_fill = (fun _ _ -> 0.0);
+    mux_tab = Array.init (cap + 2) (fun inputs -> Library.mux_delay lib ~inputs);
     priced = true;
     cells = Array.init cap (fun _ -> fresh_cell ());
     generation = 0;
@@ -173,7 +175,7 @@ let abandon g =
 
 (** {2 Arrival state} *)
 
-let arrival_raw g id =
+let[@inline] arrival_raw g id =
   let c = g.cells.(id) in
   if c.a_pass <> g.pass then neg_infinity
   else if g.trial_on && c.a_gen = g.generation then c.a_trial
@@ -225,24 +227,28 @@ let source_arrival_with g ~step ~lookup e =
 
 let source_arrival g ~step e = source_arrival_with g ~step ~lookup:(arrival_raw g) e
 
+(* The loops below keep their float accumulators in local variables,
+   which the compiler leaves unboxed: a fold's closure would box one
+   float per edge on the propagation's hottest path *)
 let guard_arrival_with g ~step ~lookup (op : Dfg.op) =
   if Guard.is_always op.Dfg.guard then 0.0
-  else
+  else begin
     let ff = g.lib.Library.ff_clk_q in
     let gp = g.gpreds.(op.Dfg.id) in
     let acc = ref 0.0 in
-    Array.iter
-      (fun p ->
-        let a =
-          if (not g.member.(p)) || not (placed g p) then ff
-          else if g.node_finish.(p) = step then (
-            let v = lookup p in
-            if v = neg_infinity then ff else v)
-          else ff
-        in
-        if a > !acc then acc := a)
-      gp;
+    for k = 0 to Array.length gp - 1 do
+      let p = gp.(k) in
+      let a =
+        if (not g.member.(p)) || not (placed g p) then ff
+        else if g.node_finish.(p) = step then (
+          let v = lookup p in
+          if v = neg_infinity then ff else v)
+        else ff
+      in
+      if a > !acc then acc := a
+    done;
     !acc
+  end
 
 let guard_arrival g ~step op = guard_arrival_with g ~step ~lookup:(arrival_raw g) op
 
@@ -259,7 +265,7 @@ let input_mux g u port =
   let d = g.unit_mux.(u) in
   if port < Array.length d then d.(port) else g.mux_fill u port
 
-let exec_delay g (op : Dfg.op) u =
+let[@inline] exec_delay g (op : Dfg.op) u =
   if u >= 0 then g.unit_delay.(u)
   else begin
     let id = op.Dfg.id in
@@ -269,7 +275,7 @@ let exec_delay g (op : Dfg.op) u =
     g.node_delay.(id)
   end
 
-let arrival_base g (op : Dfg.op) (ins : Dfg.edge list) =
+let[@inline] arrival_base g (op : Dfg.op) (ins : Dfg.edge list) =
   match op.Dfg.kind with
   | Opkind.Const _ -> 0.0
   | Opkind.Read _ -> g.lib.Library.ff_clk_q
@@ -277,15 +283,27 @@ let arrival_base g (op : Dfg.op) (ins : Dfg.edge list) =
 
 let compute_with g ~lookup (op : Dfg.op) ~step ~u =
   let ins = Dfg.in_edges g.dfg op.Dfg.id in
-  let data =
-    List.fold_left
-      (fun acc e ->
+  let muxed = g.priced && u >= 0 in
+  let data = ref (arrival_base g op ins) and rest = ref ins in
+  while
+    match !rest with
+    | [] -> false
+    | e :: tl ->
+        rest := tl;
         let a = source_arrival_with g ~step ~lookup e in
-        let a = if g.priced && u >= 0 then a +. input_mux g u e.Dfg.port else a in
-        fmax acc a)
-      (arrival_base g op ins) ins
-  in
-  data +. exec_delay g op u
+        (* [input_mux], written out: its result would come back boxed *)
+        let a =
+          if muxed then
+            let d = g.unit_mux.(u) in
+            a +. if e.Dfg.port < Array.length d then d.(e.Dfg.port) else g.mux_fill u e.Dfg.port
+          else a
+        in
+        data := fmax !data a;
+        true
+  do
+    ()
+  done;
+  !data +. exec_delay g op u
 
 let own_data g (op : Dfg.op) ~(srcs : float array) ~inputs =
   let mux = Library.mux_delay g.lib ~inputs in
@@ -297,7 +315,7 @@ let own_data g (op : Dfg.op) ~(srcs : float array) ~inputs =
   done;
   !acc
 
-let slack_of g ~arrival ~guard =
+let[@inline] slack_of g ~arrival ~guard =
   let arr = if arrival = neg_infinity then 0.0 else arrival in
   let reg_path = if g.priced then g.reg_mux else 0.0 in
   g.clock_ps -. (fmax arr guard +. reg_path +. g.lib.Library.ff_setup)

@@ -59,6 +59,10 @@ type t = private {
   mutable mux_fill : int -> int -> float;
       (** [mux_fill u port]: the client's input-mux delay of a port
           [unit_mux] does not cover (it may extend the array) *)
+  mux_tab : float array;
+      (** input count -> [Library.mux_delay], from 0 to the node count
+          + 1: no port has more distinct sources than there are nodes, one
+          more for a hypothetical bind (static) *)
   mutable priced : bool;  (** sharing muxes count in arrivals and slacks *)
   cells : cell array;  (** node -> its arrival *)
   mutable generation : int;

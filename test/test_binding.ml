@@ -228,13 +228,13 @@ let test_rollback_on_failure () =
   let mul1 = List.find (fun o -> o.Dfg.name = "mul1") (Dfg.ops dfg) in
   bind_ok b mul1 ~step:0 ~inst_opt:(Some mi);
   bind_ok b (Dfg.find dfg add) ~step:0 ~inst_opt:(Some ai);
-  let placements_before = Netlist.n_placed b.Binding.net in
+  let placements_before = Netlist.fold_placements b.Binding.net (fun _ _ n -> n + 1) 0 in
   let gt_op = Dfg.find dfg gt in
   (match Binding.try_bind b gt_op ~step:0 ~inst_opt:(Some (Binding.add_inst b { Resource.rclass = Opkind.R_cmp_rel; in_widths = [ 32; 32 ]; out_width = 1 }).Binding.inst_id) with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "expected failure");
   Alcotest.(check int) "placement count unchanged after rollback" placements_before
-    (Netlist.n_placed b.Binding.net);
+    (Netlist.fold_placements b.Binding.net (fun _ _ n -> n + 1) 0);
   Alcotest.(check bool) "gt not placed" true (Binding.placement b gt = None)
 
 (* Regression for the quick_slack mux overcounting bug: the screen used to
@@ -679,18 +679,38 @@ let test_candidate_order_coverage () =
           Alcotest.(check bool) (Printf.sprintf "%s: %d widening binds" name widened) true (widened > 0))
     [ None; Some 1; Some 2 ]
 
-(* Replay a finished schedule of a synthetic design in (step, id) order
-   onto two binders built alike, at a replay clock tighter than the
-   schedule's so that attempts fail.  Before each op is replayed, attempt
-   it at its scheduled step on both: on [a] with [Binding.attempt], on
-   [p] with [try_bind] on each instance of [compatible_insts] in turn
-   until one binds.  The outcome lists must be equal, slacks bit for bit,
-   and so must the restraint a pass records from them (the scheduler's
-   most informative failure).  An op neither binds is force-bound on its
-   scheduled instance in both, so the two binders stay alike.  Each op is
-   first attempted past the last step too, where the window check fails
-   every candidate: there the attempt answers once.  Returns (mismatches,
-   attempts with a failure, prelude collapses). *)
+(* Replay a finished schedule in (step, id) order onto two binders built
+   alike, at a replay clock tighter than the schedule's so that attempts
+   fail.  Before each op is replayed, attempt it at its scheduled step on
+   both: on [a] with [Binding.attempt], on [p] with [try_bind] on each of
+   [Binding.candidates] in turn until one binds — the reference, which
+   checks every candidate and prices every slack exactly.  The outcome
+   lists must agree element by element: the same failure, busy types and
+   cycle instances equal, and a slack either bit-equal or, where the
+   attempt's slack bound decided it, an upper bound of the exact one that
+   is still below tolerance.  The restraint a pass records from them (the
+   scheduler's most informative failure) must be equal, slacks bit for
+   bit.  With [forbid], every third resource op is denied its class's
+   last-registered instance on both binders.  An op neither binds is
+   force-bound on its scheduled instance in both, so the two binders stay
+   alike.  Each op is first attempted past the last step too, where the
+   window check fails every candidate: there the attempt answers once.
+   It is also attempted at the one or two steps before its own where its
+   class is full, as a pass tries it before it settles; should it bind
+   there, it stays there in both. *)
+type attempt_cov = {
+  mutable differ : int;  (** attempts that answer unlike the reference *)
+  mutable failing : int;  (** attempts with a failure *)
+  mutable collapsed : int;  (** prelude failures answered once *)
+  mutable class_busy : int;  (** attempts the all-busy verdict decided *)
+  mutable multi_busy : int;  (** ... for a multi-cycle op *)
+  mutable pipelined_busy : int;  (** ... in a pipelined region (a full modulo slot) *)
+  mutable guarded_full : int;  (** guarded ops attempted where their class is full: the walk decides *)
+  mutable forbid_full : int;  (** ops with a forbidden pair attempted where their class is full *)
+  mutable bounded : int;  (** slack rejections the bound decided with a value above the exact one *)
+  mutable cycles : int;  (** cycle rejections, each one stamp lookup *)
+}
+
 let same_fail (x : Restraint.fail) (y : Restraint.fail) =
   match (x, y) with
   | Restraint.F_slack u, Restraint.F_slack v -> Int64.bits_of_float u = Int64.bits_of_float v
@@ -698,6 +718,12 @@ let same_fail (x : Restraint.fail) (y : Restraint.fail) =
       Resource.equal r r'
   | Restraint.F_cycle i, Restraint.F_cycle j -> i = j
   | _ -> Restraint.fail_to_string x = Restraint.fail_to_string y
+
+(* an attempt's failure [x] against the reference's [y]: equal, or a slack
+   bound above the exact slack that still rejects *)
+let bounds_fail (x : Restraint.fail) (y : Restraint.fail) =
+  same_fail x y
+  || match (x, y) with Restraint.F_slack u, Restraint.F_slack v -> u > v && u < -0.001 | _ -> false
 
 (* the scheduler's choice of the failure a pass records *)
 let best_fail fails =
@@ -711,8 +737,7 @@ let best_fail fails =
   in
   List.fold_left (fun a b -> if score b > score a then b else a) (List.hd fails) (List.tl fails)
 
-let attempt_vs_try_bind ~seed ~ops ~ii ~replay_clock =
-  let region = synthetic_region ~seed ~ops ?ii () in
+let attempt_vs_try_bind ?(lib = lib) ?(forbid = false) ~replay_clock (region : Region.t) =
   match Scheduler.schedule ~lib ~clock_ps:1600.0 region with
   | Error _ -> None
   | Ok s ->
@@ -725,37 +750,68 @@ let attempt_vs_try_bind ~seed ~ops ~ii ~replay_clock =
         b
       in
       let a = mk () and p = mk () in
+      if forbid then
+        List.iter
+          (fun (op : Dfg.op) ->
+            match List.rev (Netlist.class_insts a.Binding.net op) with
+            | last :: _ :: _ when op.Dfg.id mod 3 = 0 ->
+                Binding.forbid a ~op:op.Dfg.id ~inst:last.Netlist.inst_id;
+                Binding.forbid p ~op:op.Dfg.id ~inst:last.Netlist.inst_id
+            | _ -> ())
+          (Region.member_ops region);
       let per_candidate op ~step =
         if not (Opkind.is_resource_op op.Dfg.kind) then
           match Binding.try_bind p op ~step ~inst_opt:None with Ok () -> [] | Error f -> [ f ]
         else
-          match Binding.compatible_insts p op with
-          | [] -> (
+          let rec go fails seq =
+            match seq () with
+            | Seq.Nil -> fails
+            | Seq.Cons ((i : Binding.inst), rest) -> (
+                match Binding.try_bind p op ~step ~inst_opt:(Some i.Binding.inst_id) with
+                | Ok () -> []
+                | Error f -> go (f :: fails) rest)
+          in
+          match go [] (Binding.candidates p op) with
+          | [] when Binding.compatible_insts p op = [] -> (
               match Resource.of_op dfg op with Some rt -> [ Restraint.F_no_resource rt ] | None -> [])
-          | insts ->
-              let rec go fails = function
-                | [] -> fails
-                | (i : Binding.inst) :: rest -> (
-                    match Binding.try_bind p op ~step ~inst_opt:(Some i.Binding.inst_id) with
-                    | Ok () -> []
-                    | Error f -> go (f :: fails) rest)
-              in
-              go [] insts
+          | fails -> fails
       in
-      let mismatches = ref 0 and failing = ref 0 and collapsed = ref 0 in
+      let cov =
+        { differ = 0; failing = 0; collapsed = 0; class_busy = 0; multi_busy = 0; pipelined_busy = 0;
+          guarded_full = 0; forbid_full = 0; bounded = 0; cycles = 0 }
+      in
       let compare_at op ~step =
+        let c = a.Binding.ctr in
+        let busy0 = c.Binding.c_class_busy and cycle0 = c.Binding.c_cycle in
+        let full =
+          Opkind.is_resource_op op.Dfg.kind
+          && Netlist.class_saturated a.Binding.net op ~step
+               ~finish:(step + Binding.op_latency a op - 1)
+        in
         let fa = Binding.attempt a op ~step and fp = per_candidate op ~step in
         let same =
           match (fa, fp) with
           | [], [] -> true
           | [ f ], (_ :: _ :: _ as l) when List.for_all (same_fail f) l ->
               (* a prelude failure, once *)
-              incr collapsed;
+              cov.collapsed <- cov.collapsed + 1;
               true
-          | _ -> List.length fa = List.length fp && List.for_all2 same_fail fa fp
+          | _ -> List.length fa = List.length fp && List.for_all2 bounds_fail fa fp
         in
-        if fa <> [] then incr failing;
-        if not (same && (fa = [] || same_fail (best_fail fa) (best_fail fp))) then incr mismatches
+        if fa <> [] then cov.failing <- cov.failing + 1;
+        if not (same && (fa = [] || same_fail (best_fail fa) (best_fail fp))) then
+          cov.differ <- cov.differ + 1;
+        if same && List.length fa = List.length fp then
+          List.iter2 (fun x y -> if not (same_fail x y) then cov.bounded <- cov.bounded + 1) fa fp;
+        if c.Binding.c_class_busy > busy0 then begin
+          cov.class_busy <- cov.class_busy + 1;
+          if Binding.is_multicycle a op then cov.multi_busy <- cov.multi_busy + 1;
+          if Region.is_pipelined region then cov.pipelined_busy <- cov.pipelined_busy + 1
+        end;
+        if full && not (Guard.is_always op.Dfg.guard) then cov.guarded_full <- cov.guarded_full + 1;
+        if full && List.exists (fun (o, _) -> o = op.Dfg.id) (Binding.forbidden_pairs a) then
+          cov.forbid_full <- cov.forbid_full + 1;
+        cov.cycles <- cov.cycles + (c.Binding.c_cycle - cycle0)
       in
       let order =
         Netlist.fold_placements net (fun id pl acc -> ((pl.Netlist.pl_step, id), pl) :: acc) []
@@ -765,41 +821,121 @@ let attempt_vs_try_bind ~seed ~ops ~ii ~replay_clock =
         (fun ((step, id), (pl : Netlist.placement)) ->
           let op = Dfg.find dfg id in
           compare_at op ~step:region.Region.n_steps;
-          compare_at op ~step;
+          (* the one or two steps before, where the op's class is full:
+             a pass tries an op there before it settles *)
+          List.iter
+            (fun s ->
+              if
+                s >= 0
+                && Opkind.is_resource_op op.Dfg.kind
+                && (not (Binding.is_placed a id))
+                && Netlist.class_saturated a.Binding.net op ~step:s ~finish:(s + Binding.op_latency a op - 1)
+              then compare_at op ~step:s)
+            [ step - 2; step - 1 ];
+          if not (Binding.is_placed a id) then compare_at op ~step;
           if not (Binding.is_placed a id) then begin
             Binding.force_bind a op ~step ~inst_opt:pl.Netlist.pl_inst;
             Binding.force_bind p op ~step ~inst_opt:pl.Netlist.pl_inst
           end)
         order;
       let trials b = (Netlist.stats b.Binding.net).Netlist.s_trials in
-      if trials a <> trials p then incr mismatches;
-      Some (!mismatches, !failing, !collapsed)
+      if trials a <> trials p then cov.differ <- cov.differ + 1;
+      Some cov
 
 let prop_attempt_is_per_candidate =
   QCheck.Test.make ~name:"attempt answers as try_bind on each candidate" ~count:18
-    QCheck.(pair (int_range 1 10000) (int_range 0 2))
-    (fun (seed, mode) ->
+    QCheck.(triple (int_range 1 10000) (int_range 0 2) bool)
+    (fun (seed, mode, forbid) ->
       let ii = if mode = 0 then None else Some mode in
       let replay_clock = [| 1600.0; 1400.0; 1250.0 |].(seed mod 3) in
-      match attempt_vs_try_bind ~seed ~ops:(60 + (seed mod 120)) ~ii ~replay_clock with
+      let region = synthetic_region ~seed ~ops:(60 + (seed mod 120)) ?ii () in
+      match attempt_vs_try_bind ~forbid ~replay_clock region with
       | None -> QCheck.assume_fail ()
-      | Some (0, _, _) -> true
-      | Some (m, _, _) ->
-          QCheck.Test.fail_reportf "seed=%d ii=%d: %d attempts differ from per-candidate binds" seed mode m)
+      | Some { differ = 0; _ } -> true
+      | Some cov ->
+          QCheck.Test.fail_reportf "seed=%d ii=%d forbid=%b: %d attempts differ from per-candidate binds"
+            seed mode forbid cov.differ)
 
+(* a two-cycle IP block, called four times an iteration, three of the
+   calls in a chain *)
+let ip2_lib = Library.with_blackbox lib ~name:"ip2" ~latency:2 ~stage_delay:700.0 ~area:3000.0 ~energy:5.0
+
+let calls_src =
+  {|
+design calls {
+  in a : 16;
+  in b : 16;
+  in c : 16;
+  out r : 32;
+  out q : 32;
+  wait();
+  do [name=main, latency=1..12] {
+    $r = ip2(ip2(ip2($a, $b), $c), $a);
+    $q = ip2($c, $b);
+    wait();
+  } while (1);
+}
+|}
+
+(* The comparison above on synthetic designs and on every built-in design,
+   sequential, II=1 and II=2, with and without forbidden pairs: no attempt
+   may differ, and between them the runs must reach every case the
+   verdicts decide or must leave to the walk — all busy with the class
+   (for a multi-cycle op too, and in a full II=2 modulo slot), a guarded
+   op and an op with a forbidden pair where the class is full, slack
+   bounds above the exact slack, cycle rejections and preludes answered
+   once *)
 let test_attempt_coverage () =
+  let total =
+    { differ = 0; failing = 0; collapsed = 0; class_busy = 0; multi_busy = 0; pipelined_busy = 0;
+      guarded_full = 0; forbid_full = 0; bounded = 0; cycles = 0 }
+  in
+  let ii2_busy = ref 0 in
+  (* a built-in that does not schedule at 1600 ps has nothing to replay;
+     the synthetic design must schedule *)
+  let run ?lib ?(required = false) name ~ii ~forbid ~replay_clock region =
+    match attempt_vs_try_bind ?lib ~forbid ~replay_clock region with
+    | None -> if required then Alcotest.failf "%s: failed to schedule" name
+    | Some c ->
+        Alcotest.(check int) (name ^ ": differing attempts") 0 c.differ;
+        if ii = Some 2 then ii2_busy := !ii2_busy + c.class_busy;
+        total.failing <- total.failing + c.failing;
+        total.collapsed <- total.collapsed + c.collapsed;
+        total.class_busy <- total.class_busy + c.class_busy;
+        total.multi_busy <- total.multi_busy + c.multi_busy;
+        total.pipelined_busy <- total.pipelined_busy + c.pipelined_busy;
+        total.guarded_full <- total.guarded_full + c.guarded_full;
+        total.forbid_full <- total.forbid_full + c.forbid_full;
+        total.bounded <- total.bounded + c.bounded;
+        total.cycles <- total.cycles + c.cycles
+  in
   List.iter
     (fun ii ->
-      let name = match ii with None -> "seq" | Some k -> Printf.sprintf "II=%d" k in
-      match attempt_vs_try_bind ~seed:5 ~ops:150 ~ii ~replay_clock:1400.0 with
-      | None -> Alcotest.failf "%s: seed 5 failed to schedule" name
-      | Some (m, failing, collapsed) ->
-          Alcotest.(check int) (name ^ ": differing attempts") 0 m;
-          Alcotest.(check bool) (Printf.sprintf "%s: %d failing attempts" name failing) true (failing > 0);
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: %d collapsed preludes" name collapsed)
-            true (collapsed > 0))
-    [ None; Some 1; Some 2 ]
+      let mode = match ii with None -> "seq" | Some k -> Printf.sprintf "II=%d" k in
+      List.iter
+        (fun forbid ->
+          let name = mode ^ if forbid then " forbid" else "" in
+          run ~required:true ("synthetic " ^ name) ~ii ~forbid ~replay_clock:1400.0 (synthetic_region ~seed:5 ~ops:150 ?ii ());
+          List.iter
+            (fun (design, mk) ->
+              let e = Hls_frontend.Elaborate.design (mk ()) in
+              run (Printf.sprintf "%s %s" design name) ~ii ~forbid ~replay_clock:1250.0
+                (Hls_frontend.Elaborate.main_region ?ii e))
+            Hls_server.Design_db.builtins;
+          run ~lib:ip2_lib ~required:true ("two-cycle calls " ^ name) ~ii ~forbid ~replay_clock:1600.0
+            (Hls_frontend.Elaborate.main_region ?ii (Hls_frontend.Elaborate.design (Hls_frontend.Parser.parse_string calls_src))))
+        [ false; true ])
+    [ None; Some 1; Some 2 ];
+  let check what n = Alcotest.(check bool) (Printf.sprintf "%s: %d" what n) true (n > 0) in
+  check "failing attempts" total.failing;
+  check "preludes answered once" total.collapsed;
+  check "attempts decided all busy" total.class_busy;
+  check "... for a multi-cycle op" total.multi_busy;
+  check "... in a full II=2 slot" !ii2_busy;
+  check "guarded ops where the class is full" total.guarded_full;
+  check "ops with a forbidden pair where the class is full" total.forbid_full;
+  check "slack rejections carrying a bound" total.bounded;
+  check "cycle rejections" total.cycles
 
 (* Every rejection the saturation memo decides is a trial that ends busy.
    Replay a finished schedule as [candidate_order_run] does, without the
@@ -1246,8 +1382,14 @@ design wide {
 
 (* The decision counters account for every candidate: each one checked
    either binds (one per bound attempt) or is rejected by exactly one
-   stage, and the trials are the binds plus the trial rejections *)
+   stage, the slack bound included, and the trials are the binds plus the
+   trial rejections.  The candidates the attempts' verdicts decide are
+   counted beside them: all busy with the class (unchecked) and on the
+   slack bound (checked).  The candidates checked by failed attempts are
+   those checked minus the binds and the checks of bound attempts before
+   they bound, so at most the rejections *)
 let test_decision_counters () =
+  let class_busy = ref 0 and slack_bound = ref 0 in
   List.iter
     (fun ii ->
       let name = match ii with None -> "seq" | Some k -> Printf.sprintf "II=%d" k in
@@ -1259,15 +1401,27 @@ let test_decision_counters () =
           let c = st.Scheduler.st_decisions in
           let open Binding in
           let rejected =
-            c.c_forbid + c.c_tier + c.c_dedicated + c.c_busy + c.c_quick_slack + c.c_empty_slack
-            + c.c_cycle + c.c_screen_memo + c.c_screen + c.c_trial_slack + c.c_trial_busy
+            c.c_forbid + c.c_tier + c.c_dedicated + c.c_busy + c.c_quick_slack + c.c_slack_bound
+            + c.c_empty_slack + c.c_cycle + c.c_screen_memo + c.c_screen + c.c_trial_slack
+            + c.c_trial_busy
           in
           Alcotest.(check int) (name ^ ": candidates") c.c_visited (rejected + c.c_bound);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %d checked by failed attempts, of %d rejections" name c.c_failed_visited
+               rejected)
+            true
+            (c.c_failed_visited > 0 && c.c_failed_visited <= rejected);
+          class_busy := !class_busy + c.c_class_busy;
+          slack_bound := !slack_bound + c.c_slack_bound;
           Alcotest.(check int) (name ^ ": commits") st.Scheduler.st_commits c.c_bound;
           Alcotest.(check int) (name ^ ": rollbacks") st.Scheduler.st_rollbacks
             (c.c_trial_slack + c.c_trial_busy);
           Alcotest.(check bool) (name ^ ": attempts failed") true (c.c_failed > 0))
-    [ None; Some 1; Some 2 ]
+    [ None; Some 1; Some 2 ];
+  Alcotest.(check bool)
+    (Printf.sprintf "%d decided all busy, %d on the slack bound" !class_busy !slack_bound)
+    true
+    (!class_busy > 0 && !slack_bound > 0)
 
 let suite =
   [

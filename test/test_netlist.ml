@@ -29,7 +29,7 @@ let snapshot (net : Netlist.t) =
           i.Netlist.rtype,
           List.sort compare i.Netlist.bound,
           List.init ports (fun p -> Netlist.mux_inputs net i ~port:p),
-          List.init ports (fun p -> Netlist.in_mux_delay net i ~port:p) ))
+          List.init ports (fun p -> G.input_mux (Netlist.graph net) i.Netlist.inst_id p) ))
       (Netlist.insts net)
     |> List.sort compare
   in
@@ -59,7 +59,7 @@ let test_rollback_restores () =
   in
   Alcotest.(check bool) "found a bound op" true (op_id >= 0);
   Netlist.begin_trial net;
-  Alcotest.(check bool) "trial open" true (Netlist.in_trial net);
+  Alcotest.(check bool) "trial open" true (Netlist.graph net).G.trial_on;
   Netlist.place net op_id ~step:(pl.Netlist.pl_step + 1) ~finish:(pl.Netlist.pl_finish + 1)
     ~inst_opt:pl.Netlist.pl_inst;
   ignore (G.recompute_arrival (Netlist.graph net) op_id);
@@ -67,7 +67,7 @@ let test_rollback_restores () =
   | Some i -> Netlist.set_rtype net (Netlist.find_inst net i) { (Netlist.find_inst net i).Netlist.rtype with Resource.out_width = 64 }
   | None -> ());
   Netlist.rollback net;
-  Alcotest.(check bool) "trial closed" true (not (Netlist.in_trial net));
+  Alcotest.(check bool) "trial closed" true (not (Netlist.graph net).G.trial_on);
   Alcotest.(check bool) "all observables restored" true (snapshot net = before)
 
 (* An idempotent trial (recompute everything, change nothing) commits to
@@ -353,17 +353,17 @@ let test_delay_memo_follows_rtype () =
   let i = Netlist.add_inst net narrow in
   let d_narrow = Library.delay lib narrow and d_wide = Library.delay lib wide in
   Alcotest.(check bool) "widths price differently" true (d_narrow <> d_wide);
-  Alcotest.(check (float 0.0)) "narrow delay" d_narrow (Netlist.inst_delay net i);
+  Alcotest.(check (float 0.0)) "narrow delay" d_narrow (Netlist.graph net).G.unit_delay.(i.Netlist.inst_id);
   Alcotest.(check int) "mergeable before" 1 (Netlist.compat_tier net op i);
   Netlist.begin_trial net;
   Netlist.set_rtype net i wide;
-  Alcotest.(check (float 0.0)) "widened in the trial" d_wide (Netlist.inst_delay net i);
+  Alcotest.(check (float 0.0)) "widened in the trial" d_wide (Netlist.graph net).G.unit_delay.(i.Netlist.inst_id);
   Alcotest.(check (float 0.0)) "exec delay on the instance" d_wide
     (G.exec_delay (Netlist.graph net) op i.Netlist.inst_id);
   Alcotest.(check int) "fits in the trial" 0 (Netlist.compat_tier net op i);
   Netlist.rollback net;
   Alcotest.(check bool) "type restored" true (i.Netlist.rtype = narrow);
-  Alcotest.(check (float 0.0)) "narrow again after rollback" d_narrow (Netlist.inst_delay net i);
+  Alcotest.(check (float 0.0)) "narrow again after rollback" d_narrow (Netlist.graph net).G.unit_delay.(i.Netlist.inst_id);
   Alcotest.(check (float 0.0)) "exec delay after rollback" d_narrow
     (G.exec_delay (Netlist.graph net) op i.Netlist.inst_id);
   Alcotest.(check int) "mergeable after rollback" 1 (Netlist.compat_tier net op i)

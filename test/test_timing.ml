@@ -44,6 +44,28 @@ let prop_detector_never_cyclic =
       let nodes = List.init 40 Fun.id in
       !agrees && Hls_ir.Graph_algo.topo_sort ~nodes ~succs:(Cycle_detector.succs t) <> None)
 
+(* One backward search answers for many edges: after greedy insertion
+   over ids 0..29, [reaches n] after [mark_reaching targets] must equal
+   "some [j -> n] of the targets would close a cycle", whatever the order
+   of the queries (each may carry the lazy search further down the order)
+   and for nodes outside the graph too *)
+let prop_reaches_is_would_close =
+  QCheck.Test.make ~name:"reaches answers would_close_cycle for every target" ~count:200
+    QCheck.(
+      triple
+        (list_of_size Gen.(int_range 0 80) (pair (int_range 0 29) (int_range 0 29)))
+        (list_of_size Gen.(int_range 1 4) (int_range 0 34))
+        (list_of_size Gen.(int_range 0 40) (int_range 0 34)))
+    (fun (edges, targets, queries) ->
+      let t = Cycle_detector.create () in
+      List.iter
+        (fun (a, b) ->
+          if not (Cycle_detector.would_close_cycle t ~src:a ~dst:b) then Cycle_detector.add_edge t ~src:a ~dst:b)
+        edges;
+      let closes n = List.exists (fun j -> Cycle_detector.would_close_cycle t ~src:j ~dst:n) targets in
+      Cycle_detector.mark_reaching t targets;
+      List.for_all (fun n -> Cycle_detector.reaches t n = closes n) queries)
+
 (* ------------------------------------------------------------------ *)
 
 let lib = Hls_techlib.Library.artisan90
@@ -172,6 +194,7 @@ let suite =
     Alcotest.test_case "cycle detector basics" `Quick test_cycle_detector_basic;
     Alcotest.test_case "cycle detector idempotence" `Quick test_cycle_detector_idempotent;
     QCheck_alcotest.to_alcotest prop_detector_never_cyclic;
+    QCheck_alcotest.to_alcotest prop_reaches_is_would_close;
     Alcotest.test_case "graph: standalone trials and the oracle" `Quick test_graph_standalone_trials;
     Alcotest.test_case "synthesize: nominal" `Quick test_synthesize_nominal;
     Alcotest.test_case "synthesize: upsizing" `Quick test_synthesize_upsizes;
