@@ -572,9 +572,7 @@ let bench_scale () =
       ("rej_trial_busy", c.Binding.c_trial_busy);
       ("screens_skipped", c.Binding.c_screen_skipped);
       ("screens_futile", c.Binding.c_screen_futile);
-      (* the candidates the attempts' verdicts decide: all busy with the
-         class, on the slack bound *)
-      ("rej_class_busy", c.Binding.c_class_busy);
+      (* the candidates the slack bound decides unpriced *)
       ("rej_slack_bound", c.Binding.c_slack_bound);
       ("failed_candidates", c.Binding.c_failed_visited);
     ]

@@ -74,7 +74,6 @@ type counters = {
   mutable c_trial_busy : int;
   mutable c_screen_skipped : int;
   mutable c_screen_futile : int;
-  mutable c_class_busy : int;
   mutable c_slack_bound : int;
   mutable c_failed_visited : int;
 }
@@ -170,7 +169,6 @@ let create ?(timing_aware = true) ~lib ~clock_ps (region : Region.t) =
         c_trial_busy = 0;
         c_screen_skipped = 0;
         c_screen_futile = 0;
-        c_class_busy = 0;
         c_slack_bound = 0;
         c_failed_visited = 0;
       };
@@ -716,31 +714,6 @@ let cursor_next t (op : Dfg.op) cur =
     if k >= 0 then (2 * k) + 1 else -1
   else -1
 
-(* The all-busy verdict.  An unguarded op conflicts with any occupant,
-   so with no forbidden pair and no dedication in force the first check
-   that decides each of its candidates is the busy one.  When some slot of
-   its span has every instance of its class occupied, each candidate
-   therefore rejects [F_busy] of its own type, which is what the walk
-   would find one candidate at a time *)
-let class_busy t (op : Dfg.op) =
-  let x = t.excl and a = t.att in
-  Guard.is_always op.Dfg.guard
-  && Array.length x.dedicated = 0
-  && (op.Dfg.id >= Array.length x.forbidden
-     || match x.forbidden.(op.Dfg.id) with [] -> true | _ :: _ -> false)
-  && Netlist.class_saturated t.net op ~step:a.a_step ~finish:a.a_finish
-
-(* the walk's failures under the all-busy verdict, cursor [first] on *)
-let all_busy t (op : Dfg.op) first =
-  let rec go fails cur =
-    let i = Netlist.candidate_at t.net op (cur lsr 1) in
-    t.ctr.c_class_busy <- t.ctr.c_class_busy + 1;
-    let fails = Restraint.F_busy i.rtype :: fails in
-    let next = cursor_next t op cur in
-    if next < 0 then fails else go fails next
-  in
-  go [] first
-
 (* [fails] with its first slack rejection — the last in walk order, the
    one a pass records — priced exactly when the slack bound decided it
    on instance [id] (-1: it did not) *)
@@ -769,7 +742,6 @@ let attempt t (op : Dfg.op) ~step =
       begin_attempt t op ~step;
       if prelude_failed t then [ t.att.a_pre ]
       else if not resource then match check_wire t op with Ok () -> [] | Error f -> [ f ]
-      else if class_busy t op then all_busy t op first
       else
         (* [bounded]: the instance whose slack rejection, the latest in
            walk order, the bound decided, or -1 *)

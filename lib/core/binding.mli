@@ -41,11 +41,9 @@ type exclusions
 
 (** Decision counters, accumulated over the binder's life: one increment
     per decision, no clock read, so equal on every run.  Every candidate
-    of an attempt is either decided with its whole class by the all-busy
-    verdict ([c_class_busy]) or checked ([c_visited]); a checked one
-    either binds — the attempt then counts in [c_bound] — or is rejected
-    in exactly one of the stages [c_forbid] to [c_trial_busy] or by
-    [c_slack_bound]. *)
+    checked ([c_visited]) either binds — the attempt then counts in
+    [c_bound] — or is rejected in exactly one of the stages [c_forbid] to
+    [c_trial_busy] or by [c_slack_bound]. *)
 type counters = {
   mutable c_bound : int;  (** attempts that bound *)
   mutable c_failed : int;  (** attempts that failed on every candidate *)
@@ -66,10 +64,6 @@ type counters = {
       (** saturation screens the instance floor ruled out
           ({!Screen.screen_may_prove}); the trial ran *)
   mutable c_screen_futile : int;  (** saturation screens run that proved nothing; the trial ran *)
-  mutable c_class_busy : int;
-      (** candidates rejected busy, unchecked, by an attempt's all-busy
-          verdict: some slot of the op's span has every instance of its
-          class occupied *)
   mutable c_slack_bound : int;
       (** rejections: {!quick_slack} decided by its per-type upper bound,
           without pricing it *)
@@ -186,18 +180,15 @@ val attempt : t -> Dfg.op -> step:int -> Restraint.fail list
     check fails every candidate alike and is returned once.  An op with
     no compatible instance fails with [F_no_resource].
 
-    Three verdicts decide, each in one step, what the walk would find.
-    An unguarded op with no forbidden pair and no dedication in force,
-    whose span has a slot where every instance of its class is occupied,
-    fails [F_busy] of each candidate's type without a check
-    ([c_class_busy]).  A loaded candidate whose grown muxes all have 2
-    inputs or more rejects [F_slack] without pricing {!quick_slack} when
-    the screen's upper bound for its type is below tolerance
-    ([c_slack_bound]); that rejection carries the bound, except the last
-    [F_slack] in walk order — the one a pass records — which carries the
-    exact {!quick_slack}, as {!try_bind} returns for every candidate.  The
-    structural-cycle check is one backward search from the chain sources
-    per attempt and one lookup per candidate. *)
+    Two verdicts decide, each in one step, what the walk would find.  A
+    loaded candidate whose grown muxes all have 2 inputs or more rejects
+    [F_slack] without pricing {!quick_slack} when the screen's upper bound
+    for its type is below tolerance ([c_slack_bound]); that rejection
+    carries the bound, except the last [F_slack] in walk order — the one a
+    pass records — which carries the exact {!quick_slack}, as {!try_bind}
+    returns for every candidate.  The structural-cycle check is one
+    backward search from the chain sources per attempt and one lookup per
+    candidate. *)
 
 val replay_bind :
   t ->

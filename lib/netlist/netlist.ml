@@ -3,13 +3,13 @@
     incremental timing graph {!Hls_timing.Graph}.
 
     This layer owns everything structural about the datapath being grown:
-    the resource instances, the port sharing/mux structure, the
-    busy/occupancy tables, the placements and the guard index.  The
-    arrival times — one per bound op, every sharing-mux delay included
-    (what the paper's netlist queries return) — live in the graph, which
-    reads the placement arrays, the guard index and the per-instance delay
-    and mux-delay tables this module keeps current: they are the graph's
-    node and unit arrays, shared, not copied.  The saturation screen and
+    the resource instances, the port sharing/mux structure, the busy
+    table, the placements and the guard index.  The arrival times — one
+    per bound op, every sharing-mux delay included (what the paper's
+    netlist queries return) — live in the graph, which reads the
+    placement arrays, the guard index and the per-instance delay and
+    mux-delay tables this module keeps current: they are the graph's node
+    and unit arrays, shared, not copied.  The saturation screen and
     the instance slack floors live in [Screen].
 
     Mutations happen through a transactional what-if API: {!begin_trial}
@@ -78,7 +78,6 @@ type iclass = {
       (** the first [ic_len] slots: the class in ascending (load, id)
           order, load being [n_bound] (see {!next_candidate}) *)
   mutable ic_len : int;
-  ic_id : int;  (** the class's key in the occupancy counts, dense from 0 *)
 }
 
 (** Structural undo log entry: each records the absolute prior value, so
@@ -92,7 +91,6 @@ type undo =
   | U_mux of inst * int list array option * int array * float array
       (** the caches and the graph's mux-delay array of the instance *)
   | U_busy of int list ref * int list
-  | U_occ of int ref  (** a class's occupancy count went up by one *)
 
 type stats = {
   s_queries : int;  (** netlist timing queries (arrival recomputations) *)
@@ -107,8 +105,7 @@ type stats = {
 }
 
 (* filler for ops of no class: an empty order *)
-let no_class =
-  { ic_class = Opkind.R_wire; ic_rev = []; ic_memo = Some []; ic_order = [||]; ic_len = 0; ic_id = -1 }
+let no_class = { ic_class = Opkind.R_wire; ic_rev = []; ic_memo = Some []; ic_order = [||]; ic_len = 0 }
 
 (** The busy table: (instance, slot) -> the ops occupying it.  Open
     addressing with linear probing over parallel arrays, hashed by a
@@ -119,19 +116,16 @@ let no_class =
     restores a cell's list, not its key), so a probe stops at the first
     free cell.  The capacity is a power of two at least twice the live
     cells: it follows the slots actually occupied, not the latency bound.
-    The values sit in refs so that undo entries stay valid across a
-    rehash.  The same table, keyed by (class, slot), holds the occupancy
-    counts: how many instances of the class have an occupant in the
-    slot. *)
-type 'a busy = {
+    The lists sit in refs so that undo entries stay valid across a
+    rehash. *)
+type busy = {
   mutable bz_stamp : int array;
-  mutable bz_inst : int array;  (** instance, or class for the counts *)
+  mutable bz_inst : int array;
   mutable bz_slot : int array;
-  mutable bz_val : 'a ref array;
+  mutable bz_ops : int list ref array;
   mutable bz_bits : int;  (** log2 of the capacity *)
   mutable bz_live : int;  (** live cells, counted for pass [bz_pass] *)
   mutable bz_pass : int;
-  bz_free : 'a ref;  (** shared filler for free cells: never handed out, never written *)
 }
 
 type t = {
@@ -140,9 +134,9 @@ type t = {
   clock_ps : float;
   dfg : Dfg.t;
   g : G.t;  (** the timing graph over this netlist's placements *)
-  mutable insts_rev : inst list;  (** newest first; see {!insts} *)
-  mutable insts_memo : inst list option;  (** registration order *)
-  mutable inst_arr : inst array;  (** id -> instance (slots from [next_inst_id] on are filler) *)
+  mutable inst_arr : inst array;
+      (** id -> instance, in registration order (slots from [next_inst_id]
+          on are filler) *)
   mutable cls_of : iclass array;  (** instance id -> its class *)
   mutable ord_pos : int array;  (** instance id -> its slot in its class's [ic_order] *)
   mutable next_inst_id : int;
@@ -156,8 +150,7 @@ type t = {
       (** guard predecessor (op id) -> placed ops whose guard reads it *)
   gpos : int array option array;
       (** op -> positions in each pred's bucket, parallel to its guard preds *)
-  busy : int list busy;  (** (instance, slot) -> ops occupying it, this pass *)
-  occ : int busy;  (** (class id, slot) -> its instances with an occupant there, this pass *)
+  busy : busy;  (** (instance, slot) -> ops occupying it, this pass *)
   chain : Hls_timing.Cycle_detector.t;
   mutable undo_log : undo list;
   mutable n_trials : int;
@@ -189,10 +182,13 @@ let clock_ps t = t.clock_ps
 let dfg t = t.dfg
 let graph t = t.g
 
-let busy_make bits free =
+(* shared filler for free busy cells: never handed out, never written *)
+let no_ops = ref []
+
+let busy_make bits =
   let n = 1 lsl bits in
   { bz_stamp = Array.make n 0; bz_inst = Array.make n 0; bz_slot = Array.make n 0;
-    bz_val = Array.make n free; bz_bits = bits; bz_live = 0; bz_pass = 0; bz_free = free }
+    bz_ops = Array.make n no_ops; bz_bits = bits; bz_live = 0; bz_pass = 0 }
 
 let extended a cap d =
   let b = Array.make cap d in
@@ -221,10 +217,7 @@ let iclass t rclass =
   match List.find_opt (fun c -> Opkind.equal_rclass c.ic_class rclass) t.classes with
   | Some c -> c
   | None ->
-      let c =
-        { ic_class = rclass; ic_rev = []; ic_memo = Some []; ic_order = [||]; ic_len = 0;
-          ic_id = List.length t.classes }
-      in
+      let c = { ic_class = rclass; ic_rev = []; ic_memo = Some []; ic_order = [||]; ic_len = 0 } in
       t.classes <- c :: t.classes;
       c
 
@@ -267,8 +260,6 @@ let add_inst ?(added_by_expert = false) t rtype =
       mux_cache = None; mux_n = [||]; n_bound = 0; compat = Bytes.make (Array.length t.needs) '\255' }
   in
   t.next_inst_id <- t.next_inst_id + 1;
-  t.insts_rev <- inst :: t.insts_rev;
-  t.insts_memo <- None;
   t.prealloc_stale <- true;
   let c = iclass t rtype.Resource.rclass in
   if inst.inst_id = Array.length t.inst_arr then begin
@@ -291,15 +282,9 @@ let add_inst ?(added_by_expert = false) t rtype =
   reorder t inst;
   inst
 
-(** Instances in registration order (ascending id); memoized, so the
-    amortized cost of registering k instances is O(k), not O(k²). *)
-let insts t =
-  match t.insts_memo with
-  | Some l -> l
-  | None ->
-      let l = List.rev t.insts_rev in
-      t.insts_memo <- Some l;
-      l
+(** Instances in registration order (ascending id), a fresh list per
+    call. *)
+let insts t = List.init t.next_inst_id (Array.get t.inst_arr)
 
 let n_insts t = t.next_inst_id
 
@@ -399,13 +384,13 @@ let refresh_prealloc t =
   else begin
     t.prealloc_stale <- false;
     let all = insts t in
-    let n_insts_memo = Hashtbl.create 8 in
+    let type_counts = Hashtbl.create 8 in
     let insts_of_class rt =
-      match Hashtbl.find_opt n_insts_memo rt with
+      match Hashtbl.find_opt type_counts rt with
       | Some n -> n
       | None ->
           let n = List.length (List.filter (fun i -> Resource.can_merge i.rtype rt) all) in
-          Hashtbl.add n_insts_memo rt n;
+          Hashtbl.add type_counts rt n;
           n
     in
     List.fold_left
@@ -428,14 +413,14 @@ let refresh_prealloc t =
     stamp makes every stale entry read as absent. *)
 let reset_pass ~price_muxes t =
   G.new_pass t.g ~priced:price_muxes;
-  List.iter
-    (fun i ->
-      i.bound <- [];
-      i.n_bound <- 0;
-      i.mux_cache <- None;
-      t.g.G.unit_mux.(i.inst_id) <- [||];
-      touch t i)
-    t.insts_rev;
+  for id = t.next_inst_id - 1 downto 0 do
+    let i = t.inst_arr.(id) in
+    i.bound <- [];
+    i.n_bound <- 0;
+    i.mux_cache <- None;
+    t.g.G.unit_mux.(id) <- [||];
+    touch t i
+  done;
   (* every load is 0 again: the candidate order is registration order *)
   List.iter
     (fun c ->
@@ -489,7 +474,9 @@ let busy_hash (inst : int) (sl : int) bits =
   (((inst lsl 31) lxor sl) * 0x1E3779B97F4A7C15) lsr (Sys.int_size - bits)
 
 (* the live cell of (inst, slot) when >= 0, else [-1 - free cell] *)
-let busy_find b ~pass inst sl =
+let busy_find t inst sl =
+  let b = t.busy in
+  let pass = t.g.G.pass in
   let mask = Array.length b.bz_stamp - 1 in
   let rec probe k =
     if b.bz_stamp.(k) <> pass then -1 - k
@@ -499,65 +486,66 @@ let busy_find b ~pass inst sl =
   probe (busy_hash inst sl b.bz_bits)
 
 (* double the capacity, carrying over this pass's live cells *)
-let busy_grow b ~pass =
+let busy_grow t =
+  let b = t.busy in
   let old_stamp = b.bz_stamp and old_inst = b.bz_inst and old_slot = b.bz_slot in
-  let old_val = b.bz_val in
-  let g = busy_make (b.bz_bits + 1) b.bz_free in
+  let old_ops = b.bz_ops in
+  let g = busy_make (b.bz_bits + 1) in
   b.bz_stamp <- g.bz_stamp;
   b.bz_inst <- g.bz_inst;
   b.bz_slot <- g.bz_slot;
-  b.bz_val <- g.bz_val;
+  b.bz_ops <- g.bz_ops;
   b.bz_bits <- g.bz_bits;
   Array.iteri
     (fun k st ->
-      if st = pass then begin
-        let j = -1 - busy_find b ~pass old_inst.(k) old_slot.(k) in
+      if st = t.g.G.pass then begin
+        let j = -1 - busy_find t old_inst.(k) old_slot.(k) in
         b.bz_stamp.(j) <- st;
         b.bz_inst.(j) <- old_inst.(k);
         b.bz_slot.(j) <- old_slot.(k);
-        b.bz_val.(j) <- old_val.(k)
+        b.bz_ops.(j) <- old_ops.(k)
       end)
     old_stamp
 
-(* the live value of (inst, slot), claimed with [empty] when absent *)
-let rec busy_cell b ~pass inst sl (empty : 'a) : 'a ref =
-  let k = busy_find b ~pass inst sl in
-  if k >= 0 then b.bz_val.(k)
+let rec busy_ref t inst step =
+  let sl = slot t step in
+  let k = busy_find t inst sl in
+  if k >= 0 then t.busy.bz_ops.(k)
   else begin
+    let b = t.busy in
+    let pass = t.g.G.pass in
     if b.bz_pass <> pass then begin
       b.bz_pass <- pass;
       b.bz_live <- 0
     end;
     if 2 * (b.bz_live + 1) > Array.length b.bz_stamp then begin
-      busy_grow b ~pass;
-      busy_cell b ~pass inst sl empty
+      busy_grow t;
+      busy_ref t inst step
     end
     else begin
       let j = -1 - k in
-      let r = ref empty in
+      let r = ref [] in
       b.bz_stamp.(j) <- pass;
       b.bz_inst.(j) <- inst;
       b.bz_slot.(j) <- sl;
-      b.bz_val.(j) <- r;
+      b.bz_ops.(j) <- r;
       b.bz_live <- b.bz_live + 1;
       r
     end
   end
 
-let busy_ref t inst step = busy_cell t.busy ~pass:t.g.G.pass inst (slot t step) []
-
 (* a read: a missing slot is empty, and stays absent from the table *)
 let busy_ops t inst step =
-  let k = busy_find t.busy ~pass:t.g.G.pass inst (slot t step) in
-  if k >= 0 then !(t.busy.bz_val.(k)) else []
+  let k = busy_find t inst (slot t step) in
+  if k >= 0 then !(t.busy.bz_ops.(k)) else []
 
 let dump_busy t =
   let b = t.busy in
   let acc = ref [] in
   Array.iteri
     (fun k st ->
-      if st = t.g.G.pass && !(b.bz_val.(k)) <> [] then
-        acc := ((b.bz_inst.(k), b.bz_slot.(k)), List.sort Int.compare !(b.bz_val.(k))) :: !acc)
+      if st = t.g.G.pass && !(b.bz_ops.(k)) <> [] then
+        acc := ((b.bz_inst.(k), b.bz_slot.(k)), List.sort Int.compare !(b.bz_ops.(k))) :: !acc)
     b.bz_stamp;
   List.sort
     (fun (((i : int), (s : int)), _) ((i', s'), _) ->
@@ -677,8 +665,7 @@ let rollback t =
           i.mux_cache <- mc;
           i.mux_n <- mn;
           t.g.G.unit_mux.(i.inst_id) <- md
-      | U_busy (r, l) -> r := l
-      | U_occ r -> decr r)
+      | U_busy (r, l) -> r := l)
     t.undo_log;
   G.abandon t.g;
   t.undo_log <- [];
@@ -771,33 +758,12 @@ let set_rtype t i rt =
     invalidate_mux t i
   end
 
-(* one more instance of [c] occupied in slot [sl]: its first occupant *)
-let occ_incr t c sl =
-  let r = busy_cell t.occ ~pass:t.g.G.pass c.ic_id sl 0 in
-  incr r;
-  if t.g.G.trial_on then t.undo_log <- U_occ r :: t.undo_log
-
 let occupy t ~inst_id ~step ~finish op_id =
   for s = step to finish do
     let r = busy_ref t inst_id s in
-    (match !r with [] -> occ_incr t t.cls_of.(inst_id) (slot t s) | _ :: _ -> ());
     if t.g.G.trial_on then t.undo_log <- U_busy (r, !r) :: t.undo_log;
     r := op_id :: !r
   done
-
-(** Does some step of [step]..[finish] have every instance of [op]'s class
-    occupied in its slot?  One count per (class, slot), kept by {!occupy}
-    and undone by {!rollback}; {!reset_pass} voids them with the pass
-    stamp. *)
-let class_saturated t (op : Dfg.op) ~step ~finish =
-  let c = class_of_op t op and b = t.occ in
-  let rec from s =
-    s <= finish
-    &&
-    let k = busy_find b ~pass:t.g.G.pass c.ic_id (slot t s) in
-    (k >= 0 && !(b.bz_val.(k)) >= c.ic_len) || from (s + 1)
-  in
-  c.ic_len > 0 && from step
 
 (** {2 Mux structure} *)
 
@@ -893,8 +859,6 @@ let create ~lib ~clock_ps (region : Region.t) =
       clock_ps;
       dfg;
       g;
-      insts_rev = [];
-      insts_memo = Some [];
       inst_arr = [||];
       cls_of = [||];
       ord_pos = [||];
@@ -905,8 +869,7 @@ let create ~lib ~clock_ps (region : Region.t) =
       pl_inst = g.G.node_unit;
       gslots = g.G.gslots;
       gpos = Array.make cap None;
-      busy = busy_make 6 (ref []);
-      occ = busy_make 4 (ref 0);
+      busy = busy_make 6;
       chain = Hls_timing.Cycle_detector.create ();
       undo_log = [];
       n_trials = 0;

@@ -3,10 +3,10 @@
     / {!commit} / {!rollback}).
 
     This layer owns the structural netlist state built by simultaneous
-    scheduling-and-binding — instances, port sharing/mux structure,
-    busy/occupancy tables, placements, the guard index — and keeps the
-    graph's node and unit arrays current; the graph ({!graph}) times it,
-    sharing-mux delays included.  Only the timing-awareness ablation turns
+    scheduling-and-binding — instances, port sharing/mux structure, the
+    busy table, placements, the guard index — and keeps the graph's node
+    and unit arrays current; the graph ({!graph}) times it, sharing-mux
+    delays included.  Only the timing-awareness ablation turns
     mux pricing off, for the duration of a pass ({!reset_pass},
     {!Hls_timing.Graph.price_muxes}).  The saturation screen lives in
     [Screen]; policy (modulo constraints, dedication, forbidden pairs) in
@@ -75,8 +75,8 @@ val graph : t -> Hls_timing.Graph.t
     Everything that reads or moves an arrival goes through it. *)
 
 val insts : t -> inst list
-(** Instances in registration order (ascending id); memoized, so
-    registering k instances costs O(k) amortized, not O(k²). *)
+(** Instances in registration order (ascending id): a fresh list built
+    from the id-indexed instance table, O(instances) per call. *)
 
 val n_insts : t -> int
 (** Number of registered instances (= the next instance id). *)
@@ -157,13 +157,6 @@ val slot : t -> int -> int
 val busy_ops : t -> int -> int -> int list
 (** [busy_ops t inst_id step] — ops occupying the instance in the step's
     slot.  A read: it never adds an entry to the busy table. *)
-
-val class_saturated : t -> Dfg.op -> step:int -> finish:int -> bool
-(** Does some step of [step]..[finish] have every instance of [op]'s class
-    occupied in its slot?  Read from a count per (class, slot) that
-    {!occupy} keeps under the trial journal and the pass stamp, so
-    {!rollback} and {!reset_pass} stay as cheap as before.  False for a
-    class with no instance. *)
 
 val dump_busy : t -> ((int * int) * int list) list
 (** Non-empty busy entries as [((inst, slot), sorted ops)], sorted — for

@@ -17,23 +17,21 @@
 #  - the exact pass and query counts of the ~1k point (10 passes, 71090
 #    queries), and the binder's exact decision counts there: the (op,
 #    step) bind attempts (8828), the candidate bindings they checked
-#    (52463), the candidates the all-busy verdict decided unchecked (893;
-#    checked, they would be 893 more busy rejections), the checked ones
-#    the per-type slack bound rejected (13301) and the candidates checked
-#    by attempts that failed (31953).  All are deterministic, so a change
-#    meant only to make the scheduler faster that moves the schedule it
-#    finds at this size, or the candidates it walks to find it, fails
-#    here.  A change that moves them on purpose updates the constants
-#    below;
+#    (53356), the ones the per-type slack bound rejected (13301) and the
+#    candidates checked by attempts that failed (32846).  All are
+#    deterministic, so a change meant only to make the scheduler faster
+#    that moves the schedule it finds at this size, or the candidates it
+#    walks to find it, fails here.  A change that moves them on purpose
+#    updates the constants below;
 #  - the exact saturation-screen counts of the ~1k point: the screens the
 #    instance slack floor rules out before pricing anyone (2420) and the
 #    screens that run and prove nothing (221).  A floor that stops ruling
 #    screens out moves both.
 # The ~359-op (II=2) point is pinned the same way, exactly: 3 passes,
-# 10100 queries, 2132 attempts, 3919 candidates (555 more decided all
-# busy), 506 slack-bound rejections, 2528 candidates in failed attempts,
-# 379 skipped and 24 futile screens.  Unlike the ~1k point it runs prefix replay, so a
-# change to the warm start that moves a schedule shows here.
+# 10100 queries, 2132 attempts, 4474 candidates, 506 slack-bound
+# rejections, 3083 candidates in failed attempts, 379 skipped and 24
+# futile screens.  Unlike the ~1k point it runs prefix replay, so a change
+# to the warm start that moves a schedule shows here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,19 +41,17 @@ max_cycle_visits_1k=22000
 passes_1k=10
 queries_1k=71090
 attempts_1k=8828
-candidates_1k=52463
-class_busy_1k=893
+candidates_1k=53356
 slack_bound_1k=13301
-failed_candidates_1k=31953
+failed_candidates_1k=32846
 screens_skipped_1k=2420
 screens_futile_1k=221
 passes_small=3
 queries_small=10100
 attempts_small=2132
-candidates_small=3919
-class_busy_small=555
+candidates_small=4474
 slack_bound_small=506
-failed_candidates_small=2528
+failed_candidates_small=3083
 screens_skipped_small=379
 screens_futile_small=24
 
@@ -66,9 +62,9 @@ dune exec bench/main.exe -- scale --smoke
 
 if command -v python3 >/dev/null 2>&1; then
   python3 - "$smoke_dir/BENCH_scale.json" "$MAX_WALL_1K" "$max_queries_1k" "$max_cycle_visits_1k" "$passes_1k" "$queries_1k" "$attempts_1k" "$candidates_1k" "$screens_skipped_1k" "$screens_futile_1k" \
-    "$class_busy_1k" "$slack_bound_1k" "$failed_candidates_1k" \
+    "$slack_bound_1k" "$failed_candidates_1k" \
     "$passes_small" "$queries_small" "$attempts_small" "$candidates_small" "$screens_skipped_small" \
-    "$screens_futile_small" "$class_busy_small" "$slack_bound_small" "$failed_candidates_small" <<'EOF'
+    "$screens_futile_small" "$slack_bound_small" "$failed_candidates_small" <<'EOF'
 import json, sys
 limit = float(sys.argv[2])
 max_queries = int(sys.argv[3])
@@ -79,11 +75,11 @@ attempts_1k = int(sys.argv[7])
 candidates_1k = int(sys.argv[8])
 screens_skipped_1k = int(sys.argv[9])
 screens_futile_1k = int(sys.argv[10])
-verdict_keys = ["rej_class_busy", "rej_slack_bound", "failed_candidates"]
-verdict_pins_1k = dict(zip(verdict_keys, map(int, sys.argv[11:14])))
+verdict_keys = ["rej_slack_bound", "failed_candidates"]
+verdict_pins_1k = dict(zip(verdict_keys, map(int, sys.argv[11:13])))
 small_pins = dict(zip(
     ["passes", "queries", "attempts", "candidates", "screens_skipped", "screens_futile"] + verdict_keys,
-    map(int, sys.argv[14:23])))
+    map(int, sys.argv[13:21])))
 with open(sys.argv[1]) as f:
     data = json.load(f)
 points = data["points"]
@@ -121,7 +117,7 @@ print(f"scale smoke OK: ~{small['ops']}-op point's counts as pinned; {big['ops']
       f"{big['cycle_visits']} cycle visits (ceiling {max_cycle_visits}), "
       f"{big['passes']} passes, {big['queries']} queries, {attempts} attempts, "
       f"{big['candidates']} candidates, {big['screens_skipped']} skipped and "
-      f"{big['screens_futile']} futile screens, {big['rej_class_busy']} decided all busy, "
+      f"{big['screens_futile']} futile screens, "
       f"{big['rej_slack_bound']} on the slack bound and {big['failed_candidates']} in failed attempts as pinned")
 EOF
 else
@@ -137,7 +133,6 @@ else
   cands=$(echo "$big" | grep -o '"candidates":[0-9]*' | cut -d: -f2)
   skipped=$(echo "$big" | grep -o '"screens_skipped":[0-9]*' | cut -d: -f2)
   futile=$(echo "$big" | grep -o '"screens_futile":[0-9]*' | cut -d: -f2)
-  class_busy=$(echo "$big" | grep -o '"rej_class_busy":[0-9]*' | cut -d: -f2)
   slack_bound=$(echo "$big" | grep -o '"rej_slack_bound":[0-9]*' | cut -d: -f2)
   failed_cands=$(echo "$big" | grep -o '"failed_candidates":[0-9]*' | cut -d: -f2)
   small=$(sed 's/},{/}\n{/g' "$smoke_dir/BENCH_scale.json" | grep -o '"ops":[0-9]*,"wall_s":.*' |
@@ -155,15 +150,14 @@ else
   check_small candidates "$(small_field candidates)" "$candidates_small"
   check_small screens_skipped "$(small_field screens_skipped)" "$screens_skipped_small"
   check_small screens_futile "$(small_field screens_futile)" "$screens_futile_small"
-  check_small rej_class_busy "$(small_field rej_class_busy)" "$class_busy_small"
   check_small rej_slack_bound "$(small_field rej_slack_bound)" "$slack_bound_small"
   check_small failed_candidates "$(small_field failed_candidates)" "$failed_candidates_small"
   awk -v w="$wall" -v m="$MAX_WALL_1K" -v q="$queries" -v mq="$max_queries_1k" \
     -v c="$cvis" -v mc="$max_cycle_visits_1k" -v p="$passes" -v pp="$passes_1k" \
     -v eq="$queries_1k" -v a="$((bound + failed))" -v ea="$attempts_1k" -v n="$cands" \
     -v en="$candidates_1k" -v k="$skipped" -v ek="$screens_skipped_1k" -v f="$futile" \
-    -v ef="$screens_futile_1k" -v cb="$class_busy" -v ecb="$class_busy_1k" -v sb="$slack_bound" \
-    -v esb="$slack_bound_1k" -v fc="$failed_cands" -v efc="$failed_candidates_1k" 'BEGIN {
+    -v ef="$screens_futile_1k" -v sb="$slack_bound" -v esb="$slack_bound_1k" \
+    -v fc="$failed_cands" -v efc="$failed_candidates_1k" 'BEGIN {
     if (w == "" || w + 0 > m + 0) { print "scale smoke FAILED: wall " w "s > " m "s"; exit 1 }
     if (q == "" || q + 0 > mq + 0) { print "scale smoke FAILED: " q " queries > " mq; exit 1 }
     if (c == "" || c + 0 > mc + 0) { print "scale smoke FAILED: " c " cycle visits > " mc; exit 1 }
@@ -173,11 +167,10 @@ else
     if (n == "" || n + 0 != en + 0) { print "scale smoke FAILED: " n " candidates != " en; exit 1 }
     if (k == "" || k + 0 != ek + 0) { print "scale smoke FAILED: " k " skipped screens != " ek; exit 1 }
     if (f == "" || f + 0 != ef + 0) { print "scale smoke FAILED: " f " futile screens != " ef; exit 1 }
-    if (cb == "" || cb + 0 != ecb + 0) { print "scale smoke FAILED: " cb " decided all busy != " ecb; exit 1 }
     if (sb == "" || sb + 0 != esb + 0) { print "scale smoke FAILED: " sb " slack-bound rejections != " esb; exit 1 }
     if (fc == "" || fc + 0 != efc + 0) { print "scale smoke FAILED: " fc " candidates in failed attempts != " efc; exit 1 }
     print "scale smoke OK: ~1k point in " w "s (guard " m "s), " q " queries (ceiling " mq "), " \
       c " cycle visits (ceiling " mc "), " p " passes, " a " attempts, " n " candidates, " k \
-      " skipped and " f " futile screens, " cb " decided all busy, " sb " on the slack bound, " fc \
+      " skipped and " f " futile screens, " sb " on the slack bound, " fc \
       " in failed attempts as pinned" }'
 fi
