@@ -62,89 +62,22 @@ let sched_preds region (op : Dfg.op) =
   let guards = List.filter (Region.mem region) (Guard.preds op.Dfg.guard) in
   List.sort_uniq Int.compare (data @ guards)
 
-(* predicate op -> guarded member ops, over the given member list *)
-let guard_index region members =
-  let tbl = Array.make (Array.length region.Region.members) [] in
-  List.iter
-    (fun (o : Dfg.op) ->
-      List.iter
-        (fun p -> if Region.mem region p then tbl.(p) <- o.Dfg.id :: tbl.(p))
-        (Guard.preds o.Dfg.guard))
-    members;
-  fun p -> if p >= 0 && p < Array.length tbl then tbl.(p) else []
-
-(* Consumers, tagged: [false] = data edge (the value chains through the
-   consumer's logic), [true] = guard edge (the value only gates the
-   consumer's commit enable). *)
-let sched_succs_tagged ~guard_deps region (op : Dfg.op) =
-  let dfg = region.Region.dfg in
-  let data =
-    List.filter_map
-      (fun e ->
-        if e.Dfg.distance = 0 && Region.mem region e.Dfg.dst then Some (e.Dfg.dst, false)
-        else None)
-      (Dfg.out_edges dfg op.Dfg.id)
-  in
-  let guarded =
-    List.filter_map
-      (fun g -> if List.exists (fun ((d : int), _) -> d = g) data then None else Some (g, true))
-      (guard_deps op.Dfg.id)
-  in
-  (* a consumer reachable through both a data and a guard edge counts as data *)
-  List.sort_uniq
-    (fun ((a : int), ga) (b, gb) -> match Int.compare a b with 0 -> Bool.compare ga gb | c -> c)
-    (data @ guarded)
-
-(** Everything {!compute} needs that depends only on the region's graph
-    and the library, not on the latency interval or the SCC windows.
+(** Everything {!compute} needs that does not depend on the latency
+    interval or the SCC windows: the graph's per-op tables and the forward
+    (ASAP) sweep, which reads only the graph, the library and the clock.
     Per-op tables are indexed by op id. *)
 type plan = {
+  p_clock_ps : float;  (** the clock the forward sweep ran at *)
   p_members : Dfg.op list;  (** region members, ascending id *)
   p_order : int list;  (** members in topological order *)
+  p_rtype : Resource.t option array;  (** {!Resource.of_op} *)
   p_delay : float array;  (** {!op_delay} *)
   p_lat : int array;  (** {!Library.op_latency} *)
   p_preds : int list array;  (** {!sched_preds} *)
-  p_data_preds : int list array;  (** [p_preds] minus the guard predicates *)
-  p_guard_preds : int list array;  (** member guard predicates *)
   p_succs : (int * bool) list array;  (** consumers, [true] = guard edge *)
+  p_asap : int array;  (** the forward sweep's step *)
+  p_asap_arrival : float array;  (** the forward sweep's in-step arrival there *)
 }
-
-let plan ~(lib : Library.t) (region : Region.t) =
-  let dfg = region.Region.dfg in
-  let members = Region.member_ops region in
-  let n = Array.length region.Region.members in
-  let guard_deps = guard_index region members in
-  let p_delay = Array.make n 0.0 and p_lat = Array.make n 1 in
-  let p_preds = Array.make n [] and p_data_preds = Array.make n [] in
-  let p_guard_preds = Array.make n [] and p_succs = Array.make n [] in
-  List.iter
-    (fun (op : Dfg.op) ->
-      let id = op.Dfg.id in
-      p_delay.(id) <- op_delay lib dfg op;
-      p_lat.(id) <- Library.op_latency lib op.Dfg.kind;
-      let preds = sched_preds region op in
-      let guard_preds = List.filter (Region.mem region) (Guard.preds op.Dfg.guard) in
-      p_preds.(id) <- preds;
-      p_guard_preds.(id) <- guard_preds;
-      p_data_preds.(id) <- List.filter (fun p -> not (List.exists (Int.equal p) guard_preds)) preds;
-      p_succs.(id) <- sched_succs_tagged ~guard_deps region op)
-    members;
-  let order =
-    match
-      Graph_algo.topo_sort
-        ~nodes:(List.map (fun o -> o.Dfg.id) members)
-        ~succs:(fun id -> List.map fst p_succs.(id))
-    with
-    | Some o -> o
-    | None -> invalid_arg "Asap_alap.compute: combinational cycle among member ops"
-  in
-  { p_members = members; p_order = order; p_delay; p_lat; p_preds; p_data_preds; p_guard_preds;
-    p_succs }
-
-(** Clamp a range with an anchor and an SCC stage window. *)
-let clamp_range ~anchor ~window (a, b) =
-  let a, b = match anchor with Some s -> (Int.max a s, Int.min b s) | None -> (a, b) in
-  match window with Some (lo, hi) -> (Int.max a lo, Int.min b hi) | None -> (a, b)
 
 (* The forward (ASAP) sweep: op -> step, and op -> in-step arrival there *)
 let forward pl ~(lib : Library.t) ~clock_ps (region : Region.t) =
@@ -161,8 +94,9 @@ let forward pl ~(lib : Library.t) ~clock_ps (region : Region.t) =
       let d = pl.p_delay.(id) in
       let lat = pl.p_lat.(id) in
       let preds = pl.p_preds.(id) in
-      let guard_preds = pl.p_guard_preds.(id) in
-      let data_preds = pl.p_data_preds.(id) in
+      let op = Dfg.find dfg id in
+      let guard_preds = List.filter (Region.mem region) (Guard.preds op.Dfg.guard) in
+      let data_preds = List.filter (fun p -> not (List.exists (Int.equal p) guard_preds)) preds in
       (* earliest step considering register crossings of multi-cycle preds *)
       let min_step =
         List.fold_left
@@ -175,7 +109,7 @@ let forward pl ~(lib : Library.t) ~clock_ps (region : Region.t) =
           List.fold_left
             (fun acc p -> fmax acc (arr_at step p))
             (if data_preds = [] then
-               match (Dfg.find dfg id).Dfg.kind with
+               match op.Dfg.kind with
                | Opkind.Const _ -> 0.0
                | _ -> ff
              else 0.0)
@@ -244,20 +178,74 @@ let backward pl ~(lib : Library.t) ~clock_ps ~li (region : Region.t) =
     (List.rev pl.p_order);
   b_start
 
+let plan ~(lib : Library.t) ~clock_ps (region : Region.t) =
+  let dfg = region.Region.dfg in
+  let members = Region.member_ops region in
+  let n = Array.length region.Region.members in
+  let p_rtype = Array.make n None and p_delay = Array.make n 0.0 and p_lat = Array.make n 1 in
+  let p_preds = Array.make n [] and p_succs = Array.make n [] in
+  List.iter
+    (fun (op : Dfg.op) ->
+      let id = op.Dfg.id in
+      let rt = Resource.of_op dfg op in
+      p_rtype.(id) <- rt;
+      p_delay.(id) <- (match rt with None -> 0.0 | Some rt -> Library.delay lib rt);
+      p_lat.(id) <- Library.op_latency lib op.Dfg.kind;
+      p_preds.(id) <- sched_preds region op)
+    members;
+  (* the consumers are the predecessor lists reversed: walking the members
+     downward leaves each list ascending.  A consumer fed by a data edge is
+     a data consumer even when it is also guarded by the producer *)
+  List.iter
+    (fun (op : Dfg.op) ->
+      let c = op.Dfg.id in
+      let ins = Dfg.in_edges dfg c in
+      List.iter
+        (fun p ->
+          let data = List.exists (fun e -> e.Dfg.distance = 0 && e.Dfg.src = p) ins in
+          p_succs.(p) <- (c, not data) :: p_succs.(p))
+        p_preds.(c))
+    (List.rev members);
+  let order =
+    match
+      Graph_algo.topo_sort
+        ~nodes:(List.map (fun o -> o.Dfg.id) members)
+        ~succs:(fun id -> List.map fst p_succs.(id))
+    with
+    | Some o -> o
+    | None -> invalid_arg "Asap_alap.compute: combinational cycle among member ops"
+  in
+  let pl =
+    { p_clock_ps = clock_ps; p_members = members; p_order = order; p_rtype; p_delay; p_lat;
+      p_preds; p_succs; p_asap = [||]; p_asap_arrival = [||] }
+  in
+  let p_asap, p_asap_arrival = forward pl ~lib ~clock_ps region in
+  { pl with p_asap; p_asap_arrival }
+
+(** Clamp a range with an anchor and an SCC stage window. *)
+let clamp_range ~anchor ~window (a, b) =
+  let a, b = match anchor with Some s -> (Int.max a s, Int.min b s) | None -> (a, b) in
+  match window with Some (lo, hi) -> (Int.max a lo, Int.min b hi) | None -> (a, b)
+
 (** [compute ~lib ~clock_ps ~scc_window region] analyzes all member ops.
     [scc_window op] returns the inclusive step window imposed by a pipeline
     SCC stage assignment, if any.  [plan] defaults to a fresh {!plan}; a
-    plan built earlier for the same region and library gives the same
-    result, whatever the latency interval now is.  Every per-op table is
-    an array indexed by op id.  Windows and anchors only clamp the
-    sweeps' results. *)
+    plan built earlier for the same region, library and clock gives the
+    same result, whatever the latency interval now is: only the backward
+    sweep reads the interval.  Windows and anchors only clamp the sweeps'
+    results. *)
 let compute ?plan:pl ~(lib : Library.t) ~clock_ps ?(scc_window = fun _ -> None) (region : Region.t) :
     t =
-  let pl = match pl with Some p -> p | None -> plan ~lib region in
+  let pl =
+    match pl with
+    | Some p when p.p_clock_ps = clock_ps -> p
+    | Some _ -> invalid_arg "Asap_alap.compute: plan built for another clock"
+    | None -> plan ~lib ~clock_ps region
+  in
   let dfg = region.Region.dfg in
   let n = Array.length region.Region.members in
   let li = region.Region.n_steps in
-  let f_step, f_arr = forward pl ~lib ~clock_ps region in
+  let f_step = pl.p_asap and f_arr = pl.p_asap_arrival in
   let b_start = backward pl ~lib ~clock_ps ~li region in
   (* ---- combine, clamp, detect infeasibility ---- *)
   let ranges = Array.make n None in

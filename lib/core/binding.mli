@@ -112,7 +112,8 @@ val find_inst : t -> int -> inst
 val refresh_prealloc : t -> bool
 (** Recompute which instances pre-allocate sharing muxes, if an instance
     was added or changed type since the last recompute; true when that
-    changed any instance's flag ({!Netlist.refresh_prealloc}). *)
+    changed any instance's flag or a type change was committed
+    ({!Netlist.refresh_prealloc}). *)
 
 val reset_pass : t -> unit
 (** Clear pass-local netlist state (placements, busy, arrivals, chain

@@ -19,15 +19,12 @@ type t = {
   mutable ctx_scores_aa : Asap_alap.t option;
 }
 
-let class_key dfg op =
-  match Resource.of_op dfg op with
-  | Some rt ->
-      Some
-        ( rt.Resource.rclass,
-          List.map
-            (fun w -> if w <= 8 then 8 else if w <= 16 then 16 else if w <= 32 then 32 else 64)
-            rt.Resource.in_widths )
-  | None -> None
+(* the resource class with its operand widths rounded up to 8/16/32/64 *)
+let class_key (rt : Resource.t) =
+  ( rt.Resource.rclass,
+    List.map
+      (fun w -> if w <= 8 then 8 else if w <= 16 then 16 else if w <= 32 then 32 else 64)
+      rt.Resource.in_widths )
 
 (* The order of the end-of-pass blocked restraints: the iteration order of
    a [Hashtbl] created for the members and filled in member order, which
@@ -42,19 +39,19 @@ let blocked_order members n =
   Array.of_list (List.rev !order)
 
 let create ~(plan : Asap_alap.plan) (region : Region.t) =
-  let dfg = region.Region.dfg in
   let members = plan.Asap_alap.p_members in
-  let preds = plan.Asap_alap.p_preds in
   let n = Array.length region.Region.members in
   let deps = Array.make n [] and class_keys = Array.make n (-1) in
   (* intern the bucketed class keys to dense ints *)
   let interned = Hashtbl.create 8 in
   List.iter
     (fun o ->
-      List.iter (fun p -> deps.(p) <- o.Dfg.id :: deps.(p)) preds.(o.Dfg.id);
-      match class_key dfg o with
-      | Some key ->
-          class_keys.(o.Dfg.id) <-
+      let id = o.Dfg.id in
+      deps.(id) <- List.map fst plan.Asap_alap.p_succs.(id);
+      match plan.Asap_alap.p_rtype.(id) with
+      | Some rt ->
+          let key = class_key rt in
+          class_keys.(id) <-
             (match Hashtbl.find_opt interned key with
             | Some k -> k
             | None ->
@@ -67,9 +64,9 @@ let create ~(plan : Asap_alap.plan) (region : Region.t) =
   {
     ctx_members = members;
     ctx_n_members = n_members;
-    ctx_preds = preds;
+    ctx_preds = plan.Asap_alap.p_preds;
     ctx_deps = deps;
-    ctx_fanout = Priority.fanout_table dfg;
+    ctx_fanout = Priority.fanout_table region.Region.dfg;
     ctx_class_key = class_keys;
     ctx_n_class_keys = Hashtbl.length interned;
     ctx_blocked_order = blocked_order members n_members;

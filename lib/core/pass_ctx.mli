@@ -18,7 +18,7 @@ type t = {
   ctx_n_members : int;
   ctx_preds : int list array;
       (** op id -> distance-0 scheduling predecessors (data + guard) *)
-  ctx_deps : int list array;  (** reverse of [ctx_preds] *)
+  ctx_deps : int list array;  (** reverse of [ctx_preds], ascending: the plan's consumers *)
   ctx_fanout : int -> int;  (** fanout-cone size, precomputed per op *)
   ctx_class_key : int array;
       (** op id -> its bucketed resource-class key (class and operand
@@ -37,7 +37,8 @@ type t = {
 
 val create : plan:Asap_alap.plan -> Region.t -> t
 (** Build every aa-independent table; the members and predecessor lists
-    are the [plan]'s own (shared, not copied).  Scores are left empty
+    are the [plan]'s own (shared, not copied), the dependents and class
+    keys come from its consumer lists and resource types.  Scores are left empty
     until the first {!refresh_scores}. *)
 
 val refresh_scores : ?boosts:(int * float) list -> t -> aa:Asap_alap.t -> unit

@@ -77,17 +77,19 @@ let validate (s : Scheduler.t) (t : t) : string list =
           | None -> err "op %d bound to instance %d but not folded" op inst.Binding.inst_id)
         inst.Binding.bound)
     (Hls_netlist.Netlist.insts binding.Binding.net);
-  (* SCC stage confinement *)
-  List.iter
-    (fun scc ->
-      let stages =
-        List.filter_map (fun op -> Option.map snd (kernel_state t op)) scc
-        |> List.sort_uniq compare
-      in
-      match stages with
-      | [] | [ _ ] -> ()
-      | _ -> err "SCC [%s] spans stages" (String.concat ";" (List.map string_of_int scc)))
-    (Region.sccs region);
+  (* SCC stage confinement; a sequential region is one stage, where it
+     holds by construction *)
+  if Region.is_pipelined region then
+    List.iter
+      (fun scc ->
+        let stages =
+          List.filter_map (fun op -> Option.map snd (kernel_state t op)) scc
+          |> List.sort_uniq compare
+        in
+        match stages with
+        | [] | [ _ ] -> ()
+        | _ -> err "SCC [%s] spans stages" (String.concat ";" (List.map string_of_int scc)))
+      (Region.sccs region);
   (* modulo dependency constraint *)
   Dfg.iter_ops dfg (fun op ->
       List.iter

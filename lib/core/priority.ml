@@ -8,9 +8,16 @@
 
 open Hls_ir
 
+(** Set bits of a native int (all 63 of them, the sign bit included):
+    the SWAR count, summing bit pairs, nibbles and then bytes in parallel.
+    The top byte of the 63-bit word holds only 7 bits, so every partial
+    sum fits its field; the multiply adds the eight byte counts into the
+    top byte, read back by the shift. *)
 let popcount x =
-  let rec go x n = if x = 0 then n else go (x land (x - 1)) (n + 1) in
-  go x 0
+  let x = x - ((x lsr 1) land 0x5555555555555555) in
+  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0f0f0f0f0f0f0f0f in
+  (x * 0x0101010101010101) lsr 56
 
 (** Precomputed fanout-cone sizes for all ops of a DFG, equal to
     {!Dfg.fanout_cone_size} op by op.  One reverse-topological sweep over

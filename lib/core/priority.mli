@@ -4,6 +4,9 @@
 
 open Hls_ir
 
+val popcount : int -> int
+(** Set bits of an int's 63-bit word, the sign bit included. *)
+
 val fanout_table : Dfg.t -> int -> int
 (** Precomputed fanout-cone sizes, equal to {!Dfg.fanout_cone_size} op by
     op (one reverse-topological bitset sweep over the distance-0 edges).

@@ -576,9 +576,10 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
   let dfg = region.Region.dfg in
   let binding = Binding.create ~timing_aware:opts.timing_aware ~lib ~clock_ps region in
   (* --- initial resource set, estimated at the latency upper bound; the
-     graph-only half of the interval analysis is shared by every
-     [Asap_alap.compute] of this call whatever the latency interval --- *)
-  let plan = Asap_alap.plan ~lib region in
+     interval analysis's graph tables and forward sweep are shared by
+     every [Asap_alap.compute] of this call whatever the latency
+     interval --- *)
+  let plan = Asap_alap.plan ~lib ~clock_ps region in
   let initial = Alloc.initial ~plan ~lib ~clock_ps region in
   List.iter
     (fun (rt, n, _) ->
@@ -686,11 +687,10 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
         (Dfg.out_edges dfg id)
     in
     let weight id = Asap_alap.op_delay lib dfg (Dfg.find dfg id) in
-    match Graph_algo.topo_sort ~nodes:scc ~succs with
-    | None -> false (* an internal distance-0 cycle is caught elsewhere *)
-    | Some _ ->
-        let dist = Graph_algo.longest_path ~nodes:scc ~succs ~weight in
-        let chain = Hashtbl.fold (fun _ v acc -> fmax acc v) dist 0.0 in
+    match Graph_algo.longest_path ~nodes:scc ~succs ~weight with
+    | exception Invalid_argument _ -> false (* an internal distance-0 cycle is caught elsewhere *)
+    | dist ->
+        let chain = List.fold_left (fun acc (_, v) -> fmax acc v) 0.0 dist in
         let usable =
           clock_ps -. lib.Library.ff_clk_q -. lib.Library.ff_setup
           -. (if Region.ii region = 1 then 0.0 else Library.mux_delay lib ~inputs:2)
@@ -791,9 +791,10 @@ let schedule ?(opts = default_options) ?trace ~(lib : Library.t) ~clock_ps (regi
        in
        let ctx = match ctx0 with Some c -> c | None -> Pass_ctx.create ~plan region in
        Pass_ctx.refresh_scores ctx ~boosts:!boosts ~aa;
-       (* a merge that widened an instance in the last pass can flip
-          prealloc-shared flags, which moves sharing-mux delays on every
-          step: no prefix of the previous pass is replayable then *)
+       (* a merge that widened an instance in the last pass changes which
+          ops fit it and can flip prealloc-shared flags, which moves
+          sharing-mux delays on every step: no prefix of the previous pass
+          is replayable then *)
        let prealloc_moved = Binding.refresh_prealloc binding in
        let warm =
          match (!next_warm, !prev_log) with

@@ -36,13 +36,19 @@ let check_expr ~design ~defined errs e =
   widths e;
   !errs
 
-let rec check_stmts ~design ~defined ~top errs stmts =
+(* [defined] holds the variables assigned on every path so far; [added]
+   collects the ones this statement list adds to it, so that a branch's
+   additions can be taken back out *)
+let rec check_stmts ~design ~defined ~added ~top errs stmts =
   List.fold_left
     (fun errs s ->
       match s with
       | Assign (v, e) ->
           let errs = check_expr ~design ~defined errs e in
-          Hashtbl.replace defined v ();
+          if not (Hashtbl.mem defined v) then begin
+            Hashtbl.replace defined v ();
+            added := v :: !added
+          end;
           if List.mem_assoc v design.d_ins || List.mem_assoc v design.d_outs then
             Printf.sprintf "variable '%s' shadows a port" v :: errs
           else errs
@@ -58,14 +64,21 @@ let rec check_stmts ~design ~defined ~top errs stmts =
           if count_waits t > 0 || count_waits f > 0 then
             "internal: wait-bearing conditional survived desugaring" :: errs
           else begin
-            (* branch-local definitions stay visible conservatively: a
-               variable defined on one branch only is reported when read
-               later without an unconditional definition — tracked by
-               marking it defined only if both branches define it *)
-            let dt = Hashtbl.copy defined and df = Hashtbl.copy defined in
-            let errs = check_stmts ~design ~defined:dt ~top:false errs t in
-            let errs = check_stmts ~design ~defined:df ~top:false errs f in
-            Hashtbl.iter (fun v () -> if Hashtbl.mem df v then Hashtbl.replace defined v ()) dt;
+            (* each branch sees only its own definitions; after the [if]
+               a variable counts as defined when both branches define it,
+               so one defined on one branch only is reported when read
+               later without an unconditional definition *)
+            let dt = ref [] and df = ref [] in
+            let errs = check_stmts ~design ~defined ~added:dt ~top:false errs t in
+            List.iter (Hashtbl.remove defined) !dt;
+            let errs = check_stmts ~design ~defined ~added:df ~top:false errs f in
+            let both = List.filter (Hashtbl.mem defined) !dt in
+            List.iter (Hashtbl.remove defined) !df;
+            List.iter
+              (fun v ->
+                Hashtbl.replace defined v ();
+                added := v :: !added)
+              both;
             errs
           end
       | Do_while (body, cond, attrs) ->
@@ -91,7 +104,7 @@ let rec check_stmts ~design ~defined ~top errs stmts =
                 :: errs
             | _ -> errs
           in
-          let errs = check_stmts ~design ~defined ~top:false errs body in
+          let errs = check_stmts ~design ~defined ~added ~top:false errs body in
           check_expr ~design ~defined errs cond
       | While _ | For _ -> "internal: while/for survived desugaring" :: errs)
     errs stmts
@@ -126,7 +139,7 @@ let run (design : design) : error list =
       design.d_name n_loops;
   let defined = Hashtbl.create 16 in
   List.iter (fun (v, _) -> Hashtbl.replace defined v ()) design.d_vars;
-  let errs' = check_stmts ~design ~defined ~top:true !errs design.d_body in
+  let errs' = check_stmts ~design ~defined ~added:(ref []) ~top:true !errs design.d_body in
   List.rev errs'
 
 (** Raise {!Fault.Error} (code ["check"]) with a readable message when

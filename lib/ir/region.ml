@@ -49,6 +49,7 @@ type t = {
   is_loop : bool;
   source_waits : int;  (** number of wait() states the source specified *)
   nest : nest option;  (** loop-nest metadata; [None] for ordinary regions *)
+  mutable scc_memo : int list list option;  (** {!sccs}, once computed *)
 }
 
 (* the largest latency bound a user may ask for: far beyond any schedule
@@ -58,7 +59,7 @@ let max_steps_limit = (1 lsl 21) - 1
 
 (* pipelined execution needs LI > II; exploration starts at II+1
    (Section V, condition 2) *)
-let initial_li ~min_steps = function None -> min_steps | Some { ii } -> max min_steps (ii + 1)
+let initial_li ~min_steps = function None -> min_steps | Some { ii } -> Int.max min_steps (ii + 1)
 
 let initial_steps t = initial_li ~min_steps:t.min_steps t.pipeline
 
@@ -69,7 +70,7 @@ let create ?(min_steps = 1) ?(max_steps = 64) ?pipeline ?continue_cond ?stall_co
   if min_steps > max_steps_limit || max_steps > max_steps_limit then
     invalid_arg
       (Printf.sprintf "Region.create: latency bound %d above the limit %d"
-         (max min_steps max_steps) max_steps_limit);
+         (Int.max min_steps max_steps) max_steps_limit);
   (match pipeline with
   | Some { ii } when ii < 1 -> invalid_arg "Region.create: ii < 1"
   | _ -> ());
@@ -78,7 +79,7 @@ let create ?(min_steps = 1) ?(max_steps = 64) ?pipeline ?continue_cond ?stall_co
     | Some ids -> ids
     | None -> Dfg.fold_ops dfg (fun op acc -> op.Dfg.id :: acc) []
   in
-  let member_arr = Array.make (1 + List.fold_left max (-1) ids) false in
+  let member_arr = Array.make (1 + List.fold_left Int.max (-1) ids) false in
   let n_members =
     List.fold_left
       (fun n id ->
@@ -103,6 +104,7 @@ let create ?(min_steps = 1) ?(max_steps = 64) ?pipeline ?continue_cond ?stall_co
     is_loop;
     source_waits;
     nest;
+    scc_memo = None;
   }
 
 let mem t id = id >= 0 && id < Array.length t.members && t.members.(id)
@@ -116,7 +118,7 @@ let nest t = t.nest
     strictly inside it, so the innermost dimension has stride 1. *)
 let strides n =
   List.fold_right
-    (fun d (inner, acc) -> (inner * max 1 d.nd_trip, inner :: acc))
+    (fun d (inner, acc) -> (inner * Int.max 1 d.nd_trip, inner :: acc))
     n.n_dims (1, [])
   |> snd
 
@@ -125,7 +127,7 @@ let strides n =
 let flat_iters t =
   match t.nest with
   | None -> 1
-  | Some n -> List.fold_left (fun acc d -> acc * max 1 d.nd_trip) 1 n.n_dims
+  | Some n -> List.fold_left (fun acc d -> acc * Int.max 1 d.nd_trip) 1 n.n_dims
 
 (** Achieved per-dimension initiation intervals, outermost first, given
     the kernel II actually scheduled: the innermost dimension initiates
@@ -142,7 +144,7 @@ let n_members t = t.n_members
 
 let ii t = match t.pipeline with Some { ii } -> ii | None -> t.n_steps
 
-let is_pipelined t = t.pipeline <> None
+let is_pipelined t = Option.is_some t.pipeline
 
 (** Number of pipeline stages PS = ceil(LI / II) (the paper assumes II
     divides LI for the folded kernel; we take the ceiling so intermediate
@@ -163,24 +165,34 @@ let stage_of_step t s = match t.pipeline with Some { ii } -> s / ii | None -> 0
     MUX select.  The selector still schedules inside the stage in practice,
     pulled in by its ordinary data dependencies. *)
 let sccs t =
-  let nodes = List.map (fun op -> op.Dfg.id) (member_ops t) in
-  let succs id =
-    List.filter_map
-      (fun e ->
-        let is_select =
-          e.Dfg.port = 0 && (Dfg.find t.dfg e.Dfg.dst).Dfg.kind = Opkind.Mux
-        in
-        if mem t e.Dfg.dst && not is_select then Some e.Dfg.dst else None)
-      (Dfg.out_edges t.dfg id)
-  in
-  let comps = Graph_algo.scc ~nodes ~succs in
-  List.filter
-    (fun comp ->
-      match comp with
-      | [ x ] -> List.exists (fun e -> e.Dfg.dst = x) (Dfg.out_edges t.dfg x)
-      | _ :: _ :: _ -> true
-      | [] -> false)
-    comps
+  match t.scc_memo with
+  | Some comps -> comps
+  | None ->
+      let nodes = List.map (fun op -> op.Dfg.id) (member_ops t) in
+      let succs id =
+        List.filter_map
+          (fun e ->
+            let is_select =
+              e.Dfg.port = 0
+              && match (Dfg.find t.dfg e.Dfg.dst).Dfg.kind with Opkind.Mux -> true | _ -> false
+            in
+            if mem t e.Dfg.dst && not is_select then Some e.Dfg.dst else None)
+          (Dfg.out_edges t.dfg id)
+      in
+      let comps =
+        List.filter
+          (fun comp ->
+            match comp with
+            | [ x ] -> List.exists (fun e -> e.Dfg.dst = x) (Dfg.out_edges t.dfg x)
+            | _ :: _ :: _ -> true
+            | [] -> false)
+          (Graph_algo.scc ~nodes ~succs)
+      in
+      (* the graph and the membership never change, so the list is
+         computed once per region; a region is never shared across
+         domains, and a race would only compute the same list twice *)
+      t.scc_memo <- Some comps;
+      comps
 
 (** Grow the latency interval by one state (the "add state" relaxation).
     Returns [false] when the designer bound forbids it. *)

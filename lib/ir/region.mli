@@ -47,6 +47,8 @@ type t = {
   is_loop : bool;
   source_waits : int;  (** wait() states the source specified *)
   nest : nest option;  (** loop-nest metadata; [None] for ordinary regions *)
+  mutable scc_memo : int list list option;
+      (** {!sccs}'s list once computed; written by {!sccs} only *)
 }
 
 val max_steps_limit : int
@@ -108,7 +110,9 @@ val stage_of_step : t -> int -> int
 val sccs : t -> int list list
 (** SCCs of the member subgraph over all edges — the groups that must fit
     one pipeline stage.  Mux {e select} inputs count as control, not data,
-    matching the paper's Fig. 3 SCC membership. *)
+    matching the paper's Fig. 3 SCC membership.  Computed on the first
+    call and kept in the region: the graph and the membership never
+    change, and the latency interval does not enter. *)
 
 val add_step : t -> bool
 (** Grow LI by one ("add state"); [false] when the bound forbids it. *)

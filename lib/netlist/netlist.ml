@@ -167,6 +167,8 @@ type t = {
   mutable prealloc_stale : bool;
       (** an instance was added or changed type since the [prealloc_shared]
           flags were last computed *)
+  mutable retyped : bool;
+      (** a type change was committed (not rolled back) since then *)
   seen : int array;  (** visit stamps of {!chain_source_insts}, one generation per walk *)
   mutable seen_gen : int;
   mutable epoch : int array;  (** instance -> epoch of its last change (see {!inst_epoch}) *)
@@ -378,11 +380,14 @@ let class_ops t rt =
     Both counts are memoized per resource type — the member count
     permanently (membership is static), the instance count for this call —
     so the recompute is O(distinct types × (members + instances)), not
-    O(instances²).  True when some instance's flag changed. *)
+    O(instances²).  True when some instance's flag changed or a type change
+    was committed since the last recompute. *)
 let refresh_prealloc t =
   if not t.prealloc_stale then false
   else begin
     t.prealloc_stale <- false;
+    let retyped = t.retyped in
+    t.retyped <- false;
     let all = insts t in
     let type_counts = Hashtbl.create 8 in
     let insts_of_class rt =
@@ -403,7 +408,7 @@ let refresh_prealloc t =
           touch t inst;
           true
         end)
-      false all
+      retyped all
   end
 
 (** Reset all pass-local state (placements, busy tables, arrivals, chain
@@ -633,6 +638,7 @@ let begin_trial t =
 let commit t =
   if not t.g.G.trial_on then invalid_arg "Netlist.commit: no active trial";
   G.commit t.g;
+  if List.exists (function U_rtype _ -> true | _ -> false) t.undo_log then t.retyped <- true;
   t.undo_log <- [];
   t.n_commits <- t.n_commits + 1
 
@@ -755,6 +761,7 @@ let set_rtype t i rt =
     set_type t i rt;
     touch t i;
     t.prealloc_stale <- true;
+    if not t.g.G.trial_on then t.retyped <- true;
     invalidate_mux t i
   end
 
@@ -883,6 +890,7 @@ let create ~lib ~clock_ps (region : Region.t) =
       member_needs;
       class_ops_memo = Hashtbl.create 8;
       prealloc_stale = true;
+      retyped = false;
       seen = Array.make cap 0;
       seen_gen = 0;
       epoch = [||];

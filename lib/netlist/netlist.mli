@@ -125,8 +125,10 @@ val class_ops : t -> Resource.t -> int
 val refresh_prealloc : t -> bool
 (** Recompute each instance's [prealloc_shared] flag if an instance was
     added or changed type since the flags were last computed (region
-    membership is static).  True when some flag changed: that moves
-    sharing-mux delays on every step.  Meant for pass boundaries;
+    membership is static).  True when some flag changed, which moves
+    sharing-mux delays on every step, or when an instance's type change
+    was committed since the last recompute (a widened instance fits ops
+    it did not fit before, on any step).  Meant for pass boundaries;
     {!reset_pass} calls it too. *)
 
 val reset_pass : price_muxes:bool -> t -> unit

@@ -79,12 +79,10 @@ let default_max_cycles ~ii ~stages ~n_iters =
 (** [ids] in dependency order over the distance-0 edges among them: the
     pre region, one kernel cell, or the flat plan's region members. *)
 let pre_topo (dfg : Dfg.t) ids =
-  let member_set = Hashtbl.create 16 in
-  List.iter (fun m -> Hashtbl.replace member_set m ()) ids;
+  (* the sort ignores successors outside [ids] *)
   let succs id =
     List.filter_map
-      (fun e ->
-        if e.Dfg.distance = 0 && Hashtbl.mem member_set e.Dfg.dst then Some e.Dfg.dst else None)
+      (fun e -> if e.Dfg.distance = 0 then Some e.Dfg.dst else None)
       (Dfg.out_edges dfg id)
   in
   match Graph_algo.topo_sort ~nodes:ids ~succs with

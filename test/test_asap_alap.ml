@@ -109,7 +109,7 @@ let prop_plan_reuse =
           (Hls_frontend.Elaborate.design (Hls_designs.Synthetic.design ~profile ()))
       in
       let clock_ps = [| 1200.0; 1600.0; 2400.0 |].(seed mod 3) in
-      let plan = Asap_alap.plan ~lib region in
+      let plan = Asap_alap.plan ~lib ~clock_ps region in
       let rng = Random.State.make [| seed |] in
       (* windows: each SCC (or, sequential, a few random ops) pinned to a
          random stage of the current interval *)
@@ -149,6 +149,21 @@ let prop_plan_reuse =
       Region.reset_steps region hi;
       ok0 && ok1 && ok2 && agree ())
 
+(* the plan carries the forward sweep of one clock: its ASAP steps are the
+   ranges' (no window or anchor here), and another clock is refused *)
+let test_plan_holds_forward_sweep () =
+  let region, _, _, _, _ = chain_region () in
+  let plan = Asap_alap.plan ~lib ~clock_ps:1100.0 region in
+  let aa = Asap_alap.compute ~plan ~lib ~clock_ps:1100.0 region in
+  List.iter
+    (fun (o : Dfg.op) ->
+      Alcotest.(check int) o.Dfg.name plan.Asap_alap.p_asap.(o.Dfg.id)
+        (Asap_alap.range aa o.Dfg.id).Asap_alap.asap)
+    (Region.member_ops region);
+  Alcotest.check_raises "another clock"
+    (Invalid_argument "Asap_alap.compute: plan built for another clock") (fun () ->
+      ignore (Asap_alap.compute ~plan ~lib ~clock_ps:1600.0 region))
+
 let suite =
   [
     Alcotest.test_case "chaining packs a step" `Quick test_chaining_packs;
@@ -159,4 +174,5 @@ let suite =
     Alcotest.test_case "anchors clamp / conflicts flagged" `Quick test_anchor_clamps_and_infeasible;
     Alcotest.test_case "guards are dependencies" `Quick test_guard_is_dependency;
     QCheck_alcotest.to_alcotest prop_plan_reuse;
+    Alcotest.test_case "plan holds the forward sweep" `Quick test_plan_holds_forward_sweep;
   ]

@@ -200,6 +200,22 @@ let prop_fanout_table =
       let table = Hls_core.Priority.fanout_table g in
       Dfg.fold_ops g (fun op ok -> ok && table op.Dfg.id = Dfg.fanout_cone_size g op.Dfg.id) true)
 
+(* the one-bit-per-iteration count the SWAR popcount replaced *)
+let loop_popcount x =
+  let rec go x n = if x = 0 then n else go (x land (x - 1)) (n + 1) in
+  go x 0
+
+let test_popcount_extremes () =
+  List.iter
+    (fun (x, bits) ->
+      Alcotest.(check int) (Printf.sprintf "popcount %d" x) bits (Hls_core.Priority.popcount x);
+      Alcotest.(check int) (Printf.sprintf "bit loop %d" x) bits (loop_popcount x))
+    [ (0, 0); (1, 1); (max_int, 62); (min_int, 1); (-1, 63); (0x5555555555555555, 32) ]
+
+let prop_popcount =
+  QCheck.Test.make ~name:"SWAR popcount = the bit loop" ~count:2000 QCheck.int (fun x ->
+      Hls_core.Priority.popcount x = loop_popcount x)
+
 let suite =
   [
     Alcotest.test_case "build and find" `Quick test_build_and_find;
@@ -210,4 +226,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_dfg_model;
     QCheck_alcotest.to_alcotest prop_one_edge_per_port;
     QCheck_alcotest.to_alcotest prop_fanout_table;
+    Alcotest.test_case "popcount extremes" `Quick test_popcount_extremes;
+    QCheck_alcotest.to_alcotest prop_popcount;
   ]

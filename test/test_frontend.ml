@@ -120,6 +120,29 @@ let test_check_clean_design () =
   Alcotest.(check (list string)) "example1 is clean" []
     (Check.run (Desugar.design (Hls_designs.Example1.design ())))
 
+(* after an [if], a variable counts as assigned only when both branches
+   assign it; [t] is not a declared variable, so only the branches define
+   it *)
+let test_check_branch_definitions () =
+  let c = Dsl.(v "x" >: int 0) and c' = Dsl.(v "x" >: int 1) in
+  let errors body = Check.run (dsl_body (body @ Dsl.[ write "y" (v "t") ])) in
+  let unset = [ "variable 't' read before any assignment" ] in
+  Alcotest.(check (list string)) "both branches" []
+    (errors Dsl.[ if_ c [ "t" := int 1 ] [ "t" := int 2 ] ]);
+  Alcotest.(check (list string)) "then branch only" unset
+    (errors Dsl.[ if_ c [ "t" := int 1 ] [ "x" := int 2 ] ]);
+  Alcotest.(check (list string)) "else branch only" unset (errors Dsl.[ if_ c [] [ "t" := int 2 ] ]);
+  Alcotest.(check (list string)) "a branch does not see the other's definitions" unset
+    (errors Dsl.[ if_ c [ "t" := int 1 ] [ "x" := v "t" ]; "t" := int 3 ]);
+  Alcotest.(check (list string)) "nested, every path" []
+    (errors Dsl.[ if_ c [ if_ c' [ "t" := int 1 ] [ "t" := int 2 ] ] [ "t" := int 3 ] ]);
+  Alcotest.(check (list string)) "nested, one inner path misses" unset
+    (errors Dsl.[ if_ c [ if_ c' [ "t" := int 1 ] [] ] [ "t" := int 3 ] ]);
+  Alcotest.(check (list string)) "nested inside the else branch" unset
+    (errors Dsl.[ if_ c [ "t" := int 1 ] [ if_ c' [] [ "t" := int 2 ] ] ]);
+  Alcotest.(check (list string)) "defined before the if" []
+    (errors Dsl.[ "t" := int 0; if_ c [] [ if_ c' [ "t" := int 1 ] [] ] ])
+
 let suite =
   [
     Alcotest.test_case "for unroll" `Quick test_for_unroll;
@@ -133,4 +156,6 @@ let suite =
     Alcotest.test_case "check: two loops" `Quick test_check_two_loops;
     Alcotest.test_case "check: bad II" `Quick test_check_bad_ii;
     Alcotest.test_case "check: example1 clean" `Quick test_check_clean_design;
+    Alcotest.test_case "check: definitions across if branches" `Quick
+      test_check_branch_definitions;
   ]

@@ -49,7 +49,7 @@ let test_has_path () =
 let test_longest_path () =
   let nodes, succs = adj [ (0, 1); (1, 2); (0, 2) ] 3 in
   let dist = Graph_algo.longest_path ~nodes ~succs ~weight:(fun _ -> 1.0) in
-  Alcotest.(check (float 0.001)) "node 2 depth 3" 3.0 (Hashtbl.find dist 2)
+  Alcotest.(check (float 0.001)) "node 2 depth 3" 3.0 (List.assoc 2 dist)
 
 (* random digraph generator: edge list over n nodes *)
 let digraph_gen =
@@ -193,6 +193,128 @@ let prop_topo_matches_reference =
       let succs v = match List.assoc_opt v adj with Some ss -> ss | None -> [] in
       Graph_algo.topo_sort ~nodes ~succs = reference_topo_sort ~nodes ~succs)
 
+(* The binary-search-rank array sort that the dense rank table replaced,
+   kept as the reference order the current version must reproduce. *)
+let binary_search_topo_sort ~(nodes : int list) ~(succs : int -> int list) =
+  let ids = Array.of_list nodes in
+  let n = Array.length ids in
+  Array.sort Int.compare ids;
+  let rec distinct k = k >= n - 1 || (ids.(k) <> ids.(k + 1) && distinct (k + 1)) in
+  if not (distinct 0) then None
+  else begin
+    let index (x : int) =
+      let lo = ref 0 and hi = ref (n - 1) and r = ref (-1) in
+      while !lo <= !hi do
+        let mid = (!lo + !hi) lsr 1 in
+        let v = ids.(mid) in
+        if v = x then begin
+          r := mid;
+          lo := !hi + 1
+        end
+        else if v < x then lo := mid + 1
+        else hi := mid - 1
+      done;
+      !r
+    in
+    let adj =
+      Array.map
+        (fun id ->
+          List.fold_left (fun acc s -> let k = index s in if k < 0 then acc else k :: acc) [] (succs id))
+        ids
+    in
+    let indeg = Array.make n 0 in
+    Array.iter (List.iter (fun k -> indeg.(k) <- indeg.(k) + 1)) adj;
+    let module Pq = Set.Make (Int) in
+    let ready = ref Pq.empty in
+    Array.iteri (fun k d -> if d = 0 then ready := Pq.add k !ready) indeg;
+    let order = ref [] and count = ref 0 in
+    while not (Pq.is_empty !ready) do
+      let k = Pq.min_elt !ready in
+      ready := Pq.remove k !ready;
+      order := ids.(k) :: !order;
+      incr count;
+      List.iter
+        (fun s ->
+          indeg.(s) <- indeg.(s) - 1;
+          if indeg.(s) = 0 then ready := Pq.add s !ready)
+        adj.(k)
+    done;
+    if !count = n then Some (List.rev !order) else None
+  end
+
+let prop_topo_matches_binary_search =
+  QCheck.Test.make ~name:"topo_sort returns the binary-search rank order" ~count:1000
+    sparse_digraph_arb (fun (nodes, adj) ->
+      let succs v = match List.assoc_opt v adj with Some ss -> ss | None -> [] in
+      Graph_algo.topo_sort ~nodes ~succs = binary_search_topo_sort ~nodes ~succs)
+
+(* The Hashtbl Tarjan that the array version replaced, kept as the
+   reference for components, their order and their member order. *)
+let hashtbl_scc ~(nodes : int list) ~(succs : int -> int list) =
+  let index = Hashtbl.create 64 and lowlink = Hashtbl.create 64 and on_stack = Hashtbl.create 64 in
+  let stack = ref [] and next_index = ref 0 and comps = ref [] in
+  let enter w =
+    Hashtbl.replace index w !next_index;
+    Hashtbl.replace lowlink w !next_index;
+    incr next_index;
+    stack := w :: !stack;
+    Hashtbl.replace on_stack w ()
+  in
+  let visit root =
+    if not (Hashtbl.mem index root) then begin
+      let call = ref [ (root, ref (succs root)) ] in
+      enter root;
+      while !call <> [] do
+        match !call with
+        | [] -> ()
+        | (v, rest) :: frames -> (
+            match !rest with
+            | w :: more ->
+                rest := more;
+                if not (Hashtbl.mem index w) then begin
+                  enter w;
+                  call := (w, ref (succs w)) :: !call
+                end
+                else if Hashtbl.mem on_stack w then
+                  Hashtbl.replace lowlink v (min (Hashtbl.find lowlink v) (Hashtbl.find index w))
+            | [] ->
+                call := frames;
+                (match frames with
+                | (parent, _) :: _ ->
+                    Hashtbl.replace lowlink parent
+                      (min (Hashtbl.find lowlink parent) (Hashtbl.find lowlink v))
+                | [] -> ());
+                if Hashtbl.find lowlink v = Hashtbl.find index v then begin
+                  let comp = ref [] and popping = ref true in
+                  while !popping do
+                    match !stack with
+                    | [] -> popping := false
+                    | w :: rest ->
+                        stack := rest;
+                        Hashtbl.remove on_stack w;
+                        comp := w :: !comp;
+                        if w = v then popping := false
+                  done;
+                  comps := !comp :: !comps
+                end)
+      done
+    end
+  in
+  List.iter visit nodes;
+  List.rev !comps
+
+let prop_scc_matches_hashtbl =
+  QCheck.Test.make ~name:"scc returns the Hashtbl Tarjan's components" ~count:1000
+    sparse_digraph_arb (fun (nodes, adj) ->
+      let succs v = match List.assoc_opt v adj with Some ss -> ss | None -> [] in
+      Graph_algo.scc ~nodes ~succs = hashtbl_scc ~nodes ~succs)
+
+(* successors outside [nodes] are searched, below and above their range *)
+let test_scc_outside_nodes () =
+  let succs = function 5 -> [ -3; 900 ] | -3 -> [ 5 ] | 900 -> [ 900 ] | _ -> [] in
+  Alcotest.(check (list (list int))) "widened both ways" [ [ 900 ]; [ 5; -3 ] ]
+    (Graph_algo.scc ~nodes:[ 5 ] ~succs)
+
 let suite =
   [
     Alcotest.test_case "topo DAG" `Quick test_topo_dag;
@@ -206,4 +328,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_topo_respects_edges;
     QCheck_alcotest.to_alcotest prop_topo_none_iff_cycle;
     QCheck_alcotest.to_alcotest prop_topo_matches_reference;
+    QCheck_alcotest.to_alcotest prop_topo_matches_binary_search;
+    QCheck_alcotest.to_alcotest prop_scc_matches_hashtbl;
+    Alcotest.test_case "scc searches successors outside the nodes" `Quick test_scc_outside_nodes;
   ]

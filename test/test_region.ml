@@ -48,6 +48,30 @@ let test_membership () =
   Alcotest.(check bool) "b out" false (Region.mem r b.Dfg.id);
   Alcotest.(check int) "one member" 1 (Region.n_members r)
 
+(* The SCC list is computed once per region: a second call returns the
+   same list, and after a schedule (which moves the latency interval) it
+   still equals a fresh computation *)
+let prop_scc_memo =
+  QCheck.Test.make ~name:"SCC list = a fresh computation after scheduling" ~count:20
+    QCheck.(int_range 1 10000)
+    (fun seed ->
+      let profile =
+        {
+          Hls_designs.Synthetic.default_profile with
+          Hls_designs.Synthetic.p_ops = 20 + (seed mod 60);
+          p_seed = seed;
+          p_accumulators = 1 + (seed mod 4);
+        }
+      in
+      let region =
+        Hls_frontend.Elaborate.main_region ~ii:(1 + (seed mod 3))
+          (Hls_frontend.Elaborate.design (Hls_designs.Synthetic.design ~profile ()))
+      in
+      let first = Region.sccs region in
+      ignore
+        (Hls_core.Scheduler.schedule ~lib:Hls_techlib.Library.artisan90 ~clock_ps:1600.0 region);
+      Region.sccs region == first && first = Region.sccs { region with Region.scc_memo = None })
+
 let suite =
   [
     Alcotest.test_case "pipelined initial LI" `Quick test_pipelined_initial_li;
@@ -55,4 +79,5 @@ let suite =
     Alcotest.test_case "add_step bounds" `Quick test_add_step_bounds;
     Alcotest.test_case "bad arguments" `Quick test_bad_args;
     Alcotest.test_case "membership" `Quick test_membership;
+    QCheck_alcotest.to_alcotest prop_scc_memo;
   ]

@@ -89,38 +89,50 @@ let observables (s : Scheduler.t) =
   in
   (s.Scheduler.s_li, s.Scheduler.s_passes, s.Scheduler.s_actions, placements, insts)
 
+(* [Ok ()] when warm- and cold-started schedules of the synthetic design
+   of [seed] agree on every observable (or fail with the same code) *)
+let warm_cold_agree seed =
+  let profile =
+    {
+      Hls_designs.Synthetic.default_profile with
+      Hls_designs.Synthetic.p_ops = 20 + (seed mod 50);
+      p_seed = seed;
+      p_tightness = 0.2 +. (float_of_int (seed mod 5) /. 10.0);
+      p_accumulators = 1 + (seed mod 2);
+    }
+  in
+  let d = Hls_designs.Synthetic.design ~profile () in
+  (* a third of the cases pipeline, at II 1, 2 or 3, so SCC moves and
+     forbids — the actions that actually exercise prefix replay — occur *)
+  let ii = if seed mod 3 = 0 then Some (1 + (seed / 3 mod 3)) else None in
+  let run warm_start =
+    schedule_design ~opts:{ Scheduler.default_options with warm_start } ?ii d |> snd
+  in
+  match (run true, run false) with
+  | Ok w, Ok c ->
+      if observables w = observables c then Ok ()
+      else Error (Printf.sprintf "warm and cold schedules diverge (seed %d)" seed)
+  | Error w, Error c ->
+      if w.Scheduler.e_code = c.Scheduler.e_code then Ok ()
+      else
+        Error
+          (Printf.sprintf "warm error %s vs cold error %s (seed %d)" w.Scheduler.e_code
+             c.Scheduler.e_code seed)
+  | Ok _, Error e | Error e, Ok _ ->
+      Error
+        (Printf.sprintf "warm/cold disagree on feasibility: %s (seed %d)" e.Scheduler.e_code seed)
+
 let prop_warm_equals_cold =
   QCheck.Test.make ~name:"warm-started schedule == cold schedule (all observables)" ~count:220
     QCheck.(int_range 1 100_000)
     (fun seed ->
-      let profile =
-        {
-          Hls_designs.Synthetic.default_profile with
-          Hls_designs.Synthetic.p_ops = 20 + (seed mod 50);
-          p_seed = seed;
-          p_tightness = 0.2 +. (float_of_int (seed mod 5) /. 10.0);
-          p_accumulators = 1 + (seed mod 2);
-        }
-      in
-      let d = Hls_designs.Synthetic.design ~profile () in
-      (* a third of the cases pipeline, at II 1, 2 or 3, so SCC moves and
-         forbids — the actions that actually exercise prefix replay — occur *)
-      let ii = if seed mod 3 = 0 then Some (1 + (seed / 3 mod 3)) else None in
-      let run warm_start =
-        schedule_design ~opts:{ Scheduler.default_options with warm_start } ?ii d |> snd
-      in
-      match (run true, run false) with
-      | Ok w, Ok c ->
-          if observables w = observables c then true
-          else QCheck.Test.fail_reportf "warm and cold schedules diverge (seed %d)" seed
-      | Error w, Error c ->
-          if w.Scheduler.e_code = c.Scheduler.e_code then true
-          else
-            QCheck.Test.fail_reportf "warm error %s vs cold error %s (seed %d)" w.Scheduler.e_code
-              c.Scheduler.e_code seed
-      | Ok _, Error e | Error e, Ok _ ->
-          QCheck.Test.fail_reportf "warm/cold disagree on feasibility: %s (seed %d)"
-            e.Scheduler.e_code seed)
+      match warm_cold_agree seed with Ok () -> true | Error m -> QCheck.Test.fail_report m)
+
+(* Seed 27573 widens an instance by a merge in one pass, and the next pass
+   must not replay binds made before the wider type existed: a cold pass
+   binds an op of that class on the widened instance instead *)
+let test_widening_forces_cold () =
+  match warm_cold_agree 27573 with Ok () -> () | Error m -> Alcotest.fail m
 
 (** Warm passes are counted — and on a design whose relaxation uses only
     global actions, every pass is cold. *)
@@ -198,6 +210,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_heap_order;
     Alcotest.test_case "heap interleaved push/pop" `Quick test_heap_interleaved;
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
+    Alcotest.test_case "a widening merge forces a cold pass (seed 27573)" `Quick
+      test_widening_forces_cold;
     Alcotest.test_case "warm/cold pass counters" `Quick test_pass_counters;
     QCheck_alcotest.to_alcotest prop_jobs_deterministic;
     Alcotest.test_case "idct8x8 II=1 schedule identical across --jobs" `Quick test_idct8x8_jobs;
