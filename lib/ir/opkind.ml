@@ -224,43 +224,55 @@ let is_resource_op k =
   | R_wire | R_port_in | R_port_out -> false
   | _ -> true
 
+let b2i b = if b then 1 else 0
+
+(* the low [w] bits of [v]; all of them when [w] spans the native int *)
+let low_bits w v = if w >= 62 then v else v land ((1 lsl w) - 1)
+
+(** The operator table: what each operator computes on concrete operand
+    values, before the caller truncates to the result width.  Division and
+    modulo by zero give 0; shift amounts are taken modulo 64.  A simulator
+    resolves an operator here once and calls the function per evaluation;
+    {!eval_pure} reads the same table. *)
+let binop_fn : binop -> int -> int -> int = function
+  | Add -> ( + )
+  | Sub -> ( - )
+  | Mul -> ( * )
+  | Div -> fun a b -> if b = 0 then 0 else a / b
+  | Mod -> fun a b -> if b = 0 then 0 else a mod b
+  | Shl -> fun a b -> a lsl (b land 63)
+  | Shr -> fun a b -> a asr (b land 63)
+  | Band -> ( land )
+  | Bor -> ( lor )
+  | Bxor -> ( lxor )
+  | Land -> fun a b -> b2i (a <> 0 && b <> 0)
+  | Lor -> fun a b -> b2i (a <> 0 || b <> 0)
+  | Eq -> fun a b -> b2i (a = b)
+  | Neq -> fun a b -> b2i (a <> b)
+  | Lt -> fun a b -> b2i (a < b)
+  | Le -> fun a b -> b2i (a <= b)
+  | Gt -> fun a b -> b2i (a > b)
+  | Ge -> fun a b -> b2i (a >= b)
+
+let unop_fn : unop -> int -> int = function
+  | Neg -> fun a -> -a
+  | Bnot -> lnot
+  | Lnot -> fun a -> b2i (a = 0)
+
+let slice_fn ~hi ~lo a = low_bits (hi - lo + 1) (a asr lo)
+
 (** Evaluate a kind over concrete operand values; widths are applied by the
     caller via {!Width.truncate}.  [Read]/[Write]/[Call] are handled by the
     simulators, not here. *)
 let eval_pure kind args =
   let a i = List.nth args i in
-  let b2i b = if b then 1 else 0 in
   match kind with
-  | Bin Add -> Some (a 0 + a 1)
-  | Bin Sub -> Some (a 0 - a 1)
-  | Bin Mul -> Some (a 0 * a 1)
-  | Bin Div -> if a 1 = 0 then Some 0 else Some (a 0 / a 1)
-  | Bin Mod -> if a 1 = 0 then Some 0 else Some (a 0 mod a 1)
-  | Bin Shl -> Some (a 0 lsl (a 1 land 63))
-  | Bin Shr -> Some (a 0 asr (a 1 land 63))
-  | Bin Band -> Some (a 0 land a 1)
-  | Bin Bor -> Some (a 0 lor a 1)
-  | Bin Bxor -> Some (a 0 lxor a 1)
-  | Bin Land -> Some (b2i (a 0 <> 0 && a 1 <> 0))
-  | Bin Lor -> Some (b2i (a 0 <> 0 || a 1 <> 0))
-  | Bin Eq -> Some (b2i (a 0 = a 1))
-  | Bin Neq -> Some (b2i (a 0 <> a 1))
-  | Bin Lt -> Some (b2i (a 0 < a 1))
-  | Bin Le -> Some (b2i (a 0 <= a 1))
-  | Bin Gt -> Some (b2i (a 0 > a 1))
-  | Bin Ge -> Some (b2i (a 0 >= a 1))
-  | Un Neg -> Some (-(a 0))
-  | Un Bnot -> Some (lnot (a 0))
-  | Un Lnot -> Some (b2i (a 0 = 0))
+  | Bin b -> Some (binop_fn b (a 0) (a 1))
+  | Un u -> Some (unop_fn u (a 0))
   | Const n -> Some n
   | Mux -> Some (if a 0 <> 0 then a 1 else a 2)
-  | Slice (hi, lo) ->
-      let v = a 0 asr lo in
-      let width = hi - lo + 1 in
-      Some (if width >= 62 then v else v land ((1 lsl width) - 1))
-  | Zext n ->
-      let v = a 0 in
-      Some (if n >= 62 then v else v land ((1 lsl n) - 1))
+  | Slice (hi, lo) -> Some (slice_fn ~hi ~lo (a 0))
+  | Zext n -> Some (low_bits n (a 0))
   | Sext _ -> Some (a 0)
   | Concat -> None (* needs operand widths; simulators handle it *)
   | Loop_mux | Read _ | Write _ | Call _ -> None

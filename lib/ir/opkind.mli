@@ -97,7 +97,20 @@ val is_resource_op : t -> bool
 (** Does the op occupy a shareable datapath resource (participating in
     allocation, sharing muxes and busy tables)? *)
 
+val binop_fn : binop -> int -> int -> int
+(** The operator table: a binary operator on concrete operands, before
+    truncation to the result width.  Division and modulo by zero give 0;
+    shift amounts are taken modulo 64.  Resolve once, call per
+    evaluation. *)
+
+val unop_fn : unop -> int -> int
+(** The unary half of the operator table. *)
+
+val slice_fn : hi:int -> lo:int -> int -> int
+(** Bits [hi..lo] of the operand, shifted down. *)
+
 val eval_pure : t -> int list -> int option
 (** Evaluate over concrete operands (callers apply {!Width.truncate}).
     [None] for stateful/contextual kinds ([Read], [Write], [Loop_mux],
-    [Call], [Concat]) — the simulators handle those. *)
+    [Call], [Concat]) — the simulators handle those.  Operators read
+    {!binop_fn}, {!unop_fn} and {!slice_fn}. *)

@@ -11,15 +11,22 @@
     The emitter aims for readable, synthesizable RTL; its output is
     exercised by golden tests and by a structural self-check
     ({!lint}) that verifies every referenced identifier is declared and
-    begin/end pairs balance. *)
+    begin/end pairs balance.
+
+    One pass over the region writes straight into the buffer: each op's
+    wire and register names are built once (on first reference) into
+    per-op-id arrays, and its placement is read once into int arrays. *)
 
 open Hls_ir
 open Hls_core
 module Netlist = Hls_netlist.Netlist
 
-let vname (op : Dfg.op) = Printf.sprintf "v%d_%s" op.Dfg.id (String.map (fun c -> if c = '[' || c = ']' || c = ':' || c = '(' || c = ')' || c = '*' || c = '+' || c = '-' || c = '/' || c = '%' || c = '!' || c = '=' || c = '<' || c = '>' || c = '&' || c = '|' || c = '^' || c = '~' || c = ' ' || c = ',' then '_' else c) op.Dfg.name)
-
-let rname op = vname op ^ "_r"
+(* characters of an op name that cannot appear in a Verilog identifier *)
+let sanitize = function
+  | '[' | ']' | ':' | '(' | ')' | '*' | '+' | '-' | '/' | '%' | '!' | '=' | '<' | '>' | '&' | '|'
+  | '^' | '~' | ' ' | ',' ->
+      '_'
+  | c -> c
 
 let binop_v : Opkind.binop -> string = function
   | Opkind.Add -> "+"
@@ -42,181 +49,261 @@ let binop_v : Opkind.binop -> string = function
   | Opkind.Ge -> ">="
 
 type ctx = {
-  buf : Buffer.t;
+  b : Buffer.t;
   dfg : Dfg.t;
-  sched : Scheduler.t;
-  fold : Pipeline.t;
-  elab : Hls_frontend.Elaborate.t;
+  placed : bool array;  (** by op id *)
+  step : int array;  (** placed ops only *)
+  finish : int array;
+  wires : string array;  (** ["v<id>_<name>"]; [""] until first built *)
+  regs : string array;  (** the wire name ^ ["_r"]; [""] until first built *)
 }
 
-let add ctx fmt = Printf.ksprintf (fun s -> Buffer.add_string ctx.buf s) fmt
+let str ctx s = Buffer.add_string ctx.b s
+let strs ctx l = List.iter (str ctx) l
+let num = string_of_int
 
-(** The emitter reads the schedule through the datapath-netlist view. *)
-let net ctx = ctx.sched.Scheduler.s_binding.Binding.net
+let vname ctx id =
+  let s = ctx.wires.(id) in
+  if String.length s > 0 then s
+  else
+    let s = "v" ^ string_of_int id ^ "_" ^ String.map sanitize (Dfg.find ctx.dfg id).Dfg.name in
+    ctx.wires.(id) <- s;
+    s
+
+let rname ctx id =
+  let s = ctx.regs.(id) in
+  if String.length s > 0 then s
+  else
+    let s = vname ctx id ^ "_r" in
+    ctx.regs.(id) <- s;
+    s
+
+(** A producer as its consumer reads it: the producer's wire when it is
+    chained into the consumer's step, else its register (a pre-region
+    value is held in a register too). *)
+let add_ref ctx ~consumer p =
+  str ctx
+    (if ctx.placed.(p) && ctx.placed.(consumer) && ctx.finish.(p) = ctx.step.(consumer) then
+       vname ctx p
+     else rname ctx p)
 
 (** The driving expression of an op's input edge: the producer's register
-    when the value crosses a step boundary (or iteration), its wire when
-    chained in the same step. *)
-let src_ref ctx (consumer_pl : Netlist.placement option) (e : Dfg.edge) =
-  let p = Dfg.find ctx.dfg e.Dfg.src in
-  if e.Dfg.distance > 0 then rname p
-  else
-    match (Netlist.placement (net ctx) e.Dfg.src, consumer_pl) with
-    | Some ppl, Some cpl when ppl.Netlist.pl_finish = cpl.Netlist.pl_step -> vname p
-    | Some _, _ -> rname p
-    | None, _ -> rname p (* pre-region value: held in a register *)
+    when the value crosses an iteration, else {!add_ref}. *)
+let add_src ctx ~consumer (e : Dfg.edge) =
+  if e.Dfg.distance > 0 then str ctx (rname ctx e.Dfg.src) else add_ref ctx ~consumer e.Dfg.src
 
-let op_expr ctx (op : Dfg.op) =
-  let pl = Netlist.placement (net ctx) op.Dfg.id in
-  let ins = Dfg.in_edges ctx.dfg op.Dfg.id in
-  let arg i = src_ref ctx pl (List.nth ins i) in
+let add_expr ctx (op : Dfg.op) =
+  let id = op.Dfg.id in
+  let ins = Array.of_list (Dfg.in_edges ctx.dfg id) in
+  let arg i = add_src ctx ~consumer:id ins.(i) in
   match op.Dfg.kind with
-  | Opkind.Bin b -> Printf.sprintf "%s %s %s" (arg 0) (binop_v b) (arg 1)
-  | Opkind.Un Opkind.Neg -> Printf.sprintf "-%s" (arg 0)
-  | Opkind.Un Opkind.Bnot -> Printf.sprintf "~%s" (arg 0)
-  | Opkind.Un Opkind.Lnot -> Printf.sprintf "!%s" (arg 0)
-  | Opkind.Const n -> Printf.sprintf "%d'sd%d" op.Dfg.width (abs n) |> fun s -> if n < 0 then "-" ^ s else s
-  | Opkind.Read p -> p
+  | Opkind.Bin b ->
+      arg 0;
+      strs ctx [ " "; binop_v b; " " ];
+      arg 1
+  | Opkind.Un u ->
+      str ctx (match u with Opkind.Neg -> "-" | Opkind.Bnot -> "~" | Opkind.Lnot -> "!");
+      arg 0
+  | Opkind.Const n ->
+      strs ctx [ (if n < 0 then "-" else ""); num op.Dfg.width; "'sd"; num (abs n) ]
+  | Opkind.Read p -> str ctx p
   | Opkind.Write _ -> arg 0
-  | Opkind.Mux -> Printf.sprintf "%s ? %s : %s" (arg 0) (arg 1) (arg 2)
-  | Opkind.Loop_mux -> Printf.sprintf "first_iter ? %s : %s" (arg 0) (arg 1)
-  | Opkind.Slice (hi, lo) -> Printf.sprintf "%s[%d:%d]" (arg 0) hi lo
-  | Opkind.Zext n -> Printf.sprintf "{{%d{1'b0}}, %s}" n (arg 0)
-  | Opkind.Sext n -> Printf.sprintf "{{%d{%s[%d]}}, %s}" n (arg 0) (op.Dfg.width - 1) (arg 0)
-  | Opkind.Concat -> Printf.sprintf "{%s, %s}" (arg 0) (arg 1)
-  | Opkind.Call c -> Printf.sprintf "%s(%s)" c.Opkind.callee (String.concat ", " (List.mapi (fun i _ -> arg i) ins))
+  | Opkind.Mux ->
+      arg 0;
+      str ctx " ? ";
+      arg 1;
+      str ctx " : ";
+      arg 2
+  | Opkind.Loop_mux ->
+      str ctx "first_iter ? ";
+      arg 0;
+      str ctx " : ";
+      arg 1
+  | Opkind.Slice (hi, lo) ->
+      arg 0;
+      strs ctx [ "["; num hi; ":"; num lo; "]" ]
+  | Opkind.Zext n ->
+      strs ctx [ "{{"; num n; "{1'b0}}, " ];
+      arg 0;
+      str ctx "}"
+  | Opkind.Sext n ->
+      strs ctx [ "{{"; num n; "{" ];
+      arg 0;
+      strs ctx [ "["; num (op.Dfg.width - 1); "]}}, " ];
+      arg 0;
+      str ctx "}"
+  | Opkind.Concat ->
+      str ctx "{";
+      arg 0;
+      str ctx ", ";
+      arg 1;
+      str ctx "}"
+  | Opkind.Call c ->
+      str ctx c.Opkind.callee;
+      str ctx "(";
+      Array.iteri
+        (fun i _ ->
+          if i > 0 then str ctx ", ";
+          arg i)
+        ins;
+      str ctx ")"
 
-let guard_expr ctx (op : Dfg.op) =
-  if Guard.is_always op.Dfg.guard then "1'b1"
+let add_guard ctx (op : Dfg.op) =
+  if Guard.is_always op.Dfg.guard then str ctx "1'b1"
   else
-    String.concat " && "
-      (List.map
-         (fun (a : Guard.atom) ->
-           let p = Dfg.find ctx.dfg a.Guard.pred in
-           let r =
-             match Netlist.placement (net ctx) a.Guard.pred with
-             | Some ppl -> (
-                 match Netlist.placement (net ctx) op.Dfg.id with
-                 | Some opl when ppl.Netlist.pl_finish = opl.Netlist.pl_step -> vname p
-                 | _ -> rname p)
-             | None -> rname p
-           in
-           if a.Guard.polarity then r else "!" ^ r)
-         op.Dfg.guard)
+    List.iteri
+      (fun i (a : Guard.atom) ->
+        if i > 0 then str ctx " && ";
+        if not a.Guard.polarity then str ctx "!";
+        add_ref ctx ~consumer:op.Dfg.id a.Guard.pred)
+      op.Dfg.guard
+
+(* "state == <st> && stage_valid[<sg>] && (<guard>)" *)
+let add_enable ctx op (st, sg) =
+  strs ctx [ "state == "; num st; " && stage_valid["; num sg; "] && (" ];
+  add_guard ctx op;
+  str ctx ")"
+
+(* "  <kind> signed [<width - 1>:0] <name>;\n" *)
+let add_decl ctx kind width name =
+  strs ctx [ kind; " signed ["; num (width - 1); ":0] "; name; ";\n" ]
 
 (** Emit the full module. *)
 let emit (elab : Hls_frontend.Elaborate.t) (sched : Scheduler.t) (fold : Pipeline.t) : string =
   let cd = elab.Hls_frontend.Elaborate.cdfg in
   let dfg = cd.Cdfg.dfg in
-  let ctx = { buf = Buffer.create 4096; dfg; sched; fold; elab } in
+  let n = Dfg.size dfg in
   let region = sched.Scheduler.s_region in
   let nl = sched.Scheduler.s_binding.Binding.net in
+  let ctx =
+    {
+      b = Buffer.create (4096 + (128 * n));
+      dfg;
+      placed = Array.make n false;
+      step = Array.make n 0;
+      finish = Array.make n 0;
+      wires = Array.make n "";
+      regs = Array.make n "";
+    }
+  in
+  Netlist.iter_placements nl (fun id pl ->
+      ctx.placed.(id) <- true;
+      ctx.step.(id) <- pl.Netlist.pl_step;
+      ctx.finish.(id) <- pl.Netlist.pl_finish);
   let ii = fold.Pipeline.f_ii in
   let stages = fold.Pipeline.f_stages in
   let pipelined = Region.is_pipelined region in
   let design_name = cd.Cdfg.name in
+  let width id = (Dfg.find dfg id).Dfg.width in
+  (* placed region members, ascending *)
+  let iter_placed_members f =
+    for id = 0 to n - 1 do
+      if ctx.placed.(id) && Region.mem region id then f (Dfg.find dfg id)
+    done
+  in
   (* ---- header ---- *)
-  add ctx "// Generated by hlspipe from design '%s'\n" design_name;
-  add ctx "// LI=%d II=%d stages=%d clock=%.0f ps\n" fold.Pipeline.f_li ii stages
-    (Netlist.clock_ps nl);
-  add ctx "module %s (\n  input  wire clk,\n  input  wire rst,\n" design_name;
-  List.iter (fun (p, w) -> add ctx "  input  wire signed [%d:0] %s,\n" (w - 1) p) cd.Cdfg.in_ports;
-  let outs = cd.Cdfg.out_ports in
-  List.iteri
-    (fun i (p, w) ->
-      add ctx "  output reg  signed [%d:0] %s,\n  output reg  %s_valid%s\n" (w - 1) p p
-        (if i = List.length outs - 1 then "" else ","))
-    outs;
-  add ctx ");\n\n";
-  (* ---- controller ---- *)
-  let state_bits = max 1 (int_of_float (ceil (log (float_of_int (max 2 ii)) /. log 2.0))) in
-  add ctx "  // controller: %d kernel state(s), %d stage(s)\n" ii stages;
-  add ctx "  reg [%d:0] state;\n" (state_bits - 1);
-  add ctx "  reg [%d:0] stage_valid;\n" (stages - 1);
-  add ctx "  reg first_iter;\n";
-  add ctx "  wire advance = 1'b1%s;\n"
-    (match region.Region.stall_cond with
-    | Some c -> Printf.sprintf " && %s" (rname (Dfg.find dfg c))
-    | None -> "");
-  add ctx "  always @(posedge clk) begin\n";
-  add ctx "    if (rst) begin\n      state <= 0;\n      stage_valid <= %d'b%s;\n      first_iter <= 1'b1;\n    end\n"
-    stages
-    (String.make (max 0 (stages - 1)) '0' ^ "1");
-  add ctx "    else if (advance) begin\n";
-  add ctx "      if (state == %d) begin\n        state <= 0;\n" (ii - 1);
-  if pipelined && stages > 1 then
-    add ctx "        stage_valid <= {stage_valid[%d:0], 1'b1};\n" (stages - 2)
-  else add ctx "        stage_valid <= 1'b1;\n";
-  add ctx "        first_iter <= 1'b0;\n      end\n";
-  add ctx "      else state <= state + 1;\n";
-  add ctx "    end\n  end\n\n";
-  (* ---- value wires ---- *)
-  add ctx "  // datapath wires (one per scheduled operation)\n";
-  let members = Region.member_ops region in
-  let placed op = Netlist.placement nl op.Dfg.id <> None in
+  strs ctx
+    [
+      "// Generated by hlspipe from design '"; design_name; "'\n";
+      "// LI="; num fold.Pipeline.f_li; " II="; num ii; " stages="; num stages;
+      " clock="; Printf.sprintf "%.0f" (Netlist.clock_ps nl);
+      " ps\nmodule "; design_name; " (\n  input  wire clk,\n  input  wire rst,\n";
+    ];
   List.iter
-    (fun op ->
-      if placed op then add ctx "  wire signed [%d:0] %s;\n" (op.Dfg.width - 1) (vname op))
-    members;
-  add ctx "\n  // registered values\n";
+    (fun (p, w) -> strs ctx [ "  input  wire signed ["; num (w - 1); ":0] "; p; ",\n" ])
+    cd.Cdfg.in_ports;
+  let outs = cd.Cdfg.out_ports in
+  let last = List.length outs - 1 in
+  List.iteri
+    (fun k (p, w) ->
+      strs ctx
+        [
+          "  output reg  signed ["; num (w - 1); ":0] "; p; ",\n  output reg  "; p; "_valid";
+          (if k = last then "\n" else ",\n");
+        ])
+    outs;
+  str ctx ");\n\n";
+  (* ---- controller ---- *)
+  let state_bits =
+    Int.max 1 (int_of_float (ceil (log (float_of_int (Int.max 2 ii)) /. log 2.0)))
+  in
+  strs ctx
+    [
+      "  // controller: "; num ii; " kernel state(s), "; num stages; " stage(s)\n";
+      "  reg ["; num (state_bits - 1); ":0] state;\n";
+      "  reg ["; num (stages - 1); ":0] stage_valid;\n";
+      "  reg first_iter;\n";
+      "  wire advance = 1'b1";
+      (match region.Region.stall_cond with Some c -> " && " ^ rname ctx c | None -> "");
+      ";\n  always @(posedge clk) begin\n";
+      "    if (rst) begin\n      state <= 0;\n      stage_valid <= "; num stages; "'b";
+      String.make (Int.max 0 (stages - 1)) '0'; "1;\n      first_iter <= 1'b1;\n    end\n";
+      "    else if (advance) begin\n      if (state == "; num (ii - 1);
+      ") begin\n        state <= 0;\n";
+      (if pipelined && stages > 1 then
+         "        stage_valid <= {stage_valid[" ^ num (stages - 2) ^ ":0], 1'b1};\n"
+       else "        stage_valid <= 1'b1;\n");
+      "        first_iter <= 1'b0;\n      end\n";
+      "      else state <= state + 1;\n";
+      "    end\n  end\n\n";
+    ];
+  (* ---- value wires ---- *)
+  str ctx "  // datapath wires (one per scheduled operation)\n";
+  iter_placed_members (fun op -> add_decl ctx "  wire" op.Dfg.width (vname ctx op.Dfg.id));
+  str ctx "\n  // registered values\n";
   let registered = Netlist.registered_ops nl in
+  let is_registered = Array.make n false in
   List.iter
     (fun id ->
-      let op = Dfg.find dfg id in
-      add ctx "  reg signed [%d:0] %s;\n" (op.Dfg.width - 1) (rname op))
+      is_registered.(id) <- true;
+      add_decl ctx "  reg" (width id) (rname ctx id))
     registered;
   (* pre-region values live in registers loaded before the loop; emitted as
      localparam-initialized registers for brevity *)
-  let pre = elab.Hls_frontend.Elaborate.pre_members in
-  if pre <> [] then begin
-    add ctx "\n  // pre-loop values (loaded during the init state in the full FSM)\n";
-    List.iter
-      (fun id ->
-        let op = Dfg.find dfg id in
-        if not (List.mem id registered) then
-          add ctx "  reg signed [%d:0] %s;\n" (op.Dfg.width - 1) (rname op))
-      pre
-  end;
+  (match elab.Hls_frontend.Elaborate.pre_members with
+  | [] -> ()
+  | pre ->
+      str ctx "\n  // pre-loop values (loaded during the init state in the full FSM)\n";
+      List.iter
+        (fun id -> if not is_registered.(id) then add_decl ctx "  reg" (width id) (rname ctx id))
+        pre);
   (* ---- combinational datapath ---- *)
-  add ctx "\n  // combinational datapath\n";
-  List.iter
-    (fun op -> if placed op then add ctx "  assign %s = %s;\n" (vname op) (op_expr ctx op))
-    members;
+  str ctx "\n  // combinational datapath\n";
+  iter_placed_members (fun op ->
+      strs ctx [ "  assign "; vname ctx op.Dfg.id; " = " ];
+      add_expr ctx op;
+      str ctx ";\n");
   (* ---- sequential commits ---- *)
-  add ctx "\n  // registered commits, decoded by (kernel state, stage validity, guard)\n";
-  add ctx "  always @(posedge clk) begin\n    if (advance) begin\n";
+  str ctx "\n  // registered commits, decoded by (kernel state, stage validity, guard)\n";
+  str ctx "  always @(posedge clk) begin\n    if (advance) begin\n";
   List.iter
     (fun id ->
-      let op = Dfg.find dfg id in
-      if Region.mem region id then begin
+      if Region.mem region id then
         match Pipeline.kernel_state fold id with
-        | Some (st, sg) ->
-            let cond =
-              Printf.sprintf "state == %d && stage_valid[%d] && (%s)" st sg (guard_expr ctx op)
-            in
-            add ctx "      if (%s) %s <= %s;\n" cond (rname op) (vname op)
-        | None -> ()
-      end)
+        | Some ks ->
+            str ctx "      if (";
+            add_enable ctx (Dfg.find dfg id) ks;
+            strs ctx [ ") "; rname ctx id; " <= "; vname ctx id; ";\n" ]
+        | None -> ())
     registered;
-  add ctx "    end\n  end\n\n";
+  str ctx "    end\n  end\n\n";
   (* ---- output ports ---- *)
-  add ctx "  // output port commits\n";
-  add ctx "  always @(posedge clk) begin\n";
-  List.iter (fun (p, _) -> add ctx "    %s_valid <= 1'b0;\n" p) outs;
-  add ctx "    if (advance) begin\n";
-  List.iter
-    (fun op ->
+  str ctx "  // output port commits\n  always @(posedge clk) begin\n";
+  List.iter (fun (p, _) -> strs ctx [ "    "; p; "_valid <= 1'b0;\n" ]) outs;
+  str ctx "    if (advance) begin\n";
+  iter_placed_members (fun op ->
       match op.Dfg.kind with
-      | Opkind.Write p when placed op -> (
+      | Opkind.Write p -> (
           match Pipeline.kernel_state fold op.Dfg.id with
-          | Some (st, sg) ->
-              add ctx "      if (state == %d && stage_valid[%d] && (%s)) begin %s <= %s; %s_valid <= 1'b1; end\n"
-                st sg (guard_expr ctx op) p (vname op) p
+          | Some ks ->
+              str ctx "      if (";
+              add_enable ctx op ks;
+              strs ctx
+                [ ") begin "; p; " <= "; vname ctx op.Dfg.id; "; "; p; "_valid <= 1'b1; end\n" ]
           | None -> ())
-      | _ -> ())
-    members;
-  add ctx "    end\n  end\n\nendmodule\n";
-  Buffer.contents ctx.buf
+      | _ -> ());
+  str ctx "    end\n  end\n\nendmodule\n";
+  Buffer.contents ctx.b
 
 (** Structural self-check of emitted Verilog: balanced begin/end and
     module/endmodule pairs, and every generated [vNN_*]/[..._r] identifier
@@ -282,6 +369,6 @@ let lint (src : string) : string list =
     (fun tok ->
       if is_generated tok && not (Hashtbl.mem declared tok) then
         let msg = "undeclared identifier: " ^ tok in
-        if not (List.mem msg !errs) then errs := msg :: !errs)
+        if not (List.exists (String.equal msg) !errs) then errs := msg :: !errs)
     tokens;
   List.rev !errs

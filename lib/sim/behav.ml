@@ -60,19 +60,11 @@ let rec eval ctx (e : Ast.expr) : int * int =
   | Ast.Bin (op, a, b) ->
       let va, wa = eval ctx a and vb, wb = eval ctx b in
       let w = Opkind.result_width (Opkind.Bin op) [ wa; wb ] in
-      let v =
-        match Opkind.eval_pure (Opkind.Bin op) [ va; vb ] with
-        | Some v -> v
-        | None -> assert false
-      in
-      (trunc ~width:w v, w)
+      (trunc ~width:w (Opkind.binop_fn op va vb), w)
   | Ast.Un (op, a) ->
       let va, wa = eval ctx a in
       let w = Opkind.result_width (Opkind.Un op) [ wa ] in
-      let v =
-        match Opkind.eval_pure (Opkind.Un op) [ va ] with Some v -> v | None -> assert false
-      in
-      (trunc ~width:w v, w)
+      (trunc ~width:w (Opkind.unop_fn op va), w)
   | Ast.Cond (c, a, b) ->
       let vc, _ = eval ctx c in
       (* both branches evaluate in hardware; values are pure so evaluating
@@ -83,12 +75,7 @@ let rec eval ctx (e : Ast.expr) : int * int =
   | Ast.Slice (a, hi, lo) ->
       let va, _ = eval ctx a in
       let w = Width.clamp (hi - lo + 1) in
-      let v =
-        match Opkind.eval_pure (Opkind.Slice (hi, lo)) [ va ] with
-        | Some v -> v
-        | None -> assert false
-      in
-      (trunc ~width:w v, w)
+      (trunc ~width:w (Opkind.slice_fn ~hi ~lo va), w)
   | Ast.Call (f, args, w) ->
       let vs = List.map (fun a -> fst (eval ctx a)) args in
       (trunc ~width:w (ctx.funcs f vs), w)
@@ -198,21 +185,19 @@ let rec cexpr c ~(slots : int array ref) ~(live : bool array ref) (e : Ast.expr)
   | Ast.Bin (op, a, b) ->
       let fa, wa = sub a and fb, wb = sub b in
       let w = Opkind.result_width (Opkind.Bin op) [ wa; wb ] in
-      let k = Opkind.Bin op in
+      let f = Opkind.binop_fn op in
+      (* the left operand first, as in the tree-walker (visible only
+         through impure [funcs]) *)
       ( (fun () ->
-          match Opkind.eval_pure k [ fa (); fb () ] with
-          | Some v -> trunc ~width:w v
-          | None -> assert false),
+          let va = fa () in
+          let vb = fb () in
+          trunc ~width:w (f va vb)),
         w )
   | Ast.Un (op, a) ->
       let fa, wa = sub a in
       let w = Opkind.result_width (Opkind.Un op) [ wa ] in
-      let k = Opkind.Un op in
-      ( (fun () ->
-          match Opkind.eval_pure k [ fa () ] with
-          | Some v -> trunc ~width:w v
-          | None -> assert false),
-        w )
+      let f = Opkind.unop_fn op in
+      ((fun () -> trunc ~width:w (f (fa ()))), w)
   | Ast.Cond (cnd, a, b) ->
       let fc, _ = sub cnd in
       let fa, wa = sub a and fb, wb = sub b in
@@ -227,12 +212,8 @@ let rec cexpr c ~(slots : int array ref) ~(live : bool array ref) (e : Ast.expr)
   | Ast.Slice (a, hi, lo) ->
       let fa, _ = sub a in
       let w = Width.clamp (hi - lo + 1) in
-      let k = Opkind.Slice (hi, lo) in
-      ( (fun () ->
-          match Opkind.eval_pure k [ fa () ] with
-          | Some v -> trunc ~width:w v
-          | None -> assert false),
-        w )
+      let f = Opkind.slice_fn ~hi ~lo in
+      ((fun () -> trunc ~width:w (f (fa ()))), w)
   | Ast.Call (f, args, w) ->
       let fs = List.map (fun a -> fst (sub a)) args in
       let funcs = c.c_funcs in
@@ -367,7 +348,11 @@ let run ?(funcs = default_fun) ?nest (design : Ast.design) (stim : Stimulus.t) :
   {
     r_outputs = List.rev ctx.outputs;
     r_iters = !iters;
-    r_env = Hashtbl.fold (fun k v acc -> (k, v) :: acc) ctx.env [] |> List.sort compare;
+    r_env =
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) ctx.env []
+      |> List.sort (fun (a, x) (b, y) ->
+             let c = String.compare a b in
+             if c <> 0 then c else Int.compare x y);
   }
 
 (** Outputs of one port, in emission order. *)

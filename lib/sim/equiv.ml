@@ -14,51 +14,113 @@ type mismatch = {
 
 type verdict = { equivalent : bool; mismatches : mismatch list; checked_values : int }
 
-let compare_port ~port expected actual =
-  let rec go i es actuals acc =
-    match (es, actuals) with
-    | [], [] -> acc
-    | e :: es', a :: as' ->
-        let acc =
-          if e = a then acc
-          else { m_port = port; m_index = i; m_expected = Some e; m_actual = Some a } :: acc
-        in
-        go (i + 1) es' as' acc
-    | e :: es', [] ->
-        go (i + 1) es' [] ({ m_port = port; m_index = i; m_expected = Some e; m_actual = None } :: acc)
-    | [], a :: as' ->
-        go (i + 1) [] as' ({ m_port = port; m_index = i; m_expected = None; m_actual = Some a } :: acc)
+(* The checked ports, [out_ports]'s names in order.  A port repeated there
+   is checked, and counted, once per occurrence, from the bucket of its
+   first occurrence. *)
+let rec first_index (ports : string array) p j =
+  if j = Array.length ports then -1
+  else if String.equal ports.(j) p then j
+  else first_index ports p (j + 1)
+
+(* the bucket of a port string met before (found by physical equality),
+   or -2 *)
+let rec find_met p = function
+  | [] -> -2
+  | (q, k) :: l -> if q == p then k else find_met p l
+
+(** Each checked port's events from one pass over [events], newest first;
+    events on other ports are dropped.  The simulators pass one string per
+    write along, so an event's port is looked up among the strings met so
+    far by physical equality; only a string not met before is compared
+    with [String.equal] against the checked ports. *)
+let group ports port_of events =
+  let buckets = Array.make (Array.length ports) [] in
+  let met = ref [] in
+  List.iter
+    (fun e ->
+      let p = port_of e in
+      let k =
+        match find_met p !met with
+        | -2 ->
+            let k = first_index ports p 0 in
+            met := (p, k) :: !met;
+            k
+        | k -> k
+      in
+      if k >= 0 then buckets.(k) <- e :: buckets.(k))
+    events;
+  buckets
+
+(* the values of a newest-first event list, oldest first *)
+let values_of_rev value_of l =
+  let a = Array.make (List.length l) 0 in
+  let rec fill i = function
+    | [] -> ()
+    | e :: l ->
+        a.(i) <- value_of e;
+        fill (i - 1) l
   in
-  go 0 expected actual []
+  fill (Array.length a - 1) l;
+  a
+
+(** Per port in [out_ports] order, every index where the golden and the
+    actual sequence differ, ascending. *)
+let verdict ports (expected : int array array) (actual : int array array) =
+  let mismatches = ref [] and checked = ref 0 in
+  for j = Array.length ports - 1 downto 0 do
+    let k = first_index ports ports.(j) 0 in
+    let e = expected.(k) and a = actual.(k) in
+    let ne = Array.length e and na = Array.length a in
+    checked := !checked + ne;
+    for i = Int.max ne na - 1 downto 0 do
+      if i >= ne || i >= na || e.(i) <> a.(i) then
+        mismatches :=
+          {
+            m_port = ports.(j);
+            m_index = i;
+            m_expected = (if i < ne then Some e.(i) else None);
+            m_actual = (if i < na then Some a.(i) else None);
+          }
+          :: !mismatches
+    done
+  done;
+  { equivalent = !mismatches = []; mismatches = !mismatches; checked_values = !checked }
+
+let golden_values ports (golden : Behav.result) =
+  Array.map
+    (values_of_rev (fun o -> o.Behav.o_value))
+    (group ports (fun o -> o.Behav.o_port) golden.Behav.r_outputs)
 
 (** [check design_outs golden scheduled] compares every output port. *)
 let check ~(out_ports : (string * int) list) (golden : Behav.result)
     (scheduled : Schedule_sim.result) : verdict =
-  let mismatches = ref [] in
-  let checked = ref 0 in
-  List.iter
-    (fun (p, _) ->
-      let e = Behav.port_values golden p and a = Schedule_sim.port_values scheduled p in
-      checked := !checked + List.length e;
-      mismatches := compare_port ~port:p e a @ !mismatches)
-    out_ports;
-  { equivalent = !mismatches = []; mismatches = List.rev !mismatches; checked_values = !checked }
+  let ports = Array.of_list (List.map fst out_ports) in
+  verdict ports (golden_values ports golden)
+    (Array.map
+       (values_of_rev (fun o -> o.Schedule_sim.o_value))
+       (group ports (fun o -> o.Schedule_sim.o_port) scheduled.Schedule_sim.r_outputs))
 
 (** [check_kernel design_outs golden kernel] compares the behavioural
     trace against the folded-kernel simulator — the gate the loop-nest
     path adds on top of {!check}: a flattened nest must stay byte-identical
-    through folding too. *)
+    through folding too.  Each port reads its commits in
+    {!Kernel_sim.commit_order} under a stable sort, which a port's commits
+    usually already follow. *)
 let check_kernel ~(out_ports : (string * int) list) (golden : Behav.result)
     (kernel : Kernel_sim.result) : verdict =
-  let mismatches = ref [] in
-  let checked = ref 0 in
-  List.iter
-    (fun (p, _) ->
-      let e = Behav.port_values golden p and a = Kernel_sim.port_values kernel p in
-      checked := !checked + List.length e;
-      mismatches := compare_port ~port:p e a @ !mismatches)
-    out_ports;
-  { equivalent = !mismatches = []; mismatches = List.rev !mismatches; checked_values = !checked }
+  let ports = Array.of_list (List.map fst out_ports) in
+  (* newest first: in commit order when each event is not before the next *)
+  let rec sorted = function
+    | a :: (b :: _ as l) -> Kernel_sim.commit_order b a <= 0 && sorted l
+    | _ -> true
+  in
+  let value o = o.Kernel_sim.k_value in
+  let values l =
+    if sorted l then values_of_rev value l
+    else Array.of_list (List.map value (List.stable_sort Kernel_sim.commit_order (List.rev l)))
+  in
+  verdict ports (golden_values ports golden)
+    (Array.map values (group ports (fun o -> o.Kernel_sim.k_port) kernel.Kernel_sim.k_outputs))
 
 (** Merge two verdicts (e.g. schedule-sim and kernel-sim gates). *)
 let both a b =
@@ -194,6 +256,16 @@ type fuzz_report = {
   fz_failures : fuzz_failure list;
 }
 
+(* the full kernel result record, field by field *)
+let same_kernel_result (a : Kernel_sim.result) (b : Kernel_sim.result) =
+  let same_event (x : Kernel_sim.output_event) (y : Kernel_sim.output_event) =
+    String.equal x.k_port y.k_port && x.k_iter = y.k_iter && x.k_cycle = y.k_cycle
+    && x.k_value = y.k_value
+  in
+  a.k_iters = b.k_iters && a.k_cycles = b.k_cycles && a.k_stall_cycles = b.k_stall_cycles
+  && a.k_squashed = b.k_squashed
+  && List.equal same_event a.k_outputs b.k_outputs
+
 let fuzz_ok r = r.fz_failures = [] && r.fz_equivalent > 0
 
 let fuzz_to_string r =
@@ -274,7 +346,7 @@ let fuzz ?(cases = 200) ~seed () =
               fail
                 (Printf.sprintf "commit counts differ: analytic %d vs kernel %d"
                    analytic.Schedule_sim.r_iters compiled.Kernel_sim.k_iters)
-            else if interp <> compiled then
+            else if not (same_kernel_result interp compiled) then
               fail
                 (Printf.sprintf
                    "engines diverge: interp {iters=%d;cycles=%d;stalls=%d;squashed=%d;outs=%d} vs \

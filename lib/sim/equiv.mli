@@ -11,9 +11,11 @@ type mismatch = {
 
 type verdict = { equivalent : bool; mismatches : mismatch list; checked_values : int }
 
-val compare_port : port:string -> int list -> int list -> mismatch list
-
 val check : out_ports:(string * int) list -> Behav.result -> Schedule_sim.result -> verdict
+(** Every output port, in [out_ports] order: the mismatches of one port
+    by ascending index, then the next port's.  Each result's events are
+    grouped by port in one pass; events on ports outside [out_ports] are
+    ignored. *)
 
 val check_kernel : out_ports:(string * int) list -> Behav.result -> Kernel_sim.result -> verdict
 (** Behavioural trace vs the folded-kernel simulator — the extra gate the

@@ -299,8 +299,12 @@ let run ?funcs ?max_iters ?max_cycles ?stall_pattern ?(engine = `Compiled)
       let plan = Kernel_compile.compile elab sched fold in
       Kernel_compile.run ?funcs ?max_iters ?max_cycles ?stall_pattern plan stim
 
+let commit_order a b =
+  let c = Int.compare a.k_iter b.k_iter in
+  if c <> 0 then c else Int.compare a.k_cycle b.k_cycle
+
 let port_values (r : result) port =
   r.k_outputs
-  |> List.filter (fun o -> o.k_port = port)
-  |> List.sort (fun a b -> compare (a.k_iter, a.k_cycle) (b.k_iter, b.k_cycle))
+  |> List.filter (fun o -> String.equal o.k_port port)
+  |> List.stable_sort commit_order
   |> List.map (fun o -> o.k_value)

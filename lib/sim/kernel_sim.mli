@@ -49,5 +49,9 @@ val run :
     defaults to [`Compiled]; [`Interp] is the executable specification
     the compiled plan is diffed against. *)
 
+val commit_order : output_event -> output_event -> int
+(** By iteration, then cycle: the order {!port_values} reads a port in
+    (under a stable sort, so commits with equal keys keep theirs). *)
+
 val port_values : result -> string -> int list
 (** Committed values of one port in iteration order. *)

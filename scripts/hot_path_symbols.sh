@@ -7,7 +7,9 @@
 # Scheduler is checked whole, its set-up and relaxation loop included, and
 # so are the per-pass analyses it calls: Asap_alap's sweeps, Restraint's
 # proximity weighting, Priority's scores and fanout table, and Region's
-# accessors and SCC list.
+# accessors and SCC list.  So are the two steps after it that every
+# verified request pays for: Verilog's printer (and lint) and Equiv's
+# port-grouped comparisons (and its fuzz gate).
 # A comparison whose type is left open compiles to a call into OCaml's
 # polymorphic compare or hash instead, so this script lists the undefined
 # symbols of each module's native object (`nm -u`) and fails on any
@@ -25,7 +27,7 @@
 # root: `./scripts/hot_path_symbols.sh` (it builds first).
 set -eu
 
-modules="Ready_heap Scheduler Asap_alap Restraint Binding Netlist Screen Graph Cycle_detector Graph_algo Priority Region"
+modules="Ready_heap Scheduler Asap_alap Restraint Binding Netlist Screen Graph Cycle_detector Graph_algo Priority Region Verilog Equiv"
 # modules also barred from the generic Hashtbl
 hashtbl_modules="Binding Restraint Graph_algo"
 bad='^(caml_(compare|equal|notequal|lessthan|lessequal|greaterthan|greaterequal|hash)|camlStdlib[.$](min|max|compare)_[0-9]+|camlStdlib__List[.$](mem|assoc|assoc_opt|mem_assoc)_[0-9]+)$'
